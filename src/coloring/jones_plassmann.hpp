@@ -58,8 +58,7 @@ ColoringResult jones_plassmann(const G& g,
   const VertexId n = g.num_vertices();
   ColoringResult result;
   result.colors.assign(n, kNoColor);
-  runtime::ThreadPool* pool =
-      n >= rt.serial_cutoff ? runtime::resolve_pool(rt) : nullptr;
+  runtime::ThreadPool* pool = runtime::resolve_pool(rt, n);
   const unsigned workers = pool != nullptr ? pool->num_workers() : 1;
 
   // Priority = (key << 32) | random tie-break; vertex id breaks exact ties.

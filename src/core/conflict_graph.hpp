@@ -131,11 +131,36 @@ void enumerate_reference(const Oracle& oracle,
                             std::forward<Emit>(emit));
 }
 
-/// Inverted index: bucket vertices by each color in their list.
+/// Inverted index: bucket c holds one entry per vertex u whose list has
+/// color c, ascending in u. An entry packs (u << slot_bits) | k, where k is
+/// c's slot in u's sorted list, so a consumer that strikes c from u clears
+/// list bit k directly instead of searching u's list for c. The fused strike
+/// scan compacts buckets in place; kEnd then ends a bucket that has shrunk
+/// below its offsets range. Packing is why n << slot_bits must stay below
+/// 2^32 (see color_index_slot_bits). The cap holds for every index user,
+/// the materialized Indexed kernel included: since 2^slot_bits < 2L, it
+/// admits up to ~2x fewer vertices than the n*L < 2^32 an unpacked index
+/// would.
 struct ColorIndex {
   std::vector<std::uint32_t> offsets;  // size P+1
-  std::vector<std::uint32_t> members;  // size n*L, grouped by color
+  std::vector<std::uint32_t> members;  // size n*L packed entries, by color
+  std::uint32_t slot_bits = 0;         // bit_width(L - 1)
+
+  static constexpr std::uint32_t kEnd = 0xffffffffu;
+
+  std::uint32_t vertex(std::uint32_t entry) const noexcept {
+    return entry >> slot_bits;
+  }
+  std::uint32_t slot(std::uint32_t entry) const noexcept {
+    return entry & ((std::uint32_t{1} << slot_bits) - 1);
+  }
 };
+
+/// Slot width s = bit_width(L - 1) of a packed index over n vertices with
+/// lists of L. Throws std::length_error unless every entry, at most
+/// (n << s) - 1, fits in 32 bits with kEnd left free — which also keeps the
+/// n*L entry count inside the uint32 offsets.
+std::uint32_t color_index_slot_bits(std::uint32_t n, std::uint32_t list_size);
 
 ColorIndex build_color_index(const ColorLists& lists,
                              std::uint32_t palette_size);
@@ -156,9 +181,9 @@ void enumerate_indexed_range(const Oracle& oracle,
     std::uint64_t evals = 0;  // flushed per bucket: schedule-independent
     for (std::uint32_t a = lo; a < hi; ++a) {
       for (std::uint32_t b = a + 1; b < hi; ++b) {
-        std::uint32_t u = index.members[a];
-        std::uint32_t v = index.members[b];
-        if (u > v) std::swap(u, v);
+        // Buckets ascend in u, so the a-th member is the smaller endpoint.
+        const std::uint32_t u = index.vertex(index.members[a]);
+        const std::uint32_t v = index.vertex(index.members[b]);
         // Deduplicate: this pair belongs to color c's bucket for every
         // shared color; only the smallest one reports it.
         if (lists.first_shared_color(u, v) != c) continue;
@@ -338,10 +363,7 @@ ConflictBuildResult build_conflict_graph(
   const auto n = static_cast<std::uint32_t>(active.size());
   kernel = resolve_kernel(kernel, palette_size, lists.list_size(),
                           BlockConflictOracle<Oracle>);
-  // Gate on size before touching the pool: small inputs must not pay
-  // (or trigger) shared-pool construction.
-  runtime::ThreadPool* pool =
-      n >= rt.serial_cutoff ? resolve_pool(rt) : nullptr;
+  runtime::ThreadPool* pool = runtime::resolve_pool(rt, n);
   if (pool != nullptr) {
     auto parts = detail::enumerate_conflicts_partitioned(
         pool, oracle, active, lists, palette_size, kernel, rt);

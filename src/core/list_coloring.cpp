@@ -1,5 +1,6 @@
 #include "core/list_coloring.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace picasso::core {
@@ -17,12 +18,20 @@ const char* to_string(ConflictColoringScheme s) noexcept {
 
 namespace {
 
-/// CSR strike enumerator: every conflict-graph neighbor, ascending (CSR rows
-/// are sorted). The shared body filters colored vertices and absent colors.
-auto csr_strikes(const graph::CsrGraph& gc) {
-  return [&gc](std::uint32_t v, std::uint32_t /*color*/,
-               const util::PackedColorArray& /*assigned*/, auto&& strike) {
-    for (std::uint32_t u : gc.neighbors(v)) strike(u);
+/// CSR strike enumerator: the uncolored conflict-graph neighbors holding
+/// `color`, ascending (CSR rows are sorted), each with color's slot in its
+/// list found by binary search — the materialized reference for the fused
+/// engine's packed-index slots.
+auto csr_strikes(const graph::CsrGraph& gc, const ColorLists& lists) {
+  return [&gc, &lists](std::uint32_t v, std::uint32_t color,
+                       const util::PackedColorArray& assigned, auto&& strike) {
+    for (std::uint32_t u : gc.neighbors(v)) {
+      if (assigned[u] != ListColoringResult::kNoColorLocal) continue;
+      const auto list = lists.list(u);
+      const auto it = std::lower_bound(list.begin(), list.end(), color);
+      if (it == list.end() || *it != color) continue;
+      strike(u, static_cast<std::uint32_t>(it - list.begin()));
+    }
   };
 }
 
@@ -32,14 +41,14 @@ ListColoringResult color_conflict_graph_dynamic(const graph::CsrGraph& gc,
                                                 const ColorLists& lists,
                                                 util::Xoshiro256& rng) {
   return detail::color_lists_dynamic(gc.num_vertices(), lists, rng,
-                                     csr_strikes(gc));
+                                     csr_strikes(gc, lists));
 }
 
 ListColoringResult color_conflict_graph_heap(const graph::CsrGraph& gc,
                                              const ColorLists& lists,
                                              util::Xoshiro256& rng) {
   return detail::color_lists_heap(gc.num_vertices(), lists, rng,
-                                  csr_strikes(gc));
+                                  csr_strikes(gc, lists));
 }
 
 ListColoringResult color_conflict_graph_static(const graph::CsrGraph& gc,

@@ -88,14 +88,16 @@ ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
 // ---------------------------------------------------------------------------
 // Generic scheme bodies. The enumerator contracts matter for bit-identity:
 //
-//  * ForEachStrike(v, color, assigned, strike): invoke strike(u) for
-//    conflict-graph neighbors u of v, in ascending u order. It may pass any
-//    neighbor (the body skips colored vertices and lists the color is absent
-//    from), but must never pass a non-neighbor holding `color` — that would
-//    strike a list Algorithm 2 would not touch. The CSR instantiation passes
-//    every neighbor; the fused one passes the oracle-confirmed, still-
-//    uncolored members of color's bucket — the same affected set in the
-//    same order, which is the whole bit-identity argument.
+//  * ForEachStrike(v, color, assigned, strike): v is already colored
+//    `color` when this runs. Invoke strike(u, slot) for exactly the still-
+//    uncolored conflict-graph neighbors u of v whose list holds `color`, in
+//    ascending u order, where `slot` is color's position in u's sorted list
+//    (lists.list(u)[slot] == color). Passing a non-neighbor would strike a
+//    list Algorithm 2 would not touch. The CSR instantiation walks v's row
+//    and finds each slot by binary search; the fused one passes the oracle-
+//    confirmed, still-uncolored members of color's bucket with the slot the
+//    packed index entry carries — the same affected set in the same order,
+//    which is the whole bit-identity argument.
 //  * ForEachNeighbor(v, visit): invoke visit(u) for every conflict-graph
 //    neighbor u of v (any order; used for the idempotent mark pass of the
 //    static schemes).
@@ -103,11 +105,12 @@ ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
 namespace detail {
 
 /// Mutable view over the (immutable, sorted) color lists: a per-vertex
-/// presence bitmask tracks which entries are still alive. Removal is a
-/// binary search + bit clear (O(log L)); selecting the k-th surviving color
-/// is a popcount scan over ceil(L/64) words. This keeps the Algorithm-2
-/// inner loop O(|Ec| log L) even in the aggressive regime where L = P and
-/// a swap-removal list would cost O(|Ec| L).
+/// presence bitmask tracks which entries are still alive. Removal takes the
+/// entry's slot (the strike enumerators supply it) and is one O(1) bit
+/// clear that never reads the ColorLists row; selecting the k-th surviving
+/// color is a popcount scan over ceil(L/64) words. This keeps each strike
+/// of the Algorithm-2 inner loop O(1) even in the aggressive regime where
+/// L = P and a swap-removal list would cost O(L).
 class WorkingLists {
  public:
   explicit WorkingLists(const ColorLists& lists)
@@ -140,17 +143,13 @@ class WorkingLists {
     return kNotPresent;  // unreachable for idx < size_of(v)
   }
 
-  /// Removes `color` from v's list if still present; returns the new size,
-  /// or kNotPresent if absent (already removed or never sampled).
+  /// Removes entry `slot` of v's list if still present; returns the new
+  /// size, or kNotPresent if an earlier strike already removed it.
   static constexpr std::uint32_t kNotPresent = 0xffffffffu;
-  std::uint32_t remove_color(std::uint32_t v, std::uint32_t color) {
-    const auto list = lists_->list(v);
-    const auto it = std::lower_bound(list.begin(), list.end(), color);
-    if (it == list.end() || *it != color) return kNotPresent;
-    const auto idx = static_cast<std::uint32_t>(it - list.begin());
+  std::uint32_t remove_slot(std::uint32_t v, std::uint32_t slot) {
     std::uint64_t& word =
-        mask_[static_cast<std::size_t>(v) * words_ + (idx >> 6)];
-    const std::uint64_t bit = 1ull << (idx & 63u);
+        mask_[static_cast<std::size_t>(v) * words_ + (slot >> 6)];
+    const std::uint64_t bit = 1ull << (slot & 63u);
     if ((word & bit) == 0) return kNotPresent;
     word &= ~bit;
     return --size_[v];
@@ -178,14 +177,12 @@ inline void finalize_list_coloring(ListColoringResult& result) {
   }
 }
 
-/// Applies one strike to u (remove `color`, classify the outcome); shared
-/// between the bucket and heap bodies so the skip rules cannot drift.
+/// Applies one strike to u (remove list slot `slot`, classify the outcome);
+/// shared between the bucket and heap bodies so the skip rules cannot drift.
 template <typename OnResize, typename OnEmpty>
-void apply_strike(std::uint32_t u, std::uint32_t color, WorkingLists& work,
-                  const util::PackedColorArray& assigned,
+void apply_strike(std::uint32_t u, std::uint32_t slot, WorkingLists& work,
                   OnResize&& on_resize, OnEmpty&& on_empty) {
-  if (assigned[u] != ListColoringResult::kNoColorLocal) return;
-  const std::uint32_t new_size = work.remove_color(u, color);
+  const std::uint32_t new_size = work.remove_slot(u, slot);
   if (new_size == WorkingLists::kNotPresent) return;
   if (new_size == 0) {
     on_empty(u);
@@ -225,9 +222,10 @@ ListColoringResult color_lists_dynamic(std::uint32_t n, const ColorLists& lists,
         work.color_at(v, static_cast<std::uint32_t>(rng.bounded(key)));
     result.assigned[v] = color;
 
-    for_each_strike(v, color, result.assigned, [&](std::uint32_t u) {
+    for_each_strike(v, color, result.assigned, [&](std::uint32_t u,
+                                                    std::uint32_t slot) {
       apply_strike(
-          u, color, work, result.assigned,
+          u, slot, work,
           [&](std::uint32_t t, std::uint32_t new_size) {
             if (queue.contains(t)) queue.update_key(t, new_size);
           },
@@ -287,9 +285,10 @@ ListColoringResult color_lists_heap(std::uint32_t n, const ColorLists& lists,
         v, static_cast<std::uint32_t>(rng.bounded(work.size_of(v))));
     result.assigned[v] = color;
 
-    for_each_strike(v, color, result.assigned, [&](std::uint32_t u) {
+    for_each_strike(v, color, result.assigned, [&](std::uint32_t u,
+                                                    std::uint32_t slot) {
       apply_strike(
-          u, color, work, result.assigned,
+          u, slot, work,
           [&](std::uint32_t t, std::uint32_t new_size) {
             if (!done[t]) {
               heap.push({new_size,

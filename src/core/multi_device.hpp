@@ -160,12 +160,8 @@ MultiDeviceResult solve_multi_device(const Oracle& oracle,
       obs::ScopedPhase acc(params.trace, "conflict_shard",
                            stats.conflict_seconds);
       const std::uint32_t d_count = config.num_devices;
-      // Same gate as build_conflict_graph: small inputs must not pay (or
-      // trigger) shared-pool construction.
       runtime::ThreadPool* pool =
-          stats.n_active >= params.runtime.serial_cutoff
-              ? runtime::resolve_pool(params.runtime)
-              : nullptr;
+          runtime::resolve_pool(params.runtime, stats.n_active);
 
       // Stage 1: chunk-parallel enumeration, routed into per-(chunk,
       // device) buckets as edges are emitted — one O(|Ec|) routing pass

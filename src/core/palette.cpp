@@ -59,15 +59,10 @@ ColorLists assign_random_lists(std::uint32_t num_vertices,
                                const IterationPalette& palette,
                                std::uint64_t seed, std::uint64_t iteration) {
   ColorLists lists(num_vertices, palette.list_size);
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (std::uint32_t v = 0; v < num_vertices; ++v) {
     util::Xoshiro256 rng = util::keyed_rng(seed, iteration, v);
-    const std::vector<std::uint32_t> sample = util::sample_without_replacement(
-        palette.palette_size, palette.list_size, rng);
-    auto dst = lists.mutable_list(v);
-    std::copy(sample.begin(), sample.end(), dst.begin());
+    util::sample_without_replacement(palette.palette_size,
+                                     lists.mutable_list(v), rng);
   }
   lists.build_signatures();
   return lists;

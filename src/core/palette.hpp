@@ -99,8 +99,9 @@ class ColorLists {
 };
 
 /// Draws the lists for one iteration: vertex i's list is L distinct colors
-/// uniform from [0, P), sorted. Deterministic per (seed, iteration, vertex)
-/// regardless of thread schedule.
+/// uniform from [0, P), sorted, sampled straight into its row. Every vertex
+/// draws from its own (seed, iteration, vertex)-keyed stream, so the lists do
+/// not depend on the order vertices are visited in.
 ColorLists assign_random_lists(std::uint32_t num_vertices,
                                const IterationPalette& palette,
                                std::uint64_t seed, std::uint64_t iteration);

@@ -179,7 +179,7 @@ PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
       static_cast<std::uint32_t>(reader.num_strings()), params,
       "solve_fused_streaming",
       [&](std::span<const std::uint32_t> active, const ColorLists& lists,
-          const detail::ColorIndex& index, const IterationPalette& palette,
+          detail::ColorIndex& index, const IterationPalette& palette,
           util::Xoshiro256& rng, int iteration,
           detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
           std::size_t& scan_scratch) {

@@ -15,9 +15,12 @@
 //    bucket c that the oracle confirms adjacent to v — so one bucket scan
 //    per colored vertex replaces both the up-front pair enumeration and the
 //    CSR neighbor walks;
-//  * the frontier shrinks as vertices get colored, so bucket scans get
-//    cheaper round over round instead of re-walking a static CSR, and only
-//    one bucket per vertex is ever scanned instead of all L;
+//  * each index entry packs a member with c's slot in its list, so a
+//    confirmed strike is one bit clear in the working lists — no search;
+//  * every strike scan compacts its bucket in place down to the still-
+//    uncolored members (stable, so candidates stay ascending), so the next
+//    scan of that color skips the colored vertices this one already read,
+//    and only one bucket per vertex is ever scanned instead of all L;
 //  * candidate batches go through the blocked SIMD kernels (edge_block)
 //    and, for large buckets, are slabbed over the PR-1 thread pool into
 //    position-indexed hit slots — a pure function of the candidate array,
@@ -92,17 +95,23 @@ struct FusedScanStats {
 
 /// Strike enumerator the shared scheme bodies drive (ForEachStrike
 /// contract, list_coloring.hpp): candidates are the still-uncolored members
-/// of the assigned color's bucket, minus v itself, in ascending order; the
-/// Tester answers adjacency for the whole batch; confirmed candidates are
-/// struck in candidate order. Checks the stop token at every bucket
-/// boundary and reports progress every kFusedProgressInterval scans.
+/// of the assigned color's bucket (v itself is colored by then), in
+/// ascending order; the Tester answers adjacency for the whole batch;
+/// confirmed candidates are struck in candidate order with the slot their
+/// packed entry carries. The scan compacts the bucket to exactly the
+/// candidates' entries (kEnd-terminated when it shrinks), so bucket entry i
+/// belongs to candidate i and the strike pass needs no second array. Only
+/// colored vertices are dropped, which keeps every candidate batch — and
+/// so every counter and coloring — what a full bucket walk would give.
+/// Checks the stop token at every bucket boundary and reports progress
+/// every kFusedProgressInterval scans.
 ///
 /// Tester contract: tester(v, cands, hits) fills hits[i] = 1 iff
 /// {v, cands[i]} (local ids) is an edge of the conflict oracle's graph.
 template <typename Tester>
 class FusedStrikeEnumerator {
  public:
-  FusedStrikeEnumerator(const ColorIndex& index, Tester& tester,
+  FusedStrikeEnumerator(ColorIndex& index, Tester& tester,
                         const PicassoParams& params, int iteration,
                         std::uint32_t n_active, std::vector<std::uint8_t>& touched,
                         FusedScanStats& stats)
@@ -121,13 +130,19 @@ class FusedStrikeEnumerator {
     // bucket is scanned; RAII in the driver unwinds every charge.
     throw_if_stopped(params_->stop);
     cands_.clear();
-    const std::uint32_t lo = index_->offsets[color];
-    const std::uint32_t hi = index_->offsets[color + 1];
-    for (std::uint32_t i = lo; i < hi; ++i) {
-      const std::uint32_t u = index_->members[i];
-      if (u == v || assigned[u] != ListColoringResult::kNoColorLocal) continue;
+    ColorIndex& index = *index_;
+    std::uint32_t* bucket = index.members.data() + index.offsets[color];
+    const std::uint32_t size = index.offsets[color + 1] - index.offsets[color];
+    std::uint32_t live = 0;
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const std::uint32_t entry = bucket[i];
+      if (entry == ColorIndex::kEnd) break;
+      const std::uint32_t u = index.vertex(entry);
+      if (assigned[u] != ListColoringResult::kNoColorLocal) continue;
+      bucket[live++] = entry;
       cands_.push_back(u);
     }
+    if (live < size) bucket[live] = ColorIndex::kEnd;
     hits_.resize(cands_.size());
     if (!cands_.empty()) {
       (*tester_)(v, std::span<const std::uint32_t>(cands_), hits_.data());
@@ -136,7 +151,7 @@ class FusedStrikeEnumerator {
     bool any = false;
     for (std::size_t i = 0; i < cands_.size(); ++i) {
       if (!hits_[i]) continue;
-      strike(cands_[i]);
+      strike(cands_[i], index.slot(bucket[i]));
       ++stats_->edges_struck;
       (*touched_)[cands_[i]] = 1;
       any = true;
@@ -166,7 +181,7 @@ class FusedStrikeEnumerator {
   }
 
  private:
-  const ColorIndex* index_;
+  ColorIndex* index_;
   Tester* tester_;
   const PicassoParams* params_;
   int iteration_;
@@ -210,7 +225,7 @@ class FusedNeighborEnumerator {
       const std::uint32_t lo = index_->offsets[c];
       const std::uint32_t hi = index_->offsets[c + 1];
       for (std::uint32_t i = lo; i < hi; ++i) {
-        const std::uint32_t u = index_->members[i];
+        const std::uint32_t u = index_->vertex(index_->members[i]);
         if (u == v) continue;
         // Each (u, v) pair is examined once, at its smallest shared color.
         const std::uint32_t a = std::min(u, v);
@@ -265,10 +280,10 @@ std::vector<std::uint32_t> fused_conflict_degrees(std::uint32_t n,
     const std::uint32_t lo = index.offsets[c];
     const std::uint32_t hi = index.offsets[c + 1];
     for (std::uint32_t a = lo; a < hi; ++a) {
-      const std::uint32_t u = index.members[a];
+      const std::uint32_t u = index.vertex(index.members[a]);
       cands.clear();
       for (std::uint32_t b = a + 1; b < hi; ++b) {
-        const std::uint32_t v = index.members[b];
+        const std::uint32_t v = index.vertex(index.members[b]);
         const std::uint32_t s = std::min(u, v);
         const std::uint32_t t = std::max(u, v);
         if (lists.first_shared_color(s, t) != c) continue;
@@ -299,8 +314,7 @@ std::vector<std::uint32_t> fused_conflict_degrees_parallel(
     const ColorLists& lists, const ColorIndex& index,
     std::uint32_t palette_size, const runtime::RuntimeConfig& rt) {
   const auto n = static_cast<std::uint32_t>(active.size());
-  runtime::ThreadPool* pool =
-      n >= rt.serial_cutoff ? runtime::resolve_pool(rt) : nullptr;
+  runtime::ThreadPool* pool = runtime::resolve_pool(rt, n);
   const unsigned workers = pool != nullptr ? pool->num_workers() : 1;
   const auto chunks = plan_conflict_chunks(ConflictKernel::Indexed, n, &index,
                                            palette_size, rt, workers);
@@ -438,10 +452,11 @@ class SketchedBatchTester {
 
 /// One fused iteration: dispatches the scheme over the shared bodies with
 /// the fused enumerators. `rng` must be the same coloring RNG the
-/// materialized driver would hand color_conflict_graph.
+/// materialized driver would hand color_conflict_graph. The dynamic schemes
+/// compact `index` as they go, so it is spent once this returns.
 template <typename Tester, typename DegreeFn>
 ListColoringResult fused_color_iteration(
-    std::uint32_t n_active, const ColorLists& lists, const ColorIndex& index,
+    std::uint32_t n_active, const ColorLists& lists, ColorIndex& index,
     ConflictColoringScheme scheme, util::Xoshiro256& rng, Tester& tester,
     const PicassoParams& params, int iteration, std::uint32_t palette_size,
     DegreeFn&& degree_fn, FusedScanStats& scan_stats,
@@ -549,11 +564,11 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
     util::ScopedCharge lists_charge(util::MemSubsystem::PaletteLists,
                                     lists.logical_bytes(), memory);
 
-    // The fused frontier: the color -> vertices inverted index is the only
-    // per-iteration structure beyond the lists themselves — where the
+    // The fused frontier: the color -> (vertex, slot) inverted index is the
+    // only per-iteration structure beyond the lists themselves — where the
     // materialized engines stage COO partitions and a CSR, this engine
-    // holds nL + P + 1 words, period.
-    const ColorIndex index = build_color_index(lists, palette.palette_size);
+    // holds nL + P + 1 words, period. Strike scans compact it in place.
+    ColorIndex index = build_color_index(lists, palette.palette_size);
     util::ScopedCharge index_charge(
         util::MemSubsystem::FusedFrontier,
         index.offsets.capacity() * sizeof(std::uint32_t) +
@@ -653,15 +668,13 @@ PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
   return detail::solve_fused_loop(
       oracle.num_vertices(), params, "solve_fused",
       [&](std::span<const std::uint32_t> active, const ColorLists& lists,
-          const detail::ColorIndex& index, const IterationPalette& palette,
+          detail::ColorIndex& index, const IterationPalette& palette,
           util::Xoshiro256& rng, int iteration,
           detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
           std::size_t& scan_scratch) {
         const auto n_active = static_cast<std::uint32_t>(active.size());
         runtime::ThreadPool* pool =
-            n_active >= params.runtime.serial_cutoff
-                ? runtime::resolve_pool(params.runtime)
-                : nullptr;
+            runtime::resolve_pool(params.runtime, n_active);
         detail::OracleBatchTester<Oracle> exact(oracle, active, pool,
                                                 params.runtime.serial_cutoff);
         auto run_with = [&](auto& tester) {

@@ -318,9 +318,7 @@ PicassoResult solve_pauli_chunked(const pauli::ChunkedPauliReader& reader,
       obs::ScopedPhase acc(params.trace, "conflict_scan",
                            stats.conflict_seconds);
       runtime::ThreadPool* pool =
-          stats.n_active >= params.runtime.serial_cutoff
-              ? runtime::resolve_pool(params.runtime)
-              : nullptr;
+          runtime::resolve_pool(params.runtime, stats.n_active);
       const unsigned workers = pool != nullptr ? pool->num_workers() : 1;
 
       std::vector<std::vector<std::uint32_t>> parts;

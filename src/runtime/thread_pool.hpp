@@ -105,6 +105,14 @@ inline ThreadPool* resolve_pool(const RuntimeConfig& config) {
   return &ThreadPool::shared(config.num_threads);
 }
 
+/// Pool for a phase over `items` work items: nullptr below
+/// `config.serial_cutoff`, so small inputs neither pay for (nor trigger)
+/// shared-pool construction; resolve_pool(config) otherwise.
+inline ThreadPool* resolve_pool(const RuntimeConfig& config,
+                                std::size_t items) {
+  return items >= config.serial_cutoff ? resolve_pool(config) : nullptr;
+}
+
 /// Joins a set of tasks submitted to a pool. Unlike ThreadPool::drain(),
 /// groups are per-call-site, so concurrent callers do not wait on each
 /// other's tasks. The first exception a task throws is captured and

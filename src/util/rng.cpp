@@ -14,24 +14,23 @@ Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexc
   return Xoshiro256(sm3.next());
 }
 
-std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n,
-                                                      std::uint32_t k,
-                                                      Xoshiro256& rng) {
-  if (k > n) k = n;
-  std::vector<std::uint32_t> out;
-  out.reserve(k);
-  if (k == 0) return out;
-
+std::span<std::uint32_t> sample_without_replacement(
+    std::uint32_t n, std::span<std::uint32_t> out, Xoshiro256& rng) {
+  const auto k = static_cast<std::uint32_t>(
+      std::min<std::size_t>(out.size(), n));
+  out = out.first(k);
   // Floyd's algorithm: for j = n-k .. n-1 pick t in [0, j]; insert t unless
   // already present, in which case insert j. Guarantees uniformity over all
-  // k-subsets. Membership test on the (small, ≤ L) output via linear scan is
-  // faster than a hash set at these sizes.
-  auto contains = [&out](std::uint32_t x) {
-    return std::find(out.begin(), out.end(), x) != out.end();
-  };
-  for (std::uint32_t j = n - k; j < n; ++j) {
-    auto t = static_cast<std::uint32_t>(rng.bounded(j + 1));
-    out.push_back(contains(t) ? j : t);
+  // k-subsets. The membership test counts matches over the whole filled
+  // prefix without an early exit: the count vectorizes, and at list sizes
+  // it beats both a mispredicted exit and a hash set.
+  for (std::uint32_t filled = 0, j = n - k; j < n; ++j, ++filled) {
+    const auto t = static_cast<std::uint32_t>(rng.bounded(j + 1));
+    std::uint32_t matches = 0;
+    for (std::uint32_t i = 0; i < filled; ++i) {
+      matches += out[i] == t ? 1u : 0u;
+    }
+    out[filled] = matches != 0 ? j : t;
   }
   std::sort(out.begin(), out.end());
   return out;

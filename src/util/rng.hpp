@@ -1,13 +1,13 @@
 #pragma once
 // Deterministic pseudo-random number generation for Picasso.
 //
-// The coloring algorithm must be reproducible given a seed, including when the
-// list-assignment loop runs in parallel: every (seed, iteration, vertex)
-// triple gets its own statistically independent stream, so the schedule of an
-// OpenMP loop cannot change the sampled color lists.
+// The coloring algorithm must be reproducible given a seed: every (seed,
+// iteration, vertex) triple gets its own statistically independent stream, so
+// the order in which vertices draw their lists cannot change them.
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace picasso::util {
@@ -95,11 +95,11 @@ class Xoshiro256 {
 /// Mixing the words through SplitMix64 decorrelates consecutive keys.
 Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexcept;
 
-/// Samples `k` distinct values from [0, n) uniformly at random, ascending
-/// order. Uses Floyd's algorithm: O(k) expected work, no O(n) scratch.
-std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n,
-                                                      std::uint32_t k,
-                                                      Xoshiro256& rng);
+/// Samples k = min(out.size(), n) distinct values from [0, n) uniformly at
+/// random into out[0, k), ascending, and returns that prefix. Floyd's
+/// algorithm: O(k) draws, no O(n) scratch and no allocation.
+std::span<std::uint32_t> sample_without_replacement(
+    std::uint32_t n, std::span<std::uint32_t> out, Xoshiro256& rng);
 
 /// Fisher-Yates shuffle.
 template <typename T>

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -201,4 +204,66 @@ TEST(ConflictGraph, WorksOnRealPauliOracle) {
   const auto idx = pcore::build_conflict_graph(
       oracle, active, lists, palette.palette_size, pcore::ConflictKernel::Indexed);
   EXPECT_EQ(edges_of(ref.graph), edges_of(idx.graph));
+}
+
+// The packed index: every entry of bucket c decodes to (u, k) with c at slot
+// k of u's list, members ascend within a bucket, and every (u, k) appears
+// exactly once — across slot widths from 0 bits (L = 1) to past a byte.
+TEST(ColorIndex, PackedEntriesDecodeToVertexAndSlot) {
+  for (const std::uint32_t l : {1u, 2u, 9u, 64u, 65u, 300u}) {
+    const std::uint32_t n = 90;
+    const pcore::IterationPalette palette{l + 37, l, 0};
+    const auto lists = pcore::assign_random_lists(n, palette, l, 0);
+    const auto index =
+        pcore::detail::build_color_index(lists, palette.palette_size);
+    const auto key = "L=" + std::to_string(l);
+    ASSERT_EQ(index.slot_bits,
+              l > 1 ? static_cast<std::uint32_t>(std::bit_width(l - 1)) : 0u)
+        << key;
+    ASSERT_EQ(index.offsets.size(), palette.palette_size + 1u) << key;
+    ASSERT_EQ(index.members.size(), std::size_t{n} * l) << key;
+    std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
+    for (std::uint32_t c = 0; c < palette.palette_size; ++c) {
+      for (std::uint32_t i = index.offsets[c]; i < index.offsets[c + 1]; ++i) {
+        const std::uint32_t u = index.vertex(index.members[i]);
+        const std::uint32_t k = index.slot(index.members[i]);
+        ASSERT_LT(u, n) << key;
+        ASSERT_LT(k, l) << key;
+        EXPECT_EQ(lists.list(u)[k], c) << key << " u=" << u << " k=" << k;
+        if (i > index.offsets[c]) {
+          EXPECT_LT(index.vertex(index.members[i - 1]), u) << key;
+        }
+        seen.emplace(u, k);
+      }
+    }
+    EXPECT_EQ(seen.size(), std::size_t{n} * l) << key;
+  }
+}
+
+// Packed entries need n << bit_width(L - 1) below 2^32 so the all-ones
+// bucket terminator stays free; past that the build must refuse, naming n
+// and L, rather than wrap.
+TEST(ColorIndex, SlotBitsRejectOverflowingEntries) {
+  EXPECT_EQ(pcore::detail::color_index_slot_bits(0, 0), 0u);
+  EXPECT_EQ(pcore::detail::color_index_slot_bits(1000, 1), 0u);
+  EXPECT_EQ(pcore::detail::color_index_slot_bits(1000, 2), 1u);
+  EXPECT_EQ(pcore::detail::color_index_slot_bits(1000, 65), 7u);
+  // Largest fits: (n << s) - 1, the top entry, is just below all-ones.
+  EXPECT_EQ(pcore::detail::color_index_slot_bits(0xffffffffu, 1), 0u);
+  EXPECT_EQ(pcore::detail::color_index_slot_bits(0xffffu, 0x10000u), 16u);
+  EXPECT_THROW(pcore::detail::color_index_slot_bits(0xffffffffu, 2),
+               std::length_error);
+  EXPECT_THROW(pcore::detail::color_index_slot_bits(0x10000u, 0x10000u),
+               std::length_error);
+  // The index of an n * L >= 2^32 lists would have wrapped its offsets.
+  EXPECT_THROW(pcore::detail::color_index_slot_bits(1u << 27, 33),
+               std::length_error);
+  try {
+    pcore::detail::color_index_slot_bits(70000000u, 100);
+    FAIL() << "expected std::length_error";
+  } catch (const std::length_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("70000000"), std::string::npos) << what;
+    EXPECT_NE(what.find("100"), std::string::npos) << what;
+  }
 }

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "graph/oracles.hpp"
 #include "pauli/pauli_set.hpp"
 #include "pauli/pauli_stream.hpp"
+#include "util/packed_colors.hpp"
 #include "util/rng.hpp"
 
 namespace pcore = picasso::core;
@@ -53,17 +56,42 @@ constexpr pcore::ConflictColoringScheme kAllSchemes[] = {
 
 // Every coloring scheme, both palette regimes: the fused engine must land
 // on the exact coloring of the materialized pipeline — that is the whole
-// contract that lets it replace the CSR path.
+// contract that lets it replace the CSR path. After the random shapes come
+// the list-size boundaries of the packed (vertex, slot) index: L = 1 (no
+// slot bits), L = 75 (past one 64-bit WorkingLists word) and L = 270 (a
+// slot no longer fits in a byte). Only the dynamic schemes strike by slot,
+// so only they run the boundaries: the static schemes' per-vertex bucket
+// passes cost O(n^2 L^2 / P) pair merges there.
 TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
+  struct Boundary {
+    std::size_t n;
+    double palette_percent;
+    double alpha;
+    std::uint32_t list_size;
+  };
+  constexpr Boundary kBoundaries[] = {
+      {120, 12.5, 0.1, 1}, {600, 12.5, 30.0, 75}, {500, 60.0, 100.0, 270}};
+  constexpr int kRandomCases = 8;
   pu::Xoshiro256 rng(0xf05edull);
-  for (int c = 0; c < 8; ++c) {
-    const std::size_t n = 40 + rng.bounded(120);
+  for (int c = 0; c < kRandomCases + 3; ++c) {
+    const Boundary* boundary =
+        c < kRandomCases ? nullptr : &kBoundaries[c - kRandomCases];
+    const std::size_t n =
+        boundary != nullptr ? boundary->n : 40 + rng.bounded(120);
     const std::size_t qubits = 2 + rng.bounded(48);
     const auto set = random_set(n, qubits, rng);
     for (const auto scheme : kAllSchemes) {
+      const bool dynamic =
+          scheme == pcore::ConflictColoringScheme::DynamicBucket ||
+          scheme == pcore::ConflictColoringScheme::DynamicHeap;
+      if (boundary != nullptr && !dynamic) continue;
       pcore::PicassoParams params;
-      params.palette_percent = c % 2 == 0 ? 12.5 : 3.0;
-      params.alpha = c % 2 == 0 ? 2.0 : 30.0;
+      params.palette_percent = boundary != nullptr ? boundary->palette_percent
+                               : c % 2 == 0        ? 12.5
+                                                   : 3.0;
+      params.alpha = boundary != nullptr ? boundary->alpha
+                     : c % 2 == 0        ? 2.0
+                                         : 30.0;
       params.seed = rng();
       params.conflict_scheme = scheme;
       const std::string key = "case " + std::to_string(c) + " scheme=" +
@@ -73,13 +101,16 @@ TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
 
       const auto ref = pcore::solve_pauli(set, params);
       const auto fused = pcore::solve_pauli_fused(set, params);
+      if (boundary != nullptr) {
+        ASSERT_EQ(fused.iterations.at(0).list_size, boundary->list_size)
+            << key;
+      }
       ASSERT_EQ(fused.colors, ref.colors) << key;
       ASSERT_EQ(fused.num_colors, ref.num_colors) << key;
       ASSERT_EQ(fused.iterations.size(), ref.iterations.size()) << key;
       // Static schemes enumerate every conflict neighbor, so their fused
       // edge counts are exactly the materialized |Ec| per iteration.
-      if (scheme != pcore::ConflictColoringScheme::DynamicBucket &&
-          scheme != pcore::ConflictColoringScheme::DynamicHeap) {
+      if (!dynamic) {
         for (std::size_t i = 0; i < fused.iterations.size(); ++i) {
           ASSERT_EQ(fused.iterations[i].conflict_edges,
                     ref.iterations[i].conflict_edges)
@@ -88,6 +119,58 @@ TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
       }
     }
   }
+}
+
+// The strike scan against a brute-force reading of the index: each batch
+// holds exactly the still-uncolored members of the color's bucket,
+// ascending, and each strike carries the color's slot in the target's
+// list — across repeated scans of buckets the earlier scans compacted.
+TEST(FusedEngine, StrikeScanCompactsToUncoloredBucketMembers) {
+  constexpr std::uint32_t n = 300;
+  const pcore::IterationPalette palette{12, 5, 0};
+  const auto lists = pcore::assign_random_lists(n, palette, 7, 0);
+  auto index = pcore::detail::build_color_index(lists, palette.palette_size);
+  std::vector<std::uint32_t> batch;
+  // Every candidate tests adjacent, so the strikes must be the whole batch.
+  auto tester = [&batch](std::uint32_t, std::span<const std::uint32_t> cands,
+                         std::uint8_t* hits) {
+    batch.assign(cands.begin(), cands.end());
+    std::fill(hits, hits + cands.size(), std::uint8_t{1});
+  };
+  const pcore::PicassoParams params;
+  std::vector<std::uint8_t> touched(n, 0);
+  pcore::detail::FusedScanStats stats;
+  pcore::detail::FusedStrikeEnumerator<decltype(tester)> scan(
+      index, tester, params, 0, n, touched, stats);
+  pu::PackedColorArray assigned;
+  assigned.reset(n, pcore::ListColoringResult::kNoColorLocal,
+                 palette.palette_size);
+  pu::Xoshiro256 rng(3);
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t v = 0; v < n; ++v) order[v] = v;
+  pu::shuffle(order, rng);
+  for (const std::uint32_t v : order) {
+    const std::uint32_t color =
+        lists.list(v)[rng.bounded(palette.list_size)];
+    assigned[v] = color;
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t u = 0; u < n; ++u) {
+      const auto list = lists.list(u);
+      if (assigned[u] == pcore::ListColoringResult::kNoColorLocal &&
+          std::find(list.begin(), list.end(), color) != list.end()) {
+        expected.push_back(u);
+      }
+    }
+    batch.clear();
+    std::vector<std::uint32_t> struck;
+    scan(v, color, assigned, [&](std::uint32_t u, std::uint32_t slot) {
+      ASSERT_EQ(lists.list(u)[slot], color) << "u=" << u;
+      struck.push_back(u);
+    });
+    ASSERT_EQ(batch, expected) << "v=" << v << " color=" << color;
+    ASSERT_EQ(struck, expected) << "v=" << v << " color=" << color;
+  }
+  EXPECT_EQ(stats.bucket_scans, n);
 }
 
 // Backend independence: all Pauli backends drive the same relation, so the

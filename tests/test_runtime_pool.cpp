@@ -87,8 +87,8 @@ TEST(ThreadPool, WorkStealingMovesTasksAcrossQueues) {
   for (int i = 0; i < 400; ++i) {
     pool.submit([&counter, i] {
       if (i == 0) {
-        for (volatile int spin = 0; spin < 5000000; ++spin) {
-        }
+        volatile int spin = 0;
+        while (spin < 5000000) spin = spin + 1;
       }
       counter.fetch_add(1);
     });

@@ -101,7 +101,8 @@ TEST(SampleWithoutReplacement, ProducesSortedDistinctInRange) {
   pu::Xoshiro256 rng(11);
   for (std::uint32_t n : {1u, 5u, 10u, 100u, 1000u}) {
     for (std::uint32_t k : {0u, 1u, 3u, n / 2, n}) {
-      const auto sample = pu::sample_without_replacement(n, k, rng);
+      std::vector<std::uint32_t> row(k);
+      const auto sample = pu::sample_without_replacement(n, row, rng);
       ASSERT_EQ(sample.size(), std::min(k, n));
       EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
       std::set<std::uint32_t> unique(sample.begin(), sample.end());
@@ -113,13 +114,15 @@ TEST(SampleWithoutReplacement, ProducesSortedDistinctInRange) {
 
 TEST(SampleWithoutReplacement, OversizedKClampsToN) {
   pu::Xoshiro256 rng(4);
-  const auto sample = pu::sample_without_replacement(5, 50, rng);
+  std::vector<std::uint32_t> row(50);
+  const auto sample = pu::sample_without_replacement(5, row, rng);
   EXPECT_EQ(sample.size(), 5u);
 }
 
 TEST(SampleWithoutReplacement, FullSampleIsIdentitySet) {
   pu::Xoshiro256 rng(8);
-  const auto sample = pu::sample_without_replacement(16, 16, rng);
+  std::vector<std::uint32_t> row(16);
+  const auto sample = pu::sample_without_replacement(16, row, rng);
   for (std::uint32_t i = 0; i < 16; ++i) EXPECT_EQ(sample[i], i);
 }
 
@@ -129,8 +132,9 @@ TEST(SampleWithoutReplacement, UniformOverElements) {
   constexpr std::uint32_t n = 20, k = 5;
   constexpr int kTrials = 40000;
   std::vector<int> hits(n, 0);
+  std::vector<std::uint32_t> row(k);
   for (int t = 0; t < kTrials; ++t) {
-    for (auto v : pu::sample_without_replacement(n, k, rng)) ++hits[v];
+    for (auto v : pu::sample_without_replacement(n, row, rng)) ++hits[v];
   }
   const double expected = static_cast<double>(kTrials) * k / n;
   for (auto h : hits) EXPECT_NEAR(h, expected, 0.06 * expected);
