@@ -59,7 +59,10 @@ int main() {
       params.alpha = alpha;
       params.seed = 1;
       params.kernel = kernel;
-      return api::Session::from_params(params)
+      return api::SessionBuilder()
+          .params(params)
+          .strategy(api::ExecutionStrategy::InMemory)
+          .build()
           .solve(api::Problem::pauli(set))
           .result;
     };
@@ -121,7 +124,10 @@ int main() {
       // single-threaded so the wall time is kernel time.
       params.kernel = core::ConflictKernel::Reference;
       params.runtime.num_threads = 1;
-      return api::Session::from_params(params)
+      return api::SessionBuilder()
+          .params(params)
+          .strategy(api::ExecutionStrategy::InMemory)
+          .build()
           .solve(api::Problem::pauli(set))
           .result;
     };

@@ -62,6 +62,7 @@ int main() {
     auto run_counted = [&set](const core::PicassoParams& p) {
       return api::SessionBuilder()
           .params(p)
+          .strategy(api::ExecutionStrategy::InMemory)
           .telemetry(obs::TelemetryLevel::Counters)
           .build()
           .solve(api::Problem::pauli(set));
@@ -86,11 +87,17 @@ int main() {
     // phase's wall time does.
     params.device = nullptr;
     params.pauli_backend = core::PauliBackend::Scalar;
-    const auto host_scalar = api::Session::from_params(params)
+    const auto host_scalar = api::SessionBuilder()
+                                 .params(params)
+                                 .strategy(api::ExecutionStrategy::InMemory)
+                                 .build()
                                  .solve(api::Problem::pauli(set))
                                  .result;
     params.pauli_backend = core::PauliBackend::Packed;
-    const auto host_packed = api::Session::from_params(params)
+    const auto host_packed = api::SessionBuilder()
+                                 .params(params)
+                                 .strategy(api::ExecutionStrategy::InMemory)
+                                 .build()
                                  .solve(api::Problem::pauli(set))
                                  .result;
     if (host_scalar.colors != host_packed.colors) {

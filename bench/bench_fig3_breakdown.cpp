@@ -46,7 +46,11 @@ int main() {
     params.alpha = spec.size_class == pauli::SizeClass::Large ? 1.0 : 2.0;
     params.seed = 1;
     const auto r =
-        api::Session::from_params(params).solve(api::Problem::pauli(set))
+        api::SessionBuilder()
+            .params(params)
+            .strategy(api::ExecutionStrategy::InMemory)
+            .build()
+            .solve(api::Problem::pauli(set))
             .result;
     table.add_row(
         {spec.name, util::Table::fmt_int(static_cast<long long>(set.size())),

@@ -51,7 +51,10 @@ int main() {
       params.palette_percent = percent;
       params.alpha = 4.5;
       params.seed = 1;
-      const auto r = api::Session::from_params(params)
+      const auto r = api::SessionBuilder()
+                         .params(params)
+                         .strategy(api::ExecutionStrategy::InMemory)
+                         .build()
                          .solve(api::Problem::pauli(set))
                          .result;
       const std::size_t mem = set.logical_bytes() + r.peak_logical_bytes;

@@ -39,7 +39,10 @@ int main() {
       params.palette_percent = percents[pi];
       params.alpha = alphas[ai];
       params.seed = 1;
-      const auto r = api::Session::from_params(params)
+      const auto r = api::SessionBuilder()
+                         .params(params)
+                         .strategy(api::ExecutionStrategy::InMemory)
+                         .build()
                          .solve(api::Problem::pauli(set))
                          .result;
       grid[ai * percents.size() + pi] = {

@@ -82,7 +82,8 @@ int main() {
         // fused engine's exact kernels (colorings stay bit-identical).
         builder.strategy(api::ExecutionStrategy::Sketch);
       } else {
-        builder.kernel(core::ConflictKernel::Indexed);
+        builder.strategy(api::ExecutionStrategy::InMemory)
+            .kernel(core::ConflictKernel::Indexed);
       }
       const api::SolveReport report =
           builder.build().solve(api::Problem::pauli(set));

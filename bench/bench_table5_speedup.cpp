@@ -39,7 +39,10 @@ int main() {
     const bench::NaiveComplementOracle naive(set);
     core::PicassoParams ref_params = params;
     ref_params.kernel = core::ConflictKernel::Reference;
-    const auto ref = api::Session::from_params(ref_params)
+    const auto ref = api::SessionBuilder()
+                         .params(ref_params)
+                         .strategy(api::ExecutionStrategy::InMemory)
+                         .build()
                          .solve(api::Problem::oracle(naive))
                          .result;
 

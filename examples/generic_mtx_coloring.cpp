@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   table.print("palette pipeline on " + source);
 
   std::printf(
-      "\n%zu iterations, max conflict edges %llu, palette total %u\n"
+      "\n%zu iterations, max conflict edges visited %llu, palette total %u\n"
       "The same Algorithm 1 loop that groups Pauli strings colors this\n"
       "graph; only the conflict oracle changed (CsrOracle vs the packed\n"
       "anticommutation masks).\n",

@@ -398,6 +398,9 @@ int cmd_partition(const CliOptions& opt) {
   const auto& set = pauli::load_dataset(spec);
   core::PartitionResult result;
   api::SolveReport report;
+  // The update and default paths color edge-free; a session solve reports
+  // the engine its plan picked.
+  api::ExecutionStrategy engine = api::ExecutionStrategy::Fused;
   const bool want_telemetry =
       opt.telemetry_level() != obs::TelemetryLevel::Off;
   // The combined set the groups are built from — the dataset itself unless
@@ -425,6 +428,7 @@ int cmd_partition(const CliOptions& opt) {
     // the session planner (e.g. --strategy fused colors edge-free); grouping
     // is unchanged and the coloring is bit-identical to the default path.
     report = session.solve(api::Problem::pauli(set));
+    engine = report.plan.strategy;
     result.coloring = report.result;
     result.groups = core::groups_from_coloring(set, result.coloring.colors);
   } else {
@@ -451,12 +455,18 @@ int cmd_partition(const CliOptions& opt) {
     emit_telemetry(report, opt);
     return 0;
   }
+  // The edge-free engines never build the conflict graph: their count is
+  // the edges the strike scans visited, a lower bound of the conflict-graph
+  // size for the dynamic schemes.
+  const bool edges_visited = engine == api::ExecutionStrategy::Fused ||
+                             engine == api::ExecutionStrategy::Sketch;
   std::printf("%s under %s: %zu strings -> %zu groups (%.2fx), "
-              "%zu iterations, %llu max conflict edges, %s\n",
+              "%zu iterations, %llu max conflict edges%s, %s\n",
               spec.name.c_str(), to_string(opt.mode), active->size(),
               result.num_groups(), result.compression_ratio(),
               result.coloring.iterations.size(),
               static_cast<unsigned long long>(result.coloring.max_conflict_edges),
+              edges_visited ? " visited (a lower bound)" : "",
               util::format_duration(result.coloring.total_seconds).c_str());
   emit_telemetry(report, opt);
   return 0;

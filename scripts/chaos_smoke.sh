@@ -85,18 +85,21 @@ echo "chaos_smoke: daemon A up on $ADDR (pid $SERVE_PID)"
 # timeout without wedging a reader thread.
 exec 9<> "/dev/tcp/127.0.0.1/$PORT" || fail "could not open stalled connection"
 
-# Over-budget under --admission degrade: admitted on a downgraded plan,
-# reported DEGRADED, and still bit-identical to a local solve.
-"$CLI" remote H6_3D_631g --connect "$ADDR" --verify-local > "$WORK/a_degrade.out" 2>&1
+# Over-budget under --admission degrade: a materializing request is
+# admitted on a downgraded plan, reported DEGRADED, and still bit-identical
+# to a local solve.
+"$CLI" remote H6_3D_631g --connect "$ADDR" --strategy inmemory --verify-local \
+       > "$WORK/a_degrade.out" 2>&1
 code=$?
 [ "$code" -eq 0 ] || fail "degrade-admission request exited $code: $(cat "$WORK/a_degrade.out")"
 grep -q "DEGRADED" "$WORK/a_degrade.out" || fail "downgrade not reported: $(cat "$WORK/a_degrade.out")"
 grep -q "local verification MATCH" "$WORK/a_degrade.out" \
   || fail "degraded coloring diverged from local solve: $(cat "$WORK/a_degrade.out")"
 
-# A deadline far shorter than the solve: structured deadline-exceeded.
+# A deadline far shorter than the (materialized) solve: structured
+# deadline-exceeded.
 "$CLI" remote H4_3D_sto3g --connect "$ADDR" --percent 0.5 --alpha 1.05 \
-       --deadline-ms 40 > "$WORK/a_deadline.out" 2>&1
+       --strategy inmemory --deadline-ms 40 > "$WORK/a_deadline.out" 2>&1
 code=$?
 [ "$code" -ne 0 ] || fail "deadline request unexpectedly succeeded"
 grep -q "deadline-exceeded" "$WORK/a_deadline.out" \

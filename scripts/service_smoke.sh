@@ -34,8 +34,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# An 8 MiB budget admits the H4 datasets (projected peaks 1-5 MiB) and
-# rejects H6_3D_631g (projected ~76 MiB) at admission.
+# An 8 MiB budget admits the H4 datasets and rejects a materializing
+# (--strategy inmemory) H6_3D_631g request, whose projected conflict CSR is
+# ~76 MiB, at admission.
 "$SERVE" --listen "unix:$SOCK" --budget 8388608 --threads 2 \
          --max-active 2 --spill-dir "$SPILL" > "$WORK/serve.out" 2> "$WORK/serve.err" &
 SERVE_PID=$!
@@ -62,7 +63,8 @@ pids=()
 "$CLI" remote H4_2D_sto3g --connect "unix:$SOCK" --tenant t2 --verify-local > "$WORK/c6.out" 2>&1 & pids+=($!)
 "$CLI" remote H4_3D_sto3g --connect "unix:$SOCK" --percent 0.5 --alpha 1.05 \
        --cancel-after 1 > "$WORK/c7.out" 2>&1 & pids+=($!)
-"$CLI" remote H6_3D_631g --connect "unix:$SOCK" > "$WORK/c8.out" 2>&1 & pids+=($!)
+"$CLI" remote H6_3D_631g --connect "unix:$SOCK" --strategy inmemory \
+       > "$WORK/c8.out" 2>&1 & pids+=($!)
 
 codes=()
 for pid in "${pids[@]}"; do

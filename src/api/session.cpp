@@ -306,18 +306,17 @@ SolvePlan Session::plan(const Problem& problem) const {
         plan.reason =
             "spilled input + projected conflict CSR exceeds the memory budget";
       }
-    } else if (oracle_capable(kind) && params_.device == nullptr && n > 0 &&
-               params_.memory_budget_bytes > 0 &&
-               core::projected_conflict_csr_bytes(
-                   static_cast<std::uint32_t>(n), params_.palette_percent,
-                   params_.alpha) > params_.memory_budget_bytes) {
-      // The input fits, but materialising the conflict CSR would not: color
-      // edge-free off the palette buckets instead of building it.
-      strategy = ExecutionStrategy::Fused;
-      plan.reason = "projected conflict CSR exceeds the memory budget";
-    } else {
+    } else if (params_.device != nullptr) {
+      // The fused engine colors off the oracle and never reaches a device;
+      // a configured device asks for Algorithm 3's device CSR build.
       strategy = ExecutionStrategy::InMemory;
-      plan.reason = "input fits the configuration in memory";
+      plan.reason = "device configured: conflict CSR built on the device";
+    } else {
+      // Every remaining kind is oracle-capable: color edge-free off the
+      // palette buckets (bit-identical to the materialized engine, which
+      // stays reachable as the paper reference via .strategy(InMemory)).
+      strategy = ExecutionStrategy::Fused;
+      plan.reason = "input fits in memory: edge-free fused engine";
     }
   } else {
     plan.reason = "strategy forced by configuration";

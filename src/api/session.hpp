@@ -49,13 +49,16 @@ namespace picasso::api {
 /// fail with ApiError(IncompatibleStrategy) when the problem cannot run it.
 enum class ExecutionStrategy {
   Auto,
-  InMemory,           // oracle driver, whole input resident
+  InMemory,           // paper Algorithm 1 reference: conflict CSR
+                      // materialized per iteration (Auto plans it only
+                      // when .device() is set)
   BudgetedStreaming,  // spill + chunked pair-scan under the memory budget
   SemiStreaming,      // one edge pass per iteration over an edge stream
   MultiDevice,        // conflict build sharded over simulated devices
   Fused,              // edge-free engine: no conflict CSR is ever built
                       // (spills + strikes off chunked records when the
-                      // budget/chunking forces streaming)
+                      // budget/chunking forces streaming); Auto's pick for
+                      // every in-memory oracle-capable problem
   Sketch,             // probabilistic tier: fused engine with the Bloom
                       // support-sketch prefilter for Pauli kinds; a fully
                       // hashed edge oracle for Csr/Dense graphs (colorings

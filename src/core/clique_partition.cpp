@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 
+#include "core/solve_fused.hpp"
+
 namespace picasso::core {
 
 const char* to_string(GroupingMode m) noexcept {
@@ -56,20 +58,27 @@ std::vector<UnitaryGroup> groups_from_coloring(
 PartitionResult partition_pauli_strings(const pauli::PauliSet& set,
                                         const PicassoParams& params,
                                         GroupingMode mode) {
+  // The edge-free fused engine colors bit-identically to the materialized
+  // one without holding the conflict CSR; a configured device asks for the
+  // device CSR build (Algorithm 3), which only the materialized engine runs.
+  const bool fused = params.device == nullptr;
   PartitionResult result;
   switch (mode) {
     case GroupingMode::Unitary:
-      result.coloring = solve_pauli(set, params);
+      result.coloring = fused ? solve_pauli_fused(set, params)
+                              : solve_pauli(set, params);
       break;
     case GroupingMode::GeneralCommute: {
       // The coloring graph of commute-cliques is the anticommute graph.
       const graph::AnticommuteOracle oracle(set);
-      result.coloring = solve_oracle(oracle, params);
+      result.coloring = fused ? solve_fused(oracle, params)
+                              : solve_oracle(oracle, params);
       break;
     }
     case GroupingMode::QubitWiseCommute: {
       const graph::QwcComplementOracle oracle(set);
-      result.coloring = solve_oracle(oracle, params);
+      result.coloring = fused ? solve_fused(oracle, params)
+                              : solve_oracle(oracle, params);
       break;
     }
   }

@@ -69,6 +69,20 @@ namespace picasso::core {
 std::size_t projected_conflict_csr_bytes(std::uint32_t n,
                                          double palette_percent, double alpha);
 
+/// Projected peak bytes the in-memory fused engine tracks for an n-vertex
+/// input under the given palette configuration, on top of the input
+/// itself — what a plan that never materializes a conflict CSR costs. The
+/// first iteration is the largest (every term grows with the active count)
+/// and holds, all at once: the color lists (nL colors + one signature word
+/// per vertex), the (vertex, slot) index (nL entries + P + 1 offsets), and
+/// the dynamic-bucket coloring state (working-list masks and sizes, the
+/// bucket queue's positions, keys and bucket vectors, the assignment
+/// array). Strike-scan scratch (at most 9 bytes per candidate, twice over
+/// for vector growth, plus one touched flag per vertex) is charged after
+/// the coloring state is released and never exceeds it.
+std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
+                                  double alpha);
+
 namespace detail {
 
 /// Progress cadence of the fused engine: one BucketScanned event per this

@@ -15,11 +15,6 @@ namespace picasso::service {
 
 namespace {
 
-/// Conservative per-vertex floor of the fused engine's resident frontier
-/// (color index + working lists + bucket queue) — what admission charges a
-/// plan that never materializes a conflict CSR.
-constexpr std::size_t kFusedBytesPerVertex = 64;
-
 bool materializes_csr(api::ExecutionStrategy strategy) {
   switch (strategy) {
     case api::ExecutionStrategy::Fused:
@@ -28,6 +23,21 @@ bool materializes_csr(api::ExecutionStrategy strategy) {
     default:
       return true;
   }
+}
+
+/// Peak bytes a request is projected to need under its plan's strategy and
+/// the palette params of the session that will run it.
+std::size_t projected_peak_bytes(const api::SolvePlan& plan,
+                                 const core::PicassoParams& params,
+                                 const pauli::PauliSet& set) {
+  const std::size_t input = set.logical_bytes();
+  const auto n = static_cast<std::uint32_t>(set.size());
+  if (materializes_csr(plan.strategy)) {
+    return input + core::projected_conflict_csr_bytes(
+                       n, params.palette_percent, params.alpha);
+  }
+  return input +
+         core::projected_fused_bytes(n, params.palette_percent, params.alpha);
 }
 
 }  // namespace
@@ -303,18 +313,6 @@ api::Session Server::session_for(const RemoteParams& params) const {
   return builder.build();
 }
 
-std::size_t Server::projected_peak_bytes(const api::SolvePlan& plan,
-                                         const pauli::PauliSet& set) const {
-  const std::size_t input = set.logical_bytes();
-  const auto n = static_cast<std::uint32_t>(set.size());
-  if (materializes_csr(plan.strategy)) {
-    return input + core::projected_conflict_csr_bytes(
-                       n, config_.base_params.palette_percent,
-                       config_.base_params.alpha);
-  }
-  return input + static_cast<std::size_t>(n) * kFusedBytesPerVertex;
-}
-
 void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
                                   const std::vector<std::uint8_t>& payload) {
   stat_received_.fetch_add(1, std::memory_order_relaxed);
@@ -367,15 +365,17 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
     return;
   }
 
-  // Admission: projected peak vs the server-wide budget. The projection
-  // reuses the planner's own CSR model; plans that never build a CSR
-  // (fused/sketch) are charged the frontier floor instead, so a client can
-  // shrink an over-budget request into an admissible one by picking a
-  // streaming/fused strategy or setting a per-request budget.
+  // Admission: projected peak vs the server-wide budget, under the
+  // request's own palette. Materializing plans are charged the planner's
+  // CSR model; plans that never build a CSR (fused/sketch, what Auto picks)
+  // the fused engine's, so a client can shrink an over-budget request into
+  // an admissible one by dropping a forced materializing strategy or
+  // setting a per-request budget.
   bool admission_degraded = false;
   std::string admission_degraded_reason;
   if (config_.memory_budget_bytes > 0) {
-    std::size_t projected = projected_peak_bytes(plan, msg.records);
+    std::size_t projected =
+        projected_peak_bytes(plan, session.params(), msg.records);
     if (projected > config_.memory_budget_bytes &&
         config_.admission == AdmissionPolicy::Degrade) {
       // Degradation ladder: re-plan down the strategy rungs until one fits.
@@ -394,8 +394,8 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
           api::Session rung_session = session_for(downgraded);
           api::SolvePlan rung_plan =
               rung_session.plan(api::Problem::pauli(msg.records));
-          const std::size_t rung_projected =
-              projected_peak_bytes(rung_plan, msg.records);
+          const std::size_t rung_projected = projected_peak_bytes(
+              rung_plan, rung_session.params(), msg.records);
           if (rung_projected > config_.memory_budget_bytes) continue;
           admission_degraded = true;
           admission_degraded_reason =

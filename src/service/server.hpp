@@ -13,8 +13,9 @@
 //   * Admission control: each decoded request is planned (api::Session::plan)
 //     and its projected peak — encoded input plus either the conflict-CSR
 //     projection (materializing plans, core::projected_conflict_csr_bytes)
-//     or the fused frontier floor — is weighed against the server's global
-//     budget. A request that could never fit is rejected with a structured
+//     or the fused engine's (core::projected_fused_bytes), both under the
+//     request's palette — is weighed against the server's global budget. A
+//     request that could never fit is rejected with a structured
 //     Error(OverBudget) naming both numbers instead of OOMing the server;
 //     a full queue rejects with Error(QueueFull).
 //   * Fair-share scheduling: solver threads pick the highest priority first,
@@ -193,10 +194,6 @@ class Server {
   std::size_t pick_next_locked() const;
 
   void execute(const std::shared_ptr<Request>& request);
-
-  /// Peak bytes this request is projected to need, by plan strategy.
-  std::size_t projected_peak_bytes(const api::SolvePlan& plan,
-                                   const pauli::PauliSet& set) const;
 
   api::Session session_for(const RemoteParams& params) const;
 

@@ -21,7 +21,7 @@ int main() {
   const auto problem = api::Problem::dense(g);
 
   const auto plan = session.plan(problem);
-  if (plan.strategy != api::ExecutionStrategy::InMemory) return 2;
+  if (plan.strategy != api::ExecutionStrategy::Fused) return 2;
 
   const auto report = session.solve(problem);
   if (!coloring::is_valid_coloring(g, report.result.colors)) return 3;

@@ -65,7 +65,11 @@ TEST(ApiDifferential, PauliMatchesLegacyAcrossBackends) {
     auto params = test_params(41);
     params.pauli_backend = backend;
     const auto legacy = pcore::picasso_color_pauli(set, params);
-    const auto session = papi::Session::from_params(params)
+    // The shim wraps the materialized engine, so the session runs it too.
+    const auto session = papi::SessionBuilder()
+                             .params(params)
+                             .strategy(papi::ExecutionStrategy::InMemory)
+                             .build()
                              .solve(papi::Problem::pauli(set));
     EXPECT_EQ(session.result.colors, legacy.colors)
         << pcore::to_string(backend);
@@ -174,12 +178,16 @@ TEST(ApiDifferential, PauliShimNeverStreamsEvenUnderTightBudget) {
 
 TEST(ApiDifferential, BudgetedFallbackToInMemoryMatchesLegacy) {
   // No budget, no chunking: the legacy budgeted entry point falls back to
-  // the in-memory driver; Auto planning must do the same.
+  // the in-memory materialized driver; the session's InMemory plan runs
+  // that same driver.
   const auto set = random_set(120, 10, 61);
   const auto params = test_params(61);
   const auto legacy = pcore::picasso_color_pauli_budgeted(set, params);
-  const auto session =
-      papi::Session::from_params(params).solve(papi::Problem::pauli(set));
+  const auto session = papi::SessionBuilder()
+                           .params(params)
+                           .strategy(papi::ExecutionStrategy::InMemory)
+                           .build()
+                           .solve(papi::Problem::pauli(set));
   EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
   EXPECT_FALSE(legacy.memory.streamed);
   EXPECT_EQ(session.result.colors, legacy.colors);

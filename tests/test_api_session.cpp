@@ -15,7 +15,10 @@
 #include "api/version.hpp"
 #include "coloring/verify.hpp"
 #include "graph/graph_gen.hpp"
+#include "graph/oracles.hpp"
+#include "pauli/pauli_packed.hpp"
 #include "pauli/pauli_stream.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace papi = picasso::api;
@@ -117,11 +120,61 @@ TEST(SessionBuilder, RejectsDeviceAndDevicesTogether) {
 
 // --- Plan selection ----------------------------------------------------------
 
-TEST(SessionPlan, DefaultsToInMemory) {
+TEST(SessionPlan, DefaultsToFused) {
   const auto g = pg::erdos_renyi_dense(60, 0.4, 1);
   const auto plan = papi::Session().plan(papi::Problem::dense(g));
-  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::InMemory);
+  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(plan.num_devices, 0u);
+}
+
+// Auto plans the edge-free engine for every in-memory oracle-capable kind
+// and lands on the materialized engine's exact coloring for each.
+TEST(SessionPlan, AutoPlansFusedWithTheInMemoryColoringForEveryKind) {
+  const auto set = random_set(200, 14, 13);
+  const pp::PackedPauliSet packed(set);
+  const auto csr = pg::erdos_renyi(300, 0.1, 13);
+  const auto dense = pg::erdos_renyi_dense(150, 0.4, 13);
+  const pg::CsrOracle oracle(csr);
+  const std::vector<std::pair<const char*, papi::Problem>> problems = {
+      {"pauli", papi::Problem::pauli(set)},
+      {"packed", papi::Problem::packed(packed)},
+      {"csr", papi::Problem::csr(csr)},
+      {"dense", papi::Problem::dense(dense)},
+      {"oracle", papi::Problem::oracle(oracle)},
+  };
+  const auto in_memory = papi::SessionBuilder()
+                             .seed(13)
+                             .strategy(papi::ExecutionStrategy::InMemory)
+                             .build();
+  const auto automatic = papi::SessionBuilder().seed(13).build();
+  for (const auto& [name, problem] : problems) {
+    EXPECT_EQ(automatic.plan(problem).strategy,
+              papi::ExecutionStrategy::Fused)
+        << name;
+    const auto fused = automatic.solve(problem);
+    const auto ref = in_memory.solve(problem);
+    EXPECT_EQ(fused.plan.strategy, papi::ExecutionStrategy::Fused) << name;
+    EXPECT_EQ(ref.plan.strategy, papi::ExecutionStrategy::InMemory) << name;
+    EXPECT_EQ(picasso::util::coloring_fingerprint(fused.result.colors),
+              picasso::util::coloring_fingerprint(ref.result.colors))
+        << name;
+  }
+}
+
+// The fused engine cannot run on a simulated device, so a configured
+// device keeps Auto on the materialized engine's device CSR build.
+TEST(SessionPlan, AutoWithDeviceStaysInMemory) {
+  picasso::device::DeviceContext ctx(64u << 20);
+  const auto session = papi::SessionBuilder().device(&ctx).build();
+  const auto set = random_set(80, 10, 17);
+  const auto g = pg::erdos_renyi_dense(60, 0.4, 17);
+  EXPECT_EQ(session.plan(papi::Problem::pauli(set)).strategy,
+            papi::ExecutionStrategy::InMemory);
+  EXPECT_EQ(session.plan(papi::Problem::dense(g)).strategy,
+            papi::ExecutionStrategy::InMemory);
+  const auto report = session.solve(papi::Problem::dense(g));
+  EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::InMemory);
+  EXPECT_TRUE(report.result.iterations.front().csr_built_on_device);
 }
 
 TEST(SessionPlan, TightBudgetForcesStreamingForPauli) {
@@ -169,12 +222,14 @@ TEST(SessionPlan, TightBudgetForcesStreamingForPauli) {
   EXPECT_EQ(mid.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(mid.chunk_strings, 0u);  // in-memory fused: nothing spills
 
-  // A budget above both gates keeps it fully in memory.
+  // A budget above both gates keeps it fully in memory, on the same
+  // edge-free engine Auto picks without a budget.
   const auto roomy = papi::SessionBuilder()
                          .memory_budget(std::size_t{1} << 30)
                          .build()
                          .plan(problem);
-  EXPECT_EQ(roomy.strategy, papi::ExecutionStrategy::InMemory);
+  EXPECT_EQ(roomy.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(roomy.chunk_strings, 0u);
 }
 
 TEST(SessionPlan, ExplicitChunkSizeForcesStreaming) {
@@ -440,7 +495,10 @@ TEST(Problem, OwningFactoryKeepsThePayloadAlive) {
 
 TEST(SessionFused, ForcedFusedMatchesInMemoryAndSkipsTheCsr) {
   const auto set = random_set(250, 18, 41);
-  const auto ref = papi::Session().solve(papi::Problem::pauli(set));
+  const auto ref = papi::SessionBuilder()
+                       .strategy(papi::ExecutionStrategy::InMemory)
+                       .build()
+                       .solve(papi::Problem::pauli(set));
   const auto fused = papi::SessionBuilder()
                          .strategy(papi::ExecutionStrategy::Fused)
                          .build()

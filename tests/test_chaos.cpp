@@ -423,6 +423,10 @@ TEST_F(ChaosServiceTest, DeadlineExceededMidSolveIsStructured) {
   params.palette_percent = 0.5;  // slow convergence: many iterations
   params.alpha = 1.05;
   params.deadline_ms = 50;
+  // The materialized engine: its per-iteration CSR builds are the slow
+  // solve the deadline has to interrupt.
+  params.strategy =
+      static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
 
   auto client = psvc::Client::connect(server_.address());
   const psvc::RemoteResult outcome = client.solve(set, params);
@@ -450,6 +454,8 @@ TEST_F(ChaosServiceTest, DeadlineSpentInQueueAnswersWithoutSolving) {
   blocker_params.max_iterations = 5000;
   blocker_params.palette_percent = 0.5;
   blocker_params.alpha = 1.05;
+  blocker_params.strategy =
+      static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
 
   std::atomic<bool> release{false};
   auto blocker_client = psvc::Client::connect(server_.address());
@@ -488,21 +494,23 @@ TEST_F(ChaosServiceTest, DeadlineSpentInQueueAnswersWithoutSolving) {
 TEST_F(ChaosServiceTest, DegradeAdmissionWalksLadderAndReportsIt) {
   const pp::PauliSet set = random_set(3000, 24, 24);
   const std::size_t input = set.logical_bytes();
-  // Frontier floor the server charges non-materializing plans (matches
-  // kFusedBytesPerVertex in server.cpp).
-  const std::size_t fused_projection = input + set.size() * 64;
-  const picasso::core::PicassoParams base;
+  // A materializing request, so the ladder has a cheaper rung to walk to.
+  psvc::RemoteParams params;
+  params.strategy =
+      static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
+  const auto n = static_cast<std::uint32_t>(set.size());
+  const std::size_t fused_projection =
+      input + picasso::core::projected_fused_bytes(n, params.palette_percent,
+                                                   params.alpha);
   const std::size_t csr_projection =
       input + picasso::core::projected_conflict_csr_bytes(
-                  static_cast<std::uint32_t>(set.size()),
-                  base.palette_percent, base.alpha);
+                  n, params.palette_percent, params.alpha);
   // Premise: the budget admits a fused plan but not a materializing one.
   config_.memory_budget_bytes = fused_projection + 4096;
   ASSERT_GT(csr_projection, config_.memory_budget_bytes);
   config_.admission = psvc::AdmissionPolicy::Degrade;
   start_server();
 
-  const psvc::RemoteParams params;
   const auto reference = papi::SessionBuilder()
                              .palette(params.palette_percent, params.alpha)
                              .seed(params.seed)

@@ -339,3 +339,35 @@ TEST(FusedEngine, ProjectedCsrBytesIsMonotoneAndPositive) {
     prev = proj;
   }
 }
+
+// The admission projection of a fused plan bounds what the engine really
+// tracks above its input, across sizes (16400 sits just past a power of
+// two, where the initial bucket's push_back capacity is widest) and both
+// palette regimes (normal: L << P; aggressive: L at or near P).
+TEST(FusedEngine, ProjectedFusedBytesBoundsMeasuredPeak) {
+  EXPECT_EQ(pcore::projected_fused_bytes(0, 12.5, 2.0), 0u);
+  struct Palette {
+    double percent;
+    double alpha;
+  };
+  for (const std::size_t n : {64u, 500u, 4000u, 16400u}) {
+    pu::Xoshiro256 rng(0x5eedull + n);
+    const auto set = random_set(n, 20, rng);
+    for (const Palette pal : {Palette{12.5, 2.0}, Palette{3.0, 30.0},
+                              Palette{1.0, 1.0}, Palette{50.0, 4.0}}) {
+      pcore::PicassoParams params;
+      params.seed = 11;
+      params.palette_percent = pal.percent;
+      params.alpha = pal.alpha;
+      params.runtime.num_threads = 1;
+      const auto result = pcore::solve_pauli_fused(set, params);
+      const std::size_t projected =
+          set.logical_bytes() +
+          pcore::projected_fused_bytes(static_cast<std::uint32_t>(n),
+                                       pal.percent, pal.alpha);
+      EXPECT_GE(projected, result.memory.peak_tracked_bytes)
+          << "n=" << n << " palette " << pal.percent << "% alpha "
+          << pal.alpha;
+    }
+  }
+}

@@ -7,9 +7,12 @@
 #include <cmath>
 
 #include "core/clique_partition.hpp"
+#include "device/device_context.hpp"
+#include "graph/oracles.hpp"
 #include "pauli/datasets.hpp"
 
 namespace pcore = picasso::core;
+namespace pg = picasso::graph;
 namespace pp = picasso::pauli;
 
 namespace {
@@ -144,5 +147,49 @@ TEST(Partition, IdentityStringLandsInItsOwnGroupOrAlone) {
     if (std::find(g.members.begin(), g.members.end(), 0u) != g.members.end()) {
       EXPECT_EQ(g.members.size(), 1u);
     }
+  }
+}
+
+// partition_pauli_strings colors edge-free; its groups are exactly those of
+// the materialized engine (paper Algorithm 1) over the same mode's oracle,
+// in every grouping mode. A configured device still routes through the
+// materialized engine's device CSR build, with the same groups.
+TEST(Partition, FusedGroupsMatchTheMaterializedEngineInEveryMode) {
+  const auto set = small_random_set(300, 8, 21);
+  pcore::PicassoParams params;
+  params.seed = 21;
+  for (const auto mode :
+       {pcore::GroupingMode::Unitary, pcore::GroupingMode::GeneralCommute,
+        pcore::GroupingMode::QubitWiseCommute}) {
+    pcore::PicassoResult reference;
+    switch (mode) {
+      case pcore::GroupingMode::Unitary:
+        reference = pcore::solve_pauli(set, params);
+        break;
+      case pcore::GroupingMode::GeneralCommute:
+        reference = pcore::solve_oracle(pg::AnticommuteOracle(set), params);
+        break;
+      case pcore::GroupingMode::QubitWiseCommute:
+        reference = pcore::solve_oracle(pg::QwcComplementOracle(set), params);
+        break;
+    }
+    const auto expected = pcore::groups_from_coloring(set, reference.colors);
+    const auto result = pcore::partition_pauli_strings(set, params, mode);
+    ASSERT_EQ(result.groups.size(), expected.size()) << to_string(mode);
+    for (std::size_t g = 0; g < expected.size(); ++g) {
+      EXPECT_EQ(result.groups[g].members, expected[g].members)
+          << to_string(mode) << " group " << g;
+    }
+    EXPECT_TRUE(pcore::verify_partition(set, result.groups, mode).empty());
+
+    picasso::device::DeviceContext ctx(64u << 20);
+    pcore::PicassoParams on_device = params;
+    on_device.device = &ctx;
+    const auto device_result =
+        pcore::partition_pauli_strings(set, on_device, mode);
+    EXPECT_TRUE(device_result.coloring.iterations.front().csr_built_on_device)
+        << to_string(mode);
+    EXPECT_EQ(device_result.coloring.colors, reference.colors)
+        << to_string(mode);
   }
 }

@@ -63,9 +63,19 @@ TEST(Picasso, KernelsProduceIdenticalColorings) {
   const auto g = pg::erdos_renyi_dense(250, 0.5, 3);
   pcore::PicassoParams params;
   params.kernel = pcore::ConflictKernel::Indexed;
-  const auto idx = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto idx = papi::SessionBuilder()
+                       .params(params)
+                       .strategy(papi::ExecutionStrategy::InMemory)
+                       .build()
+                       .solve(papi::Problem::dense(g))
+                       .result;
   params.kernel = pcore::ConflictKernel::Reference;
-  const auto ref = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  const auto ref = papi::SessionBuilder()
+                       .params(params)
+                       .strategy(papi::ExecutionStrategy::InMemory)
+                       .build()
+                       .solve(papi::Problem::dense(g))
+                       .result;
   EXPECT_EQ(idx.colors, ref.colors);
 }
 

@@ -423,9 +423,19 @@ TEST(AutoKernel, ProducesIdenticalColoringsToBothKernels) {
     params.alpha = alpha;
     params.seed = 29;
     params.kernel = pcore::ConflictKernel::Auto;
-    const auto auto_r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+    const auto auto_r = papi::SessionBuilder()
+                            .params(params)
+                            .strategy(papi::ExecutionStrategy::InMemory)
+                            .build()
+                            .solve(papi::Problem::dense(g))
+                            .result;
     params.kernel = pcore::ConflictKernel::Reference;
-    const auto ref_r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+    const auto ref_r = papi::SessionBuilder()
+                           .params(params)
+                           .strategy(papi::ExecutionStrategy::InMemory)
+                           .build()
+                           .solve(papi::Problem::dense(g))
+                           .result;
     EXPECT_EQ(auto_r.colors, ref_r.colors);
   }
 }

@@ -66,9 +66,19 @@ TEST(Integration, AllExecutionPathsProduceTheSameColoring) {
   params.seed = 5;
 
   params.kernel = pcore::ConflictKernel::Indexed;
-  const auto indexed = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto indexed = papi::SessionBuilder()
+                           .params(params)
+                           .strategy(papi::ExecutionStrategy::InMemory)
+                           .build()
+                           .solve(papi::Problem::pauli(set))
+                           .result;
   params.kernel = pcore::ConflictKernel::Reference;
-  const auto reference = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  const auto reference = papi::SessionBuilder()
+                             .params(params)
+                             .strategy(papi::ExecutionStrategy::InMemory)
+                             .build()
+                             .solve(papi::Problem::pauli(set))
+                             .result;
   EXPECT_EQ(indexed.colors, reference.colors);
 
   picasso::device::DeviceContext ctx(512u << 20);

@@ -144,7 +144,13 @@ TEST(MemoryReport, PicassoRunFillsSubsystemPeaks) {
   pcore::PicassoParams params;
   params.seed = 5;
   params.memory_budget_bytes = 256 << 20;
-  const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
+  // The materialized engine, so the conflict-CSR subsystem is exercised.
+  const auto r = papi::SessionBuilder()
+                     .params(params)
+                     .strategy(papi::ExecutionStrategy::InMemory)
+                     .build()
+                     .solve(papi::Problem::dense(g))
+                     .result;
   EXPECT_EQ(r.memory.budget_bytes, 256u << 20);
   EXPECT_TRUE(r.memory.within_budget());
   EXPECT_GT(r.memory.peak_tracked_bytes, 0u);

@@ -258,7 +258,10 @@ TEST(DifferentialProperties, FusedAgreesWithMaterializedEverywhere) {
         " backend=" + pcore::to_string(params.pauli_backend) +
         " threads=" + std::to_string(params.runtime.num_threads);
 
-    const auto ref = papi::Session::from_params(params)
+    const auto ref = papi::SessionBuilder()
+                         .params(params)
+                         .strategy(papi::ExecutionStrategy::InMemory)
+                         .build()
                          .solve(papi::Problem::pauli(set))
                          .result;
 
@@ -323,7 +326,10 @@ TEST(DifferentialProperties, FusedAgreesAcrossConflictSchemes) {
     params.conflict_scheme = kSchemes[c % 5];
     const std::string key = "case " + std::to_string(c) + " scheme=" +
                             pcore::to_string(params.conflict_scheme);
-    const auto ref = papi::Session::from_params(params)
+    const auto ref = papi::SessionBuilder()
+                         .params(params)
+                         .strategy(papi::ExecutionStrategy::InMemory)
+                         .build()
                          .solve(papi::Problem::pauli(set))
                          .result;
     const auto fused = papi::SessionBuilder()

@@ -181,9 +181,19 @@ TEST(PicassoEquivalence, AggressiveConfigAndReferenceKernel) {
   params.kernel = pcore::ConflictKernel::Reference;
   params.seed = 11;
   params.runtime = serial_config();
-  const auto serial = papi::Session::from_params(params).solve(papi::Problem::oracle(oracle)).result;
+  const auto serial = papi::SessionBuilder()
+                          .params(params)
+                          .strategy(papi::ExecutionStrategy::InMemory)
+                          .build()
+                          .solve(papi::Problem::oracle(oracle))
+                          .result;
   params.runtime = parallel_config(4);
-  const auto parallel = papi::Session::from_params(params).solve(papi::Problem::oracle(oracle)).result;
+  const auto parallel = papi::SessionBuilder()
+                            .params(params)
+                            .strategy(papi::ExecutionStrategy::InMemory)
+                            .build()
+                            .solve(papi::Problem::oracle(oracle))
+                            .result;
   EXPECT_EQ(serial.colors, parallel.colors);
 }
 

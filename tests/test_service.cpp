@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "core/solve_fused.hpp"
 #include "pauli/pauli_set.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -309,6 +310,45 @@ TEST_F(ServiceTest, OverBudgetRequestIsRejectedStructurally) {
   const pp::PauliSet small = random_set(40, 8, 5);
   const psvc::RemoteResult ok = client.solve(small, psvc::RemoteParams{});
   EXPECT_TRUE(ok.ok) << ok.error_message;
+}
+
+// Admission projects with the request's own palette, not the server's base
+// params: the same materializing request is rejected at a narrow palette
+// whose projected conflict CSR overflows the budget, and admitted at the
+// base palette.
+TEST_F(ServiceTest, AdmissionProjectsUnderTheRequestPalette) {
+  const pp::PauliSet set = random_set(2000, 24, 8);
+  const auto n = static_cast<std::uint32_t>(set.size());
+  psvc::RemoteParams narrow;
+  narrow.strategy =
+      static_cast<std::uint8_t>(papi::ExecutionStrategy::InMemory);
+  narrow.palette_percent = 1.0;
+  psvc::RemoteParams base = narrow;
+  base.palette_percent = config_.base_params.palette_percent;
+  base.alpha = config_.base_params.alpha;
+  const std::size_t narrow_projected =
+      set.logical_bytes() + picasso::core::projected_conflict_csr_bytes(
+                                n, narrow.palette_percent, narrow.alpha);
+  const std::size_t base_projected =
+      set.logical_bytes() + picasso::core::projected_conflict_csr_bytes(
+                                n, base.palette_percent, base.alpha);
+  config_.memory_budget_bytes = (base_projected + narrow_projected) / 2;
+  ASSERT_LT(base_projected, config_.memory_budget_bytes);
+  ASSERT_GT(narrow_projected, config_.memory_budget_bytes);
+  start_server();
+
+  auto client = psvc::Client::connect(server_.address());
+  const psvc::RemoteResult rejected = client.solve(set, narrow);
+  ASSERT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error_code, psvc::ServiceErrorCode::OverBudget);
+  EXPECT_NE(rejected.error_message.find(
+                "projected peak " + std::to_string(narrow_projected) +
+                " bytes"),
+            std::string::npos)
+      << rejected.error_message;
+
+  const psvc::RemoteResult admitted = client.solve(set, base);
+  EXPECT_TRUE(admitted.ok) << admitted.error_message;
 }
 
 TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {

@@ -163,7 +163,14 @@ TEST_P(StreamingEquivalence, ChunkSizeDoesNotChangeTheColoring) {
   pcore::PicassoParams params;
   params.seed = 11;
 
-  const auto reference = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+  // The materialized in-memory engine: per-iteration conflict_edges are
+  // compared below, and only a materialized build counts every edge.
+  const auto reference = papi::SessionBuilder()
+                             .params(params)
+                             .strategy(papi::ExecutionStrategy::InMemory)
+                             .build()
+                             .solve(papi::Problem::pauli(set))
+                             .result;
 
   pcore::StreamingOptions options;
   options.chunk_strings = chunk_strings;  // forces the streaming engine
