@@ -189,14 +189,18 @@ class UpdateDelta {
   std::vector<core::GraphVertexDelta> vertices_;
 };
 
-/// Canonical FNV-1a fingerprint of an encoded Pauli problem under a
-/// parameter set: folds the packed symplectic planes (the canonical bytes —
-/// identical whether the records arrived symbolic or packed) plus exactly
-/// the params that can change the coloring: palette_percent, alpha, seed,
+/// Canonical fingerprint of an encoded Pauli problem under a parameter set:
+/// a 64-bit-word hash (four xxh64-style multiply-rotate lanes over the
+/// packed symplectic planes, then one fold of the qubit count, string count,
+/// planes hash and params) of the canonical bytes — identical whether the
+/// records arrived symbolic, packed or off the wire — plus exactly the
+/// params that can change the coloring: palette_percent, alpha, seed,
 /// max_iterations, conflict_scheme. Backend, kernel, thread count, strategy,
 /// telemetry and budget are deliberately EXCLUDED — the library's
 /// determinism contract pins colorings bit-identical across all of them, so
 /// one cache entry serves every execution flavor of the same problem.
+/// Values differ from builds that folded the planes byte by byte with
+/// FNV-1a; nothing persists them (the service cache lives in memory).
 std::uint64_t problem_fingerprint(const pauli::PackedView& view,
                                   std::size_t num_qubits,
                                   const core::PicassoParams& params);

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,8 @@ class PauliSet {
            coefficients_.size() * sizeof(double);
   }
 
-  /// Subset by vertex ids (used when an experiment trims a dataset).
+  /// Subset by vertex ids (used when an experiment trims a dataset), by
+  /// copying each id's encoded records.
   PauliSet subset(const std::vector<std::uint32_t>& ids) const;
 
   /// First `count` strings, by straight copy of the encoded storage (no
@@ -111,12 +113,45 @@ class PauliSet {
   /// (std::invalid_argument). Appending invalidates packed_view()s.
   void append(const PauliSet& other);
 
+  /// Builds a set straight from its 3-bit words, the save_binary record
+  /// layout: `words3` holds words_per_string3(num_qubits) words per string
+  /// and `coefficients` one value per string (std::invalid_argument when the
+  /// counts disagree). Every field below num_qubits must carry one of the
+  /// four codes, which are exactly the even-parity ones
+  /// (std::invalid_argument otherwise); padding bits are cleared, and the
+  /// symplectic planes are derived word by word (x = bit 3k+2, z = bit 3k).
+  /// No string is decoded. An empty set loads with num_qubits() == 0.
+  static PauliSet from_encoded3(std::size_t num_qubits,
+                                std::vector<std::uint64_t> words3,
+                                std::vector<double> coefficients);
+
   /// Binary serialization (dataset disk cache). Format: magic, qubit count,
   /// string count, packed 3-bit words, coefficients.
   void save_binary(std::ostream& out) const;
+
+  /// Bytes save_binary writes.
+  std::size_t binary_size() const noexcept {
+    return kBinaryHeaderBytes + words3_data_.size() * sizeof(std::uint64_t) +
+           coefficients_.size() * sizeof(double);
+  }
+
+  /// Writes the same bytes into the first binary_size() bytes of `out` (a
+  /// wire payload); std::invalid_argument when `out` is shorter.
+  void save_binary(std::span<std::uint8_t> out) const;
+
+  /// Parses save_binary output through from_encoded3. The header's string
+  /// count is checked against the bytes the stream still holds (when it can
+  /// seek) before anything is allocated. Bad magic or truncated input throw
+  /// std::runtime_error, corrupt codes std::invalid_argument.
   static PauliSet load_binary(std::istream& in);
 
+  /// Same parse over save_binary bytes already in memory (a wire payload),
+  /// with the same checks and exceptions; bytes past the set are ignored.
+  static PauliSet load_binary(std::span<const std::uint8_t> bytes);
+
  private:
+  static constexpr std::size_t kBinaryHeaderBytes = 3 * sizeof(std::uint64_t);
+
   std::size_t size_ = 0;
   std::size_t num_qubits_ = 0;
   std::size_t words3_ = 0;

@@ -341,21 +341,18 @@ PauliSet ChunkedPauliReader::load_chunk(std::size_t chunk) const {
   if (!in) {
     throw std::runtime_error("ChunkedPauliReader: cannot reopen " + path_);
   }
-  std::vector<std::uint64_t> packed(count * words3_);
+  std::vector<std::uint64_t> words3(count * words3_);
   read_span(in, Section::Words3, begin, count,
-            reinterpret_cast<char*>(packed.data()));
+            reinterpret_cast<char*>(words3.data()));
   std::vector<double> coefs(count);
   read_span(in, Section::Coefs, begin, count,
             reinterpret_cast<char*>(coefs.data()));
-
-  std::vector<PauliString> strings;
-  strings.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    strings.push_back(decode3(packed.data() + i * words3_, num_qubits_));
-  }
-  note_load(chunk, packed.size() * sizeof(std::uint64_t) +
-                       coefs.size() * sizeof(double));
-  return PauliSet(strings, std::move(coefs));
+  const std::size_t bytes = words3.size() * sizeof(std::uint64_t) +
+                            coefs.size() * sizeof(double);
+  PauliSet set = PauliSet::from_encoded3(num_qubits_, std::move(words3),
+                                         std::move(coefs));
+  note_load(chunk, bytes);
+  return set;
 }
 
 PackedPauliSet ChunkedPauliReader::load_chunk_packed(std::size_t chunk) const {

@@ -20,13 +20,12 @@ RemoteResult Client::solve(const pauli::PauliSet& records,
   msg.priority = priority;
   msg.params = params;
   msg.params.want_progress = on_progress != nullptr;
-  // The wire message borrows the caller's records for encoding only.
-  msg.records = records;
 
   inflight_id_.store(msg.id, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(write_mu_);
-    conn_.write_frame(FrameType::SolveRequest, encode_solve_request(msg));
+    conn_.write_frame(FrameType::SolveRequest,
+                      encode_solve_request(msg, records));
   }
 
   RemoteResult outcome;

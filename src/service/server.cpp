@@ -358,10 +358,9 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
       api::problem_fingerprint(msg.records, session.params());
 
   // Cache first: a hit costs no queue slot and no admission check.
-  CacheEntry cached;
-  if (cache_lookup(problem_hash, cached)) {
+  if (const auto cached = cache_lookup(problem_hash, msg.records)) {
     stat_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    send_result(conn, msg.id, cached, /*cache_hit=*/true, /*seconds=*/0.0);
+    send_result(conn, msg.id, *cached, /*cache_hit=*/true, /*seconds=*/0.0);
     return;
   }
 
@@ -540,10 +539,10 @@ void Server::execute(const std::shared_ptr<Request>& request) {
   // A hit that materialized while this request sat in the queue: serve it
   // without re-solving (two identical cold requests race; the loser rides
   // the winner's entry).
-  CacheEntry cached;
-  if (cache_lookup(request->problem_hash, cached)) {
+  if (const auto cached =
+          cache_lookup(request->problem_hash, request->msg.records)) {
     stat_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    send_result(conn, request->msg.id, cached, /*cache_hit=*/true, 0.0);
+    send_result(conn, request->msg.id, *cached, /*cache_hit=*/true, 0.0);
     return;
   }
 
@@ -601,13 +600,15 @@ void Server::execute(const std::shared_ptr<Request>& request) {
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
 
-    CacheEntry entry;
-    entry.problem_hash = report.problem_hash;
-    entry.colors = report.result.colors;
-    entry.coloring_hash = util::coloring_fingerprint(entry.colors);
-    entry.num_colors = report.result.num_colors;
-    entry.palette_total = report.result.palette_total;
-    entry.iterations =
+    auto entry = std::make_shared<CacheEntry>();
+    entry->problem_hash = report.problem_hash;
+    entry->num_vertices = request->msg.records.size();
+    entry->num_qubits = request->msg.records.num_qubits();
+    entry->colors = report.result.colors;
+    entry->coloring_hash = util::coloring_fingerprint(entry->colors);
+    entry->num_colors = report.result.num_colors;
+    entry->palette_total = report.result.palette_total;
+    entry->iterations =
         static_cast<std::uint32_t>(report.result.iterations.size());
     stat_cache_misses_.fetch_add(1, std::memory_order_relaxed);
     stat_completed_.fetch_add(1, std::memory_order_relaxed);
@@ -625,7 +626,7 @@ void Server::execute(const std::shared_ptr<Request>& request) {
     // Insert BEFORE replying: a client that resubmits the moment it sees
     // the result must hit the cache, not race past it.
     cache_insert(entry);
-    send_result(conn, request->msg.id, entry, /*cache_hit=*/false,
+    send_result(conn, request->msg.id, *entry, /*cache_hit=*/false,
                 elapsed.count(), degraded, degraded_reason);
   } catch (const core::SolveCancelled&) {
     if (request->deadline_hit.load(std::memory_order_relaxed) &&
@@ -664,31 +665,37 @@ void Server::execute(const std::shared_ptr<Request>& request) {
 // ---------------------------------------------------------------------------
 // Cache.
 
-bool Server::cache_lookup(std::uint64_t problem_hash, CacheEntry& out) {
-  if (config_.cache_capacity == 0) return false;
+std::shared_ptr<const Server::CacheEntry> Server::cache_lookup(
+    std::uint64_t problem_hash, const pauli::PauliSet& records) {
+  if (config_.cache_capacity == 0) return nullptr;
   std::lock_guard<std::mutex> lock(cache_mu_);
   const auto it = cache_index_.find(problem_hash);
-  if (it == cache_index_.end()) return false;
+  if (it == cache_index_.end()) return nullptr;
+  const CacheEntry& entry = **it->second;
+  if (entry.num_vertices != records.size() ||
+      entry.num_qubits != records.num_qubits()) {
+    return nullptr;  // a fingerprint collision, not this problem's result
+  }
   cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  out = *it->second;
-  return true;
+  return *it->second;
 }
 
-void Server::cache_insert(CacheEntry entry) {
+void Server::cache_insert(std::shared_ptr<const CacheEntry> entry) {
   if (config_.cache_capacity == 0) return;
   std::lock_guard<std::mutex> lock(cache_mu_);
-  const auto it = cache_index_.find(entry.problem_hash);
+  const auto it = cache_index_.find(entry->problem_hash);
   if (it != cache_index_.end()) {
-    // Determinism makes both results identical; keep the incumbent hot.
+    // Determinism makes both results identical; keep the incumbent hot. (A
+    // colliding problem of another shape is not cached and keeps missing.)
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return;
   }
   while (cache_lru_.size() >= config_.cache_capacity) {
-    cache_index_.erase(cache_lru_.back().problem_hash);
+    cache_index_.erase(cache_lru_.back()->problem_hash);
     cache_lru_.pop_back();
   }
   cache_lru_.push_front(std::move(entry));
-  cache_index_[cache_lru_.front().problem_hash] = cache_lru_.begin();
+  cache_index_[cache_lru_.front()->problem_hash] = cache_lru_.begin();
 }
 
 // ---------------------------------------------------------------------------
@@ -719,8 +726,7 @@ void Server::send_result(const std::shared_ptr<ClientConn>& conn,
   msg.palette_total = entry.palette_total;
   msg.iterations = entry.iterations;
   msg.seconds = seconds;
-  msg.colors = entry.colors;
-  conn->send(FrameType::Result, encode_result(msg));
+  conn->send(FrameType::Result, encode_result(msg, entry.colors));
 }
 
 }  // namespace picasso::service

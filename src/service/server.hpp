@@ -168,6 +168,10 @@ class Server {
 
   struct CacheEntry {
     std::uint64_t problem_hash = 0;
+    /// The problem's shape, checked on lookup: a request whose hash
+    /// collides with a differently shaped problem counts as a miss.
+    std::size_t num_vertices = 0;
+    std::size_t num_qubits = 0;
     std::uint64_t coloring_hash = 0;
     std::uint32_t num_colors = 0;
     std::uint32_t palette_total = 0;
@@ -197,8 +201,13 @@ class Server {
 
   api::Session session_for(const RemoteParams& params) const;
 
-  bool cache_lookup(std::uint64_t problem_hash, CacheEntry& out);
-  void cache_insert(CacheEntry entry);
+  /// The entry cached for `problem_hash` when its shape matches `records`
+  /// (and bumps it to most recent), else null. Entries are immutable and
+  /// shared, so a reply encodes from one without copying it and a
+  /// concurrent eviction cannot free it mid-reply.
+  std::shared_ptr<const CacheEntry> cache_lookup(
+      std::uint64_t problem_hash, const pauli::PauliSet& records);
+  void cache_insert(std::shared_ptr<const CacheEntry> entry);
 
   void send_error(const std::shared_ptr<ClientConn>& conn, std::uint64_t id,
                   ServiceErrorCode code, const std::string& message);
@@ -239,9 +248,9 @@ class Server {
   std::map<std::string, std::uint64_t> tenant_dispatched_;
 
   mutable std::mutex cache_mu_;
-  std::list<CacheEntry> cache_lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator>
-      cache_index_;
+  using CacheList = std::list<std::shared_ptr<const CacheEntry>>;
+  CacheList cache_lru_;  // front = most recent
+  std::unordered_map<std::uint64_t, CacheList::iterator> cache_index_;
 
   // Stats counters (relaxed atomics; snapshot() assembles a StatsMsg).
   std::atomic<std::uint64_t> stat_received_{0};

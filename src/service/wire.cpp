@@ -15,7 +15,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "util/failpoint.hpp"
@@ -45,11 +44,23 @@ void WireWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void WireWriter::bytes(const void* data, std::size_t len) {
+void WireWriter::u32s(std::span<const std::uint32_t> values) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 4 * values.size());
+  std::uint8_t* out = buf_.data() + at;
+  for (std::uint32_t v : values) {
+    for (int i = 0; i < 4; ++i) {
+      *out++ = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+std::span<std::uint8_t> WireWriter::bytes(std::size_t len) {
   if (len > kMaxFrameBytes) throw WireError("blob too long for frame");
   u32(static_cast<std::uint32_t>(len));
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + len);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + len);
+  return {buf_.data() + at, len};
 }
 
 void WireReader::need(std::size_t n) const {
@@ -79,6 +90,16 @@ std::uint64_t WireReader::u64() {
   return v;
 }
 
+void WireReader::u32s(std::span<std::uint32_t> out) {
+  need(4 * out.size());
+  for (std::uint32_t& v : out) {
+    v = 0;
+    for (int shift = 0; shift < 32; shift += 8) {
+      v |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
+    }
+  }
+}
+
 double WireReader::f64() {
   const std::uint64_t bits = u64();
   double v;
@@ -94,10 +115,10 @@ std::string WireReader::str() {
   return s;
 }
 
-std::vector<std::uint8_t> WireReader::bytes() {
+std::span<const std::uint8_t> WireReader::bytes() {
   const std::uint32_t len = u32();
   need(len);
-  std::vector<std::uint8_t> out(data_ + pos_, data_ + pos_ + len);
+  const std::span<const std::uint8_t> out(data_ + pos_, len);
   pos_ += len;
   return out;
 }
@@ -106,7 +127,15 @@ std::vector<std::uint8_t> WireReader::bytes() {
 // Messages.
 
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg) {
+  return encode_solve_request(msg, msg.records);
+}
+
+std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg,
+                                               const pauli::PauliSet& records) {
+  constexpr std::size_t kFixedBytes = 71;  // every field but tenant, blob
+  const std::size_t blob_bytes = records.binary_size();
   WireWriter w;
+  w.reserve(kFixedBytes + msg.tenant.size() + blob_bytes);
   w.u32(kProtocolVersion);
   w.u64(msg.id);
   w.str(msg.tenant);
@@ -120,10 +149,7 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg) {
   w.u64(msg.params.memory_budget_bytes);
   w.u8(msg.params.want_progress ? 1 : 0);
   w.u64(msg.params.deadline_ms);
-  std::ostringstream blob;
-  msg.records.save_binary(blob);
-  const std::string& encoded = blob.str();
-  w.bytes(encoded.data(), encoded.size());
+  records.save_binary(w.bytes(blob_bytes));
   return w.take();
 }
 
@@ -151,11 +177,9 @@ SolveRequestMsg decode_solve_request(
   msg.params.want_progress = r.u8() != 0;
   // deadline_ms joined in v2; v1 requests simply have no deadline.
   msg.params.deadline_ms = version >= 2 ? r.u64() : 0;
-  const std::vector<std::uint8_t> blob = r.bytes();
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
+  const std::span<const std::uint8_t> blob = r.bytes();
   try {
-    msg.records = pauli::PauliSet::load_binary(in);
+    msg.records = pauli::PauliSet::load_binary(blob);
   } catch (const std::exception& error) {
     throw WireError(std::string("bad Pauli payload: ") + error.what());
   }
@@ -199,7 +223,14 @@ ProgressMsg decode_progress(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> encode_result(const ResultMsg& msg) {
+  return encode_result(msg, msg.colors);
+}
+
+std::vector<std::uint8_t> encode_result(const ResultMsg& msg,
+                                        std::span<const std::uint32_t> colors) {
+  constexpr std::size_t kFixedBytes = 54;  // every field but reason, colors
   WireWriter w;
+  w.reserve(kFixedBytes + msg.degraded_reason.size() + 4 * colors.size());
   w.u64(msg.id);
   w.u8(msg.cache_hit ? 1 : 0);
   w.u64(msg.problem_hash);
@@ -210,8 +241,8 @@ std::vector<std::uint8_t> encode_result(const ResultMsg& msg) {
   w.f64(msg.seconds);
   w.u8(msg.degraded ? 1 : 0);
   w.str(msg.degraded_reason);
-  w.u32(static_cast<std::uint32_t>(msg.colors.size()));
-  for (std::uint32_t c : msg.colors) w.u32(c);
+  w.u32(static_cast<std::uint32_t>(colors.size()));
+  w.u32s(colors);
   return w.take();
 }
 
@@ -232,8 +263,8 @@ ResultMsg decode_result(const std::vector<std::uint8_t>& payload) {
   if (static_cast<std::size_t>(n) * 4 > r.remaining()) {
     throw WireError("result color count exceeds payload");
   }
-  msg.colors.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) msg.colors.push_back(r.u32());
+  msg.colors.resize(n);
+  r.u32s(msg.colors);
   return msg;
 }
 

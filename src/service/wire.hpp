@@ -19,6 +19,7 @@
 // back, so responses are attributable even when they interleave.
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -104,32 +105,39 @@ struct Frame {
 
 class WireWriter {
  public:
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-    }
-  }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void f64(double v) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
     __builtin_memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
+  /// Consecutive u32s with no length prefix, written in one resize.
+  void u32s(std::span<const std::uint32_t> values);
   void str(const std::string& s);
-  void bytes(const void* data, std::size_t len);
+  /// Writes a u32 length prefix and returns the `len` bytes after it for
+  /// the caller to fill (valid until the next write).
+  std::span<std::uint8_t> bytes(std::size_t len);
 
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void put_le(T v) {
+    std::uint8_t le[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), le, le + sizeof(T));
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
+/// Reads a payload in place; views it returns borrow the payload.
 class WireReader {
  public:
   explicit WireReader(const std::vector<std::uint8_t>& payload)
@@ -139,8 +147,11 @@ class WireReader {
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
+  /// `out.size()` consecutive u32s after one bounds check.
+  void u32s(std::span<std::uint32_t> out);
   std::string str();
-  std::vector<std::uint8_t> bytes();
+  /// A u32-length-prefixed blob, viewed in the payload without a copy.
+  std::span<const std::uint8_t> bytes();
 
   std::size_t remaining() const noexcept { return size_ - pos_; }
 
@@ -234,6 +245,10 @@ struct StatsMsg {
 };
 
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg);
+/// Encodes `msg` with `records` in place of msg.records, so a client can
+/// send records it does not own without copying them into the message.
+std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg,
+                                               const pauli::PauliSet& records);
 SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_cancel(std::uint64_t id);
@@ -243,6 +258,11 @@ std::vector<std::uint8_t> encode_progress(const ProgressMsg& msg);
 ProgressMsg decode_progress(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_result(const ResultMsg& msg);
+/// Encodes `msg` with `colors` in place of msg.colors, so a reply can be
+/// written from colors held elsewhere (the server's result cache) without
+/// copying them into the message first.
+std::vector<std::uint8_t> encode_result(const ResultMsg& msg,
+                                        std::span<const std::uint32_t> colors);
 ResultMsg decode_result(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_error(const ErrorMsg& msg);

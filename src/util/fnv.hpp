@@ -3,10 +3,10 @@
 //
 // One canonical implementation of the 64-bit FNV-1a hash the project uses
 // for replay fingerprints: the coloring hash the CI baseline pins exactly
-// (bench_incremental / bench_table4_memory), the problem hash keying the
-// service result cache (service/server.hpp), and ad-hoc identity checks in
-// tests. Byte order is fixed (values are folded little-endian, lowest byte
-// first) so fingerprints compare bit-for-bit across machines.
+// (bench_incremental / bench_table4_memory), the .pset spill checksums
+// (pauli/pauli_stream.cpp), and ad-hoc identity checks in tests. Byte order
+// is fixed (values are folded little-endian, lowest byte first) so
+// fingerprints compare bit-for-bit across machines.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,16 +35,6 @@ inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
     h = fnv1a_byte(h, static_cast<std::uint8_t>((v >> shift) & 0xffu));
   }
   return h;
-}
-
-/// Folds a double through its IEEE-754 bit pattern (the params that enter
-/// the problem hash are exact user inputs, not computed values, so bitwise
-/// identity is the right equality).
-inline std::uint64_t fnv1a_f64(std::uint64_t h, double v) noexcept {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  __builtin_memcpy(&bits, &v, sizeof(bits));
-  return fnv1a_u64(h, bits);
 }
 
 inline std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,

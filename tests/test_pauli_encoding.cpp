@@ -4,12 +4,21 @@
 // character-comparison reference on every input, across word boundaries.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <tuple>
 #include <vector>
 
+#include "api/session.hpp"
 #include "pauli/encoding.hpp"
+#include "pauli/pauli_packed.hpp"
 #include "pauli/pauli_set.hpp"
+#include "pauli/pauli_stream.hpp"
 #include "util/rng.hpp"
 
 namespace pp = picasso::pauli;
@@ -22,6 +31,64 @@ pp::PauliString random_string(std::size_t n, picasso::util::Xoshiro256& rng) {
   }
   return s;
 }
+
+pp::PauliSet random_set(std::size_t count, std::size_t n, std::uint64_t seed) {
+  picasso::util::Xoshiro256 rng(seed);
+  std::vector<pp::PauliString> strings;
+  std::vector<double> coefs;
+  for (std::size_t i = 0; i < count; ++i) {
+    strings.push_back(random_string(n, rng));
+    coefs.push_back(rng.uniform() - 0.5);
+  }
+  return pp::PauliSet(strings, coefs);
+}
+
+std::vector<std::uint8_t> saved(const pp::PauliSet& set) {
+  std::vector<std::uint8_t> bytes(set.binary_size());
+  set.save_binary(bytes);
+  return bytes;
+}
+
+pp::PauliSet load_stream(const std::vector<std::uint8_t>& bytes) {
+  std::stringstream in(std::string(bytes.begin(), bytes.end()));
+  return pp::PauliSet::load_binary(in);
+}
+
+/// XORs `bits` into 3-bit word `word` of string `i` in save_binary bytes.
+void xor_word(std::vector<std::uint8_t>& bytes, const pp::PauliSet& set,
+              std::size_t i, std::size_t word, std::uint64_t bits) {
+  const std::size_t at =
+      3 * sizeof(std::uint64_t) +
+      (i * set.words_per_string() + word) * sizeof(std::uint64_t);
+  std::uint64_t w;
+  std::memcpy(&w, bytes.data() + at, sizeof(w));
+  w ^= bits;
+  std::memcpy(bytes.data() + at, &w, sizeof(w));
+}
+
+/// Word-for-word equality of both encodings, the coefficients and the
+/// fingerprint.
+void expect_same_set(const pp::PauliSet& got, const pp::PauliSet& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.num_qubits(), want.num_qubits());
+  ASSERT_EQ(got.words_per_string(), want.words_per_string());
+  const std::size_t w3 = got.size() * got.words_per_string();
+  for (std::size_t k = 0; k < w3; ++k) {
+    ASSERT_EQ(got.encoded3(0)[k], want.encoded3(0)[k]) << "3-bit word " << k;
+  }
+  const pp::PackedView a = got.packed_view(), b = want.packed_view();
+  ASSERT_EQ(a.words, b.words);
+  for (std::size_t k = 0; k < a.size * a.record_words(); ++k) {
+    ASSERT_EQ(a.data[k], b.data[k]) << "plane word " << k;
+  }
+  EXPECT_EQ(got.coefficients(), want.coefficients());
+  const picasso::core::PicassoParams params;
+  EXPECT_EQ(picasso::api::problem_fingerprint(got, params),
+            picasso::api::problem_fingerprint(want, params));
+}
+
+constexpr std::size_t kQubitCounts[] = {1,  20, 21, 22,  42, 63,
+                                        64, 65, 85, 128, 130};
 }  // namespace
 
 TEST(Encoding, InverseOneHotCodes) {
@@ -174,4 +241,175 @@ TEST(PauliSet, BinarySaveLoadRoundTrip) {
 TEST(PauliSet, LoadRejectsGarbage) {
   std::stringstream buffer("definitely not a pauli set");
   EXPECT_THROW(pp::PauliSet::load_binary(buffer), std::runtime_error);
+}
+
+TEST(PauliSetDirectLoad, EqualsStringBuiltSetWordForWord) {
+  for (std::size_t n : kQubitCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const pp::PauliSet built = random_set(17, n, 40 + n);
+    const std::vector<std::uint8_t> bytes = saved(built);
+    expect_same_set(load_stream(bytes), built);
+    expect_same_set(pp::PauliSet::load_binary(bytes), built);
+    expect_same_set(
+        pp::PauliSet::from_encoded3(
+            n,
+            std::vector<std::uint64_t>(
+                built.encoded3(0),
+                built.encoded3(0) + built.size() * built.words_per_string()),
+            built.coefficients()),
+        built);
+  }
+}
+
+TEST(PauliSetDirectLoad, EmptySetLoadsWithZeroQubits) {
+  const pp::PauliSet empty_with_width = random_set(5, 30, 1).prefix(0);
+  ASSERT_EQ(empty_with_width.num_qubits(), 30u);
+  for (const pp::PauliSet& empty : {pp::PauliSet{}, empty_with_width}) {
+    const std::vector<std::uint8_t> bytes = saved(empty);
+    for (const pp::PauliSet& loaded :
+         {load_stream(bytes), pp::PauliSet::load_binary(bytes)}) {
+      EXPECT_EQ(loaded.size(), 0u);
+      EXPECT_EQ(loaded.num_qubits(), 0u);
+    }
+  }
+}
+
+TEST(PauliSetDirectLoad, RejectsCorruptCodeInFirstMiddleOrLastField) {
+  for (std::size_t n : {1u, 22u, 64u, 130u}) {
+    const pp::PauliSet set = random_set(3, n, 9);
+    for (std::size_t qubit : {std::size_t{0}, n / 2, n - 1}) {
+      for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " qubit=" +
+                     std::to_string(qubit) + " code=" + std::to_string(code));
+        std::vector<std::uint8_t> bytes = saved(set);
+        const std::size_t shift = (qubit % pp::kOpsPerWord3) * 3;
+        const std::uint64_t current =
+            (set.encoded3(2)[qubit / pp::kOpsPerWord3] >> shift) & 0b111u;
+        xor_word(bytes, set, 2, qubit / pp::kOpsPerWord3,
+                 (current ^ code) << shift);
+        EXPECT_THROW(load_stream(bytes), std::invalid_argument);
+        EXPECT_THROW(pp::PauliSet::load_binary(bytes), std::invalid_argument);
+      }
+    }
+  }
+}
+
+TEST(PauliSetDirectLoad, PaddingBitsAreMaskedNotRejected) {
+  for (std::size_t n : kQubitCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const pp::PauliSet set = random_set(6, n, 3 + n);
+    std::vector<std::uint8_t> dirty = saved(set);
+    const std::size_t w3 = set.words_per_string();
+    const std::size_t used = n - (w3 - 1) * pp::kOpsPerWord3;  // last word
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      for (std::size_t w = 0; w < w3; ++w) {
+        xor_word(dirty, set, i, w, std::uint64_t{1} << 63);
+      }
+      // Every field past num_qubits set to 111, an invalid code.
+      if (used < pp::kOpsPerWord3) {
+        const std::uint64_t in_use = (std::uint64_t{1} << (3 * used)) - 1;
+        xor_word(dirty, set, i, w3 - 1,
+                 ((std::uint64_t{1} << 63) - 1) & ~in_use);
+      }
+    }
+    expect_same_set(load_stream(dirty), set);
+    expect_same_set(pp::PauliSet::load_binary(dirty), set);
+  }
+}
+
+TEST(PauliSetDirectLoad, RejectsTruncationAndOversizedCounts) {
+  const pp::PauliSet set = random_set(4, 25, 2);
+  const std::vector<std::uint8_t> bytes = saved(set);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{7}, std::size_t{24},
+                          bytes.size() - 1}) {
+    const std::vector<std::uint8_t> head(bytes.begin(),
+                                         bytes.begin() + cut);
+    EXPECT_THROW(load_stream(head), std::runtime_error) << cut;
+    EXPECT_THROW(pp::PauliSet::load_binary(head), std::runtime_error) << cut;
+  }
+  // A header claiming 2^62 strings: the byte size overflows 64 bits.
+  std::vector<std::uint8_t> huge = bytes;
+  const std::uint64_t count = std::uint64_t{1} << 62;
+  std::memcpy(huge.data() + 16, &count, sizeof(count));
+  EXPECT_THROW(load_stream(huge), std::runtime_error);
+  EXPECT_THROW(pp::PauliSet::load_binary(huge), std::runtime_error);
+}
+
+TEST(PauliSetDirectLoad, LoadChunkEqualsPrefixAndSubset) {
+  const pp::PauliSet set = random_set(50, 45, 17);
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string spill =
+      (dir / ("picasso_encoding_" + std::to_string(::getpid()) + ".pset"))
+          .string();
+  const std::string legacy = spill + ".legacy";
+  pp::spill_pauli_set(set, spill);
+  {
+    std::ofstream out(legacy, std::ios::binary);
+    set.save_binary(out);  // no packed tail, no checksum trailer
+  }
+  for (const std::string& path : {spill, legacy}) {
+    SCOPED_TRACE(path);
+    const pp::ChunkedPauliReader reader(path, 16);
+    ASSERT_EQ(reader.num_chunks(), 4u);
+    expect_same_set(reader.load_chunk(0), set.prefix(16));
+    for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+      std::vector<std::uint32_t> ids;
+      for (std::size_t i = 0; i < reader.chunk_size(c); ++i) {
+        ids.push_back(static_cast<std::uint32_t>(reader.chunk_begin(c) + i));
+      }
+      expect_same_set(reader.load_chunk(c), set.subset(ids));
+    }
+  }
+  // A corrupt code in a legacy file (no checksum to catch it first) is
+  // rejected by the chunk load with the same exception as load_binary.
+  {
+    std::fstream io(legacy, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(3 * sizeof(std::uint64_t));
+    const std::uint64_t bad = 0b111;
+    io.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+  }
+  const pp::ChunkedPauliReader reader(legacy, 16);
+  EXPECT_THROW(reader.load_chunk(0), std::invalid_argument);
+  std::filesystem::remove(spill);
+  std::filesystem::remove(legacy);
+}
+
+TEST(ProblemFingerprint, EverySinglePlaneBitAndHashedParamMatters) {
+  const std::size_t n = 70;  // two plane words, record = 4 words
+  const pp::PauliSet set = random_set(8, n, 23);
+  const pp::PackedView view = set.packed_view();
+  const picasso::core::PicassoParams params;
+  namespace papi = picasso::api;
+  const std::uint64_t base = papi::problem_fingerprint(set, params);
+  EXPECT_EQ(papi::problem_fingerprint(pp::PackedPauliSet(set).view(), n,
+                                      params),
+            base);
+
+  std::set<std::uint64_t> seen{base};
+  std::vector<std::uint64_t> words(view.data,
+                                   view.data + view.size * view.record_words());
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    for (int bit = 0; bit < 64; ++bit) {
+      words[k] ^= std::uint64_t{1} << bit;
+      const pp::PackedView flipped{words.data(), view.size, view.words};
+      seen.insert(papi::problem_fingerprint(flipped, n, params));
+      words[k] ^= std::uint64_t{1} << bit;
+    }
+  }
+  EXPECT_EQ(seen.size(), 1 + words.size() * 64);
+
+  auto changed = [&](auto&& edit) {
+    picasso::core::PicassoParams p = params;
+    edit(p);
+    return papi::problem_fingerprint(set, p) != base;
+  };
+  EXPECT_TRUE(changed([](auto& p) { p.palette_percent += 0.5; }));
+  EXPECT_TRUE(changed([](auto& p) { p.alpha *= 2; }));
+  EXPECT_TRUE(changed([](auto& p) { p.seed ^= 1; }));
+  EXPECT_TRUE(changed([](auto& p) { p.max_iterations += 1; }));
+  EXPECT_TRUE(changed([](auto& p) {
+    p.conflict_scheme = picasso::core::ConflictColoringScheme::StaticNatural;
+  }));
+  EXPECT_NE(papi::problem_fingerprint(view, n + 1, params), base);
+  EXPECT_NE(papi::problem_fingerprint(set.prefix(7), params), base);
 }
