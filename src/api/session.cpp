@@ -11,6 +11,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/word_hash.hpp"
+
 namespace picasso::api {
 
 namespace {
@@ -31,54 +33,6 @@ std::size_t planned_chunk_strings(std::size_t explicit_chunk,
   if (chunk == 0) chunk = num_strings;  // no guidance: one chunk
   return std::min(std::max<std::size_t>(1, chunk),
                   std::max<std::size_t>(1, num_strings));
-}
-
-// The xxh64 primes: odd 64-bit constants with well-spread bits.
-constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
-constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
-constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
-constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
-constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
-
-constexpr std::uint64_t mix_round(std::uint64_t acc,
-                                  std::uint64_t word) noexcept {
-  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
-}
-
-constexpr std::uint64_t merge_lane(std::uint64_t h,
-                                   std::uint64_t lane) noexcept {
-  return (h ^ mix_round(0, lane)) * kPrime1 + kPrime4;
-}
-
-/// xxh64-style hash of `n` 64-bit words: four independent multiply-rotate
-/// lanes over 4-word stripes (so their multiplies overlap instead of
-/// forming one serial chain), a merge of the lanes, the leftover words,
-/// and a final avalanche.
-std::uint64_t hash_words(const std::uint64_t* words, std::size_t n) noexcept {
-  std::size_t i = 0;
-  std::uint64_t h = kPrime5;
-  if (n >= 4) {
-    std::uint64_t a = kPrime1 + kPrime2, b = kPrime2, c = 0, d = 0 - kPrime1;
-    for (; i + 4 <= n; i += 4) {
-      a = mix_round(a, words[i]);
-      b = mix_round(b, words[i + 1]);
-      c = mix_round(c, words[i + 2]);
-      d = mix_round(d, words[i + 3]);
-    }
-    h = std::rotl(a, 1) + std::rotl(b, 7) + std::rotl(c, 12) +
-        std::rotl(d, 18);
-    h = merge_lane(merge_lane(merge_lane(merge_lane(h, a), b), c), d);
-  }
-  h += static_cast<std::uint64_t>(n) * sizeof(std::uint64_t);
-  for (; i < n; ++i) {
-    h = std::rotl(h ^ mix_round(0, words[i]), 27) * kPrime1 + kPrime4;
-  }
-  h ^= h >> 33;
-  h *= kPrime2;
-  h ^= h >> 29;
-  h *= kPrime3;
-  h ^= h >> 32;
-  return h;
 }
 
 bool oracle_capable(ProblemKind kind) {
@@ -206,13 +160,13 @@ std::uint64_t problem_fingerprint(const pauli::PackedView& view,
   const std::uint64_t fields[] = {
       static_cast<std::uint64_t>(num_qubits),
       static_cast<std::uint64_t>(view.size),
-      hash_words(view.data, view.size * view.record_words()),
+      util::hash_words(view.data, view.size * view.record_words()),
       std::bit_cast<std::uint64_t>(params.palette_percent),
       std::bit_cast<std::uint64_t>(params.alpha),
       params.seed,
       static_cast<std::uint64_t>(params.max_iterations),
       static_cast<std::uint64_t>(params.conflict_scheme)};
-  return hash_words(fields, std::size(fields));
+  return util::hash_words(fields, std::size(fields));
 }
 
 std::uint64_t problem_fingerprint(const pauli::PauliSet& set,

@@ -14,8 +14,9 @@ namespace picasso::core {
 
 namespace {
 
-// Candidate batch size for the bucket strike, matching the fused engine's
-// blocked pair-scan granularity.
+// Most ids one first-fit sweep (or one bucket_admits piece) sends through
+// edges() at once, matching the fused engine's blocked pair-scan
+// granularity.
 constexpr std::size_t kInsertBatch = 256;
 
 bool supports_disjoint(const std::uint64_t* a, const std::uint64_t* b,
@@ -131,28 +132,39 @@ class FusedState::SpilledPackedProber : public FusedState::Prober {
 
   void edges(const std::uint32_t* ids, std::size_t count,
              std::uint8_t* out) override {
-    // Contiguous same-chunk runs share one pin and one kernel call; runs
-    // are scanned serially so the chunk-cache traffic is deterministic.
-    std::size_t i = 0;
-    while (i < count) {
-      const std::size_t chunk = ids[i] / spc_;
-      std::size_t j = i + 1;
-      while (j < count && ids[j] / spc_ == chunk) ++j;
-      auto pin = cache_->get(chunk);
-      const std::uint32_t base = static_cast<std::uint32_t>(chunk * spc_);
-      rel_.resize(j - i);
-      for (std::size_t k = i; k < j; ++k) rel_[k - i] = ids[k] - base;
-      obs::count(simd_ == pauli::SimdLevel::Avx2
-                     ? obs::Counter::EdgeBlockCallsAvx2
-                     : obs::Counter::EdgeBlockCallsScalar);
-      obs::count(obs::Counter::OraclePairEvals, j - i);
-      kernel_(swapped_.data(), pin->view().data, words_, rel_.data(), j - i,
-              out + i);
-      for (std::size_t k = i; k < j; ++k) {
-        const bool anti = out[k] != 0;
-        out[k] = static_cast<std::uint8_t>(ids[k] != u_ && !anti);
+    if (count == 0) return;
+    // A sweep's ids span several buckets, so they need not be sorted or
+    // contiguous. Group them by chunk: one pin and one kernel call per
+    // chunk that holds any, chunks in ascending order so the cache traffic
+    // is deterministic. Each pass takes the chunk of the smallest id not
+    // yet probed and tests membership by comparing against the chunk's id
+    // range, so no id is divided.
+    const auto [min_id, max_id] = std::minmax_element(ids, ids + count);
+    if (*min_id / spc_ == *max_id / spc_) {
+      probe_chunk(*min_id / spc_, ids, count, out);
+      return;
+    }
+    std::uint64_t next = *min_id;
+    while (next != kNoId) {
+      const std::size_t chunk = next / spc_;
+      const std::size_t lo = chunk * spc_;
+      next = kNoId;
+      group_ids_.clear();
+      group_pos_.clear();
+      for (std::size_t k = 0; k < count; ++k) {
+        if (ids[k] - lo < spc_) {
+          group_ids_.push_back(ids[k]);
+          group_pos_.push_back(static_cast<std::uint32_t>(k));
+        } else if (ids[k] > lo) {
+          next = std::min<std::uint64_t>(next, ids[k]);
+        }
       }
-      i = j;
+      group_out_.resize(group_ids_.size());
+      probe_chunk(chunk, group_ids_.data(), group_ids_.size(),
+                  group_out_.data());
+      for (std::size_t i = 0; i < group_pos_.size(); ++i) {
+        out[group_pos_[i]] = group_out_[i];
+      }
     }
   }
 
@@ -162,6 +174,29 @@ class FusedState::SpilledPackedProber : public FusedState::Prober {
   }
 
  private:
+  /// out[k] = conflict-edge(u, ids[k]) for `count` ids all in `chunk`.
+  void probe_chunk(std::size_t chunk, const std::uint32_t* ids,
+                   std::size_t count, std::uint8_t* out) {
+    auto pin = cache_->get(chunk);
+    // Chunk-local ids; chunk 0's are the global ids themselves.
+    const std::uint32_t* local = ids;
+    if (chunk != 0) {
+      const auto base = static_cast<std::uint32_t>(chunk * spc_);
+      rel_.resize(count);
+      for (std::size_t k = 0; k < count; ++k) rel_[k] = ids[k] - base;
+      local = rel_.data();
+    }
+    obs::count(simd_ == pauli::SimdLevel::Avx2
+                   ? obs::Counter::EdgeBlockCallsAvx2
+                   : obs::Counter::EdgeBlockCallsScalar);
+    obs::count(obs::Counter::OraclePairEvals, count);
+    kernel_(swapped_.data(), pin->view().data, words_, local, count, out);
+    for (std::size_t k = 0; k < count; ++k) {
+      const bool anti = out[k] != 0;
+      out[k] = static_cast<std::uint8_t>(ids[k] != u_ && !anti);
+    }
+  }
+
   pauli::PackedPauliChunkCache* cache_;
   std::size_t spc_;
   std::size_t words_;
@@ -171,6 +206,11 @@ class FusedState::SpilledPackedProber : public FusedState::Prober {
   std::shared_ptr<const pauli::PackedPauliSet> member_chunk_;
   std::vector<std::uint64_t> swapped_;
   std::vector<std::uint32_t> rel_;
+  // Grouping scratch for sweeps that span chunks.
+  static constexpr std::uint64_t kNoId = ~std::uint64_t{0};
+  std::vector<std::uint32_t> group_ids_;
+  std::vector<std::uint32_t> group_pos_;
+  std::vector<std::uint8_t> group_out_;
   std::uint32_t u_ = 0;
 };
 
@@ -322,16 +362,20 @@ void FusedState::rebuild_signatures(Prober& prober) {
   }
 }
 
-void FusedState::reopen_reader() {
-  // Caches hold a reference into the reader; drop them first. Recreating
-  // also discards any stale last-partial-chunk entries from before the
-  // append.
-  packed_cache_.reset();
-  chunk_cache_.reset();
-  reader_ = std::make_unique<pauli::ChunkedPauliReader>(spill_path_,
-                                                        chunk_strings_);
-  packed_cache_ = std::make_unique<pauli::PackedPauliChunkCache>(*reader_);
-  chunk_cache_ = std::make_unique<pauli::PauliChunkCache>(*reader_);
+void FusedState::sync_reader() {
+  if (!reader_) {
+    reader_ = std::make_unique<pauli::ChunkedPauliReader>(spill_path_,
+                                                          chunk_strings_);
+    packed_cache_ = std::make_unique<pauli::PackedPauliChunkCache>(*reader_);
+    chunk_cache_ = std::make_unique<pauli::PauliChunkCache>(*reader_);
+    return;
+  }
+  // Re-walk and re-verify the grown file in place; only the chunks whose
+  // range changed (the grown last chunk) leave the caches. A throw leaves
+  // the reader and caches on their previous view.
+  const std::size_t first_changed = reader_->refresh();
+  packed_cache_->drop_from(first_changed);
+  chunk_cache_->drop_from(first_changed);
 }
 
 std::unique_ptr<FusedState::Prober> FusedState::make_prober() const {
@@ -370,7 +414,7 @@ void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,
   if (use_spill_) {
     spill_pauli_set(set, spill_path_);
     spill_guard_ = std::make_unique<SpillGuard>(spill_path_);
-    reopen_reader();
+    sync_reader();
   } else {
     store_ = set;
   }
@@ -415,7 +459,7 @@ void FusedState::ingest_pauli(const pauli::PauliSet& delta) {
     } else {
       append_pauli_set(delta, spill_path_);
     }
-    reopen_reader();
+    sync_reader();
   } else {
     store_.append(delta);
   }
@@ -598,13 +642,100 @@ void FusedState::escalate(const StopToken& stop, const ProgressFn& progress,
   fresh_colors_ = 0;
 }
 
+std::uint32_t FusedState::first_fit(Prober& prober, const std::uint64_t* sup_v,
+                                    Sweep& sweep, UpdateStats& stats) {
+  // Buckets are probed in sweeps: the members of a run of consecutive
+  // buckets that survive the signature test (whole buckets, up to
+  // kInsertBatch ids) go through one edges() call, and the lowest bucket
+  // whose slice has no hit wins — the color a bucket-at-a-time walk would
+  // pick, at a fraction of the kernel calls. A run ends at an empty bucket,
+  // which wins when nothing before it admits. A lone bucket of more than
+  // kInsertBatch members is its own run, probed in kInsertBatch pieces with
+  // an early exit.
+  std::uint32_t chosen = kUncolored;
+  std::uint32_t c = 0;
+  while (chosen == kUncolored && c < total_colors_) {
+    sweep.ids.clear();
+    sweep.slices.clear();
+    std::uint32_t end = c;  // first color past this run
+    for (; end < total_colors_; ++end) {
+      const auto& bucket = buckets_[end];
+      if (bucket.empty()) break;
+      if (supports_disjoint(sup_v,
+                            sigs_.data() + static_cast<std::size_t>(end) *
+                                               sig_words_,
+                            sig_words_)) {
+        continue;  // disjoint supports: commutes with every member
+      }
+      if (!sweep.ids.empty() &&
+          sweep.ids.size() + bucket.size() > kInsertBatch) {
+        break;
+      }
+      sweep.ids.insert(sweep.ids.end(), bucket.begin(), bucket.end());
+      sweep.slices.push_back(
+          {end, static_cast<std::uint32_t>(sweep.ids.size())});
+      if (sweep.ids.size() >= kInsertBatch) {
+        ++end;
+        break;
+      }
+    }
+
+    std::size_t probed = sweep.slices.size();  // probed buckets before chosen
+    if (sweep.ids.size() > kInsertBatch) {
+      if (bucket_admits(prober, sweep.ids, sweep.hits)) {
+        chosen = sweep.slices.front().color;
+        probed = 0;
+      }
+    } else if (!sweep.ids.empty()) {
+      sweep.hits.resize(sweep.ids.size());
+      prober.edges(sweep.ids.data(), sweep.ids.size(), sweep.hits.data());
+      std::uint32_t from = 0;
+      for (std::size_t r = 0; r < sweep.slices.size(); ++r) {
+        const std::uint32_t to = sweep.slices[r].end;
+        if (std::none_of(sweep.hits.begin() + from, sweep.hits.begin() + to,
+                         [](std::uint8_t hit) { return hit != 0; })) {
+          chosen = sweep.slices[r].color;
+          probed = r;
+          break;
+        }
+        from = to;
+      }
+    }
+    const bool took_empty = chosen == kUncolored && end < total_colors_ &&
+                            buckets_[end].empty();
+    if (took_empty) chosen = end;
+
+    // Charge the probe counters for the buckets up to the chosen one only,
+    // exactly as the bucket-at-a-time walk counted them.
+    const std::uint32_t limit = chosen != kUncolored ? chosen + 1 : end;
+    const std::uint64_t examined = limit - c;
+    const std::uint64_t nonempty = examined - (took_empty ? 1 : 0);
+    const bool chose_probed = chosen != kUncolored && !took_empty;
+    const std::uint64_t fast_exits =
+        nonempty - probed - (chose_probed ? 1 : 0);
+    stats.bucket_probes += examined;
+    obs::count(obs::Counter::UpdateBucketProbes, examined);
+    stats.signature_fast_exits += fast_exits;
+    obs::count(obs::Counter::SignatureFastExits, fast_exits);
+    if (params_.sketch_prefilter) {
+      obs::count(obs::Counter::SketchProbes, nonempty);
+      obs::count(obs::Counter::SketchHits, fast_exits);
+      // Folded signatures that failed to dismiss a bucket the exact scan
+      // then rejected — the sketch's (measured) false positives.
+      obs::count(obs::Counter::SketchFalsePositives, probed);
+    }
+    c = end;
+  }
+  return chosen;
+}
+
 void FusedState::color_pauli_backlog(const StopToken& stop,
                                      const ProgressFn& progress,
                                      UpdateStats& stats) {
   const std::size_t total = colors_.size();
   if (cursor_ >= total) return;
   auto prober = make_prober();
-  std::vector<std::uint8_t> hits;
+  Sweep sweep;
   std::vector<std::uint64_t> sup(sig_words_);
   while (cursor_ < total) {
     detail::throw_if_stopped(stop);
@@ -615,34 +746,7 @@ void FusedState::color_pauli_backlog(const StopToken& stop,
     // Phase 1: lowest feasible color wins. An empty bucket (an unused
     // palette slot) is immediately feasible, so fresh colors only open
     // once the whole allocated range is blocked.
-    std::uint32_t chosen = kUncolored;
-    for (std::uint32_t c = 0; c < total_colors_; ++c) {
-      ++stats.bucket_probes;
-      obs::count(obs::Counter::UpdateBucketProbes);
-      const auto& bucket = buckets_[c];
-      if (bucket.empty()) {
-        chosen = c;
-        break;
-      }
-      if (params_.sketch_prefilter) obs::count(obs::Counter::SketchProbes);
-      if (supports_disjoint(sup.data(),
-                            sigs_.data() + static_cast<std::size_t>(c) *
-                                               sig_words_,
-                            sig_words_)) {
-        ++stats.signature_fast_exits;
-        obs::count(obs::Counter::SignatureFastExits);
-        if (params_.sketch_prefilter) obs::count(obs::Counter::SketchHits);
-        continue;
-      }
-      if (bucket_admits(*prober, bucket, hits)) {
-        chosen = c;
-        break;
-      }
-      if (params_.sketch_prefilter) {
-        obs::count(obs::Counter::SketchFalsePositives);
-      }
-    }
-
+    const std::uint32_t chosen = first_fit(*prober, sup.data(), sweep, stats);
     if (chosen != kUncolored) {
       colors_[v] = chosen;
       buckets_[chosen].push_back(v);

@@ -160,10 +160,28 @@ class FusedState {
   class SpilledScalarProber;
 
   void ingest_pauli(const pauli::PauliSet& delta);
-  void reopen_reader();
+  /// Opens the spill reader and caches on first use; afterwards refreshes
+  /// the reader in place and drops only the chunks that changed.
+  void sync_reader();
   std::unique_ptr<Prober> make_prober() const;
   void color_pauli_backlog(const StopToken& stop, const ProgressFn& progress,
                            UpdateStats& stats);
+  /// Scratch of first_fit's bucket sweeps, reused across vertices: the
+  /// swept member ids, each swept bucket's color and the end of its slice
+  /// of `ids`, and the edges() answers.
+  struct Sweep {
+    struct Slice {
+      std::uint32_t color;
+      std::uint32_t end;
+    };
+    std::vector<std::uint32_t> ids;
+    std::vector<Slice> slices;
+    std::vector<std::uint8_t> hits;
+  };
+  /// Lowest color whose bucket admits the vertex pinned in `prober`
+  /// (support `sup_v`), kUncolored when every allocated color is blocked.
+  std::uint32_t first_fit(Prober& prober, const std::uint64_t* sup_v,
+                          Sweep& sweep, UpdateStats& stats);
   bool try_recolor(Prober& prober, std::uint32_t v,
                    const std::uint64_t* sup_v, UpdateStats& stats);
   void open_fresh_color(std::uint32_t v, const std::uint64_t* sup_v,

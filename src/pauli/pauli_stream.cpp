@@ -5,13 +5,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <system_error>
 
 #include "pauli/encoding.hpp"
 #include "util/failpoint.hpp"
 #include "util/fnv.hpp"
+#include "util/word_hash.hpp"
 
 namespace picasso::pauli {
 
@@ -20,11 +24,14 @@ namespace {
 constexpr std::uint64_t kMagic = 0x5041554c49534554ULL;       // "PAULISET"
 constexpr std::uint64_t kAppendMagic = 0x5041554c49415050ULL;  // "PAULIAPP"
 // Checksum trailer appended after the base block and after every append
-// segment: [kTrailerMagic][u64 FNV-1a of the covered bytes]. Legacy files
-// without trailers parse exactly as before; a trailer whose checksum does
-// not match the bytes it covers is a torn or corrupt write, detected on
-// reopen before any chunk is served.
-constexpr std::uint64_t kTrailerMagic = 0x5053455453554d31ULL;  // "PSETSUM1"
+// segment: [magic][u64 checksum of the covered bytes]. PSETSUM2 trailers
+// carry a util::WordHasher digest and are the only kind written; PSETSUM1
+// trailers (byte-wise FNV-1a) come from earlier builds and are still
+// verified. Legacy files without trailers parse exactly as before; a
+// trailer whose checksum does not match the bytes it covers is a torn or
+// corrupt write, detected on open or refresh before any chunk is served.
+constexpr std::uint64_t kTrailerMagicFnv = 0x5053455453554d31ULL;  // "PSETSUM1"
+constexpr std::uint64_t kTrailerMagic = 0x5053455453554d32ULL;     // "PSETSUM2"
 constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint64_t);
 constexpr std::size_t kSegmentHeaderBytes = 2 * sizeof(std::uint64_t);
 constexpr std::size_t kTrailerBytes = 2 * sizeof(std::uint64_t);
@@ -42,13 +49,16 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// FNV-1a over file bytes [begin, end) — trailer verification on reopen.
-std::uint64_t fnv_stream_range(std::istream& in, std::uint64_t begin,
-                               std::uint64_t end, const std::string& path) {
+/// Checksum of file bytes [begin, end) under the trailer kind `magic`,
+/// streamed in 64 KiB blocks — trailer verification on open and refresh.
+std::uint64_t checksum_file_range(std::istream& in, std::uint64_t magic,
+                                  std::uint64_t begin, std::uint64_t end,
+                                  const std::string& path) {
   in.clear();
   in.seekg(static_cast<std::streamoff>(begin));
   char buf[1 << 16];
-  std::uint64_t h = util::kFnvOffsetBasis;
+  util::WordHasher words;
+  std::uint64_t fnv = util::kFnvOffsetBasis;
   std::uint64_t remaining = end - begin;
   while (remaining > 0) {
     const std::size_t n = static_cast<std::size_t>(
@@ -58,10 +68,27 @@ std::uint64_t fnv_stream_range(std::istream& in, std::uint64_t begin,
       throw std::runtime_error(
           "pauli_stream: truncated while verifying checksum in " + path);
     }
-    h = util::fnv1a_bytes(h, buf, n);
+    if (magic == kTrailerMagic) {
+      words.update(buf, n);
+    } else {
+      fnv = util::fnv1a_bytes(fnv, buf, n);
+    }
     remaining -= n;
   }
-  return h;
+  return magic == kTrailerMagic ? words.digest() : fnv;
+}
+
+/// End of `count` records of `stride` bytes starting at `start`, or
+/// nullopt when they would run past `limit` — checked before multiplying,
+/// so a corrupt count cannot wrap the offset.
+std::optional<std::uint64_t> records_end(std::uint64_t start,
+                                         std::uint64_t count,
+                                         std::uint64_t stride,
+                                         std::uint64_t limit) {
+  if (start > limit) return std::nullopt;
+  if (stride == 0) return start;
+  if (count > (limit - start) / stride) return std::nullopt;
+  return start + count * stride;
 }
 
 /// Maps a failed stream write to a structured error: real ENOSPC surfaces
@@ -75,6 +102,33 @@ std::uint64_t fnv_stream_range(std::istream& in, std::uint64_t begin,
   }
   throw std::runtime_error(what + ": write failed for " + path);
 }
+
+/// Output streambuf that forwards every byte to `sink` and folds it into
+/// `hasher`, so a blob serialized through an std::ostream lands in the file
+/// and in its checksum in one pass, with no in-memory copy.
+class HashingTee : public std::streambuf {
+ public:
+  HashingTee(std::streambuf* sink, util::WordHasher& hasher)
+      : sink_(sink), hasher_(&hasher) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    hasher_->update(s, static_cast<std::size_t>(n));
+    return sink_->sputn(s, n);
+  }
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    const char c = traits_type::to_char_type(ch);
+    hasher_->update(&c, 1);
+    return sink_->sputc(c);
+  }
+
+ private:
+  std::streambuf* sink_;
+  util::WordHasher* hasher_;
+};
 
 }  // namespace
 
@@ -100,23 +154,21 @@ std::size_t spill_pauli_set(const PauliSet& set, const std::string& path) {
   out.write(reinterpret_cast<const char*>(view.data),
             static_cast<std::streamsize>(tail_written));
   if (tail_written == tail_bytes) {
-    // Base-block trailer: FNV over exactly the bytes save_binary + the tail
-    // put on disk (header fields fold little-endian, matching x86 file
+    // Base-block trailer: a checksum over exactly the bytes save_binary +
+    // the tail put on disk (header fields little-endian, matching x86 file
     // order), so reopen can verify without trusting anything but the file.
-    std::uint64_t sum = util::kFnvOffsetBasis;
-    sum = util::fnv1a_u64(sum, kMagic);
-    sum = util::fnv1a_u64(sum, static_cast<std::uint64_t>(set.num_qubits()));
-    sum = util::fnv1a_u64(sum, static_cast<std::uint64_t>(set.size()));
+    util::WordHasher sum;
+    sum.update_u64(kMagic);
+    sum.update_u64(static_cast<std::uint64_t>(set.num_qubits()));
+    sum.update_u64(static_cast<std::uint64_t>(set.size()));
     if (set.size() > 0) {
-      sum = util::fnv1a_bytes(sum, set.encoded3(0),
-                              set.size() * set.words_per_string() *
-                                  sizeof(std::uint64_t));
-      sum = util::fnv1a_bytes(sum, set.coefficients().data(),
-                              set.size() * sizeof(double));
-      sum = util::fnv1a_bytes(sum, view.data, tail_bytes);
+      sum.update(set.encoded3(0),
+                 set.size() * set.words_per_string() * sizeof(std::uint64_t));
+      sum.update(set.coefficients().data(), set.size() * sizeof(double));
+      sum.update(view.data, tail_bytes);
     }
     write_pod(out, kTrailerMagic);
-    write_pod(out, sum);
+    write_pod(out, sum.digest());
   }
   out.flush();
   if (!out) throw_write_failure("spill_pauli_set", path);
@@ -132,12 +184,18 @@ std::size_t spill_pauli_set(const PauliSet& set, const std::string& path) {
 ChunkedPauliReader::ChunkedPauliReader(std::string path,
                                        std::size_t strings_per_chunk,
                                        std::size_t max_strings)
-    : path_(std::move(path)), strings_per_chunk_(strings_per_chunk) {
+    : path_(std::move(path)),
+      strings_per_chunk_(strings_per_chunk),
+      max_strings_(max_strings) {
   if (strings_per_chunk_ == 0) {
     throw std::invalid_argument(
         "ChunkedPauliReader: strings_per_chunk must be positive (chunk "
         "indexing divides by it)");
   }
+  adopt(scan());
+}
+
+ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   std::ifstream in(path_, std::ios::binary);
   if (!in) {
     throw std::runtime_error("ChunkedPauliReader: cannot open " + path_);
@@ -145,10 +203,22 @@ ChunkedPauliReader::ChunkedPauliReader(std::string path,
   if (read_pod<std::uint64_t>(in) != kMagic) {
     throw std::runtime_error("ChunkedPauliReader: bad magic in " + path_);
   }
-  num_qubits_ = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  const auto base_count = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  words3_ = words_per_string3(num_qubits_);
-  words2_ = packed_words(num_qubits_);
+  const auto num_qubits = read_pod<std::uint64_t>(in);
+  const auto base_count = read_pod<std::uint64_t>(in);
+  // Word counts round the qubit count up; a corrupt count near 2^64 would
+  // wrap that rounding to a tiny record.
+  if (num_qubits > std::numeric_limits<std::uint64_t>::max() - 64) {
+    throw std::runtime_error("ChunkedPauliReader: bad qubit count in " +
+                             path_);
+  }
+  Layout layout;
+  layout.num_qubits = static_cast<std::size_t>(num_qubits);
+  const std::uint64_t words3 = words_per_string3(layout.num_qubits);
+  const std::uint64_t words2 = packed_words(layout.num_qubits);
+  // Per-string bytes of the 3-bit + coefficient sections and of the packed
+  // records; neither overflows once the qubit count is bounded.
+  const std::uint64_t rec3 = words3 * sizeof(std::uint64_t) + sizeof(double);
+  const std::uint64_t rec2 = 2 * words2 * sizeof(std::uint64_t);
 
   std::error_code ec;
   const std::uint64_t file_bytes = std::filesystem::file_size(path_, ec);
@@ -163,31 +233,42 @@ ChunkedPauliReader::ChunkedPauliReader(std::string path,
   // lets a chain of well-formed append segments run exactly to EOF is the
   // truth. Trusting the cached header — or inferring the tail from file
   // size alone — misreads any file that has been appended to.
-  const std::uint64_t coefs_end =
-      kHeaderBytes +
-      base_count * (words3_ * sizeof(std::uint64_t) + sizeof(double));
-  const std::uint64_t tail_end =
-      coefs_end + base_count * 2 * words2_ * sizeof(std::uint64_t);
+  const std::optional<std::uint64_t> coefs_end =
+      records_end(kHeaderBytes, base_count, rec3, file_bytes);
+  if (!coefs_end) {
+    throw std::runtime_error("ChunkedPauliReader: header claims " +
+                             std::to_string(base_count) +
+                             " strings, more than the " +
+                             std::to_string(file_bytes) + " bytes of " +
+                             path_ + " hold");
+  }
+  const std::optional<std::uint64_t> tail_end =
+      records_end(*coefs_end, base_count, rec2, file_bytes);
 
-  // A checksum trailer encountered while walking, with the byte range it
-  // covers; verified after the walk that wins is known.
+  Segment base;
+  base.count = static_cast<std::size_t>(base_count);
+  base.words3_offset = kHeaderBytes;
+  base.coefs_offset =
+      kHeaderBytes + base_count * words3 * sizeof(std::uint64_t);
+
+  // A checksum trailer encountered while walking, with its kind and the
+  // byte range it covers; verified after the walk that wins is known.
   struct TrailerSpan {
-    std::uint64_t begin = 0, end = 0, sum = 0;
+    std::uint64_t magic = 0, begin = 0, end = 0, sum = 0;
   };
 
   // Walks the append-segment chain from `start` to EOF; returns false on
   // any structural mismatch (bad magic, section overrunning the file).
   // Checksum trailers may follow the base block and any segment; legacy
-  // files simply have none.
+  // files simply have none. `out` starts with the base segment.
   const auto walk_segments = [&](std::uint64_t start,
                                  std::vector<Segment>& out,
                                  std::vector<TrailerSpan>& sums) {
-    out.clear();
+    out.assign(1, base);
     sums.clear();
-    if (start > file_bytes) return false;
     std::uint64_t pos = start;
     std::uint64_t cover_begin = 0;  // a trailer at `start` covers the base
-    std::size_t next_id = base_count;
+    std::uint64_t next_id = base_count;
     while (pos < file_bytes) {
       if (file_bytes - pos < kSegmentHeaderBytes) return false;
       in.clear();
@@ -196,8 +277,9 @@ ChunkedPauliReader::ChunkedPauliReader(std::string path,
       in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
       in.read(reinterpret_cast<char*>(&second), sizeof(second));
       if (!in) return false;
-      if (magic == kTrailerMagic) {
-        sums.push_back({cover_begin, pos, second});
+      if (magic == kTrailerMagic || magic == kTrailerMagicFnv) {
+        sums.push_back({magic, cover_begin, pos, second});
+        if (out.back().checksum == 0) out.back().checksum = second;
         pos += kTrailerBytes;
         cover_begin = pos;
         continue;
@@ -206,38 +288,29 @@ ChunkedPauliReader::ChunkedPauliReader(std::string path,
       const std::uint64_t count = second;
       cover_begin = pos;  // a trailing checksum covers this whole segment
       Segment seg;
-      seg.begin = next_id;
+      seg.begin = static_cast<std::size_t>(next_id);
       seg.count = static_cast<std::size_t>(count);
       seg.words3_offset = pos + kSegmentHeaderBytes;
+      const std::optional<std::uint64_t> end = records_end(
+          seg.words3_offset, count, rec3 + rec2, file_bytes);
+      if (!end) return false;
       seg.coefs_offset =
-          seg.words3_offset + count * words3_ * sizeof(std::uint64_t);
+          seg.words3_offset + count * words3 * sizeof(std::uint64_t);
       seg.packed_offset = seg.coefs_offset + count * sizeof(double);
-      const std::uint64_t end =
-          seg.packed_offset + count * 2 * words2_ * sizeof(std::uint64_t);
-      if (end > file_bytes) return false;
       out.push_back(seg);
-      next_id += seg.count;
-      pos = end;
+      next_id += count;
+      pos = *end;
     }
     return true;
   };
 
-  Segment base;
-  base.begin = 0;
-  base.count = base_count;
-  base.words3_offset = kHeaderBytes;
-  base.coefs_offset =
-      kHeaderBytes + base_count * words3_ * sizeof(std::uint64_t);
-
-  std::vector<Segment> appended;
+  std::vector<Segment>& segments = layout.segments;
   std::vector<TrailerSpan> trailers;
-  bool base_has_packed;
-  if (walk_segments(tail_end, appended, trailers)) {
-    base.packed_offset = base_count > 0 ? coefs_end : 0;
-    base_has_packed = true;
-  } else if (walk_segments(coefs_end, appended, trailers)) {
-    base.packed_offset = 0;
-    base_has_packed = base_count == 0;  // vacuously packed when empty
+  if (tail_end && walk_segments(*tail_end, segments, trailers)) {
+    segments.front().packed_offset = base_count > 0 ? *coefs_end : 0;
+    layout.has_packed = true;
+  } else if (walk_segments(*coefs_end, segments, trailers)) {
+    layout.has_packed = base_count == 0;  // vacuously packed when empty
   } else {
     throw std::runtime_error(
         "ChunkedPauliReader: unrecognized trailing bytes in " + path_ +
@@ -245,22 +318,56 @@ ChunkedPauliReader::ChunkedPauliReader(std::string path,
   }
 
   // Torn-write detection: every trailer the winning walk found must match
-  // the bytes it covers. One sequential pass on reopen buys the guarantee
-  // that no silently corrupted chunk is ever served to a solve.
+  // the bytes it covers. One sequential pass per open or refresh buys the
+  // guarantee that no silently corrupted chunk is ever served to a solve.
   for (const TrailerSpan& t : trailers) {
-    if (fnv_stream_range(in, t.begin, t.end, path_) != t.sum) {
+    if (checksum_file_range(in, t.magic, t.begin, t.end, path_) != t.sum) {
       throw std::runtime_error(
           "ChunkedPauliReader: checksum mismatch in " + path_ +
           " (torn or corrupt spill segment)");
     }
   }
 
-  segments_.push_back(base);
-  segments_.insert(segments_.end(), appended.begin(), appended.end());
-  num_strings_ = base_count;
-  for (const Segment& seg : appended) num_strings_ += seg.count;
-  if (max_strings > 0) num_strings_ = std::min(num_strings_, max_strings);
-  has_packed_ = base_has_packed;  // append segments always carry packed
+  const Segment& last = segments.back();
+  layout.num_strings = last.begin + last.count;
+  if (max_strings_ > 0) {
+    layout.num_strings = std::min(layout.num_strings, max_strings_);
+  }
+  return layout;
+}
+
+void ChunkedPauliReader::adopt(Layout layout) {
+  num_strings_ = layout.num_strings;
+  num_qubits_ = layout.num_qubits;
+  words3_ = words_per_string3(num_qubits_);
+  words2_ = packed_words(num_qubits_);
+  has_packed_ = layout.has_packed;  // append segments always carry packed
+  segments_ = std::move(layout.segments);
+}
+
+std::size_t ChunkedPauliReader::refresh() {
+  Layout next = scan();
+  // The first string whose place or bytes in the file may have changed:
+  // the start of the first segment that differs, else the old end (an
+  // append leaves every old segment exactly as it was).
+  std::size_t first = std::min(num_strings_, next.num_strings);
+  if (next.num_qubits != num_qubits_ || next.has_packed != has_packed_) {
+    first = 0;
+  } else {
+    for (std::size_t i = 0; i < segments_.size(); ++i) {
+      if (i >= next.segments.size() || segments_[i] != next.segments[i]) {
+        first = std::min(first, segments_[i].begin);
+        break;
+      }
+    }
+  }
+  const std::size_t first_chunk = first / strings_per_chunk_;
+  adopt(std::move(next));
+  loaded_.resize(num_chunks(), false);
+  std::fill(loaded_.begin() + static_cast<std::ptrdiff_t>(
+                                  std::min(first_chunk, loaded_.size())),
+            loaded_.end(), false);
+  return first_chunk;
 }
 
 std::size_t ChunkedPauliReader::resident_bytes_for(
@@ -286,7 +393,7 @@ std::size_t ChunkedPauliReader::chunk_packed_resident_bytes(
 void ChunkedPauliReader::note_load(std::size_t chunk,
                                    std::size_t bytes) const {
   ++chunk_loads_;
-  if (loaded_.empty()) loaded_.resize(num_chunks(), false);
+  if (loaded_.size() < num_chunks()) loaded_.resize(num_chunks(), false);
   if (loaded_[chunk]) {
     ++re_reads_;
     obs::count(obs::Counter::ChunkReReads);
@@ -422,16 +529,14 @@ std::size_t append_pauli_set(const PauliSet& delta, const std::string& path) {
   out.write(reinterpret_cast<const char*>(view.data),
             static_cast<std::streamsize>(packed_written));
   if (packed_written == packed_bytes) {
-    std::uint64_t sum = util::kFnvOffsetBasis;
-    sum = util::fnv1a_u64(sum, kAppendMagic);
-    sum = util::fnv1a_u64(sum, static_cast<std::uint64_t>(count));
-    sum = util::fnv1a_bytes(sum, delta.encoded3(0),
-                            count * words3 * sizeof(std::uint64_t));
-    sum = util::fnv1a_bytes(sum, delta.coefficients().data(),
-                            count * sizeof(double));
-    sum = util::fnv1a_bytes(sum, view.data, packed_bytes);
+    util::WordHasher sum;
+    sum.update_u64(kAppendMagic);
+    sum.update_u64(static_cast<std::uint64_t>(count));
+    sum.update(delta.encoded3(0), count * words3 * sizeof(std::uint64_t));
+    sum.update(delta.coefficients().data(), count * sizeof(double));
+    sum.update(view.data, packed_bytes);
     write_pod(out, kTrailerMagic);
-    write_pod(out, sum);
+    write_pod(out, sum.digest());
   }
   out.flush();
   if (!out) throw_write_failure("append_pauli_set", path);
@@ -447,22 +552,22 @@ std::size_t append_pauli_set(const PauliSet& delta, const std::string& path) {
 
 void write_spill_colors(const std::string& path,
                         const util::PackedColorArray& colors) {
-  // Serialize to memory first so the checksum covers exactly the blob
-  // bytes; the trailer makes a torn color sidecar detectable on reload.
-  std::ostringstream blob(std::ios::binary);
-  colors.save(blob);
-  const std::string bytes = std::move(blob).str();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     throw std::runtime_error("write_spill_colors: cannot open " + path);
   }
   errno = 0;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // The blob goes straight to the file through a tee that hashes it on the
+  // way, so the trailer covers exactly the blob bytes and a torn color
+  // sidecar is detectable on reload.
+  util::WordHasher sum;
+  HashingTee tee(out.rdbuf(), sum);
+  std::ostream blob(&tee);
+  colors.save(blob);
   write_pod(out, kTrailerMagic);
-  write_pod(out, util::fnv1a_bytes(util::kFnvOffsetBasis, bytes.data(),
-                                   bytes.size()));
+  write_pod(out, sum.digest());
   out.flush();
-  if (!out) throw_write_failure("write_spill_colors", path);
+  if (!blob || !out) throw_write_failure("write_spill_colors", path);
 }
 
 util::PackedColorArray read_spill_colors(const std::string& path) {
@@ -479,18 +584,32 @@ util::PackedColorArray read_spill_colors(const std::string& path) {
     std::memcpy(&magic, bytes.data() + bytes.size() - kTrailerBytes,
                 sizeof(magic));
     std::memcpy(&sum, bytes.data() + bytes.size() - sizeof(sum), sizeof(sum));
-    if (magic == kTrailerMagic) {
+    if (magic == kTrailerMagic || magic == kTrailerMagicFnv) {
       body = bytes.size() - kTrailerBytes;
-      if (util::fnv1a_bytes(util::kFnvOffsetBasis, bytes.data(), body) !=
-          sum) {
+      std::uint64_t actual = 0;
+      if (magic == kTrailerMagic) {
+        util::WordHasher hasher;
+        hasher.update(bytes.data(), body);
+        actual = hasher.digest();
+      } else {
+        actual = util::fnv1a_bytes(util::kFnvOffsetBasis, bytes.data(), body);
+      }
+      if (actual != sum) {
         throw std::runtime_error(
             "read_spill_colors: checksum mismatch in " + path +
             " (torn or corrupt color sidecar)");
       }
     }
   }
-  std::istringstream blob(bytes.substr(0, body), std::ios::binary);
-  return util::PackedColorArray::load(blob);
+  bytes.resize(body);
+  std::istringstream blob(std::move(bytes), std::ios::binary);
+  util::PackedColorArray colors = util::PackedColorArray::load(blob);
+  // The blob must span the body exactly: leftover bytes mean a damaged
+  // trailer magic (or foreign data) hid the checksum.
+  if (blob.peek() != std::char_traits<char>::eof()) {
+    throw std::runtime_error("read_spill_colors: trailing bytes in " + path);
+  }
+  return colors;
 }
 
 }  // namespace picasso::pauli

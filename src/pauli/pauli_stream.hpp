@@ -22,7 +22,17 @@
 // every section offset against the actual file layout — it must NOT trust
 // the base header's string count or infer the packed tail from the file
 // size alone, because appended bytes make both lies. Chunk ranges span
-// segment boundaries transparently.
+// segment boundaries transparently. A reader already open picks up new
+// segments with refresh(), which repeats the walk and the checksum
+// verification in place and reports the first chunk that changed, so the
+// chunk caches keep every chunk before it.
+//
+// Checksum trailers: the base block and every append segment end in
+// [magic][u64 checksum of the bytes they cover]. Writers emit PSETSUM2
+// (util::WordHasher, word-wide); readers also verify the PSETSUM1 trailers
+// (byte-wise FNV-1a) of spills written by earlier builds. Every trailer is
+// verified on every open and refresh. Counts read from the file are bounded
+// by the bytes that remain before they are multiplied into offsets.
 //
 // A chunk cache keeps recently used chunks resident as long as the
 // MemoryRegistry budget admits them and evicts least-recently-used chunks
@@ -53,23 +63,26 @@ std::size_t spill_pauli_set(const PauliSet& set, const std::string& path);
 
 /// Appends `delta`'s records to an existing .pset spill at `path` as one
 /// chained append segment (magic, count, 3-bit words, coefficients, packed
-/// records) without rewriting the base file — how budgeted incremental
-/// sessions grow their spill across updates. The base header is validated
-/// (magic + qubit count; an empty delta is a no-op). Returns the new total
-/// file size in bytes. Readers already open on `path` keep their old view;
-/// re-open to see the appended strings.
+/// records, PSETSUM2 trailer) without rewriting the base file — how
+/// budgeted incremental sessions grow their spill across updates. The base
+/// header is validated (magic + qubit count; an empty delta is a no-op).
+/// Returns the new total file size in bytes. Readers already open on `path`
+/// keep their old view until ChunkedPauliReader::refresh().
 std::size_t append_pauli_set(const PauliSet& delta, const std::string& path);
 
 /// Writes a packed coloring sidecar at `path` (conventionally the spill
-/// path + ".colors"): the PackedColorArray binary round-trip format, so a
-/// .pset spill on disk carries its colors at the same 2/4/8-bit width they
-/// occupy in memory. Overwrites any existing sidecar. Throws
-/// std::runtime_error on I/O failure.
+/// path + ".colors"): the PackedColorArray binary round-trip format written
+/// straight to the file, then a PSETSUM2 trailer over it, so a .pset spill
+/// on disk carries its colors at the same 2/4/8-bit width they occupy in
+/// memory. Overwrites any existing sidecar. Throws std::runtime_error on
+/// I/O failure.
 void write_spill_colors(const std::string& path,
                         const util::PackedColorArray& colors);
 
-/// Reads a sidecar written by write_spill_colors. Throws
-/// std::runtime_error on missing or malformed files.
+/// Reads a sidecar written by write_spill_colors, verifying its PSETSUM2 or
+/// (earlier builds) PSETSUM1 trailer; a sidecar without a trailer loads
+/// only when the blob spans the whole file. Throws std::runtime_error on
+/// missing, malformed or corrupt files.
 util::PackedColorArray read_spill_colors(const std::string& path);
 
 /// Random-access chunk reader over a .pset file. Chunk i covers strings
@@ -82,9 +95,22 @@ class ChunkedPauliReader {
   /// (the incremental engine's escalation re-solves exactly its ingested
   /// prefix of a still-growing spill). Throws std::invalid_argument when
   /// strings_per_chunk == 0 (chunk indexing divides by it) and
-  /// std::runtime_error on unreadable or structurally inconsistent files.
+  /// std::runtime_error on unreadable, structurally inconsistent or
+  /// checksum-failing files.
   ChunkedPauliReader(std::string path, std::size_t strings_per_chunk,
                      std::size_t max_strings = 0);
+
+  /// Re-reads the file in place after appends: the constructor's segment
+  /// walk and verification of every checksum trailer, then adopts the new
+  /// view. Returns the first chunk whose string range or bytes may differ
+  /// from the previous view (the old num_chunks() when appends only added
+  /// chunks); a chunk cache over this reader drops that chunk and the ones
+  /// after it (BasicPauliChunkCache::drop_from) and keeps the rest, whose
+  /// bytes were verified when they were read. Loads of chunks from the
+  /// returned one on count as cold reads again, so re_reads() still counts
+  /// only budget-forced re-scans. Throws like the constructor and then
+  /// keeps the previous view.
+  std::size_t refresh();
 
   const std::string& path() const noexcept { return path_; }
   std::size_t num_strings() const noexcept { return num_strings_; }
@@ -148,9 +174,24 @@ class ChunkedPauliReader {
     std::uint64_t words3_offset = 0;
     std::uint64_t coefs_offset = 0;
     std::uint64_t packed_offset = 0;
+    std::uint64_t checksum = 0;  // of the trailer right after it (0: none)
+    bool operator==(const Segment&) const = default;
+  };
+
+  /// The file's structure as one verified walk found it.
+  struct Layout {
+    std::size_t num_strings = 0;  // after the max_strings clamp
+    std::size_t num_qubits = 0;
+    bool has_packed = false;
+    std::vector<Segment> segments;
   };
 
   enum class Section { Words3, Coefs, Packed };
+
+  /// Walks path_ and verifies every checksum trailer (the constructor's and
+  /// refresh()'s shared routine); throws on any inconsistency.
+  Layout scan() const;
+  void adopt(Layout layout);
 
   /// Telemetry for one completed chunk read of `bytes` payload bytes:
   /// counts the load, classifies it as cold read vs re-read, and feeds the
@@ -164,6 +205,7 @@ class ChunkedPauliReader {
 
   std::string path_;
   std::size_t strings_per_chunk_ = 0;
+  std::size_t max_strings_ = 0;
   std::size_t num_strings_ = 0;
   std::size_t num_qubits_ = 0;
   std::size_t words3_ = 0;
@@ -275,6 +317,14 @@ class BasicPauliChunkCache {
 
   /// Drops every cached chunk (charges release as references expire).
   void clear() { entries_.clear(); }
+
+  /// Drops chunk `first` and every later one — the chunks a
+  /// ChunkedPauliReader::refresh() reported as changed. Earlier chunks stay
+  /// cached. Not counted as evictions: the budget did not force them out.
+  void drop_from(std::size_t first) {
+    std::erase_if(entries_,
+                  [first](const Entry& e) { return e.chunk >= first; });
+  }
 
  private:
   struct Entry {

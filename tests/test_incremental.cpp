@@ -4,14 +4,20 @@
 // whose spill grows across updates, shape errors, escalation — plus the
 // append-segment regression tests for ChunkedPauliReader (a reader
 // re-opened on an appended .pset must re-derive the string count and the
-// packed-tail offsets instead of trusting the base header).
+// packed-tail offsets instead of trusting the base header), the checks a
+// spilled update keeps while its reader refreshes in place (checksums on
+// every refresh, torn appends, chunk caches that survive appends), and the
+// legacy PSETSUM1 trailers of spills and sidecars from earlier builds.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/session.hpp"
@@ -19,7 +25,10 @@
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
 #include "pauli/pauli_stream.hpp"
+#include "util/failpoint.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
+#include "util/word_hash.hpp"
 
 namespace papi = picasso::api;
 namespace pcore = picasso::core;
@@ -62,6 +71,69 @@ struct TempFile {
     fs::remove(path, ec);
   }
 };
+
+/// XORs one byte of `path` in place.
+void corrupt_byte(const std::string& path, std::size_t offset) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open());
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x5a);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
+}
+
+/// A session whose incremental store lives in a spill of `chunk`-string
+/// chunks, with a budget large enough for the chunk cache to hold them all.
+papi::Session spilled_session(std::uint64_t seed, std::size_t chunk) {
+  return papi::SessionBuilder()
+      .seed(seed)
+      .memory_budget(std::size_t{64} << 20)
+      .streaming({.chunk_strings = chunk})
+      .telemetry(picasso::obs::TelemetryLevel::Counters)
+      .build();
+}
+
+/// Disarms every failpoint when the test leaves scope, pass or fail.
+struct FailpointGuard {
+  ~FailpointGuard() { picasso::util::failpoints::disarm_all(); }
+};
+
+constexpr std::uint64_t kLegacyTrailerMagic = 0x5053455453554d31ULL;
+
+/// A spill as builds before PSETSUM2 wrote it: save_binary, the packed
+/// tail, then a PSETSUM1 trailer holding FNV-1a of those bytes.
+void write_legacy_spill(const pp::PauliSet& set, const fs::path& path) {
+  std::ostringstream body(std::ios::binary);
+  set.save_binary(body);
+  const pp::PackedView view = set.packed_view();
+  body.write(reinterpret_cast<const char*>(view.data),
+             static_cast<std::streamsize>(view.size * 2 * view.words * 8));
+  const std::string bytes = std::move(body).str();
+  const std::uint64_t sum = picasso::util::fnv1a_bytes(
+      picasso::util::kFnvOffsetBasis, bytes.data(), bytes.size());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.write(reinterpret_cast<const char*>(&kLegacyTrailerMagic), 8);
+  out.write(reinterpret_cast<const char*>(&sum), 8);
+}
+
+/// Every chunk of `reader` equals `all` at the same ids (packed form).
+void expect_packed_chunks(const pp::ChunkedPauliReader& reader,
+                          const pp::PauliSet& all) {
+  ASSERT_EQ(reader.num_strings(), all.size());
+  for (std::size_t chunk = 0; chunk < reader.num_chunks(); ++chunk) {
+    const pp::PackedPauliSet packed = reader.load_chunk_packed(chunk);
+    const std::size_t begin = reader.chunk_begin(chunk);
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      EXPECT_EQ(std::memcmp(packed.record(i),
+                            all.packed_view().record(begin + i),
+                            2 * packed.words() * 8),
+                0);
+    }
+  }
+}
 
 }  // namespace
 
@@ -228,6 +300,80 @@ TEST(IncrementalUpdate, BudgetedSpillGrowsAcrossUpdatesAndMatchesInMemory) {
   EXPECT_TRUE(fs::exists(spill));
   budgeted.reset_incremental();
   EXPECT_FALSE(fs::exists(spill));
+}
+
+// --- Spilled updates: kept checks, caches that survive appends -------------
+
+TEST(SpilledUpdate, CorruptionBetweenUpdatesFailsTheNextUpdate) {
+  const auto strings = random_strings(90, 12, 801);
+  auto session = spilled_session(4, 32);
+  session.update(papi::UpdateDelta::pauli(slice(strings, 0, 50)));
+  session.update(papi::UpdateDelta::pauli(slice(strings, 50, 70)));
+  const pcore::FusedState* state = session.incremental_state();
+  ASSERT_NE(state, nullptr);
+  ASSERT_TRUE(state->spilled());
+
+  // One byte of the base block's 3-bit words: the layout is unchanged and
+  // the base chunks sit in the cache, so only re-verifying the base
+  // trailer on refresh can notice.
+  corrupt_byte(state->spill_path(), 24 + 8);
+  try {
+    session.update(papi::UpdateDelta::pauli(slice(strings, 70, 90)));
+    FAIL() << "update served a corrupted spill";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SpilledUpdate, TornAppendFailsTheUpdateAndResetRemovesBothFiles) {
+  const auto strings = random_strings(80, 12, 811);
+  auto session = spilled_session(5, 16);
+  session.update(papi::UpdateDelta::pauli(slice(strings, 0, 40)));
+  session.update(papi::UpdateDelta::pauli(slice(strings, 40, 60)));
+  const std::string spill = session.incremental_state()->spill_path();
+  ASSERT_TRUE(fs::exists(spill));
+  ASSERT_TRUE(fs::exists(spill + ".colors"));
+
+  {
+    const FailpointGuard guard;
+    picasso::util::failpoints::arm(
+        "spill.append", {picasso::util::failpoints::Mode::ShortIo, 32, 1});
+    EXPECT_THROW(
+        session.update(papi::UpdateDelta::pauli(slice(strings, 60, 80))),
+        std::runtime_error);
+  }
+  session.reset_incremental();
+  EXPECT_FALSE(fs::exists(spill));
+  EXPECT_FALSE(fs::exists(spill + ".colors"));
+}
+
+TEST(SpilledUpdate, SecondUpdateReloadsOnlyTheGrownChunk) {
+  constexpr std::size_t kChunk = 32;
+  constexpr std::size_t kQubits = 12;
+  const auto strings = random_strings(84, kQubits, 821);
+  auto plain = papi::SessionBuilder().seed(8).build();
+  plain.solve_incremental(papi::Problem::pauli(slice(strings, 0, 64)));
+  plain.update(papi::UpdateDelta::pauli(slice(strings, 64, 74)));
+  const auto want =
+      plain.update(papi::UpdateDelta::pauli(slice(strings, 74, 84)));
+
+  auto session = spilled_session(8, kChunk);
+  // The baseline fills chunks 0 and 1 exactly; its signature rebuild
+  // loads both into the cache.
+  session.solve_incremental(papi::Problem::pauli(slice(strings, 0, 64)));
+  session.update(papi::UpdateDelta::pauli(slice(strings, 64, 74)));
+  const auto second =
+      session.update(papi::UpdateDelta::pauli(slice(strings, 74, 84)));
+
+  // The second append grows chunk 2 only: it alone leaves the cache and is
+  // read again; the base chunks are served from memory.
+  const auto& counters = second.telemetry.counters;
+  EXPECT_EQ(counters[picasso::obs::Counter::ChunkCacheMisses], 1u);
+  EXPECT_LE(counters[picasso::obs::Counter::SpillBytesRead],
+            kChunk * 2 * pp::packed_words(kQubits) * sizeof(std::uint64_t));
+  EXPECT_EQ(counters[picasso::obs::Counter::ChunkReReads], 0u);
+  EXPECT_EQ(second.result.colors, want.result.colors);
 }
 
 // --- Escalation --------------------------------------------------------------
@@ -466,4 +612,158 @@ TEST(ReaderAppend, AppendToMissingOrForeignFileThrows) {
   }
   EXPECT_THROW(pp::append_pauli_set(slice(strings, 0, 4), file.path.string()),
                std::runtime_error);
+}
+
+TEST(ReaderAppend, RefreshReportsTheFirstChangedChunkAndKeepsItsViewOnFailure) {
+  const auto strings = random_strings(40, 9, 901);
+  TempFile file("picasso_test_refresh.pset");
+  pp::spill_pauli_set(slice(strings, 0, 20), file.path.string());
+  pp::ChunkedPauliReader reader(file.path.string(), 8);
+  ASSERT_EQ(reader.num_strings(), 20u);
+
+  // 20 -> 30 strings: chunk 2 (16..19) grows, chunk 3 is new.
+  pp::append_pauli_set(slice(strings, 20, 30), file.path.string());
+  EXPECT_EQ(reader.refresh(), 2u);
+  expect_packed_chunks(reader, slice(strings, 0, 30));
+
+  // 30 -> 32: only chunk 3 (24..29 -> 24..31) changes.
+  pp::append_pauli_set(slice(strings, 30, 32), file.path.string());
+  EXPECT_EQ(reader.refresh(), 3u);
+  // Nothing appended: no chunk changed.
+  EXPECT_EQ(reader.refresh(), reader.num_chunks());
+
+  // A torn append makes refresh throw; the reader keeps serving its view.
+  {
+    const FailpointGuard guard;
+    picasso::util::failpoints::arm(
+        "spill.append", {picasso::util::failpoints::Mode::ShortIo, 16, 1});
+    pp::append_pauli_set(slice(strings, 32, 40), file.path.string());
+  }
+  EXPECT_THROW(reader.refresh(), std::runtime_error);
+  expect_packed_chunks(reader, slice(strings, 0, 32));
+}
+
+TEST(ReaderAppend, ChunkCacheDropFromKeepsEarlierChunks) {
+  const auto strings = random_strings(30, 8, 911);
+  TempFile file("picasso_test_drop_from.pset");
+  pp::spill_pauli_set(slice(strings, 0, 30), file.path.string());
+  pp::ChunkedPauliReader reader(file.path.string(), 8);
+  pp::PackedPauliChunkCache cache(reader);
+  for (std::size_t chunk = 0; chunk < 4; ++chunk) cache.get(chunk);
+  ASSERT_EQ(cache.misses(), 4u);
+
+  cache.drop_from(2);
+  cache.get(0);
+  cache.get(1);
+  EXPECT_EQ(cache.hits(), 2u);
+  cache.get(2);
+  cache.get(3);
+  EXPECT_EQ(cache.misses(), 6u);
+  EXPECT_EQ(cache.evictions(), 0u);
+}
+
+TEST(ReaderAppend, LegacyChecksumTrailerStillOpensAndIsVerified) {
+  const auto strings = random_strings(45, 9, 921);
+  const pp::PauliSet base = slice(strings, 0, 30);
+  TempFile file("picasso_test_legacy_sum.pset");
+  write_legacy_spill(base, file.path);
+
+  {
+    pp::ChunkedPauliReader reader(file.path.string(), 8);
+    EXPECT_TRUE(reader.has_packed_tail());
+    expect_packed_chunks(reader, base);
+  }
+  // Appending today's PSETSUM2 segment to a PSETSUM1 base: both verify.
+  pp::append_pauli_set(slice(strings, 30, 45), file.path.string());
+  {
+    pp::ChunkedPauliReader reader(file.path.string(), 8);
+    expect_packed_chunks(reader, slice(strings, 0, 45));
+  }
+  // A flipped byte under the legacy trailer is still caught.
+  corrupt_byte(file.path.string(), 24 + 5);
+  try {
+    pp::ChunkedPauliReader reader(file.path.string(), 8);
+    FAIL() << "corrupt PSETSUM1 spill accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ReaderAppend, ColorSidecarVerifiesBothTrailerKinds) {
+  picasso::util::PackedColorArray colors(
+      101, picasso::util::PackedColorArray::kNoColor, 40);
+  for (std::size_t i = 0; i < 101; ++i) colors.set(i, (i * 7) % 40);
+  TempFile file("picasso_test_sidecar.colors");
+
+  pp::write_spill_colors(file.path.string(), colors);
+  EXPECT_EQ(pp::read_spill_colors(file.path.string()), colors);
+
+  // A sidecar from an earlier build: the blob then PSETSUM1 + FNV-1a.
+  std::ostringstream blob(std::ios::binary);
+  colors.save(blob);
+  const std::string bytes = std::move(blob).str();
+  const std::uint64_t sum = picasso::util::fnv1a_bytes(
+      picasso::util::kFnvOffsetBasis, bytes.data(), bytes.size());
+  {
+    std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.write(reinterpret_cast<const char*>(&kLegacyTrailerMagic), 8);
+    out.write(reinterpret_cast<const char*>(&sum), 8);
+  }
+  EXPECT_EQ(pp::read_spill_colors(file.path.string()), colors);
+  corrupt_byte(file.path.string(), bytes.size() / 2);
+  try {
+    pp::read_spill_colors(file.path.string());
+    FAIL() << "corrupt PSETSUM1 sidecar accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+
+  // A damaged trailer magic cannot pass the sidecar off as trailer-free.
+  pp::write_spill_colors(file.path.string(), colors);
+  corrupt_byte(file.path.string(), bytes.size());
+  EXPECT_THROW(pp::read_spill_colors(file.path.string()), std::runtime_error);
+}
+
+// --- Word hash ---------------------------------------------------------------
+
+TEST(WordHash, StreamedOverRandomSplitsEqualsOneShot) {
+  picasso::util::Xoshiro256 rng(931);
+  for (std::size_t n = 0; n < 80; ++n) {
+    std::vector<std::uint64_t> words(n);
+    for (auto& w : words) w = rng();
+    const auto* bytes = reinterpret_cast<const unsigned char*>(words.data());
+    const std::size_t len = n * sizeof(std::uint64_t);
+    for (int trial = 0; trial < 4; ++trial) {
+      picasso::util::WordHasher hasher;
+      std::size_t at = 0;
+      while (at < len) {
+        const std::size_t take =
+            std::min<std::size_t>(rng.bounded(70), len - at);
+        hasher.update(bytes + at, take);
+        at += take;
+      }
+      EXPECT_EQ(hasher.digest(), picasso::util::hash_words(words.data(), n))
+          << n << " words";
+    }
+    // Byte lengths that are not whole words: any split, same digest.
+    if (len == 0) continue;
+    const std::size_t cut =
+        len - 1 - rng.bounded(std::min<std::size_t>(7, len));
+    picasso::util::WordHasher whole;
+    whole.update(bytes, cut);
+    picasso::util::WordHasher split;
+    const std::size_t mid = rng.bounded(cut + 1);
+    split.update(bytes, mid);
+    split.update(bytes + mid, cut - mid);
+    EXPECT_EQ(split.digest(), whole.digest()) << cut << " bytes";
+  }
+  // A zero-padded tail does not collide with the padded input.
+  const unsigned char three[4] = {1, 0, 0, 0};
+  picasso::util::WordHasher a, b;
+  a.update(three, 3);
+  b.update(three, 4);
+  EXPECT_NE(a.digest(), b.digest());
 }
