@@ -18,19 +18,19 @@ const char* to_string(ConflictColoringScheme s) noexcept {
 
 namespace {
 
-/// CSR strike enumerator: the uncolored conflict-graph neighbors holding
-/// `color`, ascending (CSR rows are sorted), each with color's slot in its
-/// list found by binary search — the materialized reference for the fused
-/// engine's packed-index slots.
+/// CSR strike enumerator: the conflict-graph neighbors whose slot for
+/// `color` is still live, ascending (CSR rows are sorted), each slot found
+/// by binary search — the materialized reference for the fused engine's
+/// packed-index slots.
 auto csr_strikes(const graph::CsrGraph& gc, const ColorLists& lists) {
   return [&gc, &lists](std::uint32_t v, std::uint32_t color,
-                       const util::PackedColorArray& assigned, auto&& strike) {
+                       const detail::StrikeState& work, auto&& strike) {
     for (std::uint32_t u : gc.neighbors(v)) {
-      if (assigned[u] != ListColoringResult::kNoColorLocal) continue;
       const auto list = lists.list(u);
       const auto it = std::lower_bound(list.begin(), list.end(), color);
       if (it == list.end() || *it != color) continue;
-      strike(u, static_cast<std::uint32_t>(it - list.begin()));
+      const auto slot = static_cast<std::uint32_t>(it - list.begin());
+      if (work.live(u, slot)) strike(u, slot);
     }
   };
 }

@@ -31,7 +31,6 @@
 
 #include "core/palette.hpp"
 #include "graph/csr_graph.hpp"
-#include "util/bucket_queue.hpp"
 #include "util/packed_colors.hpp"
 #include "util/rng.hpp"
 
@@ -88,15 +87,18 @@ ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
 // ---------------------------------------------------------------------------
 // Generic scheme bodies. The enumerator contracts matter for bit-identity:
 //
-//  * ForEachStrike(v, color, assigned, strike): v is already colored
-//    `color` when this runs. Invoke strike(u, slot) for exactly the still-
-//    uncolored conflict-graph neighbors u of v whose list holds `color`, in
-//    ascending u order, where `slot` is color's position in u's sorted list
-//    (lists.list(u)[slot] == color). Passing a non-neighbor would strike a
-//    list Algorithm 2 would not touch. The CSR instantiation walks v's row
-//    and finds each slot by binary search; the fused one passes the oracle-
-//    confirmed, still-uncolored members of color's bucket with the slot the
-//    packed index entry carries — the same affected set in the same order,
+//  * ForEachStrike(v, color, work, strike): v is already colored `color`
+//    (and its list retired) when this runs; `work` is the scheme's
+//    detail::StrikeState. Invoke strike(u, slot) for exactly the conflict-
+//    graph neighbors u of v whose slot for `color` is still live
+//    (work.live(u, slot), where lists.list(u)[slot] == color), in ascending
+//    u order. Colored vertices, emptied lists and slots an earlier
+//    same-color neighbor already struck all fail the live test, so every
+//    strike removes one list entry. Passing a non-neighbor would strike a
+//    list Algorithm 2 would not touch. The CSR instantiation walks v's row,
+//    finds each slot by binary search and checks it live; the fused one
+//    compacts color's bucket to its live (vertex, slot) entries and passes
+//    the oracle-confirmed ones — the same affected set in the same order,
 //    which is the whole bit-identity argument.
 //  * ForEachNeighbor(v, visit): invoke visit(u) for every conflict-graph
 //    neighbor u of v (any order; used for the idempotent mark pass of the
@@ -104,32 +106,58 @@ ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
 
 namespace detail {
 
-/// Mutable view over the (immutable, sorted) color lists: a per-vertex
-/// presence bitmask tracks which entries are still alive. Removal takes the
-/// entry's slot (the strike enumerators supply it) and is one O(1) bit
-/// clear that never reads the ColorLists row; selecting the k-th surviving
-/// color is a popcount scan over ceil(L/64) words. This keeps each strike
-/// of the Algorithm-2 inner loop O(1) even in the aggressive regime where
-/// L = P and a swap-removal list would cost O(L).
-class WorkingLists {
+/// Strike state of the dynamic schemes, one record per vertex: a head word
+/// packing (bucket position, list size), then ceil(L/64) presence-mask
+/// words over the (immutable, sorted) list's slots. A strike is one bit
+/// clear plus, for the bucket scheme, one move between adjacent size
+/// buckets — one record and two bucket slots, never a ColorLists row.
+/// Selecting the k-th surviving color is a popcount scan over the mask
+/// words, so each strike stays O(1) even in the aggressive regime where
+/// L = P.
+///
+/// The buckets are Algorithm 2's bucket queue keyed by list size. A queued
+/// vertex's key always equals its size, so no key array exists. Erase is
+/// swap-with-last and insert is push_back, exactly util::BucketQueue's
+/// order, so rng.bounded(bucket.size()) picks the same vertex. Coloring a
+/// vertex retires its record (size and mask zeroed), and an emptied list
+/// has no mask bits left, so live() is false for every slot of both.
+class StrikeState {
  public:
-  explicit WorkingLists(const ColorLists& lists)
+  /// `bucketed` queues every vertex at key L in ascending order (the
+  /// bucket scheme); the heap scheme keeps its own queue and passes false.
+  StrikeState(const ColorLists& lists, bool bucketed)
       : lists_(&lists),
-        l_(lists.list_size()),
         words_(std::max<std::uint32_t>(1, (lists.list_size() + 63) / 64)),
-        mask_(static_cast<std::size_t>(lists.num_vertices()) * words_, 0),
-        size_(lists.num_vertices(), lists.list_size()) {
-    for (std::uint32_t v = 0; v < lists.num_vertices(); ++v) {
-      std::uint64_t* m = mask_.data() + static_cast<std::size_t>(v) * words_;
-      for (std::uint32_t i = 0; i < l_; ++i) m[i >> 6] |= 1ull << (i & 63u);
+        stride_(1 + words_),
+        records_(static_cast<std::size_t>(lists.num_vertices()) * stride_) {
+    const std::uint32_t n = lists.num_vertices();
+    const std::uint32_t l = lists.list_size();
+    if (bucketed) {
+      buckets_.resize(static_cast<std::size_t>(l) + 1);
+      buckets_[l].reserve(n);
+      min_cursor_ = l;
+      count_ = n;
+    }
+    for (std::uint32_t v = 0; v < n; ++v) {
+      std::uint64_t* r = record(v);
+      r[0] = head(v, l);
+      for (std::uint32_t i = 0; i < l; ++i) {
+        r[1 + (i >> 6)] |= 1ull << (i & 63u);
+      }
+      if (bucketed) buckets_[l].push_back(v);
     }
   }
 
-  std::uint32_t size_of(std::uint32_t v) const { return size_[v]; }
+  std::uint32_t size_of(std::uint32_t v) const { return size(record(v)[0]); }
+
+  /// True iff slot `slot` of v's list is still present.
+  bool live(std::uint32_t v, std::uint32_t slot) const {
+    return (record(v)[1 + (slot >> 6)] >> (slot & 63u)) & 1u;
+  }
 
   /// The idx-th (0-based) surviving color of v's list.
   std::uint32_t color_at(std::uint32_t v, std::uint32_t idx) const {
-    const std::uint64_t* m = mask_.data() + static_cast<std::size_t>(v) * words_;
+    const std::uint64_t* m = record(v) + 1;
     for (std::uint32_t w = 0; w < words_; ++w) {
       const auto count = static_cast<std::uint32_t>(std::popcount(m[w]));
       if (idx < count) {
@@ -140,54 +168,116 @@ class WorkingLists {
       }
       idx -= count;
     }
-    return kNotPresent;  // unreachable for idx < size_of(v)
+    return ListColoringResult::kNoColorLocal;  // unreachable for idx < size
   }
 
-  /// Removes entry `slot` of v's list if still present; returns the new
-  /// size, or kNotPresent if an earlier strike already removed it.
-  static constexpr std::uint32_t kNotPresent = 0xffffffffu;
-  std::uint32_t remove_slot(std::uint32_t v, std::uint32_t slot) {
-    std::uint64_t& word =
-        mask_[static_cast<std::size_t>(v) * words_ + (slot >> 6)];
-    const std::uint64_t bit = 1ull << (slot & 63u);
-    if ((word & bit) == 0) return kNotPresent;
-    word &= ~bit;
-    return --size_[v];
+  /// Zeroes v's size and mask: v was colored, so no slot of it is live.
+  void retire(std::uint32_t v) {
+    std::uint64_t* r = record(v);
+    std::fill(r, r + stride_, std::uint64_t{0});
+  }
+
+  /// Clears live slot `slot` of u; returns u's new list size. The heap
+  /// scheme's strike (it requeues by itself).
+  std::uint32_t remove_slot(std::uint32_t u, std::uint32_t slot) {
+    std::uint64_t* r = record(u);
+    r[1 + (slot >> 6)] &= ~(1ull << (slot & 63u));
+    r[0] -= std::uint64_t{1} << 32;
+    return size(r[0]);
+  }
+
+  // Bucket queue (bucketed states only).
+
+  bool empty() const noexcept { return count_ == 0; }
+
+  /// Smallest non-empty key. Buckets below the cursor are always empty:
+  /// only strike() inserts, and it rewinds the cursor.
+  std::uint32_t min_key() {
+    while (buckets_[min_cursor_].empty()) ++min_cursor_;
+    return min_cursor_;
+  }
+
+  const std::vector<std::uint32_t>& bucket(std::uint32_t key) const {
+    return buckets_[key];
+  }
+
+  /// Takes queued v out of its bucket (to be colored).
+  void erase(std::uint32_t v) {
+    const std::uint64_t h = record(v)[0];
+    unlink(size(h), static_cast<std::uint32_t>(h));
+    --count_;
+  }
+
+  /// Clears live slot `slot` of queued u and moves u one bucket down, or
+  /// out of the queue when its list empties (u then joins V_u).
+  void strike(std::uint32_t u, std::uint32_t slot) {
+    const std::uint32_t next = remove_slot(u, slot);
+    std::uint64_t& h = record(u)[0];
+    unlink(next + 1, static_cast<std::uint32_t>(h));
+    if (next == 0) {
+      --count_;
+      return;
+    }
+    auto& to = buckets_[next];
+    h = head(static_cast<std::uint32_t>(to.size()), next);
+    to.push_back(u);
+    if (next < min_cursor_) min_cursor_ = next;
   }
 
   std::size_t logical_bytes() const {
-    return mask_.capacity() * sizeof(std::uint64_t) +
-           size_.capacity() * sizeof(std::uint32_t);
+    std::size_t b = records_.capacity() * sizeof(std::uint64_t) +
+                    buckets_.capacity() * sizeof(std::vector<std::uint32_t>);
+    for (const auto& bucket : buckets_) {
+      b += bucket.capacity() * sizeof(std::uint32_t);
+    }
+    return b;
   }
 
  private:
+  static std::uint64_t head(std::uint32_t pos, std::uint32_t size) {
+    return (std::uint64_t{size} << 32) | pos;
+  }
+  static std::uint32_t size(std::uint64_t h) {
+    return static_cast<std::uint32_t>(h >> 32);
+  }
+
+  std::uint64_t* record(std::uint32_t v) {
+    return records_.data() + static_cast<std::size_t>(v) * stride_;
+  }
+  const std::uint64_t* record(std::uint32_t v) const {
+    return records_.data() + static_cast<std::size_t>(v) * stride_;
+  }
+
+  /// Swap-with-last removal of position `pos` from bucket `key`.
+  void unlink(std::uint32_t key, std::uint32_t pos) {
+    auto& bucket = buckets_[key];
+    const std::uint32_t last = bucket.back();
+    bucket[pos] = last;
+    std::uint64_t& h = record(last)[0];
+    h = head(pos, size(h));
+    bucket.pop_back();
+  }
+
   const ColorLists* lists_;
-  std::uint32_t l_;
   std::uint32_t words_;
-  std::vector<std::uint64_t> mask_;
-  std::vector<std::uint32_t> size_;
+  std::uint32_t stride_;
+  std::vector<std::uint64_t> records_;
+  std::vector<std::vector<std::uint32_t>> buckets_;  // by list size, 0..L
+  std::uint32_t min_cursor_ = 0;
+  std::uint32_t count_ = 0;
 };
 
-/// Shared epilogue: finalize counters and sort V_u.
+/// Shared epilogue: V_u (ascending) and num_colored in one pass over the
+/// assignment — every vertex the scheme did not color is in V_u.
 inline void finalize_list_coloring(ListColoringResult& result) {
-  std::sort(result.uncolored.begin(), result.uncolored.end());
   result.num_colored = 0;
-  for (std::uint32_t c : result.assigned) {
-    result.num_colored += c != ListColoringResult::kNoColorLocal ? 1 : 0;
-  }
-}
-
-/// Applies one strike to u (remove list slot `slot`, classify the outcome);
-/// shared between the bucket and heap bodies so the skip rules cannot drift.
-template <typename OnResize, typename OnEmpty>
-void apply_strike(std::uint32_t u, std::uint32_t slot, WorkingLists& work,
-                  OnResize&& on_resize, OnEmpty&& on_empty) {
-  const std::uint32_t new_size = work.remove_slot(u, slot);
-  if (new_size == WorkingLists::kNotPresent) return;
-  if (new_size == 0) {
-    on_empty(u);
-  } else {
-    on_resize(u, new_size);
+  const std::size_t n = result.assigned.size();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (result.assigned[v] == ListColoringResult::kNoColorLocal) {
+      result.uncolored.push_back(static_cast<std::uint32_t>(v));
+    } else {
+      ++result.num_colored;
+    }
   }
 }
 
@@ -200,44 +290,33 @@ ListColoringResult color_lists_dynamic(std::uint32_t n, const ColorLists& lists,
                                        util::Xoshiro256& rng,
                                        ForEachStrike&& for_each_strike,
                                        std::uint32_t color_bound = 0) {
-  const std::uint32_t l = lists.list_size();
   ListColoringResult result;
   result.assigned.reset(n, ListColoringResult::kNoColorLocal, color_bound);
   if (n == 0) return result;
 
-  WorkingLists work(lists);
-  util::BucketQueue queue(n, l);
-  for (std::uint32_t v = 0; v < n; ++v) queue.insert(v, l);
-
-  while (!queue.empty()) {
+  StrikeState state(lists, /*bucketed=*/true);
+  while (!state.empty()) {
     // Uniformly random vertex from the lowest non-empty bucket (Line 8).
-    const std::uint32_t key = queue.min_key();
-    const auto& bucket = queue.bucket(key);
+    const std::uint32_t key = state.min_key();
+    const auto& bucket = state.bucket(key);
     const std::uint32_t v =
         bucket[static_cast<std::size_t>(rng.bounded(bucket.size()))];
-    queue.erase(v);
+    state.erase(v);
 
     // Uniformly random color from the current list (Line 9).
     const std::uint32_t color =
-        work.color_at(v, static_cast<std::uint32_t>(rng.bounded(key)));
+        state.color_at(v, static_cast<std::uint32_t>(rng.bounded(key)));
+    state.retire(v);
     result.assigned[v] = color;
 
-    for_each_strike(v, color, result.assigned, [&](std::uint32_t u,
-                                                    std::uint32_t slot) {
-      apply_strike(
-          u, slot, work,
-          [&](std::uint32_t t, std::uint32_t new_size) {
-            if (queue.contains(t)) queue.update_key(t, new_size);
-          },
-          [&](std::uint32_t t) {
-            if (queue.contains(t)) queue.erase(t);
-            result.uncolored.push_back(t);
-          });
-    });
+    for_each_strike(v, color, state,
+                    [&state](std::uint32_t u, std::uint32_t slot) {
+                      state.strike(u, slot);
+                    });
   }
 
-  result.aux_peak_bytes = work.logical_bytes() + queue.logical_bytes() +
-                          result.assigned.logical_bytes();
+  result.aux_peak_bytes =
+      state.logical_bytes() + result.assigned.logical_bytes();
   finalize_list_coloring(result);
   return result;
 }
@@ -253,10 +332,11 @@ ListColoringResult color_lists_heap(std::uint32_t n, const ColorLists& lists,
   result.assigned.reset(n, ListColoringResult::kNoColorLocal, color_bound);
   if (n == 0) return result;
 
-  WorkingLists work(lists);
+  StrikeState state(lists, /*bucketed=*/false);
   // Min-heap on (list size, random tie-break); lazy deletion via stale
   // size entries — the textbook O(log n)-per-update structure Algorithm 2's
-  // buckets replace.
+  // buckets replace. Colored and emptied vertices have size 0, so every
+  // entry left for them is stale.
   struct Entry {
     std::uint32_t size;
     std::uint32_t tie;
@@ -268,7 +348,6 @@ ListColoringResult color_lists_heap(std::uint32_t n, const ColorLists& lists,
     }
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  std::vector<char> done(n, 0);
   for (std::uint32_t v = 0; v < n; ++v) {
     heap.push({l, static_cast<std::uint32_t>(rng() & 0xffffffffu), v});
   }
@@ -278,35 +357,25 @@ ListColoringResult color_lists_heap(std::uint32_t n, const ColorLists& lists,
     const Entry top = heap.top();
     heap.pop();
     const std::uint32_t v = top.vertex;
-    if (done[v] || top.size != work.size_of(v)) continue;  // stale
-    done[v] = 1;
+    if (top.size != state.size_of(v)) continue;  // stale
 
-    const std::uint32_t color = work.color_at(
-        v, static_cast<std::uint32_t>(rng.bounded(work.size_of(v))));
+    const std::uint32_t color = state.color_at(
+        v, static_cast<std::uint32_t>(rng.bounded(top.size)));
+    state.retire(v);
     result.assigned[v] = color;
 
-    for_each_strike(v, color, result.assigned, [&](std::uint32_t u,
-                                                    std::uint32_t slot) {
-      apply_strike(
-          u, slot, work,
-          [&](std::uint32_t t, std::uint32_t new_size) {
-            if (!done[t]) {
-              heap.push({new_size,
-                         static_cast<std::uint32_t>(rng() & 0xffffffffu), t});
-              heap_peak = std::max(heap_peak, heap.size());
-            }
-          },
-          [&](std::uint32_t t) {
-            if (!done[t]) {
-              done[t] = 1;
-              result.uncolored.push_back(t);
-            }
-          });
-    });
+    for_each_strike(
+        v, color, state, [&](std::uint32_t u, std::uint32_t slot) {
+          const std::uint32_t new_size = state.remove_slot(u, slot);
+          if (new_size == 0) return;
+          heap.push(
+              {new_size, static_cast<std::uint32_t>(rng() & 0xffffffffu), u});
+          heap_peak = std::max(heap_peak, heap.size());
+        });
   }
 
-  result.aux_peak_bytes = work.logical_bytes() + heap_peak * sizeof(Entry) +
-                          done.capacity() + result.assigned.logical_bytes();
+  result.aux_peak_bytes = state.logical_bytes() + heap_peak * sizeof(Entry) +
+                          result.assigned.logical_bytes();
   finalize_list_coloring(result);
   return result;
 }
@@ -368,9 +437,7 @@ ListColoringResult color_lists_static(std::uint32_t n, const ColorLists& lists,
         break;
       }
     }
-    if (chosen == ListColoringResult::kNoColorLocal) {
-      result.uncolored.push_back(v);
-    } else {
+    if (chosen != ListColoringResult::kNoColorLocal) {
       result.assigned[v] = chosen;
     }
   }

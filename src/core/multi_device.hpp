@@ -308,12 +308,8 @@ MultiDeviceResult solve_multi_device(const Oracle& oracle,
     for (std::uint32_t v : active) coloring.colors[v] = base_color++;
   }
   coloring.palette_total = base_color;
-  {
-    std::vector<std::uint32_t> used(coloring.colors);
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    coloring.num_colors = static_cast<std::uint32_t>(used.size());
-  }
+  coloring.num_colors =
+      detail::count_palette_colors(coloring.colors, coloring.palette_total);
   for (std::uint32_t d = 0; d < config.num_devices; ++d) {
     result.devices[d].peak_bytes = devices[d].peak_bytes();
   }

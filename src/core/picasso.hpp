@@ -354,13 +354,8 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
   }
   result.palette_total = base_color;
 
-  // Distinct colors used.
-  {
-    std::vector<std::uint32_t> used(result.colors);
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    result.num_colors = static_cast<std::uint32_t>(used.size());
-  }
+  result.num_colors =
+      detail::count_palette_colors(result.colors, result.palette_total);
   result.total_seconds = total_timer.seconds();
   // Fold the thread-arena high-water mark in (process-lifetime, hence a
   // conservative upper bound for this run) and snapshot the telemetry while

@@ -26,6 +26,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/packed_colors.hpp"
+
 namespace picasso::core {
 
 /// Thrown by the drivers when a StopToken reports a requested stop at a
@@ -118,11 +120,12 @@ struct ProgressEvent {
   ///    IterationDone (and the running emission count mid-iteration on
   ///    ChunkPairScanned events from the chunked engine);
   ///  * fused static schemes: exact |Ec| (every pair enumerated at u < v);
-  ///  * fused dynamic schemes: the running strike-hit count — conflict
-  ///    edges actually struck so far. Scans stop at each vertex's first
-  ///    usable color, so this is a lower bound on |Ec| that grows
-  ///    monotonically across the iteration's BucketScanned events and
-  ///    lands on the iteration's total at IterationDone.
+  ///  * fused dynamic schemes: the running strike-hit count — list
+  ///    entries struck so far, one per (vertex, color) removed. Edges
+  ///    whose far end was already colored, emptied or struck of that
+  ///    color are never tested, so this is a lower bound on |Ec| that
+  ///    grows monotonically across the iteration's BucketScanned events
+  ///    and lands on the iteration's total at IterationDone.
   std::uint64_t conflict_edges = 0;
   // ChunkPairScanned extras (chunked engine).
   std::size_t chunk_pair = 0;        // ordinal of the finished pair scan
@@ -158,6 +161,25 @@ inline void report_iteration(const ProgressFn& progress, int iteration,
   event.uncolored = uncolored;
   event.conflict_edges = conflict_edges;
   progress(event);
+}
+
+/// Distinct colors of a finished Algorithm-1 run: every driver hands out
+/// colors below palette_total (palettes are disjoint and the tail takes
+/// fresh ones past them), so one bitmap over [0, palette_total) replaces a
+/// copy-and-sort of all n colors.
+inline std::uint32_t count_palette_colors(const util::PackedColorArray& colors,
+                                          std::uint32_t palette_total) {
+  std::vector<std::uint64_t> seen(
+      (static_cast<std::size_t>(palette_total) + 63) / 64);
+  std::uint32_t distinct = 0;
+  for (const std::uint32_t c : colors) {
+    if (c >= palette_total) continue;
+    std::uint64_t& word = seen[c >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (c & 63u);
+    distinct += (word & bit) == 0 ? 1u : 0u;
+    word |= bit;
+  }
+  return distinct;
 }
 
 }  // namespace detail

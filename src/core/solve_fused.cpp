@@ -39,18 +39,17 @@ std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
   const double mask_words = std::ceil(l / 64.0);
   const double lists = 4.0 * v * l + 8.0 * v;
   const double index = 4.0 * v * l + 4.0 * (palette.palette_size + 1.0);
-  // Working lists: presence mask + size per vertex. Bucket queue: position
-  // + key per vertex, L + 1 bucket headers, and the bucket vectors' entry
-  // capacity: the initial bucket holds all n (up to 2n after push_back
-  // growth), and each of the L lower buckets is taken to fill to at most
-  // n/4 at once, doubled for growth (random Pauli sets, whose complement
-  // graphs are ~50% dense, peak near n/5 at L <= 10 and n/13 at L ~ 130).
-  // Assignment: at most one 32-bit word per vertex.
-  const double working = v * (8.0 * mask_words + 4.0);
-  const double queue =
-      8.0 * v + 24.0 * (l + 1.0) + 4.0 * (2.0 * v + v * l / 2.0);
+  // Strike state: one record per vertex (a position/size word plus the
+  // presence mask), L + 1 bucket headers, and the bucket vectors' entry
+  // capacity: the initial bucket is reserved at exactly n, and each of the
+  // L lower buckets is taken to fill to at most n/4 at once, doubled for
+  // push_back growth (random Pauli sets, whose complement graphs are ~50%
+  // dense, peak near n/5 at L <= 10 and n/13 at L ~ 130). Assignment: at
+  // most one 32-bit word per vertex.
+  const double records = 8.0 * v * (1.0 + mask_words);
+  const double buckets = 24.0 * (l + 1.0) + 4.0 * (v + v * l / 2.0);
   const double assigned = 4.0 * v;
-  return static_cast<std::size_t>(lists + index + working + queue + assigned);
+  return static_cast<std::size_t>(lists + index + records + buckets + assigned);
 }
 
 PicassoResult solve_pauli_fused(const pauli::PauliSet& set,

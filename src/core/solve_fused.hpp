@@ -11,16 +11,19 @@
 // oracle:
 //
 //  * when a vertex v is colored with palette color c, the vertices whose
-//    lists must lose c are exactly the *still-uncolored* members of color
-//    bucket c that the oracle confirms adjacent to v — so one bucket scan
-//    per colored vertex replaces both the up-front pair enumeration and the
-//    CSR neighbor walks;
+//    lists must lose c are exactly the members of color bucket c whose
+//    slot for c is still live and that the oracle confirms adjacent to v —
+//    so one bucket scan per colored vertex replaces both the up-front pair
+//    enumeration and the CSR neighbor walks;
 //  * each index entry packs a member with c's slot in its list, so a
-//    confirmed strike is one bit clear in the working lists — no search;
-//  * every strike scan compacts its bucket in place down to the still-
-//    uncolored members (stable, so candidates stay ascending), so the next
-//    scan of that color skips the colored vertices this one already read,
-//    and only one bucket per vertex is ever scanned instead of all L;
+//    confirmed strike is one bit clear in the member's strike record — no
+//    search;
+//  * every strike scan compacts its bucket in place down to the live
+//    entries (stable, so candidates stay ascending): colored vertices,
+//    emptied lists and slots an earlier same-color neighbor struck all
+//    leave, so the oracle never re-tests a pair whose strike could no
+//    longer change a list, and only one bucket per vertex is ever scanned
+//    instead of all L;
 //  * candidate batches go through the blocked SIMD kernels (edge_block)
 //    and, for large buckets, are slabbed over the PR-1 thread pool into
 //    position-indexed hit slots — a pure function of the candidate array,
@@ -35,12 +38,13 @@
 //
 // Iteration-stats caveat: the fused engine has no conflict-build phase, so
 // IterationStats::conflict_seconds stays 0 (oracle time is folded into
-// coloring_seconds). For the dynamic schemes conflict_edges counts the
-// oracle-confirmed edges the strikes actually visited (a lower bound of
-// |Ec|: edges whose second endpoint was already colored are never
-// scanned); the static schemes enumerate every neighbor, so there it is
-// exactly |Ec|. conflicted_vertices counts the endpoints of the visited
-// edges.
+// coloring_seconds). For the dynamic schemes conflict_edges (and the
+// StrikeHits counter) counts list removals: exactly one per (vertex,
+// color) a strike took out of a list. That is a lower bound of |Ec|:
+// edges whose second endpoint was already colored, had emptied, or had
+// already lost the color to another neighbor are never tested. The static
+// schemes enumerate every neighbor, so there it is exactly |Ec|.
+// conflicted_vertices counts the endpoints of the counted edges.
 
 #include <algorithm>
 #include <atomic>
@@ -75,11 +79,11 @@ std::size_t projected_conflict_csr_bytes(std::uint32_t n,
 /// first iteration is the largest (every term grows with the active count)
 /// and holds, all at once: the color lists (nL colors + one signature word
 /// per vertex), the (vertex, slot) index (nL entries + P + 1 offsets), and
-/// the dynamic-bucket coloring state (working-list masks and sizes, the
-/// bucket queue's positions, keys and bucket vectors, the assignment
-/// array). Strike-scan scratch (at most 9 bytes per candidate, twice over
-/// for vector growth, plus one touched flag per vertex) is charged after
-/// the coloring state is released and never exceeds it.
+/// the dynamic-bucket coloring state (one strike record per vertex, the
+/// size-bucket vectors, the assignment array). Strike-scan scratch (5
+/// bytes per entry of the largest bucket, the tester's 4-byte global ids
+/// per candidate, one touched flag per vertex) is charged after the
+/// coloring state is released and never exceeds it.
 std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
                                   double alpha);
 
@@ -94,7 +98,7 @@ inline constexpr std::size_t kFusedProgressInterval = 256;
 /// independent boundary, so counter totals stay bit-identical across
 /// thread counts.
 struct FusedScanStats {
-  std::uint64_t edges_struck = 0;  // oracle-confirmed strike targets
+  std::uint64_t edges_struck = 0;  // list removals (confirmed live strikes)
   std::uint64_t pairs_tested = 0;  // candidates handed to the oracle
   std::uint64_t bucket_scans = 0;  // candidate-bucket scans issued
   // Sketch tier (zero unless params.sketch_prefilter engaged a
@@ -108,17 +112,20 @@ struct FusedScanStats {
 };
 
 /// Strike enumerator the shared scheme bodies drive (ForEachStrike
-/// contract, list_coloring.hpp): candidates are the still-uncolored members
-/// of the assigned color's bucket (v itself is colored by then), in
-/// ascending order; the Tester answers adjacency for the whole batch;
-/// confirmed candidates are struck in candidate order with the slot their
-/// packed entry carries. The scan compacts the bucket to exactly the
-/// candidates' entries (kEnd-terminated when it shrinks), so bucket entry i
-/// belongs to candidate i and the strike pass needs no second array. Only
-/// colored vertices are dropped, which keeps every candidate batch — and
-/// so every counter and coloring — what a full bucket walk would give.
-/// Checks the stop token at every bucket boundary and reports progress
-/// every kFusedProgressInterval scans.
+/// contract, list_coloring.hpp): candidates are the members of the
+/// assigned color's bucket whose slot for it is still live (v itself is
+/// retired by then), in ascending order; the Tester answers adjacency for
+/// the whole batch; confirmed candidates are struck in candidate order with
+/// the slot their packed entry carries. The scan compacts the bucket to
+/// exactly the candidates' entries (kEnd-terminated when it shrinks), so
+/// bucket entry i belongs to candidate i and the strike pass needs no
+/// second array. One live-bit test drops colored vertices, emptied lists
+/// and slots an earlier same-color neighbor struck; none of them can be
+/// struck again, so the batches shrink while the strikes — and so every
+/// coloring — stay what a full bucket walk would give. The compaction is
+/// branch-free (store, then advance by the live bit) into scratch sized
+/// once to the largest bucket. Checks the stop token at every bucket
+/// boundary and reports progress every kFusedProgressInterval scans.
 ///
 /// Tester contract: tester(v, cands, hits) fills hits[i] = 1 iff
 /// {v, cands[i]} (local ids) is an edge of the conflict oracle's graph.
@@ -135,42 +142,54 @@ class FusedStrikeEnumerator {
         iteration_(iteration),
         n_active_(n_active),
         touched_(&touched),
-        stats_(&stats) {}
+        stats_(&stats) {
+    std::uint32_t largest = 0;
+    for (std::size_t c = 0; c + 1 < index.offsets.size(); ++c) {
+      largest = std::max(largest, index.offsets[c + 1] - index.offsets[c]);
+    }
+    cands_.resize(largest);
+    hits_.resize(largest);
+  }
 
   template <typename Strike>
-  void operator()(std::uint32_t v, std::uint32_t color,
-                  const util::PackedColorArray& assigned, Strike&& strike) {
+  void operator()(std::uint32_t v, std::uint32_t color, const StrikeState& work,
+                  Strike&& strike) {
     // Bucket-boundary checkpoint: a requested stop cancels before the next
     // bucket is scanned; RAII in the driver unwinds every charge.
     throw_if_stopped(params_->stop);
-    cands_.clear();
     ColorIndex& index = *index_;
     std::uint32_t* bucket = index.members.data() + index.offsets[color];
     const std::uint32_t size = index.offsets[color + 1] - index.offsets[color];
+    std::uint32_t* cands = cands_.data();
     std::uint32_t live = 0;
     for (std::uint32_t i = 0; i < size; ++i) {
       const std::uint32_t entry = bucket[i];
       if (entry == ColorIndex::kEnd) break;
       const std::uint32_t u = index.vertex(entry);
-      if (assigned[u] != ListColoringResult::kNoColorLocal) continue;
-      bucket[live++] = entry;
-      cands_.push_back(u);
+      bucket[live] = entry;
+      cands[live] = u;
+      live += work.live(u, index.slot(entry)) ? 1u : 0u;
     }
     if (live < size) bucket[live] = ColorIndex::kEnd;
-    hits_.resize(cands_.size());
-    if (!cands_.empty()) {
-      (*tester_)(v, std::span<const std::uint32_t>(cands_), hits_.data());
-      stats_->pairs_tested += cands_.size();
+    std::uint8_t* hits = hits_.data();
+    if (live != 0) {
+      (*tester_)(v, std::span<const std::uint32_t>(cands, live), hits);
+      stats_->pairs_tested += live;
     }
-    bool any = false;
-    for (std::size_t i = 0; i < cands_.size(); ++i) {
-      if (!hits_[i]) continue;
-      strike(cands_[i], index.slot(bucket[i]));
-      ++stats_->edges_struck;
-      (*touched_)[cands_[i]] = 1;
-      any = true;
+    // The batch is spent: reuse it for the confirmed entries, gathered
+    // branch-free, then strike them in candidate order.
+    std::uint32_t confirmed = 0;
+    for (std::uint32_t i = 0; i < live; ++i) {
+      cands[confirmed] = bucket[i];
+      confirmed += hits[i] != 0 ? 1u : 0u;
     }
-    if (any) (*touched_)[v] = 1;
+    for (std::uint32_t k = 0; k < confirmed; ++k) {
+      const std::uint32_t u = index.vertex(cands[k]);
+      strike(u, index.slot(cands[k]));
+      (*touched_)[u] = 1;
+    }
+    stats_->edges_struck += confirmed;
+    if (confirmed != 0) (*touched_)[v] = 1;
 
     ++scans_;
     ++stats_->bucket_scans;
@@ -180,8 +199,8 @@ class FusedStrikeEnumerator {
       event.iteration = iteration_;
       event.n_active = n_active_;
       event.bucket_scans = scans_;
-      // Running strike-hit count — the fused dynamic schemes build no CSR,
-      // so this lower bound on |Ec| is what progress consumers get
+      // Running strike count — the fused dynamic schemes build no CSR, so
+      // this lower bound on |Ec| is what progress consumers get
       // mid-iteration (see ProgressEvent::conflict_edges).
       event.conflict_edges = stats_->edges_struck;
       params_->progress(event);
@@ -202,7 +221,7 @@ class FusedStrikeEnumerator {
   std::uint32_t n_active_;
   std::vector<std::uint8_t>* touched_;
   FusedScanStats* stats_;
-  std::vector<std::uint32_t> cands_;
+  std::vector<std::uint32_t> cands_;  // sized to the largest bucket
   std::vector<std::uint8_t> hits_;
   std::size_t scans_ = 0;
 };
@@ -658,12 +677,8 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
     for (std::uint32_t v : active) result.colors[v] = base_color++;
   }
   result.palette_total = base_color;
-  {
-    std::vector<std::uint32_t> used(result.colors);
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    result.num_colors = static_cast<std::uint32_t>(used.size());
-  }
+  result.num_colors =
+      count_palette_colors(result.colors, result.palette_total);
   result.total_seconds = total_timer.seconds();
   memory.record_external_peak(util::MemSubsystem::Arena,
                               runtime::thread_arena_peak_total());
@@ -675,8 +690,8 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
 
 /// The edge-free fused engine over any adjacency oracle: identical
 /// colorings to solve_oracle (deterministic mode), no ConflictCsr charge,
-/// and strictly less oracle work — only pairs (colored vertex, still-
-/// uncolored same-bucket member) are ever examined.
+/// and strictly less oracle work — only pairs (colored vertex, same-bucket
+/// member whose slot for the color is still live) are ever examined.
 template <graph::GraphOracle Oracle>
 PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
   return detail::solve_fused_loop(

@@ -398,12 +398,8 @@ PicassoResult solve_pauli_chunked(const pauli::ChunkedPauliReader& reader,
     for (std::uint32_t v : active) result.colors[v] = base_color++;
   }
   result.palette_total = base_color;
-  {
-    std::vector<std::uint32_t> used(result.colors);
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    result.num_colors = static_cast<std::uint32_t>(used.size());
-  }
+  result.num_colors =
+      detail::count_palette_colors(result.colors, result.palette_total);
   result.total_seconds = total_timer.seconds();
 
   memory.record_external_peak(util::MemSubsystem::Arena,

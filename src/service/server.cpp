@@ -523,6 +523,9 @@ void Server::solver_loop() {
       ++tenant_dispatched_[request->msg.tenant];
       active_.push_back(request);
     }
+    if (config_.on_dispatch) {
+      config_.on_dispatch(request->msg, request->stop.token());
+    }
     execute(request);
     {
       std::lock_guard<std::mutex> lock(queue_mu_);

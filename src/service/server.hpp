@@ -40,6 +40,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -100,6 +101,13 @@ struct ServerConfig {
   /// Per-syscall send/recv timeout on accepted connections (-1 = blocking
   /// forever). Bounds how long a mid-frame stall can hold a reader.
   int io_timeout_ms = -1;
+  /// Called on the solver thread each time a request leaves the queue, in
+  /// dispatch order, before it runs; `stop` is the request's cancellation
+  /// token (a Cancel for it is already honoured while the hook runs). For
+  /// dispatch logging and tests; must not throw. Empty = no hook.
+  std::function<void(const SolveRequestMsg& request,
+                     const core::StopToken& stop)>
+      on_dispatch;
 };
 
 class Server {

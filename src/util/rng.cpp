@@ -4,6 +4,15 @@
 
 namespace picasso::util {
 
+namespace {
+
+/// Longest row sample_without_replacement orders by rank placement. That
+/// costs k^2 compares, so the aggressive regime's lists of hundreds keep
+/// std::sort.
+constexpr std::uint32_t kRankPlacedSampleMax = 32;
+
+}  // namespace
+
 Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexcept {
   SplitMix64 sm(seed ^ 0x6a09e667f3bcc909ULL);
   std::uint64_t s = sm.next();
@@ -24,15 +33,33 @@ std::span<std::uint32_t> sample_without_replacement(
   // k-subsets. The membership test counts matches over the whole filled
   // prefix without an early exit: the count vectorizes, and at list sizes
   // it beats both a mispredicted exit and a hash set.
-  for (std::uint32_t filled = 0, j = n - k; j < n; ++j, ++filled) {
-    const auto t = static_cast<std::uint32_t>(rng.bounded(j + 1));
-    std::uint32_t matches = 0;
-    for (std::uint32_t i = 0; i < filled; ++i) {
-      matches += out[i] == t ? 1u : 0u;
+  auto floyd = [&](std::uint32_t* draws) {
+    for (std::uint32_t filled = 0, j = n - k; j < n; ++j, ++filled) {
+      const auto t = static_cast<std::uint32_t>(rng.bounded(j + 1));
+      std::uint32_t matches = 0;
+      for (std::uint32_t i = 0; i < filled; ++i) {
+        matches += draws[i] == t ? 1u : 0u;
+      }
+      draws[filled] = matches != 0 ? j : t;
     }
-    out[filled] = matches != 0 ? j : t;
+  };
+  if (k > kRankPlacedSampleMax) {
+    floyd(out.data());
+    std::sort(out.begin(), out.end());
+    return out;
   }
-  std::sort(out.begin(), out.end());
+  // Short rows skip the sort: the draws are distinct, so each one's final
+  // position is the number of draws below it — k^2 branch-free compares
+  // that vectorize, against std::sort's mispredicted insertion steps.
+  std::uint32_t draws[kRankPlacedSampleMax];
+  floyd(draws);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    std::uint32_t rank = 0;
+    for (std::uint32_t j = 0; j < k; ++j) {
+      rank += draws[j] < draws[i] ? 1u : 0u;
+    }
+    out[rank] = draws[i];
+  }
   return out;
 }
 

@@ -97,7 +97,9 @@ Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexc
 
 /// Samples k = min(out.size(), n) distinct values from [0, n) uniformly at
 /// random into out[0, k), ascending, and returns that prefix. Floyd's
-/// algorithm: O(k) draws, no O(n) scratch and no allocation.
+/// algorithm: O(k) draws, no O(n) scratch and no allocation. Rows of up to
+/// 32 draws are ordered by rank placement, longer ones by std::sort; both
+/// give the same row.
 std::span<std::uint32_t> sample_without_replacement(
     std::uint32_t n, std::span<std::uint32_t> out, Xoshiro256& rng);
 

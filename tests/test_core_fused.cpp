@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,9 +58,10 @@ constexpr pcore::ConflictColoringScheme kAllSchemes[] = {
 // Every coloring scheme, both palette regimes: the fused engine must land
 // on the exact coloring of the materialized pipeline — that is the whole
 // contract that lets it replace the CSR path. After the random shapes come
-// the list-size boundaries of the packed (vertex, slot) index: L = 1 (no
-// slot bits), L = 75 (past one 64-bit WorkingLists word) and L = 270 (a
-// slot no longer fits in a byte). Only the dynamic schemes strike by slot,
+// the list-size boundaries of the packed (vertex, slot) index and the
+// strike-state records: L = 1 (no slot bits), L = 64 and L = 65 (one mask
+// word exactly and just past it), L = 75 and L = 270 (a slot no longer
+// fits in a byte). Only the dynamic schemes strike by slot,
 // so only they run the boundaries: the static schemes' per-vertex bucket
 // passes cost O(n^2 L^2 / P) pair merges there.
 TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
@@ -70,10 +72,13 @@ TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
     std::uint32_t list_size;
   };
   constexpr Boundary kBoundaries[] = {
-      {120, 12.5, 0.1, 1}, {600, 12.5, 30.0, 75}, {500, 60.0, 100.0, 270}};
+      {120, 12.5, 0.1, 1},    {400, 30.0, 24.5, 64},
+      {400, 30.0, 24.9, 65},  {600, 12.5, 30.0, 75},
+      {500, 60.0, 100.0, 270}};
+  constexpr int kBoundaryCases = std::size(kBoundaries);
   constexpr int kRandomCases = 8;
   pu::Xoshiro256 rng(0xf05edull);
-  for (int c = 0; c < kRandomCases + 3; ++c) {
+  for (int c = 0; c < kRandomCases + kBoundaryCases; ++c) {
     const Boundary* boundary =
         c < kRandomCases ? nullptr : &kBoundaries[c - kRandomCases];
     const std::size_t n =
@@ -122,55 +127,85 @@ TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
 }
 
 // The strike scan against a brute-force reading of the index: each batch
-// holds exactly the still-uncolored members of the color's bucket,
-// ascending, and each strike carries the color's slot in the target's
-// list — across repeated scans of buckets the earlier scans compacted.
-TEST(FusedEngine, StrikeScanCompactsToUncoloredBucketMembers) {
+// holds exactly the uncolored members of the color's bucket whose slot for
+// it is still live, ascending, and each strike carries that slot — across
+// repeated scans of buckets the earlier scans compacted. Strikes land in
+// the strike state between scans (about half the candidates test
+// adjacent), so struck slots and emptied lists must drop out of later
+// batches.
+TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
   constexpr std::uint32_t n = 300;
   const pcore::IterationPalette palette{12, 5, 0};
   const auto lists = pcore::assign_random_lists(n, palette, 7, 0);
   auto index = pcore::detail::build_color_index(lists, palette.palette_size);
+  const auto adjacent = [](std::uint32_t v, std::uint32_t u) {
+    return ((v * 0x9e3779b1u) ^ (u * 0x85ebca6bu)) >> 31 != 0;
+  };
   std::vector<std::uint32_t> batch;
-  // Every candidate tests adjacent, so the strikes must be the whole batch.
-  auto tester = [&batch](std::uint32_t, std::span<const std::uint32_t> cands,
-                         std::uint8_t* hits) {
+  auto tester = [&](std::uint32_t v, std::span<const std::uint32_t> cands,
+                    std::uint8_t* hits) {
     batch.assign(cands.begin(), cands.end());
-    std::fill(hits, hits + cands.size(), std::uint8_t{1});
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      hits[i] = adjacent(v, cands[i]) ? 1 : 0;
+    }
   };
   const pcore::PicassoParams params;
   std::vector<std::uint8_t> touched(n, 0);
   pcore::detail::FusedScanStats stats;
   pcore::detail::FusedStrikeEnumerator<decltype(tester)> scan(
       index, tester, params, 0, n, touched, stats);
-  pu::PackedColorArray assigned;
-  assigned.reset(n, pcore::ListColoringResult::kNoColorLocal,
-                 palette.palette_size);
+  pcore::detail::StrikeState state(lists, /*bucketed=*/false);
+  // Reference bookkeeping, kept apart from the state under test.
+  std::vector<std::uint8_t> colored(n, 0);
+  std::vector<std::uint32_t> left(n, palette.list_size);
+  std::vector<std::vector<std::uint8_t>> struck_slot(
+      n, std::vector<std::uint8_t>(palette.list_size, 0));
   pu::Xoshiro256 rng(3);
   std::vector<std::uint32_t> order(n);
   for (std::uint32_t v = 0; v < n; ++v) order[v] = v;
   pu::shuffle(order, rng);
+  std::uint64_t scans = 0;
+  std::uint64_t emptied = 0;
   for (const std::uint32_t v : order) {
-    const std::uint32_t color =
-        lists.list(v)[rng.bounded(palette.list_size)];
-    assigned[v] = color;
+    if (left[v] == 0) continue;  // emptied: Algorithm 2 never colors it
+    ASSERT_EQ(state.size_of(v), left[v]) << "v=" << v;
+    const std::uint32_t color = state.color_at(
+        v, static_cast<std::uint32_t>(rng.bounded(left[v])));
+    const auto own = lists.list(v);
+    const auto own_slot = static_cast<std::uint32_t>(
+        std::find(own.begin(), own.end(), color) - own.begin());
+    ASSERT_LT(own_slot, palette.list_size) << "v=" << v;
+    ASSERT_FALSE(struck_slot[v][own_slot]) << "v=" << v;
+    state.retire(v);
+    colored[v] = 1;
     std::vector<std::uint32_t> expected;
+    std::vector<std::uint32_t> expected_struck;
     for (std::uint32_t u = 0; u < n; ++u) {
       const auto list = lists.list(u);
-      if (assigned[u] == pcore::ListColoringResult::kNoColorLocal &&
-          std::find(list.begin(), list.end(), color) != list.end()) {
-        expected.push_back(u);
-      }
+      const auto it = std::find(list.begin(), list.end(), color);
+      if (colored[u] || it == list.end()) continue;
+      if (struck_slot[u][static_cast<std::size_t>(it - list.begin())]) continue;
+      expected.push_back(u);
+      if (adjacent(v, u)) expected_struck.push_back(u);
     }
     batch.clear();
     std::vector<std::uint32_t> struck;
-    scan(v, color, assigned, [&](std::uint32_t u, std::uint32_t slot) {
+    scan(v, color, state, [&](std::uint32_t u, std::uint32_t slot) {
       ASSERT_EQ(lists.list(u)[slot], color) << "u=" << u;
+      ASSERT_TRUE(state.live(u, slot)) << "u=" << u;
       struck.push_back(u);
+      struck_slot[u][slot] = 1;
+      emptied += --left[u] == 0 ? 1 : 0;
+      state.remove_slot(u, slot);
     });
+    ++scans;
     ASSERT_EQ(batch, expected) << "v=" << v << " color=" << color;
-    ASSERT_EQ(struck, expected) << "v=" << v << " color=" << color;
+    ASSERT_EQ(struck, expected_struck) << "v=" << v << " color=" << color;
   }
-  EXPECT_EQ(stats.bucket_scans, n);
+  EXPECT_EQ(stats.bucket_scans, scans);
+  // The run must exercise both drop rules, not just the colored one.
+  EXPECT_GT(emptied, 0u);
+  EXPECT_GT(stats.edges_struck, 0u);
 }
 
 // Backend independence: all Pauli backends drive the same relation, so the

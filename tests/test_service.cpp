@@ -389,34 +389,44 @@ TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {
 
 TEST_F(ServiceTest, PriorityThenTenantFairShareOrdersTheQueue) {
   config_.max_active_solves = 1;
+  // The server's own dispatch order is the observable: a client-side
+  // completion order can interleave under load. The hook also holds the
+  // blocker on the solver thread until its Cancel has landed, so the three
+  // requests queue behind it however fast a solve runs.
+  const pp::PauliSet blocker_set = random_set(200, 24, 8);
+  std::mutex log_mu;
+  std::vector<std::string> dispatch_order;
+  config_.on_dispatch = [&](const psvc::SolveRequestMsg& msg,
+                            const picasso::core::StopToken& stop) {
+    const bool is_blocker = msg.records.size() == blocker_set.size();
+    {
+      std::lock_guard<std::mutex> lock(log_mu);
+      dispatch_order.emplace_back(is_blocker         ? "blocker"
+                                  : msg.priority > 0 ? "D"
+                                  : msg.tenant == "b" ? "C"
+                                                      : "B");
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (is_blocker && !stop.stop_requested() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   start_server();
 
-  // Occupy the single solver slot with a long-running request from tenant
-  // "a" (tiny palette -> many iterations), queue three more behind it, then
-  // cancel the blocker and observe the drain order.
-  const pp::PauliSet blocker_set = random_set(2000, 24, 8);
-  psvc::RemoteParams blocker_params;
-  blocker_params.want_progress = true;
-  blocker_params.max_iterations = 5000;
-  blocker_params.palette_percent = 0.5;
-  blocker_params.alpha = 1.05;
-
-  std::atomic<bool> release{false};
+  // Occupy the single solver slot with tenant "a"'s blocker, queue three
+  // more behind it, then cancel the blocker and check the drain order.
   auto blocker_client = psvc::Client::connect(server_.address());
+  psvc::RemoteResult blocker_outcome;
   std::thread blocker([&] {
-    blocker_client.solve(blocker_set, blocker_params, "a", 0,
-                         [&](const psvc::ProgressMsg&) {
-                           if (release.load(std::memory_order_acquire)) {
-                             blocker_client.request_cancel();
-                           }
-                         });
+    blocker_outcome =
+        blocker_client.solve(blocker_set, psvc::RemoteParams{}, "a", 0);
   });
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.active == 1; }));
 
   const psvc::RemoteParams params;
-  std::mutex order_mu;
-  std::vector<std::string> completion_order;
   auto submit = [&](const char* name, const char* tenant,
                     std::uint32_t priority, std::uint64_t seed) {
     return std::thread([&, name, tenant, priority, seed] {
@@ -425,13 +435,11 @@ TEST_F(ServiceTest, PriorityThenTenantFairShareOrdersTheQueue) {
       const psvc::RemoteResult outcome =
           client.solve(set, params, tenant, priority);
       EXPECT_TRUE(outcome.ok) << name << ": " << outcome.error_message;
-      std::lock_guard<std::mutex> lock(order_mu);
-      completion_order.emplace_back(name);
     });
   };
 
   // Queued in seq order B, C, D while the blocker holds the slot. Expected
-  // drain: D first (highest priority), then C (tenant "b" has fewer
+  // dispatch: D first (highest priority), then C (tenant "b" has fewer
   // dispatched solves than "a"), then B.
   std::thread b = submit("B", "a", 0, 20);
   ASSERT_TRUE(wait_for_stats(
@@ -443,16 +451,17 @@ TEST_F(ServiceTest, PriorityThenTenantFairShareOrdersTheQueue) {
   ASSERT_TRUE(wait_for_stats(
       [](const psvc::StatsMsg& s) { return s.queued >= 3; }));
 
-  release.store(true, std::memory_order_release);
+  blocker_client.request_cancel();
   blocker.join();
   b.join();
   c.join();
   d.join();
 
-  ASSERT_EQ(completion_order.size(), 3u);
-  EXPECT_EQ(completion_order[0], "D");
-  EXPECT_EQ(completion_order[1], "C");
-  EXPECT_EQ(completion_order[2], "B");
+  EXPECT_FALSE(blocker_outcome.ok);
+  EXPECT_EQ(blocker_outcome.error_code, psvc::ServiceErrorCode::Cancelled);
+  const std::vector<std::string> expected = {"blocker", "D", "C", "B"};
+  std::lock_guard<std::mutex> lock(log_mu);
+  EXPECT_EQ(dispatch_order, expected);
 }
 
 TEST_F(ServiceTest, MalformedRequestGetsBadRequestNotDisconnect) {

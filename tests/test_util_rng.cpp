@@ -112,6 +112,38 @@ TEST(SampleWithoutReplacement, ProducesSortedDistinctInRange) {
   }
 }
 
+// Short rows are ordered by rank placement, long ones by std::sort; both
+// must give exactly the row a plain Floyd-then-sort sampler gives, on both
+// sides of the cutoff and at k == n (every value drawn).
+TEST(SampleWithoutReplacement, RankPlacementMatchesSortReference) {
+  const auto reference = [](std::uint32_t n, std::uint32_t k,
+                            pu::Xoshiro256& rng) {
+    std::vector<std::uint32_t> row;
+    for (std::uint32_t j = n - k; j < n; ++j) {
+      const auto t = static_cast<std::uint32_t>(rng.bounded(j + 1));
+      row.push_back(std::find(row.begin(), row.end(), t) != row.end() ? j : t);
+    }
+    std::sort(row.begin(), row.end());
+    return row;
+  };
+  for (std::uint32_t k = 1; k <= 40; ++k) {
+    for (const std::uint32_t n : {k, k + 1, 2 * k + 7, 1000u}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        pu::Xoshiro256 ref_rng(seed * 1315423911u + k);
+        pu::Xoshiro256 rng(seed * 1315423911u + k);
+        const auto expected = reference(n, k, ref_rng);
+        std::vector<std::uint32_t> row(k);
+        const auto sample = pu::sample_without_replacement(n, row, rng);
+        ASSERT_EQ(std::vector<std::uint32_t>(sample.begin(), sample.end()),
+                  expected)
+            << "k=" << k << " n=" << n << " seed=" << seed;
+        // Same number of draws consumed: the streams stay in lockstep.
+        ASSERT_EQ(rng(), ref_rng()) << "k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(SampleWithoutReplacement, OversizedKClampsToN) {
   pu::Xoshiro256 rng(4);
   std::vector<std::uint32_t> row(50);
