@@ -28,7 +28,8 @@ namespace {
 
 /// FNV-1a over the color sequence — the same replay fingerprint
 /// bench_incremental pins; here it ties the sketch rows to their fused
-/// siblings in the baseline gate.
+/// siblings, and the budgeted streaming rows to the in-memory coloring, in
+/// the baseline gate.
 std::uint64_t coloring_hash(const picasso::util::PackedColorArray& colors) {
   return picasso::util::coloring_fingerprint(colors);
 }
@@ -190,60 +191,37 @@ int main() {
       fused_time_ratios.geomean());
 
   // ------------------------------------------------------------------
-  // Memory-budgeted streaming pipeline on the H6 datasets, two regimes:
-  //  * 64 MiB cap — the acceptance bar: the streamed run's peak tracked
-  //    bytes stay below the budget (the cache holds every chunk, so this
-  //    is the single-pass regime);
+  // Memory-budgeted streaming pipeline on the H6 datasets: the fused engine
+  // spills the input and strikes off chunked records, in two regimes:
+  //  * 64 MiB cap — the streamed run's peak tracked bytes stay below the
+  //    budget and the cache holds every chunk (the single-pass regime);
   //  * 256 KiB cap — tight enough that the chunk cache thrashes, proving
-  //    the eviction + multi-pass re-scan path in CI (evictions > 0,
-  //    loads > chunks; the conflict CSR alone exceeds this cap, so the
-  //    run honestly reports within_budget=false).
+  //    the eviction + re-read path in CI (evictions > 0, loads > chunks).
   {
     std::printf("\n-- Budgeted streaming pipeline (H6) --\n");
     for (const auto& spec :
          pauli::datasets_in_class(pauli::SizeClass::Small)) {
       if (spec.name.rfind("H6", 0) != 0) continue;
       const auto& set = pauli::load_dataset(spec);
+      core::PicassoParams params;
+      params.seed = 1;
+      params.runtime.num_threads = 1;  // machine-independent tracked bytes
+      // The unbudgeted in-memory fused solve every streamed run must match.
+      const core::PicassoResult reference =
+          api::SessionBuilder()
+              .params(params)
+              .strategy(api::ExecutionStrategy::Fused)
+              .build()
+              .solve(api::Problem::pauli(set))
+              .result;
       for (const auto& [budget, tag] :
            {std::pair<std::size_t, const char*>{64u << 20, "budgeted_64MiB"},
             {256u << 10, "budgeted_256KiB"}}) {
-        core::PicassoParams params;
-        params.seed = 1;
-        params.runtime.num_threads = 1;  // machine-independent tracked bytes
         params.memory_budget_bytes = budget;
         core::StreamingOptions options;
         // Force streaming (either budget keeps the small H6 encoding
         // resident otherwise) with ~16 chunks per dataset.
         options.chunk_strings = (set.size() + 15) / 16;
-        // Strategy pinned: these rows measure the materialized chunk-pair
-        // engine (Auto escalates the 256 KiB cap to fused nowadays).
-        const auto r_report =
-            api::SessionBuilder()
-                .params(params)
-                .streaming(options)
-                .strategy(api::ExecutionStrategy::BudgetedStreaming)
-                .telemetry(obs::TelemetryLevel::Counters)
-                .build()
-                .solve(api::Problem::pauli(set));
-        const core::PicassoResult& r = r_report.result;
-        char peak_buf[32], budget_buf[32];
-        std::printf(
-            "%-24s peak %-10s budget %-10s within=%-3s chunks=%zu "
-            "loads=%llu evictions=%llu\n",
-            spec.name.c_str(),
-            util::format_bytes(r.memory.peak_tracked_bytes, peak_buf,
-                               sizeof(peak_buf)),
-            util::format_bytes(budget, budget_buf, sizeof(budget_buf)),
-            r.memory.within_budget() ? "yes" : "NO", r.memory.num_chunks,
-            static_cast<unsigned long long>(r.memory.chunk_loads),
-            static_cast<unsigned long long>(r.memory.chunk_evictions));
-        bench::emit_json_record(
-            "table4_memory", spec.name + "/" + tag, r.memory,
-            "\"colors\":" + std::to_string(r.num_colors) + "," +
-                bench::counters_field(r_report.telemetry.counters));
-
-        // Fused twin: same spill + chunk cache, but bucket strikes replace
-        // the chunk-pair CSR assembly entirely.
         const auto f_report =
             api::SessionBuilder()
                 .params(params)
@@ -253,23 +231,31 @@ int main() {
                 .build()
                 .solve(api::Problem::pauli(set));
         const core::PicassoResult& f = f_report.result;
-        if (f.colors != r.colors) {
+        if (f.colors != reference.colors) {
           std::fprintf(stderr,
                        "FATAL: fused streamed coloring diverged on %s\n",
                        spec.name.c_str());
           return 1;
         }
+        char peak_buf[32], budget_buf[32];
         std::printf(
-            "%-24s peak %-10s (fused) within=%-3s chunks=%zu loads=%llu\n",
-            (spec.name + "/fused").c_str(),
+            "%-24s peak %-10s budget %-10s within=%-3s chunks=%zu "
+            "loads=%llu evictions=%llu\n",
+            spec.name.c_str(),
             util::format_bytes(f.memory.peak_tracked_bytes, peak_buf,
                                sizeof(peak_buf)),
+            util::format_bytes(budget, budget_buf, sizeof(budget_buf)),
             f.memory.within_budget() ? "yes" : "NO", f.memory.num_chunks,
-            static_cast<unsigned long long>(f.memory.chunk_loads));
+            static_cast<unsigned long long>(f.memory.chunk_loads),
+            static_cast<unsigned long long>(f.memory.chunk_evictions));
+        char extra[96];
+        std::snprintf(extra, sizeof(extra),
+                      "\"colors\":%u,\"coloring_hash\":\"%016llx\",",
+                      f.num_colors,
+                      static_cast<unsigned long long>(coloring_hash(f.colors)));
         bench::emit_json_record(
             "table4_memory", spec.name + "/" + tag + "_fused", f.memory,
-            "\"colors\":" + std::to_string(f.num_colors) + "," +
-                bench::counters_field(f_report.telemetry.counters));
+            extra + bench::counters_field(f_report.telemetry.counters));
       }
       if (bench::quick_mode()) break;  // one H6 instance is enough for CI
     }

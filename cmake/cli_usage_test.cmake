@@ -34,8 +34,14 @@ endfunction()
 expect_usage_error(bad_strategy
   ARGS color H4_1D_sto3g --strategy bogus
   STDERR_HAS "unknown execution strategy 'bogus'"
-             "valid:" "auto" "in-memory" "budgeted-streaming" "sketch"
+             "valid:" "auto" "in-memory" "semi-streaming" "fused" "sketch"
              "usage:")
+
+# The chunk-pair streaming strategy was removed in API 2.0; its spelling is
+# an unknown name now.
+expect_usage_error(retired_strategy
+  ARGS color H4_1D_sto3g --strategy streaming
+  STDERR_HAS "unknown execution strategy 'streaming'" "valid:" "usage:")
 
 expect_usage_error(bad_backend
   ARGS color H4_1D_sto3g --backend bogus

@@ -18,15 +18,15 @@
 //   --mode M        partition relation: unitary | commute | qwc
 //   --backend B     Pauli backend: auto | scalar | packed | packed-scalar
 //   --strategy S    execution strategy: auto | in-memory (inmemory) |
-//                   budgeted-streaming (streaming) | semi-streaming |
-//                   multi-device | fused | sketch. Applies to `color` and
-//                   (for unitary mode) `partition`; `fused` colors edge-free
+//                   semi-streaming | multi-device | fused | sketch.
+//                   Applies to `color` and (for unitary mode)
+//                   `partition`; `fused` colors edge-free
 //                   off the palette buckets, never building the conflict
 //                   CSR; `sketch` adds the probabilistic Bloom tier (exact
 //                   colorings for Pauli input, hashed edge oracle for
 //                   explicit graphs).
-//   --budget BYTES  memory budget (0 = unlimited; may plan streaming or
-//                   the fused engine)
+//   --budget BYTES  memory budget (0 = unlimited; may make the fused
+//                   engine spill the input and stream it back in chunks)
 //   --mtx           color: parse --file as MatrixMarket (auto-detected for
 //                   .mtx extensions)
 //   --stream        color: re-read the file per pass (semi-streaming mode)
@@ -146,7 +146,7 @@ const char* kUsage =
     "[--percent P] [--alpha A] [--seed S] [--mode unitary|commute|qwc] "
     "[--backend auto|scalar|packed|packed-scalar] "
     "[--strategy "
-    "auto|inmemory|streaming|semi-streaming|multi-device|fused|sketch] "
+    "auto|inmemory|semi-streaming|multi-device|fused|sketch] "
     "[--budget BYTES] [--file path] [--mtx] [--stream] [--refine] [--csv] "
     "[--metrics] [--trace FILE] [--update FILE]... "
     "[--connect ADDR] [--tenant NAME] [--priority N] [--cancel-after N] "

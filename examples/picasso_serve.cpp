@@ -17,9 +17,9 @@
 //   --queue N          bounded pending-queue depth (default 64)
 //   --cache N          result-cache capacity in entries (default 128)
 //   --spill-dir PATH   spill directory (default <tmp>/picasso_serve)
-//   --admission MODE   reject (default) or degrade: walk over-budget plans
-//                      down the materialized -> fused -> sketch ladder and
-//                      report the downgrade instead of rejecting
+//   --admission MODE   reject (default) or degrade: re-plan an over-budget
+//                      in-memory request as fused and report the downgrade
+//                      instead of rejecting
 //   --idle-timeout MS  reap connections with nothing in flight that start
 //                      no frame within MS (-1 = never, the default)
 //   --io-timeout MS    per-send/recv stall bound on connections (-1 = none)

@@ -7,9 +7,7 @@
 // (MatrixMarket or edge-list, loaded eagerly), a replayable edge stream, or
 // any adjacency oracle. Session::plan() reads only the problem's kind and
 // size, so strategy selection is uniform across every input shape, and
-// Session::solve() dispatches to exactly the driver the matching legacy
-// entry point used — colorings are bit-identical to the pre-Session free
-// functions.
+// Session::solve() dispatches to the core engine the plan names.
 //
 // Ownership: the `Problem::x(T&&)` overloads take ownership (the payload
 // moves into a shared_ptr, so Problem copies are cheap and solve_async is

@@ -8,6 +8,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -16,24 +17,6 @@
 namespace picasso::api {
 
 namespace {
-
-/// Strings per chunk a streamed plan will use — must mirror
-/// core::solve_pauli_budgeted's derivation so the reported plan and the
-/// engine agree. `per_string` is the resident cost of one string.
-std::size_t planned_chunk_strings(std::size_t explicit_chunk,
-                                  std::size_t budget, std::size_t per_string,
-                                  std::size_t num_strings) {
-  std::size_t chunk = explicit_chunk;
-  if (chunk == 0 && budget > 0) {
-    // Two resident chunks (the pair scan's working set) get half the budget.
-    const std::size_t per_chunk_bytes = budget / 4;
-    chunk = std::max<std::size_t>(
-        1, per_chunk_bytes / std::max<std::size_t>(1, per_string));
-  }
-  if (chunk == 0) chunk = num_strings;  // no guidance: one chunk
-  return std::min(std::max<std::size_t>(1, chunk),
-                  std::max<std::size_t>(1, num_strings));
-}
 
 bool oracle_capable(ProblemKind kind) {
   switch (kind) {
@@ -56,7 +39,7 @@ pauli::SimdLevel simd_for(core::PauliBackend backend) {
 
 /// A fresh spill path for an incremental state (the state owns and removes
 /// the file). Shares core::unique_spill_path's process-wide counter with
-/// the budgeted engines, so no two concurrent solves — whatever mix of
+/// the budgeted engine, so no two concurrent solves — whatever mix of
 /// incremental and streamed — can collide on a name.
 std::string incremental_spill_path(const std::string& spill_dir) {
   return core::unique_spill_path(spill_dir, "incr");
@@ -72,16 +55,12 @@ std::shared_ptr<core::FusedState> make_incremental_state(
     const core::StreamingOptions& streaming, std::size_t num_qubits) {
   auto state = std::make_shared<core::FusedState>(params, update_params);
   if (streaming.chunk_strings > 0 || params.memory_budget_bytes > 0) {
-    std::size_t chunk = streaming.chunk_strings;
-    if (chunk == 0) {
-      // Same derivation as the budgeted engine: two resident chunks (one
-      // pinned probe target plus working set) get about half the budget.
-      const std::size_t per_string =
-          pauli::ChunkedPauliReader::resident_bytes_for(1, num_qubits);
-      chunk = std::max<std::size_t>(
-          1, (params.memory_budget_bytes / 4) /
-                 std::max<std::size_t>(1, per_string));
-    }
+    // Same derivation as the budgeted engine; the store only grows, so the
+    // chunk is not clamped to the baseline's size.
+    const std::size_t chunk = core::spill_chunk_strings(
+        streaming.chunk_strings, params.memory_budget_bytes,
+        pauli::ChunkedPauliReader::resident_bytes_for(1, num_qubits),
+        std::numeric_limits<std::size_t>::max());
     state->use_spill(incremental_spill_path(streaming.spill_dir), chunk);
   }
   return state;
@@ -113,7 +92,6 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
   switch (strategy) {
     case ExecutionStrategy::Auto: return "auto";
     case ExecutionStrategy::InMemory: return "in-memory";
-    case ExecutionStrategy::BudgetedStreaming: return "budgeted-streaming";
     case ExecutionStrategy::SemiStreaming: return "semi-streaming";
     case ExecutionStrategy::MultiDevice: return "multi-device";
     case ExecutionStrategy::Fused: return "fused";
@@ -125,7 +103,6 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
 ExecutionStrategy parse_strategy(std::string_view name) {
   constexpr ExecutionStrategy kAll[] = {
       ExecutionStrategy::Auto,          ExecutionStrategy::InMemory,
-      ExecutionStrategy::BudgetedStreaming,
       ExecutionStrategy::SemiStreaming, ExecutionStrategy::MultiDevice,
       ExecutionStrategy::Fused,         ExecutionStrategy::Sketch};
   for (ExecutionStrategy strategy : kAll) {
@@ -133,7 +110,6 @@ ExecutionStrategy parse_strategy(std::string_view name) {
   }
   // CLI shorthands.
   if (name == "inmemory") return ExecutionStrategy::InMemory;
-  if (name == "streaming") return ExecutionStrategy::BudgetedStreaming;
   // Build the valid list from the same enumeration the parser walks, so
   // the message can never drift from what is actually accepted.
   std::string valid;
@@ -141,9 +117,6 @@ ExecutionStrategy parse_strategy(std::string_view name) {
     if (!valid.empty()) valid += ", ";
     valid += to_string(strategy);
     if (strategy == ExecutionStrategy::InMemory) valid += " (inmemory)";
-    if (strategy == ExecutionStrategy::BudgetedStreaming) {
-      valid += " (streaming)";
-    }
   }
   throw std::invalid_argument("unknown execution strategy '" +
                               std::string(name) + "' (valid: " + valid + ")");
@@ -229,12 +202,6 @@ Session SessionBuilder::build() const {
     throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
                    "MultiDevice strategy requires .devices(count, capacity)");
   }
-  if (session_.strategy_ == ExecutionStrategy::BudgetedStreaming &&
-      p.memory_budget_bytes == 0 && session_.streaming_.chunk_strings == 0) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
-                   "BudgetedStreaming requires .memory_budget(bytes) or "
-                   "streaming chunk_strings");
-  }
   if ((session_.strategy_ == ExecutionStrategy::Fused ||
        session_.strategy_ == ExecutionStrategy::Sketch) &&
       (p.device != nullptr || session_.num_devices_ > 0)) {
@@ -258,53 +225,33 @@ SolvePlan Session::plan(const Problem& problem) const {
   const std::size_t per_string =
       n > 0 ? problem.logical_bytes() / n : problem.logical_bytes();
 
+  // The budgeted engine's own spill gate: stream when told the chunk size
+  // or when holding the whole encoded input would eat more than half the
+  // budget. Spill-backed kinds always stream.
+  const bool spill_backed =
+      kind == ProblemKind::SpillFile || kind == ProblemKind::SpillReader;
+  const bool pauli_spills =
+      kind == ProblemKind::Pauli &&
+      (streaming_.chunk_strings > 0 ||
+       (params_.memory_budget_bytes > 0 &&
+        2 * problem.logical_bytes() > params_.memory_budget_bytes));
+
   ExecutionStrategy strategy = strategy_;
   if (strategy == ExecutionStrategy::Auto) {
-    if (kind == ProblemKind::SpillFile || kind == ProblemKind::SpillReader) {
-      strategy = ExecutionStrategy::BudgetedStreaming;
-      plan.reason = "problem is spill-backed";
-      // Same escalation as the Pauli spill gate below: honor the cap with
-      // the fused streaming engine when the projected CSR would not fit.
-      if (params_.memory_budget_bytes > 0 && n > 0 &&
-          core::projected_conflict_csr_bytes(static_cast<std::uint32_t>(n),
-                                             params_.palette_percent,
-                                             params_.alpha) >
-              params_.memory_budget_bytes) {
-        strategy = ExecutionStrategy::Fused;
-        plan.reason =
-            "spill-backed input + projected conflict CSR exceeds the memory "
-            "budget";
-      }
+    if (spill_backed) {
+      strategy = ExecutionStrategy::Fused;
+      plan.reason = "problem is spill-backed: fused streaming engine";
     } else if (kind == ProblemKind::EdgeStream) {
       strategy = ExecutionStrategy::SemiStreaming;
       plan.reason = "problem is an edge stream";
     } else if (num_devices_ > 0) {
       strategy = ExecutionStrategy::MultiDevice;
       plan.reason = "device list configured";
-    } else if (kind == ProblemKind::Pauli && n > 0 &&
-               (streaming_.chunk_strings > 0 ||
-                (params_.memory_budget_bytes > 0 &&
-                 2 * problem.logical_bytes() > params_.memory_budget_bytes))) {
-      // Mirrors the budgeted engine's own gate: stream when holding the
-      // whole encoded input would eat more than half the budget.
-      strategy = ExecutionStrategy::BudgetedStreaming;
+    } else if (pauli_spills && n > 0) {
+      strategy = ExecutionStrategy::Fused;
       plan.reason = streaming_.chunk_strings > 0
                         ? "explicit chunk size forces streaming"
                         : "encoded input exceeds half the memory budget";
-      // Escalate to the fused streaming engine when even the projected
-      // conflict-CSR assembly would blow the budget: the materialized
-      // chunk-pair engine would honor the spill but not the cap. When the
-      // CSR fits, the materialized engine keeps its I/O-optimal ordered
-      // chunk-pair scans (fused strikes load chunks on demand).
-      if (params_.memory_budget_bytes > 0 &&
-          core::projected_conflict_csr_bytes(static_cast<std::uint32_t>(n),
-                                             params_.palette_percent,
-                                             params_.alpha) >
-              params_.memory_budget_bytes) {
-        strategy = ExecutionStrategy::Fused;
-        plan.reason =
-            "spilled input + projected conflict CSR exceeds the memory budget";
-      }
     } else if (params_.device != nullptr) {
       // The fused engine colors off the oracle and never reaches a device;
       // a configured device asks for Algorithm 3's device CSR build.
@@ -330,15 +277,6 @@ SolvePlan Session::plan(const Problem& problem) const {
                            to_string(kind) + " problem");
       }
       break;
-    case ExecutionStrategy::BudgetedStreaming:
-      if (kind != ProblemKind::Pauli && kind != ProblemKind::SpillFile &&
-          kind != ProblemKind::SpillReader) {
-        throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
-                       std::string("BudgetedStreaming needs a Pauli or "
-                                   "spill-backed problem, got ") +
-                           to_string(kind));
-      }
-      break;
     case ExecutionStrategy::SemiStreaming:
       if (kind != ProblemKind::EdgeStream) {
         throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
@@ -355,8 +293,7 @@ SolvePlan Session::plan(const Problem& problem) const {
       }
       break;
     case ExecutionStrategy::Fused:
-      if (!oracle_capable(kind) && kind != ProblemKind::SpillFile &&
-          kind != ProblemKind::SpillReader) {
+      if (!oracle_capable(kind) && !spill_backed) {
         throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
                        std::string("Fused needs an oracle-capable or "
                                    "spill-backed problem, got ") +
@@ -381,30 +318,17 @@ SolvePlan Session::plan(const Problem& problem) const {
   }
 
   plan.strategy = strategy;
-  if (strategy == ExecutionStrategy::BudgetedStreaming) {
-    if (kind == ProblemKind::SpillReader) {
-      plan.chunk_strings = problem.reader().strings_per_chunk();
-    } else {
-      plan.chunk_strings =
-          planned_chunk_strings(streaming_.chunk_strings,
-                                params_.memory_budget_bytes, per_string, n);
-    }
-  } else if (strategy == ExecutionStrategy::Fused) {
+  if (strategy == ExecutionStrategy::Fused) {
     // A fused solve streams only when spill-backed input or the budgeted
     // engine's own gate forces it; chunk_strings == 0 means the in-memory
-    // fused engine runs. Mirrors solve_pauli_budgeted_fused so plan ==
-    // execution.
+    // fused engine runs. The solve hands this chunking to the engine, so
+    // plan == execution.
     if (kind == ProblemKind::SpillReader) {
       plan.chunk_strings = problem.reader().strings_per_chunk();
-    } else if (kind == ProblemKind::SpillFile ||
-               (kind == ProblemKind::Pauli &&
-                (streaming_.chunk_strings > 0 ||
-                 (params_.memory_budget_bytes > 0 &&
-                  2 * problem.logical_bytes() >
-                      params_.memory_budget_bytes)))) {
-      plan.chunk_strings =
-          planned_chunk_strings(streaming_.chunk_strings,
-                                params_.memory_budget_bytes, per_string, n);
+    } else if (spill_backed || pauli_spills) {
+      plan.chunk_strings = core::spill_chunk_strings(
+          streaming_.chunk_strings, params_.memory_budget_bytes, per_string,
+          n);
     }
   }
   if (strategy != ExecutionStrategy::MultiDevice) plan.num_devices = 0;
@@ -470,23 +394,6 @@ SolveReport Session::solve(const Problem& problem,
       }
       break;
     }
-    case ExecutionStrategy::BudgetedStreaming: {
-      if (problem.kind() == ProblemKind::Pauli) {
-        // Hand the engine the planned chunking so a forced streaming
-        // strategy streams even when the Auto heuristic would not.
-        core::StreamingOptions options_with_chunk = streaming_;
-        options_with_chunk.chunk_strings = report.plan.chunk_strings;
-        report.result = core::solve_pauli_budgeted(problem.pauli_set(),
-                                                   params, options_with_chunk);
-      } else if (problem.kind() == ProblemKind::SpillReader) {
-        report.result = core::solve_pauli_chunked(problem.reader(), params);
-      } else {
-        const pauli::ChunkedPauliReader reader(problem.path(),
-                                               report.plan.chunk_strings);
-        report.result = core::solve_pauli_chunked(reader, params);
-      }
-      break;
-    }
     case ExecutionStrategy::SemiStreaming:
       report.result = core::solve_stream(problem.num_vertices(),
                                          problem.edge_source(), params);
@@ -494,9 +401,9 @@ SolveReport Session::solve(const Problem& problem,
     case ExecutionStrategy::Fused: {
       switch (problem.kind()) {
         case ProblemKind::Pauli: {
-          // The budgeted-fused wrapper re-evaluates the planned chunking and
-          // falls back to the in-memory fused engine when nothing forces a
-          // spill (plan.chunk_strings == 0).
+          // The budgeted engine streams with the planned chunking and runs
+          // the in-memory fused engine when nothing forces a spill
+          // (plan.chunk_strings == 0).
           core::StreamingOptions options_with_chunk = streaming_;
           options_with_chunk.chunk_strings = report.plan.chunk_strings;
           report.result = core::solve_pauli_budgeted_fused(

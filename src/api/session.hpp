@@ -3,9 +3,8 @@
 // pipeline.
 //
 // The paper's algorithm (encode → palette → conflict subgraph → list-color
-// → recurse) is one algorithm, but the library grew eight divergent free
-// functions that each re-wired params, telemetry, backends and the runtime
-// by hand. A Session owns that wiring instead:
+// → recurse) is one algorithm behind several engines. A Session owns the
+// wiring of params, telemetry, backends and the runtime for all of them:
 //
 //   auto session = picasso::api::SessionBuilder()
 //                      .palette(12.5, 2.0)
@@ -17,10 +16,11 @@
 //   // report.plan   : which strategy/backend/chunking actually ran
 //
 // solve() plans an execution strategy from the problem kind and size —
-// in-memory oracle drive, memory-budgeted streaming, semi-streaming edge
-// passes, or multi-device sharding — and runs the existing core engines
-// underneath, so colorings are bit-identical to the legacy free functions
-// for equal parameters. solve(problem, options) adds per-iteration progress
+// the edge-free fused engine (spilling under a memory budget), the
+// materialized in-memory reference, semi-streaming edge passes, or
+// multi-device sharding — and runs the core engines underneath, so
+// colorings are bit-identical to calling those engines directly with equal
+// parameters. solve(problem, options) adds per-iteration progress
 // callbacks and cooperative cancellation; solve_async() runs the same
 // staged pipeline on a worker thread behind a cancellable handle.
 
@@ -47,19 +47,21 @@ namespace picasso::api {
 /// How a solve executes. Auto (the default) picks from the problem kind,
 /// the memory budget and the device list; the rest force one pipeline and
 /// fail with ApiError(IncompatibleStrategy) when the problem cannot run it.
+/// The values cross the service wire as raw bytes, so they are pinned; 2
+/// belonged to the chunk-pair streaming strategy removed in 2.0 and stays
+/// unused.
 enum class ExecutionStrategy {
-  Auto,
-  InMemory,           // paper Algorithm 1 reference: conflict CSR
+  Auto = 0,
+  InMemory = 1,       // paper Algorithm 1 reference: conflict CSR
                       // materialized per iteration (Auto plans it only
                       // when .device() is set)
-  BudgetedStreaming,  // spill + chunked pair-scan under the memory budget
-  SemiStreaming,      // one edge pass per iteration over an edge stream
-  MultiDevice,        // conflict build sharded over simulated devices
-  Fused,              // edge-free engine: no conflict CSR is ever built
+  SemiStreaming = 3,  // one edge pass per iteration over an edge stream
+  MultiDevice = 4,    // conflict build sharded over simulated devices
+  Fused = 5,          // edge-free engine: no conflict CSR is ever built
                       // (spills + strikes off chunked records when the
                       // budget/chunking forces streaming); Auto's pick for
-                      // every in-memory oracle-capable problem
-  Sketch,             // probabilistic tier: fused engine with the Bloom
+                      // every oracle-capable or spill-backed problem
+  Sketch = 6,         // probabilistic tier: fused engine with the Bloom
                       // support-sketch prefilter for Pauli kinds; a fully
                       // hashed edge oracle for Csr/Dense graphs (colorings
                       // stay valid — the hash admits no false negatives)
@@ -68,8 +70,8 @@ enum class ExecutionStrategy {
 const char* to_string(ExecutionStrategy strategy) noexcept;
 
 /// Inverse of to_string(ExecutionStrategy): parses "auto" / "in-memory" /
-/// "budgeted-streaming" / "semi-streaming" / "multi-device" / "fused" /
-/// "sketch" (plus the CLI shorthands "inmemory" and "streaming"). Throws
+/// "semi-streaming" / "multi-device" / "fused" / "sketch" (plus the CLI
+/// shorthand "inmemory"). Throws
 /// std::invalid_argument naming the valid spellings on anything else — the
 /// CLI surfaces that message verbatim with exit code 2.
 ExecutionStrategy parse_strategy(std::string_view name);
@@ -227,7 +229,8 @@ class AsyncSolve {
   AsyncSolve(AsyncSolve&&) noexcept = default;
   AsyncSolve& operator=(AsyncSolve&&) noexcept = default;
 
-  /// Signals the StopToken the drivers poll at iteration/chunk boundaries.
+  /// Signals the StopToken the drivers poll at iteration/bucket-scan
+  /// boundaries.
   void request_stop() noexcept { stop_.request_stop(); }
 
   bool stop_requested() const noexcept { return stop_.stop_requested(); }
@@ -258,7 +261,7 @@ class Session {
 
   /// Bridges existing PicassoParams-based code onto the session pipeline —
   /// every field (seed, palette, backend, runtime, budget, device, hooks)
-  /// carries over. The legacy shims are implemented with this.
+  /// carries over.
   static Session from_params(const core::PicassoParams& params) {
     Session s;
     s.params_ = params;
@@ -280,7 +283,7 @@ class Session {
 
   /// Staged solve with cooperative cancellation and per-iteration progress.
   /// A stop requested through options.stop raises core::SolveCancelled from
-  /// the next iteration (or chunk-pair) boundary; a cancelled budgeted
+  /// the next iteration (or bucket scan) boundary; a cancelled budgeted
   /// solve removes its spill file before unwinding.
   SolveReport solve(const Problem& problem, const SolveOptions& options) const;
 

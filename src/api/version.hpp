@@ -7,15 +7,16 @@
 // time, so bumping the macros here bumps everything consumers see.
 //
 // Compatibility policy: the picasso::api surface (Problem, SessionBuilder,
-// Session, ApiError) is stable within a major version. The deprecated
-// picasso_color_* free functions are kept for at least one major version
-// after deprecation and then removed.
+// Session, ApiError) is stable within a major version. A deprecated
+// function is kept until the next major version and then removed; 2.0
+// removed the deprecated free-function colorers and the chunk-pair
+// streaming strategy.
 
-#define PICASSO_API_VERSION_MAJOR 1
+#define PICASSO_API_VERSION_MAJOR 2
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 
-// "MMmmpp" as a single comparable integer, e.g. 10000 for 1.0.0.
+// "MMmmpp" as a single comparable integer, e.g. 20000 for 2.0.0.
 #define PICASSO_API_VERSION_CODE                               \
   (PICASSO_API_VERSION_MAJOR * 10000 + PICASSO_API_VERSION_MINOR * 100 + \
    PICASSO_API_VERSION_PATCH)

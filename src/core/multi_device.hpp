@@ -97,16 +97,6 @@ MultiDeviceResult solve_multi_device(const Oracle& oracle,
                                      const PicassoParams& params,
                                      const MultiDeviceConfig& config);
 
-/// Deprecated name for solve_multi_device; new code goes through
-/// picasso::api::Session configured with .devices(count, capacity).
-template <graph::GraphOracle Oracle>
-[[deprecated("use picasso::api::Session configured with .devices() instead")]]
-MultiDeviceResult picasso_color_multi_device(const Oracle& oracle,
-                                             const PicassoParams& params,
-                                             const MultiDeviceConfig& config) {
-  return solve_multi_device(oracle, params, config);
-}
-
 // ---------------------------------------------------------------------------
 // Implementation.
 

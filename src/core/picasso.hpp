@@ -105,15 +105,16 @@ struct PicassoParams {
   /// given params — never derived from live memory headroom.
   std::size_t sketch_words = 0;
   /// Cooperative cancellation: checked at iteration boundaries in every
-  /// driver and between chunk-pair scans in the chunked engine. A requested
+  /// driver and before every bucket scan in the fused engines. A requested
   /// stop raises SolveCancelled; the default token never fires. See
   /// core/solve_control.hpp.
   StopToken stop;
-  /// Per-iteration (and, in the chunked engine, per-chunk-pair) progress
-  /// callback, invoked from the solving thread. Empty = no reporting.
+  /// Per-iteration (and, in the fused engines, per-bucket-scan-batch)
+  /// progress callback, invoked from the solving thread. Empty = no
+  /// reporting.
   ProgressFn progress;
   /// Phase-span recorder (obs/trace.hpp). When non-null every engine
-  /// records its nested phase/iteration/chunk-pair spans here; null (the
+  /// records its nested phase/iteration spans here; null (the
   /// default) costs one pointer test per scope. Session installs one for
   /// TelemetryLevel::Full.
   obs::TraceRecorder* trace = nullptr;
@@ -209,31 +210,6 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params);
 /// MemSubsystem::PauliInput for the duration of the run.
 PicassoResult solve_pauli(const pauli::PauliSet& set,
                           const PicassoParams& params);
-
-// ---------------------------------------------------------------------------
-// Legacy free-function surface. These are thin [[deprecated]] shims kept so
-// existing callers keep compiling; new code goes through picasso::api::
-// Session (api/session.hpp), which plans in-memory / streamed / sharded
-// execution from one configuration and returns the plan alongside the
-// result. Each shim delegates to the Session pipeline (or directly to the
-// engine it wraps, for the template entry points) and is bit-identical to
-// its pre-deprecation behavior — the differential suite pins this.
-
-template <graph::GraphOracle Oracle>
-[[deprecated("use picasso::api::Session with Problem::oracle() instead")]]
-PicassoResult picasso_color(const Oracle& oracle, const PicassoParams& params) {
-  return solve_oracle(oracle, params);
-}
-
-[[deprecated("use picasso::api::Session with Problem::pauli() instead")]]
-PicassoResult picasso_color_pauli(const pauli::PauliSet& set,
-                                  const PicassoParams& params);
-[[deprecated("use picasso::api::Session with Problem::csr() instead")]]
-PicassoResult picasso_color_csr(const graph::CsrGraph& g,
-                                const PicassoParams& params);
-[[deprecated("use picasso::api::Session with Problem::dense() instead")]]
-PicassoResult picasso_color_dense(const graph::DenseGraph& g,
-                                  const PicassoParams& params);
 
 // ---------------------------------------------------------------------------
 // Implementation.

@@ -2,17 +2,19 @@
 // Cooperative execution control for the staged solve pipeline.
 //
 // Every Picasso driver — the oracle driver, the semi-streaming driver, the
-// chunked budgeted engine and the multi-device engine — runs as a sequence
-// of iteration-sized stages. The session front-end (api/session.hpp) hands
-// the drivers two optional hooks through PicassoParams:
+// fused engines (in memory and budgeted) and the multi-device engine — runs
+// as a sequence of iteration-sized stages. The session front-end
+// (api/session.hpp) hands the drivers two optional hooks through
+// PicassoParams:
 //
-//   * a StopToken, checked at iteration boundaries (and, in the chunked
-//     engine, between chunk-pair scans). A requested stop raises
+//   * a StopToken, checked at iteration boundaries (and, in the fused
+//     engines, before every bucket scan). A requested stop raises
 //     SolveCancelled from the next checkpoint; RAII unwinds every charge
 //     and the budgeted driver removes its spill file on the way out, so a
 //     cancelled solve leaves no state behind.
-//   * a ProgressFn, invoked after each completed iteration (and after each
-//     chunk-pair scan in the chunked engine) with a ProgressEvent snapshot.
+//   * a ProgressFn, invoked after each completed iteration (and every
+//     kFusedProgressInterval bucket scans in the fused engines) with a
+//     ProgressEvent snapshot.
 //
 // Both hooks default to inert: a default-constructed StopToken can never
 // request a stop and costs one pointer test per checkpoint, so drivers run
@@ -98,16 +100,18 @@ class StopSource {
   std::shared_ptr<std::atomic<bool>> state_;
 };
 
-/// What just finished when a ProgressEvent fires.
+/// What just finished when a ProgressEvent fires. The values cross the
+/// service wire as raw bytes, so they are pinned; 1 belonged to the retired
+/// chunk-pair engine's per-pair event and stays unused.
 enum class ProgressStage {
-  IterationDone,     // one Algorithm-1 iteration completed (all drivers)
-  ChunkPairScanned,  // one chunk-pair scan completed (chunked engine only)
-  BucketScanned,     // a batch of fused bucket scans completed (fused engine)
-  VertexInserted,    // a batch of incremental insertions completed (updates)
+  IterationDone = 0,   // one Algorithm-1 iteration completed (all drivers)
+  BucketScanned = 2,   // a batch of fused bucket scans completed (fused engine)
+  VertexInserted = 3,  // a batch of incremental insertions completed (updates)
 };
 
-/// Snapshot handed to the progress callback. Iteration-scoped fields are
-/// zero for ChunkPairScanned events fired mid-iteration.
+/// Snapshot handed to the progress callback. IterationDone fills every
+/// iteration-scoped field; BucketScanned events fired mid-iteration leave
+/// colored / uncolored zero.
 struct ProgressEvent {
   ProgressStage stage = ProgressStage::IterationDone;
   int iteration = 0;                 // 0-based iteration index
@@ -115,10 +119,8 @@ struct ProgressEvent {
   std::uint32_t colored = 0;         // vertices colored by this iteration
   std::uint32_t uncolored = 0;       // carried to the next iteration
   /// Conflict edges of this iteration. Per-strategy meaning:
-  ///  * materializing engines (in-memory, semi-streaming, chunked,
-  ///    multi-device): exact |Ec| of the built conflict CSR, reported on
-  ///    IterationDone (and the running emission count mid-iteration on
-  ///    ChunkPairScanned events from the chunked engine);
+  ///  * materializing engines (in-memory, semi-streaming, multi-device):
+  ///    exact |Ec| of the built conflict CSR, reported on IterationDone;
   ///  * fused static schemes: exact |Ec| (every pair enumerated at u < v);
   ///  * fused dynamic schemes: the running strike-hit count — list
   ///    entries struck so far, one per (vertex, color) removed. Edges
@@ -127,9 +129,6 @@ struct ProgressEvent {
   ///    grows monotonically across the iteration's BucketScanned events
   ///    and lands on the iteration's total at IterationDone.
   std::uint64_t conflict_edges = 0;
-  // ChunkPairScanned extras (chunked engine).
-  std::size_t chunk_pair = 0;        // ordinal of the finished pair scan
-  std::size_t chunk_pairs_total = 0; // pairs this iteration will scan
   // BucketScanned extras (fused engine): strike scans completed so far this
   // iteration — at most n_active, shrinking work as the frontier empties.
   std::size_t bucket_scans = 0;

@@ -1,7 +1,9 @@
 #include "core/solve_fused.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <filesystem>
+#include <system_error>
 
 #include "graph/oracles.hpp"
 #include "pauli/encoding.hpp"
@@ -247,14 +249,57 @@ PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
 PicassoResult solve_pauli_budgeted_fused(const pauli::PauliSet& set,
                                          const PicassoParams& params,
                                          const StreamingOptions& options) {
-  return detail::run_budgeted_spill(
-      set, params, options,
-      [](const pauli::PauliSet& s, const PicassoParams& p) {
-        return solve_pauli_fused(s, p);
-      },
-      [](const pauli::ChunkedPauliReader& r, const PicassoParams& p) {
-        return solve_pauli_chunked_fused(r, p);
-      });
+  const std::size_t budget = params.memory_budget_bytes;
+  // Stream when asked to (explicit chunk size) or when holding the whole
+  // encoded input would eat more than half the budget.
+  const bool stream = options.chunk_strings > 0 ||
+                      (budget != 0 && 2 * set.logical_bytes() > budget);
+  if (!stream || set.empty()) return solve_pauli_fused(set, params);
+
+  const std::size_t chunk_strings = spill_chunk_strings(
+      options.chunk_strings, budget,
+      pauli::ChunkedPauliReader::resident_bytes_for(1, set.num_qubits()),
+      set.size());
+
+  namespace fs = std::filesystem;
+  const fs::path spill_path = unique_spill_path(options.spill_dir, "spill");
+
+  std::size_t spill_bytes = 0;
+  try {
+    spill_bytes = pauli::spill_pauli_set(set, spill_path.string());
+  } catch (const std::system_error& e) {
+    if (e.code().value() != ENOSPC) throw;
+    // Spill device full: degrade to an in-memory solve rather than failing
+    // the request. The coloring is bit-identical (same engine, same seed);
+    // only the peak memory profile differs, and the caller is told.
+    std::error_code ec;
+    fs::remove(spill_path, ec);
+    PicassoResult fallback = solve_pauli_fused(set, params);
+    fallback.degraded = true;
+    fallback.degraded_reason =
+        "spill device full (ENOSPC): streamed plan fell back to an "
+        "in-memory solve";
+    return fallback;
+  }
+  PicassoResult result;
+  try {
+    const pauli::ChunkedPauliReader reader(spill_path.string(),
+                                           chunk_strings);
+    result = solve_pauli_chunked_fused(reader, params);
+  } catch (...) {
+    std::error_code ec;
+    fs::remove(spill_path, ec);
+    throw;
+  }
+  result.memory.spill_bytes = spill_bytes;
+  // Disk-side footprint, reported but never counted against the RAM budget.
+  result.memory.subsystem_peak[static_cast<unsigned>(
+      util::MemSubsystem::Spill)] = spill_bytes;
+  if (!options.keep_spill) {
+    std::error_code ec;
+    fs::remove(spill_path, ec);
+  }
+  return result;
 }
 
 // Pin the common instantiations into this translation unit.

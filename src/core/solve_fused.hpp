@@ -744,21 +744,23 @@ PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
 PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
                                 const PicassoParams& params);
 
-/// Streaming twin of solve_pauli_chunked: the spilled set is still read
-/// back chunk-wise through the budget-admission LRU caches, but bucket
-/// strike scans replace the chunk-pair COO/CSR assembly — candidates are
-/// grouped by owning chunk (active ids are ascending, so groups are
-/// contiguous runs) and answered against the pinned chunk records, so
-/// budgeted solves skip CSR assembly too. Under very tight budgets this
-/// trades the materialized engine's k^2/2 ordered chunk scans for
-/// demand-driven chunk loads (the LRU absorbs the locality that exists);
-/// the coloring stays bit-identical throughout.
+/// Streaming engine for spilled Pauli input: the spilled set is read back
+/// chunk-wise through the budget-admission LRU caches, and bucket strike
+/// scans test candidates grouped by owning chunk (active ids are
+/// ascending, so groups are contiguous runs) against the pinned chunk
+/// records — no conflict edges are ever staged. Under very tight budgets
+/// chunks load on demand (the LRU absorbs the locality that exists); the
+/// coloring stays bit-identical to the in-memory engines throughout.
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params);
 
-/// Budgeted wrapper around the fused chunked engine — same spill lifecycle
-/// as solve_pauli_budgeted (falls back to the in-memory fused engine when
-/// nothing forces streaming).
+/// Memory-budgeted Pauli engine. With no budget and no explicit chunk size
+/// this is exactly solve_pauli_fused; when the encoded set takes more than
+/// half the budget (or options.chunk_strings forces it) the set is spilled
+/// to disk, colored by solve_pauli_chunked_fused, and the spill removed
+/// afterwards (and on unwind) unless options.keep_spill. A full spill
+/// device (ENOSPC) falls back to the in-memory solve and reports it in
+/// PicassoResult::degraded. The coloring is bit-identical either way.
 PicassoResult solve_pauli_budgeted_fused(const pauli::PauliSet& set,
                                          const PicassoParams& params,
                                          const StreamingOptions& options = {});

@@ -16,19 +16,15 @@
 //                                          // undirected edge at least once
 // Passes are counted; PicassoResult::iterations.size() == #passes.
 
-// The memory-budgeted Pauli pipeline below extends the same idea to the
-// paper's flagship input: the encoded Pauli set is spilled to disk once,
-// read back in chunks through a budget-admission LRU cache, and the
-// conflict edges of each iteration are generated on the fly from chunk
-// pairs — palette-restricted first, oracle second — so the only O(n)-sized
-// resident state is one iteration's color lists plus the (sparse) conflict
-// CSR. When the chunk cache cannot hold every chunk, inner chunks are
-// re-read from disk per outer chunk: the multi-pass re-scan that trades
-// I/O for memory. Chunk-pair scans run on the PR-1 runtime pool and stay
-// bit-identical to the in-memory oracle driver (canonical CSR assembly
-// makes emission order immaterial; lists and coloring RNG are keyed
-// identically).
+// The memory-budgeted Pauli pipeline (solve_pauli_budgeted_fused /
+// solve_pauli_chunked_fused in core/solve_fused.hpp) extends the same idea
+// to the paper's flagship input: the encoded Pauli set is spilled to disk
+// once and read back in chunks through a budget-admission LRU cache. This
+// header holds the pieces that pipeline shares with the incremental store
+// and the service: the streaming options, the chunk-size derivation and
+// the spill-file naming / janitor.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "core/picasso.hpp"
-#include "pauli/pauli_stream.hpp"
 
 namespace picasso::core {
 
@@ -88,21 +83,12 @@ template <typename EdgeSource>
 PicassoResult solve_stream(std::uint32_t n, const EdgeSource& source,
                            const PicassoParams& params);
 
-/// Deprecated name for solve_stream; new code goes through
-/// picasso::api::Session with Problem::edge_stream().
-template <typename EdgeSource>
-[[deprecated("use picasso::api::Session with Problem::edge_stream() instead")]]
-PicassoResult picasso_color_stream(std::uint32_t n, const EdgeSource& source,
-                                   const PicassoParams& params) {
-  return solve_stream(n, source, params);
-}
-
 // ---------------------------------------------------------------------------
 // Memory-budgeted Pauli streaming pipeline.
 
 struct StreamingOptions {
-  /// Strings per chunk. 0 = auto: sized so two resident chunks (the pair
-  /// scan's working set) take about half of memory_budget_bytes.
+  /// Strings per chunk. 0 = auto: sized so two resident chunks take about
+  /// half of memory_budget_bytes (see spill_chunk_strings).
   std::size_t chunk_strings = 0;
   /// Directory for the spill file ("" = the system temp directory).
   std::string spill_dir;
@@ -112,7 +98,7 @@ struct StreamingOptions {
 
 /// Collision-free spill file path: `<dir>/picasso_<tag>_<pid>_<seq>.pset`,
 /// where `<seq>` comes from ONE process-wide atomic counter shared by every
-/// spill site (budgeted engines, incremental stores, the service daemon).
+/// spill site (the budgeted engine, incremental stores, the service daemon).
 /// The pid isolates processes sharing a spill directory; the single counter
 /// isolates concurrent solves inside one process — two sessions spilling at
 /// once can never race to the same name. "" for `dir` means the system temp
@@ -126,52 +112,13 @@ std::string unique_spill_path(const std::string& dir, const char* tag);
 /// the number of files removed. Safe to call on a missing directory.
 std::size_t sweep_orphan_spills(const std::string& dir);
 
-/// Memory-budgeted engine. With no budget and no explicit chunk size this
-/// is exactly solve_pauli; when the encoded set does not fit comfortably in
-/// the budget (or chunk_strings forces it) the set is spilled to disk and
-/// colored through the chunked engine below. The coloring is bit-identical
-/// to solve_pauli for equal params.
-PicassoResult solve_pauli_budgeted(const pauli::PauliSet& set,
-                                   const PicassoParams& params,
-                                   const StreamingOptions& options = {});
-
-/// Chunked engine: colors the anticommutation-complement graph of the
-/// spilled Pauli set behind `reader`, holding at most the chunks the
-/// budget admits resident at a time (plus one iteration's lists and the
-/// conflict CSR). Chunk-pair scans run on the configured runtime pool.
-PicassoResult solve_pauli_chunked(const pauli::ChunkedPauliReader& reader,
-                                  const PicassoParams& params);
-
-// Deprecated names for the two engines above; new code goes through
-// picasso::api::Session, which plans streaming from the memory budget (or
-// takes a spill file / reader directly via Problem::pauli_spill() /
-// Problem::spill_reader()).
-[[deprecated("use picasso::api::Session with a memory budget instead")]]
-PicassoResult picasso_color_pauli_budgeted(
-    const pauli::PauliSet& set, const PicassoParams& params,
-    const StreamingOptions& options = {});
-
-[[deprecated("use picasso::api::Session with Problem::spill_reader() instead")]]
-PicassoResult picasso_color_pauli_chunked(
-    const pauli::ChunkedPauliReader& reader, const PicassoParams& params);
-
-namespace detail {
-
-/// Spill scaffold shared by the budgeted engines (materialized and fused):
-/// decides in-memory vs streamed from the budget / explicit chunk size,
-/// spills the set, derives the chunking, runs `solve_chunked` over a reader
-/// on the spill file, and removes the file afterwards (and on unwind). The
-/// two engine callbacks are what differ between solve_pauli_budgeted and
-/// solve_pauli_budgeted_fused — the lifecycle cannot drift.
-PicassoResult run_budgeted_spill(
-    const pauli::PauliSet& set, const PicassoParams& params,
-    const StreamingOptions& options,
-    const std::function<PicassoResult(const pauli::PauliSet&,
-                                      const PicassoParams&)>& solve_in_memory,
-    const std::function<PicassoResult(const pauli::ChunkedPauliReader&,
-                                      const PicassoParams&)>& solve_chunked);
-
-}  // namespace detail
+/// Strings per spill chunk: `explicit_chunk` when set, else sized so two
+/// resident chunks of `per_string` bytes each take about half of `budget`;
+/// with neither, one chunk holds every string. Clamped to [1, max(1, n)].
+/// The one derivation behind the planner's reported chunking, the budgeted
+/// engine's and the incremental store's.
+std::size_t spill_chunk_strings(std::size_t explicit_chunk, std::size_t budget,
+                                std::size_t per_string, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Implementation.

@@ -3,8 +3,8 @@
 //
 // A TraceRecorder captures the nested phase structure of one solve —
 // encode → per-iteration {palette assignment → conflict detection →
-// coloring} → refine, plus per-chunk-pair children in the streaming
-// engines — as flat begin/end span records on the driver thread. The
+// coloring} → refine — as flat begin/end span records on the driver
+// thread. The
 // recorder replaces the ad hoc ScopedAccumulator sinks at phase
 // boundaries: ScopedPhase keeps feeding the Fig.-3 seconds fields the
 // benches report and *additionally* records a span when a recorder is
@@ -41,7 +41,7 @@ struct SpanRecord {
 class TraceRecorder {
  public:
   /// Hard cap on retained spans (~48 MB worst case); protects pathological
-  /// per-chunk-pair traces from eating the heap.
+  /// traces (millions of iterations) from eating the heap.
   static constexpr std::size_t kMaxSpans = 1u << 20;
 
   struct Token {

@@ -603,7 +603,12 @@ util::PackedColorArray read_spill_colors(const std::string& path) {
   }
   bytes.resize(body);
   std::istringstream blob(std::move(bytes), std::ios::binary);
-  util::PackedColorArray colors = util::PackedColorArray::load(blob);
+  util::PackedColorArray colors;
+  try {
+    colors = util::PackedColorArray::load(blob);
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(std::string(error.what()) + " in " + path);
+  }
   // The blob must span the body exactly: leftover bytes mean a damaged
   // trailer magic (or foreign data) hid the checksum.
   if (blob.peek() != std::char_traits<char>::eof()) {

@@ -15,24 +15,21 @@ namespace picasso::service {
 
 namespace {
 
-bool materializes_csr(api::ExecutionStrategy strategy) {
-  switch (strategy) {
-    case api::ExecutionStrategy::Fused:
-    case api::ExecutionStrategy::Sketch:
-      return false;
-    default:
-      return true;
-  }
-}
+/// Wire value of the chunk-pair streaming strategy removed in API 2.0.
+constexpr std::uint8_t kRetiredStrategy = 2;
 
 /// Peak bytes a request is projected to need under its plan's strategy and
-/// the palette params of the session that will run it.
+/// the palette params of the session that will run it. InMemory is the one
+/// materializing plan a wire request can reach (MultiDevice needs a device
+/// list and SemiStreaming an edge stream, neither of which a request
+/// carries), so it is charged the conflict-CSR model; every other plan is
+/// charged the fused frontier.
 std::size_t projected_peak_bytes(const api::SolvePlan& plan,
                                  const core::PicassoParams& params,
                                  const pauli::PauliSet& set) {
   const std::size_t input = set.logical_bytes();
   const auto n = static_cast<std::uint32_t>(set.size());
-  if (materializes_csr(plan.strategy)) {
+  if (plan.strategy == api::ExecutionStrategy::InMemory) {
     return input + core::projected_conflict_csr_bytes(
                        n, params.palette_percent, params.alpha);
   }
@@ -342,6 +339,11 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
       throw std::invalid_argument("unknown backend value " +
                                   std::to_string(msg.params.backend));
     }
+    if (msg.params.strategy == kRetiredStrategy) {
+      throw std::invalid_argument(
+          "strategy value 2 (budgeted-streaming) was removed in API 2.0; "
+          "send fused (5) or auto (0)");
+    }
     if (msg.params.strategy >
         static_cast<std::uint8_t>(api::ExecutionStrategy::Sketch)) {
       throw std::invalid_argument("unknown strategy value " +
@@ -365,50 +367,41 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
   }
 
   // Admission: projected peak vs the server-wide budget, under the
-  // request's own palette. Materializing plans are charged the planner's
+  // request's own palette. A forced InMemory plan is charged the planner's
   // CSR model; plans that never build a CSR (fused/sketch, what Auto picks)
   // the fused engine's, so a client can shrink an over-budget request into
-  // an admissible one by dropping a forced materializing strategy or
-  // setting a per-request budget.
+  // an admissible one by dropping a forced InMemory strategy.
   bool admission_degraded = false;
   std::string admission_degraded_reason;
   if (config_.memory_budget_bytes > 0) {
     std::size_t projected =
         projected_peak_bytes(plan, session.params(), msg.records);
     if (projected > config_.memory_budget_bytes &&
-        config_.admission == AdmissionPolicy::Degrade) {
-      // Degradation ladder: re-plan down the strategy rungs until one fits.
-      // Determinism makes the downgraded coloring identical, so the client
-      // loses only speed — the downgrade is reported, not hidden.
-      const std::size_t original_projected = projected;
-      const std::string original_summary = plan.summary();
-      for (const api::ExecutionStrategy rung :
-           {api::ExecutionStrategy::Fused, api::ExecutionStrategy::Sketch}) {
-        if (static_cast<api::ExecutionStrategy>(msg.params.strategy) == rung) {
-          continue;  // already on this rung
-        }
-        RemoteParams downgraded = msg.params;
-        downgraded.strategy = static_cast<std::uint8_t>(rung);
-        try {
-          api::Session rung_session = session_for(downgraded);
-          api::SolvePlan rung_plan =
-              rung_session.plan(api::Problem::pauli(msg.records));
-          const std::size_t rung_projected = projected_peak_bytes(
-              rung_plan, rung_session.params(), msg.records);
-          if (rung_projected > config_.memory_budget_bytes) continue;
-          admission_degraded = true;
-          admission_degraded_reason =
-              "admission degraded plan (" + original_summary + ", projected " +
-              std::to_string(original_projected) + " bytes over budget " +
-              std::to_string(config_.memory_budget_bytes) + ") to " +
-              rung_plan.summary();
-          msg.params = downgraded;
-          plan = rung_plan;
-          projected = rung_projected;
-          break;
-        } catch (const std::exception&) {
-          continue;  // rung not viable for this problem; try the next
-        }
+        config_.admission == AdmissionPolicy::Degrade &&
+        plan.strategy == api::ExecutionStrategy::InMemory) {
+      // Degradation: re-plan as Fused. Only a forced InMemory plan is
+      // charged more than the fused frontier, so that is the one plan a
+      // downgrade can bring under the budget. Determinism makes the
+      // downgraded coloring identical, so the client loses only speed —
+      // the downgrade is reported, not hidden.
+      RemoteParams downgraded = msg.params;
+      downgraded.strategy =
+          static_cast<std::uint8_t>(api::ExecutionStrategy::Fused);
+      const api::Session fused_session = session_for(downgraded);
+      const api::SolvePlan fused_plan =
+          fused_session.plan(api::Problem::pauli(msg.records));
+      const std::size_t fused_projected = projected_peak_bytes(
+          fused_plan, fused_session.params(), msg.records);
+      if (fused_projected <= config_.memory_budget_bytes) {
+        admission_degraded = true;
+        admission_degraded_reason =
+            "admission degraded plan (" + plan.summary() + ", projected " +
+            std::to_string(projected) + " bytes over budget " +
+            std::to_string(config_.memory_budget_bytes) + ") to " +
+            fused_plan.summary();
+        msg.params = downgraded;
+        plan = fused_plan;
+        projected = fused_projected;
       }
     }
     if (projected > config_.memory_budget_bytes) {
@@ -616,7 +609,7 @@ void Server::execute(const std::shared_ptr<Request>& request) {
     stat_cache_misses_.fetch_add(1, std::memory_order_relaxed);
     stat_completed_.fetch_add(1, std::memory_order_relaxed);
 
-    // Degradation from either layer — the admission ladder or a mid-solve
+    // Degradation from either layer — Degrade admission or a mid-solve
     // fallback (e.g. ENOSPC spill → in-memory) — is reported to the client.
     const bool degraded = request->degraded || report.result.degraded;
     std::string degraded_reason = request->degraded_reason;

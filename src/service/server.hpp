@@ -62,10 +62,9 @@ namespace picasso::service {
 enum class AdmissionPolicy : std::uint8_t {
   /// Answer Error(OverBudget) naming both numbers (the default).
   Reject = 0,
-  /// Walk the plan down the degradation ladder — materialized → fused →
-  /// sketch — and admit the first rung that fits, reporting the downgrade
-  /// in the result's `degraded` fields. Rejects only when even the sketch
-  /// frontier cannot fit.
+  /// Re-plan a forced InMemory request as Fused and admit it if the fused
+  /// frontier fits, reporting the downgrade in the result's `degraded`
+  /// fields. Rejects when even the fused frontier cannot fit.
   Degrade = 1,
 };
 
@@ -169,7 +168,7 @@ class Server {
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     std::atomic<bool> deadline_hit{false};
-    /// Set when Degrade admission walked this request down the ladder.
+    /// Set when Degrade admission re-planned this request as Fused.
     bool degraded = false;
     std::string degraded_reason;
   };

@@ -176,6 +176,7 @@ struct RemoteParams {
   std::int32_t max_iterations = 64;
   std::uint8_t backend = 0;       // core::PauliBackend numeric value
   std::uint8_t strategy = 0;      // api::ExecutionStrategy numeric value
+                                  // (2 is retired: answered BadRequest)
   std::uint64_t memory_budget_bytes = 0;
   bool want_progress = false;
   /// Wall-clock budget for the whole request measured from admission; the

@@ -169,6 +169,9 @@ class PackedColorArray {
   std::size_t logical_bytes() const noexcept;
 
   /// Binary round-trip, used for the `.pset` spill-tail color sidecar.
+  /// load() needs a seekable stream: it bounds the header's counts by the
+  /// bytes left before allocating, and throws std::runtime_error on a
+  /// truncated, oversized or inconsistent blob.
   void save(std::ostream& out) const;
   static PackedColorArray load(std::istream& in);
 

@@ -1,16 +1,9 @@
-// Differential pinning of the session front-end against the legacy
-// picasso_color_* surface: for equal parameters, Session::solve must
-// produce bit-identical colorings (and, where applicable, identical
-// telemetry and shard stats) to every deprecated free function it
-// replaces — in-memory, generic-oracle, semi-streaming, budgeted
-// streaming, chunked, and multi-device paths alike. This is the contract
-// that lets call sites migrate (and the shims eventually retire) without
-// any behavioral audit.
-
-// This suite intentionally exercises the deprecated entry points.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
+// Differential pinning of the session front-end against the core engine
+// entry points it dispatches to: for equal parameters, Session::solve must
+// produce bit-identical colorings (and, where applicable, identical shard
+// stats) to calling solve_pauli / solve_oracle / solve_stream /
+// solve_multi_device / solve_pauli_chunked_fused directly — so planning
+// adds no behavior of its own beyond choosing the engine.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +12,7 @@
 
 #include "api/session.hpp"
 #include "core/multi_device.hpp"
+#include "core/solve_fused.hpp"
 #include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
@@ -57,53 +51,54 @@ pcore::PicassoParams test_params(std::uint64_t seed) {
 
 }  // namespace
 
-TEST(ApiDifferential, PauliMatchesLegacyAcrossBackends) {
+TEST(ApiDifferential, PauliMatchesEngineAcrossBackends) {
   const auto set = random_set(250, 14, 41);
   for (auto backend :
        {pcore::PauliBackend::Auto, pcore::PauliBackend::Scalar,
         pcore::PauliBackend::Packed, pcore::PauliBackend::PackedScalar}) {
     auto params = test_params(41);
     params.pauli_backend = backend;
-    const auto legacy = pcore::picasso_color_pauli(set, params);
-    // The shim wraps the materialized engine, so the session runs it too.
+    const auto engine = pcore::solve_pauli(set, params);
     const auto session = papi::SessionBuilder()
                              .params(params)
                              .strategy(papi::ExecutionStrategy::InMemory)
                              .build()
                              .solve(papi::Problem::pauli(set));
-    EXPECT_EQ(session.result.colors, legacy.colors)
+    EXPECT_EQ(session.result.colors, engine.colors)
         << pcore::to_string(backend);
-    EXPECT_EQ(session.result.num_colors, legacy.num_colors);
+    EXPECT_EQ(session.result.num_colors, engine.num_colors);
     EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
   }
 }
 
-TEST(ApiDifferential, CsrAndDenseMatchLegacy) {
+TEST(ApiDifferential, CsrAndDenseMatchOracleEngine) {
+  // Auto plans the fused engine; it must agree with the materialized
+  // oracle driver on the same graph.
   const auto params = test_params(43);
   const auto csr = pg::erdos_renyi(300, 0.1, 43);
   EXPECT_EQ(papi::Session::from_params(params)
                 .solve(papi::Problem::csr(csr))
                 .result.colors,
-            pcore::picasso_color_csr(csr, params).colors);
+            pcore::solve_oracle(pg::CsrOracle(csr), params).colors);
 
   const auto dense = pg::erdos_renyi_dense(250, 0.5, 43);
   EXPECT_EQ(papi::Session::from_params(params)
                 .solve(papi::Problem::dense(dense))
                 .result.colors,
-            pcore::picasso_color_dense(dense, params).colors);
+            pcore::solve_oracle(pg::DenseOracle(dense), params).colors);
 }
 
-TEST(ApiDifferential, TypeErasedOracleMatchesLegacyTemplateDriver) {
+TEST(ApiDifferential, TypeErasedOracleMatchesTemplateDriver) {
   const auto set = random_set(180, 10, 47);
   const pg::ComplementOracle oracle(set);
   const auto params = test_params(47);
-  const auto legacy = pcore::picasso_color(oracle, params);
+  const auto engine = pcore::solve_oracle(oracle, params);
   const auto session = papi::Session::from_params(params)
                            .solve(papi::Problem::oracle(oracle));
-  EXPECT_EQ(session.result.colors, legacy.colors);
+  EXPECT_EQ(session.result.colors, engine.colors);
 }
 
-TEST(ApiDifferential, EdgeStreamMatchesLegacyStreamDriver) {
+TEST(ApiDifferential, EdgeStreamMatchesStreamDriver) {
   const auto g = pg::erdos_renyi(280, 0.08, 53);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   for (pg::VertexId u = 0; u < g.num_vertices(); ++u) {
@@ -113,12 +108,11 @@ TEST(ApiDifferential, EdgeStreamMatchesLegacyStreamDriver) {
   }
   const pcore::VectorEdgeStream stream(std::move(edges));
   const auto params = test_params(53);
-  const auto legacy =
-      pcore::picasso_color_stream(g.num_vertices(), stream, params);
+  const auto engine = pcore::solve_stream(g.num_vertices(), stream, params);
   const auto session =
       papi::Session::from_params(params)
           .solve(papi::Problem::edge_stream(g.num_vertices(), stream));
-  EXPECT_EQ(session.result.colors, legacy.colors);
+  EXPECT_EQ(session.result.colors, engine.colors);
   EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::SemiStreaming);
   // And both match the oracle driver on the same graph.
   EXPECT_EQ(session.result.colors,
@@ -127,73 +121,38 @@ TEST(ApiDifferential, EdgeStreamMatchesLegacyStreamDriver) {
                 .result.colors);
 }
 
-TEST(ApiDifferential, BudgetedStreamingMatchesLegacyUnderRandomBudgets) {
+TEST(ApiDifferential, BudgetedSessionMatchesChunkedFusedEngine) {
   const auto set = random_set(350, 16, 59);
+  const auto dir = fs::temp_directory_path() / "picasso_api_diff_budget";
+  fs::create_directories(dir);
+  const auto spill = (dir / "budget.pset").string();
+  pp::spill_pauli_set(set, spill);
   for (std::uint64_t seed : {1u, 2u}) {
     auto params = test_params(seed);
-    // Budget tight enough that both paths actually stream.
+    // Budget tight enough that the session spills.
     params.memory_budget_bytes = set.logical_bytes();
     pcore::StreamingOptions options;
     options.chunk_strings = seed == 1 ? 0 : 64;  // derived and explicit
-    const auto legacy =
-        pcore::picasso_color_pauli_budgeted(set, params, options);
     const auto session = papi::SessionBuilder()
                              .params(params)
                              .streaming(options)
                              .build()
                              .solve(papi::Problem::pauli(set));
-    ASSERT_TRUE(legacy.memory.streamed);
-    // A budget this tight escalates Auto to the fused streaming engine
-    // (the projected conflict CSR would blow the cap); the legacy shim
-    // stays pinned to the materialized engine, and the two remain
-    // bit-identical with the same chunk derivation.
     EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::Fused);
     ASSERT_TRUE(session.result.memory.streamed);
-    EXPECT_EQ(session.result.colors, legacy.colors);
-    EXPECT_EQ(session.result.memory.num_chunks, legacy.memory.num_chunks);
+    // The engine over the same chunking the plan reported.
+    const pp::ChunkedPauliReader reader(spill, session.plan.chunk_strings);
+    const auto engine = pcore::solve_pauli_chunked_fused(reader, params);
+    EXPECT_EQ(session.result.colors, engine.colors);
+    EXPECT_EQ(session.result.memory.num_chunks, engine.memory.num_chunks);
     // The in-memory driver agrees too (the repo-wide invariant).
     EXPECT_EQ(session.result.colors,
-              papi::Session::from_params(test_params(seed))
-                  .solve(papi::Problem::pauli(set))
-                  .result.colors);
+              pcore::solve_pauli(set, test_params(seed)).colors);
   }
+  fs::remove_all(dir);
 }
 
-TEST(ApiDifferential, PauliShimNeverStreamsEvenUnderTightBudget) {
-  // Historically picasso_color_pauli treated the memory budget as
-  // telemetry only — it never spilled to disk. The shim must preserve
-  // that; streaming stays opt-in via picasso_color_pauli_budgeted.
-  const auto set = random_set(200, 14, 79);
-  auto params = test_params(79);
-  params.memory_budget_bytes = 1 << 10;  // far below the encoded input
-  const auto legacy = pcore::picasso_color_pauli(set, params);
-  EXPECT_FALSE(legacy.memory.streamed);
-  EXPECT_EQ(legacy.memory.budget_bytes, std::size_t{1} << 10);
-  // Same colors as the unbudgeted run (budget never alters the coloring).
-  EXPECT_EQ(legacy.colors,
-            papi::Session::from_params(test_params(79))
-                .solve(papi::Problem::pauli(set))
-                .result.colors);
-}
-
-TEST(ApiDifferential, BudgetedFallbackToInMemoryMatchesLegacy) {
-  // No budget, no chunking: the legacy budgeted entry point falls back to
-  // the in-memory materialized driver; the session's InMemory plan runs
-  // that same driver.
-  const auto set = random_set(120, 10, 61);
-  const auto params = test_params(61);
-  const auto legacy = pcore::picasso_color_pauli_budgeted(set, params);
-  const auto session = papi::SessionBuilder()
-                           .params(params)
-                           .strategy(papi::ExecutionStrategy::InMemory)
-                           .build()
-                           .solve(papi::Problem::pauli(set));
-  EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
-  EXPECT_FALSE(legacy.memory.streamed);
-  EXPECT_EQ(session.result.colors, legacy.colors);
-}
-
-TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchLegacy) {
+TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchChunkedFusedEngine) {
   const auto set = random_set(200, 12, 67);
   const auto dir = fs::temp_directory_path() / "picasso_api_diff";
   fs::create_directories(dir);
@@ -202,11 +161,12 @@ TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchLegacy) {
 
   const auto params = test_params(67);
   const pp::ChunkedPauliReader reader(spill, 48);
-  const auto legacy = pcore::picasso_color_pauli_chunked(reader, params);
+  const auto engine = pcore::solve_pauli_chunked_fused(reader, params);
 
   const auto via_reader = papi::Session::from_params(params)
                               .solve(papi::Problem::spill_reader(reader));
-  EXPECT_EQ(via_reader.result.colors, legacy.colors);
+  EXPECT_EQ(via_reader.plan.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(via_reader.result.colors, engine.colors);
 
   pcore::StreamingOptions options;
   options.chunk_strings = 48;
@@ -215,20 +175,20 @@ TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchLegacy) {
                             .streaming(options)
                             .build()
                             .solve(papi::Problem::pauli_spill(spill));
-  EXPECT_EQ(via_file.result.colors, legacy.colors);
+  EXPECT_EQ(via_file.result.colors, engine.colors);
   EXPECT_EQ(via_file.plan.chunk_strings, 48u);
 
   fs::remove_all(dir);
 }
 
-TEST(ApiDifferential, MultiDeviceMatchesLegacyShardsAndColoring) {
+TEST(ApiDifferential, MultiDeviceMatchesEngineShardsAndColoring) {
   const auto g = pg::erdos_renyi_dense(220, 0.5, 71);
   const pg::DenseOracle oracle(g);
   const auto params = test_params(71);
   pcore::MultiDeviceConfig config;
   config.num_devices = 4;
   config.device_capacity_bytes = 64u << 20;
-  const auto legacy = pcore::picasso_color_multi_device(oracle, params, config);
+  const auto engine = pcore::solve_multi_device(oracle, params, config);
 
   const auto session = papi::SessionBuilder()
                            .params(params)
@@ -236,30 +196,30 @@ TEST(ApiDifferential, MultiDeviceMatchesLegacyShardsAndColoring) {
                            .build()
                            .solve(papi::Problem::dense(g));
   EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::MultiDevice);
-  EXPECT_EQ(session.result.colors, legacy.coloring.colors);
-  ASSERT_EQ(session.devices.size(), legacy.devices.size());
+  EXPECT_EQ(session.result.colors, engine.coloring.colors);
+  ASSERT_EQ(session.devices.size(), engine.devices.size());
   for (std::size_t d = 0; d < session.devices.size(); ++d) {
-    EXPECT_EQ(session.devices[d].edges, legacy.devices[d].edges) << d;
-    EXPECT_EQ(session.devices[d].peak_bytes, legacy.devices[d].peak_bytes)
+    EXPECT_EQ(session.devices[d].edges, engine.devices[d].edges) << d;
+    EXPECT_EQ(session.devices[d].peak_bytes, engine.devices[d].peak_bytes)
         << d;
   }
-  EXPECT_EQ(session.total_shard_edges(), legacy.total_edges());
+  EXPECT_EQ(session.total_shard_edges(), engine.total_edges());
 }
 
-TEST(ApiDifferential, PauliMultiDeviceMatchesLegacyOracleChoice) {
+TEST(ApiDifferential, PauliMultiDeviceMatchesEngineOracleChoice) {
   // The Pauli multi-device path picks its oracle from the backend exactly
-  // like solve_pauli; pin it against the legacy call with that oracle.
+  // like solve_pauli; pin it against the engine call with that oracle.
   const auto set = random_set(160, 12, 73);
   const auto params = test_params(73);
   pcore::MultiDeviceConfig config;
   config.num_devices = 2;
   config.device_capacity_bytes = 64u << 20;
   const pg::PackedComplementOracle oracle(set.packed_view());
-  const auto legacy = pcore::picasso_color_multi_device(oracle, params, config);
+  const auto engine = pcore::solve_multi_device(oracle, params, config);
   const auto session = papi::SessionBuilder()
                            .params(params)
                            .devices(2, 64u << 20)
                            .build()
                            .solve(papi::Problem::pauli(set));
-  EXPECT_EQ(session.result.colors, legacy.coloring.colors);
+  EXPECT_EQ(session.result.colors, engine.coloring.colors);
 }

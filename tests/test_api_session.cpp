@@ -88,27 +88,6 @@ TEST(SessionBuilder, RejectsMultiDeviceStrategyWithoutDevices) {
       papi::ErrorCode::InvalidConfiguration, "strategy");
 }
 
-TEST(SessionBuilder, RejectsStreamingStrategyWithoutBudgetOrChunks) {
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-            .build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "strategy");
-  // Either a budget or an explicit chunk size satisfies it.
-  EXPECT_NO_THROW(papi::SessionBuilder()
-                      .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-                      .memory_budget(1 << 20)
-                      .build());
-  pcore::StreamingOptions options;
-  options.chunk_strings = 64;
-  EXPECT_NO_THROW(papi::SessionBuilder()
-                      .strategy(papi::ExecutionStrategy::BudgetedStreaming)
-                      .streaming(options)
-                      .build());
-}
-
 TEST(SessionBuilder, RejectsDeviceAndDevicesTogether) {
   picasso::device::DeviceContext ctx(64u << 20);
   expect_api_error(
@@ -195,8 +174,7 @@ TEST(SessionPlan, TightBudgetForcesStreamingForPauli) {
   EXPECT_LE(tight.chunk_strings, set.size());
 
   // Tight for the input but roomy for the conflict CSR (few long strings):
-  // the materialized streaming engine keeps its I/O-optimal chunk-pair
-  // scans.
+  // still the fused streaming engine, the one engine for spilled input.
   const auto wide_set = random_set(60, 2000, 3);
   const std::size_t wide_budget = 100 << 10;
   ASSERT_GT(2 * wide_set.logical_bytes(), wide_budget);
@@ -207,7 +185,7 @@ TEST(SessionPlan, TightBudgetForcesStreamingForPauli) {
                            .memory_budget(wide_budget)
                            .build()
                            .plan(papi::Problem::pauli(wide_set));
-  EXPECT_EQ(spilled.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(spilled.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_GT(spilled.chunk_strings, 0u);
 
   // A budget roomy for the input but below the projected conflict-CSR
@@ -240,7 +218,7 @@ TEST(SessionPlan, ExplicitChunkSizeForcesStreaming) {
                         .streaming(options)
                         .build()
                         .plan(papi::Problem::pauli(set));
-  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(plan.chunk_strings, 25u);
 }
 
@@ -263,17 +241,52 @@ TEST(SessionPlan, ProblemKindPicksItsPipeline) {
 
   const papi::Session session;
   EXPECT_EQ(session.plan(papi::Problem::pauli_spill(spill)).strategy,
-            papi::ExecutionStrategy::BudgetedStreaming);
+            papi::ExecutionStrategy::Fused);
 
   const pp::ChunkedPauliReader reader(spill, 16);
   const auto reader_plan = session.plan(papi::Problem::spill_reader(reader));
-  EXPECT_EQ(reader_plan.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(reader_plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(reader_plan.chunk_strings, 16u);  // the reader's chunking wins
 
   const pcore::VectorEdgeStream stream({{0, 1}, {1, 2}});
   EXPECT_EQ(session.plan(papi::Problem::edge_stream(3, stream)).strategy,
             papi::ExecutionStrategy::SemiStreaming);
 
+  fs::remove_all(dir);
+}
+
+// Spill-backed input has one engine: Auto plans the fused streaming engine
+// with no budget and with a budget the projected conflict CSR fits, and
+// runs it to the same coloring as the in-memory solve.
+TEST(SessionPlan, SpillBackedInputPlansFusedWithOrWithoutBudget) {
+  const auto set = random_set(120, 10, 13);
+  const auto dir = fs::temp_directory_path() / "picasso_api_plan_spill";
+  fs::create_directories(dir);
+  const auto spill = (dir / "spill.pset").string();
+  pp::spill_pauli_set(set, spill);
+  const pp::ChunkedPauliReader reader(spill, 30);
+  const auto in_memory =
+      papi::Session().solve(papi::Problem::pauli(set)).result.colors;
+
+  const std::size_t csr_fits = std::size_t{1} << 30;
+  ASSERT_LE(pcore::projected_conflict_csr_bytes(
+                static_cast<std::uint32_t>(set.size()), 12.5, 2.0),
+            csr_fits);
+  for (const std::size_t budget : {std::size_t{0}, csr_fits}) {
+    const auto session = papi::SessionBuilder().memory_budget(budget).build();
+    for (const auto& problem : {papi::Problem::pauli_spill(spill),
+                                papi::Problem::spill_reader(reader)}) {
+      const auto report = session.solve(problem);
+      EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::Fused)
+          << budget << " " << papi::to_string(problem.kind());
+      EXPECT_TRUE(report.result.memory.streamed);
+      EXPECT_EQ(report.result.colors, in_memory);
+    }
+  }
+  // No budget, no chunk size: the spill file is read as one chunk.
+  EXPECT_EQ(papi::Session().plan(papi::Problem::pauli_spill(spill))
+                .chunk_strings,
+            set.size());
   fs::remove_all(dir);
 }
 
@@ -288,13 +301,14 @@ TEST(SessionPlan, ForcedStrategyMismatchThrows) {
             .plan(problem);
       },
       papi::ErrorCode::IncompatibleStrategy, "strategy");
+  const pcore::VectorEdgeStream stream({{0, 1}, {1, 2}});
   expect_api_error(
       [&] {
         papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+            .strategy(papi::ExecutionStrategy::Fused)
             .memory_budget(1 << 20)
             .build()
-            .plan(problem);
+            .plan(papi::Problem::edge_stream(3, stream));
       },
       papi::ErrorCode::IncompatibleStrategy, "strategy");
 }
@@ -307,7 +321,7 @@ TEST(SessionPlan, ReportCarriesTheExecutedPlan) {
                           .streaming(options)
                           .build()
                           .solve(papi::Problem::pauli(set));
-  EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::BudgetedStreaming);
+  EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(report.plan.chunk_strings, 50u);
   EXPECT_TRUE(report.result.memory.streamed);
   EXPECT_FALSE(report.plan.summary().empty());
@@ -364,20 +378,21 @@ TEST(SessionCancel, MidSolveCancellationStopsAtIterationBoundary) {
 }
 
 TEST(SessionCancel, CancelledStreamingSolveLeavesNoSpillFiles) {
-  const auto set = random_set(400, 16, 27);
+  // Large enough for the first iteration to fire BucketScanned events.
+  const auto set = random_set(1200, 16, 27);
   const auto dir = fs::temp_directory_path() / "picasso_api_cancel_spill";
   fs::remove_all(dir);
 
   pcore::StreamingOptions streaming;
-  streaming.chunk_strings = 50;  // 8 chunks => 36 pair scans per iteration
+  streaming.chunk_strings = 150;  // 8 chunks
   streaming.spill_dir = dir.string();
 
   pcore::StopSource stop;
   papi::SolveOptions options;
   options.stop = stop.token();
   options.progress = [&](const pcore::ProgressEvent& e) {
-    // Cancel from deep inside the first conflict build.
-    if (e.stage == pcore::ProgressStage::ChunkPairScanned) stop.request_stop();
+    // Cancel from inside the first iteration's strike scans.
+    if (e.stage == pcore::ProgressStage::BucketScanned) stop.request_stop();
   };
 
   const auto session = papi::SessionBuilder().streaming(streaming).build();
@@ -626,15 +641,30 @@ TEST(SessionFused, MidSolveCancellationStopsAtBucketBoundary) {
 TEST(ParseStrategy, RoundTripsEveryStrategyAndAcceptsShorthands) {
   for (auto strategy :
        {papi::ExecutionStrategy::Auto, papi::ExecutionStrategy::InMemory,
-        papi::ExecutionStrategy::BudgetedStreaming,
         papi::ExecutionStrategy::SemiStreaming,
-        papi::ExecutionStrategy::MultiDevice, papi::ExecutionStrategy::Fused}) {
+        papi::ExecutionStrategy::MultiDevice, papi::ExecutionStrategy::Fused,
+        papi::ExecutionStrategy::Sketch}) {
     EXPECT_EQ(papi::parse_strategy(papi::to_string(strategy)), strategy);
   }
   EXPECT_EQ(papi::parse_strategy("inmemory"),
             papi::ExecutionStrategy::InMemory);
-  EXPECT_EQ(papi::parse_strategy("streaming"),
-            papi::ExecutionStrategy::BudgetedStreaming);
+}
+
+// The chunk-pair streaming strategy is gone in 2.0: both of its spellings
+// are unknown names now, answered with the valid list.
+TEST(ParseStrategy, RetiredStreamingSpellingsThrowWithTheValidList) {
+  for (const char* name : {"streaming", "budgeted-streaming"}) {
+    try {
+      papi::parse_strategy(name);
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("(valid: auto, in-memory (inmemory), "
+                             "semi-streaming, multi-device, fused, sketch)"),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(ParseStrategy, RejectsUnknownNamesWithTheValidList) {
@@ -645,7 +675,7 @@ TEST(ParseStrategy, RejectsUnknownNamesWithTheValidList) {
     const std::string message = e.what();
     EXPECT_NE(message.find("warp-drive"), std::string::npos);
     EXPECT_NE(message.find("fused"), std::string::npos);
-    EXPECT_NE(message.find("budgeted-streaming"), std::string::npos);
+    EXPECT_NE(message.find("semi-streaming"), std::string::npos);
   }
 }
 

@@ -192,7 +192,7 @@ TEST_F(ChaosTest, EnospcSpillFallsBackToInMemoryBitIdentical) {
   auto budgeted_session = [&] {
     return papi::SessionBuilder()
         .seed(7)
-        .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+        .strategy(papi::ExecutionStrategy::Fused)
         .memory_budget(set.logical_bytes())
         .spill_dir(spill_dir.string())
         .build();
@@ -309,7 +309,7 @@ TEST_F(ChaosTest, DelayFailpointOnlyDelays) {
   pfp::arm("spill.read", {pfp::Mode::Delay, 5, 3});
   const auto delayed = papi::SessionBuilder()
                            .seed(3)
-                           .strategy(papi::ExecutionStrategy::BudgetedStreaming)
+                           .strategy(papi::ExecutionStrategy::Fused)
                            .memory_budget(set.logical_bytes())
                            .spill_dir(spill_dir.string())
                            .build()

@@ -462,12 +462,12 @@ TEST(SessionTelemetry, FusedStrikeHitsMatchIterationConflicts) {
             sum_uncolored(report.result));
 }
 
-TEST(SessionTelemetry, BudgetedStreamingSurfacesCacheAndSpillCounters) {
+TEST(SessionTelemetry, FusedStreamingSurfacesCacheAndSpillCounters) {
   // Satellite (b): the chunk cache's hit/miss/re-read tallies must agree
   // between the counter registry and MemoryReport, and show up in its JSON.
   const auto set = random_set(200, 12, 31);
   SolveSpec spec;
-  spec.strategy = papi::ExecutionStrategy::BudgetedStreaming;
+  spec.strategy = papi::ExecutionStrategy::Fused;
   spec.chunk_strings = 50;  // 4 chunks
   const auto report = solve_pauli_spec(set, spec);
   const auto& counters = report.telemetry.counters;
@@ -521,12 +521,6 @@ std::vector<StrategyCase> all_strategies() {
     SolveSpec s;
     s.strategy = papi::ExecutionStrategy::InMemory;
     cases.push_back({"in-memory", s});
-  }
-  {
-    SolveSpec s;
-    s.strategy = papi::ExecutionStrategy::BudgetedStreaming;
-    s.chunk_strings = 40;
-    cases.push_back({"budgeted-streaming", s});
   }
   {
     SolveSpec s;

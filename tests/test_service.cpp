@@ -484,11 +484,66 @@ TEST_F(ServiceTest, MalformedRequestGetsBadRequestNotDisconnect) {
   EXPECT_EQ(frame.type, psvc::FrameType::Result);
 }
 
+// Strategy byte 2 belonged to the chunk-pair streaming strategy removed in
+// API 2.0. The protocol stays v2: the server answers that byte with
+// BadRequest naming it as retired, rejects bytes past the last strategy as
+// unknown, and keeps serving every surviving strategy on the same
+// connection.
+TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
+  start_server();
+  auto client = psvc::Client::connect(server_.address());
+  const pp::PauliSet set = random_set(40, 8, 10);
+
+  psvc::RemoteParams params;
+  params.strategy = 2;
+  const psvc::RemoteResult retired = client.solve(set, params);
+  ASSERT_FALSE(retired.ok);
+  EXPECT_EQ(retired.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(retired.error_message.find("budgeted-streaming"),
+            std::string::npos)
+      << retired.error_message;
+  EXPECT_NE(retired.error_message.find("removed"), std::string::npos)
+      << retired.error_message;
+
+  params.strategy = 7;
+  const psvc::RemoteResult unknown = client.solve(set, params);
+  ASSERT_FALSE(unknown.ok);
+  EXPECT_EQ(unknown.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(unknown.error_message.find("unknown strategy value 7"),
+            std::string::npos)
+      << unknown.error_message;
+
+  const auto reference =
+      papi::Session().solve(papi::Problem::pauli(set)).result.colors;
+  for (const auto strategy :
+       {papi::ExecutionStrategy::Auto, papi::ExecutionStrategy::InMemory,
+        papi::ExecutionStrategy::Fused, papi::ExecutionStrategy::Sketch}) {
+    params.strategy = static_cast<std::uint8_t>(strategy);
+    const psvc::RemoteResult ok = client.solve(set, params);
+    ASSERT_TRUE(ok.ok) << papi::to_string(strategy) << ": "
+                       << ok.error_message;
+    EXPECT_EQ(ok.result.colors, reference) << papi::to_string(strategy);
+  }
+}
+
 TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {
   config_.max_active_solves = 1;
+  const pp::PauliSet blocker_set = random_set(2000, 24, 10);
+  // The blocker holds the only solver slot until shutdown cancels it, so
+  // the second request is still queued when stop() runs however fast a
+  // solve is.
+  config_.on_dispatch = [&](const psvc::SolveRequestMsg& msg,
+                            const picasso::core::StopToken& stop) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (msg.records.size() == blocker_set.size() &&
+           !stop.stop_requested() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   start_server();
 
-  const pp::PauliSet blocker_set = random_set(2000, 24, 10);
   psvc::RemoteParams blocker_params;
   blocker_params.max_iterations = 5000;
   blocker_params.palette_percent = 0.5;
