@@ -33,6 +33,7 @@ Fixture make_fixture(std::uint32_t n, std::uint64_t seed) {
   for (std::uint32_t v = 0; v < n; ++v) active[v] = v;
   const auto palette = core::compute_palette(n, 12.5, 2.0, 0);
   auto lists = core::assign_random_lists(n, palette, seed, 0);
+  lists.build_signatures();  // as the materialized driver does
   auto conflict =
       core::build_conflict_graph(oracle, active, lists, palette.palette_size,
                                  core::ConflictKernel::Indexed);

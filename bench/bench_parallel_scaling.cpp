@@ -73,7 +73,8 @@ int main() {
   std::vector<std::uint32_t> active(n);
   for (std::uint32_t v = 0; v < n; ++v) active[v] = v;
   const auto palette = core::compute_palette(n, 12.5, 2.0, 0);
-  const auto lists = core::assign_random_lists(n, palette, 1, 0);
+  auto lists = core::assign_random_lists(n, palette, 1, 0);
+  lists.build_signatures();  // as the materialized driver does
 
   std::printf("input: RMAT |V|=%u |E|=%llu, palette P=%u L=%u\n\n", n,
               static_cast<unsigned long long>(g.num_edges()),

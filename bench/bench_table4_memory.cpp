@@ -27,9 +27,8 @@
 namespace {
 
 /// FNV-1a over the color sequence — the same replay fingerprint
-/// bench_incremental pins; here it ties the sketch rows to their fused
-/// siblings, and the budgeted streaming rows to the in-memory coloring, in
-/// the baseline gate.
+/// bench_incremental pins; here it ties the fused rows, and the budgeted
+/// streaming rows, to the in-memory coloring in the baseline gate.
 std::uint64_t coloring_hash(const picasso::util::PackedColorArray& colors) {
   return picasso::util::coloring_fingerprint(colors);
 }
@@ -41,7 +40,7 @@ int main() {
   bench::print_banner("Table IV", "peak memory on the small dataset");
 
   util::Table table({"problem", "|V|", "ColPack*", "Picasso Norm.",
-                     "Picasso Fused", "Picasso Sketch", "Picasso Aggr.",
+                     "Picasso Fused", "Picasso Aggr.",
                      "Kokkos-EB*", "ECL-GC-R*", "ColPack/Norm"});
 
   util::RunningStats ratios;
@@ -67,7 +66,7 @@ int main() {
     // records feed the CI regression gate. The materialized run pins the
     // Indexed kernel (the optimised CSR build) so the fused timing ratio
     // below is against the strongest CSR path.
-    enum class Mode { Materialized, Fused, Sketch };
+    enum class Mode { Materialized, Fused };
     auto run = [&](double percent, double alpha, Mode mode) {
       core::PicassoParams params;
       params.palette_percent = percent;
@@ -78,10 +77,6 @@ int main() {
           obs::TelemetryLevel::Counters);
       if (mode == Mode::Fused) {
         builder.strategy(api::ExecutionStrategy::Fused);
-      } else if (mode == Mode::Sketch) {
-        // The probabilistic tier: support-bloom prefilter in front of the
-        // fused engine's exact kernels (colorings stay bit-identical).
-        builder.strategy(api::ExecutionStrategy::Sketch);
       } else {
         builder.strategy(api::ExecutionStrategy::InMemory)
             .kernel(core::ConflictKernel::Indexed);
@@ -96,8 +91,8 @@ int main() {
                     const std::string& tag, bool with_hash) {
       char extra[96];
       if (with_hash) {
-        // Fused and sketch rows carry the coloring fingerprint so the CI
-        // gate can pin sketch == fused exactly, not just "peak is lower".
+        // Fused rows carry the coloring fingerprint so the CI gate pins
+        // the coloring exactly, not just "peak is lower".
         std::snprintf(extra, sizeof(extra),
                       "\"seconds\":%.6f,\"coloring_hash\":\"%016llx\"",
                       r.total_seconds,
@@ -124,14 +119,6 @@ int main() {
     }
     fused_time_ratios.add(fused_r.total_seconds /
                           std::max(1e-9, norm_r.total_seconds));
-    const auto [sketch_r, sketch_c] = run(12.5, 2.0, Mode::Sketch);
-    emit(sketch_r, sketch_c, "normal_sketch", true);
-    if (sketch_r.colors != fused_r.colors) {
-      std::fprintf(stderr,
-                   "FATAL: sketch coloring diverged from fused on %s\n",
-                   spec.name.c_str());
-      return 1;
-    }
     const auto [aggr_r, aggr_c] = run(3.0, 30.0, Mode::Materialized);
     emit(aggr_r, aggr_c, "aggressive", false);
     const auto [aggr_fused_r, aggr_fused_c] = run(3.0, 30.0, Mode::Fused);
@@ -143,22 +130,11 @@ int main() {
                    spec.name.c_str());
       return 1;
     }
-    const auto [aggr_sketch_r, aggr_sketch_c] = run(3.0, 30.0, Mode::Sketch);
-    emit(aggr_sketch_r, aggr_sketch_c, "aggressive_sketch", true);
-    if (aggr_sketch_r.colors != aggr_fused_r.colors) {
-      std::fprintf(stderr,
-                   "FATAL: sketch coloring diverged from fused on %s "
-                   "(aggressive)\n",
-                   spec.name.c_str());
-      return 1;
-    }
 
     // Working sets: encoded input + per-iteration structures.
     const std::size_t norm = set.logical_bytes() + norm_r.peak_logical_bytes;
     const std::size_t fused =
         set.logical_bytes() + fused_r.peak_logical_bytes;
-    const std::size_t sketch =
-        set.logical_bytes() + sketch_r.peak_logical_bytes;
     const std::size_t aggr = set.logical_bytes() + aggr_r.peak_logical_bytes;
 
     const double ratio =
@@ -168,7 +144,6 @@ int main() {
                    util::Table::fmt_int(static_cast<long long>(n)),
                    util::Table::fmt_bytes(colpack), util::Table::fmt_bytes(norm),
                    util::Table::fmt_bytes(fused),
-                   util::Table::fmt_bytes(sketch),
                    util::Table::fmt_bytes(aggr), util::Table::fmt_bytes(kokkos),
                    util::Table::fmt_bytes(eclgc),
                    util::Table::fmt(ratio, 1) + "x"});
@@ -179,10 +154,7 @@ int main() {
       " auxiliaries (see source for the accounting). Picasso columns are\n"
       " measured peaks: encoded input + lists + conflict CSR + buckets;\n"
       " the Fused column colors edge-free off the palette buckets and\n"
-      " never stages a conflict CSR at all (colorings bit-identical);\n"
-      " the Sketch column swaps the per-vertex support signatures for\n"
-      " 32-bit support blooms in front of the exact kernels (still\n"
-      " bit-identical — its sketch_* counters measure the filter rate).\n"
+      " never stages a conflict CSR at all (colorings bit-identical).\n"
       "ColPack/Picasso-Normal ratio: geomean %.1fx, max %.1fx\n"
       "(paper: 14-68x depending on instance, growing with size).\n"
       "Fused/Indexed-CSR end-to-end time: geomean %.2fx (<= 1 expected:\n"

@@ -34,7 +34,7 @@ endfunction()
 expect_usage_error(bad_strategy
   ARGS color H4_1D_sto3g --strategy bogus
   STDERR_HAS "unknown execution strategy 'bogus'"
-             "valid:" "auto" "in-memory" "semi-streaming" "fused" "sketch"
+             "valid:" "auto" "in-memory" "semi-streaming" "fused"
              "usage:")
 
 # The chunk-pair streaming strategy was removed in API 2.0; its spelling is
@@ -42,6 +42,11 @@ expect_usage_error(bad_strategy
 expect_usage_error(retired_strategy
   ARGS color H4_1D_sto3g --strategy streaming
   STDERR_HAS "unknown execution strategy 'streaming'" "valid:" "usage:")
+
+# So was the probabilistic prefilter tier in API 3.0.
+expect_usage_error(retired_sketch_strategy
+  ARGS color H4_1D_sto3g --strategy sketch
+  STDERR_HAS "unknown execution strategy 'sketch'" "valid:" "usage:")
 
 expect_usage_error(bad_backend
   ARGS color H4_1D_sto3g --backend bogus

@@ -18,13 +18,11 @@
 //   --mode M        partition relation: unitary | commute | qwc
 //   --backend B     Pauli backend: auto | scalar | packed | packed-scalar
 //   --strategy S    execution strategy: auto | in-memory (inmemory) |
-//                   semi-streaming | multi-device | fused | sketch.
+//                   semi-streaming | multi-device | fused.
 //                   Applies to `color` and (for unitary mode)
 //                   `partition`; `fused` colors edge-free
 //                   off the palette buckets, never building the conflict
-//                   CSR; `sketch` adds the probabilistic Bloom tier (exact
-//                   colorings for Pauli input, hashed edge oracle for
-//                   explicit graphs).
+//                   CSR.
 //   --budget BYTES  memory budget (0 = unlimited; may make the fused
 //                   engine spill the input and stream it back in chunks)
 //   --mtx           color: parse --file as MatrixMarket (auto-detected for
@@ -146,7 +144,7 @@ const char* kUsage =
     "[--percent P] [--alpha A] [--seed S] [--mode unitary|commute|qwc] "
     "[--backend auto|scalar|packed|packed-scalar] "
     "[--strategy "
-    "auto|inmemory|semi-streaming|multi-device|fused|sketch] "
+    "auto|inmemory|semi-streaming|multi-device|fused] "
     "[--budget BYTES] [--file path] [--mtx] [--stream] [--refine] [--csv] "
     "[--metrics] [--trace FILE] [--update FILE]... "
     "[--connect ADDR] [--tenant NAME] [--priority N] [--cancel-after N] "
@@ -455,11 +453,10 @@ int cmd_partition(const CliOptions& opt) {
     emit_telemetry(report, opt);
     return 0;
   }
-  // The edge-free engines never build the conflict graph: their count is
-  // the edges the strike scans visited, a lower bound of the conflict-graph
+  // The edge-free engine never builds the conflict graph: its count is the
+  // edges the strike scans visited, a lower bound of the conflict-graph
   // size for the dynamic schemes.
-  const bool edges_visited = engine == api::ExecutionStrategy::Fused ||
-                             engine == api::ExecutionStrategy::Sketch;
+  const bool edges_visited = engine == api::ExecutionStrategy::Fused;
   std::printf("%s under %s: %zu strings -> %zu groups (%.2fx), "
               "%zu iterations, %llu max conflict edges%s, %s\n",
               spec.name.c_str(), to_string(opt.mode), active->size(),

@@ -19,12 +19,6 @@ Records are keyed by (bench, name). The gate fails when
     strictly below the sibling's conflict_csr subsystem high-water mark, or
     the fused run charged conflict_csr at all — the edge-free contract of
     the fused engine, gated on the Table-4 dataset records, or
-  * a sketch-tier record (name ending in "_sketch") has a "_fused" sibling
-    in the current run and its peak-tracked bytes are not STRICTLY below
-    the sibling's (the sketch drops the 8-byte support signatures for
-    4-byte blooms, so its peak must undercut the fused run), or it charged
-    conflict_csr, or both rows carry a coloring_hash and they differ (the
-    prefilter must leave colorings bit-identical to the fused engine), or
   * a record carries a "counters" object (the deterministic work counters of
     obs::MetricsRegistry, emitted by single-threaded bench runs) in both
     files and any deterministic counter differs AT ALL — 0% tolerance,
@@ -214,43 +208,6 @@ def main():
             print(f"fused ok   {label}: peak {fused_peak} B < "
                   f"materialized conflict_csr {csr_hwm} B")
 
-    # Sketch-tier contract: a "<name>_sketch" record must stay edge-free,
-    # undercut its "<name>_fused" sibling's total peak (blooms are strictly
-    # cheaper than the signatures they replace) and color identically.
-    sketch_checked = 0
-    for (bench, name), row in sorted(current.items()):
-        if not name.endswith("_sketch"):
-            continue
-        label = f"{bench}/{name}"
-        subsystems = row.get("report", {}).get("subsystems", {})
-        if subsystems.get("conflict_csr", 0):
-            failures.append(
-                f"SKETCH   {label}: charged conflict_csr "
-                f"({subsystems['conflict_csr']} B) — the sketch tier rides "
-                f"the edge-free engine")
-            continue
-        sibling = current.get((bench, name[: -len("_sketch")] + "_fused"))
-        if sibling is None:
-            continue
-        sketch_checked += 1
-        sketch_peak = row.get("peak_tracked_bytes", 0)
-        fused_peak = sibling.get("peak_tracked_bytes", 0)
-        if fused_peak and sketch_peak >= fused_peak:
-            failures.append(
-                f"SKETCH   {label}: peak {sketch_peak} B not strictly below "
-                f"the fused sibling's {fused_peak} B")
-        else:
-            print(f"sketch ok  {label}: peak {sketch_peak} B < "
-                  f"fused {fused_peak} B")
-        base_hash = sibling.get("coloring_hash")
-        cur_hash = row.get("coloring_hash")
-        if base_hash is not None and cur_hash is not None \
-                and cur_hash != base_hash:
-            failures.append(
-                f"SKETCH   {label}: coloring_hash {cur_hash} != fused "
-                f"sibling {base_hash} (the prefilter must not change "
-                f"colorings)")
-
     if failures:
         print("\nbench memory gate FAILED:", file=sys.stderr)
         for f in failures:
@@ -258,8 +215,7 @@ def main():
         return 1
     print(f"\nbench memory gate passed "
           f"({len(baseline)} records, {fused_checked} fused-vs-materialized "
-          f"and {sketch_checked} sketch-vs-fused checks, "
-          f"{counter_records} counter records and "
+          f"checks, {counter_records} counter records and "
           f"{hash_records} coloring hashes exact-matched, "
           f"tolerance +{args.tolerance:.0%})")
     return 0

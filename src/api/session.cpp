@@ -95,7 +95,6 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
     case ExecutionStrategy::SemiStreaming: return "semi-streaming";
     case ExecutionStrategy::MultiDevice: return "multi-device";
     case ExecutionStrategy::Fused: return "fused";
-    case ExecutionStrategy::Sketch: return "sketch";
   }
   return "?";
 }
@@ -104,7 +103,7 @@ ExecutionStrategy parse_strategy(std::string_view name) {
   constexpr ExecutionStrategy kAll[] = {
       ExecutionStrategy::Auto,          ExecutionStrategy::InMemory,
       ExecutionStrategy::SemiStreaming, ExecutionStrategy::MultiDevice,
-      ExecutionStrategy::Fused,         ExecutionStrategy::Sketch};
+      ExecutionStrategy::Fused};
   for (ExecutionStrategy strategy : kAll) {
     if (name == to_string(strategy)) return strategy;
   }
@@ -202,14 +201,12 @@ Session SessionBuilder::build() const {
     throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
                    "MultiDevice strategy requires .devices(count, capacity)");
   }
-  if ((session_.strategy_ == ExecutionStrategy::Fused ||
-       session_.strategy_ == ExecutionStrategy::Sketch) &&
+  if (session_.strategy_ == ExecutionStrategy::Fused &&
       (p.device != nullptr || session_.num_devices_ > 0)) {
     throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
-                   std::string("the ") + to_string(session_.strategy_) +
-                       " strategy colors straight off the oracle and does "
-                       "not run the simulated-device pipelines; drop "
-                       ".device()/.devices() or pick another strategy");
+                   "the fused strategy colors straight off the oracle and "
+                   "does not run the simulated-device pipelines; drop "
+                   ".device()/.devices() or pick another strategy");
   }
   return session_;
 }
@@ -297,19 +294,6 @@ SolvePlan Session::plan(const Problem& problem) const {
         throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
                        std::string("Fused needs an oracle-capable or "
                                    "spill-backed problem, got ") +
-                           to_string(kind));
-      }
-      break;
-    case ExecutionStrategy::Sketch:
-      // The probabilistic tier needs resident input: a Pauli kind (support
-      // blooms fold off the packed planes) or an explicit graph (edge set
-      // hashed into a Bloom filter). Never picked by Auto — the sketch is
-      // an explicit opt-in.
-      if (kind != ProblemKind::Pauli && kind != ProblemKind::PackedPauli &&
-          kind != ProblemKind::Csr && kind != ProblemKind::Dense) {
-        throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
-                       std::string("Sketch needs a Pauli, PackedPauli, Csr "
-                                   "or Dense problem, got ") +
                            to_string(kind));
       }
       break;
@@ -443,73 +427,6 @@ SolveReport Session::solve(const Problem& problem,
           report.result = core::solve_fused(problem.oracle_ref(), params);
           break;
       }
-      break;
-    }
-    case ExecutionStrategy::Sketch: {
-      SketchInfo info;
-      info.used = true;
-      switch (problem.kind()) {
-        case ProblemKind::Pauli: {
-          // Sketch-prefiltered fused solve: support blooms dismiss
-          // provably-commuting candidate batches before the exact packed
-          // merge; the coloring is bit-identical to the Fused sibling.
-          params.sketch_prefilter = true;
-          report.result = core::solve_pauli_fused(problem.pauli_set(), params);
-          break;
-        }
-        case ProblemKind::PackedPauli: {
-          params.sketch_prefilter = true;
-          const pauli::PackedPauliSet& set = problem.packed_set();
-          util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                          set.logical_bytes());
-          const graph::PackedComplementOracle oracle(
-              set.view(), simd_for(params.pauli_backend));
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrGraph& g = problem.csr_graph();
-          const graph::CsrOracle exact(g);
-          const auto hashed = core::build_hashed_oracle(
-              g, exact, core::hashed_sketch_bits(g.num_edges(), params),
-              params.seed);
-          // The hashed oracle's query counters are plain (non-atomic):
-          // keep every edge query on the scheme body's thread.
-          params.runtime.serial_cutoff = 0xffffffffu;
-          util::ScopedCharge sketch_charge(util::MemSubsystem::SketchSigs,
-                                           hashed.bloom_bytes());
-          report.result = core::solve_fused(hashed, params);
-          info.hashed = true;
-          info.probes = hashed.stats().probes;
-          info.claimed = hashed.stats().claimed;
-          info.false_conflicts = hashed.stats().false_conflicts;
-          info.false_conflict_rate = hashed.stats().false_conflict_rate();
-          info.sketch_bytes = hashed.bloom_bytes();
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle exact(problem.dense_graph());
-          const auto hashed = core::build_hashed_oracle(
-              exact,
-              core::hashed_sketch_bits(problem.dense_graph().num_edges(),
-                                       params),
-              params.seed);
-          params.runtime.serial_cutoff = 0xffffffffu;
-          util::ScopedCharge sketch_charge(util::MemSubsystem::SketchSigs,
-                                           hashed.bloom_bytes());
-          report.result = core::solve_fused(hashed, params);
-          info.hashed = true;
-          info.probes = hashed.stats().probes;
-          info.claimed = hashed.stats().claimed;
-          info.false_conflicts = hashed.stats().false_conflicts;
-          info.false_conflict_rate = hashed.stats().false_conflict_rate();
-          info.sketch_bytes = hashed.bloom_bytes();
-          break;
-        }
-        default:
-          break;  // unreachable: plan() rejects other kinds
-      }
-      report.sketch = info;
       break;
     }
     case ExecutionStrategy::MultiDevice: {

@@ -48,8 +48,8 @@ namespace picasso::api {
 /// the memory budget and the device list; the rest force one pipeline and
 /// fail with ApiError(IncompatibleStrategy) when the problem cannot run it.
 /// The values cross the service wire as raw bytes, so they are pinned; 2
-/// belonged to the chunk-pair streaming strategy removed in 2.0 and stays
-/// unused.
+/// belonged to the chunk-pair streaming strategy removed in 2.0 and 6 to
+/// the probabilistic prefilter tier removed in 3.0; both stay unused.
 enum class ExecutionStrategy {
   Auto = 0,
   InMemory = 1,       // paper Algorithm 1 reference: conflict CSR
@@ -61,17 +61,13 @@ enum class ExecutionStrategy {
                       // (spills + strikes off chunked records when the
                       // budget/chunking forces streaming); Auto's pick for
                       // every oracle-capable or spill-backed problem
-  Sketch = 6,         // probabilistic tier: fused engine with the Bloom
-                      // support-sketch prefilter for Pauli kinds; a fully
-                      // hashed edge oracle for Csr/Dense graphs (colorings
-                      // stay valid — the hash admits no false negatives)
 };
 
 const char* to_string(ExecutionStrategy strategy) noexcept;
 
 /// Inverse of to_string(ExecutionStrategy): parses "auto" / "in-memory" /
-/// "semi-streaming" / "multi-device" / "fused" / "sketch" (plus the CLI
-/// shorthand "inmemory"). Throws
+/// "semi-streaming" / "multi-device" / "fused" (plus the CLI shorthand
+/// "inmemory"). Throws
 /// std::invalid_argument naming the valid spellings on anything else — the
 /// CLI surfaces that message verbatim with exit code 2.
 ExecutionStrategy parse_strategy(std::string_view name);
@@ -118,24 +114,6 @@ struct SolveTelemetry {
   }
 };
 
-/// What the probabilistic tier of an ExecutionStrategy::Sketch solve did.
-/// For Pauli kinds the sketch is a prefilter in front of exact kernels, so
-/// the coloring is bit-identical to the Fused sibling and the per-probe
-/// stats live in the telemetry counters (sketch_probes / sketch_hits /
-/// sketch_false_positives). For Csr/Dense the solve ran entirely against a
-/// hashed edge membership filter; the fields below measure how often the
-/// hash claimed an edge the exact oracle disowns (extra colors, never an
-/// invalid coloring).
-struct SketchInfo {
-  bool used = false;    // a sketch tier actually engaged
-  bool hashed = false;  // fully-hashed oracle (Csr/Dense), not a prefilter
-  std::uint64_t probes = 0;           // hashed: edge queries answered
-  std::uint64_t claimed = 0;          // hashed: queries the filter claimed
-  std::uint64_t false_conflicts = 0;  // hashed: claims the exact oracle denies
-  double false_conflict_rate = 0.0;   // false_conflicts / probes
-  std::size_t sketch_bytes = 0;       // filter footprint (Bloom bit array)
-};
-
 /// PicassoResult enriched with the plan that produced it (and, for
 /// multi-device runs, the per-shard stats of core::MultiDeviceResult).
 struct SolveReport {
@@ -151,8 +129,6 @@ struct SolveReport {
   /// Set by Session::update() only: the insertion/recolor/escalation work
   /// accounting of that one delta.
   std::optional<core::UpdateStats> update;
-  /// Set by ExecutionStrategy::Sketch solves only.
-  std::optional<SketchInfo> sketch;
 
   std::uint64_t total_shard_edges() const noexcept {
     return core::total_shard_edges(devices);

@@ -10,13 +10,15 @@
 // Session, ApiError) is stable within a major version. A deprecated
 // function is kept until the next major version and then removed; 2.0
 // removed the deprecated free-function colorers and the chunk-pair
-// streaming strategy.
+// streaming strategy. 3.0 removed the probabilistic prefilter tier (its
+// strategy, its two PicassoParams fields, its report field, counters and
+// memory subsystem); Fused is the one exact edge-free engine.
 
-#define PICASSO_API_VERSION_MAJOR 2
+#define PICASSO_API_VERSION_MAJOR 3
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 
-// "MMmmpp" as a single comparable integer, e.g. 20000 for 2.0.0.
+// "MMmmpp" as a single comparable integer, e.g. 30000 for 3.0.0.
 #define PICASSO_API_VERSION_CODE                               \
   (PICASSO_API_VERSION_MAJOR * 10000 + PICASSO_API_VERSION_MINOR * 100 + \
    PICASSO_API_VERSION_PATCH)

@@ -314,8 +314,8 @@ std::uint32_t FusedState::distinct_colors() const {
 
 void FusedState::or_signature(std::uint32_t color, const std::uint64_t* sup) {
   std::uint64_t* sig = sigs_.data() + static_cast<std::size_t>(color) *
-                                          sig_words_;
-  for (std::size_t k = 0; k < sig_words_; ++k) sig[k] |= sup[k];
+                                          rec_words_;
+  for (std::size_t k = 0; k < rec_words_; ++k) sig[k] |= sup[k];
 }
 
 void FusedState::rebuild_from_colors(
@@ -331,29 +331,18 @@ void FusedState::rebuild_from_colors(
   for (std::size_t i = 0; i < prefix_colors.size(); ++i) {
     buckets_[prefix_colors[i]].push_back(static_cast<std::uint32_t>(i));
   }
-  sigs_.assign(static_cast<std::size_t>(total_colors_) * sig_words_, 0);
-}
-
-std::size_t FusedState::signature_words(std::size_t rec_words) const {
-  if (!params_.sketch_prefilter || rec_words == 0) return rec_words;
-  // params_.sketch_words counts 32-bit words (the fused-engine
-  // convention); these signatures are 64-bit, so halve rounding up.
-  const std::size_t w =
-      params_.sketch_words != 0 ? (params_.sketch_words + 1) / 2 : 1;
-  return std::min(std::max<std::size_t>(w, 1), rec_words);
+  sigs_.assign(static_cast<std::size_t>(total_colors_) * rec_words_, 0);
 }
 
 void FusedState::fold_support(const std::uint64_t* rec,
                               std::uint64_t* out) const {
-  if (sig_words_ == 0) return;
-  for (std::size_t k = 0; k < sig_words_; ++k) out[k] = 0;
   for (std::size_t k = 0; k < rec_words_; ++k) {
-    out[k % sig_words_] |= rec[k] | rec[rec_words_ + k];
+    out[k] = rec[k] | rec[rec_words_ + k];
   }
 }
 
 void FusedState::rebuild_signatures(Prober& prober) {
-  std::vector<std::uint64_t> sup(sig_words_);
+  std::vector<std::uint64_t> sup(rec_words_);
   for (std::size_t v = 0; v < cursor_; ++v) {
     const std::uint64_t* rec = prober.member_record(
         static_cast<std::uint32_t>(v));
@@ -409,7 +398,6 @@ void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,
   kind_ = Kind::Pauli;
   num_qubits_ = set.num_qubits();
   rec_words_ = pauli::packed_words(num_qubits_);
-  sig_words_ = signature_words(rec_words_);
   colors_.assign(set.size(), kUncolored);
   if (use_spill_) {
     spill_pauli_set(set, spill_path_);
@@ -448,7 +436,6 @@ void FusedState::ingest_pauli(const pauli::PauliSet& delta) {
   if (num_qubits_ == 0) {
     num_qubits_ = delta.num_qubits();
     rec_words_ = pauli::packed_words(num_qubits_);
-    sig_words_ = signature_words(rec_words_);
   } else if (delta.num_qubits() != num_qubits_) {
     throw std::invalid_argument("FusedState: delta qubit count mismatch");
   }
@@ -491,7 +478,7 @@ void FusedState::open_fresh_color(std::uint32_t v, const std::uint64_t* sup_v,
                                   UpdateStats& stats) {
   colors_[v] = total_colors_;
   buckets_.emplace_back(1, v);
-  sigs_.resize((static_cast<std::size_t>(total_colors_) + 1) * sig_words_, 0);
+  sigs_.resize((static_cast<std::size_t>(total_colors_) + 1) * rec_words_, 0);
   ++total_colors_;
   if (sup_v != nullptr) or_signature(total_colors_ - 1, sup_v);
   ++fresh_colors_;
@@ -514,12 +501,10 @@ bool FusedState::try_recolor(Prober& prober, std::uint32_t v,
     ++stats.bucket_probes;
     obs::count(obs::Counter::UpdateBucketProbes);
     std::vector<std::uint32_t> blockers;
-    if (params_.sketch_prefilter) obs::count(obs::Counter::SketchProbes);
     if (supports_disjoint(sup_v, sigs_.data() + static_cast<std::size_t>(c) *
-                                                    sig_words_,
-                          sig_words_)) {
+                                                    rec_words_,
+                          rec_words_)) {
       // Disjoint supports: v commutes with — conflicts with — every member.
-      if (params_.sketch_prefilter) obs::count(obs::Counter::SketchHits);
       blockers = bucket;
     } else {
       hits.resize(bucket.size());
@@ -559,7 +544,7 @@ bool FusedState::try_recolor(Prober& prober, std::uint32_t v,
     std::uint32_t to;
   };
   std::vector<Move> moves;
-  std::vector<std::uint64_t> sup_b(sig_words_);
+  std::vector<std::uint64_t> sup_b(rec_words_);
   bool ok = true;
   for (std::uint32_t b : best_blockers) {
     const std::uint64_t* rec = prober.set_u(b);
@@ -571,24 +556,17 @@ bool FusedState::try_recolor(Prober& prober, std::uint32_t v,
       if (bucket.empty()) continue;  // relocations reuse existing colors only
       ++stats.bucket_probes;
       obs::count(obs::Counter::UpdateBucketProbes);
-      if (params_.sketch_prefilter) obs::count(obs::Counter::SketchProbes);
       if (supports_disjoint(sup_b.data(),
                             sigs_.data() + static_cast<std::size_t>(d) *
-                                               sig_words_,
-                            sig_words_)) {
+                                               rec_words_,
+                            rec_words_)) {
         ++stats.signature_fast_exits;
         obs::count(obs::Counter::SignatureFastExits);
-        if (params_.sketch_prefilter) obs::count(obs::Counter::SketchHits);
         continue;
       }
       if (bucket_admits(prober, bucket, hits)) {
         target = d;
         break;
-      }
-      // Folded signature failed to dismiss a bucket the exact scan then
-      // rejected — the sketch's (measured) false positive.
-      if (params_.sketch_prefilter) {
-        obs::count(obs::Counter::SketchFalsePositives);
       }
     }
     if (target == kUncolored) {
@@ -663,8 +641,8 @@ std::uint32_t FusedState::first_fit(Prober& prober, const std::uint64_t* sup_v,
       if (bucket.empty()) break;
       if (supports_disjoint(sup_v,
                             sigs_.data() + static_cast<std::size_t>(end) *
-                                               sig_words_,
-                            sig_words_)) {
+                                               rec_words_,
+                            rec_words_)) {
         continue;  // disjoint supports: commutes with every member
       }
       if (!sweep.ids.empty() &&
@@ -717,13 +695,6 @@ std::uint32_t FusedState::first_fit(Prober& prober, const std::uint64_t* sup_v,
     obs::count(obs::Counter::UpdateBucketProbes, examined);
     stats.signature_fast_exits += fast_exits;
     obs::count(obs::Counter::SignatureFastExits, fast_exits);
-    if (params_.sketch_prefilter) {
-      obs::count(obs::Counter::SketchProbes, nonempty);
-      obs::count(obs::Counter::SketchHits, fast_exits);
-      // Folded signatures that failed to dismiss a bucket the exact scan
-      // then rejected — the sketch's (measured) false positives.
-      obs::count(obs::Counter::SketchFalsePositives, probed);
-    }
     c = end;
   }
   return chosen;
@@ -736,7 +707,7 @@ void FusedState::color_pauli_backlog(const StopToken& stop,
   if (cursor_ >= total) return;
   auto prober = make_prober();
   Sweep sweep;
-  std::vector<std::uint64_t> sup(sig_words_);
+  std::vector<std::uint64_t> sup(rec_words_);
   while (cursor_ < total) {
     detail::throw_if_stopped(stop);
     const auto v = static_cast<std::uint32_t>(cursor_);

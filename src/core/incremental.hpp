@@ -191,15 +191,8 @@ class FusedState {
   void rebuild_from_colors(const std::vector<std::uint32_t>& colors);
   void rebuild_signatures(Prober& prober);
   void or_signature(std::uint32_t color, const std::uint64_t* record);
-  /// Signature width for a record of `rec_words` packed words per plane:
-  /// the full width normally, a folded sketch width (default one word,
-  /// params_.sketch_words/2 when pinned) under params_.sketch_prefilter.
-  std::size_t signature_words(std::size_t rec_words) const;
-  /// out[0..sig_words_) = the (x|z) support of `rec` OR-folded to the
-  /// signature width (identity copy when sig_words_ == rec_words_). A
-  /// shared qubit lands on the same (word, bit) at any fixed width, so a
-  /// zero AND against a folded bucket signature still PROVES disjointness
-  /// — the sketch only weakens dismissals, never answers wrongly.
+  /// out[0..rec_words_) = the (x|z) support of `rec`: a zero AND against a
+  /// bucket signature proves v's support disjoint from every member's.
   void fold_support(const std::uint64_t* rec, std::uint64_t* out) const;
 
   PicassoParams params_;
@@ -208,11 +201,9 @@ class FusedState {
 
   util::PackedColorArray colors_;  // per ingested vertex, sub-byte packed
   std::vector<std::vector<std::uint32_t>> buckets_;  // color -> member ids
-  std::vector<std::uint64_t> sigs_;  // total_colors_ * sig_words_, OR-fold
+  std::vector<std::uint64_t> sigs_;  // total_colors_ * rec_words_, OR-fold
                                      // of members' (x|z) support words
   std::size_t rec_words_ = 0;  // packed words per plane of one record
-  std::size_t sig_words_ = 0;  // words per signature (== rec_words_ unless
-                               // the sketch fold is engaged)
   std::uint32_t total_colors_ = 0;
   std::size_t cursor_ = 0;          // colored prefix length
   std::uint32_t fresh_colors_ = 0;  // since the last escalation

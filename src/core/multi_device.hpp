@@ -141,6 +141,7 @@ MultiDeviceResult solve_multi_device(const Oracle& oracle,
       obs::ScopedPhase acc(params.trace, "assign_lists", stats.assign_seconds);
       lists = assign_random_lists(stats.n_active, palette, params.seed,
                                   static_cast<std::uint64_t>(iteration));
+      lists.build_signatures();
     }
 
     // Shard the conflicted edges across the devices: each device holds its

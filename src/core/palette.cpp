@@ -64,7 +64,6 @@ ColorLists assign_random_lists(std::uint32_t num_vertices,
     util::sample_without_replacement(palette.palette_size,
                                      lists.mutable_list(v), rng);
   }
-  lists.build_signatures();
   return lists;
 }
 

@@ -74,18 +74,11 @@ class ColorLists {
     return sigs_.empty() ? ~std::uint64_t{0} : sigs_[v];
   }
 
-  /// Builds the per-vertex signatures (assign_random_lists calls this; call
-  /// it again after mutating lists by hand).
+  /// Builds the per-vertex signatures. Only the drivers whose conflict
+  /// pass reads them (the materialized, semi-streaming and multi-device
+  /// ones) call this, right after the draw; call it again after mutating
+  /// lists by hand.
   void build_signatures();
-
-  /// Frees the signature words (signature() degrades to the all-ones
-  /// no-op filter; share_color falls back to the exact merge, so results
-  /// are unchanged). The fused sketch path drops them — its budget-sized
-  /// support blooms subsume the one-word palette filter.
-  void drop_signatures() {
-    sigs_.clear();
-    sigs_.shrink_to_fit();
-  }
 
   std::size_t logical_bytes() const noexcept {
     return data_.capacity() * sizeof(std::uint32_t) +
@@ -101,7 +94,8 @@ class ColorLists {
 /// Draws the lists for one iteration: vertex i's list is L distinct colors
 /// uniform from [0, P), sorted, sampled straight into its row. Every vertex
 /// draws from its own (seed, iteration, vertex)-keyed stream, so the lists do
-/// not depend on the order vertices are visited in.
+/// not depend on the order vertices are visited in. Signatures are not
+/// built (see ColorLists::build_signatures).
 ColorLists assign_random_lists(std::uint32_t num_vertices,
                                const IterationPalette& palette,
                                std::uint64_t seed, std::uint64_t iteration);

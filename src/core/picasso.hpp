@@ -90,20 +90,6 @@ struct PicassoParams {
   /// its chunk cache under it and spills the Pauli input to disk, re-reading
   /// chunks on demand, so the cap actually binds.
   std::size_t memory_budget_bytes = 0;
-  /// Engages the probabilistic sketch tier in front of the exact conflict
-  /// oracle where an engine supports it: the fused engines put OR-folded
-  /// support blooms before the packed merge (complement oracles only — a
-  /// provably disjoint support pair commutes, hence IS a complement edge,
-  /// so the sketch only ever answers when the answer is certain), and the
-  /// incremental engine folds its bucket signatures the same way. Colorings
-  /// stay bit-identical; obs counters sketch_probes / sketch_hits /
-  /// sketch_false_positives measure the filter.
-  bool sketch_prefilter = false;
-  /// Sketch width in 32-bit words per vertex (0 = auto: one word, or
-  /// budget/64 spread over the active set when memory_budget_bytes is set;
-  /// always clamped to the oracle's natural fold width). Deterministic
-  /// given params — never derived from live memory headroom.
-  std::size_t sketch_words = 0;
   /// Cooperative cancellation: checked at iteration boundaries in every
   /// driver and before every bucket scan in the fused engines. A requested
   /// stop raises SolveCancelled; the default token never fires. See
@@ -250,6 +236,7 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
       obs::ScopedPhase acc(params.trace, "assign_lists", stats.assign_seconds);
       lists = assign_random_lists(stats.n_active, palette, params.seed,
                                   static_cast<std::uint64_t>(iteration));
+      lists.build_signatures();
     }
     util::ScopedCharge lists_charge(util::MemSubsystem::PaletteLists,
                                     lists.logical_bytes(), memory);

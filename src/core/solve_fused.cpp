@@ -39,7 +39,7 @@ std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
   const double v = n;
   const double l = palette.list_size;
   const double mask_words = std::ceil(l / 64.0);
-  const double lists = 4.0 * v * l + 8.0 * v;
+  const double lists = 4.0 * v * l;
   const double index = 4.0 * v * l + 4.0 * (palette.palette_size + 1.0);
   // Strike state: one record per vertex (a position/size word plus the
   // presence mask), L + 1 bucket headers, and the bucket vectors' entry

@@ -55,7 +55,6 @@
 #include "core/conflict_graph.hpp"
 #include "core/list_coloring.hpp"
 #include "core/picasso.hpp"
-#include "core/sketch.hpp"
 #include "core/streaming.hpp"
 #include "pauli/pauli_stream.hpp"
 
@@ -77,8 +76,8 @@ std::size_t projected_conflict_csr_bytes(std::uint32_t n,
 /// input under the given palette configuration, on top of the input
 /// itself — what a plan that never materializes a conflict CSR costs. The
 /// first iteration is the largest (every term grows with the active count)
-/// and holds, all at once: the color lists (nL colors + one signature word
-/// per vertex), the (vertex, slot) index (nL entries + P + 1 offsets), and
+/// and holds, all at once: the color lists (nL colors, no palette
+/// signatures), the (vertex, slot) index (nL entries + P + 1 offsets), and
 /// the dynamic-bucket coloring state (one strike record per vertex, the
 /// size-bucket vectors, the assignment array). Strike-scan scratch (5
 /// bytes per entry of the largest bucket, the tester's 4-byte global ids
@@ -101,14 +100,6 @@ struct FusedScanStats {
   std::uint64_t edges_struck = 0;  // list removals (confirmed live strikes)
   std::uint64_t pairs_tested = 0;  // candidates handed to the oracle
   std::uint64_t bucket_scans = 0;  // candidate-bucket scans issued
-  // Sketch tier (zero unless params.sketch_prefilter engaged a
-  // SupportSketchOracle): batch probes, whole-batch bloom dismissals, and
-  // batches the bloom failed to dismiss although the exact kernel then
-  // confirmed every candidate. All counted in the serial enumerator, so
-  // they are bit-identical across thread counts and backends.
-  std::uint64_t sketch_probes = 0;
-  std::uint64_t sketch_hits = 0;
-  std::uint64_t sketch_false_positives = 0;
 };
 
 /// Strike enumerator the shared scheme bodies drive (ForEachStrike
@@ -432,57 +423,6 @@ class OracleBatchTester {
   std::vector<std::uint32_t> global_;
 };
 
-/// Sketch-prefiltered wrapper over an exact batch tester, for complement
-/// oracles only: if v's support bloom is disjoint from EVERY candidate's
-/// bloom, the supports are provably disjoint, disjoint supports commute,
-/// and commuting pairs are complement edges — so the whole batch is marked
-/// all-conflict without running the exact kernel. Overlapping blooms prove
-/// nothing and fall through to the exact tester, so every answer this
-/// wrapper gives matches the exact tester bit for bit; only the kernel-
-/// dispatch counters (EdgeBlockCalls*) shrink. Runs in the serial scheme
-/// body, so the sketch counters are schedule-independent.
-template <typename Inner>
-class SketchedBatchTester {
- public:
-  SketchedBatchTester(Inner& inner, const SupportBlooms& blooms,
-                      FusedScanStats& stats)
-      : inner_(&inner), blooms_(&blooms), stats_(&stats) {}
-
-  void operator()(std::uint32_t v, std::span<const std::uint32_t> cands,
-                  std::uint8_t* hits) {
-    ++stats_->sketch_probes;
-    const std::uint32_t* bv = blooms_->row(v);
-    const std::size_t b = blooms_->words;
-    std::uint32_t acc = 0;
-    for (std::size_t i = 0; i < cands.size() && acc == 0; ++i) {
-      const std::uint32_t* bu = blooms_->row(cands[i]);
-      for (std::size_t k = 0; k < b; ++k) acc |= bv[k] & bu[k];
-    }
-    if (acc == 0) {
-      std::fill(hits, hits + cands.size(), std::uint8_t{1});
-      ++stats_->sketch_hits;
-      return;
-    }
-    (*inner_)(v, cands, hits);
-    bool all_edges = true;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      all_edges &= hits[i] != 0;
-    }
-    // The batch was in fact all-conflict but the bloom could not prove it —
-    // a (measured) false positive of the one-sided filter.
-    if (all_edges) ++stats_->sketch_false_positives;
-  }
-
-  std::size_t scratch_bytes() const noexcept {
-    return inner_->scratch_bytes();
-  }
-
- private:
-  Inner* inner_;
-  const SupportBlooms* blooms_;
-  FusedScanStats* stats_;
-};
-
 /// One fused iteration: dispatches the scheme over the shared bodies with
 /// the fused enumerators. `rng` must be the same coloring RNG the
 /// materialized driver would hand color_conflict_graph. The dynamic schemes
@@ -583,17 +523,6 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
       lists = assign_random_lists(stats.n_active, palette, params.seed,
                                   static_cast<std::uint64_t>(iteration));
     }
-    // Under the sketch prefilter the dynamic schemes never consult the
-    // one-word palette signatures (their strike path is bucket-indexed, and
-    // share_color falls back to the exact merge), so drop them before the
-    // charge — the budget-sized support blooms take their place, and at the
-    // default one-word bloom the iteration footprint shrinks by 4 bytes per
-    // active vertex net.
-    if (params.sketch_prefilter &&
-        (params.conflict_scheme == ConflictColoringScheme::DynamicBucket ||
-         params.conflict_scheme == ConflictColoringScheme::DynamicHeap)) {
-      lists.drop_signatures();
-    }
     util::ScopedCharge lists_charge(util::MemSubsystem::PaletteLists,
                                     lists.logical_bytes(), memory);
 
@@ -651,10 +580,6 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
     obs::count(obs::Counter::StrikeHits, scan_stats.edges_struck);
     obs::count(obs::Counter::BucketStrikeScans, scan_stats.bucket_scans);
     obs::count(obs::Counter::RecolorEvents, stats.uncolored);
-    obs::count(obs::Counter::SketchProbes, scan_stats.sketch_probes);
-    obs::count(obs::Counter::SketchHits, scan_stats.sketch_hits);
-    obs::count(obs::Counter::SketchFalsePositives,
-               scan_stats.sketch_false_positives);
 
     result.iterations.push_back(stats);
     result.assign_seconds += stats.assign_seconds;
@@ -704,38 +629,19 @@ PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
         const auto n_active = static_cast<std::uint32_t>(active.size());
         runtime::ThreadPool* pool =
             runtime::resolve_pool(params.runtime, n_active);
-        detail::OracleBatchTester<Oracle> exact(oracle, active, pool,
-                                                params.runtime.serial_cutoff);
-        auto run_with = [&](auto& tester) {
-          ListColoringResult colored = detail::fused_color_iteration(
-              n_active, lists, index, params.conflict_scheme, rng, tester,
-              params, iteration, palette.palette_size,
-              [&] {
-                return detail::fused_conflict_degrees_parallel(
-                    oracle, active, lists, index, palette.palette_size,
-                    params.runtime);
-              },
-              scan_stats, conflicted, scan_scratch);
-          scan_scratch += exact.scratch_bytes();
-          return colored;
-        };
-        if constexpr (graph::SupportSketchOracle<Oracle>) {
-          if (params.sketch_prefilter) {
-            // Per-iteration blooms over the shrinking active set: row i is
-            // the OR-folded support of active[i], sized off the params
-            // budget (never the registry's live headroom — sketch width
-            // must be a pure function of the inputs for determinism).
-            const std::size_t b = sketch_bloom_words(
-                oracle.support_fold_words(), params, n_active);
-            const SupportBlooms blooms(oracle, active, b);
-            util::ScopedCharge bloom_charge(util::MemSubsystem::SketchSigs,
-                                            blooms.logical_bytes());
-            detail::SketchedBatchTester<detail::OracleBatchTester<Oracle>>
-                tester(exact, blooms, scan_stats);
-            return run_with(tester);
-          }
-        }
-        return run_with(exact);
+        detail::OracleBatchTester<Oracle> tester(oracle, active, pool,
+                                                 params.runtime.serial_cutoff);
+        ListColoringResult colored = detail::fused_color_iteration(
+            n_active, lists, index, params.conflict_scheme, rng, tester,
+            params, iteration, palette.palette_size,
+            [&] {
+              return detail::fused_conflict_degrees_parallel(
+                  oracle, active, lists, index, palette.palette_size,
+                  params.runtime);
+            },
+            scan_stats, conflicted, scan_scratch);
+        scan_scratch += tester.scratch_bytes();
+        return colored;
       });
 }
 

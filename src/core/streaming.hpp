@@ -160,6 +160,7 @@ PicassoResult solve_stream(std::uint32_t n, const EdgeSource& source,
       obs::ScopedPhase acc(params.trace, "assign_lists", stats.assign_seconds);
       lists = assign_random_lists(stats.n_active, palette, params.seed,
                                   static_cast<std::uint64_t>(iteration));
+      lists.build_signatures();
     }
 
     // One pass: keep exactly the conflicted edges among active vertices.

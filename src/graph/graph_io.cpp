@@ -11,6 +11,17 @@
 
 namespace picasso::graph {
 
+namespace {
+
+/// Count lines hold only non-negative integers. istream wraps "-1" into an
+/// unsigned type without setting failbit, so a minus sign is rejected
+/// before the line is parsed.
+bool has_minus(const std::string& line) {
+  return line.find('-') != std::string::npos;
+}
+
+}  // namespace
+
 void write_edge_list(std::ostream& out, const CsrGraph& g) {
   out << g.num_vertices() << ' ' << g.num_edges() << '\n';
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
@@ -37,7 +48,15 @@ CsrGraph read_edge_list(std::istream& in, GraphReadStats* stats) {
     if (line.empty() || line[0] == '%' || line[0] == '#') continue;
     std::istringstream ls(line);
     if (!have_header) {
-      if (!(ls >> n >> m)) throw std::runtime_error("bad edge-list header");
+      std::uint64_t count = 0;
+      if (has_minus(line) || !(ls >> count >> m)) {
+        throw std::runtime_error("bad edge-list header: " + line);
+      }
+      if (count > 0xffffffffull) {
+        throw std::runtime_error(
+            "edge-list vertex count exceeds 32-bit vertex ids: " + line);
+      }
+      n = static_cast<VertexId>(count);
       have_header = true;
       // The header's edge count is only a reservation hint; cap it so a
       // corrupt header cannot drive a huge allocation before any entry
@@ -93,7 +112,7 @@ CsrGraph read_matrix_market(std::istream& in, GraphReadStats* stats) {
     std::istringstream ls(line);
     if (!sized) {
       std::uint64_t rows = 0, cols = 0;
-      if (!(ls >> rows >> cols >> declared)) {
+      if (has_minus(line) || !(ls >> rows >> cols >> declared)) {
         throw std::runtime_error("read_matrix_market: bad size line: " + line);
       }
       const std::uint64_t dim = std::max(rows, cols);

@@ -26,23 +26,6 @@ concept GraphOracle = requires(const T& g, VertexId u, VertexId v) {
   { g.edge(u, v) } -> std::convertible_to<bool>;
 };
 
-/// Oracles whose edge relation admits a one-sided support sketch: the
-/// oracle can OR-fold each vertex's qubit support into `b` 32-bit bloom
-/// words such that *disjoint blooms prove the edge exists*. This is the
-/// complement-graph duality (§II): two distinct Pauli strings with disjoint
-/// supports share no qubit, hence commute, hence are adjacent in the
-/// complement graph Picasso colors. Folding is sound in that direction
-/// only — overlapping blooms prove nothing — so only the complement
-/// oracles implement it (an anticommute oracle's disjoint pair is a
-/// NON-edge; do not add fold_support there).
-template <typename T>
-concept SupportSketchOracle =
-    GraphOracle<T> && requires(const T& g, VertexId v, std::uint32_t* out,
-                               std::size_t b) {
-      { g.support_fold_words() } -> std::convertible_to<std::size_t>;
-      g.fold_support(v, out, b);
-    };
-
 /// Oracle over an explicit CSR graph (binary search per query).
 class CsrOracle {
  public:
@@ -79,31 +62,12 @@ class AnticommuteOracle {
   const pauli::PauliSet* set_;
 };
 
-namespace detail {
-
-/// OR-folds a vertex's qubit support (x-plane | z-plane) into `b` 32-bit
-/// bloom words. Qubit q of plane word k lands in out[(2k + q/32) % b], a
-/// position that depends only on (q, b) — so a qubit shared by two strings
-/// sets the same bloom bit in both, and disjoint blooms prove disjoint
-/// supports. `out` must hold b zeroed words.
-inline void fold_support_record(const std::uint64_t* rec, std::size_t words,
-                                std::uint32_t* out, std::size_t b) {
-  for (std::size_t k = 0; k < words; ++k) {
-    const std::uint64_t sup = rec[k] | rec[words + k];
-    out[(2 * k) % b] |= static_cast<std::uint32_t>(sup);
-    out[(2 * k + 1) % b] |= static_cast<std::uint32_t>(sup >> 32);
-  }
-}
-
-}  // namespace detail
-
 /// The complement graph G' that Picasso colors: edge ⇔ NOT anticommute
 /// (u != v). This is the ~50%-dense graph of the paper, and it is never
 /// materialised — each query is a handful of AND+popcount instructions.
 class ComplementOracle {
  public:
-  explicit ComplementOracle(const pauli::PauliSet& set)
-      : set_(&set), view_(set.packed_view()) {}
+  explicit ComplementOracle(const pauli::PauliSet& set) : set_(&set) {}
   VertexId num_vertices() const {
     return static_cast<VertexId>(set_->size());
   }
@@ -111,16 +75,8 @@ class ComplementOracle {
     return u != v && !set_->anticommute(u, v);
   }
 
-  /// Support-sketch hooks (SupportSketchOracle): disjoint supports commute,
-  /// so a zero bloom AND proves the complement edge.
-  std::size_t support_fold_words() const noexcept { return 2 * view_.words; }
-  void fold_support(VertexId v, std::uint32_t* out, std::size_t b) const {
-    detail::fold_support_record(view_.record(v), view_.words, out, b);
-  }
-
  private:
   const pauli::PauliSet* set_;
-  pauli::PackedView view_;
 };
 
 /// Qubit-wise commutativity graph: edge ⇔ strings qubit-wise commute.
@@ -214,13 +170,6 @@ class PackedComplementOracle {
                   std::uint8_t* out) const {
     detail::packed_edge_block(view_, kernel_, u, vs, count, out,
                               /*complement=*/true);
-  }
-
-  /// Support-sketch hooks (SupportSketchOracle): disjoint supports commute,
-  /// so a zero bloom AND proves the complement edge.
-  std::size_t support_fold_words() const noexcept { return 2 * view_.words; }
-  void fold_support(VertexId v, std::uint32_t* out, std::size_t b) const {
-    detail::fold_support_record(view_.record(v), view_.words, out, b);
   }
 
  private:

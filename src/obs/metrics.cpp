@@ -48,9 +48,6 @@ const char* to_string(Counter c) noexcept {
     case Counter::UpdateRecolorMoves: return "update_recolor_moves";
     case Counter::UpdateEscalations: return "update_escalations";
     case Counter::UpdateFreshColors: return "update_fresh_colors";
-    case Counter::SketchProbes: return "sketch_probes";
-    case Counter::SketchHits: return "sketch_hits";
-    case Counter::SketchFalsePositives: return "sketch_false_positives";
   }
   return "?";
 }

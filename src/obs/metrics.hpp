@@ -61,11 +61,8 @@ enum class Counter : unsigned {
   UpdateRecolorMoves,      // incremental: blockers moved by bounded local recoloring
   UpdateEscalations,       // incremental: full prefix re-solves triggered
   UpdateFreshColors,       // incremental: colors first used by an inserted vertex
-  SketchProbes,            // sketch tier: bloom-signature disjointness probes issued
-  SketchHits,              // sketch tier: probes that dismissed the exact kernel outright
-  SketchFalsePositives,    // sketch tier: undismissed probes the exact kernel then resolved all-conflict
 };
-inline constexpr std::size_t kNumCounters = 23;
+inline constexpr std::size_t kNumCounters = 20;
 
 const char* to_string(Counter c) noexcept;
 

@@ -15,8 +15,17 @@ namespace picasso::service {
 
 namespace {
 
-/// Wire value of the chunk-pair streaming strategy removed in API 2.0.
-constexpr std::uint8_t kRetiredStrategy = 2;
+/// Wire values of strategies removed from the API: what each one was and
+/// the API version that removed it.
+struct RetiredStrategy {
+  std::uint8_t value;
+  const char* name;
+  const char* removed_in;
+};
+constexpr RetiredStrategy kRetiredStrategies[] = {
+    {2, "budgeted-streaming", "2.0"},
+    {6, "probabilistic prefilter tier", "3.0"},
+};
 
 /// Peak bytes a request is projected to need under its plan's strategy and
 /// the palette params of the session that will run it. InMemory is the one
@@ -339,13 +348,15 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
       throw std::invalid_argument("unknown backend value " +
                                   std::to_string(msg.params.backend));
     }
-    if (msg.params.strategy == kRetiredStrategy) {
+    for (const RetiredStrategy& retired : kRetiredStrategies) {
+      if (msg.params.strategy != retired.value) continue;
       throw std::invalid_argument(
-          "strategy value 2 (budgeted-streaming) was removed in API 2.0; "
-          "send fused (5) or auto (0)");
+          "strategy value " + std::to_string(retired.value) + " (" +
+          retired.name + ") was removed in API " + retired.removed_in +
+          "; send fused (5) or auto (0)");
     }
     if (msg.params.strategy >
-        static_cast<std::uint8_t>(api::ExecutionStrategy::Sketch)) {
+        static_cast<std::uint8_t>(api::ExecutionStrategy::Fused)) {
       throw std::invalid_argument("unknown strategy value " +
                                   std::to_string(msg.params.strategy));
     }
@@ -368,8 +379,8 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
 
   // Admission: projected peak vs the server-wide budget, under the
   // request's own palette. A forced InMemory plan is charged the planner's
-  // CSR model; plans that never build a CSR (fused/sketch, what Auto picks)
-  // the fused engine's, so a client can shrink an over-budget request into
+  // CSR model; plans that never build a CSR (fused, what Auto picks) the
+  // fused engine's, so a client can shrink an over-budget request into
   // an admissible one by dropping a forced InMemory strategy.
   bool admission_degraded = false;
   std::string admission_degraded_reason;

@@ -20,7 +20,6 @@ const char* to_string(MemSubsystem s) noexcept {
     case MemSubsystem::MlFeatures: return "ml_features";
     case MemSubsystem::FusedFrontier: return "fused_frontier";
     case MemSubsystem::Spill: return "spill";
-    case MemSubsystem::SketchSigs: return "sketch_sigs";
   }
   return "?";
 }

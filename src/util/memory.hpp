@@ -93,9 +93,8 @@ enum class MemSubsystem : unsigned {
   MlFeatures,    // ML predictor feature/label matrices
   FusedFrontier, // fused engine: color index + working lists + bucket queue
   Spill,         // bytes written to spill files on disk
-  SketchSigs,    // sketch tier: bloom support signatures / hashed edge bits
 };
-inline constexpr std::size_t kNumMemSubsystems = 10;
+inline constexpr std::size_t kNumMemSubsystems = 9;
 
 const char* to_string(MemSubsystem s) noexcept;
 

@@ -642,25 +642,26 @@ TEST(ParseStrategy, RoundTripsEveryStrategyAndAcceptsShorthands) {
   for (auto strategy :
        {papi::ExecutionStrategy::Auto, papi::ExecutionStrategy::InMemory,
         papi::ExecutionStrategy::SemiStreaming,
-        papi::ExecutionStrategy::MultiDevice, papi::ExecutionStrategy::Fused,
-        papi::ExecutionStrategy::Sketch}) {
+        papi::ExecutionStrategy::MultiDevice,
+        papi::ExecutionStrategy::Fused}) {
     EXPECT_EQ(papi::parse_strategy(papi::to_string(strategy)), strategy);
   }
   EXPECT_EQ(papi::parse_strategy("inmemory"),
             papi::ExecutionStrategy::InMemory);
 }
 
-// The chunk-pair streaming strategy is gone in 2.0: both of its spellings
-// are unknown names now, answered with the valid list.
-TEST(ParseStrategy, RetiredStreamingSpellingsThrowWithTheValidList) {
-  for (const char* name : {"streaming", "budgeted-streaming"}) {
+// The chunk-pair streaming strategy is gone in 2.0 and the probabilistic
+// prefilter tier in 3.0: their spellings are unknown names now, answered
+// with the valid list.
+TEST(ParseStrategy, RetiredStreamingAndSketchSpellingsThrowWithTheValidList) {
+  for (const char* name : {"streaming", "budgeted-streaming", "sketch"}) {
     try {
       papi::parse_strategy(name);
       FAIL() << "expected std::invalid_argument for " << name;
     } catch (const std::invalid_argument& e) {
       const std::string message = e.what();
       EXPECT_NE(message.find("(valid: auto, in-memory (inmemory), "
-                             "semi-streaming, multi-device, fused, sketch)"),
+                             "semi-streaming, multi-device, fused)"),
                 std::string::npos)
           << message;
     }

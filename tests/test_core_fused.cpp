@@ -403,6 +403,14 @@ TEST(FusedEngine, ProjectedFusedBytesBoundsMeasuredPeak) {
       EXPECT_GE(projected, result.memory.peak_tracked_bytes)
           << "n=" << n << " palette " << pal.percent << "% alpha "
           << pal.alpha;
+      // The lists are the whole PaletteLists charge: nL colors of the
+      // first (largest) iteration and no palette signatures.
+      ASSERT_FALSE(result.iterations.empty());
+      EXPECT_EQ(result.memory.subsystem_peak[static_cast<unsigned>(
+                    pu::MemSubsystem::PaletteLists)],
+                4 * n * result.iterations[0].list_size)
+          << "n=" << n << " palette " << pal.percent << "% alpha "
+          << pal.alpha;
     }
   }
 }

@@ -103,21 +103,25 @@ TEST(AssignRandomLists, CoversPaletteApproximatelyUniformly) {
 
 TEST(ColorLists, FirstSharedColorAgainstBruteForce) {
   const pcore::IterationPalette palette{30, 5, 0};
-  const auto lists = pcore::assign_random_lists(80, palette, 77, 1);
-  for (std::uint32_t u = 0; u < 80; ++u) {
-    for (std::uint32_t v = 0; v < 80; ++v) {
-      const auto lu = lists.list(u);
-      const auto lv = lists.list(v);
-      std::uint32_t expected = pcore::ColorLists::kNoShared;
-      for (auto cu : lu) {
-        if (std::find(lv.begin(), lv.end(), cu) != lv.end()) {
-          expected = cu;
-          break;
+  auto lists = pcore::assign_random_lists(80, palette, 77, 1);
+  // share_color answers the same with and without the signature fast exit.
+  for (const bool signatures : {false, true}) {
+    if (signatures) lists.build_signatures();
+    for (std::uint32_t u = 0; u < 80; ++u) {
+      for (std::uint32_t v = 0; v < 80; ++v) {
+        const auto lu = lists.list(u);
+        const auto lv = lists.list(v);
+        std::uint32_t expected = pcore::ColorLists::kNoShared;
+        for (auto cu : lu) {
+          if (std::find(lv.begin(), lv.end(), cu) != lv.end()) {
+            expected = cu;
+            break;
+          }
         }
+        EXPECT_EQ(lists.first_shared_color(u, v), expected);
+        EXPECT_EQ(lists.share_color(u, v),
+                  expected != pcore::ColorLists::kNoShared);
       }
-      EXPECT_EQ(lists.first_shared_color(u, v), expected);
-      EXPECT_EQ(lists.share_color(u, v),
-                expected != pcore::ColorLists::kNoShared);
     }
   }
 }

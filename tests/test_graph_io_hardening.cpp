@@ -160,6 +160,18 @@ TEST(GraphIoHardening, MalformedInputsThrow) {
     EXPECT_THROW(pg::read_edge_list(in), std::runtime_error);
   }
   {
+    // A negative vertex count must not wrap into a 2^32-vertex graph.
+    std::istringstream in("-1 0\n");
+    EXPECT_THROW(pg::read_edge_list(in), std::runtime_error);
+  }
+  {
+    // -(2^64 - 1) wraps to a plausible 1 in a 64-bit read.
+    std::istringstream in(
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "-18446744073709551615 2 0\n");
+    EXPECT_THROW(pg::read_matrix_market(in), std::runtime_error);
+  }
+  {
     std::istringstream in("%%MatrixMarket matrix array real general\n2 2\n");
     EXPECT_THROW(pg::read_matrix_market(in), std::runtime_error);
   }

@@ -505,6 +505,16 @@ TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
   EXPECT_NE(retired.error_message.find("removed"), std::string::npos)
       << retired.error_message;
 
+  params.strategy = 6;
+  const psvc::RemoteResult retired_tier = client.solve(set, params);
+  ASSERT_FALSE(retired_tier.ok);
+  EXPECT_EQ(retired_tier.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(retired_tier.error_message.find(
+                "strategy value 6 (probabilistic prefilter tier) was "
+                "removed in API 3.0"),
+            std::string::npos)
+      << retired_tier.error_message;
+
   params.strategy = 7;
   const psvc::RemoteResult unknown = client.solve(set, params);
   ASSERT_FALSE(unknown.ok);
@@ -517,7 +527,7 @@ TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
       papi::Session().solve(papi::Problem::pauli(set)).result.colors;
   for (const auto strategy :
        {papi::ExecutionStrategy::Auto, papi::ExecutionStrategy::InMemory,
-        papi::ExecutionStrategy::Fused, papi::ExecutionStrategy::Sketch}) {
+        papi::ExecutionStrategy::Fused}) {
     params.strategy = static_cast<std::uint8_t>(strategy);
     const psvc::RemoteResult ok = client.solve(set, params);
     ASSERT_TRUE(ok.ok) << papi::to_string(strategy) << ": "
