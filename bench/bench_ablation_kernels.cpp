@@ -7,7 +7,7 @@
 // P' to walk across the crossover and shows that the Auto policy tracks the
 // best of the two — the design choice behind PicassoParams::kernel's default.
 //
-// Part 2 — anticommutation backends behind the conflict-oracle interface:
+// Part 2 — anticommutation kernels behind the conflict-oracle interface:
 // the 3-bit inverse-one-hot per-pair kernel (the paper's §IV-A encoding)
 // versus the bit-packed symplectic records, scalar and SIMD-dispatched.
 // Colorings are asserted identical; single-threaded wall times and the
@@ -100,7 +100,8 @@ int main() {
       static_cast<unsigned long long>(core::kBlockedOraclePairCost));
 
   // ------------------------------------------------------------------
-  // Part 2: packed-vs-scalar anticommutation backends. Single-threaded so
+  // Part 2: the paper's 3-bit kernel against the packed plane kernels,
+  // scalar and SIMD, behind the conflict-oracle interface. Single-threaded so
   // the wall times are kernel times, on >= 64-qubit random sets where a
   // packed record is one word per plane and the 3-bit encoding needs four.
   std::printf("\nSIMD dispatch: best level on this CPU = %s\n",
@@ -114,42 +115,37 @@ int main() {
   bool packed_wins_everywhere = true;
   for (const std::size_t qubits : qubit_counts) {
     const auto set = random_set(n, qubits, 42 + qubits);
-    auto run = [&](core::PauliBackend backend) {
-      core::PicassoParams params;
-      params.palette_percent = 12.5;
-      params.alpha = 2.0;
-      params.seed = 1;
-      params.pauli_backend = backend;
-      // All-pairs scan so every backend runs the same (blocked) pair loop;
-      // single-threaded so the wall time is kernel time.
-      params.kernel = core::ConflictKernel::Reference;
-      params.runtime.num_threads = 1;
-      return api::SessionBuilder()
-          .params(params)
-          .strategy(api::ExecutionStrategy::InMemory)
-          .build()
-          .solve(api::Problem::pauli(set))
-          .result;
-    };
-    // Repeat and keep the best wall time per backend: conflict_seconds is
-    // the pair-scan phase, which these backends differ in.
-    auto best_of = [&](core::PauliBackend backend, core::PicassoResult* out) {
+    core::PicassoParams params;
+    params.palette_percent = 12.5;
+    params.alpha = 2.0;
+    params.seed = 1;
+    // All-pairs scan so every kernel runs the same (blocked) pair loop;
+    // single-threaded so the wall time is kernel time.
+    params.kernel = core::ConflictKernel::Reference;
+    params.runtime.num_threads = 1;
+    // Repeat and keep the best wall time per kernel: conflict_seconds is
+    // the pair-scan phase, which these kernels differ in.
+    auto best_of = [&](const auto& oracle, core::PicassoResult* out) {
       double best = 1e30;
       const int reps = bench::quick_mode() ? 3 : 5;
       for (int r = 0; r < reps; ++r) {
-        auto result = run(backend);
+        auto result = core::solve_oracle(oracle, params);
         best = std::min(best, result.conflict_seconds);
         *out = std::move(result);
       }
       return best;
     };
     core::PicassoResult ref, pks, pk;
-    const double scalar_s = best_of(core::PauliBackend::Scalar, &ref);
-    const double packed_scalar_s =
-        best_of(core::PauliBackend::PackedScalar, &pks);
-    const double packed_simd_s = best_of(core::PauliBackend::Packed, &pk);
+    const double scalar_s =
+        best_of(bench::InverseOneHotComplementOracle(set), &ref);
+    const double packed_scalar_s = best_of(
+        graph::PackedComplementOracle(set.packed_view(),
+                                      pauli::SimdLevel::Scalar),
+        &pks);
+    const double packed_simd_s =
+        best_of(graph::PackedComplementOracle(set.packed_view()), &pk);
     if (ref.colors != pks.colors || ref.colors != pk.colors) {
-      std::printf("ERROR: backends diverged at %zu qubits\n", qubits);
+      std::printf("ERROR: kernels diverged at %zu qubits\n", qubits);
       return 1;
     }
     const double best_packed = std::min(packed_scalar_s, packed_simd_s);
@@ -171,11 +167,11 @@ int main() {
     bench::emit_json_line(extra);
   }
   packed_table.print(
-      "Backend ablation: conflict pair-scan time, identical colorings "
+      "Encoding ablation: conflict pair-scan time, identical colorings "
       "checked (single-threaded)");
   std::printf(
       "\nShape: the packed symplectic records halve the words per string and\n"
-      "fold the whole test into one parity, so the packed backends beat the\n"
+      "fold the whole test into one parity, so the packed kernels beat the\n"
       "3-bit per-pair kernel on every >= 64-qubit input%s.\n",
       packed_wins_everywhere ? " (confirmed above)" : " — NOT confirmed here");
   return packed_wins_everywhere ? 0 : 1;

@@ -20,6 +20,7 @@
 #include "graph/oracles.hpp"
 #include "obs/metrics.hpp"
 #include "pauli/datasets.hpp"
+#include "pauli/encoding.hpp"
 #include "pauli/pauli_string.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -111,6 +112,37 @@ class NaiveComplementOracle {
   std::size_t num_qubits_;
   std::size_t n_;
   std::vector<std::uint8_t> ops_;
+};
+
+/// The paper's 3-bit kernel as a complement oracle: every string held as
+/// its inverse-one-hot words (encode3), anticommutation as the parity of
+/// popcount(a & b) (anticommute3, §IV-A). The library keeps only the
+/// symplectic planes resident, so this oracle is the encoding ablation's
+/// 3-bit side; it must color bit-identically to the packed oracle.
+class InverseOneHotComplementOracle {
+ public:
+  explicit InverseOneHotComplementOracle(const pauli::PauliSet& set)
+      : words_(pauli::words_per_string3(set.num_qubits())),
+        n_(set.size()),
+        codes_(n_ * words_) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      pauli::encode3(set.string(i), codes_.data() + i * words_);
+    }
+  }
+
+  std::uint32_t num_vertices() const {
+    return static_cast<std::uint32_t>(n_);
+  }
+
+  bool edge(std::uint32_t u, std::uint32_t v) const {
+    return u != v && !pauli::anticommute3(codes_.data() + u * words_,
+                                          codes_.data() + v * words_, words_);
+  }
+
+ private:
+  std::size_t words_;
+  std::size_t n_;
+  std::vector<std::uint64_t> codes_;
 };
 
 /// Appends one raw JSON-lines row to stdout and (when PICASSO_BENCH_JSON

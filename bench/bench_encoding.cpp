@@ -5,7 +5,7 @@
 // measures: character-comparison reference, the 3-bit inverse-one-hot
 // kernel, the 2-bit symplectic alternative, the end-to-end cost
 // (encode + test sweep) that the paper's claim includes, and the packed
-// conflict-oracle backends — the parity-fold scalar kernel and the
+// conflict-oracle kernels — the parity-fold scalar kernel and the
 // runtime-dispatched SIMD block kernel (pauli/pauli_packed.hpp).
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,6 @@
 
 #include "pauli/encoding.hpp"
 #include "pauli/pauli_packed.hpp"
-#include "pauli/pauli_set.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -38,6 +37,16 @@ std::vector<pauli::PauliString> random_strings(std::size_t count,
   return out;
 }
 
+/// Inverse-one-hot words of every string, `words` per string.
+std::vector<std::uint64_t> encode3_all(
+    const std::vector<pauli::PauliString>& strings, std::size_t words) {
+  std::vector<std::uint64_t> codes(strings.size() * words);
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    pauli::encode3(strings[i], codes.data() + i * words);
+  }
+  return codes;
+}
+
 constexpr std::size_t kStrings = 512;
 
 void BM_AnticommuteChars(benchmark::State& state) {
@@ -58,12 +67,13 @@ BENCHMARK(BM_AnticommuteChars)->Arg(8)->Arg(16)->Arg(24)->Arg(40)->Arg(64);
 
 void BM_AnticommuteEncoded3(benchmark::State& state) {
   const auto qubits = static_cast<std::size_t>(state.range(0));
-  const pauli::PauliSet set(random_strings(kStrings, qubits, 1));
+  const std::size_t w = pauli::words_per_string3(qubits);
+  const auto codes = encode3_all(random_strings(kStrings, qubits, 1), w);
   std::size_t odd = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < kStrings; ++i) {
       for (std::size_t j = i + 1; j < kStrings; ++j) {
-        odd += set.anticommute(i, j) ? 1 : 0;
+        odd += pauli::anticommute3(&codes[i * w], &codes[j * w], w) ? 1 : 0;
       }
     }
     benchmark::DoNotOptimize(odd);
@@ -72,14 +82,19 @@ void BM_AnticommuteEncoded3(benchmark::State& state) {
 }
 BENCHMARK(BM_AnticommuteEncoded3)->Arg(8)->Arg(16)->Arg(24)->Arg(40)->Arg(64);
 
+// Symplectic planes through the per-word popcount kernel (anticommute2).
 void BM_AnticommuteSymplectic2(benchmark::State& state) {
   const auto qubits = static_cast<std::size_t>(state.range(0));
-  const pauli::PauliSet set(random_strings(kStrings, qubits, 1));
+  const pauli::PackedPauliSet set(random_strings(kStrings, qubits, 1));
+  const std::size_t w = set.words();
   std::size_t odd = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < kStrings; ++i) {
       for (std::size_t j = i + 1; j < kStrings; ++j) {
-        odd += set.anticommute_symplectic(i, j) ? 1 : 0;
+        odd += pauli::anticommute2(set.record(i), set.record(i) + w,
+                                   set.record(j), set.record(j) + w, w)
+                   ? 1
+                   : 0;
       }
     }
     benchmark::DoNotOptimize(odd);
@@ -148,10 +163,11 @@ void BM_EncodeThenSweep(benchmark::State& state) {
   const auto strings = random_strings(kStrings, qubits, 1);
   std::size_t odd = 0;
   for (auto _ : state) {
-    const pauli::PauliSet set(strings);  // encoding overhead counted
+    const std::size_t w = pauli::words_per_string3(qubits);
+    const auto codes = encode3_all(strings, w);  // encoding overhead counted
     for (std::size_t i = 0; i < kStrings; ++i) {
       for (std::size_t j = i + 1; j < kStrings; ++j) {
-        odd += set.anticommute(i, j) ? 1 : 0;
+        odd += pauli::anticommute3(&codes[i * w], &codes[j * w], w) ? 1 : 0;
       }
     }
     benchmark::DoNotOptimize(odd);

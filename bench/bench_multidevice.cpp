@@ -27,29 +27,32 @@ int main() {
 
   util::Table table({"devices", "colors", "max |Ec|", "edges/device (max)",
                      "imbalance", "per-device peak", "identical?"});
-  std::vector<std::uint32_t> baseline_colors;
+  // Reference: one device through the session, which shards the packed
+  // oracle. Every row below shards the paper's 3-bit oracle instead (no
+  // type erasure) and must color bit-identically to it.
+  const std::vector<std::uint32_t> baseline_colors =
+      api::SessionBuilder()
+          .params(params)
+          .devices(1, 512u << 20)
+          .build()
+          .solve(api::Problem::pauli(set))
+          .result.colors;
+  const bench::InverseOneHotComplementOracle oracle(set);
   for (std::uint32_t d : {1u, 2u, 4u, 8u}) {
-    // backend(Scalar) + Problem::pauli reproduces the legacy
-    // ComplementOracle sharding path without type erasure.
-    const auto r = api::SessionBuilder()
-                       .params(params)
-                       .backend(core::PauliBackend::Scalar)
-                       .devices(d, 512u << 20)
-                       .build()
-                       .solve(api::Problem::pauli(set));
-    if (d == 1) baseline_colors = r.result.colors;
+    const auto r = core::solve_multi_device(
+        oracle, params, {.num_devices = d, .device_capacity_bytes = 512u << 20});
     std::uint64_t max_edges = 0;
     for (const auto& shard : r.devices) {
       max_edges = std::max(max_edges, shard.edges);
     }
     table.add_row({util::Table::fmt_int(d),
-                   util::Table::fmt_int(r.result.num_colors),
+                   util::Table::fmt_int(r.coloring.num_colors),
                    util::Table::fmt_int(
-                       static_cast<long long>(r.result.max_conflict_edges)),
+                       static_cast<long long>(r.coloring.max_conflict_edges)),
                    util::Table::fmt_int(static_cast<long long>(max_edges)),
-                   util::Table::fmt(r.shard_imbalance(), 3),
+                   util::Table::fmt(r.imbalance(), 3),
                    util::Table::fmt_bytes(r.max_device_peak_bytes()),
-                   r.result.colors == baseline_colors ? "yes" : "NO"});
+                   r.coloring.colors == baseline_colors ? "yes" : "NO"});
   }
   table.print("Multi-device sharding (P'=12.5, alpha=2)");
   std::printf(

@@ -48,11 +48,11 @@ expect_usage_error(retired_sketch_strategy
   ARGS color H4_1D_sto3g --strategy sketch
   STDERR_HAS "unknown execution strategy 'sketch'" "valid:" "usage:")
 
-expect_usage_error(bad_backend
-  ARGS color H4_1D_sto3g --backend bogus
-  STDERR_HAS "unknown Pauli backend 'bogus'"
-             "valid:" "auto" "scalar" "packed" "packed-scalar"
-             "usage:")
+# The Pauli backend selector was removed in API 4.0; its flag is an unknown
+# argument now.
+expect_usage_error(retired_backend
+  ARGS color H4_1D_sto3g --backend packed
+  STDERR_HAS "unknown argument '--backend'" "usage:")
 
 expect_usage_error(bad_mode
   ARGS partition H4_1D_sto3g --mode bogus

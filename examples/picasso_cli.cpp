@@ -16,7 +16,6 @@
 //   --alpha A       list-size multiplier (default 2.0)
 //   --seed S        RNG seed (default 1)
 //   --mode M        partition relation: unitary | commute | qwc
-//   --backend B     Pauli backend: auto | scalar | packed | packed-scalar
 //   --strategy S    execution strategy: auto | in-memory (inmemory) |
 //                   semi-streaming | multi-device | fused.
 //                   Applies to `color` and (for unitary mode)
@@ -111,7 +110,6 @@ struct CliOptions {
   double alpha = 2.0;
   std::uint64_t seed = 1;
   core::GroupingMode mode = core::GroupingMode::Unitary;
-  core::PauliBackend backend = core::PauliBackend::Auto;
   api::ExecutionStrategy strategy = api::ExecutionStrategy::Auto;
   std::size_t budget_bytes = 0;
   bool mtx = false;
@@ -142,7 +140,6 @@ struct CliOptions {
 const char* kUsage =
     "usage: picasso_cli <list|info|partition|color|sweep|remote> [target] "
     "[--percent P] [--alpha A] [--seed S] [--mode unitary|commute|qwc] "
-    "[--backend auto|scalar|packed|packed-scalar] "
     "[--strategy "
     "auto|inmemory|semi-streaming|multi-device|fused] "
     "[--budget BYTES] [--file path] [--mtx] [--stream] [--refine] [--csv] "
@@ -205,13 +202,6 @@ CliOptions parse_args(int argc, char** argv) {
         throw UsageError("unknown mode '" + m +
                          "' (valid: unitary, commute, qwc)");
       }
-    } else if (arg == "--backend") {
-      // parse_pauli_backend's invalid_argument lists the valid spellings.
-      try {
-        opt.backend = core::parse_pauli_backend(next("--backend"));
-      } catch (const std::invalid_argument& e) {
-        throw UsageError(e.what());
-      }
     } else if (arg == "--strategy") {
       // parse_strategy's invalid_argument lists the valid spellings.
       try {
@@ -272,7 +262,6 @@ core::PicassoParams params_from(const CliOptions& opt) {
   params.palette_percent = opt.percent;
   params.alpha = opt.alpha;
   params.seed = opt.seed;
-  params.pauli_backend = opt.backend;
   params.memory_budget_bytes = opt.budget_bytes;
   return params;
 }
@@ -598,7 +587,6 @@ int cmd_remote(const CliOptions& opt) {
   params.palette_percent = opt.percent;
   params.alpha = opt.alpha;
   params.seed = opt.seed;
-  params.backend = static_cast<std::uint8_t>(opt.backend);
   params.strategy = static_cast<std::uint8_t>(opt.strategy);
   params.memory_budget_bytes = opt.budget_bytes;
   params.deadline_ms = opt.deadline_ms;

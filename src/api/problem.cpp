@@ -142,8 +142,8 @@ Problem Problem::pauli_spill(const std::string& path) {
   wrap_io("pauli_spill", path, [&] {
     const pauli::ChunkedPauliReader header(path, 1);
     p.num_vertices_ = static_cast<std::uint32_t>(header.num_strings());
-    p.logical_bytes_ = pauli::ChunkedPauliReader::resident_bytes_for(
-        header.num_strings(), header.num_qubits());
+    p.logical_bytes_ =
+        header.num_strings() * pauli::pset_record_bytes(header.num_qubits());
     return 0;
   });
   return p;
@@ -155,8 +155,8 @@ Problem Problem::spill_reader(const pauli::ChunkedPauliReader& reader) {
   p.reader_ = borrow(reader);
   p.path_ = reader.path();
   p.num_vertices_ = static_cast<std::uint32_t>(reader.num_strings());
-  p.logical_bytes_ = pauli::ChunkedPauliReader::resident_bytes_for(
-      reader.num_strings(), reader.num_qubits());
+  p.logical_bytes_ =
+      reader.num_strings() * pauli::pset_record_bytes(reader.num_qubits());
   return p;
 }
 

@@ -31,12 +31,6 @@ bool oracle_capable(ProblemKind kind) {
   }
 }
 
-pauli::SimdLevel simd_for(core::PauliBackend backend) {
-  return core::resolve_backend(backend) == core::PauliBackend::PackedScalar
-             ? pauli::SimdLevel::Scalar
-             : pauli::SimdLevel::Auto;
-}
-
 /// A fresh spill path for an incremental state (the state owns and removes
 /// the file). Shares core::unique_spill_path's process-wide counter with
 /// the budgeted engine, so no two concurrent solves — whatever mix of
@@ -59,7 +53,7 @@ std::shared_ptr<core::FusedState> make_incremental_state(
     // chunk is not clamped to the baseline's size.
     const std::size_t chunk = core::spill_chunk_strings(
         streaming.chunk_strings, params.memory_budget_bytes,
-        pauli::ChunkedPauliReader::resident_bytes_for(1, num_qubits),
+        pauli::pset_record_bytes(num_qubits),
         std::numeric_limits<std::size_t>::max());
     state->use_spill(incremental_spill_path(streaming.spill_dir), chunk);
   }
@@ -164,9 +158,9 @@ std::string SolveTelemetry::to_json() const {
 std::string SolvePlan::summary() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "strategy=%s backend=%s budget=%zu chunk_strings=%zu "
+                "strategy=%s budget=%zu chunk_strings=%zu "
                 "devices=%" PRIu32 " (%s)",
-                to_string(strategy), core::to_string(backend),
+                to_string(strategy),
                 memory_budget_bytes, chunk_strings, num_devices,
                 reason.c_str());
   return buf;
@@ -213,14 +207,17 @@ Session SessionBuilder::build() const {
 
 SolvePlan Session::plan(const Problem& problem) const {
   SolvePlan plan;
-  plan.backend = core::resolve_backend(params_.pauli_backend);
   plan.memory_budget_bytes = params_.memory_budget_bytes;
   plan.num_devices = num_devices_;
 
   const ProblemKind kind = problem.kind();
   const std::size_t n = problem.num_vertices();
+  // Bytes per string a spill chunk holds: the .pset record of an encoded
+  // set, or what a spill-backed problem recorded (n records).
   const std::size_t per_string =
-      n > 0 ? problem.logical_bytes() / n : problem.logical_bytes();
+      kind == ProblemKind::Pauli
+          ? pauli::pset_record_bytes(problem.pauli_set().num_qubits())
+          : (n > 0 ? problem.logical_bytes() / n : problem.logical_bytes());
 
   // The budgeted engine's own spill gate: stream when told the chunk size
   // or when holding the whole encoded input would eat more than half the
@@ -357,8 +354,7 @@ SolveReport Session::solve(const Problem& problem,
           const pauli::PackedPauliSet& set = problem.packed_set();
           util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
                                           set.logical_bytes());
-          const graph::PackedComplementOracle oracle(
-              set.view(), simd_for(params.pauli_backend));
+          const graph::PackedComplementOracle oracle(set.view());
           report.result = core::solve_oracle(oracle, params);
           break;
         }
@@ -408,8 +404,7 @@ SolveReport Session::solve(const Problem& problem,
           const pauli::PackedPauliSet& set = problem.packed_set();
           util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
                                           set.logical_bytes());
-          const graph::PackedComplementOracle oracle(
-              set.view(), simd_for(params.pauli_backend));
+          const graph::PackedComplementOracle oracle(set.view());
           report.result = core::solve_fused(oracle, params);
           break;
         }
@@ -436,25 +431,14 @@ SolveReport Session::solve(const Problem& problem,
       core::MultiDeviceResult md;
       switch (problem.kind()) {
         case ProblemKind::Pauli: {
-          const pauli::PauliSet& set = problem.pauli_set();
-          switch (core::resolve_backend(params.pauli_backend)) {
-            case core::PauliBackend::Scalar: {
-              const graph::ComplementOracle oracle(set);
-              md = core::solve_multi_device(oracle, params, config);
-              break;
-            }
-            default: {
-              const graph::PackedComplementOracle oracle(
-                  set.packed_view(), simd_for(params.pauli_backend));
-              md = core::solve_multi_device(oracle, params, config);
-              break;
-            }
-          }
+          const graph::PackedComplementOracle oracle(
+              problem.pauli_set().packed_view());
+          md = core::solve_multi_device(oracle, params, config);
           break;
         }
         case ProblemKind::PackedPauli: {
           const graph::PackedComplementOracle oracle(
-              problem.packed_set().view(), simd_for(params.pauli_backend));
+              problem.packed_set().view());
           md = core::solve_multi_device(oracle, params, config);
           break;
         }
@@ -560,7 +544,6 @@ SolveReport Session::solve_incremental(const Problem& problem,
   state_ = std::move(state);
 
   report.plan.strategy = ExecutionStrategy::Fused;
-  report.plan.backend = core::resolve_backend(params_.pauli_backend);
   report.plan.memory_budget_bytes = params_.memory_budget_bytes;
   report.plan.chunk_strings = state_->chunk_strings();
   report.plan.reason = "incremental baseline: fused solve, state kept resident";
@@ -613,7 +596,6 @@ SolveReport Session::update(const UpdateDelta& delta,
 
   report.update = stats;
   report.plan.strategy = ExecutionStrategy::Fused;
-  report.plan.backend = core::resolve_backend(params_.pauli_backend);
   report.plan.memory_budget_bytes = params_.memory_budget_bytes;
   report.plan.chunk_strings = state_->chunk_strings();
   report.plan.reason = "incremental update over the resident fused state";

@@ -4,7 +4,7 @@
 //
 // The paper's algorithm (encode → palette → conflict subgraph → list-color
 // → recurse) is one algorithm behind several engines. A Session owns the
-// wiring of params, telemetry, backends and the runtime for all of them:
+// wiring of params, telemetry and the runtime for all of them:
 //
 //   auto session = picasso::api::SessionBuilder()
 //                      .palette(12.5, 2.0)
@@ -13,7 +13,7 @@
 //                      .build();             // eager validation -> ApiError
 //   auto report = session.solve(picasso::api::Problem::pauli(set));
 //   // report.result : the usual core::PicassoResult
-//   // report.plan   : which strategy/backend/chunking actually ran
+//   // report.plan   : which strategy/chunking actually ran
 //
 // solve() plans an execution strategy from the problem kind and size —
 // the edge-free fused engine (spilling under a memory budget), the
@@ -76,7 +76,6 @@ ExecutionStrategy parse_strategy(std::string_view name);
 /// alongside the result.
 struct SolvePlan {
   ExecutionStrategy strategy = ExecutionStrategy::InMemory;
-  core::PauliBackend backend = core::PauliBackend::Packed;  // resolved
   std::size_t memory_budget_bytes = 0;
   std::size_t chunk_strings = 0;   // streaming plans: strings per chunk
   std::uint32_t num_devices = 0;   // multi-device plans
@@ -236,7 +235,7 @@ class Session {
   Session() = default;
 
   /// Bridges existing PicassoParams-based code onto the session pipeline —
-  /// every field (seed, palette, backend, runtime, budget, device, hooks)
+  /// every field (seed, palette, runtime, budget, device, hooks)
   /// carries over.
   static Session from_params(const core::PicassoParams& params) {
     Session s;
@@ -276,8 +275,7 @@ class Session {
   // memory budget or an explicit chunk size), and each update() extends it
   // in place. Determinism contract: the coloring after N updates is
   // bit-identical to one update over the concatenated input, across thread
-  // counts, Scalar/Packed backends, and in-memory vs spilled stores (the CI
-  // replay gate pins it).
+  // counts and in-memory vs spilled stores (the CI replay gate pins it).
 
   /// Full fused solve over `problem` (an encoded Pauli set) that keeps the
   /// solved state resident for later update() calls. Replaces any previous
@@ -350,12 +348,6 @@ class SessionBuilder {
 
   SessionBuilder& max_iterations(int iterations) {
     session_.params_.max_iterations = iterations;
-    return *this;
-  }
-
-  /// Anticommutation backend for Pauli problems (all bit-identical).
-  SessionBuilder& backend(core::PauliBackend backend) {
-    session_.params_.pauli_backend = backend;
     return *this;
   }
 

@@ -12,9 +12,12 @@
 // removed the deprecated free-function colorers and the chunk-pair
 // streaming strategy. 3.0 removed the probabilistic prefilter tier (its
 // strategy, its two PicassoParams fields, its report field, counters and
-// memory subsystem); Fused is the one exact edge-free engine.
+// memory subsystem); Fused is the one exact edge-free engine. 4.0 removed
+// the Pauli backend selector (its enum, its params field, the builder, plan
+// and wire-params members) and PauliSet's resident 3-bit words: Pauli
+// solves always run the packed plane kernels.
 
-#define PICASSO_API_VERSION_MAJOR 3
+#define PICASSO_API_VERSION_MAJOR 4
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 

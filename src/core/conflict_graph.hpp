@@ -47,7 +47,7 @@ enum class ConflictKernel {
 /// through the batched SIMD kernel (~4-8x cheaper per pair at the kernel
 /// level, bench_ablation_kernels part 2), while the indexed kernel's dedup
 /// runs a per-pair list merge plus a per-pair oracle call it cannot batch —
-/// so with a packed backend the index must win by a wider margin before it
+/// so with a packed oracle the index must win by a wider margin before it
 /// beats the all-pairs scan.
 inline constexpr std::uint64_t kBlockedOraclePairCost = 4;
 
@@ -59,8 +59,8 @@ inline constexpr std::uint64_t kBlockedOraclePairCost = 4;
 /// cheaper). In the aggressive regime (L ~ P) every vertex sits in every
 /// color bucket and the index degenerates, so Auto falls back to the
 /// all-pairs scan there. The conflict builders pass `blocked_oracle` from
-/// the oracle's static capability, which is how the Pauli backend choice
-/// (PauliBackend::Packed vs Scalar) reaches the heuristic.
+/// the oracle's static capability (a packed Pauli oracle has edge_block,
+/// the per-pair ComplementOracle does not).
 constexpr ConflictKernel resolve_kernel(ConflictKernel kernel,
                                         std::uint32_t palette_size,
                                         std::uint32_t list_size,

@@ -29,10 +29,10 @@ bool supports_disjoint(const std::uint64_t* a, const std::uint64_t* b,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Probers: one conflict-edge tester per (store, backend) combination. All
-// four answer the identical relation (edge ⇔ the strings do NOT
-// anticommute), so the insertion outcome is backend- and storage-invariant;
-// they differ only in which kernels run and which counters tick.
+// Probers: one conflict-edge tester per store. Both answer the identical
+// relation (edge ⇔ the strings do NOT anticommute) through the same block
+// kernel, so the insertion outcome is storage-invariant; they differ only
+// in where the records come from and which counters tick.
 
 class FusedState::Prober {
  public:
@@ -54,8 +54,8 @@ class FusedState::Prober {
 
 class FusedState::InMemoryPackedProber : public FusedState::Prober {
  public:
-  InMemoryPackedProber(const pauli::PauliSet& store, pauli::SimdLevel simd)
-      : oracle_(store.packed_view(), simd), view_(store.packed_view()) {}
+  explicit InMemoryPackedProber(const pauli::PauliSet& store)
+      : oracle_(store.packed_view()), view_(store.packed_view()) {}
 
   const std::uint64_t* set_u(std::uint32_t u) override {
     u_ = u;
@@ -81,44 +81,14 @@ class FusedState::InMemoryPackedProber : public FusedState::Prober {
   std::uint32_t u_ = 0;
 };
 
-class FusedState::InMemoryScalarProber : public FusedState::Prober {
- public:
-  explicit InMemoryScalarProber(const pauli::PauliSet& store)
-      : store_(&store), view_(store.packed_view()) {}
-
-  const std::uint64_t* set_u(std::uint32_t u) override {
-    u_ = u;
-    return view_.record(u);
-  }
-
-  void edges(const std::uint32_t* ids, std::size_t count,
-             std::uint8_t* out) override {
-    obs::count(obs::Counter::OraclePairEvals, count);
-    for (std::size_t k = 0; k < count; ++k) {
-      out[k] = static_cast<std::uint8_t>(ids[k] != u_ &&
-                                         !store_->anticommute(u_, ids[k]));
-    }
-  }
-
-  const std::uint64_t* member_record(std::uint32_t m) override {
-    return view_.record(m);
-  }
-
- private:
-  const pauli::PauliSet* store_;
-  pauli::PackedView view_;
-  std::uint32_t u_ = 0;
-};
-
 class FusedState::SpilledPackedProber : public FusedState::Prober {
  public:
   SpilledPackedProber(pauli::PackedPauliChunkCache& cache,
-                      const pauli::ChunkedPauliReader& reader,
-                      pauli::SimdLevel simd)
+                      const pauli::ChunkedPauliReader& reader)
       : cache_(&cache),
         spc_(reader.strings_per_chunk()),
         words_(pauli::packed_words(reader.num_qubits())),
-        simd_(pauli::resolve_simd_level(simd)),
+        simd_(pauli::best_simd_level()),
         kernel_(pauli::resolve_block_kernel(words_, simd_)) {}
 
   const std::uint64_t* set_u(std::uint32_t u) override {
@@ -211,54 +181,6 @@ class FusedState::SpilledPackedProber : public FusedState::Prober {
   std::vector<std::uint32_t> group_ids_;
   std::vector<std::uint32_t> group_pos_;
   std::vector<std::uint8_t> group_out_;
-  std::uint32_t u_ = 0;
-};
-
-class FusedState::SpilledScalarProber : public FusedState::Prober {
- public:
-  SpilledScalarProber(pauli::PauliChunkCache& cache,
-                      const pauli::ChunkedPauliReader& reader)
-      : cache_(&cache), spc_(reader.strings_per_chunk()) {}
-
-  const std::uint64_t* set_u(std::uint32_t u) override {
-    u_ = u;
-    u_chunk_ = cache_->get(u / spc_);
-    u_local_ = u % spc_;
-    return u_chunk_->packed_view().record(u_local_);
-  }
-
-  void edges(const std::uint32_t* ids, std::size_t count,
-             std::uint8_t* out) override {
-    const std::uint64_t* u_enc = u_chunk_->encoded3(u_local_);
-    const std::size_t words3 = u_chunk_->words_per_string();
-    std::size_t i = 0;
-    while (i < count) {
-      const std::size_t chunk = ids[i] / spc_;
-      std::size_t j = i + 1;
-      while (j < count && ids[j] / spc_ == chunk) ++j;
-      auto pin = cache_->get(chunk);
-      obs::count(obs::Counter::OraclePairEvals, j - i);
-      for (std::size_t k = i; k < j; ++k) {
-        const std::size_t local = ids[k] - chunk * spc_;
-        const bool anti =
-            pauli::anticommute3(u_enc, pin->encoded3(local), words3);
-        out[k] = static_cast<std::uint8_t>(ids[k] != u_ && !anti);
-      }
-      i = j;
-    }
-  }
-
-  const std::uint64_t* member_record(std::uint32_t m) override {
-    member_chunk_ = cache_->get(m / spc_);
-    return member_chunk_->packed_view().record(m % spc_);
-  }
-
- private:
-  pauli::PauliChunkCache* cache_;
-  std::size_t spc_;
-  std::shared_ptr<const pauli::PauliSet> u_chunk_;
-  std::shared_ptr<const pauli::PauliSet> member_chunk_;
-  std::size_t u_local_ = 0;
   std::uint32_t u_ = 0;
 };
 
@@ -355,34 +277,20 @@ void FusedState::sync_reader() {
   if (!reader_) {
     reader_ = std::make_unique<pauli::ChunkedPauliReader>(spill_path_,
                                                           chunk_strings_);
-    packed_cache_ = std::make_unique<pauli::PackedPauliChunkCache>(*reader_);
-    chunk_cache_ = std::make_unique<pauli::PauliChunkCache>(*reader_);
+    chunk_cache_ = std::make_unique<pauli::PackedPauliChunkCache>(*reader_);
     return;
   }
   // Re-walk and re-verify the grown file in place; only the chunks whose
-  // range changed (the grown last chunk) leave the caches. A throw leaves
-  // the reader and caches on their previous view.
-  const std::size_t first_changed = reader_->refresh();
-  packed_cache_->drop_from(first_changed);
-  chunk_cache_->drop_from(first_changed);
+  // range changed (the grown last chunk) leave the cache. A throw leaves
+  // the reader and cache on their previous view.
+  chunk_cache_->drop_from(reader_->refresh());
 }
 
 std::unique_ptr<FusedState::Prober> FusedState::make_prober() const {
-  const PauliBackend backend = resolve_backend(params_.pauli_backend);
-  const pauli::SimdLevel simd = backend == PauliBackend::PackedScalar
-                                    ? pauli::SimdLevel::Scalar
-                                    : pauli::SimdLevel::Auto;
   if (use_spill_) {
-    if (backend == PauliBackend::Scalar) {
-      return std::make_unique<SpilledScalarProber>(*chunk_cache_, *reader_);
-    }
-    return std::make_unique<SpilledPackedProber>(*packed_cache_, *reader_,
-                                                 simd);
+    return std::make_unique<SpilledPackedProber>(*chunk_cache_, *reader_);
   }
-  if (backend == PauliBackend::Scalar) {
-    return std::make_unique<InMemoryScalarProber>(store_);
-  }
-  return std::make_unique<InMemoryPackedProber>(store_, simd);
+  return std::make_unique<InMemoryPackedProber>(store_);
 }
 
 void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,

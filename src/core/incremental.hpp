@@ -16,13 +16,13 @@
 //
 // Determinism contract (the replay gate of ci/bench_baseline.json pins it):
 // insertion is strictly sequential in record order, every probe answers the
-// same anticommutation relation on every backend, and escalations re-solve
-// through the fused engines, which are bit-identical across thread counts
-// and chunking. The final coloring is therefore a pure function of the
-// concatenated record sequence and the (params, update-params) pair —
+// same anticommutation relation whichever store it reads, and escalations
+// re-solve through the fused engines, which are bit-identical across thread
+// counts and chunking. The final coloring is therefore a pure function of
+// the concatenated record sequence and the (params, update-params) pair —
 // independent of how the sequence was split into updates, of the thread
-// count, of Scalar vs Packed backends, and of whether the store lives in
-// memory or in a budget-grown .pset spill.
+// count, and of whether the store lives in memory or in a budget-grown
+// .pset spill.
 //
 // State lives in FusedState; api::Session wraps it behind update() /
 // solve_incremental() and owns the in-memory-vs-spill decision.
@@ -79,7 +79,7 @@ struct GraphVertexDelta {
 /// engine's bucket structure), per-color packed support signatures (a
 /// disjoint-support AND test that rejects hopeless buckets without touching
 /// a kernel), and the record store — either an in-memory PauliSet or a
-/// budget-grown .pset spill probed through the chunk caches.
+/// budget-grown .pset spill probed through the chunk cache.
 ///
 /// A FusedState is either Pauli-backed (update_pauli) or graph-backed
 /// (update_graph, after adopt_graph_solution); the two delta kinds cannot
@@ -103,8 +103,8 @@ class FusedState {
   FusedState& operator=(const FusedState&) = delete;
 
   /// Switches the record store to a .pset spill at `path` (created at the
-  /// first ingest, grown in place by append_pauli_set) read back through
-  /// budget-admitted chunk caches of `chunk_strings` strings each. Must be
+  /// first ingest, grown in place by append_pauli_set) read back through a
+  /// budget-admitted chunk cache of `chunk_strings` strings per chunk. Must be
   /// called before any records are ingested. The state owns the file and
   /// removes it on destruction.
   void use_spill(std::string path, std::size_t chunk_strings);
@@ -155,12 +155,10 @@ class FusedState {
  private:
   enum class Kind { Unset, Pauli, Graph };
   class InMemoryPackedProber;
-  class InMemoryScalarProber;
   class SpilledPackedProber;
-  class SpilledScalarProber;
 
   void ingest_pauli(const pauli::PauliSet& delta);
-  /// Opens the spill reader and caches on first use; afterwards refreshes
+  /// Opens the spill reader and cache on first use; afterwards refreshes
   /// the reader in place and drops only the chunks that changed.
   void sync_reader();
   std::unique_ptr<Prober> make_prober() const;
@@ -209,14 +207,13 @@ class FusedState {
   std::uint32_t fresh_colors_ = 0;  // since the last escalation
 
   // Pauli store — exactly one of these two is live once records exist.
-  pauli::PauliSet store_;  // in-memory (dual-encoded)
+  pauli::PauliSet store_;  // in-memory
   bool use_spill_ = false;
   std::string spill_path_;
   std::size_t chunk_strings_ = 0;
   std::size_t num_qubits_ = 0;
   std::unique_ptr<pauli::ChunkedPauliReader> reader_;
-  std::unique_ptr<pauli::PackedPauliChunkCache> packed_cache_;
-  std::unique_ptr<pauli::PauliChunkCache> chunk_cache_;
+  std::unique_ptr<pauli::PackedPauliChunkCache> chunk_cache_;
   // Owns the spill file once created; removes it on destruction. A
   // unique_ptr so moved-from states cannot double-remove.
   struct SpillGuard;

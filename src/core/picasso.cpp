@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 
 namespace picasso::core {
 
@@ -49,57 +48,14 @@ std::string MemoryReport::to_json() const {
   return json;
 }
 
-const char* to_string(PauliBackend backend) noexcept {
-  switch (backend) {
-    case PauliBackend::Auto: return "auto";
-    case PauliBackend::Scalar: return "scalar";
-    case PauliBackend::Packed: return "packed";
-    case PauliBackend::PackedScalar: return "packed-scalar";
-  }
-  return "?";
-}
-
-PauliBackend parse_pauli_backend(std::string_view name) {
-  constexpr PauliBackend kAll[] = {PauliBackend::Auto, PauliBackend::Scalar,
-                                   PauliBackend::Packed,
-                                   PauliBackend::PackedScalar};
-  for (PauliBackend backend : kAll) {
-    if (name == to_string(backend)) return backend;
-  }
-  // The valid list comes from the same enumeration the parser walks, so the
-  // message cannot drift from what is accepted.
-  std::string valid;
-  for (PauliBackend backend : kAll) {
-    if (!valid.empty()) valid += ", ";
-    valid += to_string(backend);
-  }
-  throw std::invalid_argument("unknown Pauli backend '" + std::string(name) +
-                              "' (valid: " + valid + ")");
-}
-
 PicassoResult solve_pauli(const pauli::PauliSet& set,
                           const PicassoParams& params) {
   // The encoded input is the in-memory driver's resident floor; charge it
   // before the run scope rebases the peaks so it is part of the baseline.
   util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
                                   set.logical_bytes());
-  switch (resolve_backend(params.pauli_backend)) {
-    case PauliBackend::Scalar: {
-      const graph::ComplementOracle oracle(set);
-      return solve_oracle(oracle, params);
-    }
-    case PauliBackend::PackedScalar: {
-      // The packed view borrows the set's symplectic planes: no extra bytes.
-      const graph::PackedComplementOracle oracle(set.packed_view(),
-                                                 pauli::SimdLevel::Scalar);
-      return solve_oracle(oracle, params);
-    }
-    default: {
-      const graph::PackedComplementOracle oracle(set.packed_view(),
-                                                 pauli::SimdLevel::Auto);
-      return solve_oracle(oracle, params);
-    }
-  }
+  const graph::PackedComplementOracle oracle(set.packed_view());
+  return solve_oracle(oracle, params);
 }
 
 // Pin the common instantiations into this translation unit.

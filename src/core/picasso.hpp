@@ -15,7 +15,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/conflict_graph.hpp"
@@ -35,29 +34,6 @@
 
 namespace picasso::core {
 
-/// Which anticommutation backend the Pauli entry points plug into the
-/// conflict-oracle interface. Every backend computes the same relation, so
-/// colorings are bit-identical across all of them (the differential test
-/// suite pins this); they differ only in speed and resident bytes.
-enum class PauliBackend {
-  Auto,          // Packed with runtime SIMD dispatch (the default)
-  Scalar,        // 3-bit inverse-one-hot per-pair kernel (paper §IV-A)
-  Packed,        // bit-packed symplectic records, blocked SIMD pair-scan
-  PackedScalar,  // packed records, SIMD forced off (ablation baseline)
-};
-
-const char* to_string(PauliBackend backend) noexcept;
-
-/// Inverse of to_string(PauliBackend): parses "auto" / "scalar" / "packed" /
-/// "packed-scalar". Throws std::invalid_argument naming the valid spellings
-/// on anything else — the CLI and config loaders surface that message
-/// verbatim.
-PauliBackend parse_pauli_backend(std::string_view name);
-
-constexpr PauliBackend resolve_backend(PauliBackend backend) noexcept {
-  return backend == PauliBackend::Auto ? PauliBackend::Packed : backend;
-}
-
 struct PicassoParams {
   /// P' — palette size as a percent of the active vertex count (Table III's
   /// "Norm." uses 12.5, "Aggr." uses 3).
@@ -72,9 +48,6 @@ struct PicassoParams {
   int max_iterations = 64;
   ConflictKernel kernel = ConflictKernel::Auto;
   ConflictColoringScheme conflict_scheme = ConflictColoringScheme::DynamicBucket;
-  /// Anticommutation backend for the Pauli drivers (in-memory and streaming).
-  /// All settings yield bit-identical colorings; see PauliBackend.
-  PauliBackend pauli_backend = PauliBackend::Auto;
   /// Parallel execution runtime for the conflict-graph build (and, in the
   /// multi-device driver, the concurrent shard builds). Defaults to one
   /// worker per hardware thread with deterministic merging, so results are
@@ -191,8 +164,9 @@ struct PicassoResult {
 template <graph::GraphOracle Oracle>
 PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params);
 
-/// Engine behind the Pauli entry point: picks the anticommutation oracle for
-/// params.pauli_backend and runs solve_oracle. Charges the encoded input to
+/// Engine behind the Pauli entry point: runs solve_oracle over a
+/// PackedComplementOracle on the set's records (AVX2 when the CPU has it,
+/// the scalar plane kernel otherwise). Charges the encoded input to
 /// MemSubsystem::PauliInput for the duration of the run.
 PicassoResult solve_pauli(const pauli::PauliSet& set,
                           const PicassoParams& params);

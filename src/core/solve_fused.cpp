@@ -6,7 +6,6 @@
 #include <system_error>
 
 #include "graph/oracles.hpp"
-#include "pauli/encoding.hpp"
 
 namespace picasso::core {
 
@@ -60,28 +59,14 @@ PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
   // the run scope rebases the peaks.
   util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
                                   set.logical_bytes());
-  switch (resolve_backend(params.pauli_backend)) {
-    case PauliBackend::Scalar: {
-      const graph::ComplementOracle oracle(set);
-      return solve_fused(oracle, params);
-    }
-    case PauliBackend::PackedScalar: {
-      const graph::PackedComplementOracle oracle(set.packed_view(),
-                                                 pauli::SimdLevel::Scalar);
-      return solve_fused(oracle, params);
-    }
-    default: {
-      const graph::PackedComplementOracle oracle(set.packed_view(),
-                                                 pauli::SimdLevel::Auto);
-      return solve_fused(oracle, params);
-    }
-  }
+  const graph::PackedComplementOracle oracle(set.packed_view());
+  return solve_fused(oracle, params);
 }
 
 namespace {
 
-/// Fused candidate tester over spilled chunks, packed backend: v's record
-/// is swapped once per scan, candidates are grouped into contiguous
+/// Fused candidate tester over spilled chunks: v's record is swapped once
+/// per scan, candidates are grouped into contiguous
 /// same-chunk runs (active ids ascend, so runs are maximal) and answered by
 /// the runtime-dispatched block kernel against the pinned chunk. shared_ptr
 /// pins keep a chunk alive across an eviction happening mid-scan.
@@ -89,13 +74,12 @@ class PackedChunkTester {
  public:
   PackedChunkTester(const pauli::ChunkedPauliReader& reader,
                     pauli::PackedPauliChunkCache& cache,
-                    std::span<const std::uint32_t> active,
-                    pauli::SimdLevel simd)
+                    std::span<const std::uint32_t> active)
       : cache_(&cache),
         active_(active),
         spc_(reader.strings_per_chunk()),
         words_(pauli::packed_words(reader.num_qubits())),
-        simd_(pauli::resolve_simd_level(simd)),
+        simd_(pauli::best_simd_level()),
         kernel_(pauli::resolve_block_kernel(words_, simd_)) {
     swapped_.resize(2 * words_);
   }
@@ -149,57 +133,13 @@ class PackedChunkTester {
   std::vector<std::uint32_t> rel_;
 };
 
-/// Scalar 3-bit twin: full PauliSet chunks, per-pair inverse-one-hot
-/// anticommutation.
-class ScalarChunkTester {
- public:
-  ScalarChunkTester(const pauli::ChunkedPauliReader& reader,
-                    pauli::PauliChunkCache& cache,
-                    std::span<const std::uint32_t> active)
-      : cache_(&cache), active_(active), spc_(reader.strings_per_chunk()) {}
-
-  void operator()(std::uint32_t v, std::span<const std::uint32_t> cands,
-                  std::uint8_t* hits) {
-    const std::size_t gv = active_[v];
-    const std::size_t cv = gv / spc_;
-    const auto set_v = cache_->get(cv);
-    const std::size_t words3 = set_v->words_per_string();
-    const std::uint64_t* eu = set_v->encoded3(gv - cv * spc_);
-    std::size_t i = 0;
-    while (i < cands.size()) {
-      const std::size_t chunk = active_[cands[i]] / spc_;
-      const std::size_t begin = chunk * spc_;
-      const auto set_b = chunk == cv ? set_v : cache_->get(chunk);
-      for (; i < cands.size() && active_[cands[i]] / spc_ == chunk; ++i) {
-        hits[i] = pauli::anticommute3(
-                      eu, set_b->encoded3(active_[cands[i]] - begin), words3)
-                      ? 0
-                      : 1;  // complement graph
-      }
-    }
-  }
-
-  std::size_t scratch_bytes() const noexcept { return 0; }
-
- private:
-  pauli::PauliChunkCache* cache_;
-  std::span<const std::uint32_t> active_;
-  std::size_t spc_;
-};
-
 }  // namespace
 
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params) {
-  const PauliBackend backend = resolve_backend(params.pauli_backend);
-  const pauli::SimdLevel simd = backend == PauliBackend::PackedScalar
-                                    ? pauli::SimdLevel::Scalar
-                                    : pauli::SimdLevel::Auto;
-  util::MemoryRegistry& memory = util::global_memory();
-  // The caches persist across iterations so the LRU can exploit whatever
+  // The cache persists across iterations so the LRU can exploit whatever
   // locality the strike pattern has.
-  pauli::PauliChunkCache cache(reader, memory);
-  pauli::PackedPauliChunkCache packed_cache(reader, memory);
+  pauli::PackedPauliChunkCache cache(reader, util::global_memory());
 
   PicassoResult result = detail::solve_fused_loop(
       static_cast<std::uint32_t>(reader.num_strings()), params,
@@ -210,35 +150,25 @@ PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
           detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
           std::size_t& scan_scratch) {
         const auto n_active = static_cast<std::uint32_t>(active.size());
-        auto run_with = [&](auto& tester) {
-          return detail::fused_color_iteration(
-              n_active, lists, index, params.conflict_scheme, rng, tester,
-              params, iteration, palette.palette_size,
-              [&] {
-                return detail::fused_conflict_degrees(
-                    n_active, lists, index, palette.palette_size, tester);
-              },
-              scan_stats, conflicted, scan_scratch);
-        };
-        ListColoringResult colored;
-        if (backend == PauliBackend::Scalar) {
-          ScalarChunkTester tester(reader, cache, active);
-          colored = run_with(tester);
-          scan_scratch += tester.scratch_bytes();
-        } else {
-          PackedChunkTester tester(reader, packed_cache, active, simd);
-          colored = run_with(tester);
-          scan_scratch += tester.scratch_bytes();
-        }
+        PackedChunkTester tester(reader, cache, active);
+        ListColoringResult colored = detail::fused_color_iteration(
+            n_active, lists, index, params.conflict_scheme, rng, tester,
+            params, iteration, palette.palette_size,
+            [&] {
+              return detail::fused_conflict_degrees(
+                  n_active, lists, index, palette.palette_size, tester);
+            },
+            scan_stats, conflicted, scan_scratch);
+        scan_scratch += tester.scratch_bytes();
         return colored;
       });
 
   result.memory.streamed = true;
   result.memory.num_chunks = reader.num_chunks();
   result.memory.chunk_loads = reader.chunk_loads();
-  result.memory.chunk_evictions = cache.evictions() + packed_cache.evictions();
-  result.memory.cache_hits = cache.hits() + packed_cache.hits();
-  result.memory.cache_misses = cache.misses() + packed_cache.misses();
+  result.memory.chunk_evictions = cache.evictions();
+  result.memory.cache_hits = cache.hits();
+  result.memory.cache_misses = cache.misses();
   result.memory.chunk_re_reads = reader.re_reads();
   std::error_code ec;
   const auto file_bytes = std::filesystem::file_size(reader.path(), ec);
@@ -258,7 +188,7 @@ PicassoResult solve_pauli_budgeted_fused(const pauli::PauliSet& set,
 
   const std::size_t chunk_strings = spill_chunk_strings(
       options.chunk_strings, budget,
-      pauli::ChunkedPauliReader::resident_bytes_for(1, set.num_qubits()),
+      pauli::pset_record_bytes(set.num_qubits()),
       set.size());
 
   namespace fs = std::filesystem;

@@ -33,7 +33,7 @@
 // bodies are the shared templates of core/list_coloring.hpp, and the fused
 // strike enumerator feeds them the same affected set in the same ascending
 // order as a CSR neighbor walk would (see the ForEachStrike contract there).
-// The differential suite pins this across schemes, backends, budgets and
+// The differential suite pins this across schemes, kernels, budgets and
 // thread counts.
 //
 // Iteration-stats caveat: the fused engine has no conflict-build phase, so
@@ -645,13 +645,13 @@ PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
       });
 }
 
-/// Fused engine behind the Pauli entry points: same backend dispatch as
+/// Fused engine behind the Pauli entry points: the same oracle as
 /// solve_pauli, driving solve_fused instead of the materialized pipeline.
 PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
                                 const PicassoParams& params);
 
 /// Streaming engine for spilled Pauli input: the spilled set is read back
-/// chunk-wise through the budget-admission LRU caches, and bucket strike
+/// chunk-wise through the budget-admission LRU cache, and bucket strike
 /// scans test candidates grouped by owning chunk (active ids are
 /// ascending, so groups are contiguous runs) against the pinned chunk
 /// records — no conflict edges are ever staged. Under very tight budgets

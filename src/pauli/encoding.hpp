@@ -11,8 +11,13 @@
 // Alternative encoding — symplectic, 2 bits per operator in two planes
 // (x-bit, z-bit): X=(1,0), Y=(1,1), Z=(0,1), I=(0,0). Strings anticommute iff
 // popcount(x1 & z2) + popcount(z1 & x2) is odd (64 ops per word per plane).
-// The paper uses the inverse-one-hot form; we implement both and benchmark
-// them against each other and the character-comparison reference.
+//
+// The paper's kernel runs on the inverse-one-hot form. This library keeps
+// strings resident only as symplectic planes (PauliSet, pauli_packed.hpp),
+// whose kernels need fewer words and one parity per pair. The 3-bit form
+// lives on as the .pset/wire byte format, and the functions below are its
+// reference: tests pin the writers' bytes to encode3, and the differential
+// suites and ablation benches run anticommute3 as the paper's kernel.
 
 #include <cstdint>
 #include <vector>

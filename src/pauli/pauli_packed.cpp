@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "pauli/encoding.hpp"
 #include "pauli/pauli_set.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -162,6 +163,19 @@ AnticommuteBlockFn resolve_block_kernel(std::size_t words,
   return &block_scalar;
 }
 
+PauliString decode_record(const std::uint64_t* record, std::size_t words,
+                          std::size_t num_qubits) {
+  PauliString s(num_qubits);
+  const std::uint64_t* z = record + words;
+  for (std::size_t q = 0; q < num_qubits; ++q) {
+    const bool xb = (record[q / 64] >> (q % 64)) & 1;
+    const bool zb = (z[q / 64] >> (q % 64)) & 1;
+    s.set_op(q, xb ? (zb ? PauliOp::Y : PauliOp::X)
+                   : (zb ? PauliOp::Z : PauliOp::I));
+  }
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // PackedPauliSet.
 
@@ -178,16 +192,7 @@ PackedPauliSet::PackedPauliSet(const std::vector<PauliString>& strings) {
   data_.assign(size_ * 2 * words_, 0);
   for (std::size_t i = 0; i < size_; ++i) {
     std::uint64_t* x = data_.data() + i * 2 * words_;
-    std::uint64_t* z = x + words_;
-    for (std::size_t q = 0; q < num_qubits_; ++q) {
-      const std::uint64_t bit = std::uint64_t{1} << (q % 64);
-      switch (strings[i].op(q)) {
-        case PauliOp::X: x[q / 64] |= bit; break;
-        case PauliOp::Y: x[q / 64] |= bit; z[q / 64] |= bit; break;
-        case PauliOp::Z: z[q / 64] |= bit; break;
-        case PauliOp::I: break;
-      }
-    }
+    encode2(strings[i], x, x + words_);
   }
 }
 
@@ -224,19 +229,6 @@ void PackedPauliSet::append(const PackedPauliSet& other) {
   }
   data_.insert(data_.end(), other.data_.begin(), other.data_.end());
   size_ += other.size_;
-}
-
-PauliString PackedPauliSet::string(std::size_t i) const {
-  PauliString s(num_qubits_);
-  const std::uint64_t* x = record(i);
-  const std::uint64_t* z = x + words_;
-  for (std::size_t q = 0; q < num_qubits_; ++q) {
-    const bool xb = (x[q / 64] >> (q % 64)) & 1;
-    const bool zb = (z[q / 64] >> (q % 64)) & 1;
-    s.set_op(q, xb ? (zb ? PauliOp::Y : PauliOp::X)
-                   : (zb ? PauliOp::Z : PauliOp::I));
-  }
-  return s;
 }
 
 }  // namespace picasso::pauli

@@ -1,6 +1,7 @@
 #pragma once
 // Bit-packed symplectic Pauli representation and SIMD anticommutation
-// kernels — the hot-path backend of the pluggable conflict oracle.
+// kernels — the resident form of every PauliSet and the hot path of the
+// pluggable conflict oracle.
 //
 // Layout: each string is one contiguous *record* of 2w 64-bit words,
 // [x_0..x_{w-1} | z_0..z_{w-1}] with w = ceil(num_qubits / 64); qubit q sets
@@ -87,6 +88,11 @@ inline bool anticommute_record_scalar(const std::uint64_t* a,
   return __builtin_parityll(acc) != 0;
 }
 
+/// Decodes the record [x|z] (`words` per plane) of a string over
+/// `num_qubits` back to symbolic form; Y is the intersection of the planes.
+PauliString decode_record(const std::uint64_t* record, std::size_t words,
+                          std::size_t num_qubits);
+
 /// Block kernel: out[j] = anticommute(u, records[ids[j]]) for j in [0,count),
 /// where u is given pre-swapped ([z|x], see make_swapped_record) and records
 /// are indexed record-wise into a packed base pointer. The hot call of the
@@ -105,8 +111,8 @@ AnticommuteBlockFn resolve_block_kernel(std::size_t words,
 // ---------------------------------------------------------------------------
 // Owning packed set.
 
-/// A Pauli set stored *only* in packed symplectic form — half the resident
-/// bytes of the dual-encoded PauliSet; what streaming chunks reload as.
+/// A Pauli set stored as packed symplectic records without coefficients —
+/// what streaming chunks reload as.
 class PackedPauliSet {
  public:
   PackedPauliSet() = default;
@@ -134,8 +140,10 @@ class PackedPauliSet {
   PackedView view() const noexcept { return {data_.data(), size_, words_}; }
 
   /// Decodes string i back to symbolic form (round-trip tests, spill-less
-  /// interop). Y is the intersection of the planes.
-  PauliString string(std::size_t i) const;
+  /// interop).
+  PauliString string(std::size_t i) const {
+    return decode_record(record(i), words_, num_qubits_);
+  }
 
   /// Appends every record of `other` (ids continue after size()) — the
   /// incremental update path growing its resident store in place. An empty

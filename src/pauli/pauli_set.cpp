@@ -9,6 +9,13 @@
 #include <stdexcept>
 #include <string>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PICASSO_SET_HAVE_AVX2 1
+#include <immintrin.h>
+#else
+#define PICASSO_SET_HAVE_AVX2 0
+#endif
+
 namespace picasso::pauli {
 
 PauliSet::PauliSet(const std::vector<PauliString>& strings,
@@ -21,14 +28,11 @@ PauliSet::PauliSet(const std::vector<PauliString>& strings,
       throw std::invalid_argument("PauliSet: inconsistent qubit counts");
     }
   }
-  words3_ = words_per_string3(num_qubits_);
-  words2_ = words_per_string2(num_qubits_);
-  words3_data_.assign(size_ * words3_, 0);
-  words2_data_.assign(size_ * 2 * words2_, 0);
+  words_ = packed_words(num_qubits_);
+  data_.assign(size_ * 2 * words_, 0);
   for (std::size_t i = 0; i < size_; ++i) {
-    encode3(strings[i], words3_data_.data() + i * words3_);
-    encode2(strings[i], words2_data_.data() + (2 * i) * words2_,
-            words2_data_.data() + (2 * i + 1) * words2_);
+    std::uint64_t* x = data_.data() + 2 * i * words_;
+    encode2(strings[i], x, x + words_);
   }
   if (coefficients.empty()) {
     coefficients_.assign(size_, 1.0);
@@ -38,10 +42,6 @@ PauliSet::PauliSet(const std::vector<PauliString>& strings,
     }
     coefficients_ = std::move(coefficients);
   }
-}
-
-PauliString PauliSet::string(std::size_t i) const {
-  return decode3(encoded3(i), num_qubits_);
 }
 
 std::uint64_t PauliSet::count_anticommuting_pairs() const {
@@ -74,33 +74,207 @@ constexpr std::uint64_t gather_every_third(std::uint64_t w) noexcept {
   w = (w ^ (w >> 32)) & 0x00000000001fffffULL;
   return w;
 }
+
+/// Spreads bit k of `w` to bit 3k (k = 0..20): gather_every_third's
+/// inverse, the same masks in reverse order.
+constexpr std::uint64_t spread_every_third(std::uint64_t w) noexcept {
+  w &= 0x00000000001fffffULL;
+  w = (w | (w << 32)) & 0x001f00000000ffffULL;
+  w = (w | (w << 16)) & 0x001f0000ff0000ffULL;
+  w = (w | (w << 8)) & 0x100f00f00f00f00fULL;
+  w = (w | (w << 4)) & 0x10c30c30c30c30c3ULL;
+  w = (w | (w << 2)) & kFieldLowBits;
+  return w;
+}
 // X Z Y I (fields 3..0): z = bit 3k, x = bit 3k+2.
 static_assert(gather_every_third(0b110'011'101'000) == 0b0110 &&
               gather_every_third(0b110'011'101'000 >> 2) == 0b1010);
+static_assert(spread_every_third(0b0110) == 0b000'001'001'000 &&
+              spread_every_third(0x1fffff) == kFieldLowBits);
+
+/// The 3-bit word of up to 21 operators given their plane bits (bit k of
+/// `xs`/`zs` is operator k; higher bits are ignored): x to bit 3k+2, z to
+/// bit 3k and x^z to bit 3k+1 — X=110, Y=101, Z=011, I=000.
+constexpr std::uint64_t code3(std::uint64_t xs, std::uint64_t zs) noexcept {
+  const std::uint64_t x = spread_every_third(xs);
+  const std::uint64_t z = spread_every_third(zs);
+  return (x << 2) | ((x ^ z) << 1) | z;
+}
+static_assert(code3(0b1010, 0b0110) == 0b110'011'101'000);  // X Z Y I
+
+/// Bits [first, first + 21) of the `w`-word plane `plane` in the low bits
+/// (bits above them may be set).
+std::uint64_t plane_bits(const std::uint64_t* plane, std::size_t w,
+                         std::size_t first) noexcept {
+  const std::size_t word = first / kOpsPerWord2;
+  const std::size_t shift = first % kOpsPerWord2;
+  std::uint64_t bits = plane[word] >> shift;
+  if (shift + kOpsPerWord3 > kOpsPerWord2 && word + 1 < w) {
+    bits |= plane[word + 1] << (kOpsPerWord2 - shift);
+  }
+  return bits;
+}
+
+#if PICASSO_SET_HAVE_AVX2
+
+// One word per plane (<= 64 qubits, every Table-II dataset): four strings
+// per step on AVX2, the same spread/gather masks as the scalar helpers.
+// Wire requests and spills encode and decode every string, so these loops
+// sit on the service's cache-hit path.
+
+__attribute__((target("avx2"))) inline __m256i mask4(__m256i v,
+                                                     std::uint64_t mask) {
+  return _mm256_and_si256(v,
+                          _mm256_set1_epi64x(static_cast<long long>(mask)));
+}
+
+/// spread_every_third on four lanes.
+__attribute__((target("avx2"))) inline __m256i spread4(__m256i w) {
+  w = mask4(w, 0x00000000001fffffULL);
+  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 32)),
+            0x001f00000000ffffULL);
+  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 16)),
+            0x001f0000ff0000ffULL);
+  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 8)),
+            0x100f00f00f00f00fULL);
+  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 4)),
+            0x10c30c30c30c30c3ULL);
+  return mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 2)), kFieldLowBits);
+}
+
+/// gather_every_third on four lanes.
+__attribute__((target("avx2"))) inline __m256i gather4(__m256i w) {
+  w = mask4(w, kFieldLowBits);
+  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 2)),
+            0x10c30c30c30c30c3ULL);
+  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 4)),
+            0x100f00f00f00f00fULL);
+  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 8)),
+            0x001f0000ff0000ffULL);
+  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 16)),
+            0x001f00000000ffffULL);
+  return mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 32)),
+               0x00000000001fffffULL);
+}
+
+/// encode_records3 for one word per plane; returns the strings done (count
+/// rounded down to a multiple of four).
+__attribute__((target("avx2"))) std::size_t encode_one_plane_avx2(
+    const std::uint64_t* recs, std::size_t count, std::size_t w3,
+    std::uint8_t* out) noexcept {
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(recs + 2 * i));
+    const __m256i b = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(recs + 2 * i + 4));
+    // [x0 x1 x2 x3] and [z0 z1 z2 z3] out of [x0 z0 x1 z1], [x2 z2 x3 z3].
+    const __m256i x =
+        _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b), 0xD8);
+    const __m256i z =
+        _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0xD8);
+    for (std::size_t j = 0; j < w3; ++j) {
+      const __m128i first =
+          _mm_cvtsi64_si128(static_cast<long long>(j * kOpsPerWord3));
+      const __m256i sx = spread4(_mm256_srl_epi64(x, first));
+      const __m256i sz = spread4(_mm256_srl_epi64(z, first));
+      const __m256i code = _mm256_or_si256(
+          _mm256_or_si256(_mm256_slli_epi64(sx, 2),
+                          _mm256_slli_epi64(_mm256_xor_si256(sx, sz), 1)),
+          sz);
+      alignas(32) std::uint64_t lanes[4];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), code);
+      for (std::size_t k = 0; k < 4; ++k) {
+        std::memcpy(out + ((i + k) * w3 + j) * sizeof(std::uint64_t),
+                    &lanes[k], sizeof(std::uint64_t));
+      }
+    }
+  }
+  return i;
+}
+
+/// from_records' decode for one word per plane; returns the strings done
+/// (a multiple of four), stopping before a block that holds a corrupt code
+/// so the scalar loop reports it.
+__attribute__((target("avx2"))) std::size_t decode_one_plane_avx2(
+    const std::uint8_t* in, std::size_t count, std::size_t num_qubits,
+    std::uint64_t* recs) noexcept {
+  const std::size_t w3 = words_per_string3(num_qubits);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    __m256i x = _mm256_setzero_si256();
+    __m256i z = _mm256_setzero_si256();
+    for (std::size_t j = 0; j < w3; ++j) {
+      const std::size_t first = j * kOpsPerWord3;
+      const std::size_t fields = std::min(kOpsPerWord3, num_qubits - first);
+      std::uint64_t lanes[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        std::memcpy(&lanes[k],
+                    in + ((i + k) * w3 + j) * sizeof(std::uint64_t),
+                    sizeof(std::uint64_t));
+      }
+      const __m256i word =
+          mask4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes)),
+                (std::uint64_t{1} << (3 * fields)) - 1);
+      const __m256i odd = mask4(
+          _mm256_xor_si256(word,
+                           _mm256_xor_si256(_mm256_srli_epi64(word, 1),
+                                            _mm256_srli_epi64(word, 2))),
+          kFieldLowBits);
+      if (!_mm256_testz_si256(odd, odd)) return i;
+      const __m128i at = _mm_cvtsi64_si128(static_cast<long long>(first));
+      x = _mm256_or_si256(
+          x, _mm256_sll_epi64(gather4(_mm256_srli_epi64(word, 2)), at));
+      z = _mm256_or_si256(z, _mm256_sll_epi64(gather4(word), at));
+    }
+    // Records [x0 z0 x1 z1] and [x2 z2 x3 z3].
+    const __m256i lo = _mm256_unpacklo_epi64(x, z);  // [x0 z0 x2 z2]
+    const __m256i hi = _mm256_unpackhi_epi64(x, z);  // [x1 z1 x3 z3]
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(recs + 2 * i),
+                        _mm256_permute2x128_si256(lo, hi, 0x20));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(recs + 2 * i + 4),
+                        _mm256_permute2x128_si256(lo, hi, 0x31));
+  }
+  return i;
+}
+
+#endif  // PICASSO_SET_HAVE_AVX2
+
+/// Writes the 3-bit words of the `count` [x|z] records at `recs` (`w` words
+/// per plane) over `num_qubits` to `out`, which need not be aligned.
+/// Padding fields come out 000 because padding plane bits are clear.
+void encode_records3(const std::uint64_t* recs, std::size_t count,
+                     std::size_t w, std::size_t num_qubits,
+                     std::uint8_t* out) noexcept {
+  const std::size_t w3 = words_per_string3(num_qubits);
+  std::size_t i = 0;
+#if PICASSO_SET_HAVE_AVX2
+  if (w == 1 && best_simd_level() == SimdLevel::Avx2) {
+    i = encode_one_plane_avx2(recs, count, w3, out);
+  }
+#endif
+  out += i * w3 * sizeof(std::uint64_t);
+  for (recs += i * 2 * w; i < count; ++i, recs += 2 * w) {
+    for (std::size_t j = 0; j < w3; ++j, out += sizeof(std::uint64_t)) {
+      const std::size_t first = j * kOpsPerWord3;
+      const std::uint64_t word = code3(plane_bits(recs, w, first),
+                                       plane_bits(recs + w, w, first));
+      std::memcpy(out, &word, sizeof(word));
+    }
+  }
+}
 
 [[noreturn]] void throw_truncated() {
   throw std::runtime_error("PauliSet::load_binary: truncated input");
 }
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw_truncated();
-  return value;
-}
-
-/// 3-bit words the records of `count` strings over `num_qubits` hold, after
-/// checking that those records and their coefficients fit in the `available`
-/// bytes that follow the header. Runs before any allocation, so a header
-/// claiming more strings than the input carries (or a count whose byte size
-/// would overflow) is rejected as truncated input.
-std::size_t checked_record_words(std::uint64_t num_qubits,
+/// Bytes the records of `count` strings over `num_qubits` occupy after the
+/// header (3-bit words + coefficients), after checking that they fit in
+/// the `available` bytes that follow the header. Runs before any
+/// allocation, so a header claiming more strings than the input carries
+/// (or a count whose byte size would overflow) is rejected as truncated
+/// input.
+std::size_t checked_record_bytes(std::uint64_t num_qubits,
                                  std::uint64_t count,
                                  std::uint64_t available) {
   const std::uint64_t words3 =
@@ -108,7 +282,7 @@ std::size_t checked_record_words(std::uint64_t num_qubits,
   // Cannot wrap: words3 < 2^64 / 21.
   const std::uint64_t record_bytes = (words3 + 1) * sizeof(std::uint64_t);
   if (count > available / record_bytes) throw_truncated();
-  return static_cast<std::size_t>(count * words3);
+  return static_cast<std::size_t>(count * record_bytes);
 }
 
 /// Bytes left between the read position and the end of `in`; the maximum
@@ -124,35 +298,32 @@ std::uint64_t stream_bytes_left(std::istream& in) {
 }
 }  // namespace
 
-PauliSet PauliSet::from_encoded3(std::size_t num_qubits,
-                                 std::vector<std::uint64_t> words3,
-                                 std::vector<double> coefficients) {
-  const std::size_t count = coefficients.size();
-  const std::size_t w3 = words_per_string3(num_qubits);
-  if (words3.size() != count * w3) {
-    throw std::invalid_argument(
-        "PauliSet::from_encoded3: word count does not match string count");
-  }
+PauliSet PauliSet::from_records(std::size_t num_qubits, std::size_t count,
+                                const std::uint8_t* records) {
   PauliSet out;
   if (count == 0) return out;
-  const std::size_t w2 = words_per_string2(num_qubits);
+  const std::size_t w3 = words_per_string3(num_qubits);
+  const std::size_t w = packed_words(num_qubits);
   out.size_ = count;
   out.num_qubits_ = num_qubits;
-  out.words3_ = w3;
-  out.words2_ = w2;
-  out.words3_data_ = std::move(words3);
-  out.words2_data_.assign(count * 2 * w2, 0);
-  out.coefficients_ = std::move(coefficients);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t* codes = out.words3_data_.data() + i * w3;
-    std::uint64_t* x = out.words2_data_.data() + 2 * i * w2;
-    std::uint64_t* z = x + w2;
-    for (std::size_t j = 0; j < w3; ++j) {
+  out.words_ = w;
+  out.data_.assign(count * 2 * w, 0);
+  std::size_t i = 0;
+#if PICASSO_SET_HAVE_AVX2
+  if (w == 1 && best_simd_level() == SimdLevel::Avx2) {
+    i = decode_one_plane_avx2(records, count, num_qubits, out.data_.data());
+  }
+#endif
+  const std::uint8_t* in = records + i * w3 * sizeof(std::uint64_t);
+  for (; i < count; ++i) {
+    std::uint64_t* x = out.data_.data() + 2 * i * w;
+    std::uint64_t* z = x + w;
+    for (std::size_t j = 0; j < w3; ++j, in += sizeof(std::uint64_t)) {
       const std::size_t first = j * kOpsPerWord3;
       const std::size_t fields = std::min(kOpsPerWord3, num_qubits - first);
-      const std::uint64_t word =
-          codes[j] & ((std::uint64_t{1} << (3 * fields)) - 1);
-      codes[j] = word;
+      std::uint64_t word;
+      std::memcpy(&word, in, sizeof(word));
+      word &= (std::uint64_t{1} << (3 * fields)) - 1;
       // Valid codes (000, 110, 101, 011) are exactly the even-parity ones.
       const std::uint64_t odd = (word ^ (word >> 1) ^ (word >> 2)) &
                                 kFieldLowBits;
@@ -168,22 +339,38 @@ PauliSet PauliSet::from_encoded3(std::size_t num_qubits,
       const std::size_t shift = first % kOpsPerWord2;
       x[plane] |= xs << shift;
       z[plane] |= zs << shift;
-      if (shift + kOpsPerWord3 > kOpsPerWord2 && plane + 1 < w2) {
+      if (shift + kOpsPerWord3 > kOpsPerWord2 && plane + 1 < w) {
         x[plane + 1] |= xs >> (kOpsPerWord2 - shift);
         z[plane + 1] |= zs >> (kOpsPerWord2 - shift);
       }
     }
   }
+  out.coefficients_.resize(count);
+  std::memcpy(out.coefficients_.data(), in, count * sizeof(double));
   return out;
 }
 
+void PauliSet::write_words3(std::ostream& out) const {
+  // In batches of strings, so the words never sit resident all at once.
+  constexpr std::size_t kBatch = 1024;
+  const std::size_t string_bytes =
+      words_per_string3(num_qubits_) * sizeof(std::uint64_t);
+  std::vector<std::uint8_t> batch(std::min(size_, kBatch) * string_bytes);
+  for (std::size_t i = 0; i < size_; i += kBatch) {
+    const std::size_t n = std::min(kBatch, size_ - i);
+    encode_records3(packed_view().record(i), n, words_, num_qubits_,
+                    batch.data());
+    out.write(reinterpret_cast<const char*>(batch.data()),
+              static_cast<std::streamsize>(n * string_bytes));
+  }
+}
+
 void PauliSet::save_binary(std::ostream& out) const {
-  write_pod(out, kMagic);
-  write_pod(out, static_cast<std::uint64_t>(num_qubits_));
-  write_pod(out, static_cast<std::uint64_t>(size_));
-  out.write(reinterpret_cast<const char*>(words3_data_.data()),
-            static_cast<std::streamsize>(words3_data_.size() *
-                                         sizeof(std::uint64_t)));
+  const std::uint64_t header[3] = {kMagic,
+                                   static_cast<std::uint64_t>(num_qubits_),
+                                   static_cast<std::uint64_t>(size_)};
+  out.write(reinterpret_cast<const char*>(header), kBinaryHeaderBytes);
+  write_words3(out);
   out.write(reinterpret_cast<const char*>(coefficients_.data()),
             static_cast<std::streamsize>(coefficients_.size() * sizeof(double)));
 }
@@ -195,33 +382,31 @@ void PauliSet::save_binary(std::span<std::uint8_t> out) const {
   const std::uint64_t header[3] = {kMagic,
                                    static_cast<std::uint64_t>(num_qubits_),
                                    static_cast<std::uint64_t>(size_)};
-  // Byte copies (not memcpy): an empty vector's data() may be null.
-  std::uint8_t* at = std::copy_n(reinterpret_cast<const std::uint8_t*>(header),
-                                 kBinaryHeaderBytes, out.data());
-  at = std::copy_n(reinterpret_cast<const std::uint8_t*>(words3_data_.data()),
-                   words3_data_.size() * sizeof(std::uint64_t), at);
+  std::uint8_t* at = out.data();
+  std::memcpy(at, header, kBinaryHeaderBytes);
+  at += kBinaryHeaderBytes;
+  encode_records3(data_.data(), size_, words_, num_qubits_, at);
+  at += size_ * words_per_string3(num_qubits_) * sizeof(std::uint64_t);
+  // Byte copy (not memcpy): an empty vector's data() may be null.
   std::copy_n(reinterpret_cast<const std::uint8_t*>(coefficients_.data()),
               coefficients_.size() * sizeof(double), at);
 }
 
 PauliSet PauliSet::load_binary(std::istream& in) {
-  if (read_pod<std::uint64_t>(in) != kMagic) {
+  std::uint64_t header[3];
+  in.read(reinterpret_cast<char*>(header), kBinaryHeaderBytes);
+  if (!in) throw_truncated();
+  if (header[0] != kMagic) {
     throw std::runtime_error("PauliSet::load_binary: bad magic");
   }
-  const auto num_qubits = read_pod<std::uint64_t>(in);
-  const auto count = read_pod<std::uint64_t>(in);
-  const std::size_t words =
-      checked_record_words(num_qubits, count, stream_bytes_left(in));
-  if (count == 0) return PauliSet{};
-  std::vector<std::uint64_t> words3(words);
-  in.read(reinterpret_cast<char*>(words3.data()),
-          static_cast<std::streamsize>(words * sizeof(std::uint64_t)));
-  std::vector<double> coefs(static_cast<std::size_t>(count));
-  in.read(reinterpret_cast<char*>(coefs.data()),
-          static_cast<std::streamsize>(coefs.size() * sizeof(double)));
+  const std::size_t bytes =
+      checked_record_bytes(header[1], header[2], stream_bytes_left(in));
+  std::vector<std::uint8_t> records(bytes);
+  in.read(reinterpret_cast<char*>(records.data()),
+          static_cast<std::streamsize>(bytes));
   if (!in) throw_truncated();
-  return from_encoded3(static_cast<std::size_t>(num_qubits), std::move(words3),
-                       std::move(coefs));
+  return from_records(static_cast<std::size_t>(header[1]),
+                      static_cast<std::size_t>(header[2]), records.data());
 }
 
 PauliSet PauliSet::load_binary(std::span<const std::uint8_t> bytes) {
@@ -231,21 +416,11 @@ PauliSet PauliSet::load_binary(std::span<const std::uint8_t> bytes) {
   if (header[0] != kMagic) {
     throw std::runtime_error("PauliSet::load_binary: bad magic");
   }
-  const std::uint64_t count = header[2];
-  const std::size_t words =
-      checked_record_words(header[1], count, bytes.size() - kBinaryHeaderBytes);
-  if (count == 0) return PauliSet{};
-  // Byte copies (not memcpy): words3 is empty when num_qubits is 0.
-  const std::uint8_t* at = bytes.data() + kBinaryHeaderBytes;
-  std::vector<std::uint64_t> words3(words);
-  std::copy_n(at, words * sizeof(std::uint64_t),
-              reinterpret_cast<std::uint8_t*>(words3.data()));
-  at += words * sizeof(std::uint64_t);
-  std::vector<double> coefs(static_cast<std::size_t>(count));
-  std::copy_n(at, coefs.size() * sizeof(double),
-              reinterpret_cast<std::uint8_t*>(coefs.data()));
-  return from_encoded3(static_cast<std::size_t>(header[1]), std::move(words3),
-                       std::move(coefs));
+  checked_record_bytes(header[1], header[2],
+                       bytes.size() - kBinaryHeaderBytes);
+  return from_records(static_cast<std::size_t>(header[1]),
+                      static_cast<std::size_t>(header[2]),
+                      bytes.data() + kBinaryHeaderBytes);
 }
 
 PauliSet PauliSet::prefix(std::size_t count) const {
@@ -253,12 +428,8 @@ PauliSet PauliSet::prefix(std::size_t count) const {
   PauliSet out;
   out.size_ = count;
   out.num_qubits_ = num_qubits_;
-  out.words3_ = words3_;
-  out.words2_ = words2_;
-  out.words3_data_.assign(words3_data_.begin(),
-                          words3_data_.begin() + count * words3_);
-  out.words2_data_.assign(words2_data_.begin(),
-                          words2_data_.begin() + count * 2 * words2_);
+  out.words_ = words_;
+  out.data_.assign(data_.begin(), data_.begin() + count * 2 * words_);
   out.coefficients_.assign(coefficients_.begin(),
                            coefficients_.begin() + count);
   return out;
@@ -273,10 +444,7 @@ void PauliSet::append(const PauliSet& other) {
   if (other.num_qubits_ != num_qubits_) {
     throw std::invalid_argument("PauliSet::append: qubit count mismatch");
   }
-  words3_data_.insert(words3_data_.end(), other.words3_data_.begin(),
-                      other.words3_data_.end());
-  words2_data_.insert(words2_data_.end(), other.words2_data_.begin(),
-                      other.words2_data_.end());
+  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
   coefficients_.insert(coefficients_.end(), other.coefficients_.begin(),
                        other.coefficients_.end());
   size_ += other.size_;
@@ -287,16 +455,12 @@ PauliSet PauliSet::subset(const std::vector<std::uint32_t>& ids) const {
   if (ids.empty()) return out;
   out.size_ = ids.size();
   out.num_qubits_ = num_qubits_;
-  out.words3_ = words3_;
-  out.words2_ = words2_;
-  out.words3_data_.reserve(ids.size() * words3_);
-  out.words2_data_.reserve(ids.size() * 2 * words2_);
+  out.words_ = words_;
+  out.data_.reserve(ids.size() * 2 * words_);
   out.coefficients_.reserve(ids.size());
   for (std::uint32_t id : ids) {
-    const auto w3 = words3_data_.begin() + id * words3_;
-    out.words3_data_.insert(out.words3_data_.end(), w3, w3 + words3_);
-    const auto w2 = words2_data_.begin() + id * 2 * words2_;
-    out.words2_data_.insert(out.words2_data_.end(), w2, w2 + 2 * words2_);
+    const auto rec = data_.begin() + id * 2 * words_;
+    out.data_.insert(out.data_.end(), rec, rec + 2 * words_);
     out.coefficients_.push_back(coefficients_[id]);
   }
   return out;

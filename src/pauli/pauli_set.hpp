@@ -1,10 +1,16 @@
 #pragma once
 // PauliSet: the vertex set of the coloring problem.
 //
-// Stores n Pauli strings (with real coefficients) in structure-of-arrays
-// encoded form so that the anticommutation oracle — the only graph access the
-// Picasso pipeline needs — is a handful of AND+popcount instructions, and the
-// full O(n^2)-edge graph never has to be materialised (§IV-A).
+// Stores n Pauli strings (with real coefficients) as packed symplectic
+// records — string i is [x_0..x_{w-1} | z_0..z_{w-1}], w = ceil(q / 64),
+// the PackedView layout of pauli_packed.hpp — so the anticommutation
+// oracle, the only graph access the Picasso pipeline needs, is a few
+// AND/XOR instructions and one parity, and the full O(n^2)-edge graph never
+// has to be materialised (§IV-A). The paper's 3-bit inverse-one-hot words
+// are not kept resident: they are the .pset/wire byte format, built from
+// the planes when a set is saved and decoded straight back into planes
+// when one is loaded (encoding.hpp keeps the 3-bit kernel as the
+// reference).
 
 #include <cstdint>
 #include <iosfwd>
@@ -28,40 +34,29 @@ class PauliSet {
 
   std::size_t size() const noexcept { return size_; }
   std::size_t num_qubits() const noexcept { return num_qubits_; }
-  std::size_t words_per_string() const noexcept { return words3_; }
   bool empty() const noexcept { return size_ == 0; }
 
   double coefficient(std::size_t i) const { return coefficients_[i]; }
   const std::vector<double>& coefficients() const { return coefficients_; }
 
-  /// Decoded string i (reconstructs from the packed form).
-  PauliString string(std::size_t i) const;
-
-  /// Pointer to the 3-bit encoded words of string i.
-  const std::uint64_t* encoded3(std::size_t i) const {
-    return words3_data_.data() + i * words3_;
+  /// Decoded string i (read back from its planes).
+  PauliString string(std::size_t i) const {
+    return decode_record(packed_view().record(i), words_, num_qubits_);
   }
 
-  /// Fast anticommutation oracle (inverse one-hot encoding).
+  /// Anticommutation oracle: parity of the symplectic product of the two
+  /// records (pauli_packed.hpp).
   bool anticommute(std::size_t i, std::size_t j) const noexcept {
-    return anticommute3(encoded3(i), encoded3(j), words3_);
+    const PackedView v = packed_view();
+    return anticommute_record_scalar(v.record(i), v.record(j), words_);
   }
 
-  /// Zero-copy packed view over the symplectic planes: string i's storage
-  /// [x_0..x_{w-1} | z_0..z_{w-1}] is exactly one PackedView record, so the
-  /// SIMD conflict-oracle kernels (pauli_packed.hpp) run on the encoded set
-  /// without any extra resident bytes. The view borrows; it is valid only
-  /// while this set is alive and unmodified.
+  /// Zero-copy packed view over the records, so the SIMD conflict-oracle
+  /// kernels (pauli_packed.hpp) run on the set without any extra resident
+  /// bytes. The view borrows; it is valid only while this set is alive and
+  /// unmodified.
   PackedView packed_view() const noexcept {
-    return {words2_data_.data(), size_, words2_};
-  }
-
-  /// Symplectic-encoding oracle (same answer, different kernel).
-  bool anticommute_symplectic(std::size_t i, std::size_t j) const noexcept {
-    const std::size_t w = words2_;
-    const std::uint64_t* base = words2_data_.data();
-    return anticommute2(base + (2 * i) * w, base + (2 * i + 1) * w,
-                        base + (2 * j) * w, base + (2 * j + 1) * w, w);
+    return {data_.data(), size_, words_};
   }
 
   /// Qubit-wise commutativity (the grouping relation of Pauli-measurement
@@ -71,14 +66,11 @@ class PauliSet {
   /// single position anticommutes. In the symplectic planes that is
   /// (x_i & z_j) XOR (z_i & x_j) == 0 in every word.
   bool qubit_wise_commute(std::size_t i, std::size_t j) const noexcept {
-    const std::size_t w = words2_;
-    const std::uint64_t* base = words2_data_.data();
-    const std::uint64_t* ax = base + (2 * i) * w;
-    const std::uint64_t* az = base + (2 * i + 1) * w;
-    const std::uint64_t* bx = base + (2 * j) * w;
-    const std::uint64_t* bz = base + (2 * j + 1) * w;
+    const std::size_t w = words_;
+    const std::uint64_t* a = packed_view().record(i);
+    const std::uint64_t* b = packed_view().record(j);
     for (std::size_t k = 0; k < w; ++k) {
-      if (((ax[k] & bz[k]) ^ (az[k] & bx[k])) != 0) return false;
+      if (((a[k] & b[w + k]) ^ (a[w + k] & b[k])) != 0) return false;
     }
     return true;
   }
@@ -92,20 +84,20 @@ class PauliSet {
   /// Number of anticommuting pairs (edges of G). O(n^2) — small inputs only.
   std::uint64_t count_anticommuting_pairs() const;
 
-  /// Bytes of the encoded storage (reported as the input footprint).
+  /// Bytes of the resident records and coefficients (reported as the input
+  /// footprint).
   std::size_t logical_bytes() const noexcept {
-    return words3_data_.size() * sizeof(std::uint64_t) +
-           words2_data_.size() * sizeof(std::uint64_t) +
+    return data_.size() * sizeof(std::uint64_t) +
            coefficients_.size() * sizeof(double);
   }
 
   /// Subset by vertex ids (used when an experiment trims a dataset), by
-  /// copying each id's encoded records.
+  /// copying each id's record.
   PauliSet subset(const std::vector<std::uint32_t>& ids) const;
 
-  /// First `count` strings, by straight copy of the encoded storage (no
-  /// decode round-trip) — the incremental engine's escalation re-solves
-  /// exactly the ingested prefix. `count` is clamped to size().
+  /// First `count` strings, by straight copy of the records (no decode
+  /// round-trip) — the incremental engine's escalation re-solves exactly
+  /// the ingested prefix. `count` is clamped to size().
   PauliSet prefix(std::size_t count) const;
 
   /// Appends every string of `other` (ids continue after size()). An empty
@@ -113,17 +105,19 @@ class PauliSet {
   /// (std::invalid_argument). Appending invalidates packed_view()s.
   void append(const PauliSet& other);
 
-  /// Builds a set straight from its 3-bit words, the save_binary record
-  /// layout: `words3` holds words_per_string3(num_qubits) words per string
-  /// and `coefficients` one value per string (std::invalid_argument when the
-  /// counts disagree). Every field below num_qubits must carry one of the
-  /// four codes, which are exactly the even-parity ones
-  /// (std::invalid_argument otherwise); padding bits are cleared, and the
-  /// symplectic planes are derived word by word (x = bit 3k+2, z = bit 3k).
-  /// No string is decoded. An empty set loads with num_qubits() == 0.
-  static PauliSet from_encoded3(std::size_t num_qubits,
-                                std::vector<std::uint64_t> words3,
-                                std::vector<double> coefficients);
+  /// Builds a set from `count` records in the save_binary byte layout:
+  /// `records` holds count * words_per_string3(num_qubits) little-endian
+  /// 3-bit words, then count coefficients. The words are decoded straight
+  /// into the planes (x = bit 3k+2, z = bit 3k), word by word. Every field
+  /// below num_qubits must carry one of the four codes, which are exactly
+  /// the even-parity ones (std::invalid_argument otherwise); padding bits
+  /// are ignored. An empty set loads with num_qubits() == 0.
+  static PauliSet from_records(std::size_t num_qubits, std::size_t count,
+                               const std::uint8_t* records);
+
+  /// Writes the 3-bit words of every string, built from the planes — the
+  /// record section of save_binary and of .pset append segments.
+  void write_words3(std::ostream& out) const;
 
   /// Binary serialization (dataset disk cache). Format: magic, qubit count,
   /// string count, packed 3-bit words, coefficients.
@@ -131,15 +125,16 @@ class PauliSet {
 
   /// Bytes save_binary writes.
   std::size_t binary_size() const noexcept {
-    return kBinaryHeaderBytes + words3_data_.size() * sizeof(std::uint64_t) +
-           coefficients_.size() * sizeof(double);
+    return kBinaryHeaderBytes +
+           size_ * (words_per_string3(num_qubits_) * sizeof(std::uint64_t) +
+                    sizeof(double));
   }
 
   /// Writes the same bytes into the first binary_size() bytes of `out` (a
   /// wire payload); std::invalid_argument when `out` is shorter.
   void save_binary(std::span<std::uint8_t> out) const;
 
-  /// Parses save_binary output through from_encoded3. The header's string
+  /// Parses save_binary output through from_records. The header's string
   /// count is checked against the bytes the stream still holds (when it can
   /// seek) before anything is allocated. Bad magic or truncated input throw
   /// std::runtime_error, corrupt codes std::invalid_argument.
@@ -154,10 +149,8 @@ class PauliSet {
 
   std::size_t size_ = 0;
   std::size_t num_qubits_ = 0;
-  std::size_t words3_ = 0;
-  std::size_t words2_ = 0;
-  std::vector<std::uint64_t> words3_data_;  // size_ * words3_
-  std::vector<std::uint64_t> words2_data_;  // size_ * 2 * words2_ (x, z)
+  std::size_t words_ = 0;             // per plane
+  std::vector<std::uint64_t> data_;   // size_ * 2 * words_ ([x|z] records)
   std::vector<double> coefficients_;
 };
 

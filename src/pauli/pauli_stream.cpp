@@ -132,51 +132,46 @@ class HashingTee : public std::streambuf {
 
 }  // namespace
 
+std::size_t pset_record_bytes(std::size_t num_qubits) noexcept {
+  return (words_per_string3(num_qubits) + 2 * packed_words(num_qubits)) *
+             sizeof(std::uint64_t) +
+         sizeof(double);
+}
+
 std::size_t spill_pauli_set(const PauliSet& set, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     throw std::runtime_error("spill_pauli_set: cannot open " + path);
   }
   errno = 0;
-  set.save_binary(out);
-  // Packed-symplectic tail: every record [x|z] back to back. The planes are
-  // already contiguous in encoded storage, so this is one write — and the
-  // reader can reload any chunk packed with a single seek instead of
-  // re-encoding from the 3-bit words.
+  // The base block goes to the file through a tee that hashes it on the
+  // way, so the trailer covers exactly the bytes on disk and reopen can
+  // verify without trusting anything but the file.
+  util::WordHasher sum;
+  HashingTee tee(out.rdbuf(), sum);
+  std::ostream block(&tee);
+  set.save_binary(block);
+  // Packed-symplectic tail: every record [x|z] back to back. The records
+  // are contiguous in the set, so this is one write — and the reader can
+  // reload any chunk packed with a single seek instead of decoding the
+  // 3-bit words.
   const PackedView view = set.packed_view();
-  const std::size_t packed_words_total = view.size * 2 * view.words;
-  const std::size_t tail_bytes = packed_words_total * sizeof(std::uint64_t);
+  const std::size_t tail_bytes =
+      view.size * view.record_words() * sizeof(std::uint64_t);
   // Failpoint "spill.write": error/enospc throw here, delay sleeps, short:N
   // truncates the tail and skips the trailer — the on-disk state a crash
   // mid-write would leave, which reopen must then detect.
   const std::size_t tail_written = PICASSO_FAILPOINT_CLAMP("spill.write",
                                                            tail_bytes);
-  out.write(reinterpret_cast<const char*>(view.data),
-            static_cast<std::streamsize>(tail_written));
+  block.write(reinterpret_cast<const char*>(view.data),
+              static_cast<std::streamsize>(tail_written));
   if (tail_written == tail_bytes) {
-    // Base-block trailer: a checksum over exactly the bytes save_binary +
-    // the tail put on disk (header fields little-endian, matching x86 file
-    // order), so reopen can verify without trusting anything but the file.
-    util::WordHasher sum;
-    sum.update_u64(kMagic);
-    sum.update_u64(static_cast<std::uint64_t>(set.num_qubits()));
-    sum.update_u64(static_cast<std::uint64_t>(set.size()));
-    if (set.size() > 0) {
-      sum.update(set.encoded3(0),
-                 set.size() * set.words_per_string() * sizeof(std::uint64_t));
-      sum.update(set.coefficients().data(), set.size() * sizeof(double));
-      sum.update(view.data, tail_bytes);
-    }
     write_pod(out, kTrailerMagic);
     write_pod(out, sum.digest());
   }
   out.flush();
-  if (!out) throw_write_failure("spill_pauli_set", path);
-  const std::size_t total_bytes =
-      kHeaderBytes +
-      set.size() * (set.words_per_string() * sizeof(std::uint64_t) +
-                    sizeof(double)) +
-      packed_words_total * sizeof(std::uint64_t);
+  if (!block || !out) throw_write_failure("spill_pauli_set", path);
+  const std::size_t total_bytes = set.binary_size() + tail_bytes;
   obs::count(obs::Counter::SpillBytesWritten, total_bytes);
   return total_bytes;
 }
@@ -370,21 +365,6 @@ std::size_t ChunkedPauliReader::refresh() {
   return first_chunk;
 }
 
-std::size_t ChunkedPauliReader::resident_bytes_for(
-    std::size_t num_strings, std::size_t num_qubits) noexcept {
-  // Matches PauliSet::logical_bytes(): 3-bit words + symplectic planes +
-  // coefficients.
-  const std::size_t w3 = words_per_string3(num_qubits);
-  const std::size_t w2 = words_per_string2(num_qubits);
-  return num_strings *
-         ((w3 + 2 * w2) * sizeof(std::uint64_t) + sizeof(double));
-}
-
-std::size_t ChunkedPauliReader::chunk_resident_bytes(
-    std::size_t chunk) const noexcept {
-  return resident_bytes_for(chunk_size(chunk), num_qubits_);
-}
-
 std::size_t ChunkedPauliReader::chunk_packed_resident_bytes(
     std::size_t chunk) const noexcept {
   return chunk_size(chunk) * 2 * words2_ * sizeof(std::uint64_t);
@@ -448,17 +428,16 @@ PauliSet ChunkedPauliReader::load_chunk(std::size_t chunk) const {
   if (!in) {
     throw std::runtime_error("ChunkedPauliReader: cannot reopen " + path_);
   }
-  std::vector<std::uint64_t> words3(count * words3_);
+  // The chunk's records in save_binary order: its 3-bit words, then its
+  // coefficients.
+  const std::size_t words_bytes = count * words3_ * sizeof(std::uint64_t);
+  std::vector<std::uint8_t> records(words_bytes + count * sizeof(double));
   read_span(in, Section::Words3, begin, count,
-            reinterpret_cast<char*>(words3.data()));
-  std::vector<double> coefs(count);
+            reinterpret_cast<char*>(records.data()));
   read_span(in, Section::Coefs, begin, count,
-            reinterpret_cast<char*>(coefs.data()));
-  const std::size_t bytes = words3.size() * sizeof(std::uint64_t) +
-                            coefs.size() * sizeof(double);
-  PauliSet set = PauliSet::from_encoded3(num_qubits_, std::move(words3),
-                                         std::move(coefs));
-  note_load(chunk, bytes);
+            reinterpret_cast<char*>(records.data() + words_bytes));
+  PauliSet set = PauliSet::from_records(num_qubits_, count, records.data());
+  note_load(chunk, records.size());
   return set;
 }
 
@@ -510,44 +489,84 @@ std::size_t append_pauli_set(const PauliSet& delta, const std::string& path) {
     throw std::runtime_error("append_pauli_set: cannot append to " + path);
   }
   errno = 0;
+  // Same tee as spill_pauli_set: the trailer covers the segment's bytes.
+  util::WordHasher sum;
+  HashingTee tee(out.rdbuf(), sum);
+  std::ostream segment(&tee);
   const std::size_t count = delta.size();
-  const std::size_t words3 = delta.words_per_string();
-  write_pod(out, kAppendMagic);
-  write_pod(out, static_cast<std::uint64_t>(count));
-  out.write(reinterpret_cast<const char*>(delta.encoded3(0)),
-            static_cast<std::streamsize>(count * words3 *
-                                         sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(delta.coefficients().data()),
-            static_cast<std::streamsize>(count * sizeof(double)));
+  write_pod(segment, kAppendMagic);
+  write_pod(segment, static_cast<std::uint64_t>(count));
+  delta.write_words3(segment);
+  segment.write(reinterpret_cast<const char*>(delta.coefficients().data()),
+                static_cast<std::streamsize>(count * sizeof(double)));
   const PackedView view = delta.packed_view();
-  const std::size_t packed_words_total = view.size * 2 * view.words;
-  const std::size_t packed_bytes = packed_words_total * sizeof(std::uint64_t);
+  const std::size_t packed_bytes =
+      view.size * view.record_words() * sizeof(std::uint64_t);
   // Failpoint "spill.append": same contract as "spill.write" — short:N
   // leaves a torn segment with no trailer for reopen to reject.
   const std::size_t packed_written = PICASSO_FAILPOINT_CLAMP("spill.append",
                                                              packed_bytes);
-  out.write(reinterpret_cast<const char*>(view.data),
-            static_cast<std::streamsize>(packed_written));
+  segment.write(reinterpret_cast<const char*>(view.data),
+                static_cast<std::streamsize>(packed_written));
   if (packed_written == packed_bytes) {
-    util::WordHasher sum;
-    sum.update_u64(kAppendMagic);
-    sum.update_u64(static_cast<std::uint64_t>(count));
-    sum.update(delta.encoded3(0), count * words3 * sizeof(std::uint64_t));
-    sum.update(delta.coefficients().data(), count * sizeof(double));
-    sum.update(view.data, packed_bytes);
     write_pod(out, kTrailerMagic);
     write_pod(out, sum.digest());
   }
   out.flush();
-  if (!out) throw_write_failure("append_pauli_set", path);
+  if (!segment || !out) throw_write_failure("append_pauli_set", path);
   const std::size_t segment_bytes =
-      kSegmentHeaderBytes +
-      count * (words3 * sizeof(std::uint64_t) + sizeof(double)) +
-      packed_words_total * sizeof(std::uint64_t);
+      kSegmentHeaderBytes + count * pset_record_bytes(delta.num_qubits());
   obs::count(obs::Counter::SpillBytesWritten, segment_bytes);
   const auto size = std::filesystem::file_size(path, ec);
   if (ec) throw std::runtime_error("append_pauli_set: cannot stat " + path);
   return static_cast<std::size_t>(size);
+}
+
+std::shared_ptr<const PackedPauliSet> PackedPauliChunkCache::get(
+    std::size_t chunk) {
+  ++clock_;
+  for (Entry& e : entries_) {
+    if (e.chunk == chunk) {
+      e.last_use = clock_;
+      ++hits_;
+      obs::count(obs::Counter::ChunkCacheHits);
+      return e.set;
+    }
+  }
+  ++misses_;
+  obs::count(obs::Counter::ChunkCacheMisses);
+
+  // Miss: make room under the budget, oldest chunks first. try_charge is
+  // the admission test; eviction only drops the cache's reference, so a
+  // chunk pinned by the caller keeps its charge until the pin goes away.
+  const std::size_t bytes = reader_->chunk_packed_resident_bytes(chunk);
+  bool charged = registry_->try_charge(util::MemSubsystem::ChunkCache, bytes);
+  while (!charged && !entries_.empty()) {
+    auto oldest = std::min_element(entries_.begin(), entries_.end(),
+                                   [](const Entry& a, const Entry& b) {
+                                     return a.last_use < b.last_use;
+                                   });
+    entries_.erase(oldest);
+    ++evictions_;
+    obs::count(obs::Counter::ChunkCacheEvictions);
+    charged = registry_->try_charge(util::MemSubsystem::ChunkCache, bytes);
+  }
+  if (!charged) {
+    // Budget smaller than a single chunk (or everything else is pinned):
+    // proceed anyway — the overage is recorded as an over-budget event —
+    // rather than deadlocking the pipeline.
+    registry_->charge(util::MemSubsystem::ChunkCache, bytes);
+  }
+
+  util::MemoryRegistry* registry = registry_;
+  std::shared_ptr<const PackedPauliSet> set(
+      new PackedPauliSet(reader_->load_chunk_packed(chunk)),
+      [registry, bytes](const PackedPauliSet* p) {
+        registry->release(util::MemSubsystem::ChunkCache, bytes);
+        delete p;
+      });
+  entries_.push_back({chunk, set, clock_});
+  return set;
 }
 
 void write_spill_colors(const std::string& path,

@@ -7,10 +7,10 @@
 // (fixed-width header, packed 3-bit words, coefficients) followed by a
 // packed-symplectic tail: every string's [x|z] record
 // (pauli_packed.hpp), 2 * packed_words(q) words each. Both sections are
-// seekable, so a ChunkedPauliReader can reload a chunk either as a full
-// PauliSet (load_chunk) or — the conflict hot path — straight into a
-// PackedPauliSet (load_chunk_packed) at half the resident bytes and with
-// no re-encoding. Files written before the packed tail existed (or by
+// seekable, so a ChunkedPauliReader can reload a chunk either as a
+// PauliSet decoded from the 3-bit section (load_chunk) or — the conflict
+// hot path — as a straight read of the packed records into a
+// PackedPauliSet (load_chunk_packed), with no decoding at all. Files written before the packed tail existed (or by
 // PauliSet::save_binary directly) still load: the reader detects the tail
 // by file size and otherwise reconstructs packed chunks from the 3-bit
 // words.
@@ -25,7 +25,7 @@
 // segment boundaries transparently. A reader already open picks up new
 // segments with refresh(), which repeats the walk and the checksum
 // verification in place and reports the first chunk that changed, so the
-// chunk caches keep every chunk before it.
+// chunk cache keeps every chunk before it.
 //
 // Checksum trailers: the base block and every append segment end in
 // [magic][u64 checksum of the bytes they cover]. Writers emit PSETSUM2
@@ -34,12 +34,14 @@
 // verified on every open and refresh. Counts read from the file are bounded
 // by the bytes that remain before they are multiplied into offsets.
 //
-// A chunk cache keeps recently used chunks resident as long as the
-// MemoryRegistry budget admits them and evicts least-recently-used chunks
-// when it does not — the evicted chunk is simply re-read from disk on its
-// next use (multi-pass re-scan). PauliChunkCache caches full PauliSet
-// chunks (the scalar 3-bit backend), PackedPauliChunkCache caches packed
-// records (the SIMD backend).
+// Writers build the 3-bit words from the set's planes (PauliSet keeps no
+// other encoding) and hash every byte they write through one tee, so a
+// trailer covers exactly the bytes on disk.
+//
+// PackedPauliChunkCache keeps recently used chunks resident as packed
+// records as long as the MemoryRegistry budget admits them and evicts
+// least-recently-used chunks when it does not — the evicted chunk is simply
+// re-read from disk on its next use (multi-pass re-scan).
 
 #include <algorithm>
 #include <cstddef>
@@ -55,6 +57,12 @@
 #include "util/packed_colors.hpp"
 
 namespace picasso::pauli {
+
+/// Bytes one string occupies in a .pset spill: its 3-bit words, its
+/// coefficient and its packed [x|z] record. The one per-string figure every
+/// spill chunk size is derived from (Session::plan, the budgeted fused
+/// engine, incremental spill stores).
+std::size_t pset_record_bytes(std::size_t num_qubits) noexcept;
 
 /// Writes `set` to `path`: the .pset binary format (save_binary) plus the
 /// packed-symplectic tail. Returns the file size in bytes. Throws
@@ -105,7 +113,7 @@ class ChunkedPauliReader {
   /// view. Returns the first chunk whose string range or bytes may differ
   /// from the previous view (the old num_chunks() when appends only added
   /// chunks); a chunk cache over this reader drops that chunk and the ones
-  /// after it (BasicPauliChunkCache::drop_from) and keeps the rest, whose
+  /// after it (PackedPauliChunkCache::drop_from) and keeps the rest, whose
   /// bytes were verified when they were read. Loads of chunks from the
   /// returned one on count as cold reads again, so re_reads() still counts
   /// only budget-forced re-scans. Throws like the constructor and then
@@ -134,22 +142,14 @@ class ChunkedPauliReader {
     return end > begin ? end - begin : 0;
   }
 
-  /// Bytes chunk `chunk` occupies once resident as a PauliSet (both
-  /// encodings plus coefficients) — the unit PauliChunkCache charges
-  /// against the memory budget.
-  std::size_t chunk_resident_bytes(std::size_t chunk) const noexcept;
-
-  /// Bytes the same chunk occupies as a PackedPauliSet (records only) —
-  /// what PackedPauliChunkCache charges. Roughly half the above.
+  /// Bytes chunk `chunk` occupies as a PackedPauliSet (records only) —
+  /// what PackedPauliChunkCache charges.
   std::size_t chunk_packed_resident_bytes(std::size_t chunk) const noexcept;
 
-  /// Same estimate as chunk_resident_bytes for an arbitrary string count
-  /// (used to size chunks against a budget share before the reader exists).
-  static std::size_t resident_bytes_for(std::size_t num_strings,
-                                        std::size_t num_qubits) noexcept;
-
-  /// Seeks to and decodes chunk `chunk` as a standalone PauliSet (local
-  /// indices [0, chunk_size)). Throws on I/O failure.
+  /// Seeks to chunk `chunk` and decodes its 3-bit words and coefficients
+  /// straight into a standalone PauliSet (local indices [0, chunk_size)).
+  /// Throws on I/O failure and, like PauliSet::load_binary, on corrupt
+  /// codes.
   PauliSet load_chunk(std::size_t chunk) const;
 
   /// Reloads chunk `chunk` in packed form: a straight seek+read of the
@@ -217,99 +217,22 @@ class ChunkedPauliReader {
   mutable std::vector<bool> loaded_;  // per chunk: read at least once
 };
 
-namespace detail {
-
-/// What a chunk cache needs to know about its set type: how to load a
-/// chunk and what the resident charge is.
-template <typename SetT>
-struct ChunkCacheTraits;
-
-template <>
-struct ChunkCacheTraits<PauliSet> {
-  static PauliSet load(const ChunkedPauliReader& r, std::size_t chunk) {
-    return r.load_chunk(chunk);
-  }
-  static std::size_t bytes(const ChunkedPauliReader& r, std::size_t chunk) {
-    return r.chunk_resident_bytes(chunk);
-  }
-};
-
-template <>
-struct ChunkCacheTraits<PackedPauliSet> {
-  static PackedPauliSet load(const ChunkedPauliReader& r, std::size_t chunk) {
-    return r.load_chunk_packed(chunk);
-  }
-  static std::size_t bytes(const ChunkedPauliReader& r, std::size_t chunk) {
-    return r.chunk_packed_resident_bytes(chunk);
-  }
-};
-
-}  // namespace detail
-
-/// LRU cache of resident chunks, admission-controlled by the registry
-/// budget (MemSubsystem::ChunkCache). get() returns a shared_ptr so a
-/// caller-pinned chunk survives eviction (the cache merely drops its own
+/// LRU cache of resident packed chunks, admission-controlled by the
+/// registry budget (MemSubsystem::ChunkCache). get() returns a shared_ptr so
+/// a caller-pinned chunk survives eviction (the cache merely drops its own
 /// reference; the charge is released when the last owner lets go). When
 /// even an empty cache cannot admit one chunk — budget smaller than one
 /// chunk — the chunk is loaded and charged anyway (recorded as an
 /// over-budget event) so the pipeline degrades to pure re-scan instead of
 /// failing.
-template <typename SetT>
-class BasicPauliChunkCache {
+class PackedPauliChunkCache {
  public:
-  explicit BasicPauliChunkCache(
+  explicit PackedPauliChunkCache(
       const ChunkedPauliReader& reader,
       util::MemoryRegistry& registry = util::global_memory())
       : reader_(&reader), registry_(&registry) {}
 
-  std::shared_ptr<const SetT> get(std::size_t chunk) {
-    ++clock_;
-    for (Entry& e : entries_) {
-      if (e.chunk == chunk) {
-        e.last_use = clock_;
-        ++hits_;
-        obs::count(obs::Counter::ChunkCacheHits);
-        return e.set;
-      }
-    }
-    ++misses_;
-    obs::count(obs::Counter::ChunkCacheMisses);
-
-    // Miss: make room under the budget, oldest chunks first. try_charge is
-    // the admission test; eviction only drops the cache's reference, so a
-    // chunk pinned by the caller keeps its charge until the pin goes away.
-    const std::size_t bytes =
-        detail::ChunkCacheTraits<SetT>::bytes(*reader_, chunk);
-    bool charged =
-        registry_->try_charge(util::MemSubsystem::ChunkCache, bytes);
-    while (!charged && !entries_.empty()) {
-      auto oldest = std::min_element(entries_.begin(), entries_.end(),
-                                     [](const Entry& a, const Entry& b) {
-                                       return a.last_use < b.last_use;
-                                     });
-      entries_.erase(oldest);
-      ++evictions_;
-      obs::count(obs::Counter::ChunkCacheEvictions);
-      charged =
-          registry_->try_charge(util::MemSubsystem::ChunkCache, bytes);
-    }
-    if (!charged) {
-      // Budget smaller than a single chunk (or everything else is pinned):
-      // proceed anyway — the overage is recorded as an over-budget event —
-      // rather than deadlocking the pipeline.
-      registry_->charge(util::MemSubsystem::ChunkCache, bytes);
-    }
-
-    util::MemoryRegistry* registry = registry_;
-    std::shared_ptr<const SetT> set(
-        new SetT(detail::ChunkCacheTraits<SetT>::load(*reader_, chunk)),
-        [registry, bytes](const SetT* p) {
-          registry->release(util::MemSubsystem::ChunkCache, bytes);
-          delete p;
-        });
-    entries_.push_back({chunk, set, clock_});
-    return set;
-  }
+  std::shared_ptr<const PackedPauliSet> get(std::size_t chunk);
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
@@ -329,7 +252,7 @@ class BasicPauliChunkCache {
  private:
   struct Entry {
     std::size_t chunk = 0;
-    std::shared_ptr<const SetT> set;
+    std::shared_ptr<const PackedPauliSet> set;
     std::uint64_t last_use = 0;
   };
 
@@ -341,8 +264,5 @@ class BasicPauliChunkCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
-
-using PauliChunkCache = BasicPauliChunkCache<PauliSet>;
-using PackedPauliChunkCache = BasicPauliChunkCache<PackedPauliSet>;
 
 }  // namespace picasso::pauli

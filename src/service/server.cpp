@@ -9,6 +9,7 @@
 
 #include "core/solve_fused.hpp"
 #include "core/streaming.hpp"
+#include "util/failpoint.hpp"
 #include "util/fnv.hpp"
 
 namespace picasso::service {
@@ -301,7 +302,6 @@ api::Session Server::session_for(const RemoteParams& params) const {
   p.alpha = params.alpha;
   p.seed = params.seed;
   p.max_iterations = params.max_iterations;
-  p.pauli_backend = static_cast<core::PauliBackend>(params.backend);
   p.memory_budget_bytes = params.memory_budget_bytes;
   auto builder = api::SessionBuilder()
                      .params(p)
@@ -343,11 +343,6 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
   api::Session session;
   api::SolvePlan plan;
   try {
-    if (msg.params.backend > static_cast<std::uint8_t>(
-                                 core::PauliBackend::PackedScalar)) {
-      throw std::invalid_argument("unknown backend value " +
-                                  std::to_string(msg.params.backend));
-    }
     for (const RetiredStrategy& retired : kRetiredStrategies) {
       if (msg.params.strategy != retired.value) continue;
       throw std::invalid_argument(
@@ -596,6 +591,9 @@ void Server::execute(const std::shared_ptr<Request>& request) {
       msg.uncolored = event.uncolored;
       msg.conflict_edges = event.conflict_edges;
       client->send(FrameType::Progress, encode_progress(msg));
+      // Failpoint "service.progress": a hold here keeps the solve between
+      // two iterations, its progress frame already sent.
+      PICASSO_FAILPOINT("service.progress");
     };
   }
 

@@ -144,7 +144,7 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg,
   w.f64(msg.params.alpha);
   w.u64(msg.params.seed);
   w.u32(static_cast<std::uint32_t>(msg.params.max_iterations));
-  w.u8(msg.params.backend);
+  w.u8(0);  // the retired backend byte (see decode_solve_request)
   w.u8(msg.params.strategy);
   w.u64(msg.params.memory_budget_bytes);
   w.u8(msg.params.want_progress ? 1 : 0);
@@ -171,7 +171,13 @@ SolveRequestMsg decode_solve_request(
   msg.params.alpha = r.f64();
   msg.params.seed = r.u64();
   msg.params.max_iterations = static_cast<std::int32_t>(r.u32());
-  msg.params.backend = r.u8();
+  // The frame keeps the byte of the Pauli backend selector removed in API
+  // 4.0; encoders write 0, and anything else asks for a retired backend.
+  if (const std::uint8_t backend = r.u8(); backend != 0) {
+    throw WireError("backend value " + std::to_string(backend) +
+                    " names a Pauli backend selector that was removed in "
+                    "API 4.0; send 0");
+  }
   msg.params.strategy = r.u8();
   msg.params.memory_budget_bytes = r.u64();
   msg.params.want_progress = r.u8() != 0;

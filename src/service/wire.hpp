@@ -174,9 +174,9 @@ struct RemoteParams {
   double alpha = 2.0;
   std::uint64_t seed = 1;
   std::int32_t max_iterations = 64;
-  std::uint8_t backend = 0;       // core::PauliBackend numeric value
   std::uint8_t strategy = 0;      // api::ExecutionStrategy numeric value
-                                  // (2 is retired: answered BadRequest)
+                                  // (2 and 6 are retired: answered
+                                  // BadRequest)
   std::uint64_t memory_budget_bytes = 0;
   bool want_progress = false;
   /// Wall-clock budget for the whole request measured from admission; the
@@ -250,6 +250,9 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg);
 /// send records it does not own without copying them into the message.
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg,
                                                const pauli::PauliSet& records);
+/// Throws WireError on a malformed payload, and on a nonzero backend byte:
+/// the frame keeps that byte, but the Pauli backend selector it carried was
+/// removed in API 4.0, so the server answers such a request BadRequest.
 SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_cancel(std::uint64_t id);

@@ -72,6 +72,8 @@ bool parse_entry(const std::string& entry, std::string& name, Spec& spec) {
     spec.mode = Mode::Delay;
   } else if (rhs == "short") {
     spec.mode = Mode::ShortIo;
+  } else if (rhs == "hold") {
+    spec.mode = Mode::Hold;
   } else {
     return false;
   }
@@ -138,6 +140,19 @@ bool consume(const char* name, Spec& out) {
   return true;
 }
 
+/// Blocks while `name` stays armed in Hold mode.
+void hold(const char* name) {
+  Registry& r = registry();
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(r.mu);
+      const auto it = r.sites.find(name);
+      if (it == r.sites.end() || it->second.mode != Mode::Hold) return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 [[noreturn]] void throw_for(const char* name, const Spec& spec) {
   if (spec.mode == Mode::Enospc) {
     throw std::system_error(ENOSPC, std::generic_category(),
@@ -199,6 +214,9 @@ void evaluate(const char* name) {
       return;
     case Mode::ShortIo:  // length clamping is meaningless here; ignore
       return;
+    case Mode::Hold:
+      hold(name);
+      return;
     case Mode::Error:
     case Mode::Enospc:
       throw_for(name, spec);
@@ -217,6 +235,9 @@ std::size_t evaluate_io(const char* name, std::size_t requested) {
     case Mode::ShortIo:
       return spec.arg < requested ? static_cast<std::size_t>(spec.arg)
                                   : requested;
+    case Mode::Hold:
+      hold(name);
+      return requested;
     case Mode::Error:
     case Mode::Enospc:
       throw_for(name, spec);
@@ -236,6 +257,9 @@ bool triggered(const char* name) noexcept {
     case Mode::Error:
     case Mode::Enospc:
       return true;
+    case Mode::Hold:
+      hold(name);
+      return false;
     case Mode::ShortIo:
     case Mode::Off:
       return false;

@@ -3,7 +3,8 @@
 //
 // A FailPoint is a named site in production code where a test (or an
 // operator, via PICASSO_FAILPOINTS) can inject a failure: an error return,
-// a delay, a short write, or a synthetic ENOSPC. Sites are evaluated with
+// a delay, a short write, a synthetic ENOSPC, or a hold that parks the
+// calling thread until the test releases the site. Sites are evaluated with
 //
 //   PICASSO_FAILPOINT("spill.write");            // throws / sleeps per mode
 //   std::size_t n = PICASSO_FAILPOINT_CLAMP("wire.send", want);  // short I/O
@@ -24,6 +25,7 @@
 //   enospc       throw std::system_error(ENOSPC)
 //   delay:MS     sleep MS milliseconds, then continue
 //   short:N      clamp the next I/O at this site to N bytes (N < requested)
+//   hold         block the calling thread until the site is disarmed
 //   @COUNT       trigger only COUNT times, then disarm automatically
 
 #include <atomic>
@@ -59,6 +61,7 @@ enum class Mode : std::uint8_t {
   Enospc,   // throw std::system_error(ENOSPC, generic_category())
   Delay,    // sleep arg_ms, then proceed
   ShortIo,  // clamp I/O length to arg_bytes (evaluate() is a no-op)
+  Hold,     // block until disarm() releases the site
 };
 
 struct Spec {

@@ -51,24 +51,25 @@ pcore::PicassoParams test_params(std::uint64_t seed) {
 
 }  // namespace
 
-TEST(ApiDifferential, PauliMatchesEngineAcrossBackends) {
+TEST(ApiDifferential, PauliMatchesEngineAndScalarKernel) {
   const auto set = random_set(250, 14, 41);
-  for (auto backend :
-       {pcore::PauliBackend::Auto, pcore::PauliBackend::Scalar,
-        pcore::PauliBackend::Packed, pcore::PauliBackend::PackedScalar}) {
-    auto params = test_params(41);
-    params.pauli_backend = backend;
-    const auto engine = pcore::solve_pauli(set, params);
-    const auto session = papi::SessionBuilder()
-                             .params(params)
-                             .strategy(papi::ExecutionStrategy::InMemory)
-                             .build()
-                             .solve(papi::Problem::pauli(set));
-    EXPECT_EQ(session.result.colors, engine.colors)
-        << pcore::to_string(backend);
-    EXPECT_EQ(session.result.num_colors, engine.num_colors);
-    EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
-  }
+  const auto params = test_params(41);
+  const auto engine = pcore::solve_pauli(set, params);
+  const auto session = papi::SessionBuilder()
+                           .params(params)
+                           .strategy(papi::ExecutionStrategy::InMemory)
+                           .build()
+                           .solve(papi::Problem::pauli(set));
+  EXPECT_EQ(session.result.colors, engine.colors);
+  EXPECT_EQ(session.result.num_colors, engine.num_colors);
+  EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::InMemory);
+  // The scalar plane kernel, the ISA fallback of SimdLevel::Auto, colors
+  // identically.
+  EXPECT_EQ(pcore::solve_oracle(pg::PackedComplementOracle(
+                                    set.packed_view(), pp::SimdLevel::Scalar),
+                                params)
+                .colors,
+            engine.colors);
 }
 
 TEST(ApiDifferential, CsrAndDenseMatchOracleEngine) {
@@ -207,8 +208,8 @@ TEST(ApiDifferential, MultiDeviceMatchesEngineShardsAndColoring) {
 }
 
 TEST(ApiDifferential, PauliMultiDeviceMatchesEngineOracleChoice) {
-  // The Pauli multi-device path picks its oracle from the backend exactly
-  // like solve_pauli; pin it against the engine call with that oracle.
+  // The Pauli multi-device path shards the same packed oracle as
+  // solve_pauli; pin it against the engine call with that oracle.
   const auto set = random_set(160, 12, 73);
   const auto params = test_params(73);
   pcore::MultiDeviceConfig config;

@@ -120,8 +120,9 @@ class ChaosTest : public ::testing::Test {
 TEST_F(ChaosTest, SpecGrammarParsesAndMalformedArmsNothing) {
   EXPECT_FALSE(pfp::any_armed());
   ASSERT_TRUE(pfp::arm_from_spec(
-      "a.site=error;b.site=delay:5@2;c.site=short:3;d.site=enospc"));
-  EXPECT_EQ(pfp::armed_count(), 4u);
+      "a.site=error;b.site=delay:5@2;c.site=short:3;d.site=enospc;"
+      "e.site=hold"));
+  EXPECT_EQ(pfp::armed_count(), 5u);
   EXPECT_TRUE(pfp::any_armed());
   pfp::disarm_all();
   EXPECT_FALSE(pfp::any_armed());
@@ -153,6 +154,20 @@ TEST_F(ChaosTest, ErrorAndEnospcThrowTypedAndCountsDisarm) {
   } catch (const std::system_error& error) {
     EXPECT_EQ(error.code().value(), ENOSPC);
   }
+}
+
+TEST_F(ChaosTest, HoldBlocksUntilDisarmed) {
+  pfp::arm("chaos.hold", {pfp::Mode::Hold});
+  std::atomic<bool> passed{false};
+  std::thread held([&] {
+    PICASSO_FAILPOINT("chaos.hold");
+    passed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(passed.load());
+  pfp::disarm("chaos.hold");
+  held.join();
+  EXPECT_TRUE(passed.load());
 }
 
 TEST_F(ChaosTest, ShortIoClampsOnlyItsSite) {

@@ -1,5 +1,5 @@
 // The edge-free fused coloring engine (core/solve_fused.hpp): bit-identity
-// with the materialized engines across schemes, backends, kernels and
+// with the materialized engines across schemes, kernels and
 // thread counts; no ConflictCsr charge ever; the streaming variant agrees
 // under arbitrary chunkings and budgets; the CSR projection behind the
 // session planner behaves sanely.
@@ -208,9 +208,10 @@ TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
   EXPECT_GT(stats.edges_struck, 0u);
 }
 
-// Backend independence: all Pauli backends drive the same relation, so the
-// fused colorings are identical across them (and to the materialized path).
-TEST(FusedEngine, BitIdenticalAcrossPauliBackends) {
+// Kernel independence: the per-pair oracle and the packed oracle at both
+// SIMD levels drive the same relation, so the fused colorings are identical
+// across them (and to the materialized path).
+TEST(FusedEngine, BitIdenticalAcrossPauliKernels) {
   pu::Xoshiro256 rng(0xfab5ull);
   for (int c = 0; c < 6; ++c) {
     const std::size_t n = 50 + rng.bounded(150);
@@ -219,16 +220,18 @@ TEST(FusedEngine, BitIdenticalAcrossPauliBackends) {
     pcore::PicassoParams params;
     params.seed = rng();
 
-    params.pauli_backend = pcore::PauliBackend::Scalar;
     const auto ref = pcore::solve_pauli(set, params);
-    for (const auto backend :
-         {pcore::PauliBackend::Scalar, pcore::PauliBackend::Packed,
-          pcore::PauliBackend::PackedScalar}) {
-      params.pauli_backend = backend;
-      const auto fused = pcore::solve_pauli_fused(set, params);
-      ASSERT_EQ(fused.colors, ref.colors)
-          << "case " << c << " backend=" << pcore::to_string(backend);
-    }
+    ASSERT_EQ(pcore::solve_pauli_fused(set, params).colors, ref.colors)
+        << "case " << c << " packed";
+    ASSERT_EQ(pcore::solve_fused(pg::ComplementOracle(set), params).colors,
+              ref.colors)
+        << "case " << c << " per-pair";
+    ASSERT_EQ(pcore::solve_fused(pg::PackedComplementOracle(
+                                     set.packed_view(), pp::SimdLevel::Scalar),
+                                 params)
+                  .colors,
+              ref.colors)
+        << "case " << c << " packed-scalar";
   }
 }
 
@@ -310,9 +313,14 @@ TEST(FusedEngine, ChunkedFusedMatchesInMemory) {
     const auto set = random_set(n, qubits, rng);
     pcore::PicassoParams params;
     params.seed = rng();
-    params.pauli_backend = rng.bounded(2) == 0 ? pcore::PauliBackend::Scalar
-                                               : pcore::PauliBackend::Packed;
-    const auto ref = pcore::solve_pauli(set, params);
+    // The in-memory reference runs the scalar plane kernel or the default.
+    const bool scalar_ref = rng.bounded(2) == 0;
+    const auto ref =
+        scalar_ref ? pcore::solve_oracle(
+                         pg::PackedComplementOracle(set.packed_view(),
+                                                    pp::SimdLevel::Scalar),
+                         params)
+                   : pcore::solve_pauli(set, params);
 
     const auto path = (dir / ("case_" + std::to_string(c) + ".pset")).string();
     pp::spill_pauli_set(set, path);
@@ -327,7 +335,7 @@ TEST(FusedEngine, ChunkedFusedMatchesInMemory) {
     ASSERT_EQ(fused.colors, ref.colors)
         << "case " << c << " chunk=" << chunk
         << " budget=" << params.memory_budget_bytes
-        << " backend=" << pcore::to_string(params.pauli_backend);
+        << (scalar_ref ? " ref=packed-scalar" : " ref=packed");
     ASSERT_TRUE(fused.memory.streamed);
     EXPECT_EQ(fused.memory.subsystem_peak[static_cast<unsigned>(
                   pu::MemSubsystem::ConflictCsr)],

@@ -402,10 +402,10 @@ TEST(AutoKernel, BlockOracleShiftsTheCrossover) {
             K::Indexed);
   EXPECT_EQ(pcore::resolve_kernel(K::Auto, 64 * c, 8, /*blocked=*/true),
             K::Reference);
-  // The band in between is where the backend flips the decision: the same
-  // (P, L) point picks Indexed with a per-pair oracle and Reference with a
-  // blocked one — exactly the pauli_backend dependence the Auto model was
-  // missing.
+  // The band in between is where the oracle's capability flips the
+  // decision: the same (P, L) point picks Indexed with a per-pair oracle and
+  // Reference with a blocked one — exactly the oracle dependence the Auto
+  // model was missing.
   EXPECT_EQ(pcore::resolve_kernel(K::Auto, 100, 8, /*blocked=*/false),
             K::Indexed);
   EXPECT_EQ(pcore::resolve_kernel(K::Auto, 100, 8, /*blocked=*/true),

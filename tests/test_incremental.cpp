@@ -517,11 +517,10 @@ TEST(ReaderAppend, ReopenedReaderSeesAppendedStrings) {
     const pp::PackedPauliSet packed = reader.load_chunk_packed(chunk);
     const std::size_t begin = reader.chunk_begin(chunk);
     for (std::size_t i = 0; i < loaded.size(); ++i) {
-      // 3-bit words, coefficients and packed records all line up with the
-      // concatenated set, including the chunk that spans the segment seam.
-      for (std::size_t w = 0; w < all.words_per_string(); ++w) {
-        EXPECT_EQ(loaded.encoded3(i)[w], all.encoded3(begin + i)[w]);
-      }
+      // Strings decoded from the 3-bit words, coefficients and packed
+      // records all line up with the concatenated set, including the chunk
+      // that spans the segment seam.
+      EXPECT_EQ(loaded.string(i), all.string(begin + i));
       EXPECT_EQ(loaded.coefficients()[i], all.coefficients()[begin + i]);
       const auto* got = packed.record(i);
       const auto* want = all.packed_view().record(begin + i);
@@ -579,9 +578,7 @@ TEST(ReaderAppend, ChainedAppendsAndMaxStringsClamp) {
   const pp::PauliSet want = slice(strings, 0, 27);
   ASSERT_EQ(loaded.size(), 27u);
   for (std::size_t i = 0; i < 27; ++i) {
-    for (std::size_t w = 0; w < want.words_per_string(); ++w) {
-      EXPECT_EQ(loaded.encoded3(i)[w], want.encoded3(i)[w]);
-    }
+    EXPECT_EQ(loaded.string(i), want.string(i));
   }
 }
 

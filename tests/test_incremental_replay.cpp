@@ -5,7 +5,6 @@
 // (params, update-params) pair. It must not depend on
 //   - how the sequence was split into update() calls,
 //   - the runtime thread count,
-//   - Scalar vs Packed conflict backends,
 //   - whether the store is in memory, budget-spilled, or chunk-forced
 //     to disk,
 //   - whether the state was seeded by update() from scratch or by a
@@ -69,7 +68,6 @@ pp::PauliSet slice(const std::vector<pp::PauliString>& strings,
 struct ReplayConfig {
   std::string name;
   std::uint32_t threads = 1;
-  pcore::PauliBackend backend = pcore::PauliBackend::Packed;
   std::size_t budget = 0;         // 0 = in-memory store
   std::size_t chunk_strings = 0;  // >0 forces a spilled store outright
 };
@@ -77,23 +75,16 @@ struct ReplayConfig {
 std::vector<ReplayConfig> replay_matrix() {
   std::vector<ReplayConfig> configs;
   for (std::uint32_t threads : {1u, 2u, 8u}) {
-    for (auto backend : {pcore::PauliBackend::Scalar,
-                         pcore::PauliBackend::Packed}) {
-      for (std::size_t budget : {std::size_t{0}, std::size_t{64} << 20}) {
-        const char* be =
-            backend == pcore::PauliBackend::Scalar ? "scalar" : "packed";
-        configs.push_back({"t" + std::to_string(threads) + "/" + be +
-                               (budget ? "/64MiB" : "/mem"),
-                           threads, backend, budget, 0});
-      }
+    for (std::size_t budget : {std::size_t{0}, std::size_t{64} << 20}) {
+      configs.push_back({"t" + std::to_string(threads) +
+                             (budget ? "/64MiB" : "/mem"),
+                         threads, budget, 0});
     }
   }
   // Chunk-forced spill: tiny chunks exercise the cross-chunk probe paths
-  // of both spilled probers regardless of any budget.
-  configs.push_back({"t2/packed/chunk16", 2, pcore::PauliBackend::Packed,
-                     std::size_t{0}, 16});
-  configs.push_back({"t8/scalar/chunk16", 8, pcore::PauliBackend::Scalar,
-                     std::size_t{0}, 16});
+  // of the spilled prober regardless of any budget.
+  configs.push_back({"t2/chunk16", 2, std::size_t{0}, 16});
+  configs.push_back({"t8/chunk16", 8, std::size_t{0}, 16});
   return configs;
 }
 
@@ -101,7 +92,6 @@ papi::Session make_session(const ReplayConfig& config,
                            pcore::UpdateParams update_params) {
   auto builder = papi::SessionBuilder()
                      .seed(11)
-                     .backend(config.backend)
                      .update_params(update_params)
                      .runtime({.num_threads = config.threads});
   if (config.budget != 0) builder.memory_budget(config.budget);
@@ -145,7 +135,7 @@ std::vector<std::vector<std::size_t>> split_plans(std::size_t total) {
 
 // Scratch-built state: every (config, split) cell reproduces the serial
 // in-memory one-shot coloring bit for bit.
-TEST(IncrementalReplay, SplitsThreadsBackendsAndSpillAgree) {
+TEST(IncrementalReplay, SplitsThreadsAndSpillAgree) {
   const auto strings = replay_workload(160, 12, 101);
   const pcore::UpdateParams update_params{.max_recolor = 4,
                                           .max_new_colors = 0};

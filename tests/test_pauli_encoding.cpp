@@ -1,14 +1,18 @@
 // Tests for the bit encodings of §IV-A: the inverse-one-hot 3-bit packing
-// (X=110, Y=101, Z=011, I=000) and the symplectic 2-bit alternative. The
-// central property: both encoded anticommutation kernels agree with the
-// character-comparison reference on every input, across word boundaries.
+// (X=110, Y=101, Z=011, I=000) and the symplectic 2-bit planes PauliSet
+// keeps resident. The central properties: both encoded anticommutation
+// kernels agree with the character-comparison reference on every input,
+// across word boundaries, and every writer of the 3-bit byte format (built
+// from the planes) emits exactly what the reference encoder encode3 does.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -59,23 +63,19 @@ void xor_word(std::vector<std::uint8_t>& bytes, const pp::PauliSet& set,
               std::size_t i, std::size_t word, std::uint64_t bits) {
   const std::size_t at =
       3 * sizeof(std::uint64_t) +
-      (i * set.words_per_string() + word) * sizeof(std::uint64_t);
+      (i * pp::words_per_string3(set.num_qubits()) + word) *
+          sizeof(std::uint64_t);
   std::uint64_t w;
   std::memcpy(&w, bytes.data() + at, sizeof(w));
   w ^= bits;
   std::memcpy(bytes.data() + at, &w, sizeof(w));
 }
 
-/// Word-for-word equality of both encodings, the coefficients and the
+/// Word-for-word equality of the planes, the coefficients and the
 /// fingerprint.
 void expect_same_set(const pp::PauliSet& got, const pp::PauliSet& want) {
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(got.num_qubits(), want.num_qubits());
-  ASSERT_EQ(got.words_per_string(), want.words_per_string());
-  const std::size_t w3 = got.size() * got.words_per_string();
-  for (std::size_t k = 0; k < w3; ++k) {
-    ASSERT_EQ(got.encoded3(0)[k], want.encoded3(0)[k]) << "3-bit word " << k;
-  }
   const pp::PackedView a = got.packed_view(), b = want.packed_view();
   ASSERT_EQ(a.words, b.words);
   for (std::size_t k = 0; k < a.size * a.record_words(); ++k) {
@@ -89,6 +89,49 @@ void expect_same_set(const pp::PauliSet& got, const pp::PauliSet& want) {
 
 constexpr std::size_t kQubitCounts[] = {1,  20, 21, 22,  42, 63,
                                         64, 65, 85, 128, 130};
+
+constexpr std::uint64_t kSetMagic = 0x5041554c49534554ULL;     // "PAULISET"
+constexpr std::uint64_t kAppendMagic = 0x5041554c49415050ULL;  // "PAULIAPP"
+
+/// Appends the `bytes` bytes at `data` to `out` (host order: the
+/// little-endian order the formats assume).
+void append_bytes(std::vector<std::uint8_t>& out, const void* data,
+                  std::size_t bytes) {
+  const auto* at = static_cast<const std::uint8_t*>(data);
+  out.insert(out.end(), at, at + bytes);
+}
+
+/// The bytes every writer must produce for strings [begin, end) of `set`
+/// after `header`: the header words, encode3() of each string, then the
+/// coefficients.
+std::vector<std::uint8_t> reference_block(
+    const std::vector<std::uint64_t>& header, const pp::PauliSet& set,
+    std::size_t begin, std::size_t end) {
+  const std::size_t w3 = pp::words_per_string3(set.num_qubits());
+  std::vector<std::uint64_t> words((end - begin) * w3);
+  for (std::size_t i = begin; i < end; ++i) {
+    pp::encode3(set.string(i), words.data() + (i - begin) * w3);
+  }
+  std::vector<std::uint8_t> out;
+  append_bytes(out, header.data(), header.size() * sizeof(std::uint64_t));
+  append_bytes(out, words.data(), words.size() * sizeof(std::uint64_t));
+  append_bytes(out, set.coefficients().data() + begin,
+               (end - begin) * sizeof(double));
+  return out;
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// `bytes[at, at + size)`, clamped to the bytes present.
+std::vector<std::uint8_t> slice_of(const std::vector<std::uint8_t>& bytes,
+                                   std::size_t at, std::size_t size) {
+  at = std::min(at, bytes.size());
+  return {bytes.begin() + at,
+          bytes.begin() + std::min(bytes.size(), at + size)};
+}
 }  // namespace
 
 TEST(Encoding, InverseOneHotCodes) {
@@ -151,11 +194,19 @@ TEST_P(EncodingAgreement, AllKernelsAgree) {
   std::vector<pp::PauliString> strings;
   for (int i = 0; i < 24; ++i) strings.push_back(random_string(n, rng));
   const pp::PauliSet set(strings);
+  const std::size_t w3 = pp::words_per_string3(n);
+  std::vector<std::uint64_t> words3(strings.size() * w3);
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    pp::encode3(strings[i], words3.data() + i * w3);
+  }
   for (std::size_t i = 0; i < set.size(); ++i) {
     for (std::size_t j = 0; j < set.size(); ++j) {
       const bool reference = strings[i].anticommutes_with(strings[j]);
       EXPECT_EQ(set.anticommute(i, j), reference) << "n=" << n;
-      EXPECT_EQ(set.anticommute_symplectic(i, j), reference) << "n=" << n;
+      EXPECT_EQ(pp::anticommute3(words3.data() + i * w3,
+                                 words3.data() + j * w3, w3),
+                reference)
+          << "n=" << n;
       EXPECT_EQ(set.anticommute_naive(i, j), reference) << "n=" << n;
     }
   }
@@ -243,22 +294,58 @@ TEST(PauliSet, LoadRejectsGarbage) {
   EXPECT_THROW(pp::PauliSet::load_binary(buffer), std::runtime_error);
 }
 
+// The byte formats, pinned against the reference encoder: both
+// save_binary overloads, a spill_pauli_set base block and an
+// append_pauli_set segment hold exactly their header, then encode3() of
+// every string, then the coefficients — a writer and a reader that drift
+// together fail here, which no round trip catches. Every load decodes back
+// to the string-built set word for word.
 TEST(PauliSetDirectLoad, EqualsStringBuiltSetWordForWord) {
+  const std::string spill =
+      (std::filesystem::temp_directory_path() /
+       ("picasso_format_" + std::to_string(::getpid()) + ".pset"))
+          .string();
   for (std::size_t n : kQubitCounts) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    const pp::PauliSet built = random_set(17, n, 40 + n);
+    constexpr std::size_t kCount = 17, kBase = 10;
+    const pp::PauliSet built = random_set(kCount, n, 40 + n);
+
     const std::vector<std::uint8_t> bytes = saved(built);
+    EXPECT_EQ(bytes, reference_block({kSetMagic, n, kCount}, built, 0, kCount));
+    std::ostringstream stream;
+    built.save_binary(stream);
+    const std::string streamed = stream.str();
+    EXPECT_EQ(std::vector<std::uint8_t>(streamed.begin(), streamed.end()),
+              bytes);
+
+    const pp::PauliSet base = built.prefix(kBase);
+    std::vector<std::uint32_t> rest;
+    for (std::size_t i = kBase; i < kCount; ++i) {
+      rest.push_back(static_cast<std::uint32_t>(i));
+    }
+    pp::spill_pauli_set(base, spill);
+    pp::append_pauli_set(built.subset(rest), spill);
+    const std::vector<std::uint8_t> file = file_bytes(spill);
+    const std::vector<std::uint8_t> base_block =
+        reference_block({kSetMagic, n, kBase}, built, 0, kBase);
+    EXPECT_EQ(slice_of(file, 0, base_block.size()), base_block);
+    // The segment follows the base block's packed tail and its trailer.
+    const std::size_t segment_at =
+        base_block.size() +
+        kBase * 2 * pp::packed_words(n) * sizeof(std::uint64_t) +
+        2 * sizeof(std::uint64_t);
+    const std::vector<std::uint8_t> segment = reference_block(
+        {kAppendMagic, kCount - kBase}, built, kBase, kCount);
+    EXPECT_EQ(slice_of(file, segment_at, segment.size()), segment);
+
     expect_same_set(load_stream(bytes), built);
     expect_same_set(pp::PauliSet::load_binary(bytes), built);
     expect_same_set(
-        pp::PauliSet::from_encoded3(
-            n,
-            std::vector<std::uint64_t>(
-                built.encoded3(0),
-                built.encoded3(0) + built.size() * built.words_per_string()),
-            built.coefficients()),
-        built);
+        pp::PauliSet::from_records(n, kCount, bytes.data() + 24), built);
+    expect_same_set(pp::ChunkedPauliReader(spill, kCount).load_chunk(0),
+                    built);
   }
+  std::filesystem::remove(spill);
 }
 
 TEST(PauliSetDirectLoad, EmptySetLoadsWithZeroQubits) {
@@ -274,21 +361,41 @@ TEST(PauliSetDirectLoad, EmptySetLoadsWithZeroQubits) {
   }
 }
 
+// Strings 2 and 5 sit in the first two four-string blocks of the vector
+// decode (sets of <= 64 qubits on AVX2 hosts), string 8 in the scalar tail.
 TEST(PauliSetDirectLoad, RejectsCorruptCodeInFirstMiddleOrLastField) {
   for (std::size_t n : {1u, 22u, 64u, 130u}) {
-    const pp::PauliSet set = random_set(3, n, 9);
-    for (std::size_t qubit : {std::size_t{0}, n / 2, n - 1}) {
-      for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
-        SCOPED_TRACE("n=" + std::to_string(n) + " qubit=" +
-                     std::to_string(qubit) + " code=" + std::to_string(code));
-        std::vector<std::uint8_t> bytes = saved(set);
-        const std::size_t shift = (qubit % pp::kOpsPerWord3) * 3;
-        const std::uint64_t current =
-            (set.encoded3(2)[qubit / pp::kOpsPerWord3] >> shift) & 0b111u;
-        xor_word(bytes, set, 2, qubit / pp::kOpsPerWord3,
-                 (current ^ code) << shift);
-        EXPECT_THROW(load_stream(bytes), std::invalid_argument);
-        EXPECT_THROW(pp::PauliSet::load_binary(bytes), std::invalid_argument);
+    const pp::PauliSet set = random_set(9, n, 9);
+    for (std::size_t string : {2u, 5u, 8u}) {
+      for (std::size_t qubit : {std::size_t{0}, n / 2, n - 1}) {
+        for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " string=" +
+                       std::to_string(string) + " qubit=" +
+                       std::to_string(qubit) + " code=" + std::to_string(code));
+          std::vector<std::uint8_t> bytes = saved(set);
+          const std::size_t shift = (qubit % pp::kOpsPerWord3) * 3;
+          const std::uint64_t current =
+              pp::inverse_one_hot_code(set.string(string).op(qubit));
+          xor_word(bytes, set, string, qubit / pp::kOpsPerWord3,
+                   (current ^ code) << shift);
+          const std::string where = "corrupt 3-bit code at string " +
+                                    std::to_string(string) + ", qubit " +
+                                    std::to_string(qubit);
+          for (const auto& load :
+               {+[](const std::vector<std::uint8_t>& b) { load_stream(b); },
+                +[](const std::vector<std::uint8_t>& b) {
+                  pp::PauliSet::load_binary(b);
+                }}) {
+            try {
+              load(bytes);
+              ADD_FAILURE() << "corrupt code loaded";
+            } catch (const std::invalid_argument& error) {
+              EXPECT_NE(std::string(error.what()).find(where),
+                        std::string::npos)
+                  << error.what();
+            }
+          }
+        }
       }
     }
   }
@@ -299,7 +406,7 @@ TEST(PauliSetDirectLoad, PaddingBitsAreMaskedNotRejected) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const pp::PauliSet set = random_set(6, n, 3 + n);
     std::vector<std::uint8_t> dirty = saved(set);
-    const std::size_t w3 = set.words_per_string();
+    const std::size_t w3 = pp::words_per_string3(n);
     const std::size_t used = n - (w3 - 1) * pp::kOpsPerWord3;  // last word
     for (std::size_t i = 0; i < set.size(); ++i) {
       for (std::size_t w = 0; w < w3; ++w) {

@@ -112,9 +112,13 @@ TEST(PackedKernels, ExhaustiveTruthTableUpToThreeQubits) {
         const bool truth = strings[i].anticommutes_with(strings[j]);
         ASSERT_EQ(packed.anticommute(i, j), truth)
             << "q=" << qubits << " i=" << i << " j=" << j;
-        // Agreement with both existing kernels, not just the symbolic check.
+        // Agreement with the set's plane kernel and the paper's 3-bit
+        // kernel, not just the symbolic check.
         ASSERT_EQ(set.anticommute(i, j), truth);
-        ASSERT_EQ(set.anticommute_symplectic(i, j), truth);
+        std::uint64_t a3 = 0, b3 = 0;  // <= 3 qubits: one 3-bit word each
+        pp::encode3(strings[i], &a3);
+        pp::encode3(strings[j], &b3);
+        ASSERT_EQ(pp::anticommute3(&a3, &b3, 1), truth);
       }
     }
   }

@@ -7,13 +7,14 @@
 //      brute-force O(n^2) oracle that never touches the encodings — the
 //      character-comparison anticommutation check for Pauli inputs, the
 //      explicit adjacency matrix walk for graphs;
-//  (b) the packed (SIMD and forced-scalar) and scalar conflict oracles see
-//      identical edge sets and the drivers built on them return identical
+//  (b) the packed oracles (SIMD and forced-scalar kernels) and the per-pair
+//      oracle see the edge set of the paper's 3-bit kernel (anticommute3
+//      over encode3 words), and the drivers built on them return identical
 //      colorings;
 //  (c) the streaming drivers agree with the in-memory driver under random
 //      budgets, chunk sizes, and thread counts;
 //  (d) the edge-free fused engine (Strategy::Fused) is bit-identical to the
-//      materialized engines in deterministic mode — random seeds x backends
+//      materialized engines in deterministic mode — random seeds x kernels
 //      x thread counts x budgets, in-memory and spill-backed alike — and
 //      its colorings are conflict-free against the brute-force oracle.
 
@@ -29,6 +30,7 @@
 #include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
+#include "pauli/encoding.hpp"
 #include "pauli/pauli_set.hpp"
 #include "util/rng.hpp"
 
@@ -63,6 +65,27 @@ pcore::PicassoParams random_params(pu::Xoshiro256& rng) {
   params.alpha = kAlphas[rng.bounded(4)];
   params.seed = rng();
   return params;
+}
+
+/// The inverse-one-hot words of every string (encode3, the paper's §IV-A
+/// encoding), words_per_string3 per string: the edge reference the plane
+/// kernels are checked against.
+std::vector<std::uint64_t> encode3_words(const pp::PauliSet& set) {
+  const std::size_t w = pp::words_per_string3(set.num_qubits());
+  std::vector<std::uint64_t> words(set.size() * w);
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    pp::encode3(set.string(i), words.data() + i * w);
+  }
+  return words;
+}
+
+/// Fused solve through the packed oracle with the SIMD kernel forced off —
+/// the scalar plane kernel that SimdLevel::Auto falls back to.
+pcore::PicassoResult solve_packed_scalar(const pp::PauliSet& set,
+                                         const pcore::PicassoParams& params) {
+  return pcore::solve_fused(
+      pg::PackedComplementOracle(set.packed_view(), pp::SimdLevel::Scalar),
+      params);
 }
 
 /// Brute-force conflict check for a Pauli coloring: same color implies
@@ -106,9 +129,9 @@ std::string spill_dir() {
 }  // namespace
 
 // --------------------------------------------------------------------------
-// (a) + (b): random Pauli sets, all oracle backends.
+// (a) + (b): random Pauli sets, every anticommutation kernel.
 
-TEST(DifferentialProperties, PauliBackendsAgreeAndColoringsAreConflictFree) {
+TEST(DifferentialProperties, PauliKernelsAgreeAndColoringsAreConflictFree) {
   pu::Xoshiro256 rng(kHarnessSeed);
   for (int c = 0; c < 80; ++c) {
     const std::size_t n = 30 + rng.bounded(130);        // [30, 160)
@@ -120,27 +143,36 @@ TEST(DifferentialProperties, PauliBackendsAgreeAndColoringsAreConflictFree) {
                             std::to_string(qubits) + " seed=" +
                             std::to_string(params.seed);
 
-    // Identical edge sets: the packed oracle (both kernels) must answer
-    // exactly as the 3-bit scalar oracle on every pair.
-    const pg::ComplementOracle scalar(set);
+    // Identical edge sets: the per-pair oracle and the packed oracle (both
+    // kernels, per pair and blocked) must answer exactly as the 3-bit
+    // kernel on every pair.
+    const std::vector<std::uint64_t> words3 = encode3_words(set);
+    const std::size_t w3 = pp::words_per_string3(qubits);
+    const pg::ComplementOracle per_pair(set);
     const pg::PackedComplementOracle packed(set.packed_view(),
                                             pp::SimdLevel::Auto);
     const pg::PackedComplementOracle packed_scalar(set.packed_view(),
                                                    pp::SimdLevel::Scalar);
+    std::vector<std::uint32_t> all(n);
+    for (std::uint32_t v = 0; v < n; ++v) all[v] = v;
+    std::vector<std::uint8_t> block(n), block_scalar(n);
     for (std::uint32_t u = 0; u < n; ++u) {
-      for (std::uint32_t v = u + 1; v < n; ++v) {
-        const bool e = scalar.edge(u, v);
+      packed.edge_block(u, all.data(), n, block.data());
+      packed_scalar.edge_block(u, all.data(), n, block_scalar.data());
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const bool e = u != v && !pp::anticommute3(words3.data() + u * w3,
+                                                   words3.data() + v * w3, w3);
+        ASSERT_EQ(per_pair.edge(u, v), e) << key;
         ASSERT_EQ(packed.edge(u, v), e) << key;
         ASSERT_EQ(packed_scalar.edge(u, v), e) << key;
+        ASSERT_EQ(block[v] != 0, e) << key;
+        ASSERT_EQ(block_scalar[v] != 0, e) << key;
       }
     }
 
-    params.pauli_backend = pcore::PauliBackend::Scalar;
-    const auto ref = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
-    params.pauli_backend = pcore::PauliBackend::Packed;
+    const auto ref = pcore::solve_fused(per_pair, params);
     const auto pk = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
-    params.pauli_backend = pcore::PauliBackend::PackedScalar;
-    const auto pks = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto pks = solve_packed_scalar(set, params);
 
     ASSERT_EQ(pk.colors, ref.colors) << key;
     ASSERT_EQ(pks.colors, ref.colors) << key;
@@ -188,7 +220,7 @@ TEST(DifferentialProperties, RmatColoringsAreConflictFreeAndStreamsAgree) {
 
 // --------------------------------------------------------------------------
 // (c): the budgeted/chunked engine vs the in-memory driver under random
-// budgets, chunk sizes, thread counts, and backends.
+// budgets, chunk sizes, thread counts, and reference kernels.
 
 TEST(DifferentialProperties, StreamingAgreesUnderRandomBudgetsAndThreads) {
   pu::Xoshiro256 rng(kHarnessSeed ^ 0x5eed5);
@@ -198,14 +230,18 @@ TEST(DifferentialProperties, StreamingAgreesUnderRandomBudgetsAndThreads) {
     const std::size_t qubits = 4 + rng.bounded(37);  // [4, 40]
     const auto set = random_set(n, qubits, rng);
     pcore::PicassoParams params = random_params(rng);
-    params.pauli_backend = rng.bounded(2) == 0 ? pcore::PauliBackend::Scalar
-                                               : pcore::PauliBackend::Packed;
+    // The in-memory reference runs the scalar plane kernel or the session's
+    // default one.
+    const bool scalar_ref = rng.bounded(2) == 0;
     const std::string key =
         "case " + std::to_string(c) + ": n=" + std::to_string(n) + " q=" +
         std::to_string(qubits) + " seed=" + std::to_string(params.seed) +
-        " backend=" + pcore::to_string(params.pauli_backend);
+        (scalar_ref ? " ref=packed-scalar" : " ref=session");
 
-    const auto ref = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
+    const auto ref =
+        scalar_ref
+            ? solve_packed_scalar(set, params)
+            : papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
 
     pcore::StreamingOptions options;
     options.chunk_strings = 1 + rng.bounded(n);  // [1, n]
@@ -234,7 +270,7 @@ TEST(DifferentialProperties, StreamingAgreesUnderRandomBudgetsAndThreads) {
 
 // --------------------------------------------------------------------------
 // (d): the fused engine vs the materialized pipeline — random seeds,
-// backends, thread counts and budgets; forced through Strategy::Fused so
+// kernels, thread counts and budgets; forced through Strategy::Fused so
 // the whole session dispatch (in-memory and spill-backed) is exercised.
 
 TEST(DifferentialProperties, FusedAgreesWithMaterializedEverywhere) {
@@ -245,25 +281,37 @@ TEST(DifferentialProperties, FusedAgreesWithMaterializedEverywhere) {
     const std::size_t qubits = 2 + rng.bounded(60);  // [2, 62)
     const auto set = random_set(n, qubits, rng);
     pcore::PicassoParams params = random_params(rng);
-    switch (rng.bounded(3)) {
-      case 0: params.pauli_backend = pcore::PauliBackend::Scalar; break;
-      case 1: params.pauli_backend = pcore::PauliBackend::Packed; break;
-      default: params.pauli_backend = pcore::PauliBackend::PackedScalar; break;
-    }
+    // The materialized reference runs one of three kernels: the per-pair
+    // oracle, the session's packed default, or the scalar plane kernel.
+    const std::uint64_t ref_kernel = rng.bounded(3);
     params.runtime.num_threads = 1 + rng.bounded(4);  // [1, 4]
     params.runtime.serial_cutoff = 0;
     const std::string key =
         "case " + std::to_string(c) + ": n=" + std::to_string(n) + " q=" +
         std::to_string(qubits) + " seed=" + std::to_string(params.seed) +
-        " backend=" + pcore::to_string(params.pauli_backend) +
+        " ref_kernel=" + std::to_string(ref_kernel) +
         " threads=" + std::to_string(params.runtime.num_threads);
 
-    const auto ref = papi::SessionBuilder()
-                         .params(params)
-                         .strategy(papi::ExecutionStrategy::InMemory)
-                         .build()
-                         .solve(papi::Problem::pauli(set))
-                         .result;
+    pcore::PicassoResult ref;
+    switch (ref_kernel) {
+      case 0:
+        ref = pcore::solve_oracle(pg::ComplementOracle(set), params);
+        break;
+      case 1:
+        ref = papi::SessionBuilder()
+                  .params(params)
+                  .strategy(papi::ExecutionStrategy::InMemory)
+                  .build()
+                  .solve(papi::Problem::pauli(set))
+                  .result;
+        break;
+      default:
+        ref = pcore::solve_oracle(
+            pg::PackedComplementOracle(set.packed_view(),
+                                       pp::SimdLevel::Scalar),
+            params);
+        break;
+    }
 
     // In-memory fused.
     const auto fused = papi::SessionBuilder()

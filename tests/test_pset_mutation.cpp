@@ -165,8 +165,8 @@ void expect_chunks_match(const pp::ChunkedPauliReader& reader,
     ASSERT_EQ(loaded.size(), reader.chunk_size(chunk));
     ASSERT_EQ(packed.size(), reader.chunk_size(chunk));
     for (std::size_t i = 0; i < loaded.size(); ++i) {
-      ASSERT_EQ(std::memcmp(loaded.encoded3(i), all.encoded3(begin + i),
-                            all.words_per_string() * 8),
+      ASSERT_EQ(std::memcmp(loaded.packed_view().record(i),
+                            want.record(begin + i), 2 * want.words * 8),
                 0);
       ASSERT_EQ(loaded.coefficients()[i], all.coefficients()[begin + i]);
       ASSERT_EQ(std::memcmp(packed.record(i), want.record(begin + i),

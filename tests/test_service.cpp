@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
 namespace papi = picasso::api;
@@ -69,7 +71,6 @@ TEST(ServiceWire, SolveRequestRoundTrip) {
   msg.params.alpha = 1.75;
   msg.params.seed = 1234;
   msg.params.max_iterations = 17;
-  msg.params.backend = 2;
   msg.params.strategy = 6;
   msg.params.memory_budget_bytes = 1u << 20;
   msg.params.want_progress = true;
@@ -84,7 +85,6 @@ TEST(ServiceWire, SolveRequestRoundTrip) {
   EXPECT_EQ(decoded.params.alpha, msg.params.alpha);
   EXPECT_EQ(decoded.params.seed, msg.params.seed);
   EXPECT_EQ(decoded.params.max_iterations, msg.params.max_iterations);
-  EXPECT_EQ(decoded.params.backend, msg.params.backend);
   EXPECT_EQ(decoded.params.strategy, msg.params.strategy);
   EXPECT_EQ(decoded.params.memory_budget_bytes, msg.params.memory_budget_bytes);
   EXPECT_EQ(decoded.params.want_progress, msg.params.want_progress);
@@ -353,6 +353,22 @@ TEST_F(ServiceTest, AdmissionProjectsUnderTheRequestPalette) {
 
 TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {
   config_.max_active_solves = 1;
+  // The solve must not finish before its Cancel lands, however fast it
+  // runs: a "service.progress" hold keeps it on the solver thread right
+  // after its first progress frame, and the client releases the hold only
+  // once the request's stop token (handed over by the dispatch hook) has
+  // fired.
+  std::mutex stop_mu;
+  std::optional<picasso::core::StopToken> solve_stop;
+  config_.on_dispatch = [&](const psvc::SolveRequestMsg&,
+                            const picasso::core::StopToken& stop) {
+    std::lock_guard<std::mutex> lock(stop_mu);
+    solve_stop = stop;
+  };
+  const auto cancel_landed = [&] {
+    std::lock_guard<std::mutex> lock(stop_mu);
+    return solve_stop && solve_stop->stop_requested();
+  };
   start_server();
 
   // A budgeted request: the tiny per-request budget forces the spilling
@@ -365,12 +381,24 @@ TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {
   params.palette_percent = 1.0;  // slow convergence: many iterations
   params.alpha = 1.1;
 
+  namespace pfp = picasso::util::failpoints;
+  pfp::arm("service.progress", {pfp::Mode::Hold});
   auto client = psvc::Client::connect(server_.address());
   std::atomic<int> frames{0};
   const psvc::RemoteResult outcome =
       client.solve(set, params, "", 0, [&](const psvc::ProgressMsg&) {
-        if (frames.fetch_add(1) == 0) client.request_cancel();
+        if (frames.fetch_add(1) != 0) return;
+        // Held mid-solve: the request streams from its spill file.
+        EXPECT_EQ(spill_files(), 1u);
+        client.request_cancel();
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!cancel_landed() && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        pfp::disarm("service.progress");
       });
+  pfp::disarm("service.progress");
   ASSERT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::Cancelled);
   EXPECT_GE(frames.load(), 1);
@@ -534,6 +562,42 @@ TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
                        << ok.error_message;
     EXPECT_EQ(ok.result.colors, reference) << papi::to_string(strategy);
   }
+}
+
+// The backend byte belonged to the Pauli backend selector removed in API
+// 4.0. The frame keeps it (protocol v2): encoders write 0, and a request
+// carrying anything else gets BadRequest naming the removal, on a
+// connection that keeps serving.
+TEST_F(ServiceTest, RetiredBackendByteGetsBadRequestNamingIt) {
+  start_server();
+  psvc::SolveRequestMsg msg;
+  msg.id = 1;
+  msg.tenant = "t";
+  msg.records = random_set(30, 8, 11);
+  const std::vector<std::uint8_t> valid = psvc::encode_solve_request(msg);
+  // version, id, tenant, priority, palette_percent, alpha, seed,
+  // max_iterations, then the backend byte.
+  const std::size_t backend_at = 4 + 8 + 4 + msg.tenant.size() + 4 + 8 + 8 +
+                                 8 + 4;
+  ASSERT_EQ(valid[backend_at], 0u);
+  std::vector<std::uint8_t> retired = valid;
+  retired[backend_at] = 1;
+
+  auto conn = psvc::Connection::connect(server_.address());
+  conn.write_frame(psvc::FrameType::SolveRequest, retired);
+  psvc::Frame frame;
+  ASSERT_TRUE(conn.read_frame(frame));
+  ASSERT_EQ(frame.type, psvc::FrameType::Error);
+  const psvc::ErrorMsg error = psvc::decode_error(frame.payload);
+  EXPECT_EQ(error.code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(error.message.find("backend value 1"), std::string::npos)
+      << error.message;
+  EXPECT_NE(error.message.find("removed in API 4.0"), std::string::npos)
+      << error.message;
+
+  conn.write_frame(psvc::FrameType::SolveRequest, valid);
+  ASSERT_TRUE(conn.read_frame(frame));
+  EXPECT_EQ(frame.type, psvc::FrameType::Result);
 }
 
 TEST_F(ServiceTest, ShutdownAnswersQueuedRequestsAndDrainsCleanly) {

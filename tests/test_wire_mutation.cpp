@@ -92,8 +92,9 @@ void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
 }
 
 /// A parse "checks out" when the records are internally consistent (the
-/// 3-bit words and the derived planes give the same anticommutation
-/// answers), fit in the bytes received, and survive a re-encode unchanged.
+/// planes decoded from the 3-bit words give the anticommutation answers of
+/// the character-comparison reference), fit in the bytes received, and
+/// survive a re-encode unchanged.
 void expect_consistent(const psvc::SolveRequestMsg& got,
                        std::size_t payload_bytes) {
   const pp::PauliSet& records = got.records;
@@ -101,7 +102,7 @@ void expect_consistent(const psvc::SolveRequestMsg& got,
   if (records.empty()) EXPECT_EQ(records.num_qubits(), 0u);
   for (std::size_t i = 0; i + 1 < records.size(); ++i) {
     ASSERT_EQ(records.anticommute(i, i + 1),
-              records.anticommute_symplectic(i, i + 1));
+              records.anticommute_naive(i, i + 1));
   }
   const psvc::SolveRequestMsg again =
       psvc::decode_solve_request(psvc::encode_solve_request(got));
