@@ -196,13 +196,8 @@ PackedPauliSet::PackedPauliSet(const std::vector<PauliString>& strings) {
   }
 }
 
-PackedPauliSet::PackedPauliSet(const PauliSet& set) {
-  const PackedView v = set.packed_view();
-  size_ = v.size;
-  num_qubits_ = set.num_qubits();
-  words_ = v.words;
-  data_.assign(v.data, v.data + size_ * 2 * words_);
-}
+PackedPauliSet::PackedPauliSet(const PauliSet& set)
+    : PackedPauliSet(set.packed()) {}
 
 PackedPauliSet PackedPauliSet::from_raw(std::size_t num_qubits,
                                         std::size_t size,

@@ -120,8 +120,7 @@ class PackedPauliSet {
   /// Encodes from symbolic strings.
   explicit PackedPauliSet(const std::vector<PauliString>& strings);
 
-  /// Copies the symplectic planes out of an encoded set (no re-encoding;
-  /// PauliSet::packed_view exposes the identical layout).
+  /// Copies the records of `set`, without its coefficients.
   explicit PackedPauliSet(const PauliSet& set);
 
   /// Adopts raw packed words (size * 2 * packed_words(num_qubits) of them) —

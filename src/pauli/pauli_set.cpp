@@ -9,35 +9,16 @@
 #include <stdexcept>
 #include <string>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PICASSO_SET_HAVE_AVX2 1
-#include <immintrin.h>
-#else
-#define PICASSO_SET_HAVE_AVX2 0
-#endif
-
 namespace picasso::pauli {
 
 PauliSet::PauliSet(const std::vector<PauliString>& strings,
-                   std::vector<double> coefficients) {
-  size_ = strings.size();
-  if (size_ == 0) return;
-  num_qubits_ = strings.front().num_qubits();
-  for (const auto& s : strings) {
-    if (s.num_qubits() != num_qubits_) {
-      throw std::invalid_argument("PauliSet: inconsistent qubit counts");
-    }
-  }
-  words_ = packed_words(num_qubits_);
-  data_.assign(size_ * 2 * words_, 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    std::uint64_t* x = data_.data() + 2 * i * words_;
-    encode2(strings[i], x, x + words_);
-  }
+                   std::vector<double> coefficients)
+    : records_(strings) {
+  if (strings.empty()) return;
   if (coefficients.empty()) {
-    coefficients_.assign(size_, 1.0);
+    coefficients_.assign(strings.size(), 1.0);
   } else {
-    if (coefficients.size() != size_) {
+    if (coefficients.size() != strings.size()) {
       throw std::invalid_argument("PauliSet: coefficient count mismatch");
     }
     coefficients_ = std::move(coefficients);
@@ -49,8 +30,9 @@ std::uint64_t PauliSet::count_anticommuting_pairs() const {
 #ifdef PICASSO_HAVE_OPENMP
 #pragma omp parallel for schedule(dynamic, 64) reduction(+ : count)
 #endif
-  for (std::size_t i = 0; i < size_; ++i) {
-    for (std::size_t j = i + 1; j < size_; ++j) {
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
       count += anticommute(i, j) ? 1 : 0;
     }
   }
@@ -115,131 +97,6 @@ std::uint64_t plane_bits(const std::uint64_t* plane, std::size_t w,
   return bits;
 }
 
-#if PICASSO_SET_HAVE_AVX2
-
-// One word per plane (<= 64 qubits, every Table-II dataset): four strings
-// per step on AVX2, the same spread/gather masks as the scalar helpers.
-// Wire requests and spills encode and decode every string, so these loops
-// sit on the service's cache-hit path.
-
-__attribute__((target("avx2"))) inline __m256i mask4(__m256i v,
-                                                     std::uint64_t mask) {
-  return _mm256_and_si256(v,
-                          _mm256_set1_epi64x(static_cast<long long>(mask)));
-}
-
-/// spread_every_third on four lanes.
-__attribute__((target("avx2"))) inline __m256i spread4(__m256i w) {
-  w = mask4(w, 0x00000000001fffffULL);
-  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 32)),
-            0x001f00000000ffffULL);
-  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 16)),
-            0x001f0000ff0000ffULL);
-  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 8)),
-            0x100f00f00f00f00fULL);
-  w = mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 4)),
-            0x10c30c30c30c30c3ULL);
-  return mask4(_mm256_or_si256(w, _mm256_slli_epi64(w, 2)), kFieldLowBits);
-}
-
-/// gather_every_third on four lanes.
-__attribute__((target("avx2"))) inline __m256i gather4(__m256i w) {
-  w = mask4(w, kFieldLowBits);
-  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 2)),
-            0x10c30c30c30c30c3ULL);
-  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 4)),
-            0x100f00f00f00f00fULL);
-  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 8)),
-            0x001f0000ff0000ffULL);
-  w = mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 16)),
-            0x001f00000000ffffULL);
-  return mask4(_mm256_xor_si256(w, _mm256_srli_epi64(w, 32)),
-               0x00000000001fffffULL);
-}
-
-/// encode_records3 for one word per plane; returns the strings done (count
-/// rounded down to a multiple of four).
-__attribute__((target("avx2"))) std::size_t encode_one_plane_avx2(
-    const std::uint64_t* recs, std::size_t count, std::size_t w3,
-    std::uint8_t* out) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(recs + 2 * i));
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(recs + 2 * i + 4));
-    // [x0 x1 x2 x3] and [z0 z1 z2 z3] out of [x0 z0 x1 z1], [x2 z2 x3 z3].
-    const __m256i x =
-        _mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b), 0xD8);
-    const __m256i z =
-        _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0xD8);
-    for (std::size_t j = 0; j < w3; ++j) {
-      const __m128i first =
-          _mm_cvtsi64_si128(static_cast<long long>(j * kOpsPerWord3));
-      const __m256i sx = spread4(_mm256_srl_epi64(x, first));
-      const __m256i sz = spread4(_mm256_srl_epi64(z, first));
-      const __m256i code = _mm256_or_si256(
-          _mm256_or_si256(_mm256_slli_epi64(sx, 2),
-                          _mm256_slli_epi64(_mm256_xor_si256(sx, sz), 1)),
-          sz);
-      alignas(32) std::uint64_t lanes[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), code);
-      for (std::size_t k = 0; k < 4; ++k) {
-        std::memcpy(out + ((i + k) * w3 + j) * sizeof(std::uint64_t),
-                    &lanes[k], sizeof(std::uint64_t));
-      }
-    }
-  }
-  return i;
-}
-
-/// from_records' decode for one word per plane; returns the strings done
-/// (a multiple of four), stopping before a block that holds a corrupt code
-/// so the scalar loop reports it.
-__attribute__((target("avx2"))) std::size_t decode_one_plane_avx2(
-    const std::uint8_t* in, std::size_t count, std::size_t num_qubits,
-    std::uint64_t* recs) noexcept {
-  const std::size_t w3 = words_per_string3(num_qubits);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m256i x = _mm256_setzero_si256();
-    __m256i z = _mm256_setzero_si256();
-    for (std::size_t j = 0; j < w3; ++j) {
-      const std::size_t first = j * kOpsPerWord3;
-      const std::size_t fields = std::min(kOpsPerWord3, num_qubits - first);
-      std::uint64_t lanes[4];
-      for (std::size_t k = 0; k < 4; ++k) {
-        std::memcpy(&lanes[k],
-                    in + ((i + k) * w3 + j) * sizeof(std::uint64_t),
-                    sizeof(std::uint64_t));
-      }
-      const __m256i word =
-          mask4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes)),
-                (std::uint64_t{1} << (3 * fields)) - 1);
-      const __m256i odd = mask4(
-          _mm256_xor_si256(word,
-                           _mm256_xor_si256(_mm256_srli_epi64(word, 1),
-                                            _mm256_srli_epi64(word, 2))),
-          kFieldLowBits);
-      if (!_mm256_testz_si256(odd, odd)) return i;
-      const __m128i at = _mm_cvtsi64_si128(static_cast<long long>(first));
-      x = _mm256_or_si256(
-          x, _mm256_sll_epi64(gather4(_mm256_srli_epi64(word, 2)), at));
-      z = _mm256_or_si256(z, _mm256_sll_epi64(gather4(word), at));
-    }
-    // Records [x0 z0 x1 z1] and [x2 z2 x3 z3].
-    const __m256i lo = _mm256_unpacklo_epi64(x, z);  // [x0 z0 x2 z2]
-    const __m256i hi = _mm256_unpackhi_epi64(x, z);  // [x1 z1 x3 z3]
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(recs + 2 * i),
-                        _mm256_permute2x128_si256(lo, hi, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(recs + 2 * i + 4),
-                        _mm256_permute2x128_si256(lo, hi, 0x31));
-  }
-  return i;
-}
-
-#endif  // PICASSO_SET_HAVE_AVX2
-
 /// Writes the 3-bit words of the `count` [x|z] records at `recs` (`w` words
 /// per plane) over `num_qubits` to `out`, which need not be aligned.
 /// Padding fields come out 000 because padding plane bits are clear.
@@ -247,14 +104,7 @@ void encode_records3(const std::uint64_t* recs, std::size_t count,
                      std::size_t w, std::size_t num_qubits,
                      std::uint8_t* out) noexcept {
   const std::size_t w3 = words_per_string3(num_qubits);
-  std::size_t i = 0;
-#if PICASSO_SET_HAVE_AVX2
-  if (w == 1 && best_simd_level() == SimdLevel::Avx2) {
-    i = encode_one_plane_avx2(recs, count, w3, out);
-  }
-#endif
-  out += i * w3 * sizeof(std::uint64_t);
-  for (recs += i * 2 * w; i < count; ++i, recs += 2 * w) {
+  for (std::size_t i = 0; i < count; ++i, recs += 2 * w) {
     for (std::size_t j = 0; j < w3; ++j, out += sizeof(std::uint64_t)) {
       const std::size_t first = j * kOpsPerWord3;
       const std::uint64_t word = code3(plane_bits(recs, w, first),
@@ -304,19 +154,10 @@ PauliSet PauliSet::from_records(std::size_t num_qubits, std::size_t count,
   if (count == 0) return out;
   const std::size_t w3 = words_per_string3(num_qubits);
   const std::size_t w = packed_words(num_qubits);
-  out.size_ = count;
-  out.num_qubits_ = num_qubits;
-  out.words_ = w;
-  out.data_.assign(count * 2 * w, 0);
-  std::size_t i = 0;
-#if PICASSO_SET_HAVE_AVX2
-  if (w == 1 && best_simd_level() == SimdLevel::Avx2) {
-    i = decode_one_plane_avx2(records, count, num_qubits, out.data_.data());
-  }
-#endif
-  const std::uint8_t* in = records + i * w3 * sizeof(std::uint64_t);
-  for (; i < count; ++i) {
-    std::uint64_t* x = out.data_.data() + 2 * i * w;
+  std::vector<std::uint64_t> data(count * 2 * w, 0);
+  const std::uint8_t* in = records;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t* x = data.data() + 2 * i * w;
     std::uint64_t* z = x + w;
     for (std::size_t j = 0; j < w3; ++j, in += sizeof(std::uint64_t)) {
       const std::size_t first = j * kOpsPerWord3;
@@ -345,6 +186,7 @@ PauliSet PauliSet::from_records(std::size_t num_qubits, std::size_t count,
       }
     }
   }
+  out.records_ = PackedPauliSet::from_raw(num_qubits, count, std::move(data));
   out.coefficients_.resize(count);
   std::memcpy(out.coefficients_.data(), in, count * sizeof(double));
   return out;
@@ -354,11 +196,11 @@ void PauliSet::write_words3(std::ostream& out) const {
   // In batches of strings, so the words never sit resident all at once.
   constexpr std::size_t kBatch = 1024;
   const std::size_t string_bytes =
-      words_per_string3(num_qubits_) * sizeof(std::uint64_t);
-  std::vector<std::uint8_t> batch(std::min(size_, kBatch) * string_bytes);
-  for (std::size_t i = 0; i < size_; i += kBatch) {
-    const std::size_t n = std::min(kBatch, size_ - i);
-    encode_records3(packed_view().record(i), n, words_, num_qubits_,
+      words_per_string3(num_qubits()) * sizeof(std::uint64_t);
+  std::vector<std::uint8_t> batch(std::min(size(), kBatch) * string_bytes);
+  for (std::size_t i = 0; i < size(); i += kBatch) {
+    const std::size_t n = std::min(kBatch, size() - i);
+    encode_records3(records_.record(i), n, records_.words(), num_qubits(),
                     batch.data());
     out.write(reinterpret_cast<const char*>(batch.data()),
               static_cast<std::streamsize>(n * string_bytes));
@@ -367,8 +209,8 @@ void PauliSet::write_words3(std::ostream& out) const {
 
 void PauliSet::save_binary(std::ostream& out) const {
   const std::uint64_t header[3] = {kMagic,
-                                   static_cast<std::uint64_t>(num_qubits_),
-                                   static_cast<std::uint64_t>(size_)};
+                                   static_cast<std::uint64_t>(num_qubits()),
+                                   static_cast<std::uint64_t>(size())};
   out.write(reinterpret_cast<const char*>(header), kBinaryHeaderBytes);
   write_words3(out);
   out.write(reinterpret_cast<const char*>(coefficients_.data()),
@@ -380,13 +222,14 @@ void PauliSet::save_binary(std::span<std::uint8_t> out) const {
     throw std::invalid_argument("PauliSet::save_binary: buffer too small");
   }
   const std::uint64_t header[3] = {kMagic,
-                                   static_cast<std::uint64_t>(num_qubits_),
-                                   static_cast<std::uint64_t>(size_)};
+                                   static_cast<std::uint64_t>(num_qubits()),
+                                   static_cast<std::uint64_t>(size())};
   std::uint8_t* at = out.data();
   std::memcpy(at, header, kBinaryHeaderBytes);
   at += kBinaryHeaderBytes;
-  encode_records3(data_.data(), size_, words_, num_qubits_, at);
-  at += size_ * words_per_string3(num_qubits_) * sizeof(std::uint64_t);
+  encode_records3(records_.record(0), size(), records_.words(), num_qubits(),
+                  at);
+  at += size() * words_per_string3(num_qubits()) * sizeof(std::uint64_t);
   // Byte copy (not memcpy): an empty vector's data() may be null.
   std::copy_n(reinterpret_cast<const std::uint8_t*>(coefficients_.data()),
               coefficients_.size() * sizeof(double), at);
@@ -424,45 +267,36 @@ PauliSet PauliSet::load_binary(std::span<const std::uint8_t> bytes) {
 }
 
 PauliSet PauliSet::prefix(std::size_t count) const {
-  count = std::min(count, size_);
+  count = std::min(count, size());
+  const PackedView v = packed_view();
   PauliSet out;
-  out.size_ = count;
-  out.num_qubits_ = num_qubits_;
-  out.words_ = words_;
-  out.data_.assign(data_.begin(), data_.begin() + count * 2 * words_);
+  out.records_ = PackedPauliSet::from_raw(
+      num_qubits(), count,
+      std::vector<std::uint64_t>(v.data, v.data + count * v.record_words()));
   out.coefficients_.assign(coefficients_.begin(),
                            coefficients_.begin() + count);
   return out;
 }
 
 void PauliSet::append(const PauliSet& other) {
-  if (other.size_ == 0) return;
-  if (size_ == 0) {
-    *this = other;
-    return;
-  }
-  if (other.num_qubits_ != num_qubits_) {
-    throw std::invalid_argument("PauliSet::append: qubit count mismatch");
-  }
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+  records_.append(other.records_);
   coefficients_.insert(coefficients_.end(), other.coefficients_.begin(),
                        other.coefficients_.end());
-  size_ += other.size_;
 }
 
 PauliSet PauliSet::subset(const std::vector<std::uint32_t>& ids) const {
   PauliSet out;
   if (ids.empty()) return out;
-  out.size_ = ids.size();
-  out.num_qubits_ = num_qubits_;
-  out.words_ = words_;
-  out.data_.reserve(ids.size() * 2 * words_);
+  const PackedView v = packed_view();
+  std::vector<std::uint64_t> data;
+  data.reserve(ids.size() * v.record_words());
   out.coefficients_.reserve(ids.size());
   for (std::uint32_t id : ids) {
-    const auto rec = data_.begin() + id * 2 * words_;
-    out.data_.insert(out.data_.end(), rec, rec + 2 * words_);
+    data.insert(data.end(), v.record(id), v.record(id) + v.record_words());
     out.coefficients_.push_back(coefficients_[id]);
   }
+  out.records_ =
+      PackedPauliSet::from_raw(num_qubits(), ids.size(), std::move(data));
   return out;
 }
 

@@ -1,16 +1,16 @@
 #pragma once
 // PauliSet: the vertex set of the coloring problem.
 //
-// Stores n Pauli strings (with real coefficients) as packed symplectic
-// records — string i is [x_0..x_{w-1} | z_0..z_{w-1}], w = ceil(q / 64),
-// the PackedView layout of pauli_packed.hpp — so the anticommutation
-// oracle, the only graph access the Picasso pipeline needs, is a few
-// AND/XOR instructions and one parity, and the full O(n^2)-edge graph never
-// has to be materialised (§IV-A). The paper's 3-bit inverse-one-hot words
-// are not kept resident: they are the .pset/wire byte format, built from
-// the planes when a set is saved and decoded straight back into planes
-// when one is loaded (encoding.hpp keeps the 3-bit kernel as the
-// reference).
+// Stores n Pauli strings as a PackedPauliSet of symplectic records — string
+// i is [x_0..x_{w-1} | z_0..z_{w-1}], w = ceil(q / 64), the PackedView
+// layout of pauli_packed.hpp — plus one real coefficient each, so the
+// anticommutation oracle, the only graph access the Picasso pipeline needs,
+// is a few AND/XOR instructions and one parity, and the full O(n^2)-edge
+// graph never has to be materialised (§IV-A). The paper's 3-bit
+// inverse-one-hot words are not kept resident: they are the .pset/wire byte
+// format, built from the planes when a set is saved and decoded straight
+// back into planes when one is loaded (encoding.hpp keeps the 3-bit kernel
+// as the reference).
 
 #include <cstdint>
 #include <iosfwd>
@@ -32,32 +32,30 @@ class PauliSet {
   explicit PauliSet(const std::vector<PauliString>& strings,
                     std::vector<double> coefficients = {});
 
-  std::size_t size() const noexcept { return size_; }
-  std::size_t num_qubits() const noexcept { return num_qubits_; }
-  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return records_.size(); }
+  std::size_t num_qubits() const noexcept { return records_.num_qubits(); }
+  bool empty() const noexcept { return records_.empty(); }
 
   double coefficient(std::size_t i) const { return coefficients_[i]; }
   const std::vector<double>& coefficients() const { return coefficients_; }
 
   /// Decoded string i (read back from its planes).
-  PauliString string(std::size_t i) const {
-    return decode_record(packed_view().record(i), words_, num_qubits_);
-  }
+  PauliString string(std::size_t i) const { return records_.string(i); }
 
   /// Anticommutation oracle: parity of the symplectic product of the two
   /// records (pauli_packed.hpp).
   bool anticommute(std::size_t i, std::size_t j) const noexcept {
-    const PackedView v = packed_view();
-    return anticommute_record_scalar(v.record(i), v.record(j), words_);
+    return records_.anticommute(i, j);
   }
 
   /// Zero-copy packed view over the records, so the SIMD conflict-oracle
   /// kernels (pauli_packed.hpp) run on the set without any extra resident
   /// bytes. The view borrows; it is valid only while this set is alive and
   /// unmodified.
-  PackedView packed_view() const noexcept {
-    return {data_.data(), size_, words_};
-  }
+  PackedView packed_view() const noexcept { return records_.view(); }
+
+  /// The records themselves, without the coefficients.
+  const PackedPauliSet& packed() const noexcept { return records_; }
 
   /// Qubit-wise commutativity (the grouping relation of Pauli-measurement
   /// schemes predating general-commutativity grouping, §III of the paper):
@@ -66,9 +64,9 @@ class PauliSet {
   /// single position anticommutes. In the symplectic planes that is
   /// (x_i & z_j) XOR (z_i & x_j) == 0 in every word.
   bool qubit_wise_commute(std::size_t i, std::size_t j) const noexcept {
-    const std::size_t w = words_;
-    const std::uint64_t* a = packed_view().record(i);
-    const std::uint64_t* b = packed_view().record(j);
+    const std::size_t w = records_.words();
+    const std::uint64_t* a = records_.record(i);
+    const std::uint64_t* b = records_.record(j);
     for (std::size_t k = 0; k < w; ++k) {
       if (((a[k] & b[w + k]) ^ (a[w + k] & b[k])) != 0) return false;
     }
@@ -87,8 +85,8 @@ class PauliSet {
   /// Bytes of the resident records and coefficients (reported as the input
   /// footprint).
   std::size_t logical_bytes() const noexcept {
-    return data_.size() * sizeof(std::uint64_t) +
-           coefficients_.size() * sizeof(double);
+    return size() * (2 * records_.words() * sizeof(std::uint64_t) +
+                     sizeof(double));
   }
 
   /// Subset by vertex ids (used when an experiment trims a dataset), by
@@ -126,8 +124,8 @@ class PauliSet {
   /// Bytes save_binary writes.
   std::size_t binary_size() const noexcept {
     return kBinaryHeaderBytes +
-           size_ * (words_per_string3(num_qubits_) * sizeof(std::uint64_t) +
-                    sizeof(double));
+           size() * (words_per_string3(num_qubits()) * sizeof(std::uint64_t) +
+                     sizeof(double));
   }
 
   /// Writes the same bytes into the first binary_size() bytes of `out` (a
@@ -147,10 +145,7 @@ class PauliSet {
  private:
   static constexpr std::size_t kBinaryHeaderBytes = 3 * sizeof(std::uint64_t);
 
-  std::size_t size_ = 0;
-  std::size_t num_qubits_ = 0;
-  std::size_t words_ = 0;             // per plane
-  std::vector<std::uint64_t> data_;   // size_ * 2 * words_ ([x|z] records)
+  PackedPauliSet records_;
   std::vector<double> coefficients_;
 };
 

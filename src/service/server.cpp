@@ -326,6 +326,9 @@ void Server::handle_solve_request(const std::shared_ptr<ClientConn>& conn,
   SolveRequestMsg msg;
   try {
     msg = decode_solve_request(payload);
+  } catch (const RetiredRequestField& error) {
+    send_error(conn, error.id, ServiceErrorCode::BadRequest, error.what());
+    return;
   } catch (const WireError& error) {
     send_error(conn, 0, ServiceErrorCode::BadRequest, error.what());
     return;

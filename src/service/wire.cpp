@@ -172,12 +172,9 @@ SolveRequestMsg decode_solve_request(
   msg.params.seed = r.u64();
   msg.params.max_iterations = static_cast<std::int32_t>(r.u32());
   // The frame keeps the byte of the Pauli backend selector removed in API
-  // 4.0; encoders write 0, and anything else asks for a retired backend.
-  if (const std::uint8_t backend = r.u8(); backend != 0) {
-    throw WireError("backend value " + std::to_string(backend) +
-                    " names a Pauli backend selector that was removed in "
-                    "API 4.0; send 0");
-  }
+  // 4.0; encoders write 0, and anything else asks for a retired backend
+  // (refused once the rest of the frame has decoded).
+  const std::uint8_t backend = r.u8();
   msg.params.strategy = r.u8();
   msg.params.memory_budget_bytes = r.u64();
   msg.params.want_progress = r.u8() != 0;
@@ -188,6 +185,12 @@ SolveRequestMsg decode_solve_request(
     msg.records = pauli::PauliSet::load_binary(blob);
   } catch (const std::exception& error) {
     throw WireError(std::string("bad Pauli payload: ") + error.what());
+  }
+  if (backend != 0) {
+    throw RetiredRequestField(
+        msg.id, "backend value " + std::to_string(backend) +
+                    " names a Pauli backend selector that was removed in "
+                    "API 4.0; send 0");
   }
   return msg;
 }

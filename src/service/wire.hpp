@@ -95,6 +95,15 @@ struct WireDisconnect : WireError {
   explicit WireDisconnect(const std::string& what) : WireError(what) {}
 };
 
+/// A well-formed request frame asking for something the API no longer
+/// has. Carries the request id so the server's BadRequest answers that
+/// request rather than a malformed frame.
+struct RetiredRequestField : WireError {
+  RetiredRequestField(std::uint64_t request_id, const std::string& what)
+      : WireError(what), id(request_id) {}
+  std::uint64_t id;
+};
+
 struct Frame {
   FrameType type = FrameType::Error;
   std::vector<std::uint8_t> payload;
@@ -250,9 +259,10 @@ std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg);
 /// send records it does not own without copying them into the message.
 std::vector<std::uint8_t> encode_solve_request(const SolveRequestMsg& msg,
                                                const pauli::PauliSet& records);
-/// Throws WireError on a malformed payload, and on a nonzero backend byte:
-/// the frame keeps that byte, but the Pauli backend selector it carried was
-/// removed in API 4.0, so the server answers such a request BadRequest.
+/// Throws WireError on a malformed payload, and RetiredRequestField on an
+/// otherwise valid frame with a nonzero backend byte: the frame keeps that
+/// byte, but the Pauli backend selector it carried was removed in API 4.0,
+/// so the server answers such a request BadRequest.
 SolveRequestMsg decode_solve_request(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode_cancel(std::uint64_t id);

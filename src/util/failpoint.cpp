@@ -87,6 +87,8 @@ bool parse_entry(const std::string& entry, std::string& name, Spec& spec) {
   } else if (!arg.empty()) {
     return false;
   }
+  // A hold ends only when the site is disarmed, so it takes no count.
+  if (spec.mode == Mode::Hold && spec.count != -1) return false;
   return true;
 }
 
@@ -125,7 +127,8 @@ void ensure_env_parsed_locked(Registry& r) {
 }
 
 // Looks up `name` and consumes one trigger. Returns the armed spec via
-// `out`; false when the site is not armed (or its count is exhausted).
+// `out`; false when the site is not armed (or its count is exhausted). A
+// Hold site keeps its count: hold() waits for it to leave the map.
 bool consume(const char* name, Spec& out) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -133,7 +136,8 @@ bool consume(const char* name, Spec& out) {
   auto it = r.sites.find(name);
   if (it == r.sites.end() || it->second.mode == Mode::Off) return false;
   out = it->second;
-  if (it->second.count > 0 && --it->second.count == 0) {
+  if (it->second.mode != Mode::Hold && it->second.count > 0 &&
+      --it->second.count == 0) {
     r.sites.erase(it);
     refresh_armed_locked(r);
   }

@@ -26,6 +26,7 @@
 //   delay:MS     sleep MS milliseconds, then continue
 //   short:N      clamp the next I/O at this site to N bytes (N < requested)
 //   hold         block the calling thread until the site is disarmed
+//                (takes no @COUNT)
 //   @COUNT       trigger only COUNT times, then disarm automatically
 
 #include <atomic>
@@ -61,7 +62,7 @@ enum class Mode : std::uint8_t {
   Enospc,   // throw std::system_error(ENOSPC, generic_category())
   Delay,    // sleep arg_ms, then proceed
   ShortIo,  // clamp I/O length to arg_bytes (evaluate() is a no-op)
-  Hold,     // block until disarm() releases the site
+  Hold,     // block until disarm() releases the site (count ignored)
 };
 
 struct Spec {

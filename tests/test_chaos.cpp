@@ -131,6 +131,9 @@ TEST_F(ChaosTest, SpecGrammarParsesAndMalformedArmsNothing) {
   EXPECT_FALSE(pfp::arm_from_spec("a.site=error;b.site=wat"));
   EXPECT_EQ(pfp::armed_count(), 0u);
   EXPECT_FALSE(pfp::any_armed());
+  // A hold ends only at disarm, so a trigger count is malformed.
+  EXPECT_FALSE(pfp::arm_from_spec("a.site=error;e.site=hold@1"));
+  EXPECT_EQ(pfp::armed_count(), 0u);
 }
 
 TEST_F(ChaosTest, ErrorAndEnospcThrowTypedAndCountsDisarm) {
@@ -157,17 +160,20 @@ TEST_F(ChaosTest, ErrorAndEnospcThrowTypedAndCountsDisarm) {
 }
 
 TEST_F(ChaosTest, HoldBlocksUntilDisarmed) {
-  pfp::arm("chaos.hold", {pfp::Mode::Hold});
-  std::atomic<bool> passed{false};
-  std::thread held([&] {
-    PICASSO_FAILPOINT("chaos.hold");
-    passed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(passed.load());
-  pfp::disarm("chaos.hold");
-  held.join();
-  EXPECT_TRUE(passed.load());
+  // A count armed programmatically does not end a hold early either.
+  for (const std::int64_t count : {std::int64_t{-1}, std::int64_t{1}}) {
+    pfp::arm("chaos.hold", {pfp::Mode::Hold, 0, count});
+    std::atomic<bool> passed{false};
+    std::thread held([&] {
+      PICASSO_FAILPOINT("chaos.hold");
+      passed = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(passed.load()) << "count " << count;
+    pfp::disarm("chaos.hold");
+    held.join();
+    EXPECT_TRUE(passed.load());
+  }
 }
 
 TEST_F(ChaosTest, ShortIoClampsOnlyItsSite) {

@@ -361,8 +361,7 @@ TEST(PauliSetDirectLoad, EmptySetLoadsWithZeroQubits) {
   }
 }
 
-// Strings 2 and 5 sit in the first two four-string blocks of the vector
-// decode (sets of <= 64 qubits on AVX2 hosts), string 8 in the scalar tail.
+// A corrupt code early, in the middle and in the last string of the set.
 TEST(PauliSetDirectLoad, RejectsCorruptCodeInFirstMiddleOrLastField) {
   for (std::size_t n : {1u, 22u, 64u, 130u}) {
     const pp::PauliSet set = random_set(9, n, 9);

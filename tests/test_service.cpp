@@ -383,6 +383,11 @@ TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {
 
   namespace pfp = picasso::util::failpoints;
   pfp::arm("service.progress", {pfp::Mode::Hold});
+  // Released on every exit path, so a failed solve cannot leave the
+  // server's solver thread parked for the fixture teardown.
+  struct ReleaseHold {
+    ~ReleaseHold() { pfp::disarm("service.progress"); }
+  } release_hold;
   auto client = psvc::Client::connect(server_.address());
   std::atomic<int> frames{0};
   const psvc::RemoteResult outcome =
@@ -398,7 +403,6 @@ TEST_F(ServiceTest, CancelMidSolveFreesSlotAndRemovesSpillFile) {
         }
         pfp::disarm("service.progress");
       });
-  pfp::disarm("service.progress");
   ASSERT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error_code, psvc::ServiceErrorCode::Cancelled);
   EXPECT_GE(frames.load(), 1);
@@ -571,7 +575,7 @@ TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
 TEST_F(ServiceTest, RetiredBackendByteGetsBadRequestNamingIt) {
   start_server();
   psvc::SolveRequestMsg msg;
-  msg.id = 1;
+  msg.id = 7;
   msg.tenant = "t";
   msg.records = random_set(30, 8, 11);
   const std::vector<std::uint8_t> valid = psvc::encode_solve_request(msg);
@@ -590,6 +594,7 @@ TEST_F(ServiceTest, RetiredBackendByteGetsBadRequestNamingIt) {
   ASSERT_EQ(frame.type, psvc::FrameType::Error);
   const psvc::ErrorMsg error = psvc::decode_error(frame.payload);
   EXPECT_EQ(error.code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_EQ(error.id, msg.id);  // a per-request answer, not a bad frame
   EXPECT_NE(error.message.find("backend value 1"), std::string::npos)
       << error.message;
   EXPECT_NE(error.message.find("removed in API 4.0"), std::string::npos)
