@@ -166,7 +166,7 @@ inline std::string counters_field(const obs::CounterTotals& totals) {
 
 /// Machine-readable memory record, one JSON-lines row keyed (bench, name).
 /// CI gates merges on peak-memory regressions in these against a checked-in
-/// baseline (scripts/compare_bench_memory.py). Records meant for the gate
+/// baseline (scripts/compare_bench.py). Records meant for the gate
 /// must come from single-threaded runs: tracked logical bytes are then a
 /// pure function of (dataset, seed, params) and compare bit-for-bit across
 /// machines.

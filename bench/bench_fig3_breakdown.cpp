@@ -86,7 +86,7 @@ int main() {
          util::Table::fmt_int(static_cast<long long>(f.iterations.size()))});
     char extra[64];
     std::snprintf(extra, sizeof(extra), "\"seconds\":%.6f", f.total_seconds);
-    // The "_fused" suffix is what compare_bench_memory.py's fused gate keys
+    // The "_fused" suffix is what compare_bench.py's fused gate keys
     // on — keep it if these records ever join the CI baseline.
     bench::emit_json_record("fig3_breakdown", spec.name + "_fused", f.memory,
                             extra);

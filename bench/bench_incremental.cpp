@@ -12,7 +12,7 @@
 //  2. Machine-readable records — one JSON-lines row per dataset from the
 //     single-threaded from-scratch run, carrying the update_* work
 //     counters and an FNV-1a hash of the final coloring. The baseline gate
-//     (scripts/compare_bench_memory.py vs ci/bench_baseline.json) compares
+//     (scripts/compare_bench.py vs ci/bench_baseline.json) compares
 //     both exactly: counters and coloring hash are pure functions of
 //     (dataset, params) for single-threaded runs.
 

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""CI gate: compare bench memory records against a checked-in baseline.
+"""CI gate over bench records, plus a time report between two BENCH files.
 
-Both files are JSON-lines, one record per row, as emitted by
-bench::emit_json_record (see bench/bench_common.hpp):
+Two modes, usable together.
+
+1. Gate: compare_bench.py BASELINE CURRENT compares bench memory records
+against a checked-in baseline. Both files are JSON-lines, one record per
+row, as emitted by bench::emit_json_record (see bench/bench_common.hpp):
 
     {"bench": "table4_memory", "name": "H6_3D_sto3g/normal",
      "peak_tracked_bytes": 123456, "within_budget": true, "report": {...}}
@@ -35,12 +38,28 @@ Records are keyed by (bench, name). The gate fails when
 New records (present now, absent from the baseline) are reported but do not
 fail the gate — refresh the baseline to start tracking them.
 
-Usage: compare_bench_memory.py BASELINE CURRENT [--tolerance 0.10]
+2. Time report: --prev BENCH_<a>.json --bench BENCH_<b>.json compares two
+committed perfbench files (BENCH_21.json's "how" gives the protocol). For
+each workload it takes the medians over each file's "change" runs: the
+end-to-end metrics (names without a dot) from its untraced runs, the
+per-layer metrics (layer.metric) from its traced runs. It prints every
+median with its delta and fails only when an end-to-end time metric (unit
+s, ms, us or ns) is more than twice its previous median. The two files
+are recorded at different times, often on different hosts, so smaller
+moves are read, not gated. Per-layer times come from one traced run per file and
+are printed only: between BENCH_21.json and BENCH_22.json the same code
+(the former's change, the latter's parent) read pauli.load_ms 0.16 and
+0.46 ms. A gain or regression claim is made inside one BENCH file, where
+parent and change run alternately on one host.
+
+Usage: compare_bench.py BASELINE CURRENT [--tolerance 0.10]
+       compare_bench.py --prev BENCH_21.json --bench BENCH_22.json
 Exit status: 0 clean, 1 regression, 2 usage/IO error.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -98,16 +117,74 @@ def compare_counters(label, base_counters, cur_counters, failures):
     return mismatches
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="allowed fractional growth in peak bytes")
-    parser.add_argument("--allow-missing", action="store_true",
-                        help="do not fail when baseline records are absent")
-    args = parser.parse_args()
+TIME_UNITS = ("s", "ms", "us", "ns")
+GROSS_TIME_RATIO = 2.0
 
+
+def load_bench(path):
+    """Per-workload lists of the values of every metric of a BENCH file's
+    "change" runs: undotted (end-to-end) names from untraced runs, dotted
+    (per-layer) names from traced runs. Returns ({workload: {metric:
+    [values]}}, {metric: unit})."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            bench = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"cannot read {path}: {err}", file=sys.stderr)
+        sys.exit(2)
+    values, units = {}, {}
+    for run in bench.get("runs", []):
+        if run.get("side") != "change":
+            continue
+        per_layer = run.get("trace") == 1
+        metrics = run.get("record", {}).get("metrics", {})
+        for name, metric in metrics.items():
+            if ("." in name) != per_layer:
+                continue
+            workload = values.setdefault(run["workload"], {})
+            workload.setdefault(name, []).append(metric["value"])
+            units[name] = metric.get("unit", "")
+    return values, units
+
+
+def compare_bench_files(prev_path, bench_path):
+    """Prints per-workload median deltas; returns the gross end-to-end
+    time regressions (more than GROSS_TIME_RATIO times the previous
+    median)."""
+    prev, prev_units = load_bench(prev_path)
+    cur, cur_units = load_bench(bench_path)
+    units = {**prev_units, **cur_units}
+    failures = []
+    print(f"median deltas, {prev_path} -> {bench_path} (change runs)")
+    for workload in sorted(set(prev) | set(cur)):
+        print(f"\n{workload}")
+        names = set(prev.get(workload, {})) | set(cur.get(workload, {}))
+        # End-to-end metrics first, then the per-layer ones.
+        for name in sorted(names, key=lambda n: ("." in n, n)):
+            before = prev.get(workload, {}).get(name)
+            after = cur.get(workload, {}).get(name)
+            unit = units.get(name, "")
+            if not before or not after:
+                side = "prev" if not before else "bench"
+                print(f"  {name:32s} {unit:6s} not in {side} file")
+                continue
+            a = statistics.median(before)
+            b = statistics.median(after)
+            delta = f"{(b / a - 1.0) * 100.0:+7.1f}%" if a else "    n/a"
+            flag = ""
+            gated = unit in TIME_UNITS and "." not in name
+            if gated and a > 0 and b > GROSS_TIME_RATIO * a:
+                flag = f"  REGRESSION (>{GROSS_TIME_RATIO:g}x)"
+                failures.append(
+                    f"TIME     {workload}/{name}: median {b:.6g} {unit} vs "
+                    f"{a:.6g} {unit} in {prev_path}")
+            print(f"  {name:32s} {unit:6s} {a:14.6g} -> {b:14.6g} "
+                  f"{delta}{flag}")
+    return failures
+
+
+def gate_records(args):
+    """The exact counter/hash and memory gate of BASELINE vs CURRENT."""
     baseline = load_records(args.baseline)
     current = load_records(args.current)
 
@@ -219,6 +296,41 @@ def main():
           f"{hash_records} coloring hashes exact-matched, "
           f"tolerance +{args.tolerance:.0%})")
     return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="Give BASELINE and CURRENT, --prev and --bench, or both.")
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("current", nargs="?")
+    parser.add_argument("--tolerance", type=float, default=0.10,
+                        help="allowed fractional growth in peak bytes")
+    parser.add_argument("--allow-missing", action="store_true",
+                        help="do not fail when baseline records are absent")
+    parser.add_argument("--prev", help="previous BENCH_<pr>.json")
+    parser.add_argument("--bench", help="BENCH_<pr>.json to report on")
+    args = parser.parse_args()
+    gate = args.baseline is not None or args.current is not None
+    report = args.prev is not None or args.bench is not None
+    if (not gate and not report) or (gate and args.current is None) or (
+            report and (args.prev is None or args.bench is None)):
+        parser.print_usage(sys.stderr)
+        return 2
+
+    status = gate_records(args) if gate else 0
+    if report:
+        failures = compare_bench_files(args.prev, args.bench)
+        if failures:
+            print("\nbench time report FAILED (gross regressions):",
+                  file=sys.stderr)
+            for f in failures:
+                print(f"  {f}", file=sys.stderr)
+            status = 1
+        else:
+            print(f"\nbench time report passed (no end-to-end time metric "
+                  f"above {GROSS_TIME_RATIO:g}x its previous median)")
+    return status
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/solve_fused.hpp"
-#include "graph/oracles.hpp"
 #include "obs/metrics.hpp"
 #include "util/timer.hpp"
 
@@ -26,163 +25,15 @@ bool supports_disjoint(const std::uint64_t* a, const std::uint64_t* b,
   return acc == 0;
 }
 
+/// out[k] = conflict-edge(v, ids[k]) for the vertex v pinned in `prober`,
+/// charging the pairs to OraclePairEvals (the prober counts kernel calls).
+void probe(pauli::PackedRecordProber& prober, const std::uint32_t* ids,
+           std::size_t count, std::uint8_t* out) {
+  obs::count(obs::Counter::OraclePairEvals, count);
+  prober.edges(ids, count, out);
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Probers: one conflict-edge tester per store. Both answer the identical
-// relation (edge ⇔ the strings do NOT anticommute) through the same block
-// kernel, so the insertion outcome is storage-invariant; they differ only
-// in where the records come from and which counters tick.
-
-class FusedState::Prober {
- public:
-  virtual ~Prober() = default;
-
-  /// Pins vertex `u` for subsequent edges() calls and returns its packed
-  /// [x|z] record (rec_words per plane), valid until the next set_u() or
-  /// member_record() call.
-  virtual const std::uint64_t* set_u(std::uint32_t u) = 0;
-
-  /// out[k] = conflict-edge(u, ids[k]) for k in [0, count).
-  virtual void edges(const std::uint32_t* ids, std::size_t count,
-                     std::uint8_t* out) = 0;
-
-  /// Packed record of vertex `m` (signature rebuilds); valid until the next
-  /// member_record() or set_u() call.
-  virtual const std::uint64_t* member_record(std::uint32_t m) = 0;
-};
-
-class FusedState::InMemoryPackedProber : public FusedState::Prober {
- public:
-  explicit InMemoryPackedProber(const pauli::PauliSet& store)
-      : oracle_(store.packed_view()), view_(store.packed_view()) {}
-
-  const std::uint64_t* set_u(std::uint32_t u) override {
-    u_ = u;
-    return view_.record(u);
-  }
-
-  void edges(const std::uint32_t* ids, std::size_t count,
-             std::uint8_t* out) override {
-    obs::count(oracle_.simd_level() == pauli::SimdLevel::Avx2
-                   ? obs::Counter::EdgeBlockCallsAvx2
-                   : obs::Counter::EdgeBlockCallsScalar);
-    obs::count(obs::Counter::OraclePairEvals, count);
-    oracle_.edge_block(u_, ids, count, out);
-  }
-
-  const std::uint64_t* member_record(std::uint32_t m) override {
-    return view_.record(m);
-  }
-
- private:
-  graph::PackedComplementOracle oracle_;
-  pauli::PackedView view_;
-  std::uint32_t u_ = 0;
-};
-
-class FusedState::SpilledPackedProber : public FusedState::Prober {
- public:
-  SpilledPackedProber(pauli::PackedPauliChunkCache& cache,
-                      const pauli::ChunkedPauliReader& reader)
-      : cache_(&cache),
-        spc_(reader.strings_per_chunk()),
-        words_(pauli::packed_words(reader.num_qubits())),
-        simd_(pauli::best_simd_level()),
-        kernel_(pauli::resolve_block_kernel(words_, simd_)) {}
-
-  const std::uint64_t* set_u(std::uint32_t u) override {
-    u_ = u;
-    u_chunk_ = cache_->get(u / spc_);
-    const std::uint64_t* rec = u_chunk_->record(u % spc_);
-    swapped_.resize(2 * words_);
-    pauli::make_swapped_record(rec, words_, swapped_.data());
-    return rec;
-  }
-
-  void edges(const std::uint32_t* ids, std::size_t count,
-             std::uint8_t* out) override {
-    if (count == 0) return;
-    // A sweep's ids span several buckets, so they need not be sorted or
-    // contiguous. Group them by chunk: one pin and one kernel call per
-    // chunk that holds any, chunks in ascending order so the cache traffic
-    // is deterministic. Each pass takes the chunk of the smallest id not
-    // yet probed and tests membership by comparing against the chunk's id
-    // range, so no id is divided.
-    const auto [min_id, max_id] = std::minmax_element(ids, ids + count);
-    if (*min_id / spc_ == *max_id / spc_) {
-      probe_chunk(*min_id / spc_, ids, count, out);
-      return;
-    }
-    std::uint64_t next = *min_id;
-    while (next != kNoId) {
-      const std::size_t chunk = next / spc_;
-      const std::size_t lo = chunk * spc_;
-      next = kNoId;
-      group_ids_.clear();
-      group_pos_.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        if (ids[k] - lo < spc_) {
-          group_ids_.push_back(ids[k]);
-          group_pos_.push_back(static_cast<std::uint32_t>(k));
-        } else if (ids[k] > lo) {
-          next = std::min<std::uint64_t>(next, ids[k]);
-        }
-      }
-      group_out_.resize(group_ids_.size());
-      probe_chunk(chunk, group_ids_.data(), group_ids_.size(),
-                  group_out_.data());
-      for (std::size_t i = 0; i < group_pos_.size(); ++i) {
-        out[group_pos_[i]] = group_out_[i];
-      }
-    }
-  }
-
-  const std::uint64_t* member_record(std::uint32_t m) override {
-    member_chunk_ = cache_->get(m / spc_);
-    return member_chunk_->record(m % spc_);
-  }
-
- private:
-  /// out[k] = conflict-edge(u, ids[k]) for `count` ids all in `chunk`.
-  void probe_chunk(std::size_t chunk, const std::uint32_t* ids,
-                   std::size_t count, std::uint8_t* out) {
-    auto pin = cache_->get(chunk);
-    // Chunk-local ids; chunk 0's are the global ids themselves.
-    const std::uint32_t* local = ids;
-    if (chunk != 0) {
-      const auto base = static_cast<std::uint32_t>(chunk * spc_);
-      rel_.resize(count);
-      for (std::size_t k = 0; k < count; ++k) rel_[k] = ids[k] - base;
-      local = rel_.data();
-    }
-    obs::count(simd_ == pauli::SimdLevel::Avx2
-                   ? obs::Counter::EdgeBlockCallsAvx2
-                   : obs::Counter::EdgeBlockCallsScalar);
-    obs::count(obs::Counter::OraclePairEvals, count);
-    kernel_(swapped_.data(), pin->view().data, words_, local, count, out);
-    for (std::size_t k = 0; k < count; ++k) {
-      const bool anti = out[k] != 0;
-      out[k] = static_cast<std::uint8_t>(ids[k] != u_ && !anti);
-    }
-  }
-
-  pauli::PackedPauliChunkCache* cache_;
-  std::size_t spc_;
-  std::size_t words_;
-  pauli::SimdLevel simd_;
-  pauli::AnticommuteBlockFn kernel_;
-  std::shared_ptr<const pauli::PackedPauliSet> u_chunk_;
-  std::shared_ptr<const pauli::PackedPauliSet> member_chunk_;
-  std::vector<std::uint64_t> swapped_;
-  std::vector<std::uint32_t> rel_;
-  // Grouping scratch for sweeps that span chunks.
-  static constexpr std::uint64_t kNoId = ~std::uint64_t{0};
-  std::vector<std::uint32_t> group_ids_;
-  std::vector<std::uint32_t> group_pos_;
-  std::vector<std::uint8_t> group_out_;
-  std::uint32_t u_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // FusedState.
@@ -263,11 +114,10 @@ void FusedState::fold_support(const std::uint64_t* rec,
   }
 }
 
-void FusedState::rebuild_signatures(Prober& prober) {
+void FusedState::rebuild_signatures(pauli::PackedRecordProber& prober) {
   std::vector<std::uint64_t> sup(rec_words_);
   for (std::size_t v = 0; v < cursor_; ++v) {
-    const std::uint64_t* rec = prober.member_record(
-        static_cast<std::uint32_t>(v));
+    const std::uint64_t* rec = prober.record(static_cast<std::uint32_t>(v));
     fold_support(rec, sup.data());
     or_signature(colors_[v], sup.data());
   }
@@ -286,11 +136,9 @@ void FusedState::sync_reader() {
   chunk_cache_->drop_from(reader_->refresh());
 }
 
-std::unique_ptr<FusedState::Prober> FusedState::make_prober() const {
-  if (use_spill_) {
-    return std::make_unique<SpilledPackedProber>(*chunk_cache_, *reader_);
-  }
-  return std::make_unique<InMemoryPackedProber>(store_);
+pauli::PackedRecordProber FusedState::make_prober() const {
+  if (use_spill_) return pauli::PackedRecordProber(*reader_, *chunk_cache_);
+  return pauli::PackedRecordProber(store_.packed_view());
 }
 
 void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,
@@ -318,7 +166,7 @@ void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,
   rebuild_from_colors(result.colors);
   if (cursor_ > 0) {
     auto prober = make_prober();
-    rebuild_signatures(*prober);
+    rebuild_signatures(prober);
   }
 }
 
@@ -365,14 +213,14 @@ namespace {
 
 /// True when `v` (pinned in `prober`) shares no conflict edge with any
 /// bucket member; early-exits on the first edge.
-bool bucket_admits(FusedState::Prober& prober,
+bool bucket_admits(pauli::PackedRecordProber& prober,
                    const std::vector<std::uint32_t>& bucket,
                    std::vector<std::uint8_t>& hits) {
   const std::size_t n = bucket.size();
   for (std::size_t i = 0; i < n; i += kInsertBatch) {
     const std::size_t len = std::min(kInsertBatch, n - i);
     hits.resize(len);
-    prober.edges(bucket.data() + i, len, hits.data());
+    probe(prober, bucket.data() + i, len, hits.data());
     for (std::size_t k = 0; k < len; ++k) {
       if (hits[k]) return false;
     }
@@ -394,8 +242,9 @@ void FusedState::open_fresh_color(std::uint32_t v, const std::uint64_t* sup_v,
   obs::count(obs::Counter::UpdateFreshColors);
 }
 
-bool FusedState::try_recolor(Prober& prober, std::uint32_t v,
-                             const std::uint64_t* sup_v, UpdateStats& stats) {
+bool FusedState::try_recolor(pauli::PackedRecordProber& prober,
+                             std::uint32_t v, const std::uint64_t* sup_v,
+                             UpdateStats& stats) {
   ++stats.recolor_attempts;
   // Runs only when every bucket is nonempty and blocked. Full-scan each
   // bucket for its exact blocking set; the relocation candidate is the
@@ -416,7 +265,7 @@ bool FusedState::try_recolor(Prober& prober, std::uint32_t v,
       blockers = bucket;
     } else {
       hits.resize(bucket.size());
-      prober.edges(bucket.data(), bucket.size(), hits.data());
+      probe(prober, bucket.data(), bucket.size(), hits.data());
       for (std::size_t k = 0; k < bucket.size(); ++k) {
         if (hits[k]) blockers.push_back(bucket[k]);
       }
@@ -524,11 +373,12 @@ void FusedState::escalate(const StopToken& stop, const ProgressFn& progress,
   }
   rebuild_from_colors(result.colors);
   auto prober = make_prober();
-  rebuild_signatures(*prober);
+  rebuild_signatures(prober);
   fresh_colors_ = 0;
 }
 
-std::uint32_t FusedState::first_fit(Prober& prober, const std::uint64_t* sup_v,
+std::uint32_t FusedState::first_fit(pauli::PackedRecordProber& prober,
+                                    const std::uint64_t* sup_v,
                                     Sweep& sweep, UpdateStats& stats) {
   // Buckets are probed in sweeps: the members of a run of consecutive
   // buckets that survive the signature test (whole buckets, up to
@@ -574,7 +424,7 @@ std::uint32_t FusedState::first_fit(Prober& prober, const std::uint64_t* sup_v,
       }
     } else if (!sweep.ids.empty()) {
       sweep.hits.resize(sweep.ids.size());
-      prober.edges(sweep.ids.data(), sweep.ids.size(), sweep.hits.data());
+      probe(prober, sweep.ids.data(), sweep.ids.size(), sweep.hits.data());
       std::uint32_t from = 0;
       for (std::size_t r = 0; r < sweep.slices.size(); ++r) {
         const std::uint32_t to = sweep.slices[r].end;
@@ -619,19 +469,19 @@ void FusedState::color_pauli_backlog(const StopToken& stop,
   while (cursor_ < total) {
     detail::throw_if_stopped(stop);
     const auto v = static_cast<std::uint32_t>(cursor_);
-    const std::uint64_t* rec = prober->set_u(v);
+    const std::uint64_t* rec = prober.set_u(v);
     fold_support(rec, sup.data());
 
     // Phase 1: lowest feasible color wins. An empty bucket (an unused
     // palette slot) is immediately feasible, so fresh colors only open
     // once the whole allocated range is blocked.
-    const std::uint32_t chosen = first_fit(*prober, sup.data(), sweep, stats);
+    const std::uint32_t chosen = first_fit(prober, sup.data(), sweep, stats);
     if (chosen != kUncolored) {
       colors_[v] = chosen;
       buckets_[chosen].push_back(v);
       or_signature(chosen, sup.data());
     } else if (update_params_.max_recolor == 0 ||
-               !try_recolor(*prober, v, sup.data(), stats)) {
+               !try_recolor(prober, v, sup.data(), stats)) {
       open_fresh_color(v, sup.data(), stats);
     }
     ++cursor_;

@@ -79,7 +79,11 @@ struct GraphVertexDelta {
 /// engine's bucket structure), per-color packed support signatures (a
 /// disjoint-support AND test that rejects hopeless buckets without touching
 /// a kernel), and the record store — either an in-memory PauliSet or a
-/// budget-grown .pset spill probed through the chunk cache.
+/// budget-grown .pset spill read through the chunk cache. Either store is
+/// probed through one pauli::PackedRecordProber, the class the chunked
+/// fused engine tests its candidates with, so insertion answers are
+/// storage-invariant by construction. Each probe charges its pairs to
+/// OraclePairEvals here; the prober counts the kernel calls.
 ///
 /// A FusedState is either Pauli-backed (update_pauli) or graph-backed
 /// (update_graph, after adopt_graph_solution); the two delta kinds cannot
@@ -89,11 +93,6 @@ struct GraphVertexDelta {
 class FusedState {
  public:
   static constexpr std::uint32_t kUncolored = 0xffffffffu;
-
-  /// Conflict-edge tester over the resident store (implementation detail,
-  /// defined in incremental.cpp; public only so file-local helpers can
-  /// name it).
-  class Prober;
 
   FusedState(PicassoParams params, UpdateParams update_params);
   ~FusedState();
@@ -154,14 +153,13 @@ class FusedState {
 
  private:
   enum class Kind { Unset, Pauli, Graph };
-  class InMemoryPackedProber;
-  class SpilledPackedProber;
 
   void ingest_pauli(const pauli::PauliSet& delta);
   /// Opens the spill reader and cache on first use; afterwards refreshes
   /// the reader in place and drops only the chunks that changed.
   void sync_reader();
-  std::unique_ptr<Prober> make_prober() const;
+  /// Prober over the live store: the in-memory set or the spill's cache.
+  pauli::PackedRecordProber make_prober() const;
   void color_pauli_backlog(const StopToken& stop, const ProgressFn& progress,
                            UpdateStats& stats);
   /// Scratch of first_fit's bucket sweeps, reused across vertices: the
@@ -178,16 +176,17 @@ class FusedState {
   };
   /// Lowest color whose bucket admits the vertex pinned in `prober`
   /// (support `sup_v`), kUncolored when every allocated color is blocked.
-  std::uint32_t first_fit(Prober& prober, const std::uint64_t* sup_v,
-                          Sweep& sweep, UpdateStats& stats);
-  bool try_recolor(Prober& prober, std::uint32_t v,
+  std::uint32_t first_fit(pauli::PackedRecordProber& prober,
+                          const std::uint64_t* sup_v, Sweep& sweep,
+                          UpdateStats& stats);
+  bool try_recolor(pauli::PackedRecordProber& prober, std::uint32_t v,
                    const std::uint64_t* sup_v, UpdateStats& stats);
   void open_fresh_color(std::uint32_t v, const std::uint64_t* sup_v,
                         UpdateStats& stats);
   void escalate(const StopToken& stop, const ProgressFn& progress,
                 UpdateStats& stats);
   void rebuild_from_colors(const std::vector<std::uint32_t>& colors);
-  void rebuild_signatures(Prober& prober);
+  void rebuild_signatures(pauli::PackedRecordProber& prober);
   void or_signature(std::uint32_t color, const std::uint64_t* record);
   /// out[0..rec_words_) = the (x|z) support of `rec`: a zero AND against a
   /// bucket signature proves v's support disjoint from every member's.

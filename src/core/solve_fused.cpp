@@ -63,78 +63,6 @@ PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
   return solve_fused(oracle, params);
 }
 
-namespace {
-
-/// Fused candidate tester over spilled chunks: v's record is swapped once
-/// per scan, candidates are grouped into contiguous
-/// same-chunk runs (active ids ascend, so runs are maximal) and answered by
-/// the runtime-dispatched block kernel against the pinned chunk. shared_ptr
-/// pins keep a chunk alive across an eviction happening mid-scan.
-class PackedChunkTester {
- public:
-  PackedChunkTester(const pauli::ChunkedPauliReader& reader,
-                    pauli::PackedPauliChunkCache& cache,
-                    std::span<const std::uint32_t> active)
-      : cache_(&cache),
-        active_(active),
-        spc_(reader.strings_per_chunk()),
-        words_(pauli::packed_words(reader.num_qubits())),
-        simd_(pauli::best_simd_level()),
-        kernel_(pauli::resolve_block_kernel(words_, simd_)) {
-    swapped_.resize(2 * words_);
-  }
-
-  void operator()(std::uint32_t v, std::span<const std::uint32_t> cands,
-                  std::uint8_t* hits) {
-    const std::size_t gv = active_[v];
-    const std::size_t cv = gv / spc_;
-    const auto set_v = cache_->get(cv);
-    pauli::make_swapped_record(set_v->record(gv - cv * spc_), words_,
-                               swapped_.data());
-    std::size_t i = 0;
-    while (i < cands.size()) {
-      const std::size_t chunk = active_[cands[i]] / spc_;
-      const std::size_t begin = chunk * spc_;
-      rel_.clear();
-      std::size_t j = i;
-      while (j < cands.size() && active_[cands[j]] / spc_ == chunk) {
-        rel_.push_back(static_cast<std::uint32_t>(active_[cands[j]] - begin));
-        ++j;
-      }
-      const auto set_b = chunk == cv ? set_v : cache_->get(chunk);
-      const pauli::PackedView view = set_b->view();
-      // One kernel call per same-chunk run — serial driver, so the count
-      // is schedule-independent.
-      obs::count(simd_ == pauli::SimdLevel::Avx2
-                     ? obs::Counter::EdgeBlockCallsAvx2
-                     : obs::Counter::EdgeBlockCallsScalar);
-      kernel_(swapped_.data(), view.data, words_, rel_.data(), rel_.size(),
-              hits + i);
-      // Complement-graph edge: the strings do NOT anticommute (v is never
-      // among its own candidates, so no self-edge guard is needed).
-      for (std::size_t k = i; k < j; ++k) hits[k] = !hits[k];
-      i = j;
-    }
-  }
-
-  std::size_t scratch_bytes() const noexcept {
-    return swapped_.capacity() * sizeof(std::uint64_t) +
-           rel_.capacity() * sizeof(std::uint32_t);
-  }
-
- private:
-  pauli::PackedPauliChunkCache* cache_;
-  std::span<const std::uint32_t> active_;
-  std::size_t spc_;
-  std::size_t words_;
-  pauli::SimdLevel simd_;
-  pauli::AnticommuteBlockFn kernel_;
-  std::vector<std::uint64_t> swapped_;
-  std::vector<std::uint32_t> rel_;
-};
-
-}  // namespace
-
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params) {
   // The cache persists across iterations so the LRU can exploit whatever
@@ -149,17 +77,24 @@ PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
           util::Xoshiro256& rng, int iteration,
           detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
           std::size_t& scan_scratch) {
-        const auto n_active = static_cast<std::uint32_t>(active.size());
-        PackedChunkTester tester(reader, cache, active);
+        // The prober reads global ids; candidates are active-local.
+        pauli::PackedRecordProber prober(reader, cache);
+        std::vector<std::uint32_t> global;
+        auto tester = [&](std::uint32_t v, std::span<const std::uint32_t> cands,
+                          std::uint8_t* hits) {
+          global.resize(cands.size());
+          for (std::size_t i = 0; i < cands.size(); ++i) {
+            global[i] = active[cands[i]];
+          }
+          prober.set_u(active[v]);
+          prober.edges(global.data(), global.size(), hits);
+        };
         ListColoringResult colored = detail::fused_color_iteration(
-            n_active, lists, index, params.conflict_scheme, rng, tester,
-            params, iteration, palette.palette_size,
-            [&] {
-              return detail::fused_conflict_degrees(
-                  n_active, lists, index, palette.palette_size, tester);
-            },
-            scan_stats, conflicted, scan_scratch);
-        scan_scratch += tester.scratch_bytes();
+            static_cast<std::uint32_t>(active.size()), lists, index,
+            params.conflict_scheme, rng, tester, params, iteration,
+            palette.palette_size, scan_stats, conflicted, scan_scratch);
+        scan_scratch += prober.scratch_bytes() +
+                        global.capacity() * sizeof(std::uint32_t);
         return colored;
       });
 

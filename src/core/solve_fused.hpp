@@ -24,10 +24,15 @@
 //    leave, so the oracle never re-tests a pair whose strike could no
 //    longer change a list, and only one bucket per vertex is ever scanned
 //    instead of all L;
-//  * candidate batches go through the blocked SIMD kernels (edge_block)
-//    and, for large buckets, are slabbed over the PR-1 thread pool into
-//    position-indexed hit slots — a pure function of the candidate array,
-//    so the coloring is bit-identical across thread counts by construction.
+//  * candidate batches go through the blocked SIMD kernels (edge_block) on
+//    the calling thread. A bucket at the default palette holds about 8L
+//    candidates, far too few to pay for a pool dispatch, so the coloring
+//    and every counter are independent of PicassoParams::runtime.
+//
+// The two fused engines differ only in their candidate tester: the
+// in-memory one asks an oracle (OracleBatchTester), the chunked one maps
+// candidates to global ids and asks a pauli::PackedRecordProber over the
+// spill's chunk cache — the same prober the incremental store probes with.
 //
 // Bit-identity with the materialized engines is structural: the scheme
 // bodies are the shared templates of core/list_coloring.hpp, and the fused
@@ -47,7 +52,6 @@
 // conflicted_vertices counts the endpoints of the counted edges.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -289,14 +293,15 @@ class FusedNeighborEnumerator {
 
 /// Exact conflict-graph degrees without a CSR, for StaticLargestFirst:
 /// every bucket's pairs, deduplicated at the smallest shared color, counted
-/// into both endpoints through the tester (serial; the scheme is an
-/// ablation path).
+/// into both endpoints through the tester; the pairs tested go into
+/// `stats.pairs_tested`.
 template <typename Tester>
 std::vector<std::uint32_t> fused_conflict_degrees(std::uint32_t n,
                                                   const ColorLists& lists,
                                                   const ColorIndex& index,
                                                   std::uint32_t palette_size,
-                                                  Tester& tester) {
+                                                  Tester& tester,
+                                                  FusedScanStats& stats) {
   std::vector<std::uint32_t> degree(n, 0);
   std::vector<std::uint32_t> cands;
   std::vector<std::uint8_t> hits;
@@ -316,6 +321,7 @@ std::vector<std::uint32_t> fused_conflict_degrees(std::uint32_t n,
       if (cands.empty()) continue;
       hits.resize(cands.size());
       tester(u, std::span<const std::uint32_t>(cands), hits.data());
+      stats.pairs_tested += cands.size();
       for (std::size_t i = 0; i < cands.size(); ++i) {
         if (hits[i]) {
           ++degree[u];
@@ -327,53 +333,14 @@ std::vector<std::uint32_t> fused_conflict_degrees(std::uint32_t n,
   return degree;
 }
 
-/// Parallel twin of fused_conflict_degrees for thread-safe oracles: color
-/// buckets are split into weight-balanced chunks (weight |S_c|^2, the
-/// bucket's pair slots — the same balancer the materialized indexed build
-/// uses) and run over the pool; counts land in atomic slots, whose sums are
-/// schedule-independent.
-template <graph::GraphOracle Oracle>
-std::vector<std::uint32_t> fused_conflict_degrees_parallel(
-    const Oracle& oracle, std::span<const std::uint32_t> active,
-    const ColorLists& lists, const ColorIndex& index,
-    std::uint32_t palette_size, const runtime::RuntimeConfig& rt) {
-  const auto n = static_cast<std::uint32_t>(active.size());
-  runtime::ThreadPool* pool = runtime::resolve_pool(rt, n);
-  const unsigned workers = pool != nullptr ? pool->num_workers() : 1;
-  const auto chunks = plan_conflict_chunks(ConflictKernel::Indexed, n, &index,
-                                           palette_size, rt, workers);
-  std::vector<std::atomic<std::uint32_t>> degree(n);
-  runtime::run_chunks(pool, chunks, [&](const runtime::ChunkRange& chunk) {
-    enumerate_indexed_range(oracle, active, lists, index,
-                            static_cast<std::uint32_t>(chunk.begin),
-                            static_cast<std::uint32_t>(chunk.end),
-                            [&degree](std::uint32_t u, std::uint32_t v) {
-                              degree[u].fetch_add(1, std::memory_order_relaxed);
-                              degree[v].fetch_add(1, std::memory_order_relaxed);
-                            });
-  });
-  std::vector<std::uint32_t> out(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    out[v] = degree[v].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
 /// In-memory candidate tester: maps candidates to oracle (global) ids and
 /// answers through edge_block when the oracle supports it (kBlockScanBatch
-/// sub-batches keep the id spans in L1), per-pair otherwise. Batches at or
-/// above `parallel_cutoff` candidates are slabbed over the pool into
-/// disjoint, position-indexed slices of the hit array — which thread runs a
-/// slice is unobservable, so fused colorings never depend on thread count.
+/// sub-batches keep the id spans in L1), per-pair otherwise.
 template <ConflictOracle Oracle>
 class OracleBatchTester {
  public:
-  OracleBatchTester(const Oracle& oracle, std::span<const std::uint32_t> active,
-                    runtime::ThreadPool* pool, std::uint32_t parallel_cutoff)
-      : oracle_(&oracle),
-        active_(active),
-        pool_(pool),
-        parallel_cutoff_(std::max<std::uint32_t>(1, parallel_cutoff)) {}
+  OracleBatchTester(const Oracle& oracle, std::span<const std::uint32_t> active)
+      : oracle_(&oracle), active_(active) {}
 
   void operator()(std::uint32_t v, std::span<const std::uint32_t> cands,
                   std::uint8_t* hits) {
@@ -383,31 +350,16 @@ class OracleBatchTester {
     }
     const std::uint32_t gu = active_[v];
     if constexpr (BlockConflictOracle<Oracle>) {
-      // Logical batch count: the physical call count shifts with pool slab
-      // boundaries, so the dispatch counter charges ceil(|cands| / batch)
-      // — the serial batching — to stay bit-identical across threads.
       obs::count(edge_block_counter(*oracle_),
                  (cands.size() + kBlockScanBatch - 1) / kBlockScanBatch);
-    }
-    auto test_range = [&](std::size_t lo, std::size_t hi) {
-      if constexpr (BlockConflictOracle<Oracle>) {
-        for (std::size_t b = lo; b < hi; b += kBlockScanBatch) {
-          const std::size_t len = std::min(kBlockScanBatch, hi - b);
-          oracle_->edge_block(gu, global_.data() + b, len, hits + b);
-        }
-      } else {
-        for (std::size_t i = lo; i < hi; ++i) {
-          hits[i] = oracle_->edge(gu, global_[i]) ? 1 : 0;
-        }
+      for (std::size_t b = 0; b < cands.size(); b += kBlockScanBatch) {
+        const std::size_t len = std::min(kBlockScanBatch, cands.size() - b);
+        oracle_->edge_block(gu, global_.data() + b, len, hits + b);
       }
-    };
-    if (pool_ != nullptr && cands.size() >= parallel_cutoff_) {
-      runtime::parallel_for_chunks(pool_, 0, cands.size(), 0,
-                                   [&](const runtime::ChunkRange& chunk) {
-                                     test_range(chunk.begin, chunk.end);
-                                   });
     } else {
-      test_range(0, cands.size());
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        hits[i] = oracle_->edge(gu, global_[i]) ? 1 : 0;
+      }
     }
   }
 
@@ -418,8 +370,6 @@ class OracleBatchTester {
  private:
   const Oracle* oracle_;
   std::span<const std::uint32_t> active_;
-  runtime::ThreadPool* pool_;
-  std::uint32_t parallel_cutoff_;
   std::vector<std::uint32_t> global_;
 };
 
@@ -427,13 +377,13 @@ class OracleBatchTester {
 /// the fused enumerators. `rng` must be the same coloring RNG the
 /// materialized driver would hand color_conflict_graph. The dynamic schemes
 /// compact `index` as they go, so it is spent once this returns.
-template <typename Tester, typename DegreeFn>
+template <typename Tester>
 ListColoringResult fused_color_iteration(
     std::uint32_t n_active, const ColorLists& lists, ColorIndex& index,
     ConflictColoringScheme scheme, util::Xoshiro256& rng, Tester& tester,
     const PicassoParams& params, int iteration, std::uint32_t palette_size,
-    DegreeFn&& degree_fn, FusedScanStats& scan_stats,
-    std::uint32_t& conflicted_out, std::size_t& scratch_bytes_out) {
+    FusedScanStats& scan_stats, std::uint32_t& conflicted_out,
+    std::size_t& scratch_bytes_out) {
   std::vector<std::uint8_t> touched(n_active, 0);
   ListColoringResult colored;
   switch (scheme) {
@@ -457,7 +407,8 @@ ListColoringResult fused_color_iteration(
       // coloring RNG exactly like color_conflict_graph does.
       std::vector<std::uint32_t> degrees;
       if (scheme == ConflictColoringScheme::StaticLargestFirst) {
-        degrees = degree_fn();
+        degrees = fused_conflict_degrees(n_active, lists, index, palette_size,
+                                         tester, scan_stats);
       }
       FusedNeighborEnumerator<Tester> neighbors(lists, index, tester, params,
                                                 touched, scan_stats);
@@ -626,20 +577,11 @@ PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
           util::Xoshiro256& rng, int iteration,
           detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
           std::size_t& scan_scratch) {
-        const auto n_active = static_cast<std::uint32_t>(active.size());
-        runtime::ThreadPool* pool =
-            runtime::resolve_pool(params.runtime, n_active);
-        detail::OracleBatchTester<Oracle> tester(oracle, active, pool,
-                                                 params.runtime.serial_cutoff);
+        detail::OracleBatchTester<Oracle> tester(oracle, active);
         ListColoringResult colored = detail::fused_color_iteration(
-            n_active, lists, index, params.conflict_scheme, rng, tester,
-            params, iteration, palette.palette_size,
-            [&] {
-              return detail::fused_conflict_degrees_parallel(
-                  oracle, active, lists, index, palette.palette_size,
-                  params.runtime);
-            },
-            scan_stats, conflicted, scan_scratch);
+            static_cast<std::uint32_t>(active.size()), lists, index,
+            params.conflict_scheme, rng, tester, params, iteration,
+            palette.palette_size, scan_stats, conflicted, scan_scratch);
         scan_scratch += tester.scratch_bytes();
         return colored;
       });
@@ -652,11 +594,11 @@ PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
 
 /// Streaming engine for spilled Pauli input: the spilled set is read back
 /// chunk-wise through the budget-admission LRU cache, and bucket strike
-/// scans test candidates grouped by owning chunk (active ids are
-/// ascending, so groups are contiguous runs) against the pinned chunk
-/// records — no conflict edges are ever staged. Under very tight budgets
-/// chunks load on demand (the LRU absorbs the locality that exists); the
-/// coloring stays bit-identical to the in-memory engines throughout.
+/// scans test candidates through a pauli::PackedRecordProber, one kernel
+/// call per chunk a batch touches — no conflict edges are ever staged.
+/// Under very tight budgets chunks load on demand (the LRU absorbs the
+/// locality that exists); the coloring stays bit-identical to the in-memory
+/// engines throughout.
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params);
 

@@ -558,15 +558,147 @@ std::shared_ptr<const PackedPauliSet> PackedPauliChunkCache::get(
     registry_->charge(util::MemSubsystem::ChunkCache, bytes);
   }
 
+  // Until the deleter below owns it, the charge is released by hand on a
+  // throwing read (I/O error, truncated file), or it would outlive the
+  // registry's every later admission.
+  std::unique_ptr<PackedPauliSet> loaded;
+  try {
+    loaded =
+        std::make_unique<PackedPauliSet>(reader_->load_chunk_packed(chunk));
+  } catch (...) {
+    registry_->release(util::MemSubsystem::ChunkCache, bytes);
+    throw;
+  }
   util::MemoryRegistry* registry = registry_;
   std::shared_ptr<const PackedPauliSet> set(
-      new PackedPauliSet(reader_->load_chunk_packed(chunk)),
-      [registry, bytes](const PackedPauliSet* p) {
+      loaded.release(), [registry, bytes](const PackedPauliSet* p) {
         registry->release(util::MemSubsystem::ChunkCache, bytes);
         delete p;
       });
   entries_.push_back({chunk, set, clock_});
   return set;
+}
+
+PackedRecordProber::PackedRecordProber(PackedView view)
+    : view_(view),
+      spc_(~std::size_t{0}),
+      words_(view.words),
+      block_counter_(best_simd_level() == SimdLevel::Avx2
+                         ? obs::Counter::EdgeBlockCallsAvx2
+                         : obs::Counter::EdgeBlockCallsScalar),
+      kernel_(resolve_block_kernel(words_, best_simd_level())),
+      swapped_(2 * words_) {}
+
+PackedRecordProber::PackedRecordProber(const ChunkedPauliReader& reader,
+                                       PackedPauliChunkCache& cache)
+    : PackedRecordProber(PackedView{nullptr, reader.num_strings(),
+                                    packed_words(reader.num_qubits())}) {
+  cache_ = &cache;
+  spc_ = reader.strings_per_chunk();
+}
+
+const std::uint64_t* PackedRecordProber::chunk_records(std::size_t chunk) {
+  if (cache_ == nullptr) return view_.data;
+  if (chunk == u_chunk_) return u_pin_->view().data;
+  // Drop the previous pin first: a chunk the cache has evicted stays
+  // charged for as long as it is pinned.
+  pin_.reset();
+  pin_ = cache_->get(chunk);
+  return pin_->view().data;
+}
+
+const std::uint64_t* PackedRecordProber::record(std::uint32_t id) {
+  const std::size_t chunk = id / spc_;
+  return chunk_records(chunk) + (id - chunk * spc_) * 2 * words_;
+}
+
+const std::uint64_t* PackedRecordProber::set_u(std::uint32_t u) {
+  u_ = u;
+  if (cache_ != nullptr) {
+    pin_.reset();
+    u_pin_.reset();
+    u_chunk_ = kNoChunk;  // until the lookup below succeeds
+    u_pin_ = cache_->get(u / spc_);
+    u_chunk_ = u / spc_;
+  }
+  const std::uint64_t* rec = record(u);
+  make_swapped_record(rec, words_, swapped_.data());
+  return rec;
+}
+
+void PackedRecordProber::edges(const std::uint32_t* ids, std::size_t count,
+                               std::uint8_t* out) {
+  if (count == 0) return;
+  const auto [lo, hi] = std::minmax_element(ids, ids + count);
+  if (*lo / spc_ == *hi / spc_ || std::is_sorted(ids, ids + count)) {
+    probe_runs(ids, count, out);
+    return;
+  }
+  // An incremental sweep joins several buckets, so its ids need not ascend.
+  // Each pass probes the chunk of the smallest id not yet probed, gathering
+  // its ids by range (no id is divided), and finds the next such id.
+  std::uint64_t next = *lo;
+  while (next != kNoId) {
+    const std::size_t chunk = next / spc_;
+    const std::size_t begin = chunk * spc_;
+    next = kNoId;
+    group_ids_.clear();
+    group_pos_.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+      if (ids[k] - begin < spc_) {
+        group_ids_.push_back(ids[k]);
+        group_pos_.push_back(static_cast<std::uint32_t>(k));
+      } else if (ids[k] > begin) {
+        next = std::min<std::uint64_t>(next, ids[k]);
+      }
+    }
+    group_out_.resize(group_ids_.size());
+    probe_chunk(chunk, group_ids_.data(), group_ids_.size(),
+                group_out_.data());
+    for (std::size_t i = 0; i < group_pos_.size(); ++i) {
+      out[group_pos_[i]] = group_out_[i];
+    }
+  }
+}
+
+void PackedRecordProber::probe_runs(const std::uint32_t* ids,
+                                    std::size_t count, std::uint8_t* out) {
+  // Either every id lies in one chunk or the ids ascend; each chunk's ids
+  // then form one run. A resident view is the one chunk [0, spc_).
+  for (std::size_t i = 0; i < count;) {
+    const std::size_t chunk = ids[i] / spc_;
+    const std::size_t end = (chunk + 1) * spc_;
+    std::size_t j = i + 1;
+    while (j < count && ids[j] < end) ++j;
+    probe_chunk(chunk, ids + i, j - i, out + i);
+    i = j;
+  }
+}
+
+void PackedRecordProber::probe_chunk(std::size_t chunk,
+                                     const std::uint32_t* ids,
+                                     std::size_t count, std::uint8_t* out) {
+  const std::uint64_t* records = chunk_records(chunk);
+  // Chunk-local ids; chunk 0's are the global ids themselves.
+  const std::uint32_t* local = ids;
+  if (chunk != 0) {
+    const auto base = static_cast<std::uint32_t>(chunk * spc_);
+    rel_.resize(count);
+    for (std::size_t k = 0; k < count; ++k) rel_[k] = ids[k] - base;
+    local = rel_.data();
+  }
+  obs::count(block_counter_);
+  kernel_(swapped_.data(), records, words_, local, count, out);
+  for (std::size_t k = 0; k < count; ++k) {
+    out[k] = static_cast<std::uint8_t>(ids[k] != u_ && out[k] == 0);
+  }
+}
+
+std::size_t PackedRecordProber::scratch_bytes() const noexcept {
+  return swapped_.capacity() * sizeof(std::uint64_t) +
+         (rel_.capacity() + group_ids_.capacity() + group_pos_.capacity()) *
+             sizeof(std::uint32_t) +
+         group_out_.capacity();
 }
 
 void write_spill_colors(const std::string& path,

@@ -42,6 +42,12 @@
 // records as long as the MemoryRegistry budget admits them and evicts
 // least-recently-used chunks when it does not — the evicted chunk is simply
 // re-read from disk on its next use (multi-pass re-scan).
+//
+// PackedRecordProber answers conflict edges straight from packed records,
+// whether they sit in a resident PackedView or in a spill behind the cache:
+// the incremental store probes through it, and the chunked fused engine's
+// candidate tester is a thin adapter over it. The two sources differ only
+// in where a record is read from.
 
 #include <algorithm>
 #include <cstddef>
@@ -263,6 +269,68 @@ class PackedPauliChunkCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
+};
+
+/// Conflict prober over one source of packed [x|z] records: a resident
+/// PackedView, read as one chunk that spans the set, or a spill read through
+/// a ChunkedPauliReader and its PackedPauliChunkCache. It answers the
+/// complement relation the fused engines color (edge ⇔ the two strings do
+/// NOT anticommute; never a self-edge) through the runtime-dispatched block
+/// kernel, against u's record swapped once per set_u(). Both sources give
+/// the same answers. A batch costs one kernel call and one EdgeBlockCalls
+/// count per distinct chunk it touches, chunks in ascending order, so cache
+/// traffic and counters are a pure function of the calls. Pins: u's chunk,
+/// plus the one chunk read last; both drop before set_u()'s lookup, so that
+/// lookup is admitted against what the cache alone holds.
+class PackedRecordProber {
+ public:
+  explicit PackedRecordProber(PackedView view);
+  PackedRecordProber(const ChunkedPauliReader& reader,
+                     PackedPauliChunkCache& cache);
+
+  /// Pins global record `u` for the edges() calls that follow and returns
+  /// it; valid until the next set_u() or record() call.
+  const std::uint64_t* set_u(std::uint32_t u);
+
+  /// out[k] = conflict-edge(u, ids[k]) for k in [0, count). Ids are global
+  /// and may come in any order.
+  void edges(const std::uint32_t* ids, std::size_t count, std::uint8_t* out);
+
+  /// Global record `id` (signature rebuilds); valid until the next call.
+  const std::uint64_t* record(std::uint32_t id);
+
+  /// Capacity of the prober's scratch, in bytes.
+  std::size_t scratch_bytes() const noexcept;
+
+ private:
+  /// Records of `chunk`: the view, u's pinned chunk, or a fresh pin.
+  const std::uint64_t* chunk_records(std::size_t chunk);
+  /// edges() over `ids` that ascend or lie in one chunk: one probe_chunk()
+  /// per run of one chunk.
+  void probe_runs(const std::uint32_t* ids, std::size_t count,
+                  std::uint8_t* out);
+  void probe_chunk(std::size_t chunk, const std::uint32_t* ids,
+                   std::size_t count, std::uint8_t* out);
+
+  PackedView view_;                         // resident source
+  PackedPauliChunkCache* cache_ = nullptr;  // spilled source
+  std::size_t spc_;                         // strings per chunk
+  std::size_t words_;                       // per plane
+  obs::Counter block_counter_;
+  AnticommuteBlockFn kernel_;
+  std::uint32_t u_ = 0;
+  static constexpr std::size_t kNoChunk = ~std::size_t{0};
+  std::size_t u_chunk_ = kNoChunk;
+  std::shared_ptr<const PackedPauliSet> u_pin_;
+  std::shared_ptr<const PackedPauliSet> pin_;
+  std::vector<std::uint64_t> swapped_;  // u's record as [z|x]
+  std::vector<std::uint32_t> rel_;      // chunk-local ids
+  // One chunk's ids of an unsorted batch that spans chunks, their
+  // positions in the batch, and their answers.
+  static constexpr std::uint64_t kNoId = ~std::uint64_t{0};
+  std::vector<std::uint32_t> group_ids_;
+  std::vector<std::uint32_t> group_pos_;
+  std::vector<std::uint8_t> group_out_;
 };
 
 }  // namespace picasso::pauli

@@ -164,7 +164,10 @@ TEST(ConcurrentSessions, SharedPoolSolvesBitIdenticalToSerial) {
 
   // The server resource model: one outer run scope owning the budget and
   // peaks, every concurrent solve on ONE injected pool and the process
-  // registry (their nested run scopes are no-ops).
+  // registry (their nested run scopes are no-ops). Fused solves run on the
+  // calling thread, so the concurrent solves take the materialized engine,
+  // whose conflict build is what runs on a pool; its colorings equal the
+  // fused references.
   const std::uint64_t executed_before = pool.tasks_executed();
   picasso::util::MemoryRunScope server_scope(0, picasso::util::global_memory());
   RuntimeConfig shared;
@@ -175,6 +178,7 @@ TEST(ConcurrentSessions, SharedPoolSolvesBitIdenticalToSerial) {
   for (const auto& set : sets) {
     handles.push_back(papi::SessionBuilder()
                           .seed(7)
+                          .strategy(papi::ExecutionStrategy::InMemory)
                           .runtime(shared)
                           .build()
                           .solve_async(papi::Problem::pauli(set)));

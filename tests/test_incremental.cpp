@@ -6,16 +6,21 @@
 // re-opened on an appended .pset must re-derive the string count and the
 // packed-tail offsets instead of trusting the base header), the checks a
 // spilled update keeps while its reader refreshes in place (checksums on
-// every refresh, torn appends, chunk caches that survive appends), and the
-// legacy PSETSUM1 trailers of spills and sidecars from earlier builds.
+// every refresh, torn appends, chunk caches that survive appends and
+// release the charge of a throwing load), the legacy PSETSUM1 trailers of
+// spills and sidecars from earlier builds, and the record prober both
+// stores probe through (spilled answers equal resident ones and a per-pair
+// reference, one kernel call per chunk a batch touches).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,9 +29,11 @@
 #include "coloring/verify.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
+#include "obs/metrics.hpp"
 #include "pauli/pauli_stream.hpp"
 #include "util/failpoint.hpp"
 #include "util/fnv.hpp"
+#include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/word_hash.hpp"
 
@@ -659,6 +666,29 @@ TEST(ReaderAppend, ChunkCacheDropFromKeepsEarlierChunks) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
+TEST(ReaderAppend, ChunkCacheReleasesTheChargeOfALoadThatThrows) {
+  const auto strings = random_strings(64, 12, 915);
+  TempFile file("picasso_test_cache_throw.pset");
+  pp::spill_pauli_set(slice(strings, 0, 64), file.path.string());
+  pp::ChunkedPauliReader reader(file.path.string(), 16);
+  picasso::util::MemoryRegistry registry;
+  pp::PackedPauliChunkCache cache(reader, registry);
+  {
+    const FailpointGuard guard;
+    picasso::util::failpoints::arm(
+        "spill.read", {picasso::util::failpoints::Mode::Error, 0, 1});
+    EXPECT_THROW(cache.get(1), picasso::util::InjectedFault);
+  }
+  EXPECT_EQ(registry.current_bytes(), 0u);
+  {
+    const auto pin = cache.get(1);
+    EXPECT_EQ(registry.current_bytes(),
+              reader.chunk_packed_resident_bytes(1));
+  }
+  cache.clear();
+  EXPECT_EQ(registry.current_bytes(), 0u);
+}
+
 TEST(ReaderAppend, LegacyChecksumTrailerStillOpensAndIsVerified) {
   const auto strings = random_strings(45, 9, 921);
   const pp::PauliSet base = slice(strings, 0, 30);
@@ -722,6 +752,69 @@ TEST(ReaderAppend, ColorSidecarVerifiesBothTrailerKinds) {
   pp::write_spill_colors(file.path.string(), colors);
   corrupt_byte(file.path.string(), bytes.size());
   EXPECT_THROW(pp::read_spill_colors(file.path.string()), std::runtime_error);
+}
+
+// --- PackedRecordProber ------------------------------------------------------
+
+/// Block-kernel calls so far; the ISA split is host-dependent, the sum not.
+std::uint64_t edge_block_calls() {
+  const auto totals = picasso::obs::global_metrics().totals();
+  return totals[picasso::obs::Counter::EdgeBlockCallsAvx2] +
+         totals[picasso::obs::Counter::EdgeBlockCallsScalar];
+}
+
+TEST(RecordProber, SpilledAnswersEqualResidentAndPerPairReference) {
+  constexpr std::size_t kStrings = 61;
+  constexpr std::size_t kChunk = 8;
+  const auto strings = random_strings(kStrings, 10, 951);
+  const pp::PauliSet set = slice(strings, 0, kStrings);
+  TempFile file("picasso_test_record_prober.pset");
+  pp::spill_pauli_set(set, file.path.string());
+  pp::ChunkedPauliReader reader(file.path.string(), kChunk);
+  ASSERT_GE(reader.num_chunks(), 3u);
+  pp::PackedPauliChunkCache cache(reader);
+  pp::PackedRecordProber spilled(reader, cache);
+  pp::PackedRecordProber resident(set.packed_view());
+  const std::size_t record_words = 2 * pp::packed_words(10);
+
+  const picasso::obs::MetricsRunScope scope(true);
+  picasso::util::Xoshiro256 rng(952);
+  for (int round = 0; round < 300; ++round) {
+    const auto u = static_cast<std::uint32_t>(rng.bounded(kStrings));
+    // u itself plus random ids, in random order across chunks.
+    std::vector<std::uint32_t> ids{u};
+    const std::size_t extra = 1 + rng.bounded(30);
+    for (std::size_t k = 0; k < extra; ++k) {
+      ids.push_back(static_cast<std::uint32_t>(rng.bounded(kStrings)));
+    }
+    for (std::size_t k = ids.size() - 1; k > 0; --k) {
+      std::swap(ids[k], ids[rng.bounded(k + 1)]);
+    }
+    std::set<std::size_t> chunks;
+    for (std::uint32_t id : ids) chunks.insert(id / kChunk);
+
+    const std::uint64_t* spilled_u = spilled.set_u(u);
+    const std::uint64_t* resident_u = resident.set_u(u);
+    ASSERT_TRUE(std::equal(spilled_u, spilled_u + record_words, resident_u));
+    std::vector<std::uint8_t> from_spill(ids.size());
+    std::vector<std::uint8_t> from_view(ids.size());
+    const std::uint64_t before = edge_block_calls();
+    spilled.edges(ids.data(), ids.size(), from_spill.data());
+    EXPECT_EQ(edge_block_calls() - before, chunks.size());
+    resident.edges(ids.data(), ids.size(), from_view.data());
+    EXPECT_EQ(edge_block_calls() - before, chunks.size() + 1);
+
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const bool want =
+          ids[k] != u && !strings[u].anticommutes_with(strings[ids[k]]);
+      EXPECT_EQ(from_spill[k] != 0, want) << "u " << u << " id " << ids[k];
+      EXPECT_EQ(from_view[k] != 0, want) << "u " << u << " id " << ids[k];
+    }
+    const std::uint32_t id = ids[rng.bounded(ids.size())];
+    const std::uint64_t* spilled_rec = spilled.record(id);
+    EXPECT_TRUE(std::equal(spilled_rec, spilled_rec + record_words,
+                           resident.record(id)));
+  }
 }
 
 // --- Word hash ---------------------------------------------------------------
