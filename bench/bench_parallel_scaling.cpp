@@ -1,17 +1,14 @@
 // Strong scaling of the parallel execution runtime (src/runtime/) on the
-// three layers it powers, at 1/2/4/8 worker threads:
+// two layers it powers, at 1/2/4/8 worker threads:
 //
 //   1. conflict-graph build — chunk-parallel enumeration over a 100k-vertex
 //      R-MAT oracle (the paper's device-resident phase, §V);
 //   2. Jones-Plassmann — round-parallel frontier coloring (the comparator
-//      family of Tables III/IV);
-//   3. multi-device Picasso — D simulated device shards ingested
-//      concurrently (§VIII future work).
+//      family of Tables III/IV).
 //
 // Every configuration is checked bit-identical to the serial reference
-// before its time is reported (RuntimeConfig::deterministic is on), so the
-// speedup column never trades correctness: this is the same CSR and the
-// same coloring, faster. Acceptance gate from the runtime work: >1.5x on
+// before its time is reported, so the speedup column never trades
+// correctness: this is the same CSR and the same coloring, faster. Acceptance gate from the runtime work: >1.5x on
 // the conflict build at 4 threads — enforced only when the hardware has at
 // least 4 threads; on the single-core benchmark container (see
 // bench_table5's note) the bench still measures every configuration and
@@ -20,10 +17,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "api/session.hpp"
 #include "bench_common.hpp"
 #include "coloring/jones_plassmann.hpp"
-#include "core/multi_device.hpp"
 #include "core/picasso.hpp"
 #include "graph/graph_gen.hpp"
 #include "runtime/runtime_config.hpp"
@@ -137,44 +132,6 @@ int main() {
     }
   }
   jp_table.print("Jones-Plassmann rounds (JP-LDF, RMAT)");
-
-  // ---------------------------------------------------------------- layer 3
-  const std::uint32_t md_n = quick ? 2000 : 6000;
-  const auto md_graph = graph::erdos_renyi(md_n, 0.02, 11);
-  core::PicassoParams md_params;
-  md_params.seed = 1;
-  // Problem::csr keeps the typed CsrOracle fast path (no type erasure in
-  // the timed loop), matching the pre-Session instantiation.
-  const auto md_session = [&](const core::PicassoParams& p) {
-    return api::SessionBuilder()
-        .params(p)
-        .devices(4, 256u << 20)
-        .build()
-        .solve(api::Problem::csr(md_graph));
-  };
-
-  md_params.runtime.num_threads = 1;
-  util::WallTimer md_timer;
-  const auto md_ref = md_session(md_params);
-  const double md_serial_s = md_timer.seconds();
-  Table md_table({"threads", "total(s)", "speedup", "identical"});
-  md_table.add_row({"1", Table::fmt(md_serial_s, 3), "1.00x", "ref"});
-  for (unsigned t : kThreadSteps) {
-    if (t == 1) continue;
-    md_params.runtime.num_threads = t;
-    util::WallTimer timer;
-    const auto r = md_session(md_params);
-    const double s = timer.seconds();
-    const bool same = r.result.colors == md_ref.result.colors;
-    md_table.add_row({Table::fmt_int(t), Table::fmt(s, 3),
-                      Table::fmt(md_serial_s / s, 2) + "x",
-                      same ? "yes" : "NO"});
-    if (!same) {
-      std::printf("ERROR: multi-device coloring diverged at %u threads\n", t);
-      return 1;
-    }
-  }
-  md_table.print("multi-device Picasso (4 simulated devices)");
 
   const unsigned hw = runtime::ThreadPool::hardware_threads();
   std::printf("\nhardware threads: %u\n", hw);

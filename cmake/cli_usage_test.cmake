@@ -48,6 +48,11 @@ expect_usage_error(retired_sketch_strategy
   ARGS color H4_1D_sto3g --strategy sketch
   STDERR_HAS "unknown execution strategy 'sketch'" "valid:" "usage:")
 
+# So was multi-device sharding in API 5.0.
+expect_usage_error(retired_multi_device_strategy
+  ARGS color H4_1D_sto3g --strategy multi-device
+  STDERR_HAS "unknown execution strategy 'multi-device'" "valid:" "usage:")
+
 # The Pauli backend selector was removed in API 4.0; its flag is an unknown
 # argument now.
 expect_usage_error(retired_backend

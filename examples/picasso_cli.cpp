@@ -17,7 +17,7 @@
 //   --seed S        RNG seed (default 1)
 //   --mode M        partition relation: unitary | commute | qwc
 //   --strategy S    execution strategy: auto | in-memory (inmemory) |
-//                   semi-streaming | multi-device | fused.
+//                   semi-streaming | fused.
 //                   Applies to `color` and (for unitary mode)
 //                   `partition`; `fused` colors edge-free
 //                   off the palette buckets, never building the conflict
@@ -141,7 +141,7 @@ const char* kUsage =
     "usage: picasso_cli <list|info|partition|color|sweep|remote> [target] "
     "[--percent P] [--alpha A] [--seed S] [--mode unitary|commute|qwc] "
     "[--strategy "
-    "auto|inmemory|semi-streaming|multi-device|fused] "
+    "auto|inmemory|semi-streaming|fused] "
     "[--budget BYTES] [--file path] [--mtx] [--stream] [--refine] [--csv] "
     "[--metrics] [--trace FILE] [--update FILE]... "
     "[--connect ADDR] [--tenant NAME] [--priority N] [--cancel-after N] "

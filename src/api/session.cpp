@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -87,7 +86,6 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
     case ExecutionStrategy::Auto: return "auto";
     case ExecutionStrategy::InMemory: return "in-memory";
     case ExecutionStrategy::SemiStreaming: return "semi-streaming";
-    case ExecutionStrategy::MultiDevice: return "multi-device";
     case ExecutionStrategy::Fused: return "fused";
   }
   return "?";
@@ -95,9 +93,8 @@ const char* to_string(ExecutionStrategy strategy) noexcept {
 
 ExecutionStrategy parse_strategy(std::string_view name) {
   constexpr ExecutionStrategy kAll[] = {
-      ExecutionStrategy::Auto,          ExecutionStrategy::InMemory,
-      ExecutionStrategy::SemiStreaming, ExecutionStrategy::MultiDevice,
-      ExecutionStrategy::Fused};
+      ExecutionStrategy::Auto, ExecutionStrategy::InMemory,
+      ExecutionStrategy::SemiStreaming, ExecutionStrategy::Fused};
   for (ExecutionStrategy strategy : kAll) {
     if (name == to_string(strategy)) return strategy;
   }
@@ -158,10 +155,8 @@ std::string SolveTelemetry::to_json() const {
 std::string SolvePlan::summary() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "strategy=%s budget=%zu chunk_strings=%zu "
-                "devices=%" PRIu32 " (%s)",
-                to_string(strategy),
-                memory_budget_bytes, chunk_strings, num_devices,
+                "strategy=%s budget=%zu chunk_strings=%zu (%s)",
+                to_string(strategy), memory_budget_bytes, chunk_strings,
                 reason.c_str());
   return buf;
 }
@@ -181,26 +176,11 @@ Session SessionBuilder::build() const {
     throw ApiError(ErrorCode::InvalidArgument, "max_iterations",
                    "must be >= 1, got " + std::to_string(p.max_iterations));
   }
-  if (session_.num_devices_ > 0 && session_.device_capacity_bytes_ == 0) {
-    throw ApiError(ErrorCode::InvalidArgument, "devices",
-                   "device capacity must be > 0 bytes");
-  }
-  if (session_.num_devices_ > 0 && p.device != nullptr) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "devices",
-                   "single simulated device (.device()) and multi-device "
-                   "sharding (.devices()) are mutually exclusive");
-  }
-  if (session_.strategy_ == ExecutionStrategy::MultiDevice &&
-      session_.num_devices_ == 0) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
-                   "MultiDevice strategy requires .devices(count, capacity)");
-  }
-  if (session_.strategy_ == ExecutionStrategy::Fused &&
-      (p.device != nullptr || session_.num_devices_ > 0)) {
+  if (session_.strategy_ == ExecutionStrategy::Fused && p.device != nullptr) {
     throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
                    "the fused strategy colors straight off the oracle and "
-                   "does not run the simulated-device pipelines; drop "
-                   ".device()/.devices() or pick another strategy");
+                   "does not run the simulated-device pipeline; drop "
+                   ".device() or pick another strategy");
   }
   return session_;
 }
@@ -208,7 +188,6 @@ Session SessionBuilder::build() const {
 SolvePlan Session::plan(const Problem& problem) const {
   SolvePlan plan;
   plan.memory_budget_bytes = params_.memory_budget_bytes;
-  plan.num_devices = num_devices_;
 
   const ProblemKind kind = problem.kind();
   const std::size_t n = problem.num_vertices();
@@ -238,9 +217,6 @@ SolvePlan Session::plan(const Problem& problem) const {
     } else if (kind == ProblemKind::EdgeStream) {
       strategy = ExecutionStrategy::SemiStreaming;
       plan.reason = "problem is an edge stream";
-    } else if (num_devices_ > 0) {
-      strategy = ExecutionStrategy::MultiDevice;
-      plan.reason = "device list configured";
     } else if (pauli_spills && n > 0) {
       strategy = ExecutionStrategy::Fused;
       plan.reason = streaming_.chunk_strings > 0
@@ -279,13 +255,6 @@ SolvePlan Session::plan(const Problem& problem) const {
                            to_string(kind));
       }
       break;
-    case ExecutionStrategy::MultiDevice:
-      if (!oracle_capable(kind)) {
-        throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
-                       std::string("MultiDevice cannot shard a ") +
-                           to_string(kind) + " problem");
-      }
-      break;
     case ExecutionStrategy::Fused:
       if (!oracle_capable(kind) && !spill_backed) {
         throw ApiError(ErrorCode::IncompatibleStrategy, "strategy",
@@ -312,7 +281,6 @@ SolvePlan Session::plan(const Problem& problem) const {
           n);
     }
   }
-  if (strategy != ExecutionStrategy::MultiDevice) plan.num_devices = 0;
   return plan;
 }
 
@@ -422,42 +390,6 @@ SolveReport Session::solve(const Problem& problem,
           report.result = core::solve_fused(problem.oracle_ref(), params);
           break;
       }
-      break;
-    }
-    case ExecutionStrategy::MultiDevice: {
-      core::MultiDeviceConfig config;
-      config.num_devices = num_devices_;
-      config.device_capacity_bytes = device_capacity_bytes_;
-      core::MultiDeviceResult md;
-      switch (problem.kind()) {
-        case ProblemKind::Pauli: {
-          const graph::PackedComplementOracle oracle(
-              problem.pauli_set().packed_view());
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        case ProblemKind::PackedPauli: {
-          const graph::PackedComplementOracle oracle(
-              problem.packed_set().view());
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrOracle oracle(problem.csr_graph());
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle oracle(problem.dense_graph());
-          md = core::solve_multi_device(oracle, params, config);
-          break;
-        }
-        default:
-          md = core::solve_multi_device(problem.oracle_ref(), params, config);
-          break;
-      }
-      report.result = std::move(md.coloring);
-      report.devices = std::move(md.devices);
       break;
     }
     case ExecutionStrategy::Auto:

@@ -17,10 +17,9 @@
 //
 // solve() plans an execution strategy from the problem kind and size —
 // the edge-free fused engine (spilling under a memory budget), the
-// materialized in-memory reference, semi-streaming edge passes, or
-// multi-device sharding — and runs the core engines underneath, so
-// colorings are bit-identical to calling those engines directly with equal
-// parameters. solve(problem, options) adds per-iteration progress
+// materialized in-memory reference, or semi-streaming edge passes — and
+// runs the core engines underneath, so colorings are bit-identical to
+// calling those engines directly with equal parameters. solve(problem, options) adds per-iteration progress
 // callbacks and cooperative cancellation; solve_async() runs the same
 // staged pipeline on a worker thread behind a cancellable handle.
 
@@ -34,7 +33,6 @@
 #include "api/problem.hpp"
 #include "api/version.hpp"
 #include "core/incremental.hpp"
-#include "core/multi_device.hpp"
 #include "core/picasso.hpp"
 #include "core/solve_control.hpp"
 #include "core/solve_fused.hpp"
@@ -45,18 +43,18 @@
 namespace picasso::api {
 
 /// How a solve executes. Auto (the default) picks from the problem kind,
-/// the memory budget and the device list; the rest force one pipeline and
+/// the memory budget and the device; the rest force one pipeline and
 /// fail with ApiError(IncompatibleStrategy) when the problem cannot run it.
 /// The values cross the service wire as raw bytes, so they are pinned; 2
-/// belonged to the chunk-pair streaming strategy removed in 2.0 and 6 to
-/// the probabilistic prefilter tier removed in 3.0; both stay unused.
+/// belonged to the chunk-pair streaming strategy removed in 2.0, 4 to the
+/// multi-device sharding removed in 5.0 and 6 to the probabilistic
+/// prefilter tier removed in 3.0; all three stay unused.
 enum class ExecutionStrategy {
   Auto = 0,
   InMemory = 1,       // paper Algorithm 1 reference: conflict CSR
                       // materialized per iteration (Auto plans it only
                       // when .device() is set)
   SemiStreaming = 3,  // one edge pass per iteration over an edge stream
-  MultiDevice = 4,    // conflict build sharded over simulated devices
   Fused = 5,          // edge-free engine: no conflict CSR is ever built
                       // (spills + strikes off chunked records when the
                       // budget/chunking forces streaming); Auto's pick for
@@ -66,7 +64,7 @@ enum class ExecutionStrategy {
 const char* to_string(ExecutionStrategy strategy) noexcept;
 
 /// Inverse of to_string(ExecutionStrategy): parses "auto" / "in-memory" /
-/// "semi-streaming" / "multi-device" / "fused" (plus the CLI shorthand
+/// "semi-streaming" / "fused" (plus the CLI shorthand
 /// "inmemory"). Throws
 /// std::invalid_argument naming the valid spellings on anything else — the
 /// CLI surfaces that message verbatim with exit code 2.
@@ -78,7 +76,6 @@ struct SolvePlan {
   ExecutionStrategy strategy = ExecutionStrategy::InMemory;
   std::size_t memory_budget_bytes = 0;
   std::size_t chunk_strings = 0;   // streaming plans: strings per chunk
-  std::uint32_t num_devices = 0;   // multi-device plans
   std::string reason;              // one line of why, for logs
 
   /// One-line human-readable summary ("streamed: 4096 strings/chunk ...").
@@ -113,8 +110,7 @@ struct SolveTelemetry {
   }
 };
 
-/// PicassoResult enriched with the plan that produced it (and, for
-/// multi-device runs, the per-shard stats of core::MultiDeviceResult).
+/// PicassoResult enriched with the plan that produced it.
 struct SolveReport {
   core::PicassoResult result;
   SolvePlan plan;
@@ -124,22 +120,9 @@ struct SolveReport {
   /// result cache trusts.
   std::uint64_t problem_hash = 0;
   SolveTelemetry telemetry;  // empty unless SessionBuilder::telemetry()
-  std::vector<core::DeviceShardStats> devices;  // empty unless MultiDevice
   /// Set by Session::update() only: the insertion/recolor/escalation work
   /// accounting of that one delta.
   std::optional<core::UpdateStats> update;
-
-  std::uint64_t total_shard_edges() const noexcept {
-    return core::total_shard_edges(devices);
-  }
-  /// max/mean edge load across devices; 1.0 = perfectly balanced (also the
-  /// reading for a non-sharded run with no device stats).
-  double shard_imbalance() const noexcept {
-    return core::shard_imbalance(devices);
-  }
-  std::size_t max_device_peak_bytes() const noexcept {
-    return core::max_shard_peak_bytes(devices);
-  }
 };
 
 /// One increment handed to Session::update(): either new Pauli records to
@@ -315,8 +298,6 @@ class Session {
   core::StreamingOptions streaming_;
   obs::TelemetryLevel telemetry_ = obs::TelemetryLevel::Off;
   ExecutionStrategy strategy_ = ExecutionStrategy::Auto;
-  std::uint32_t num_devices_ = 0;  // 0 = multi-device not configured
-  std::size_t device_capacity_bytes_ = 256u << 20;
   core::UpdateParams update_params_;
   // shared_ptr so Session stays copyable (solve_async copies the session);
   // copies share the incremental state.
@@ -390,14 +371,6 @@ class SessionBuilder {
   /// Routes conflict builds through one simulated device (Algorithm 3).
   SessionBuilder& device(device::DeviceContext* device) {
     session_.params_.device = device;
-    return *this;
-  }
-
-  /// Shards conflict builds over `count` simulated devices of
-  /// `capacity_bytes` each; Auto then plans MultiDevice execution.
-  SessionBuilder& devices(std::uint32_t count, std::size_t capacity_bytes) {
-    session_.num_devices_ = count;
-    session_.device_capacity_bytes_ = capacity_bytes;
     return *this;
   }
 

@@ -15,9 +15,12 @@
 // memory subsystem); Fused is the one exact edge-free engine. 4.0 removed
 // the Pauli backend selector (its enum, its params field, the builder, plan
 // and wire-params members) and PauliSet's resident 3-bit words: Pauli
-// solves always run the packed plane kernels.
+// solves always run the packed plane kernels. 5.0 removed the simulated
+// multi-device sharding (its strategy, SessionBuilder::devices(), the plan
+// and report members, its counter and RuntimeConfig's chunk_size and
+// deterministic knobs); the single simulated device (.device()) stays.
 
-#define PICASSO_API_VERSION_MAJOR 4
+#define PICASSO_API_VERSION_MAJOR 5
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 

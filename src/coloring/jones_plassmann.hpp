@@ -19,10 +19,10 @@
 // thread whose decrement reaches zero claims the vertex for the next
 // frontier, so each vertex is claimed exactly once under any schedule.
 // Priorities use per-vertex keyed RNG streams (never a sequential draw), so
-// every thread count produces the same priority vector; with
-// RuntimeConfig::deterministic the next frontier is sorted, making the whole
-// run bit-identical to the serial `num_threads = 1` path. Per-chunk
-// forbidden-color scratch comes from the thread-local runtime arenas.
+// every thread count produces the same priority vector, and the next
+// frontier is sorted, making the whole run bit-identical to the serial
+// `num_threads = 1` path. Per-chunk forbidden-color scratch comes from the
+// thread-local runtime arenas.
 //
 // With largest-degree-first priorities (random tie-break) this is JP-LDF,
 // the variant ECL-GC accelerates with shortcutting heuristics.
@@ -66,7 +66,7 @@ ColoringResult jones_plassmann(const G& g,
   // sequential generator — so the priority vector is identical under any
   // chunking or thread count.
   std::vector<std::uint64_t> prio(n);
-  runtime::parallel_for(pool, 0, n, rt.chunk_size, [&](std::size_t v) {
+  runtime::parallel_for(pool, 0, n, 0, [&](std::size_t v) {
     const std::uint64_t key =
         priority == JpPriority::LargestDegreeFirst
             ? g.degree(static_cast<VertexId>(v))
@@ -84,7 +84,7 @@ ColoringResult jones_plassmann(const G& g,
   // independent (the zero-crossing set is fixed by the priorities).
   std::unique_ptr<std::atomic<std::uint32_t>[]> wait_count(
       new std::atomic<std::uint32_t>[n]);
-  runtime::parallel_for(pool, 0, n, rt.chunk_size, [&](std::size_t i) {
+  runtime::parallel_for(pool, 0, n, 0, [&](std::size_t i) {
     const auto v = static_cast<VertexId>(i);
     std::uint32_t count = 0;
     for_each_neighbor(g, v, [&](VertexId u) {
@@ -111,7 +111,7 @@ ColoringResult jones_plassmann(const G& g,
     // still waits on the higher one, so both cannot have count zero — every
     // neighbor color read here was fixed in an earlier round.
     runtime::parallel_for_chunks(
-        pool, 0, frontier.size(), rt.chunk_size,
+        pool, 0, frontier.size(), 0,
         [&](const runtime::ChunkRange& chunk) {
           runtime::Arena& arena = runtime::this_thread_arena();
           runtime::Arena::Scope scope(arena);
@@ -135,7 +135,7 @@ ColoringResult jones_plassmann(const G& g,
     // deterministic; its order is canonicalised by the sort below.
     {
       const auto chunks =
-          runtime::uniform_chunks(0, frontier.size(), rt.chunk_size, workers);
+          runtime::uniform_chunks(0, frontier.size(), 0, workers);
       if (next_parts.size() < chunks.size()) next_parts.resize(chunks.size());
       for (auto& part : next_parts) part.clear();  // keep capacities
       runtime::run_chunks(pool, chunks, [&](const runtime::ChunkRange& chunk) {
@@ -155,7 +155,7 @@ ColoringResult jones_plassmann(const G& g,
       for (std::size_t c = 0; c < chunks.size(); ++c) {
         next.insert(next.end(), next_parts[c].begin(), next_parts[c].end());
       }
-      if (rt.deterministic) std::sort(next.begin(), next.end());
+      std::sort(next.begin(), next.end());
     }
     frontier.swap(next);
   }

@@ -264,17 +264,12 @@ inline std::uint32_t count_conflicted(const graph::CsrGraph& g) {
 
 /// Work-balanced chunk plan for a kernel: slabs of the triangular u-loop for
 /// Reference (weight of u is its pair count n-1-u), color-bucket ranges for
-/// Indexed (weight of c is |S_c|^2, the bucket's pair slots). An explicit
-/// RuntimeConfig::chunk_size overrides the balancer with uniform ranges.
+/// Indexed (weight of c is |S_c|^2, the bucket's pair slots).
 inline std::vector<runtime::ChunkRange> plan_conflict_chunks(
     ConflictKernel kernel, std::uint32_t n, const ColorIndex* index,
-    std::uint32_t palette_size, const runtime::RuntimeConfig& rt,
-    unsigned workers) {
+    std::uint32_t palette_size, unsigned workers) {
   const std::uint32_t domain =
       kernel == ConflictKernel::Reference ? n : palette_size;
-  if (rt.chunk_size > 0) {
-    return runtime::uniform_chunks(0, domain, rt.chunk_size, workers);
-  }
   std::vector<std::uint64_t> weights(domain);
   if (kernel == ConflictKernel::Reference) {
     for (std::uint32_t u = 0; u < n; ++u) weights[u] = n - 1 - u;
@@ -287,22 +282,16 @@ inline std::vector<runtime::ChunkRange> plan_conflict_chunks(
   return runtime::balanced_chunks(weights, std::size_t{workers} * 4);
 }
 
-/// Runs the enumeration chunked over the pool. `init(num_chunks)` is called
-/// once (before any chunk runs) so the caller can size per-chunk output
-/// slots; `make_emit(chunk)` then produces each chunk's emit callback. Each
-/// chunk's emissions are the exact restriction of the serial enumeration to
-/// its domain, so replaying chunk outputs in chunk order reproduces the
-/// serial emission order — the parallel build's determinism rests on this
-/// plus the canonical (sorted-row) CSR assembly.
-template <graph::GraphOracle Oracle, typename Init, typename MakeEmit>
-void enumerate_conflicts_chunked(runtime::ThreadPool* pool,
-                                 const Oracle& oracle,
-                                 std::span<const std::uint32_t> active,
-                                 const ColorLists& lists,
-                                 std::uint32_t palette_size,
-                                 ConflictKernel kernel,
-                                 const runtime::RuntimeConfig& rt, Init&& init,
-                                 MakeEmit&& make_emit) {
+/// Runs the enumeration chunked over the pool into one COO partition per
+/// chunk. Each chunk's emissions are the exact restriction of the serial
+/// enumeration to its domain, so concatenating the partitions in chunk order
+/// reproduces the serial emission order — the parallel build's determinism
+/// rests on this plus the canonical (sorted-row) CSR assembly.
+template <graph::GraphOracle Oracle>
+std::vector<std::vector<std::uint32_t>> enumerate_conflicts_partitioned(
+    runtime::ThreadPool* pool, const Oracle& oracle,
+    std::span<const std::uint32_t> active, const ColorLists& lists,
+    std::uint32_t palette_size, ConflictKernel kernel) {
   const auto n = static_cast<std::uint32_t>(active.size());
   const unsigned workers = pool != nullptr ? pool->num_workers() : 1;
   ColorIndex index;
@@ -310,10 +299,14 @@ void enumerate_conflicts_chunked(runtime::ThreadPool* pool,
     index = build_color_index(lists, palette_size);
   }
   const auto chunks =
-      plan_conflict_chunks(kernel, n, &index, palette_size, rt, workers);
-  init(chunks.size());
+      plan_conflict_chunks(kernel, n, &index, palette_size, workers);
+  std::vector<std::vector<std::uint32_t>> parts(chunks.size());
   runtime::run_chunks(pool, chunks, [&](const runtime::ChunkRange& chunk) {
-    auto emit = make_emit(chunk);
+    std::vector<std::uint32_t>& coo = parts[chunk.index];
+    auto emit = [&coo](std::uint32_t u, std::uint32_t v) {
+      coo.push_back(u);
+      coo.push_back(v);
+    };
     if (kernel == ConflictKernel::Reference) {
       enumerate_reference_range(oracle, active, lists,
                                 static_cast<std::uint32_t>(chunk.begin),
@@ -324,35 +317,15 @@ void enumerate_conflicts_chunked(runtime::ThreadPool* pool,
                               static_cast<std::uint32_t>(chunk.end), emit);
     }
   });
-}
-
-/// Chunked enumeration into one COO partition per chunk.
-template <graph::GraphOracle Oracle>
-std::vector<std::vector<std::uint32_t>> enumerate_conflicts_partitioned(
-    runtime::ThreadPool* pool, const Oracle& oracle,
-    std::span<const std::uint32_t> active, const ColorLists& lists,
-    std::uint32_t palette_size, ConflictKernel kernel,
-    const runtime::RuntimeConfig& rt) {
-  std::vector<std::vector<std::uint32_t>> parts;
-  enumerate_conflicts_chunked(
-      pool, oracle, active, lists, palette_size, kernel, rt,
-      [&parts](std::size_t num_chunks) { parts.resize(num_chunks); },
-      [&parts](const runtime::ChunkRange& chunk) {
-        std::vector<std::uint32_t>* coo = &parts[chunk.index];
-        return [coo](std::uint32_t u, std::uint32_t v) {
-          coo->push_back(u);
-          coo->push_back(v);
-        };
-      });
   return parts;
 }
 
 }  // namespace detail
 
 /// Host conflict-graph construction with the selected kernel. The runtime
-/// config picks serial vs pool-parallel; with `deterministic = true` (the
-/// default) the two produce bit-identical CSRs — partitions restrict the
-/// serial loops, merge order is fixed, and row assembly is canonical.
+/// config picks serial vs pool-parallel; the two produce bit-identical CSRs
+/// — partitions restrict the serial loops, merge order is fixed, and row
+/// assembly is canonical.
 template <graph::GraphOracle Oracle>
 ConflictBuildResult build_conflict_graph(
     const Oracle& oracle, std::span<const std::uint32_t> active,
@@ -366,7 +339,7 @@ ConflictBuildResult build_conflict_graph(
   runtime::ThreadPool* pool = runtime::resolve_pool(rt, n);
   if (pool != nullptr) {
     auto parts = detail::enumerate_conflicts_partitioned(
-        pool, oracle, active, lists, palette_size, kernel, rt);
+        pool, oracle, active, lists, palette_size, kernel);
     result.graph = detail::csr_from_partitions(n, std::move(parts));
   } else {
     auto run = [&](auto&& enumerate) {

@@ -75,8 +75,8 @@ class ColorLists {
   }
 
   /// Builds the per-vertex signatures. Only the drivers whose conflict
-  /// pass reads them (the materialized, semi-streaming and multi-device
-  /// ones) call this, right after the draw; call it again after mutating
+  /// pass reads them (the materialized and semi-streaming ones) call
+  /// this, right after the draw; call it again after mutating
   /// lists by hand.
   void build_signatures();
 

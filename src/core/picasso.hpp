@@ -48,8 +48,7 @@ struct PicassoParams {
   int max_iterations = 64;
   ConflictKernel kernel = ConflictKernel::Auto;
   ConflictColoringScheme conflict_scheme = ConflictColoringScheme::DynamicBucket;
-  /// Parallel execution runtime for the materialized conflict-graph build
-  /// (and, in the multi-device driver, the concurrent shard builds).
+  /// Parallel execution runtime for the materialized conflict-graph build.
   /// Defaults to one worker per hardware thread with deterministic merging,
   /// so results are bit-identical to `runtime.num_threads = 1`. The fused
   /// engines ignore it: their strike scans run on the calling thread.

@@ -1,9 +1,9 @@
 #pragma once
 // Cooperative execution control for the staged solve pipeline.
 //
-// Every Picasso driver — the oracle driver, the semi-streaming driver, the
-// fused engines (in memory and budgeted) and the multi-device engine — runs
-// as a sequence of iteration-sized stages. The session front-end
+// Every Picasso driver — the oracle driver, the semi-streaming driver and
+// the fused engines (in memory and budgeted) — runs as a sequence of
+// iteration-sized stages. The session front-end
 // (api/session.hpp) hands the drivers two optional hooks through
 // PicassoParams:
 //
@@ -119,7 +119,7 @@ struct ProgressEvent {
   std::uint32_t colored = 0;         // vertices colored by this iteration
   std::uint32_t uncolored = 0;       // carried to the next iteration
   /// Conflict edges of this iteration. Per-strategy meaning:
-  ///  * materializing engines (in-memory, semi-streaming, multi-device):
+  ///  * materializing engines (in-memory, semi-streaming):
   ///    exact |Ec| of the built conflict CSR, reported on IterationDone;
   ///  * fused static schemes: exact |Ec| (every pair enumerated at u < v);
   ///  * fused dynamic schemes: the running strike-hit count — list

@@ -15,17 +15,6 @@ DeviceAllocation::DeviceAllocation(DeviceAllocation&& other) noexcept
   other.bytes_ = 0;
 }
 
-DeviceAllocation& DeviceAllocation::operator=(DeviceAllocation&& other) noexcept {
-  if (this != &other) {
-    release();
-    ctx_ = other.ctx_;
-    bytes_ = other.bytes_;
-    other.ctx_ = nullptr;
-    other.bytes_ = 0;
-  }
-  return *this;
-}
-
 void DeviceAllocation::release() {
   if (ctx_ != nullptr) {
     ctx_->refund(bytes_);

@@ -41,11 +41,10 @@ class DeviceContext;
 /// RAII handle for device-charged bytes.
 class DeviceAllocation {
  public:
-  DeviceAllocation() = default;
+  /// Charges `bytes` against `ctx`; throws DeviceOutOfMemory on overflow.
   DeviceAllocation(DeviceContext& ctx, std::size_t bytes);
   ~DeviceAllocation();
   DeviceAllocation(DeviceAllocation&& other) noexcept;
-  DeviceAllocation& operator=(DeviceAllocation&& other) noexcept;
   DeviceAllocation(const DeviceAllocation&) = delete;
   DeviceAllocation& operator=(const DeviceAllocation&) = delete;
 
@@ -72,13 +71,8 @@ class DeviceContext {
   std::size_t allocation_count() const noexcept { return allocations_; }
   std::size_t oom_count() const noexcept { return oom_events_; }
 
-  /// Charges bytes against the budget; throws DeviceOutOfMemory on overflow.
-  DeviceAllocation allocate(std::size_t bytes) {
-    return DeviceAllocation(*this, bytes);
-  }
-
-  /// Records an out-of-memory event detected outside allocate() — e.g. a
-  /// kernel overflowing a preallocated buffer — and throws.
+  /// Records an out-of-memory event detected outside a DeviceAllocation —
+  /// e.g. a kernel overflowing a preallocated buffer — and throws.
   [[noreturn]] void signal_oom(std::size_t requested) {
     ++oom_events_;
     throw DeviceOutOfMemory(requested, available_bytes());
@@ -114,7 +108,6 @@ class DeviceContext {
 template <typename T>
 class DeviceBuffer {
  public:
-  DeviceBuffer() = default;
   DeviceBuffer(DeviceContext& ctx, std::size_t count)
       : allocation_(ctx, count * sizeof(T)), data_(count) {}
 
@@ -123,8 +116,6 @@ class DeviceBuffer {
   const T* data() const noexcept { return data_.data(); }
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
-
-  std::vector<T>& host_vector() noexcept { return data_; }
 
   /// Frees the device charge and returns the host storage.
   std::vector<T> take() {

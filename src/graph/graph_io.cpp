@@ -20,6 +20,14 @@ bool has_minus(const std::string& line) {
   return line.find('-') != std::string::npos;
 }
 
+/// Reads one vertex-id token of an edge or entry line, failing on a minus
+/// sign for the same reason (a trailing weight may still be negative).
+template <typename T>
+bool read_id(std::istream& in, T& out) {
+  in >> std::ws;
+  return in.peek() != '-' && static_cast<bool>(in >> out);
+}
+
 }  // namespace
 
 void write_edge_list(std::ostream& out, const CsrGraph& g) {
@@ -66,7 +74,9 @@ CsrGraph read_edge_list(std::istream& in, GraphReadStats* stats) {
       continue;
     }
     VertexId u, v;
-    if (!(ls >> u >> v)) throw std::runtime_error("bad edge line: " + line);
+    if (!read_id(ls, u) || !read_id(ls, v)) {
+      throw std::runtime_error("bad edge line: " + line);
+    }
     if (u >= n || v >= n) {
       throw std::runtime_error(
           "edge endpoint out of range (n = " + std::to_string(n) +
@@ -130,7 +140,7 @@ CsrGraph read_matrix_market(std::istream& in, GraphReadStats* stats) {
       continue;
     }
     std::uint64_t i = 0, j = 0;
-    if (!(ls >> i >> j)) {  // trailing values (weights) are ignored
+    if (!read_id(ls, i) || !read_id(ls, j)) {  // trailing weights are ignored
       throw std::runtime_error("read_matrix_market: bad entry line: " + line);
     }
     if (i == 0 || j == 0 || i > n || j > n) {

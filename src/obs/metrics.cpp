@@ -42,7 +42,6 @@ const char* to_string(Counter c) noexcept {
     case Counter::SpillBytesWritten: return "spill_bytes_written";
     case Counter::SpillBytesRead: return "spill_bytes_read";
     case Counter::StreamEdgesScanned: return "stream_edges_scanned";
-    case Counter::ShardEdgesRouted: return "shard_edges_routed";
     case Counter::UpdateVerticesInserted: return "update_vertices_inserted";
     case Counter::UpdateBucketProbes: return "update_bucket_probes";
     case Counter::UpdateRecolorMoves: return "update_recolor_moves";

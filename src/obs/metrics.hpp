@@ -55,14 +55,13 @@ enum class Counter : unsigned {
   SpillBytesWritten,     // bytes spilled to .pset files
   SpillBytesRead,        // bytes read back from spill files
   StreamEdgesScanned,    // semi-streaming: edges seen across all passes
-  ShardEdgesRouted,      // multi-device: conflict edges routed through device shards
   UpdateVerticesInserted,  // incremental: delta vertices colored in place
   UpdateBucketProbes,      // incremental: color buckets probed during insertion
   UpdateRecolorMoves,      // incremental: blockers moved by bounded local recoloring
   UpdateEscalations,       // incremental: full prefix re-solves triggered
   UpdateFreshColors,       // incremental: colors first used by an inserted vertex
 };
-inline constexpr std::size_t kNumCounters = 20;
+inline constexpr std::size_t kNumCounters = 19;
 
 const char* to_string(Counter c) noexcept;
 
@@ -121,8 +120,8 @@ class MetricsRegistry {
   CounterTotals totals() const;
 
   /// Run-scope nesting depth (see MetricsRunScope); kept on the registry
-  /// so nested solves (multi-device shards) cannot clobber the outermost
-  /// run's window.
+  /// so nested solves (engines layered through Session) cannot clobber the
+  /// outermost run's window.
   int enter_run() noexcept {
     return run_depth_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -152,9 +151,8 @@ inline void count(Counter c, std::uint64_t n = 1) { global_metrics().add(c, n); 
 
 /// Guard for one solve: the outermost scope resets the registry and
 /// enables/disables it per the requested level, restoring the previous
-/// enabled state on exit; nested scopes (per-shard multi-device solves,
-/// engines layered through Session) are no-ops so the outermost window
-/// accumulates everything. Harvest totals() before the scope dies.
+/// enabled state on exit; nested scopes (engines layered through Session)
+/// are no-ops so the outermost window accumulates everything. Harvest totals() before the scope dies.
 class MetricsRunScope {
  public:
   explicit MetricsRunScope(bool enable,

@@ -12,7 +12,7 @@
 // restriction of the serial loop (order-preserving concatenation gives back
 // the serial output) and by keying any randomness per logical item, not per
 // chunk. chunk_rng() keyed by chunk ordinal is reproducible across reruns
-// and schedules of one decomposition; pin RuntimeConfig::chunk_size if you
+// and schedules of one decomposition; pass an explicit chunk size if you
 // need it stable across worker counts too.
 //
 // All primitives accept a nullptr pool and then run every chunk inline on
@@ -159,8 +159,8 @@ T parallel_reduce(ThreadPool* pool, std::size_t begin, std::size_t end,
 }
 
 /// Independent RNG stream for a (seed, stream) key. Key by a stable logical
-/// id — a vertex, a device shard, or a pinned chunk ordinal — never by
-/// thread id; that is what makes randomised parallel phases reproducible.
+/// id — a vertex or a pinned chunk ordinal — never by thread id; that is
+/// what makes randomised parallel phases reproducible.
 inline util::Xoshiro256 chunk_rng(std::uint64_t seed,
                                   std::uint64_t stream) noexcept {
   return util::keyed_rng(seed, 0xa0761d6478bd642fULL, stream);

@@ -3,11 +3,10 @@
 //
 // Every parallel entry point in the library threads one of these through to
 // the thread pool. The contract that matters for reproducing the paper's
-// tables: with `deterministic = true` (the default) results are bit-identical
-// across any `num_threads`, including the serial `num_threads = 1` reference —
-// chunk decompositions depend only on the input, per-chunk RNG streams are
-// keyed by chunk index (never by executing thread), and chunk outputs are
-// merged in chunk order.
+// tables: results are bit-identical across any `num_threads`, including the
+// serial `num_threads = 1` reference — chunk decompositions depend only on
+// the input, per-chunk RNG streams are keyed by chunk index (never by
+// executing thread), and chunk outputs are merged in chunk order.
 
 #include <cstdint>
 
@@ -19,18 +18,6 @@ struct RuntimeConfig {
   /// Worker threads. 0 = one per hardware thread; 1 = serial (no pool, all
   /// chunks run inline on the caller).
   std::uint32_t num_threads = 0;
-
-  /// Items per chunk for parallel_for-style loops. 0 = auto (about four
-  /// chunks per worker, so work stealing can rebalance skewed chunks).
-  std::uint32_t chunk_size = 0;
-
-  /// When true, parallel runs are bit-reproducible with the serial path.
-  /// When false, the runtime may relax ordering that exists only for
-  /// reproducibility (today: the sorted Jones-Plassmann frontier; the
-  /// conflict-build merge stays chunk-ordered because its canonical CSR
-  /// assembly makes that order free). Leave it on unless profiling says
-  /// otherwise.
-  bool deterministic = true;
 
   /// Inputs smaller than this many items run inline even when a pool is
   /// configured — below it, chunk bookkeeping costs more than it buys.

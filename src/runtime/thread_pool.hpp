@@ -1,7 +1,6 @@
 #pragma once
 // Work-stealing thread pool — the execution engine behind every parallel
-// phase in the library (conflict-graph build, Jones-Plassmann rounds, the
-// multi-device shard merge).
+// phase in the library (conflict-graph build, Jones-Plassmann rounds).
 //
 // Design: one deque per worker. submit() feeds deques round-robin; a worker
 // pops from the front of its own deque and, when empty, steals from the back

@@ -25,15 +25,15 @@ struct RetiredStrategy {
 };
 constexpr RetiredStrategy kRetiredStrategies[] = {
     {2, "budgeted-streaming", "2.0"},
+    {4, "multi-device sharding", "5.0"},
     {6, "probabilistic prefilter tier", "3.0"},
 };
 
 /// Peak bytes a request is projected to need under its plan's strategy and
 /// the palette params of the session that will run it. InMemory is the one
-/// materializing plan a wire request can reach (MultiDevice needs a device
-/// list and SemiStreaming an edge stream, neither of which a request
-/// carries), so it is charged the conflict-CSR model; every other plan is
-/// charged the fused frontier.
+/// materializing plan a wire request can reach (SemiStreaming needs an edge
+/// stream, which a request does not carry), so it is charged the
+/// conflict-CSR model; every other plan is charged the fused frontier.
 std::size_t projected_peak_bytes(const api::SolvePlan& plan,
                                  const core::PicassoParams& params,
                                  const pauli::PauliSet& set) {

@@ -184,8 +184,8 @@ struct RemoteParams {
   std::uint64_t seed = 1;
   std::int32_t max_iterations = 64;
   std::uint8_t strategy = 0;      // api::ExecutionStrategy numeric value
-                                  // (2 and 6 are retired: answered
-                                  // BadRequest)
+                                  // (2, 4 and 6 are retired:
+                                  // answered BadRequest)
   std::uint64_t memory_budget_bytes = 0;
   bool want_progress = false;
   /// Wall-clock budget for the whole request measured from admission; the

@@ -224,9 +224,9 @@ class ScopedCharge {
 
 /// Guard for one algorithm run: the registry's outermost scope rebases its
 /// peaks and installs `budget_bytes` (restoring the previous budget on
-/// exit); nested scopes — per-shard driver calls from the multi-device
-/// path, or a concurrent run on another thread — are no-ops, so the
-/// outermost run's budget and accumulated peaks are never clobbered.
+/// exit); nested scopes — an engine layered under another's scope, or a
+/// concurrent run on another thread — are no-ops, so the outermost run's
+/// budget and accumulated peaks are never clobbered.
 /// Snapshot the registry before the scope dies to read the run's peaks.
 class MemoryRunScope {
  public:

@@ -1,9 +1,8 @@
 // Differential pinning of the session front-end against the core engine
 // entry points it dispatches to: for equal parameters, Session::solve must
-// produce bit-identical colorings (and, where applicable, identical shard
-// stats) to calling solve_pauli / solve_oracle / solve_stream /
-// solve_multi_device / solve_pauli_chunked_fused directly — so planning
-// adds no behavior of its own beyond choosing the engine.
+// produce bit-identical colorings to calling solve_pauli / solve_oracle /
+// solve_stream / solve_pauli_chunked_fused directly — so planning adds no
+// behavior of its own beyond choosing the engine.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "core/multi_device.hpp"
 #include "core/solve_fused.hpp"
 #include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
@@ -180,47 +178,4 @@ TEST(ApiDifferential, ChunkedReaderAndSpillFileMatchChunkedFusedEngine) {
   EXPECT_EQ(via_file.plan.chunk_strings, 48u);
 
   fs::remove_all(dir);
-}
-
-TEST(ApiDifferential, MultiDeviceMatchesEngineShardsAndColoring) {
-  const auto g = pg::erdos_renyi_dense(220, 0.5, 71);
-  const pg::DenseOracle oracle(g);
-  const auto params = test_params(71);
-  pcore::MultiDeviceConfig config;
-  config.num_devices = 4;
-  config.device_capacity_bytes = 64u << 20;
-  const auto engine = pcore::solve_multi_device(oracle, params, config);
-
-  const auto session = papi::SessionBuilder()
-                           .params(params)
-                           .devices(4, 64u << 20)
-                           .build()
-                           .solve(papi::Problem::dense(g));
-  EXPECT_EQ(session.plan.strategy, papi::ExecutionStrategy::MultiDevice);
-  EXPECT_EQ(session.result.colors, engine.coloring.colors);
-  ASSERT_EQ(session.devices.size(), engine.devices.size());
-  for (std::size_t d = 0; d < session.devices.size(); ++d) {
-    EXPECT_EQ(session.devices[d].edges, engine.devices[d].edges) << d;
-    EXPECT_EQ(session.devices[d].peak_bytes, engine.devices[d].peak_bytes)
-        << d;
-  }
-  EXPECT_EQ(session.total_shard_edges(), engine.total_edges());
-}
-
-TEST(ApiDifferential, PauliMultiDeviceMatchesEngineOracleChoice) {
-  // The Pauli multi-device path shards the same packed oracle as
-  // solve_pauli; pin it against the engine call with that oracle.
-  const auto set = random_set(160, 12, 73);
-  const auto params = test_params(73);
-  pcore::MultiDeviceConfig config;
-  config.num_devices = 2;
-  config.device_capacity_bytes = 64u << 20;
-  const pg::PackedComplementOracle oracle(set.packed_view());
-  const auto engine = pcore::solve_multi_device(oracle, params, config);
-  const auto session = papi::SessionBuilder()
-                           .params(params)
-                           .devices(2, 64u << 20)
-                           .build()
-                           .solve(papi::Problem::pauli(set));
-  EXPECT_EQ(session.result.colors, engine.coloring.colors);
 }

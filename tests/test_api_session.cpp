@@ -73,37 +73,12 @@ TEST(SessionBuilder, RejectsNonPositiveIterations) {
                    papi::ErrorCode::InvalidArgument, "max_iterations");
 }
 
-TEST(SessionBuilder, RejectsZeroCapacityDevices) {
-  expect_api_error([&] { papi::SessionBuilder().devices(2, 0).build(); },
-                   papi::ErrorCode::InvalidArgument, "devices");
-}
-
-TEST(SessionBuilder, RejectsMultiDeviceStrategyWithoutDevices) {
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::MultiDevice)
-            .build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "strategy");
-}
-
-TEST(SessionBuilder, RejectsDeviceAndDevicesTogether) {
-  picasso::device::DeviceContext ctx(64u << 20);
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder().device(&ctx).devices(2, 64u << 20).build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "devices");
-}
-
 // --- Plan selection ----------------------------------------------------------
 
 TEST(SessionPlan, DefaultsToFused) {
   const auto g = pg::erdos_renyi_dense(60, 0.4, 1);
   const auto plan = papi::Session().plan(papi::Problem::dense(g));
   EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::Fused);
-  EXPECT_EQ(plan.num_devices, 0u);
 }
 
 // Auto plans the edge-free engine for every in-memory oracle-capable kind
@@ -220,16 +195,6 @@ TEST(SessionPlan, ExplicitChunkSizeForcesStreaming) {
                         .plan(papi::Problem::pauli(set));
   EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::Fused);
   EXPECT_EQ(plan.chunk_strings, 25u);
-}
-
-TEST(SessionPlan, DeviceListForcesSharding) {
-  const auto g = pg::erdos_renyi_dense(80, 0.3, 7);
-  const auto plan = papi::SessionBuilder()
-                        .devices(4, 64u << 20)
-                        .build()
-                        .plan(papi::Problem::dense(g));
-  EXPECT_EQ(plan.strategy, papi::ExecutionStrategy::MultiDevice);
-  EXPECT_EQ(plan.num_devices, 4u);
 }
 
 TEST(SessionPlan, ProblemKindPicksItsPipeline) {
@@ -584,11 +549,12 @@ TEST(SessionFused, RejectsEdgeStreamProblems) {
 }
 
 TEST(SessionFused, RejectsDeviceConfigurations) {
+  picasso::device::DeviceContext ctx(1 << 20);
   expect_api_error(
-      [] {
+      [&] {
         papi::SessionBuilder()
             .strategy(papi::ExecutionStrategy::Fused)
-            .devices(2, 1 << 20)
+            .device(&ctx)
             .build();
       },
       papi::ErrorCode::InvalidConfiguration, "strategy");
@@ -642,7 +608,6 @@ TEST(ParseStrategy, RoundTripsEveryStrategyAndAcceptsShorthands) {
   for (auto strategy :
        {papi::ExecutionStrategy::Auto, papi::ExecutionStrategy::InMemory,
         papi::ExecutionStrategy::SemiStreaming,
-        papi::ExecutionStrategy::MultiDevice,
         papi::ExecutionStrategy::Fused}) {
     EXPECT_EQ(papi::parse_strategy(papi::to_string(strategy)), strategy);
   }
@@ -650,18 +615,19 @@ TEST(ParseStrategy, RoundTripsEveryStrategyAndAcceptsShorthands) {
             papi::ExecutionStrategy::InMemory);
 }
 
-// The chunk-pair streaming strategy is gone in 2.0 and the probabilistic
-// prefilter tier in 3.0: their spellings are unknown names now, answered
-// with the valid list.
+// The chunk-pair streaming strategy is gone in 2.0, the probabilistic
+// prefilter tier in 3.0 and multi-device sharding in 5.0: their spellings
+// are unknown names now, answered with the valid list.
 TEST(ParseStrategy, RetiredStreamingAndSketchSpellingsThrowWithTheValidList) {
-  for (const char* name : {"streaming", "budgeted-streaming", "sketch"}) {
+  for (const char* name :
+       {"streaming", "budgeted-streaming", "sketch", "multi-device"}) {
     try {
       papi::parse_strategy(name);
       FAIL() << "expected std::invalid_argument for " << name;
     } catch (const std::invalid_argument& e) {
       const std::string message = e.what();
       EXPECT_NE(message.find("(valid: auto, in-memory (inmemory), "
-                             "semi-streaming, multi-device, fused)"),
+                             "semi-streaming, fused)"),
                 std::string::npos)
           << message;
     }

@@ -12,10 +12,10 @@ TEST(DeviceContext, ChargesAndRefunds) {
   pd::DeviceContext ctx(1000);
   EXPECT_EQ(ctx.capacity_bytes(), 1000u);
   {
-    auto a = ctx.allocate(400);
+    pd::DeviceAllocation a(ctx, 400);
     EXPECT_EQ(ctx.used_bytes(), 400u);
     EXPECT_EQ(ctx.available_bytes(), 600u);
-    auto b = ctx.allocate(600);
+    pd::DeviceAllocation b(ctx, 600);
     EXPECT_EQ(ctx.used_bytes(), 1000u);
     EXPECT_EQ(ctx.peak_bytes(), 1000u);
   }
@@ -26,8 +26,8 @@ TEST(DeviceContext, ChargesAndRefunds) {
 
 TEST(DeviceContext, ThrowsOnOverCommit) {
   pd::DeviceContext ctx(100);
-  auto a = ctx.allocate(80);
-  EXPECT_THROW(ctx.allocate(21), pd::DeviceOutOfMemory);
+  pd::DeviceAllocation a(ctx, 80);
+  EXPECT_THROW(pd::DeviceAllocation(ctx, 21), pd::DeviceOutOfMemory);
   EXPECT_EQ(ctx.oom_count(), 1u);
   // The failed allocation must not leak charge.
   EXPECT_EQ(ctx.used_bytes(), 80u);
@@ -36,7 +36,7 @@ TEST(DeviceContext, ThrowsOnOverCommit) {
 TEST(DeviceContext, OomCarriesDiagnostics) {
   pd::DeviceContext ctx(10);
   try {
-    auto a = ctx.allocate(25);
+    pd::DeviceAllocation a(ctx, 25);
     FAIL() << "expected DeviceOutOfMemory";
   } catch (const pd::DeviceOutOfMemory& e) {
     EXPECT_EQ(e.requested(), 25u);
@@ -48,7 +48,7 @@ TEST(DeviceContext, OomCarriesDiagnostics) {
 
 TEST(DeviceContext, MoveTransfersOwnership) {
   pd::DeviceContext ctx(100);
-  pd::DeviceAllocation a = ctx.allocate(50);
+  pd::DeviceAllocation a(ctx, 50);
   pd::DeviceAllocation b = std::move(a);
   EXPECT_EQ(ctx.used_bytes(), 50u);
   b.release();
@@ -59,7 +59,7 @@ TEST(DeviceContext, MoveTransfersOwnership) {
 
 TEST(DeviceContext, ResetPeak) {
   pd::DeviceContext ctx(100);
-  { auto a = ctx.allocate(90); }
+  { pd::DeviceAllocation a(ctx, 90); }
   EXPECT_EQ(ctx.peak_bytes(), 90u);
   ctx.reset_peak();
   EXPECT_EQ(ctx.peak_bytes(), 0u);

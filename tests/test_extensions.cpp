@@ -1,7 +1,6 @@
 // Tests for the extension features beyond the paper's core pipeline:
 // grouping modes (qubit-wise / general commutativity), the semi-streaming
-// driver, the simulated multi-device driver (§VIII future work), iterated
-// greedy refinement, and the Auto conflict-kernel policy.
+// driver, iterated greedy refinement, and the Auto conflict-kernel policy.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "coloring/refine.hpp"
 #include "coloring/verify.hpp"
 #include "core/clique_partition.hpp"
-#include "core/multi_device.hpp"
 #include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/graph_io.hpp"
@@ -243,88 +241,6 @@ TEST(Streaming, ValidOnPauliDerivedEdges) {
               static_cast<std::uint32_t>(set.size()), stream))
           .result;
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors));
-}
-
-// --- Multi-device driver -----------------------------------------------------
-
-TEST(MultiDevice, EdgeShardIsDeterministicAndInRange) {
-  for (std::uint32_t d : {1u, 2u, 5u, 8u}) {
-    for (std::uint32_t u = 0; u < 50; ++u) {
-      for (std::uint32_t v = u + 1; v < 50; ++v) {
-        const auto shard = pcore::edge_shard(u, v, d);
-        EXPECT_LT(shard, d);
-        EXPECT_EQ(shard, pcore::edge_shard(u, v, d));
-      }
-    }
-  }
-}
-
-class MultiDeviceSweep : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(MultiDeviceSweep, ColoringMatchesSingleDeviceDriver) {
-  const std::uint32_t num_devices = GetParam();
-  const auto g = pg::erdos_renyi_dense(250, 0.5, 13);
-  const pg::DenseOracle oracle(g);
-  pcore::PicassoParams params;
-  params.seed = 13;
-
-  const auto single = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
-  const auto multi = papi::SessionBuilder()
-                         .params(params)
-                         .devices(num_devices, 64u << 20)
-                         .build()
-                         .solve(papi::Problem::oracle(oracle));
-
-  EXPECT_EQ(multi.result.colors, single.colors);
-  EXPECT_EQ(multi.devices.size(), num_devices);
-  // Shards cover all conflict edges across all iterations.
-  std::uint64_t iter_edges = 0;
-  for (const auto& it : multi.result.iterations) {
-    iter_edges += it.conflict_edges;
-  }
-  EXPECT_EQ(multi.total_shard_edges(), iter_edges);
-}
-
-INSTANTIATE_TEST_SUITE_P(DeviceCounts, MultiDeviceSweep,
-                         ::testing::Values(1u, 2u, 4u, 8u));
-
-TEST(MultiDevice, LoadIsReasonablyBalancedAndPeaksShrink) {
-  const auto g = pg::erdos_renyi_dense(400, 0.5, 17);
-  const pg::DenseOracle oracle(g);
-  pcore::PicassoParams params;
-  params.seed = 17;
-
-  const auto single = papi::SessionBuilder()
-                          .params(params)
-                          .devices(1, 256u << 20)
-                          .build()
-                          .solve(papi::Problem::oracle(oracle));
-
-  const auto sharded = papi::SessionBuilder()
-                           .params(params)
-                           .devices(4, 256u << 20)
-                           .build()
-                           .solve(papi::Problem::oracle(oracle));
-
-  EXPECT_LT(sharded.shard_imbalance(), 1.3);
-  // Per-device peak drops substantially (not exactly 1/4: counters are
-  // replicated per device).
-  EXPECT_LT(sharded.max_device_peak_bytes(),
-            static_cast<std::size_t>(0.6 * single.max_device_peak_bytes()));
-}
-
-TEST(MultiDevice, TinyBudgetThrows) {
-  const auto g = pg::erdos_renyi_dense(300, 0.8, 19);
-  const pg::DenseOracle oracle(g);
-  pcore::PicassoParams params;
-  params.palette_percent = 5.0;
-  params.alpha = 4.0;
-  const auto session = papi::SessionBuilder()
-                           .params(params)
-                           .devices(2, 8 << 10)  // 8 KB: cannot hold counters
-                           .build();
-  EXPECT_THROW(session.solve(papi::Problem::oracle(oracle)),
-               picasso::device::DeviceOutOfMemory);
 }
 
 // --- Iterated greedy refinement ----------------------------------------------

@@ -94,11 +94,12 @@ TEST(GraphIoHardening, EdgeListSelfLoopsSkippedAndCounted) {
 }
 
 TEST(GraphIoHardening, MatrixMarketSelfLoopsSkippedAndCounted) {
+  // A negative weight after the two indices is a value, not an id.
   std::istringstream in(
       "%%MatrixMarket matrix coordinate pattern symmetric\n"
       "4 4 4\n"
       "1 1\n"
-      "2 1\n"
+      "2 1 -0.5\n"
       "3 3\n"
       "4 2\n");
   pg::GraphReadStats stats;
@@ -169,6 +170,19 @@ TEST(GraphIoHardening, MalformedInputsThrow) {
     std::istringstream in(
         "%%MatrixMarket matrix coordinate pattern general\n"
         "-18446744073709551615 2 0\n");
+    EXPECT_THROW(pg::read_matrix_market(in), std::runtime_error);
+  }
+  {
+    // An endpoint of -(2^32 - 1) wraps to vertex 1 in a 32-bit read.
+    std::istringstream in("3 1\n0 -4294967295\n");
+    EXPECT_THROW(pg::read_edge_list(in), std::runtime_error);
+  }
+  {
+    // An entry index of -(2^64 - 2) wraps to index 2 in a 64-bit read.
+    std::istringstream in(
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "3 3 1\n"
+        "1 -18446744073709551614\n");
     EXPECT_THROW(pg::read_matrix_market(in), std::runtime_error);
   }
   {

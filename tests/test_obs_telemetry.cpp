@@ -162,7 +162,6 @@ struct SolveSpec {
   unsigned threads = 1;
   pobs::TelemetryLevel level = pobs::TelemetryLevel::Counters;
   std::size_t chunk_strings = 0;  // forces streaming engines to chunk
-  std::uint32_t devices = 0;      // multi-device shard count
 };
 
 papi::SolveReport solve_pauli_spec(const pp::PauliSet& set,
@@ -177,7 +176,6 @@ papi::SolveReport solve_pauli_spec(const pp::PauliSet& set,
     options.chunk_strings = spec.chunk_strings;
     builder.streaming(options);
   }
-  if (spec.devices > 0) builder.devices(spec.devices, 64u << 20);
   return builder.build().solve(papi::Problem::pauli(set));
 }
 
@@ -248,7 +246,7 @@ TEST(MetricsRegistry, NestedRunScopesKeepTheOutermostWindow) {
     EXPECT_TRUE(registry.enabled());
     registry.add(pobs::Counter::RecolorEvents, 1);
     {
-      // A nested scope (a shard solve inside a multi-device run) must not
+      // A nested scope (an engine layered under a Session solve) must not
       // reset or re-gate the outermost window.
       pobs::MetricsRunScope inner(false, registry);
       EXPECT_FALSE(inner.outermost());
@@ -488,21 +486,6 @@ TEST(SessionTelemetry, FusedStreamingSurfacesCacheAndSpillCounters) {
   EXPECT_TRUE(JsonChecker::valid(json));
 }
 
-TEST(SessionTelemetry, MultiDeviceRoutesShardEdges) {
-  const auto set = random_set(120, 10, 13);
-  SolveSpec spec;
-  spec.strategy = papi::ExecutionStrategy::MultiDevice;
-  spec.devices = 3;
-  const auto report = solve_pauli_spec(set, spec);
-  const auto& counters = report.telemetry.counters;
-  // Every conflict edge crosses exactly one device shard.
-  EXPECT_EQ(counters[pobs::Counter::ShardEdgesRouted],
-            report.total_shard_edges());
-  EXPECT_GT(counters[pobs::Counter::ShardEdgesRouted], 0u);
-  EXPECT_EQ(counters[pobs::Counter::RecolorEvents],
-            sum_uncolored(report.result));
-}
-
 // ---------------------------------------------------------------------------
 // The headline contract: counter totals are bit-identical across thread
 // counts for every execution strategy (counters tally logical algorithm
@@ -532,12 +515,6 @@ std::vector<StrategyCase> all_strategies() {
     s.strategy = papi::ExecutionStrategy::Fused;
     s.chunk_strings = 40;  // spill + strike off chunked records
     cases.push_back({"fused-streaming", s});
-  }
-  {
-    SolveSpec s;
-    s.strategy = papi::ExecutionStrategy::MultiDevice;
-    s.devices = 2;
-    cases.push_back({"multi-device", s});
   }
   return cases;
 }

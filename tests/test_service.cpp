@@ -547,6 +547,16 @@ TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
             std::string::npos)
       << retired_tier.error_message;
 
+  params.strategy = 4;
+  const psvc::RemoteResult retired_shards = client.solve(set, params);
+  ASSERT_FALSE(retired_shards.ok);
+  EXPECT_EQ(retired_shards.error_code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(retired_shards.error_message.find(
+                "strategy value 4 (multi-device sharding) was removed in "
+                "API 5.0"),
+            std::string::npos)
+      << retired_shards.error_message;
+
   params.strategy = 7;
   const psvc::RemoteResult unknown = client.solve(set, params);
   ASSERT_FALSE(unknown.ok);
