@@ -4,9 +4,12 @@
 // The paper plots, for inputs up to 2.1M vertices, the maximum fraction
 // |Ec|/|E| produced by P'=12.5, alpha=2, together with the largest fraction
 // a 40 GB A100 could hold (a falling curve, since |E| grows quadratically).
-// We reproduce the same plot at container scale with the simulated device:
-// the budget is scaled to 256 MB so the frontier crosses our dataset range
-// exactly as the A100's crossed the paper's.
+// We reproduce the same plot at container scale: the largest conflict graph
+// a device can hold follows from Algorithm 3's buffers (per-vertex counters,
+// then 8 B per edge for the COO list and 8 B for the CSR copy), computed here
+// for a budget scaled to 256 MB so the frontier crosses our dataset range
+// exactly as the A100's crossed the paper's. An instance fits when its
+// largest conflict graph stays below that frontier.
 //
 // Paper shape to reproduce: the conflict fraction falls with |V| (the
 // sublinearity of Lemma 2) while the admissible fraction falls faster, so
@@ -17,7 +20,6 @@
 #include "api/session.hpp"
 #include "bench_common.hpp"
 #include "core/picasso.hpp"
-#include "device/device_context.hpp"
 
 int main() {
   using namespace picasso;
@@ -47,53 +49,26 @@ int main() {
     params.palette_percent = 12.5;
     params.alpha = alpha;
     params.seed = 1;
-    // Single-threaded (the device pipeline is serial anyway) so the tracked
-    // peaks feed the CI regression gate machine-independently.
+    // Single-threaded so the tracked peaks feed the CI regression gate
+    // machine-independently.
     params.runtime.num_threads = 1;
 
-    device::DeviceContext ctx(kDeviceBudget);
-    params.device = &ctx;
-    bool fits = true;
-    std::uint64_t max_ec = 0;
-    core::MemoryReport memory;
-    obs::CounterTotals counters;
-    // Counter telemetry rides along into the CI record: single-threaded, so
-    // the totals are exact-match gated like the tracked bytes.
-    auto run_counted = [&set](const core::PicassoParams& p) {
-      return api::SessionBuilder()
-          .params(p)
-          .strategy(api::ExecutionStrategy::InMemory)
-          .telemetry(obs::TelemetryLevel::Counters)
-          .build()
-          .solve(api::Problem::pauli(set));
-    };
-    try {
-      const auto report = run_counted(params);
-      max_ec = report.result.max_conflict_edges;
-      memory = report.result.memory;
-      counters = report.telemetry.counters;
-    } catch (const device::DeviceOutOfMemory&) {
-      fits = false;
-      // Re-run host-side to still report the conflict fraction.
-      params.device = nullptr;
-      const auto report = run_counted(params);
-      max_ec = report.result.max_conflict_edges;
-      memory = report.result.memory;
-      counters = report.telemetry.counters;
-    }
-    // Packed-vs-scalar ablation on the host path (single-threaded): the
-    // same iterations with the 3-bit per-pair oracle and with the packed
-    // SIMD blocked scan. Colorings must not differ; only the conflict
-    // phase's wall time does.
-    params.device = nullptr;
+    // The materialized engine over the packed oracle. Counter telemetry
+    // rides along into the CI record: single-threaded, so the totals are
+    // exact-match gated like the tracked bytes.
+    const auto report = api::SessionBuilder()
+                            .params(params)
+                            .strategy(api::ExecutionStrategy::InMemory)
+                            .telemetry(obs::TelemetryLevel::Counters)
+                            .build()
+                            .solve(api::Problem::pauli(set));
+    const core::PicassoResult& host_packed = report.result;
+    const std::uint64_t max_ec = host_packed.max_conflict_edges;
+    // Packed-vs-scalar ablation (single-threaded): the same iterations with
+    // the 3-bit per-pair oracle. Colorings must not differ; only the
+    // conflict phase's wall time does.
     const auto host_scalar = core::solve_oracle(
         bench::InverseOneHotComplementOracle(set), params);
-    const auto host_packed = api::SessionBuilder()
-                                 .params(params)
-                                 .strategy(api::ExecutionStrategy::InMemory)
-                                 .build()
-                                 .solve(api::Problem::pauli(set))
-                                 .result;
     if (host_scalar.colors != host_packed.colors) {
       std::printf("ERROR: packed and 3-bit oracles diverged on %s\n",
                   spec.name.c_str());
@@ -105,9 +80,10 @@ int main() {
                   "\"conflict_seconds_packed\":%.6f",
                   host_scalar.conflict_seconds, host_packed.conflict_seconds);
     bench::emit_json_record(
-        "fig2_scaling", spec.name, memory,
+        "fig2_scaling", spec.name, host_packed.memory,
         "\"max_conflict_edges\":" + std::to_string(max_ec) + "," +
-            kernel_fields + "," + bench::counters_field(counters));
+            kernel_fields + "," +
+            bench::counters_field(report.telemetry.counters));
 
     // Largest |Ec|/|E| the device could hold: COO (8 B/edge) plus the CSR
     // copy (8 B/edge) must fit next to the per-vertex counters.
@@ -116,6 +92,7 @@ int main() {
                             std::min<std::size_t>(kDeviceBudget,
                                                   set.size() * 8)) /
         16.0;
+    const bool fits = static_cast<double>(max_ec) <= budget_edges;
     const double limit_pct =
         100.0 * budget_edges / static_cast<double>(std::max<std::uint64_t>(edges, 1));
     const double ec_pct =
@@ -128,11 +105,11 @@ int main() {
                    util::Table::fmt_int(static_cast<long long>(max_ec)),
                    util::Table::fmt_pct(ec_pct, 2),
                    util::Table::fmt_pct(std::min(limit_pct, 100.0), 2),
-                   fits ? "yes" : "NO (OOM)", util::Table::fmt(alpha, 1),
+                   fits ? "yes" : "NO", util::Table::fmt(alpha, 1),
                    util::Table::fmt(host_scalar.conflict_seconds, 3),
                    util::Table::fmt(host_packed.conflict_seconds, 3)});
   }
-  table.print("Fig. 2 analogue: max conflict fraction vs simulated 256 MB device");
+  table.print("Fig. 2 analogue: max conflict fraction vs a 256 MB device");
   std::printf(
       "\nShape: |Ec|/|E| falls as |V| grows (Lemma 2's sublinearity) while\n"
       "the device frontier falls faster (|E| ~ |V|^2/2): exactly the\n"

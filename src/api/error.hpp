@@ -31,7 +31,7 @@ class ApiError : public std::runtime_error {
 
   ErrorCode code() const noexcept { return code_; }
   /// The builder/problem field the error is about ("palette_percent",
-  /// "devices", "strategy", ...), for programmatic handling.
+  /// "strategy", "delta", ...), for programmatic handling.
   const std::string& field() const noexcept { return field_; }
 
  private:

@@ -176,12 +176,6 @@ Session SessionBuilder::build() const {
     throw ApiError(ErrorCode::InvalidArgument, "max_iterations",
                    "must be >= 1, got " + std::to_string(p.max_iterations));
   }
-  if (session_.strategy_ == ExecutionStrategy::Fused && p.device != nullptr) {
-    throw ApiError(ErrorCode::InvalidConfiguration, "strategy",
-                   "the fused strategy colors straight off the oracle and "
-                   "does not run the simulated-device pipeline; drop "
-                   ".device() or pick another strategy");
-  }
   return session_;
 }
 
@@ -222,11 +216,6 @@ SolvePlan Session::plan(const Problem& problem) const {
       plan.reason = streaming_.chunk_strings > 0
                         ? "explicit chunk size forces streaming"
                         : "encoded input exceeds half the memory budget";
-    } else if (params_.device != nullptr) {
-      // The fused engine colors off the oracle and never reaches a device;
-      // a configured device asks for Algorithm 3's device CSR build.
-      strategy = ExecutionStrategy::InMemory;
-      plan.reason = "device configured: conflict CSR built on the device";
     } else {
       // Every remaining kind is oracle-capable: color edge-free off the
       // palette buckets (bit-identical to the materialized engine, which

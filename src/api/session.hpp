@@ -42,8 +42,8 @@
 
 namespace picasso::api {
 
-/// How a solve executes. Auto (the default) picks from the problem kind,
-/// the memory budget and the device; the rest force one pipeline and
+/// How a solve executes. Auto (the default) picks from the problem kind and
+/// the memory budget; the rest force one pipeline and
 /// fail with ApiError(IncompatibleStrategy) when the problem cannot run it.
 /// The values cross the service wire as raw bytes, so they are pinned; 2
 /// belonged to the chunk-pair streaming strategy removed in 2.0, 4 to the
@@ -52,8 +52,7 @@ namespace picasso::api {
 enum class ExecutionStrategy {
   Auto = 0,
   InMemory = 1,       // paper Algorithm 1 reference: conflict CSR
-                      // materialized per iteration (Auto plans it only
-                      // when .device() is set)
+                      // materialized per iteration (Auto never plans it)
   SemiStreaming = 3,  // one edge pass per iteration over an edge stream
   Fused = 5,          // edge-free engine: no conflict CSR is ever built
                       // (spills + strikes off chunked records when the
@@ -218,8 +217,7 @@ class Session {
   Session() = default;
 
   /// Bridges existing PicassoParams-based code onto the session pipeline —
-  /// every field (seed, palette, runtime, budget, device, hooks)
-  /// carries over.
+  /// every field (seed, palette, runtime, budget, hooks) carries over.
   static Session from_params(const core::PicassoParams& params) {
     Session s;
     s.params_ = params;
@@ -365,12 +363,6 @@ class SessionBuilder {
   /// deciding to stream (budget < 2x encoded input => spill + chunk).
   SessionBuilder& memory_budget(std::size_t bytes) {
     session_.params_.memory_budget_bytes = bytes;
-    return *this;
-  }
-
-  /// Routes conflict builds through one simulated device (Algorithm 3).
-  SessionBuilder& device(device::DeviceContext* device) {
-    session_.params_.device = device;
     return *this;
   }
 

@@ -18,9 +18,13 @@
 // solves always run the packed plane kernels. 5.0 removed the simulated
 // multi-device sharding (its strategy, SessionBuilder::devices(), the plan
 // and report members, its counter and RuntimeConfig's chunk_size and
-// deterministic knobs); the single simulated device (.device()) stays.
+// deterministic knobs). 6.0 removed the simulated single device
+// (SessionBuilder::device(), PicassoParams::device, the device CSR build and
+// the csr_built_on_device stats), Jones-Plassmann's RuntimeConfig parameter,
+// the thread-local runtime arenas with their memory subsystem, and the
+// parallel_for / parallel_reduce / chunk_rng primitives.
 
-#define PICASSO_API_VERSION_MAJOR 5
+#define PICASSO_API_VERSION_MAJOR 6
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 

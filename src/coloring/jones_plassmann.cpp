@@ -3,10 +3,8 @@
 namespace picasso::coloring {
 
 template ColoringResult jones_plassmann<graph::CsrGraph>(
-    const graph::CsrGraph&, JpPriority, std::uint64_t,
-    const runtime::RuntimeConfig&);
+    const graph::CsrGraph&, JpPriority, std::uint64_t);
 template ColoringResult jones_plassmann<graph::DenseGraph>(
-    const graph::DenseGraph&, JpPriority, std::uint64_t,
-    const runtime::RuntimeConfig&);
+    const graph::DenseGraph&, JpPriority, std::uint64_t);
 
 }  // namespace picasso::coloring

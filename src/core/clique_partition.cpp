@@ -59,28 +59,19 @@ PartitionResult partition_pauli_strings(const pauli::PauliSet& set,
                                         const PicassoParams& params,
                                         GroupingMode mode) {
   // The edge-free fused engine colors bit-identically to the materialized
-  // one without holding the conflict CSR; a configured device asks for the
-  // device CSR build (Algorithm 3), which only the materialized engine runs.
-  const bool fused = params.device == nullptr;
+  // one without holding the conflict CSR.
   PartitionResult result;
   switch (mode) {
     case GroupingMode::Unitary:
-      result.coloring = fused ? solve_pauli_fused(set, params)
-                              : solve_pauli(set, params);
+      result.coloring = solve_pauli_fused(set, params);
       break;
-    case GroupingMode::GeneralCommute: {
+    case GroupingMode::GeneralCommute:
       // The coloring graph of commute-cliques is the anticommute graph.
-      const graph::AnticommuteOracle oracle(set);
-      result.coloring = fused ? solve_fused(oracle, params)
-                              : solve_oracle(oracle, params);
+      result.coloring = solve_fused(graph::AnticommuteOracle(set), params);
       break;
-    }
-    case GroupingMode::QubitWiseCommute: {
-      const graph::QwcComplementOracle oracle(set);
-      result.coloring = fused ? solve_fused(oracle, params)
-                              : solve_oracle(oracle, params);
+    case GroupingMode::QubitWiseCommute:
+      result.coloring = solve_fused(graph::QwcComplementOracle(set), params);
       break;
-    }
   }
   result.groups = groups_from_coloring(set, result.coloring.colors);
   return result;

@@ -60,8 +60,8 @@ struct PartitionResult {
 /// End-to-end: color the mode's coloring graph (Unitary: the complement of
 /// the anticommute graph, exactly the paper's pipeline) with Picasso and
 /// split the set into groups (one per color class, ordered by first member).
-/// Colors with the edge-free fused engine, or with the materialized engine
-/// (same coloring) when params.device asks for the device CSR build.
+/// Colors with the edge-free fused engine, which gives the materialized
+/// engine's coloring.
 PartitionResult partition_pauli_strings(const pauli::PauliSet& set,
                                         const PicassoParams& params = {},
                                         GroupingMode mode = GroupingMode::Unitary);

@@ -1,5 +1,6 @@
 #include "core/conflict_graph.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,22 @@ const char* to_string(ConflictKernel k) noexcept {
 }
 
 namespace detail {
+
+void fill_csr(const std::vector<std::uint64_t>& offsets,
+              const std::uint32_t* coo, std::uint64_t num_edges,
+              std::uint32_t* neighbors_out) {
+  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (std::uint64_t e = 0; e < num_edges; ++e) {
+    const std::uint32_t u = coo[2 * e];
+    const std::uint32_t v = coo[2 * e + 1];
+    neighbors_out[cursor[u]++] = v;
+    neighbors_out[cursor[v]++] = u;
+  }
+  const std::size_t n = offsets.size() - 1;
+  for (std::size_t v = 0; v < n; ++v) {
+    std::sort(neighbors_out + offsets[v], neighbors_out + offsets[v + 1]);
+  }
+}
 
 std::uint32_t color_index_slot_bits(std::uint32_t n, std::uint32_t list_size) {
   const auto bits = static_cast<std::uint32_t>(

@@ -15,8 +15,9 @@
 //    smallest shared color). Expected work Σ_c |S_c|^2 (L + oracle) — the
 //    optimised path that stands in for the paper's accelerated build.
 //
-// Either kernel can route its output through the simulated device pipeline
-// of Algorithm 3 (device/device_conflict.hpp).
+// Both kernels feed one host COO -> CSR assembly (csr_from_partitions), the
+// host branch of Algorithm 3: per-vertex counts, an exclusive prefix sum,
+// then a sorted-row scatter (Lines 3-4 and 7).
 
 #include <cstdint>
 #include <span>
@@ -24,7 +25,6 @@
 
 #include "core/conflict_oracle.hpp"
 #include "core/palette.hpp"
-#include "device/device_conflict.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/oracles.hpp"
 #include "runtime/parallel_for.hpp"
@@ -83,7 +83,6 @@ struct ConflictBuildResult {
   std::uint32_t num_conflicted_vertices = 0;  // |Vc|
   double seconds = 0.0;
   std::size_t logical_bytes = 0;
-  bool csr_built_on_device = false;
 };
 
 namespace detail {
@@ -208,11 +207,17 @@ void enumerate_indexed(const Oracle& oracle,
                           std::forward<Emit>(emit));
 }
 
+/// Scatters an unordered COO list (num_edges (u, v) pairs) into the CSR rows
+/// that `offsets` delimits, then sorts each row so the result satisfies the
+/// CsrGraph invariants (sorted rows, binary-search adjacency).
+void fill_csr(const std::vector<std::uint64_t>& offsets,
+              const std::uint32_t* coo, std::uint64_t num_edges,
+              std::uint32_t* neighbors_out);
+
 /// Merges COO partitions into the conflict CSR: per-vertex degree counts,
-/// offsets via the existing util prefix sum, then the same sorted-row
-/// scatter the device path uses. This is the *only* COO -> CSR assembly in
-/// the host build — serial and parallel paths both land here, so their
-/// bit-identity cannot drift.
+/// offsets via the util prefix sum, then fill_csr's sorted-row scatter. This
+/// is the *only* COO -> CSR assembly in the conflict build — serial and
+/// parallel paths both land here, so their bit-identity cannot drift.
 inline graph::CsrGraph csr_from_partitions(
     std::uint32_t n, std::vector<std::vector<std::uint32_t>> parts) {
   std::vector<std::uint64_t> counts(n, 0);
@@ -238,7 +243,7 @@ inline graph::CsrGraph csr_from_partitions(
                 // COO copy plus the CSR, not two copies plus the CSR
   }
   std::vector<std::uint32_t> neighbors(2 * num_edges);
-  device::fill_csr(offsets, coo.data(), num_edges, neighbors.data());
+  fill_csr(offsets, coo.data(), num_edges, neighbors.data());
   return graph::CsrGraph::from_csr(std::move(offsets), std::move(neighbors));
 }
 
@@ -361,42 +366,6 @@ ConflictBuildResult build_conflict_graph(
   result.num_edges = result.graph.num_edges();
   result.num_conflicted_vertices = detail::count_conflicted(result.graph);
   result.logical_bytes = result.graph.logical_bytes();
-  result.seconds = timer.seconds();
-  return result;
-}
-
-/// Device-pipeline conflict-graph construction (Algorithm 3): same edge
-/// set, but the COO buffer, counters and (if they fit) the CSR arrays are
-/// charged against the device budget.
-template <graph::GraphOracle Oracle>
-ConflictBuildResult build_conflict_graph_device(
-    device::DeviceContext& ctx, const Oracle& oracle,
-    std::span<const std::uint32_t> active, const ColorLists& lists,
-    std::uint32_t palette_size, ConflictKernel kernel) {
-  util::WallTimer timer;
-  ConflictBuildResult result;
-  const auto n = static_cast<std::uint32_t>(active.size());
-  const std::uint64_t worst_case =
-      static_cast<std::uint64_t>(n) * (n > 0 ? n - 1 : 0) / 2;
-  kernel = resolve_kernel(kernel, palette_size, lists.list_size(),
-                          BlockConflictOracle<Oracle>);
-  device::DeviceCsrResult dres;
-  if (kernel == ConflictKernel::Reference) {
-    dres = device::build_conflict_csr(ctx, n, worst_case, [&](auto&& emit) {
-      detail::enumerate_reference(oracle, active, lists,
-                                  std::forward<decltype(emit)>(emit));
-    });
-  } else {
-    dres = device::build_conflict_csr(ctx, n, worst_case, [&](auto&& emit) {
-      detail::enumerate_indexed(oracle, active, lists, palette_size,
-                                std::forward<decltype(emit)>(emit));
-    });
-  }
-  result.graph = std::move(dres.graph);
-  result.num_edges = dres.num_edges;
-  result.num_conflicted_vertices = detail::count_conflicted(result.graph);
-  result.logical_bytes = dres.device_peak_bytes;
-  result.csr_built_on_device = dres.csr_built_on_device;
   result.seconds = timer.seconds();
   return result;
 }

@@ -21,11 +21,9 @@
 #include "core/list_coloring.hpp"
 #include "core/palette.hpp"
 #include "core/solve_control.hpp"
-#include "device/device_context.hpp"
 #include "graph/oracles.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/arena.hpp"
 #include "runtime/runtime_config.hpp"
 #include "util/memory.hpp"
 #include "util/packed_colors.hpp"
@@ -53,10 +51,6 @@ struct PicassoParams {
   /// so results are bit-identical to `runtime.num_threads = 1`. The fused
   /// engines ignore it: their strike scans run on the calling thread.
   runtime::RuntimeConfig runtime;
-  /// When set, conflict graphs are built through the simulated device
-  /// (Algorithm 3) against its memory budget. The device pipeline charges a
-  /// single sequential ledger, so it always runs serially.
-  device::DeviceContext* device = nullptr;
   /// Hard cap on tracked resident bytes for the whole run (0 = unlimited).
   /// The oracle driver reports against it (MemoryReport::within_budget);
   /// the budgeted streaming driver (core/streaming.hpp) additionally sizes
@@ -80,7 +74,7 @@ struct PicassoParams {
 };
 
 /// Unified memory telemetry for one run: the registry's per-subsystem
-/// high-water marks (arenas, conflict CSR, palettes, chunk cache, ML
+/// high-water marks (conflict CSR, palettes, chunk cache, ML
 /// features, ...) plus the streaming pipeline's spill counters. Every bench
 /// surfaces this as machine-readable JSON via to_json().
 struct MemoryReport {
@@ -124,7 +118,6 @@ struct IterationStats {
   double conflict_seconds = 0.0;
   double coloring_seconds = 0.0;
   std::size_t logical_bytes = 0;      // iteration-local peak
-  bool csr_built_on_device = false;
 };
 
 struct PicassoResult {
@@ -215,26 +208,19 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
     util::ScopedCharge lists_charge(util::MemSubsystem::PaletteLists,
                                     lists.logical_bytes(), memory);
 
-    // Line 7: conflict graph (host or simulated-device pipeline).
+    // Line 7: conflict graph, assembled as a CSR on the host.
     ConflictBuildResult conflict;
     {
       obs::ScopedPhase acc(params.trace, "conflict_graph",
                            stats.conflict_seconds);
-      if (params.device != nullptr) {
-        conflict = build_conflict_graph_device(*params.device, oracle, active,
-                                               lists, palette.palette_size,
-                                               params.kernel);
-      } else {
-        conflict = build_conflict_graph(oracle, active, lists,
-                                        palette.palette_size, params.kernel,
-                                        params.runtime);
-      }
+      conflict = build_conflict_graph(oracle, active, lists,
+                                      palette.palette_size, params.kernel,
+                                      params.runtime);
     }
     util::ScopedCharge csr_charge(util::MemSubsystem::ConflictCsr,
                                   conflict.graph.logical_bytes(), memory);
     stats.conflict_edges = conflict.num_edges;
     stats.conflicted_vertices = conflict.num_conflicted_vertices;
-    stats.csr_built_on_device = conflict.csr_built_on_device;
 
     // Lines 8-9: color unconflicted vertices and the conflict graph. The
     // list colorer handles isolated conflict-graph vertices (the
@@ -294,11 +280,7 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
   result.num_colors =
       detail::count_palette_colors(result.colors, result.palette_total);
   result.total_seconds = total_timer.seconds();
-  // Fold the thread-arena high-water mark in (process-lifetime, hence a
-  // conservative upper bound for this run) and snapshot the telemetry while
-  // the run scope's budget is still installed.
-  memory.record_external_peak(util::MemSubsystem::Arena,
-                              runtime::thread_arena_peak_total());
+  // Snapshot the telemetry while the run scope's budget is still installed.
   result.memory = MemoryReport::capture(memory.snapshot());
   return result;
 }

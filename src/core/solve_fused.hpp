@@ -556,8 +556,6 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
   result.num_colors =
       count_palette_colors(result.colors, result.palette_total);
   result.total_seconds = total_timer.seconds();
-  memory.record_external_peak(util::MemSubsystem::Arena,
-                              runtime::thread_arena_peak_total());
   result.memory = MemoryReport::capture(memory.snapshot());
   return result;
 }

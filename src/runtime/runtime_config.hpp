@@ -4,9 +4,8 @@
 // Every parallel entry point in the library threads one of these through to
 // the thread pool. The contract that matters for reproducing the paper's
 // tables: results are bit-identical across any `num_threads`, including the
-// serial `num_threads = 1` reference — chunk decompositions depend only on
-// the input, per-chunk RNG streams are keyed by chunk index (never by
-// executing thread), and chunk outputs are merged in chunk order.
+// serial `num_threads = 1` reference — each chunk's work is a restriction of
+// the serial loop, and chunk outputs are merged in chunk order.
 
 #include <cstdint>
 

@@ -1,15 +1,15 @@
 #pragma once
-// Work-stealing thread pool — the execution engine behind every parallel
-// phase in the library (conflict-graph build, Jones-Plassmann rounds).
+// Work-stealing thread pool — the execution engine behind the library's
+// parallel phase, the materialized conflict-graph build.
 //
 // Design: one deque per worker. submit() feeds deques round-robin; a worker
 // pops from the front of its own deque and, when empty, steals from the back
 // of a victim's — classic Arora-Blumofe-Plasser shape, with mutexed deques
 // rather than lock-free ones (chunk granularity in this library is hundreds
 // of microseconds and up, so queue overhead is noise). Determinism is never
-// the pool's job: callers make results schedule-independent by keying RNG
-// streams and output slots by *chunk index* (see parallel_for.hpp), so it
-// does not matter which worker runs which chunk.
+// the pool's job: callers make results schedule-independent by keying
+// output slots by *chunk index* (see parallel_for.hpp), so it does not
+// matter which worker runs which chunk.
 //
 // Pools are cached per worker count via ThreadPool::shared(); the hot paths
 // resolve a pool from a RuntimeConfig with resolve_pool(), which returns
@@ -116,7 +116,8 @@ inline ThreadPool* resolve_pool(const RuntimeConfig& config,
 /// groups are per-call-site, so concurrent callers do not wait on each
 /// other's tasks. The first exception a task throws is captured and
 /// rethrown from wait() on the calling thread (remaining tasks still run to
-/// completion) — device-budget OOMs cross the pool boundary intact.
+/// completion) — an allocation failure in a chunk reaches the caller as
+/// the same exception.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}

@@ -176,8 +176,8 @@ class WireReader {
 // Messages.
 
 /// Solve-relevant parameters a request carries. Deliberately the subset of
-/// core::PicassoParams that travels well: hooks/devices/tracing stay
-/// server-side concerns.
+/// core::PicassoParams that travels well: hooks, the runtime config and
+/// tracing stay server-side concerns.
 struct RemoteParams {
   double palette_percent = 12.5;
   double alpha = 2.0;

@@ -16,7 +16,6 @@ const char* to_string(MemSubsystem s) noexcept {
     case MemSubsystem::PaletteLists: return "palette_lists";
     case MemSubsystem::ConflictCsr: return "conflict_csr";
     case MemSubsystem::ColoringAux: return "coloring_aux";
-    case MemSubsystem::Arena: return "arena";
     case MemSubsystem::MlFeatures: return "ml_features";
     case MemSubsystem::FusedFrontier: return "fused_frontier";
     case MemSubsystem::Spill: return "spill";

@@ -12,7 +12,7 @@
 //
 // On top of the per-algorithm trackers sits the process-wide MemoryRegistry:
 // per-subsystem high-water-mark accounting (Pauli input, chunk cache, color
-// lists, conflict CSR, coloring auxiliaries, runtime arenas, ML features,
+// lists, conflict CSR, coloring auxiliaries, ML features, fused frontier,
 // spill files) plus an optional hard budget. The budgeted streaming pipeline
 // sizes its chunk cache against the registry's headroom, and every bench can
 // snapshot it into a machine-readable MemoryReport.
@@ -89,12 +89,11 @@ enum class MemSubsystem : unsigned {
   PaletteLists,  // one iteration's color lists
   ConflictCsr,   // conflict-graph COO staging + CSR arrays
   ColoringAux,   // list-coloring buckets / heaps / marks
-  Arena,         // runtime thread-local scratch arenas
   MlFeatures,    // ML predictor feature/label matrices
   FusedFrontier, // fused engine: color index + working lists + bucket queue
   Spill,         // bytes written to spill files on disk
 };
-inline constexpr std::size_t kNumMemSubsystems = 9;
+inline constexpr std::size_t kNumMemSubsystems = 8;
 
 const char* to_string(MemSubsystem s) noexcept;
 
@@ -123,8 +122,9 @@ class MemoryRegistry {
   /// (always charges when no budget is set). Returns whether it charged.
   bool try_charge(MemSubsystem sub, std::size_t bytes) noexcept;
 
-  /// Folds an externally tracked peak (e.g. the arena high-water mark) into
-  /// the subsystem and total peaks without changing current levels.
+  /// Folds an externally tracked peak (e.g. a list colorer's auxiliary
+  /// high-water mark) into the subsystem and total peaks without changing
+  /// current levels.
   void record_external_peak(MemSubsystem sub, std::size_t peak) noexcept;
 
   void set_budget(std::size_t bytes) noexcept {

@@ -1,6 +1,6 @@
 #pragma once
-// Exclusive prefix sums (scans), the workhorse of COO -> CSR conversion both
-// on the host and in the simulated device pipeline (Algorithm 3, Line 4).
+// Exclusive prefix sums (scans), the workhorse of the conflict build's
+// COO -> CSR conversion (Algorithm 3, Line 4).
 
 #include <cstddef>
 #include <vector>

@@ -1,6 +1,6 @@
 // The public session front-end: builder validation (structured ApiErrors),
-// plan selection (budget forces streaming, a device list forces sharding,
-// spill/stream problems pick their pipelines), cooperative cancellation
+// plan selection (budget forces streaming, spill/stream problems pick
+// their pipelines), cooperative cancellation
 // (including the no-spill-left-behind guarantee), progress reporting,
 // async solves, problem factories, and the version macros.
 
@@ -113,22 +113,6 @@ TEST(SessionPlan, AutoPlansFusedWithTheInMemoryColoringForEveryKind) {
               picasso::util::coloring_fingerprint(ref.result.colors))
         << name;
   }
-}
-
-// The fused engine cannot run on a simulated device, so a configured
-// device keeps Auto on the materialized engine's device CSR build.
-TEST(SessionPlan, AutoWithDeviceStaysInMemory) {
-  picasso::device::DeviceContext ctx(64u << 20);
-  const auto session = papi::SessionBuilder().device(&ctx).build();
-  const auto set = random_set(80, 10, 17);
-  const auto g = pg::erdos_renyi_dense(60, 0.4, 17);
-  EXPECT_EQ(session.plan(papi::Problem::pauli(set)).strategy,
-            papi::ExecutionStrategy::InMemory);
-  EXPECT_EQ(session.plan(papi::Problem::dense(g)).strategy,
-            papi::ExecutionStrategy::InMemory);
-  const auto report = session.solve(papi::Problem::dense(g));
-  EXPECT_EQ(report.plan.strategy, papi::ExecutionStrategy::InMemory);
-  EXPECT_TRUE(report.result.iterations.front().csr_built_on_device);
 }
 
 TEST(SessionPlan, TightBudgetForcesStreamingForPauli) {
@@ -546,18 +530,6 @@ TEST(SessionFused, RejectsEdgeStreamProblems) {
   expect_api_error(
       [&] { session.plan(papi::Problem::edge_stream(3, stream)); },
       papi::ErrorCode::IncompatibleStrategy, "strategy");
-}
-
-TEST(SessionFused, RejectsDeviceConfigurations) {
-  picasso::device::DeviceContext ctx(1 << 20);
-  expect_api_error(
-      [&] {
-        papi::SessionBuilder()
-            .strategy(papi::ExecutionStrategy::Fused)
-            .device(&ctx)
-            .build();
-      },
-      papi::ErrorCode::InvalidConfiguration, "strategy");
 }
 
 TEST(SessionFused, BucketProgressEventsFireAndComposeWithIterations) {

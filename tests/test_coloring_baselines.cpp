@@ -12,6 +12,7 @@
 #include "coloring/speculative.hpp"
 #include "coloring/verify.hpp"
 #include "graph/graph_gen.hpp"
+#include "util/fnv.hpp"
 
 namespace pc = picasso::coloring;
 namespace pg = picasso::graph;
@@ -183,6 +184,37 @@ TEST(JonesPlassmann, DeterministicPerSeed) {
   const auto a = pc::jones_plassmann(g, pc::JpPriority::LargestDegreeFirst, 9);
   const auto b = pc::jones_plassmann(g, pc::JpPriority::LargestDegreeFirst, 9);
   EXPECT_EQ(a.colors, b.colors);
+}
+
+// A JP coloring is a pure function of (graph, priority, seed): these
+// fingerprints, colors and round counts are pinned so no change to the
+// schedule can move them.
+TEST(JonesPlassmann, ColoringsArePinnedForBothPriorities) {
+  const auto sparse = pg::rmat(2000, 16000, 0.45, 0.22, 0.22, 3);
+  const auto dense = pg::erdos_renyi_dense(300, 0.5, 2);
+  struct Pin {
+    pc::JpPriority priority;
+    std::uint64_t sparse_hash;
+    std::uint32_t sparse_colors;
+    int sparse_rounds;
+    std::uint64_t dense_hash;
+    std::uint32_t dense_colors;
+    int dense_rounds;
+  };
+  for (const Pin& pin :
+       {Pin{pc::JpPriority::Random, 0x41a04fb4bbc55d39ULL, 17, 75,
+            0x54707718a071a7f3ULL, 49, 182},
+        Pin{pc::JpPriority::LargestDegreeFirst, 0x440cf50b7104c451ULL, 13, 64,
+            0xd83d210d2cc9bb58ULL, 45, 167}}) {
+    const auto rs = pc::jones_plassmann(sparse, pin.priority, 7);
+    EXPECT_EQ(picasso::util::coloring_fingerprint(rs.colors), pin.sparse_hash);
+    EXPECT_EQ(rs.num_colors, pin.sparse_colors);
+    EXPECT_EQ(rs.rounds, pin.sparse_rounds);
+    const auto rd = pc::jones_plassmann(dense, pin.priority, 7);
+    EXPECT_EQ(picasso::util::coloring_fingerprint(rd.colors), pin.dense_hash);
+    EXPECT_EQ(rd.num_colors, pin.dense_colors);
+    EXPECT_EQ(rd.rounds, pin.dense_rounds);
+  }
 }
 
 TEST(JonesPlassmann, CompleteGraphTakesNColorsAndNRounds) {

@@ -1,7 +1,7 @@
 // Tests for conflict-graph construction (Algorithm 1 Line 7 / §V): the
 // defining property (edge ⇔ lists intersect AND oracle edge), exact
-// agreement between the reference and indexed kernels, and the device
-// pipeline's equivalence with the host path.
+// agreement between the reference and indexed kernels, and the COO -> CSR
+// scatter that assembles every conflict graph.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "core/conflict_graph.hpp"
 #include "core/palette.hpp"
-#include "device/device_context.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
 #include "pauli/datasets.hpp"
@@ -132,64 +131,13 @@ TEST(ConflictGraph, EmptyAndSingletonInputs) {
   EXPECT_EQ(r1.graph.num_vertices(), 1u);
 }
 
-TEST(ConflictGraph, DevicePipelineMatchesHost) {
-  const auto graph = pg::erdos_renyi_dense(120, 0.6, 9);
-  const pg::DenseOracle oracle(graph);
-  const auto active = identity_active(120);
-  const auto palette = pcore::compute_palette(120, 15.0, 2.5, 0);
-  const auto lists = pcore::assign_random_lists(120, palette, 2, 0);
-
-  const auto host = pcore::build_conflict_graph(
-      oracle, active, lists, palette.palette_size, pcore::ConflictKernel::Indexed);
-
-  picasso::device::DeviceContext ctx(64u << 20);
-  const auto device = pcore::build_conflict_graph_device(
-      ctx, oracle, active, lists, palette.palette_size,
-      pcore::ConflictKernel::Indexed);
-  EXPECT_EQ(edges_of(device.graph), edges_of(host.graph));
-  EXPECT_TRUE(device.csr_built_on_device);  // plenty of budget
-  EXPECT_GT(device.logical_bytes, 0u);
-  EXPECT_EQ(ctx.used_bytes(), 0u);  // everything refunded after build
-}
-
-TEST(ConflictGraph, DeviceFallsBackToHostCsrWhenTight) {
-  // Budget large enough for counters + COO but too small to also hold the
-  // CSR neighbor array on device -> host fallback path (Algorithm 3 Line 7).
-  const auto graph = pg::erdos_renyi_dense(200, 0.9, 4);
-  const pg::DenseOracle oracle(graph);
-  const auto active = identity_active(200);
-  const auto palette = pcore::compute_palette(200, 10.0, 4.0, 0);
-  const auto lists = pcore::assign_random_lists(200, palette, 8, 0);
-
-  const auto host = pcore::build_conflict_graph(
-      oracle, active, lists, palette.palette_size, pcore::ConflictKernel::Indexed);
-  ASSERT_GT(host.num_edges, 100u);
-
-  // counters: 200*8 bytes; COO: 8 bytes per edge. Size the budget so that
-  // the final 2|Ec|*4-byte CSR does NOT fit in what remains.
-  const std::size_t counters = 200 * sizeof(std::uint64_t);
-  const std::size_t coo = static_cast<std::size_t>(host.num_edges) * 8;
-  picasso::device::DeviceContext ctx(counters + coo + coo / 4);
-  const auto device = pcore::build_conflict_graph_device(
-      ctx, oracle, active, lists, palette.palette_size,
-      pcore::ConflictKernel::Indexed);
-  EXPECT_FALSE(device.csr_built_on_device);
-  EXPECT_EQ(edges_of(device.graph), edges_of(host.graph));
-}
-
-TEST(ConflictGraph, DeviceOutOfMemoryWhenCooOverflows) {
-  const auto graph = pg::erdos_renyi_dense(300, 0.9, 6);
-  const pg::DenseOracle oracle(graph);
-  const auto active = identity_active(300);
-  const auto palette = pcore::compute_palette(300, 5.0, 4.5, 0);
-  const auto lists = pcore::assign_random_lists(300, palette, 3, 0);
-  // Tiny budget: the COO buffer cannot hold the conflict edges.
-  picasso::device::DeviceContext ctx(300 * sizeof(std::uint64_t) + 1024);
-  EXPECT_THROW(pcore::build_conflict_graph_device(
-                   ctx, oracle, active, lists, palette.palette_size,
-                   pcore::ConflictKernel::Reference),
-               picasso::device::DeviceOutOfMemory);
-  EXPECT_GE(ctx.oom_count(), 1u);
+TEST(FillCsr, ScattersAndSortsRows) {
+  // Edges (0,2), (0,1), (1,2): offsets for degrees 2,2,2.
+  const std::vector<std::uint64_t> offsets{0, 2, 4, 6};
+  const std::uint32_t coo[] = {0, 2, 0, 1, 1, 2};
+  std::vector<std::uint32_t> neighbors(6);
+  pcore::detail::fill_csr(offsets, coo, 3, neighbors.data());
+  EXPECT_EQ(neighbors, (std::vector<std::uint32_t>{1, 2, 0, 2, 0, 1}));
 }
 
 TEST(ConflictGraph, WorksOnRealPauliOracle) {

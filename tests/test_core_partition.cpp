@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "core/clique_partition.hpp"
-#include "device/device_context.hpp"
 #include "graph/oracles.hpp"
 #include "pauli/datasets.hpp"
 
@@ -152,8 +151,7 @@ TEST(Partition, IdentityStringLandsInItsOwnGroupOrAlone) {
 
 // partition_pauli_strings colors edge-free; its groups are exactly those of
 // the materialized engine (paper Algorithm 1) over the same mode's oracle,
-// in every grouping mode. A configured device still routes through the
-// materialized engine's device CSR build, with the same groups.
+// in every grouping mode.
 TEST(Partition, FusedGroupsMatchTheMaterializedEngineInEveryMode) {
   const auto set = small_random_set(300, 8, 21);
   pcore::PicassoParams params;
@@ -181,15 +179,5 @@ TEST(Partition, FusedGroupsMatchTheMaterializedEngineInEveryMode) {
           << to_string(mode) << " group " << g;
     }
     EXPECT_TRUE(pcore::verify_partition(set, result.groups, mode).empty());
-
-    picasso::device::DeviceContext ctx(64u << 20);
-    pcore::PicassoParams on_device = params;
-    on_device.device = &ctx;
-    const auto device_result =
-        pcore::partition_pauli_strings(set, on_device, mode);
-    EXPECT_TRUE(device_result.coloring.iterations.front().csr_built_on_device)
-        << to_string(mode);
-    EXPECT_EQ(device_result.coloring.colors, reference.colors)
-        << to_string(mode);
   }
 }

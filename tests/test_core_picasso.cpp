@@ -1,7 +1,6 @@
 // End-to-end tests for the Picasso driver (Algorithm 1): validity on
 // explicit and implicit graphs, determinism, palette disjointness across
-// iterations, device-pipeline equivalence, parameter trade-offs, and the
-// max-iterations safety valve.
+// iterations, parameter trade-offs, and the max-iterations safety valve.
 
 #include <gtest/gtest.h>
 
@@ -77,17 +76,6 @@ TEST(Picasso, KernelsProduceIdenticalColorings) {
                        .solve(papi::Problem::dense(g))
                        .result;
   EXPECT_EQ(idx.colors, ref.colors);
-}
-
-TEST(Picasso, DevicePipelineMatchesHostColoring) {
-  const auto g = pg::erdos_renyi_dense(200, 0.5, 5);
-  pcore::PicassoParams params;
-  const auto host = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
-  picasso::device::DeviceContext ctx(256u << 20);
-  params.device = &ctx;
-  const auto device = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
-  EXPECT_EQ(host.colors, device.colors);
-  EXPECT_TRUE(device.iterations.front().csr_built_on_device);
 }
 
 TEST(Picasso, IterationPalettesAreDisjoint) {

@@ -81,11 +81,11 @@ TEST(Integration, AllExecutionPathsProduceTheSameColoring) {
                              .result;
   EXPECT_EQ(indexed.colors, reference.colors);
 
-  picasso::device::DeviceContext ctx(512u << 20);
-  params.device = &ctx;
-  params.kernel = pcore::ConflictKernel::Indexed;
-  const auto device = papi::Session::from_params(params).solve(papi::Problem::pauli(set)).result;
-  EXPECT_EQ(indexed.colors, device.colors);
+  // Auto plans the edge-free fused engine for an in-memory Pauli set.
+  const auto fused =
+      papi::Session::from_params(params).solve(papi::Problem::pauli(set));
+  EXPECT_EQ(fused.plan.strategy, papi::ExecutionStrategy::Fused);
+  EXPECT_EQ(indexed.colors, fused.result.colors);
 }
 
 TEST(Integration, PicassoPeakMemoryBeatsExplicitCsr) {

@@ -8,14 +8,18 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "coloring/jones_plassmann.hpp"
 #include "core/picasso.hpp"
 #include "graph/graph_gen.hpp"
+#include "pauli/pauli_set.hpp"
 #include "util/memory.hpp"
+#include "util/rng.hpp"
 
 namespace pu = picasso::util;
 namespace pcore = picasso::core;
 namespace papi = picasso::api;
 namespace pg = picasso::graph;
+namespace pp = picasso::pauli;
 
 TEST(MemoryRegistry, HighWaterMarkPerSubsystemAndTotal) {
   pu::MemoryRegistry reg;
@@ -69,19 +73,19 @@ TEST(MemoryRegistry, UnlimitedBudgetAlwaysAdmits) {
 
 TEST(MemoryRegistry, ResetPeaksRebasesToCurrent) {
   pu::MemoryRegistry reg;
-  reg.charge(pu::MemSubsystem::Arena, 500);
-  reg.release(pu::MemSubsystem::Arena, 400);
+  reg.charge(pu::MemSubsystem::ColoringAux, 500);
+  reg.release(pu::MemSubsystem::ColoringAux, 400);
   reg.reset_peaks();
   EXPECT_EQ(reg.peak_bytes(), 100u);
-  EXPECT_EQ(reg.snapshot()
-                .subsystem_peak[static_cast<unsigned>(pu::MemSubsystem::Arena)],
+  EXPECT_EQ(reg.snapshot().subsystem_peak[static_cast<unsigned>(
+                pu::MemSubsystem::ColoringAux)],
             100u);
 }
 
 TEST(MemoryRegistry, ExternalPeakFoldsInWithoutChangingCurrent) {
   pu::MemoryRegistry reg;
   reg.charge(pu::MemSubsystem::ConflictCsr, 100);
-  reg.record_external_peak(pu::MemSubsystem::Arena, 70);
+  reg.record_external_peak(pu::MemSubsystem::ColoringAux, 70);
   EXPECT_EQ(reg.current_bytes(), 100u);
   EXPECT_EQ(reg.peak_bytes(), 170u);  // concurrent-peak upper bound
 }
@@ -94,8 +98,8 @@ TEST(MemoryRegistry, ConcurrentChargesBalance) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg] {
       for (int i = 0; i < kIters; ++i) {
-        reg.charge(pu::MemSubsystem::Arena, 64);
-        reg.release(pu::MemSubsystem::Arena, 64);
+        reg.charge(pu::MemSubsystem::ColoringAux, 64);
+        reg.release(pu::MemSubsystem::ColoringAux, 64);
       }
     });
   }
@@ -232,4 +236,31 @@ TEST(MemoryReport, TrackedListsPeakMatchesDriverAccounting) {
               expected)
         << papi::to_string(strategy);
   }
+}
+
+// A solve's report holds only what that solve charged: running a baseline
+// colorer in between must not show up in a later solve's subsystem peaks.
+TEST(MemoryReport, BaselineColoringLeavesLaterSolvePeaksUnchanged) {
+  picasso::util::Xoshiro256 rng(31);
+  std::vector<pp::PauliString> strings;
+  for (int i = 0; i < 300; ++i) {
+    pp::PauliString s(12);
+    for (std::size_t q = 0; q < 12; ++q) {
+      s.set_op(q, static_cast<pp::PauliOp>(rng.bounded(4)));
+    }
+    strings.push_back(s);
+  }
+  const pp::PauliSet set(strings);
+  const auto solve = [&set] {
+    return papi::Session::from_params({})
+        .solve(papi::Problem::pauli(set))
+        .result.memory;
+  };
+  const auto before = solve();
+  const auto g = pg::erdos_renyi(500, 0.1, 31);
+  const auto jp = picasso::coloring::jones_plassmann(g);
+  ASSERT_GT(jp.num_colors, 0u);
+  const auto after = solve();
+  EXPECT_EQ(before.subsystem_peak, after.subsystem_peak);
+  EXPECT_EQ(before.peak_tracked_bytes, after.peak_tracked_bytes);
 }

@@ -1,7 +1,7 @@
 // Serial-vs-parallel equivalence: every runtime-powered path must be
 // bit-identical to the serial num_threads = 1 reference — the conflict CSR
-// (both kernels), the full core solve_oracle driver and Jones-Plassmann — on
-// every test graph family. This is the contract that lets the paper's
+// (both kernels) and the full core solve_oracle driver — on every test
+// graph family. This is the contract that lets the paper's
 // tables be reproduced at any thread count.
 
 #include <gtest/gtest.h>
@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "coloring/jones_plassmann.hpp"
-#include "coloring/verify.hpp"
 #include "core/picasso.hpp"
 #include "graph/graph_gen.hpp"
 #include "graph/oracles.hpp"
@@ -21,7 +19,6 @@
 namespace pcore = picasso::core;
 namespace papi = picasso::api;
 namespace pg = picasso::graph;
-namespace pc = picasso::coloring;
 namespace rt = picasso::runtime;
 
 namespace {
@@ -196,33 +193,4 @@ TEST(PicassoEquivalence, AggressiveConfigAndReferenceKernel) {
                             .solve(papi::Problem::oracle(oracle))
                             .result;
   EXPECT_EQ(serial.colors, parallel.colors);
-}
-
-// ---------------------------------------------------------------------------
-// Jones-Plassmann.
-
-TEST(JonesPlassmannEquivalence, RoundsAndColorsMatchSerial) {
-  for (auto priority :
-       {pc::JpPriority::Random, pc::JpPriority::LargestDegreeFirst}) {
-    const auto g = pg::rmat(2000, 16000, 0.45, 0.22, 0.22, 3);
-    const auto serial = pc::jones_plassmann(g, priority, 7, serial_config());
-    EXPECT_TRUE(pc::is_valid_coloring(g, serial.colors));
-    for (std::uint32_t threads : {2u, 4u, 8u}) {
-      const auto parallel =
-          pc::jones_plassmann(g, priority, 7, parallel_config(threads));
-      EXPECT_EQ(serial.colors, parallel.colors) << threads << " threads";
-      EXPECT_EQ(serial.rounds, parallel.rounds);
-      EXPECT_EQ(serial.num_colors, parallel.num_colors);
-    }
-  }
-}
-
-TEST(JonesPlassmannEquivalence, DenseGraphPath) {
-  const auto g = pg::erdos_renyi_dense(500, 0.5, 2);
-  const auto serial = pc::jones_plassmann(
-      g, pc::JpPriority::LargestDegreeFirst, 1, serial_config());
-  const auto parallel = pc::jones_plassmann(
-      g, pc::JpPriority::LargestDegreeFirst, 1, parallel_config(4));
-  EXPECT_EQ(serial.colors, parallel.colors);
-  EXPECT_TRUE(pc::is_valid_coloring(g, parallel.colors));
 }
