@@ -111,7 +111,7 @@ grep -q "deadline-exceeded" "$WORK/a_deadline.out" \
 sleep 1
 "$CLI" remote H4_1D_sto3g --connect "$ADDR" --verify-local > "$WORK/a_live.out" 2>&1 \
   || fail "daemon A unhealthy after chaos: $(cat "$WORK/a_live.out")"
-exec 9<&- 9>&- 2> /dev/null
+exec 9<&- 9>&-
 
 "$CLI" remote --connect "$ADDR" --stats > "$WORK/a_stats.out" 2>&1 \
   || fail "daemon A stats failed"
@@ -138,6 +138,14 @@ leftover=$(find "$SPILL_A" -name 'picasso_*.pset*' | wc -l)
 # ---------------------------------------------------------------------------
 # Scenario B: failpoint daemon — retry heals a send fault, ENOSPC degrades.
 # ---------------------------------------------------------------------------
+# Budget of the spilling requests in B and C: the encoded size of the input
+# (`picasso_cli info`, in MiB). The budgeted engine spills when twice the
+# input exceeds the budget, so these requests spill by construction.
+ENCODED_MIB=$("$CLI" info H6_3D_631g | sed -n 's/^encoded size *: *\([0-9.]*\) MB$/\1/p')
+[ -n "$ENCODED_MIB" ] || { echo "chaos_smoke: cannot read the encoded size of H6_3D_631g" >&2; exit 1; }
+SPILL_BUDGET=$(awk -v mib="$ENCODED_MIB" 'BEGIN { printf "%d", mib * 1048576 }')
+echo "chaos_smoke: spill budget $SPILL_BUDGET B (H6_3D_631g encodes to $ENCODED_MIB MiB)"
+
 SPILL_B="$WORK/spill_b"
 SOCK_B="$WORK/picasso_b.sock"
 mkdir -p "$SPILL_B"
@@ -159,11 +167,11 @@ grep -q "succeeded on attempt 2" "$WORK/b_retry.out" \
 grep -q "cache-hit" "$WORK/b_retry.out" \
   || fail "retried request did not hit the result cache: $(cat "$WORK/b_retry.out")"
 
-# A budget below 2x the encoded input plans a disk spill; every spill write
-# raises injected ENOSPC, so the engine must fall back in memory and report
-# the downgrade instead of failing.
+# The spill budget plans a disk spill; every spill write raises injected
+# ENOSPC, so the engine must fall back in memory and report the downgrade
+# instead of failing.
 "$CLI" remote H6_3D_631g --connect "unix:$SOCK_B" --strategy fused \
-       --budget 1500000 --verify-local > "$WORK/b_enospc.out" 2>&1
+       --budget "$SPILL_BUDGET" --verify-local > "$WORK/b_enospc.out" 2>&1
 code=$?
 [ "$code" -eq 0 ] || fail "ENOSPC request exited $code: $(cat "$WORK/b_enospc.out")"
 grep -q "DEGRADED" "$WORK/b_enospc.out" && grep -q "ENOSPC" "$WORK/b_enospc.out" \
@@ -197,7 +205,7 @@ CRASH_PID=$SERVE_PID
 echo "chaos_smoke: daemon C up on unix:$SOCK_C (pid $CRASH_PID)"
 
 "$CLI" remote H6_3D_631g --connect "unix:$SOCK_C" --strategy fused \
-       --budget 1500000 > "$WORK/c_solve.out" 2>&1 &
+       --budget "$SPILL_BUDGET" > "$WORK/c_solve.out" 2>&1 &
 CLIENT_PID=$!
 for _ in $(seq 100); do
   [ -n "$(find "$SPILL_C" -name 'picasso_*.pset' -print -quit)" ] && break
@@ -211,6 +219,7 @@ wait "$CLIENT_PID" 2> /dev/null  # client dies with the daemon; outcome irreleva
 if [ -z "$(find "$SPILL_C" -name 'picasso_*.pset*' -print -quit)" ]; then
   # The solve won the race and cleaned up: seed the orphan the crash would
   # have left, named with the now-dead daemon's pid.
+  echo "chaos_smoke: daemon C finished before the kill; seeding its orphan"
   : > "$SPILL_C/picasso_crash_${CRASH_PID}_1.pset"
 fi
 orphans=$(find "$SPILL_C" -name 'picasso_*.pset*' | wc -l)

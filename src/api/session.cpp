@@ -30,6 +30,26 @@ bool oracle_capable(ProblemKind kind) {
   }
 }
 
+/// Runs `engine` on the adjacency oracle of an oracle-backed problem; a
+/// packed Pauli input is charged for the whole solve, as solve_pauli does.
+template <typename Engine>
+core::PicassoResult on_oracle(const Problem& problem, Engine&& engine) {
+  switch (problem.kind()) {
+    case ProblemKind::PackedPauli: {
+      const pauli::PackedPauliSet& set = problem.packed_set();
+      util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
+                                      set.logical_bytes());
+      return engine(graph::PackedComplementOracle(set.view()));
+    }
+    case ProblemKind::Csr:
+      return engine(graph::CsrOracle(problem.csr_graph()));
+    case ProblemKind::Dense:
+      return engine(graph::DenseOracle(problem.dense_graph()));
+    default:
+      return engine(problem.oracle_ref());
+  }
+}
+
 /// A fresh spill path for an incremental state (the state owns and removes
 /// the file). Shares core::unique_spill_path's process-wide counter with
 /// the budgeted engine, so no two concurrent solves — whatever mix of
@@ -302,35 +322,14 @@ SolveReport Session::solve(const Problem& problem,
   if (telemetry_ == obs::TelemetryLevel::Full) params.trace = &recorder;
 
   switch (report.plan.strategy) {
-    case ExecutionStrategy::InMemory: {
-      switch (problem.kind()) {
-        case ProblemKind::Pauli:
-          report.result = core::solve_pauli(problem.pauli_set(), params);
-          break;
-        case ProblemKind::PackedPauli: {
-          const pauli::PackedPauliSet& set = problem.packed_set();
-          util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                          set.logical_bytes());
-          const graph::PackedComplementOracle oracle(set.view());
-          report.result = core::solve_oracle(oracle, params);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrOracle oracle(problem.csr_graph());
-          report.result = core::solve_oracle(oracle, params);
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle oracle(problem.dense_graph());
-          report.result = core::solve_oracle(oracle, params);
-          break;
-        }
-        default:
-          report.result = core::solve_oracle(problem.oracle_ref(), params);
-          break;
-      }
+    case ExecutionStrategy::InMemory:
+      report.result =
+          problem.kind() == ProblemKind::Pauli
+              ? core::solve_pauli(problem.pauli_set(), params)
+              : on_oracle(problem, [&params](const auto& oracle) {
+                  return core::solve_oracle(oracle, params);
+                });
       break;
-    }
     case ExecutionStrategy::SemiStreaming:
       report.result = core::solve_stream(problem.num_vertices(),
                                          problem.edge_source(), params);
@@ -357,26 +356,10 @@ SolveReport Session::solve(const Problem& problem,
           report.result = core::solve_pauli_chunked_fused(reader, params);
           break;
         }
-        case ProblemKind::PackedPauli: {
-          const pauli::PackedPauliSet& set = problem.packed_set();
-          util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
-                                          set.logical_bytes());
-          const graph::PackedComplementOracle oracle(set.view());
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        case ProblemKind::Csr: {
-          const graph::CsrOracle oracle(problem.csr_graph());
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
-        case ProblemKind::Dense: {
-          const graph::DenseOracle oracle(problem.dense_graph());
-          report.result = core::solve_fused(oracle, params);
-          break;
-        }
         default:
-          report.result = core::solve_fused(problem.oracle_ref(), params);
+          report.result = on_oracle(problem, [&params](const auto& oracle) {
+            return core::solve_fused(oracle, params);
+          });
           break;
       }
       break;
@@ -444,21 +427,9 @@ SolveReport Session::solve_incremental(const Problem& problem,
     // Graph-backed baseline: fused solve over the explicit graph, then
     // adopt the coloring. Later update() calls take GraphVertexDelta
     // increments (greedy insertion; see core::FusedState).
-    switch (kind) {
-      case ProblemKind::Csr: {
-        const graph::CsrOracle oracle(problem.csr_graph());
-        report.result = core::solve_fused(oracle, params);
-        break;
-      }
-      case ProblemKind::Dense: {
-        const graph::DenseOracle oracle(problem.dense_graph());
-        report.result = core::solve_fused(oracle, params);
-        break;
-      }
-      default:
-        report.result = core::solve_fused(problem.oracle_ref(), params);
-        break;
-    }
+    report.result = on_oracle(problem, [&params](const auto& oracle) {
+      return core::solve_fused(oracle, params);
+    });
     state = std::make_shared<core::FusedState>(params_, update_params_);
     state->adopt_graph_solution(report.result.colors);
   }

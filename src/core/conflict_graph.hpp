@@ -82,7 +82,6 @@ struct ConflictBuildResult {
   std::uint64_t num_edges = 0;
   std::uint32_t num_conflicted_vertices = 0;  // |Vc|
   double seconds = 0.0;
-  std::size_t logical_bytes = 0;
 };
 
 namespace detail {
@@ -365,7 +364,6 @@ ConflictBuildResult build_conflict_graph(
   }
   result.num_edges = result.graph.num_edges();
   result.num_conflicted_vertices = detail::count_conflicted(result.graph);
-  result.logical_bytes = result.graph.logical_bytes();
   result.seconds = timer.seconds();
   return result;
 }

@@ -9,10 +9,17 @@
 // disjoint ([base, base+P) with advancing base), so cross-iteration validity
 // is structural and the graph itself is only ever touched through the
 // adjacency oracle.
+//
+// The loop exists once, as detail::run_algorithm1 below; each engine
+// supplies only the step that finds one iteration's conflicts and
+// list-colors (Lines 7-9): solve_oracle builds the conflict CSR through the
+// oracle, solve_stream (core/streaming.hpp) in one pass over an edge
+// stream, and the fused engines (core/solve_fused.hpp) strike through the
+// color index without building one.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -167,14 +174,48 @@ PicassoResult solve_pauli(const pauli::PauliSet& set,
 // ---------------------------------------------------------------------------
 // Implementation.
 
-template <graph::GraphOracle Oracle>
-PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
+namespace detail {
+
+/// One iteration of Algorithm 1 as run_algorithm1 hands it to an engine's
+/// step: the active vertices (global ids, ascending; local id = position),
+/// the palette and lists just drawn for them, the coloring RNG, and the
+/// stats the step fills in (conflict_edges, conflicted_vertices and the
+/// seconds of its own phases).
+struct Iteration {
+  int index;
+  std::span<const std::uint32_t> active;
+  const IterationPalette& palette;
+  const ColorLists& lists;
+  util::Xoshiro256& rng;
+  IterationStats& stats;
+};
+
+/// What a step returns: the list coloring of the active set, and the charge
+/// of the structure it colored from (the conflict CSR or the fused color
+/// index), held until the iteration ends. `scratch_bytes` is folded into
+/// that charge once the ColoringAux peak has been recorded.
+struct StepResult {
+  ListColoringResult colored;
+  util::ScopedCharge structure;
+  std::size_t scratch_bytes = 0;
+};
+
+/// Algorithm 1's outer loop, the one every engine runs. It owns the run
+/// scope and root span (`span_name`), the active set, the palette and list
+/// draw of Lines 5-6 (with palette signatures when `signatures`, inside the
+/// PaletteLists charge), the coloring RNG, the ColoringAux peak, frontier
+/// compaction, stats, progress, the singleton tail and the memory capture.
+/// `step(const Iteration&) -> StepResult` is the engine's Lines 7-9: find
+/// the conflicts of the drawn lists and list-color the active set.
+template <typename Step>
+PicassoResult run_algorithm1(std::uint32_t n, const PicassoParams& params,
+                             const char* span_name, bool signatures,
+                             Step&& step) {
   util::WallTimer total_timer;
   util::MemoryRegistry& memory = util::global_memory();
   util::MemoryRunScope run_scope(params.memory_budget_bytes, memory);
-  obs::ScopedSpan solve_span(params.trace, "solve_oracle");
+  obs::ScopedSpan solve_span(params.trace, span_name);
   PicassoResult result;
-  const std::uint32_t n = oracle.num_vertices();
   result.colors.assign(n, 0xffffffffu);
 
   std::vector<std::uint32_t> active(n);
@@ -185,7 +226,7 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
   int iteration = 0;
 
   while (!active.empty() && iteration < params.max_iterations) {
-    detail::throw_if_stopped(params.stop);
+    throw_if_stopped(params.stop);
     obs::ScopedSpan iter_span(params.trace, "iteration",
                               static_cast<std::uint64_t>(iteration));
     IterationStats stats;
@@ -203,36 +244,22 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
       obs::ScopedPhase acc(params.trace, "assign_lists", stats.assign_seconds);
       lists = assign_random_lists(stats.n_active, palette, params.seed,
                                   static_cast<std::uint64_t>(iteration));
-      lists.build_signatures();
+      if (signatures) lists.build_signatures();
     }
     util::ScopedCharge lists_charge(util::MemSubsystem::PaletteLists,
                                     lists.logical_bytes(), memory);
 
-    // Line 7: conflict graph, assembled as a CSR on the host.
-    ConflictBuildResult conflict;
-    {
-      obs::ScopedPhase acc(params.trace, "conflict_graph",
-                           stats.conflict_seconds);
-      conflict = build_conflict_graph(oracle, active, lists,
-                                      palette.palette_size, params.kernel,
-                                      params.runtime);
-    }
-    util::ScopedCharge csr_charge(util::MemSubsystem::ConflictCsr,
-                                  conflict.graph.logical_bytes(), memory);
-    stats.conflict_edges = conflict.num_edges;
-    stats.conflicted_vertices = conflict.num_conflicted_vertices;
-
-    // Lines 8-9: color unconflicted vertices and the conflict graph. The
-    // list colorer handles isolated conflict-graph vertices (the
-    // unconflicted set) as a special case of its main loop.
-    ListColoringResult colored;
-    {
-      obs::ScopedPhase acc(params.trace, "coloring", stats.coloring_seconds);
-      colored = color_conflict_graph(conflict.graph, lists,
-                                     params.conflict_scheme, coloring_rng);
-    }
+    // Lines 7-9: the engine's conflict step and list coloring.
+    StepResult step_result =
+        step(Iteration{iteration, active, palette, lists, coloring_rng, stats});
+    const ListColoringResult& colored = step_result.colored;
     memory.record_external_peak(util::MemSubsystem::ColoringAux,
                                 colored.aux_peak_bytes);
+    // A resize, not an external peak: the structure's bytes are already in
+    // the registry's current level, so adding them again would double-count
+    // the total peak.
+    util::ScopedCharge& structure = step_result.structure;
+    structure.resize(structure.bytes() + step_result.scratch_bytes);
 
     std::vector<std::uint32_t> next_active;
     next_active.reserve(colored.uncolored.size());
@@ -247,7 +274,7 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
     stats.colored = colored.num_colored;
     stats.uncolored = static_cast<std::uint32_t>(next_active.size());
     obs::count(obs::Counter::RecolorEvents, stats.uncolored);
-    stats.logical_bytes = lists.logical_bytes() + conflict.logical_bytes +
+    stats.logical_bytes = lists.logical_bytes() + structure.bytes() +
                           colored.aux_peak_bytes +
                           active.capacity() * sizeof(std::uint32_t);
 
@@ -260,9 +287,16 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
     result.peak_logical_bytes =
         std::max(result.peak_logical_bytes, stats.logical_bytes);
 
-    detail::report_iteration(params.progress, iteration, stats.n_active,
-                             stats.colored, stats.uncolored,
-                             stats.conflict_edges);
+    if (params.progress) {
+      ProgressEvent event;
+      event.stage = ProgressStage::IterationDone;
+      event.iteration = iteration;
+      event.n_active = stats.n_active;
+      event.colored = stats.colored;
+      event.uncolored = stats.uncolored;
+      event.conflict_edges = stats.conflict_edges;
+      params.progress(event);
+    }
 
     base_color += palette.palette_size;
     active = std::move(next_active);
@@ -277,12 +311,49 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
   }
   result.palette_total = base_color;
 
-  result.num_colors =
-      detail::count_palette_colors(result.colors, result.palette_total);
+  result.num_colors = count_palette_colors(result.colors, result.palette_total);
   result.total_seconds = total_timer.seconds();
   // Snapshot the telemetry while the run scope's budget is still installed.
   result.memory = MemoryReport::capture(memory.snapshot());
   return result;
+}
+
+/// Lines 8-9 of the two CSR engines: charges the conflict CSR for the rest
+/// of the iteration and list-colors it. The list colorer handles isolated
+/// conflict-graph vertices (the unconflicted set) as a special case of its
+/// main loop.
+inline StepResult color_conflict_csr(const ConflictBuildResult& conflict,
+                                     const Iteration& it,
+                                     const PicassoParams& params) {
+  StepResult out;
+  out.structure = util::ScopedCharge(util::MemSubsystem::ConflictCsr,
+                                     conflict.graph.logical_bytes());
+  it.stats.conflict_edges = conflict.num_edges;
+  it.stats.conflicted_vertices = conflict.num_conflicted_vertices;
+  obs::ScopedPhase acc(params.trace, "coloring", it.stats.coloring_seconds);
+  out.colored = color_conflict_graph(conflict.graph, it.lists,
+                                     params.conflict_scheme, it.rng);
+  return out;
+}
+
+}  // namespace detail
+
+template <graph::GraphOracle Oracle>
+PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
+  return detail::run_algorithm1(
+      oracle.num_vertices(), params, "solve_oracle", /*signatures=*/true,
+      [&](const detail::Iteration& it) {
+        // Line 7: conflict graph, assembled as a CSR on the host.
+        ConflictBuildResult conflict;
+        {
+          obs::ScopedPhase acc(params.trace, "conflict_graph",
+                               it.stats.conflict_seconds);
+          conflict = build_conflict_graph(oracle, it.active, it.lists,
+                                          it.palette.palette_size,
+                                          params.kernel, params.runtime);
+        }
+        return detail::color_conflict_csr(conflict, it, params);
+      });
 }
 
 }  // namespace picasso::core

@@ -140,29 +140,12 @@ using ProgressFn = std::function<void(const ProgressEvent&)>;
 
 namespace detail {
 
-/// The drivers' checkpoint: one branch when no token is attached.
+/// The engines' checkpoint: one branch when no token is attached.
 inline void throw_if_stopped(const StopToken& stop) {
   if (stop.stop_requested()) throw SolveCancelled();
 }
 
-/// Shared IterationDone emission for every driver — the event layout lives
-/// in one place so the four drivers cannot drift apart.
-inline void report_iteration(const ProgressFn& progress, int iteration,
-                             std::uint32_t n_active, std::uint32_t colored,
-                             std::uint32_t uncolored,
-                             std::uint64_t conflict_edges) {
-  if (!progress) return;
-  ProgressEvent event;
-  event.stage = ProgressStage::IterationDone;
-  event.iteration = iteration;
-  event.n_active = n_active;
-  event.colored = colored;
-  event.uncolored = uncolored;
-  event.conflict_edges = conflict_edges;
-  progress(event);
-}
-
-/// Distinct colors of a finished Algorithm-1 run: every driver hands out
+/// Distinct colors of a finished Algorithm-1 run: the loop hands out
 /// colors below palette_total (palettes are disjoint and the tail takes
 /// fresh ones past them), so one bitmap over [0, palette_total) replaces a
 /// copy-and-sort of all n colors.

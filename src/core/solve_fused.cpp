@@ -63,39 +63,50 @@ PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
   return solve_fused(oracle, params);
 }
 
+namespace {
+
+/// Fused tester over a spilled set: the prober reads global ids, so the
+/// active-local candidates are mapped to them first.
+class SpillTester {
+ public:
+  SpillTester(const pauli::ChunkedPauliReader& reader,
+              pauli::PackedPauliChunkCache& cache,
+              std::span<const std::uint32_t> active)
+      : prober_(reader, cache), active_(active) {}
+
+  void operator()(std::uint32_t v, std::span<const std::uint32_t> cands,
+                  std::uint8_t* hits) {
+    global_.resize(cands.size());
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      global_[i] = active_[cands[i]];
+    }
+    prober_.set_u(active_[v]);
+    prober_.edges(global_.data(), global_.size(), hits);
+  }
+
+  std::size_t scratch_bytes() const noexcept {
+    return prober_.scratch_bytes() + global_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  pauli::PackedRecordProber prober_;
+  std::span<const std::uint32_t> active_;
+  std::vector<std::uint32_t> global_;
+};
+
+}  // namespace
+
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params) {
   // The cache persists across iterations so the LRU can exploit whatever
   // locality the strike pattern has.
   pauli::PackedPauliChunkCache cache(reader, util::global_memory());
 
-  PicassoResult result = detail::solve_fused_loop(
+  PicassoResult result = detail::run_algorithm1(
       static_cast<std::uint32_t>(reader.num_strings()), params,
-      "solve_fused_streaming",
-      [&](std::span<const std::uint32_t> active, const ColorLists& lists,
-          detail::ColorIndex& index, const IterationPalette& palette,
-          util::Xoshiro256& rng, int iteration,
-          detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
-          std::size_t& scan_scratch) {
-        // The prober reads global ids; candidates are active-local.
-        pauli::PackedRecordProber prober(reader, cache);
-        std::vector<std::uint32_t> global;
-        auto tester = [&](std::uint32_t v, std::span<const std::uint32_t> cands,
-                          std::uint8_t* hits) {
-          global.resize(cands.size());
-          for (std::size_t i = 0; i < cands.size(); ++i) {
-            global[i] = active[cands[i]];
-          }
-          prober.set_u(active[v]);
-          prober.edges(global.data(), global.size(), hits);
-        };
-        ListColoringResult colored = detail::fused_color_iteration(
-            static_cast<std::uint32_t>(active.size()), lists, index,
-            params.conflict_scheme, rng, tester, params, iteration,
-            palette.palette_size, scan_stats, conflicted, scan_scratch);
-        scan_scratch += prober.scratch_bytes() +
-                        global.capacity() * sizeof(std::uint32_t);
-        return colored;
+      "solve_fused_streaming", /*signatures=*/false,
+      [&](const detail::Iteration& it) {
+        return detail::fused_step<SpillTester>(it, params, reader, cache);
       });
 
   result.memory.streamed = true;

@@ -29,10 +29,12 @@
 //    candidates, far too few to pay for a pool dispatch, so the coloring
 //    and every counter are independent of PicassoParams::runtime.
 //
-// The two fused engines differ only in their candidate tester: the
-// in-memory one asks an oracle (OracleBatchTester), the chunked one maps
-// candidates to global ids and asks a pauli::PackedRecordProber over the
-// spill's chunk cache — the same prober the incremental store probes with.
+// Both fused engines run the shared Algorithm-1 loop (detail::run_algorithm1,
+// core/picasso.hpp) with fused_step below as their Lines 7-9, and differ
+// only in its candidate tester: the in-memory one asks an oracle
+// (OracleBatchTester), the chunked one maps candidates to global ids and
+// asks a pauli::PackedRecordProber over the spill's chunk cache — the same
+// prober the incremental store probes with.
 //
 // Bit-identity with the materialized engines is structural: the scheme
 // bodies are the shared templates of core/list_coloring.hpp, and the fused
@@ -96,8 +98,8 @@ namespace detail {
 /// many strike scans (every scan still checks the stop token).
 inline constexpr std::size_t kFusedProgressInterval = 256;
 
-/// Work counters one fused iteration accumulates. The driver loop flushes
-/// them into obs::global_metrics() once per iteration — a schedule-
+/// Work counters one fused iteration accumulates. fused_step flushes them
+/// into obs::global_metrics() once per iteration — a schedule-
 /// independent boundary, so counter totals stay bit-identical across
 /// thread counts.
 struct FusedScanStats {
@@ -387,18 +389,15 @@ ListColoringResult fused_color_iteration(
   std::vector<std::uint8_t> touched(n_active, 0);
   ListColoringResult colored;
   switch (scheme) {
-    case ConflictColoringScheme::DynamicBucket: {
-      FusedStrikeEnumerator<Tester> strikes(index, tester, params, iteration,
-                                            n_active, touched, scan_stats);
-      colored = color_lists_dynamic(n_active, lists, rng, strikes,
-                                    palette_size);
-      scratch_bytes_out = strikes.scratch_bytes();
-      break;
-    }
+    case ConflictColoringScheme::DynamicBucket:
     case ConflictColoringScheme::DynamicHeap: {
       FusedStrikeEnumerator<Tester> strikes(index, tester, params, iteration,
                                             n_active, touched, scan_stats);
-      colored = color_lists_heap(n_active, lists, rng, strikes, palette_size);
+      colored = scheme == ConflictColoringScheme::DynamicBucket
+                    ? color_lists_dynamic(n_active, lists, rng, strikes,
+                                          palette_size)
+                    : color_lists_heap(n_active, lists, rng, strikes,
+                                       palette_size);
       scratch_bytes_out = strikes.scratch_bytes();
       break;
     }
@@ -426,138 +425,47 @@ ListColoringResult fused_color_iteration(
   return colored;
 }
 
-/// The shared driver scaffold of both fused engines (the in-memory oracle
-/// one below and the chunked streaming one in solve_fused.cpp): the whole
-/// Algorithm-1 loop — palette, lists, inverted index, charges, frontier
-/// compaction, stats, progress, tail and telemetry capture — lives here
-/// exactly once, so the two engines can only differ in how one iteration's
-/// candidates are tested. `color_iteration(active, lists, index, palette,
-/// rng, iteration, scan_stats, conflicted, scan_scratch)` colors one
-/// iteration (through fused_color_iteration with an engine-specific
-/// tester) and returns its ListColoringResult, adding any tester scratch
-/// into scan_scratch. `span_name` labels the root trace span ("solve_fused"
-/// vs "solve_fused_streaming").
-template <typename ColorIteration>
-PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
-                               const char* span_name,
-                               ColorIteration&& color_iteration) {
-  util::WallTimer total_timer;
-  util::MemoryRegistry& memory = util::global_memory();
-  util::MemoryRunScope run_scope(params.memory_budget_bytes, memory);
-  obs::ScopedSpan solve_span(params.trace, span_name);
-  PicassoResult result;
-  result.colors.assign(n, 0xffffffffu);
+/// Lines 7-9 of both fused engines (the in-memory oracle one below and the
+/// chunked streaming one in solve_fused.cpp), so the two can only differ in
+/// how candidates are tested. Builds and charges the color index, colors
+/// the iteration through fused_color_iteration with a `Tester` constructed
+/// from `(tester_args..., active)`, hands the scan scratch, the tester's
+/// scratch and the touched flags to the loop to fold into the index charge,
+/// and flushes the scan counters.
+template <typename Tester, typename... TesterArgs>
+StepResult fused_step(const Iteration& it, const PicassoParams& params,
+                      TesterArgs&... tester_args) {
+  StepResult out;
+  // The fused frontier: the color -> (vertex, slot) inverted index is the
+  // only per-iteration structure beyond the lists themselves — where the
+  // materialized engines stage COO partitions and a CSR, this engine
+  // holds nL + P + 1 words, period. Strike scans compact it in place.
+  ColorIndex index = build_color_index(it.lists, it.palette.palette_size);
+  out.structure = util::ScopedCharge(
+      util::MemSubsystem::FusedFrontier,
+      index.offsets.capacity() * sizeof(std::uint32_t) +
+          index.members.capacity() * sizeof(std::uint32_t));
 
-  std::vector<std::uint32_t> active(n);
-  for (std::uint32_t v = 0; v < n; ++v) active[v] = v;
-
-  util::Xoshiro256 coloring_rng(params.seed ^ 0x5bf03635dd3bb1f0ULL);
-  std::uint32_t base_color = 0;
-  int iteration = 0;
-
-  while (!active.empty() && iteration < params.max_iterations) {
-    throw_if_stopped(params.stop);
-    obs::ScopedSpan iter_span(params.trace, "iteration",
-                              static_cast<std::uint64_t>(iteration));
-    IterationStats stats;
-    stats.n_active = static_cast<std::uint32_t>(active.size());
-
-    const IterationPalette palette =
-        compute_palette(stats.n_active, params.palette_percent, params.alpha,
-                        base_color);
-    stats.palette_size = palette.palette_size;
-    stats.list_size = palette.list_size;
-
-    ColorLists lists;
-    {
-      obs::ScopedPhase acc(params.trace, "assign_lists", stats.assign_seconds);
-      lists = assign_random_lists(stats.n_active, palette, params.seed,
-                                  static_cast<std::uint64_t>(iteration));
-    }
-    util::ScopedCharge lists_charge(util::MemSubsystem::PaletteLists,
-                                    lists.logical_bytes(), memory);
-
-    // The fused frontier: the color -> (vertex, slot) inverted index is the
-    // only per-iteration structure beyond the lists themselves — where the
-    // materialized engines stage COO partitions and a CSR, this engine
-    // holds nL + P + 1 words, period. Strike scans compact it in place.
-    ColorIndex index = build_color_index(lists, palette.palette_size);
-    util::ScopedCharge index_charge(
-        util::MemSubsystem::FusedFrontier,
-        index.offsets.capacity() * sizeof(std::uint32_t) +
-            index.members.capacity() * sizeof(std::uint32_t),
-        memory);
-
-    FusedScanStats scan_stats;
-    std::uint32_t conflicted = 0;
+  FusedScanStats scan_stats;
+  {
+    obs::ScopedPhase acc(params.trace, "coloring", it.stats.coloring_seconds);
+    Tester tester(tester_args..., it.active);
     std::size_t scan_scratch = 0;
-    ListColoringResult colored;
-    {
-      obs::ScopedPhase acc(params.trace, "coloring", stats.coloring_seconds);
-      colored = color_iteration(std::span<const std::uint32_t>(active), lists,
-                                index, palette, coloring_rng, iteration,
-                                scan_stats, conflicted, scan_scratch);
-    }
-    memory.record_external_peak(util::MemSubsystem::ColoringAux,
-                                colored.aux_peak_bytes);
-    // Fold the scan scratch + touched flags into the live index charge (a
-    // resize, not an external peak: the index bytes are already counted in
-    // the registry's current level, so adding them again would double-count
-    // the total peak).
-    const std::size_t index_bytes = index_charge.bytes();
-    index_charge.resize(index_bytes + scan_scratch + stats.n_active);
-    stats.conflict_edges = scan_stats.edges_struck;
-    stats.conflicted_vertices = conflicted;
-
-    std::vector<std::uint32_t> next_active;
-    next_active.reserve(colored.uncolored.size());
-    for (std::uint32_t local = 0; local < stats.n_active; ++local) {
-      const std::uint32_t c = colored.assigned[local];
-      if (c == ListColoringResult::kNoColorLocal) {
-        next_active.push_back(active[local]);
-      } else {
-        result.colors[active[local]] = palette.base_color + c;
-      }
-    }
-    stats.colored = colored.num_colored;
-    stats.uncolored = static_cast<std::uint32_t>(next_active.size());
-    stats.logical_bytes = lists.logical_bytes() + index_charge.bytes() +
-                          colored.aux_peak_bytes +
-                          active.capacity() * sizeof(std::uint32_t);
-
-    // Per-iteration counter flush (the testers only count their kernel
-    // dispatches; all pair/strike accounting funnels through scan_stats).
-    obs::count(obs::Counter::OraclePairEvals, scan_stats.pairs_tested);
-    obs::count(obs::Counter::StrikeHits, scan_stats.edges_struck);
-    obs::count(obs::Counter::BucketStrikeScans, scan_stats.bucket_scans);
-    obs::count(obs::Counter::RecolorEvents, stats.uncolored);
-
-    result.iterations.push_back(stats);
-    result.assign_seconds += stats.assign_seconds;
-    result.coloring_seconds += stats.coloring_seconds;
-    result.max_conflict_edges =
-        std::max(result.max_conflict_edges, stats.conflict_edges);
-    result.peak_logical_bytes =
-        std::max(result.peak_logical_bytes, stats.logical_bytes);
-
-    report_iteration(params.progress, iteration, stats.n_active,
-                     stats.colored, stats.uncolored, stats.conflict_edges);
-
-    base_color += palette.palette_size;
-    active = std::move(next_active);
-    ++iteration;
+    out.colored = fused_color_iteration(
+        it.stats.n_active, it.lists, index, params.conflict_scheme, it.rng,
+        tester, params, it.index, it.palette.palette_size, scan_stats,
+        it.stats.conflicted_vertices, scan_scratch);
+    out.scratch_bytes =
+        scan_scratch + tester.scratch_bytes() + it.stats.n_active;
   }
+  it.stats.conflict_edges = scan_stats.edges_struck;
 
-  if (!active.empty()) {
-    result.converged = false;
-    for (std::uint32_t v : active) result.colors[v] = base_color++;
-  }
-  result.palette_total = base_color;
-  result.num_colors =
-      count_palette_colors(result.colors, result.palette_total);
-  result.total_seconds = total_timer.seconds();
-  result.memory = MemoryReport::capture(memory.snapshot());
-  return result;
+  // Per-iteration counter flush (the testers only count their kernel
+  // dispatches; all pair/strike accounting funnels through scan_stats).
+  obs::count(obs::Counter::OraclePairEvals, scan_stats.pairs_tested);
+  obs::count(obs::Counter::StrikeHits, scan_stats.edges_struck);
+  obs::count(obs::Counter::BucketStrikeScans, scan_stats.bucket_scans);
+  return out;
 }
 
 }  // namespace detail
@@ -568,20 +476,11 @@ PicassoResult solve_fused_loop(std::uint32_t n, const PicassoParams& params,
 /// member whose slot for the color is still live) are ever examined.
 template <graph::GraphOracle Oracle>
 PicassoResult solve_fused(const Oracle& oracle, const PicassoParams& params) {
-  return detail::solve_fused_loop(
-      oracle.num_vertices(), params, "solve_fused",
-      [&](std::span<const std::uint32_t> active, const ColorLists& lists,
-          detail::ColorIndex& index, const IterationPalette& palette,
-          util::Xoshiro256& rng, int iteration,
-          detail::FusedScanStats& scan_stats, std::uint32_t& conflicted,
-          std::size_t& scan_scratch) {
-        detail::OracleBatchTester<Oracle> tester(oracle, active);
-        ListColoringResult colored = detail::fused_color_iteration(
-            static_cast<std::uint32_t>(active.size()), lists, index,
-            params.conflict_scheme, rng, tester, params, iteration,
-            palette.palette_size, scan_stats, conflicted, scan_scratch);
-        scan_scratch += tester.scratch_bytes();
-        return colored;
+  return detail::run_algorithm1(
+      oracle.num_vertices(), params, "solve_fused", /*signatures=*/false,
+      [&](const detail::Iteration& it) {
+        return detail::fused_step<detail::OracleBatchTester<Oracle>>(
+            it, params, oracle);
       });
 }
 

@@ -5,9 +5,11 @@
 // streaming colorers (§III): the graph need not support random-access
 // adjacency queries at all — one *pass* over the edge list per iteration
 // suffices, because the only thing an iteration needs is the subset of
-// edges whose endpoints share a list color. This driver runs Algorithm 1
-// against any edge source that can replay its stream, keeping
-// O(n L + |Ec|) state per pass. The oracle-based driver needs O(1)-time
+// edges whose endpoints share a list color. solve_stream runs the shared
+// Algorithm-1 loop (detail::run_algorithm1, core/picasso.hpp) against any
+// edge source that can replay its stream; its step is one pass that keeps
+// those edges in a conflict CSR, O(n L + |Ec|) state charged exactly like
+// the in-memory engine's. The oracle-based driver needs O(1)-time
 // adjacency; this one needs O(1)-space edge enumeration — together they
 // cover both access models of the paper's lineage.
 //
@@ -24,6 +26,7 @@
 // and the service: the streaming options, the chunk-size derivation and
 // the spill-file naming / janitor.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -126,123 +129,40 @@ std::size_t spill_chunk_strings(std::size_t explicit_chunk, std::size_t budget,
 template <typename EdgeSource>
 PicassoResult solve_stream(std::uint32_t n, const EdgeSource& source,
                            const PicassoParams& params) {
-  util::WallTimer total_timer;
-  obs::ScopedSpan solve_span(params.trace, "solve_stream");
-  PicassoResult result;
-  result.colors.assign(n, 0xffffffffu);
-
   // global -> local index of active vertices; kInactive for colored ones.
   constexpr std::uint32_t kInactive = 0xffffffffu;
   std::vector<std::uint32_t> local_of(n);
-  std::vector<std::uint32_t> active(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    active[v] = v;
-    local_of[v] = v;
-  }
-
-  util::Xoshiro256 coloring_rng(params.seed ^ 0x5bf03635dd3bb1f0ULL);
-  std::uint32_t base_color = 0;
-  int iteration = 0;
-
-  while (!active.empty() && iteration < params.max_iterations) {
-    detail::throw_if_stopped(params.stop);
-    obs::ScopedSpan iter_span(params.trace, "iteration",
-                              static_cast<std::uint64_t>(iteration));
-    IterationStats stats;
-    stats.n_active = static_cast<std::uint32_t>(active.size());
-    const IterationPalette palette = compute_palette(
-        stats.n_active, params.palette_percent, params.alpha, base_color);
-    stats.palette_size = palette.palette_size;
-    stats.list_size = palette.list_size;
-
-    ColorLists lists;
-    {
-      obs::ScopedPhase acc(params.trace, "assign_lists", stats.assign_seconds);
-      lists = assign_random_lists(stats.n_active, palette, params.seed,
-                                  static_cast<std::uint64_t>(iteration));
-      lists.build_signatures();
-    }
-
-    // One pass: keep exactly the conflicted edges among active vertices.
-    ConflictBuildResult conflict;
-    {
-      obs::ScopedPhase acc(params.trace, "conflict_pass",
-                           stats.conflict_seconds);
-      std::uint64_t edges_seen = 0;  // flushed per pass (serial stream)
-      conflict.graph = detail::csr_from_enumerator(
-          stats.n_active, [&](auto&& emit) {
-            source.for_each_edge([&](std::uint32_t gu, std::uint32_t gv) {
-              ++edges_seen;
-              std::uint32_t lu = local_of[gu];
-              std::uint32_t lv = local_of[gv];
-              if (lu == kInactive || lv == kInactive) return;
-              if (lu > lv) std::swap(lu, lv);
-              if (lists.share_color(lu, lv)) emit(lu, lv);
-            });
-          });
-      obs::count(obs::Counter::StreamEdgesScanned, edges_seen);
-      conflict.num_edges = conflict.graph.num_edges();
-      conflict.num_conflicted_vertices =
-          detail::count_conflicted(conflict.graph);
-      conflict.logical_bytes = conflict.graph.logical_bytes();
-    }
-    stats.conflict_edges = conflict.num_edges;
-    stats.conflicted_vertices = conflict.num_conflicted_vertices;
-
-    ListColoringResult colored;
-    {
-      obs::ScopedPhase acc(params.trace, "coloring", stats.coloring_seconds);
-      colored = color_conflict_graph(conflict.graph, lists,
-                                     params.conflict_scheme, coloring_rng);
-    }
-
-    std::vector<std::uint32_t> next_active;
-    for (std::uint32_t local = 0; local < stats.n_active; ++local) {
-      const std::uint32_t c = colored.assigned[local];
-      if (c == ListColoringResult::kNoColorLocal) {
-        next_active.push_back(active[local]);
-      } else {
-        result.colors[active[local]] = palette.base_color + c;
-      }
-    }
-    stats.colored = colored.num_colored;
-    stats.uncolored = static_cast<std::uint32_t>(next_active.size());
-    obs::count(obs::Counter::RecolorEvents, stats.uncolored);
-    stats.logical_bytes = lists.logical_bytes() + conflict.logical_bytes +
-                          colored.aux_peak_bytes +
-                          local_of.capacity() * sizeof(std::uint32_t);
-
-    result.iterations.push_back(stats);
-    result.assign_seconds += stats.assign_seconds;
-    result.conflict_seconds += stats.conflict_seconds;
-    result.coloring_seconds += stats.coloring_seconds;
-    result.max_conflict_edges =
-        std::max(result.max_conflict_edges, stats.conflict_edges);
-    result.peak_logical_bytes =
-        std::max(result.peak_logical_bytes, stats.logical_bytes);
-
-    detail::report_iteration(params.progress, iteration, stats.n_active,
-                             stats.colored, stats.uncolored,
-                             stats.conflict_edges);
-
-    base_color += palette.palette_size;
-    active = std::move(next_active);
-    std::fill(local_of.begin(), local_of.end(), kInactive);
-    for (std::uint32_t local = 0; local < active.size(); ++local) {
-      local_of[active[local]] = local;
-    }
-    ++iteration;
-  }
-
-  if (!active.empty()) {
-    result.converged = false;
-    for (std::uint32_t v : active) result.colors[v] = base_color++;
-  }
-  result.palette_total = base_color;
-  result.num_colors =
-      detail::count_palette_colors(result.colors, result.palette_total);
-  result.total_seconds = total_timer.seconds();
-  return result;
+  return detail::run_algorithm1(
+      n, params, "solve_stream", /*signatures=*/true,
+      [&](const detail::Iteration& it) {
+        std::fill(local_of.begin(), local_of.end(), kInactive);
+        for (std::uint32_t local = 0; local < it.active.size(); ++local) {
+          local_of[it.active[local]] = local;
+        }
+        // One pass: keep exactly the conflicted edges among active vertices.
+        ConflictBuildResult conflict;
+        {
+          obs::ScopedPhase acc(params.trace, "conflict_pass",
+                               it.stats.conflict_seconds);
+          std::uint64_t edges_seen = 0;  // flushed per pass (serial stream)
+          conflict.graph = detail::csr_from_enumerator(
+              it.stats.n_active, [&](auto&& emit) {
+                source.for_each_edge([&](std::uint32_t gu, std::uint32_t gv) {
+                  ++edges_seen;
+                  std::uint32_t lu = local_of[gu];
+                  std::uint32_t lv = local_of[gv];
+                  if (lu == kInactive || lv == kInactive) return;
+                  if (lu > lv) std::swap(lu, lv);
+                  if (it.lists.share_color(lu, lv)) emit(lu, lv);
+                });
+              });
+          obs::count(obs::Counter::StreamEdgesScanned, edges_seen);
+          conflict.num_edges = conflict.graph.num_edges();
+          conflict.num_conflicted_vertices =
+              detail::count_conflicted(conflict.graph);
+        }
+        return detail::color_conflict_csr(conflict, it, params);
+      });
 }
 
 }  // namespace picasso::core

@@ -5,17 +5,14 @@
 // each run as their own process. Inside a single benchmark process RSS is a
 // high-water mark that never decreases, so comparing algorithms run
 // back-to-back through RSS alone would charge later algorithms for earlier
-// ones. We therefore track *logical* bytes: every algorithm registers its
-// dominant allocations (graph arrays, color lists, buckets, conflict CSR)
-// against a MemoryTracker, and the tables report each algorithm's own peak.
-// peak_rss_bytes() is still exposed for whole-process context.
-//
-// On top of the per-algorithm trackers sits the process-wide MemoryRegistry:
-// per-subsystem high-water-mark accounting (Pauli input, chunk cache, color
+// ones. We therefore track *logical* bytes: the process-wide MemoryRegistry
+// keeps per-subsystem high-water marks (Pauli input, chunk cache, color
 // lists, conflict CSR, coloring auxiliaries, ML features, fused frontier,
-// spill files) plus an optional hard budget. The budgeted streaming pipeline
-// sizes its chunk cache against the registry's headroom, and every bench can
-// snapshot it into a machine-readable MemoryReport.
+// spill files) plus an optional hard budget, and a run scope rebases them so
+// each run reports its own peaks. The budgeted streaming pipeline sizes its
+// chunk cache against the registry's headroom, and every bench can snapshot
+// it into a machine-readable MemoryReport. peak_rss_bytes() is still exposed
+// for whole-process context.
 
 #include <array>
 #include <atomic>
@@ -23,63 +20,6 @@
 #include <cstdint>
 
 namespace picasso::util {
-
-/// Tracks logical bytes in use and the peak across the lifetime of one
-/// algorithm run. Not thread-safe by design: phases that allocate tracked
-/// memory are serial (allocation happens outside parallel regions).
-class MemoryTracker {
- public:
-  void allocate(std::size_t bytes) noexcept {
-    current_ += bytes;
-    if (current_ > peak_) peak_ = current_;
-  }
-
-  void release(std::size_t bytes) noexcept {
-    current_ = bytes > current_ ? 0 : current_ - bytes;
-  }
-
-  void reset() noexcept { current_ = peak_ = 0; }
-
-  std::size_t current_bytes() const noexcept { return current_; }
-  std::size_t peak_bytes() const noexcept { return peak_; }
-
-  /// Folds another tracker's peak into this one as if the two ran
-  /// concurrently at their respective peaks (conservative upper bound).
-  void absorb_peak(const MemoryTracker& other) noexcept {
-    if (current_ + other.peak_bytes() > peak_) {
-      peak_ = current_ + other.peak_bytes();
-    }
-  }
-
- private:
-  std::size_t current_ = 0;
-  std::size_t peak_ = 0;
-};
-
-/// RAII registration of a fixed-size allocation against a tracker.
-class TrackedBlock {
- public:
-  TrackedBlock(MemoryTracker& tracker, std::size_t bytes) noexcept
-      : tracker_(&tracker), bytes_(bytes) {
-    tracker_->allocate(bytes_);
-  }
-  ~TrackedBlock() {
-    if (tracker_ != nullptr) tracker_->release(bytes_);
-  }
-  TrackedBlock(const TrackedBlock&) = delete;
-  TrackedBlock& operator=(const TrackedBlock&) = delete;
-  TrackedBlock(TrackedBlock&& other) noexcept
-      : tracker_(other.tracker_), bytes_(other.bytes_) {
-    other.tracker_ = nullptr;
-  }
-
- private:
-  MemoryTracker* tracker_;
-  std::size_t bytes_;
-};
-
-// ---------------------------------------------------------------------------
-// Unified per-subsystem telemetry.
 
 /// The subsystems whose dominant allocations are charged to the registry.
 /// Keep to_string() and kNumMemSubsystems in sync when extending.

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
 #include "coloring/jones_plassmann.hpp"
 #include "core/picasso.hpp"
+#include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
 #include "pauli/pauli_set.hpp"
 #include "util/memory.hpp"
@@ -263,4 +265,48 @@ TEST(MemoryReport, BaselineColoringLeavesLaterSolvePeaksUnchanged) {
   const auto after = solve();
   EXPECT_EQ(before.subsystem_peak, after.subsystem_peak);
   EXPECT_EQ(before.peak_tracked_bytes, after.peak_tracked_bytes);
+}
+
+// The semi-streaming engine builds, each pass, the same conflict CSR from
+// the same lists as the in-memory engine on the same graph, so it must
+// charge the same palette-list, conflict-CSR and coloring peaks.
+TEST(MemoryReport, SemiStreamingChargesWhatInMemoryCharges) {
+  const auto g = pg::erdos_renyi(400, 0.05, 13);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (pg::VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (pg::VertexId v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  const pcore::VectorEdgeStream stream(std::move(edges));
+  pcore::PicassoParams params;
+  params.seed = 13;
+  params.runtime.num_threads = 1;
+  const auto solve = [&params](papi::ExecutionStrategy strategy,
+                               const papi::Problem& problem) {
+    return papi::SessionBuilder()
+        .params(params)
+        .strategy(strategy)
+        .build()
+        .solve(problem)
+        .result;
+  };
+  const auto streamed =
+      solve(papi::ExecutionStrategy::SemiStreaming,
+            papi::Problem::edge_stream(g.num_vertices(), stream));
+  const auto in_memory =
+      solve(papi::ExecutionStrategy::InMemory, papi::Problem::csr(g));
+  ASSERT_EQ(streamed.colors, in_memory.colors);
+  EXPECT_GT(streamed.memory.peak_tracked_bytes, 0u);
+  for (const auto sub :
+       {pu::MemSubsystem::PaletteLists, pu::MemSubsystem::ConflictCsr,
+        pu::MemSubsystem::ColoringAux}) {
+    const auto i = static_cast<unsigned>(sub);
+    EXPECT_GT(in_memory.memory.subsystem_peak[i], 0u) << pu::to_string(sub);
+    EXPECT_EQ(streamed.memory.subsystem_peak[i],
+              in_memory.memory.subsystem_peak[i])
+        << pu::to_string(sub);
+  }
+  EXPECT_EQ(streamed.memory.peak_tracked_bytes,
+            in_memory.memory.peak_tracked_bytes);
 }

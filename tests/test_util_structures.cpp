@@ -127,42 +127,6 @@ TEST(PrefixSum, ParallelMatchesSequential) {
   }
 }
 
-TEST(MemoryTracker, PeakFollowsHighWater) {
-  pu::MemoryTracker t;
-  t.allocate(100);
-  t.allocate(50);
-  t.release(120);
-  t.allocate(10);
-  EXPECT_EQ(t.peak_bytes(), 150u);
-  EXPECT_EQ(t.current_bytes(), 40u);
-}
-
-TEST(MemoryTracker, ReleaseBelowZeroClamps) {
-  pu::MemoryTracker t;
-  t.allocate(10);
-  t.release(100);
-  EXPECT_EQ(t.current_bytes(), 0u);
-}
-
-TEST(MemoryTracker, TrackedBlockIsRaii) {
-  pu::MemoryTracker t;
-  {
-    pu::TrackedBlock block(t, 64);
-    EXPECT_EQ(t.current_bytes(), 64u);
-  }
-  EXPECT_EQ(t.current_bytes(), 0u);
-  EXPECT_EQ(t.peak_bytes(), 64u);
-}
-
-TEST(MemoryTracker, AbsorbPeakIsConservative) {
-  pu::MemoryTracker a, b;
-  a.allocate(100);
-  b.allocate(70);
-  b.release(70);
-  a.absorb_peak(b);
-  EXPECT_EQ(a.peak_bytes(), 170u);
-}
-
 TEST(PeakRss, ReturnsPositiveOnLinux) { EXPECT_GT(pu::peak_rss_bytes(), 0u); }
 
 TEST(Stats, MeanStdDevGeomeanMedian) {
