@@ -53,21 +53,23 @@ ColorIndex build_color_index(const ColorLists& lists,
   ColorIndex index;
   index.slot_bits = color_index_slot_bits(n, l);
   index.offsets.assign(palette_size + 1, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (std::uint32_t c : lists.list(v)) ++index.offsets[c + 1];
-  }
-  for (std::uint32_t c = 0; c < palette_size; ++c) {
-    index.offsets[c + 1] += index.offsets[c];
-  }
   index.members.resize(static_cast<std::size_t>(n) * l);
-  std::vector<std::uint32_t> cursor(index.offsets.begin(),
-                                    index.offsets.end() - 1);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const auto list = lists.list(v);
-    for (std::uint32_t k = 0; k < l; ++k) {
-      index.members[cursor[list[k]]++] = (v << index.slot_bits) | k;
+  lists.visit_rows([&](auto rows) {
+    for (std::uint32_t v = 0; v < n; ++v) {
+      for (const std::uint32_t c : rows.row(v)) ++index.offsets[c + 1];
     }
-  }
+    for (std::uint32_t c = 0; c < palette_size; ++c) {
+      index.offsets[c + 1] += index.offsets[c];
+    }
+    std::vector<std::uint32_t> cursor(index.offsets.begin(),
+                                      index.offsets.end() - 1);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      const auto list = rows.row(v);
+      for (std::uint32_t k = 0; k < l; ++k) {
+        index.members[cursor[list[k]]++] = (v << index.slot_bits) | k;
+      }
+    }
+  });
   return index;
 }
 

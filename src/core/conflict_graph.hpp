@@ -87,8 +87,8 @@ struct ConflictBuildResult {
 namespace detail {
 
 /// Emits the conflicted edges with first endpoint in [u_lo, u_hi) — one slab
-/// of the all-pairs scan. The full scan and every parallel chunk run this
-/// same loop body, so the partitioned build cannot drift from the serial one.
+/// of the all-pairs scan. Every chunk of the partitioned build runs this same
+/// loop body, serial or on the pool, so the two cannot drift.
 /// Block-capable oracles (core/conflict_oracle.hpp) go through the blocked
 /// pair-scan — palette signatures and list merge first, surviving candidates
 /// batched per oracle call — which emits the identical edge stream in the
@@ -116,17 +116,6 @@ void enumerate_reference_range(const Oracle& oracle,
       obs::count(obs::Counter::OraclePairEvals, evals);
     }
   }
-}
-
-/// Emits every conflicted edge exactly once (u < v, local ids), by scanning
-/// all pairs. Emit must accept (u32, u32).
-template <graph::GraphOracle Oracle, typename Emit>
-void enumerate_reference(const Oracle& oracle,
-                         std::span<const std::uint32_t> active,
-                         const ColorLists& lists, Emit&& emit) {
-  enumerate_reference_range(oracle, active, lists, 0,
-                            static_cast<std::uint32_t>(active.size()),
-                            std::forward<Emit>(emit));
 }
 
 /// Inverted index: bucket c holds one entry per vertex u whose list has
@@ -193,19 +182,6 @@ void enumerate_indexed_range(const Oracle& oracle,
   }
 }
 
-/// Emits every conflicted edge exactly once using the inverted index: a
-/// pair is examined within each shared color's bucket but emitted only at
-/// its smallest shared color.
-template <graph::GraphOracle Oracle, typename Emit>
-void enumerate_indexed(const Oracle& oracle,
-                       std::span<const std::uint32_t> active,
-                       const ColorLists& lists, std::uint32_t palette_size,
-                       Emit&& emit) {
-  const ColorIndex index = build_color_index(lists, palette_size);
-  enumerate_indexed_range(oracle, active, lists, index, 0, palette_size,
-                          std::forward<Emit>(emit));
-}
-
 /// Scatters an unordered COO list (num_edges (u, v) pairs) into the CSR rows
 /// that `offsets` delimits, then sorts each row so the result satisfies the
 /// CsrGraph invariants (sorted rows, binary-search adjacency).
@@ -246,8 +222,8 @@ inline graph::CsrGraph csr_from_partitions(
   return graph::CsrGraph::from_csr(std::move(offsets), std::move(neighbors));
 }
 
-/// Builds a CSR conflict graph on the host from an edge enumerator (the
-/// serial path: one partition holding the whole emission order).
+/// Builds a CSR conflict graph on the host from an edge enumerator, in one
+/// partition holding the whole emission order (the semi-streaming pass).
 template <typename EnumerateFn>
 graph::CsrGraph csr_from_enumerator(std::uint32_t n, EnumerateFn&& enumerate) {
   std::vector<std::vector<std::uint32_t>> parts(1);
@@ -286,11 +262,16 @@ inline std::vector<runtime::ChunkRange> plan_conflict_chunks(
   return runtime::balanced_chunks(weights, std::size_t{workers} * 4);
 }
 
-/// Runs the enumeration chunked over the pool into one COO partition per
-/// chunk. Each chunk's emissions are the exact restriction of the serial
-/// enumeration to its domain, so concatenating the partitions in chunk order
-/// reproduces the serial emission order — the parallel build's determinism
-/// rests on this plus the canonical (sorted-row) CSR assembly.
+/// Runs the enumeration chunked over the pool (inline, in chunk order, when
+/// `pool` is null) into one COO partition per chunk. Each chunk's emissions
+/// are the exact restriction of the whole enumeration to its domain, so
+/// concatenating the partitions in chunk order reproduces the one-pass
+/// emission order — the parallel build's determinism rests on this plus the
+/// canonical (sorted-row) CSR assembly. The Indexed kernel's color index
+/// and the growing partitions are live together here, so the index is
+/// charged to ConflictCsr while the chunks run and, once they are done, the
+/// index plus the partitions' capacities are the charge: that is the
+/// enumeration's high-water mark, recorded before the index is freed.
 template <graph::GraphOracle Oracle>
 std::vector<std::vector<std::uint32_t>> enumerate_conflicts_partitioned(
     runtime::ThreadPool* pool, const Oracle& oracle,
@@ -302,6 +283,10 @@ std::vector<std::vector<std::uint32_t>> enumerate_conflicts_partitioned(
   if (kernel == ConflictKernel::Indexed) {
     index = build_color_index(lists, palette_size);
   }
+  util::ScopedCharge enumeration_charge(
+      util::MemSubsystem::ConflictCsr,
+      (index.offsets.capacity() + index.members.capacity()) *
+          sizeof(std::uint32_t));
   const auto chunks =
       plan_conflict_chunks(kernel, n, &index, palette_size, workers);
   std::vector<std::vector<std::uint32_t>> parts(chunks.size());
@@ -321,15 +306,19 @@ std::vector<std::vector<std::uint32_t>> enumerate_conflicts_partitioned(
                               static_cast<std::uint32_t>(chunk.end), emit);
     }
   });
+  std::size_t staged = 0;
+  for (const auto& part : parts) staged += part.capacity();
+  enumeration_charge.resize(enumeration_charge.bytes() +
+                            staged * sizeof(std::uint32_t));
   return parts;
 }
 
 }  // namespace detail
 
 /// Host conflict-graph construction with the selected kernel. The runtime
-/// config picks serial vs pool-parallel; the two produce bit-identical CSRs
-/// — partitions restrict the serial loops, merge order is fixed, and row
-/// assembly is canonical.
+/// config picks serial vs pool-parallel chunk execution; the two produce
+/// bit-identical CSRs — the chunks are the same, merge order is fixed, and
+/// row assembly is canonical.
 template <graph::GraphOracle Oracle>
 ConflictBuildResult build_conflict_graph(
     const Oracle& oracle, std::span<const std::uint32_t> active,
@@ -340,28 +329,10 @@ ConflictBuildResult build_conflict_graph(
   const auto n = static_cast<std::uint32_t>(active.size());
   kernel = resolve_kernel(kernel, palette_size, lists.list_size(),
                           BlockConflictOracle<Oracle>);
-  runtime::ThreadPool* pool = runtime::resolve_pool(rt, n);
-  if (pool != nullptr) {
-    auto parts = detail::enumerate_conflicts_partitioned(
-        pool, oracle, active, lists, palette_size, kernel);
-    result.graph = detail::csr_from_partitions(n, std::move(parts));
-  } else {
-    auto run = [&](auto&& enumerate) {
-      result.graph = detail::csr_from_enumerator(
-          n, std::forward<decltype(enumerate)>(enumerate));
-    };
-    if (kernel == ConflictKernel::Reference) {
-      run([&](auto&& emit) {
-        detail::enumerate_reference(oracle, active, lists,
-                                    std::forward<decltype(emit)>(emit));
-      });
-    } else {
-      run([&](auto&& emit) {
-        detail::enumerate_indexed(oracle, active, lists, palette_size,
-                                  std::forward<decltype(emit)>(emit));
-      });
-    }
-  }
+  auto parts = detail::enumerate_conflicts_partitioned(
+      runtime::resolve_pool(rt, n), oracle, active, lists, palette_size,
+      kernel);
+  result.graph = detail::csr_from_partitions(n, std::move(parts));
   result.num_edges = result.graph.num_edges();
   result.num_conflicted_vertices = detail::count_conflicted(result.graph);
   result.seconds = timer.seconds();

@@ -25,13 +25,15 @@ namespace {
 auto csr_strikes(const graph::CsrGraph& gc, const ColorLists& lists) {
   return [&gc, &lists](std::uint32_t v, std::uint32_t color,
                        const detail::StrikeState& work, auto&& strike) {
-    for (std::uint32_t u : gc.neighbors(v)) {
-      const auto list = lists.list(u);
-      const auto it = std::lower_bound(list.begin(), list.end(), color);
-      if (it == list.end() || *it != color) continue;
-      const auto slot = static_cast<std::uint32_t>(it - list.begin());
-      if (work.live(u, slot)) strike(u, slot);
-    }
+    lists.visit_rows([&](auto rows) {
+      for (std::uint32_t u : gc.neighbors(v)) {
+        const auto list = rows.row(u);
+        const auto it = std::lower_bound(list.begin(), list.end(), color);
+        if (it == list.end() || *it != color) continue;
+        const auto slot = static_cast<std::uint32_t>(it - list.begin());
+        if (work.live(u, slot)) strike(u, slot);
+      }
+    });
   };
 }
 

@@ -91,15 +91,16 @@ ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
 //    (and its list retired) when this runs; `work` is the scheme's
 //    detail::StrikeState. Invoke strike(u, slot) for exactly the conflict-
 //    graph neighbors u of v whose slot for `color` is still live
-//    (work.live(u, slot), where lists.list(u)[slot] == color), in ascending
+//    (work.live(u, slot), where slot holds color in u's list), in ascending
 //    u order. Colored vertices, emptied lists and slots an earlier
 //    same-color neighbor already struck all fail the live test, so every
 //    strike removes one list entry. Passing a non-neighbor would strike a
 //    list Algorithm 2 would not touch. The CSR instantiation walks v's row,
 //    finds each slot by binary search and checks it live; the fused one
-//    compacts color's bucket to its live (vertex, slot) entries and passes
-//    the oracle-confirmed ones — the same affected set in the same order,
-//    which is the whole bit-identity argument.
+//    scans color's bucket, whose entries it keeps down to unstruck slots,
+//    tests each member's alive flag and passes the oracle-confirmed ones —
+//    the same affected set in the same order, which is the whole
+//    bit-identity argument.
 //  * ForEachNeighbor(v, visit): invoke visit(u) for every conflict-graph
 //    neighbor u of v (any order; used for the idempotent mark pass of the
 //    static schemes).
@@ -115,12 +116,19 @@ namespace detail {
 /// words, so each strike stays O(1) even in the aggressive regime where
 /// L = P.
 ///
+/// Beside the records sits one alive flag per vertex, set while the vertex
+/// is uncolored and its list non-empty: retire() clears it, and so does the
+/// strike that empties a list. A scan that only needs "can this vertex
+/// still lose a color" reads one byte of a dense n-byte array instead of a
+/// whole record — the fused strike scan's liveness test, since its buckets
+/// never hold a struck slot (see FusedStrikeEnumerator).
+///
 /// The buckets are Algorithm 2's bucket queue keyed by list size. A queued
 /// vertex's key always equals its size, so no key array exists. Erase is
 /// swap-with-last and insert is push_back, exactly util::BucketQueue's
 /// order, so rng.bounded(bucket.size()) picks the same vertex. Coloring a
 /// vertex retires its record (size and mask zeroed), and an emptied list
-/// has no mask bits left, so live() is false for every slot of both.
+/// has no mask bits left, so live() and alive() are false for both.
 class StrikeState {
  public:
   /// `bucketed` queues every vertex at key L in ascending order (the
@@ -129,7 +137,8 @@ class StrikeState {
       : lists_(&lists),
         words_(std::max<std::uint32_t>(1, (lists.list_size() + 63) / 64)),
         stride_(1 + words_),
-        records_(static_cast<std::size_t>(lists.num_vertices()) * stride_) {
+        records_(static_cast<std::size_t>(lists.num_vertices()) * stride_),
+        alive_(lists.num_vertices(), 1) {
     const std::uint32_t n = lists.num_vertices();
     const std::uint32_t l = lists.list_size();
     if (bucketed) {
@@ -155,6 +164,18 @@ class StrikeState {
     return (record(v)[1 + (slot >> 6)] >> (slot & 63u)) & 1u;
   }
 
+  /// True iff v is uncolored and its list is not empty.
+  bool alive(std::uint32_t v) const { return alive_[v] != 0; }
+
+  /// Hints v's record into cache ahead of a strike on it.
+  void prefetch(std::uint32_t v) const {
+#if defined(__GNUC__)
+    __builtin_prefetch(record(v), 1);
+#else
+    (void)v;
+#endif
+  }
+
   /// The idx-th (0-based) surviving color of v's list.
   std::uint32_t color_at(std::uint32_t v, std::uint32_t idx) const {
     const std::uint64_t* m = record(v) + 1;
@@ -163,27 +184,34 @@ class StrikeState {
       if (idx < count) {
         std::uint64_t bits = m[w];
         for (std::uint32_t k = 0; k < idx; ++k) bits &= bits - 1;
-        const auto bit = static_cast<std::uint32_t>(std::countr_zero(bits));
-        return lists_->list(v)[w * 64 + bit];
+        const std::uint32_t slot =
+            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+        return lists_->visit_rows(
+            [v, slot](auto rows) { return std::uint32_t{rows.row(v)[slot]}; });
       }
       idx -= count;
     }
     return ListColoringResult::kNoColorLocal;  // unreachable for idx < size
   }
 
-  /// Zeroes v's size and mask: v was colored, so no slot of it is live.
+  /// Zeroes v's size and mask and clears its alive flag: v was colored, so
+  /// no slot of it is live.
   void retire(std::uint32_t v) {
     std::uint64_t* r = record(v);
     std::fill(r, r + stride_, std::uint64_t{0});
+    alive_[v] = 0;
   }
 
-  /// Clears live slot `slot` of u; returns u's new list size. The heap
-  /// scheme's strike (it requeues by itself).
+  /// Clears live slot `slot` of u (and u's alive flag when that empties its
+  /// list); returns u's new list size. The heap scheme's strike (it
+  /// requeues by itself).
   std::uint32_t remove_slot(std::uint32_t u, std::uint32_t slot) {
     std::uint64_t* r = record(u);
     r[1 + (slot >> 6)] &= ~(1ull << (slot & 63u));
     r[0] -= std::uint64_t{1} << 32;
-    return size(r[0]);
+    const std::uint32_t left = size(r[0]);
+    if (left == 0) alive_[u] = 0;
+    return left;
   }
 
   // Bucket queue (bucketed states only).
@@ -226,6 +254,7 @@ class StrikeState {
 
   std::size_t logical_bytes() const {
     std::size_t b = records_.capacity() * sizeof(std::uint64_t) +
+                    alive_.capacity() +
                     buckets_.capacity() * sizeof(std::vector<std::uint32_t>);
     for (const auto& bucket : buckets_) {
       b += bucket.capacity() * sizeof(std::uint32_t);
@@ -262,6 +291,7 @@ class StrikeState {
   std::uint32_t words_;
   std::uint32_t stride_;
   std::vector<std::uint64_t> records_;
+  std::vector<std::uint8_t> alive_;  // per vertex: uncolored, list non-empty
   std::vector<std::vector<std::uint32_t>> buckets_;  // by list size, 0..L
   std::uint32_t min_cursor_ = 0;
   std::uint32_t count_ = 0;
@@ -417,30 +447,36 @@ ListColoringResult color_lists_static(std::uint32_t n, const ColorLists& lists,
 
   // Stamp array over palette-local colors.
   std::uint32_t max_color = 0;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (std::uint32_t c : lists.list(v)) max_color = std::max(max_color, c);
-  }
+  lists.visit_rows([&](auto rows) {
+    for (std::uint32_t v = 0; v < n; ++v) {
+      for (const std::uint32_t c : rows.row(v)) {
+        max_color = std::max(max_color, c);
+      }
+    }
+  });
   std::vector<std::uint32_t> mark(static_cast<std::size_t>(max_color) + 1, 0);
   std::uint32_t stamp = 0;
   result.assigned.reset(n, ListColoringResult::kNoColorLocal, max_color + 1);
 
-  for (std::uint32_t v : order) {
-    ++stamp;
-    for_each_neighbor(v, [&](std::uint32_t u) {
-      const std::uint32_t c = result.assigned[u];
-      if (c != ListColoringResult::kNoColorLocal) mark[c] = stamp;
-    });
-    std::uint32_t chosen = ListColoringResult::kNoColorLocal;
-    for (std::uint32_t c : lists.list(v)) {
-      if (mark[c] != stamp) {
-        chosen = c;
-        break;
+  lists.visit_rows([&](auto rows) {
+    for (std::uint32_t v : order) {
+      ++stamp;
+      for_each_neighbor(v, [&](std::uint32_t u) {
+        const std::uint32_t c = result.assigned[u];
+        if (c != ListColoringResult::kNoColorLocal) mark[c] = stamp;
+      });
+      std::uint32_t chosen = ListColoringResult::kNoColorLocal;
+      for (const std::uint32_t c : rows.row(v)) {
+        if (mark[c] != stamp) {
+          chosen = c;
+          break;
+        }
+      }
+      if (chosen != ListColoringResult::kNoColorLocal) {
+        result.assigned[v] = chosen;
       }
     }
-    if (chosen != ListColoringResult::kNoColorLocal) {
-      result.assigned[v] = chosen;
-    }
-  }
+  });
 
   result.aux_peak_bytes = mark.capacity() * sizeof(std::uint32_t) +
                           order.capacity() * sizeof(std::uint32_t) +

@@ -29,40 +29,48 @@ IterationPalette compute_palette(std::uint32_t n_active, double palette_percent,
   return out;
 }
 
-std::uint32_t ColorLists::first_shared_color(std::uint32_t u,
-                                             std::uint32_t v) const {
-  const auto lu = list(u);
-  const auto lv = list(v);
-  std::size_t i = 0, j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i] == lv[j]) return lu[i];
-    if (lu[i] < lv[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
+ColorLists::ColorLists(std::uint32_t num_vertices, std::uint32_t list_size,
+                       std::uint32_t palette_size)
+    : num_vertices_(num_vertices), list_size_(list_size) {
+  const std::size_t entries = static_cast<std::size_t>(num_vertices) * list_size;
+  if (palette_size <= kNarrowPaletteLimit) {
+    narrow_.resize(entries);
+  } else {
+    wide_.resize(entries);
   }
-  return kNoShared;
 }
 
 void ColorLists::build_signatures() {
-  const std::uint32_t n = num_vertices();
-  sigs_.assign(n, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    std::uint64_t sig = 0;
-    for (std::uint32_t c : list(v)) sig |= std::uint64_t{1} << (c & 63u);
-    sigs_[v] = sig;
-  }
+  sigs_.assign(num_vertices_, 0);
+  visit_rows([this](auto rows) {
+    for (std::uint32_t v = 0; v < num_vertices_; ++v) {
+      std::uint64_t sig = 0;
+      for (const std::uint32_t c : rows.row(v)) {
+        sig |= std::uint64_t{1} << (c & 63u);
+      }
+      sigs_[v] = sig;
+    }
+  });
 }
 
 ColorLists assign_random_lists(std::uint32_t num_vertices,
                                const IterationPalette& palette,
                                std::uint64_t seed, std::uint64_t iteration) {
-  ColorLists lists(num_vertices, palette.list_size);
-  for (std::uint32_t v = 0; v < num_vertices; ++v) {
-    util::Xoshiro256 rng = util::keyed_rng(seed, iteration, v);
-    util::sample_without_replacement(palette.palette_size,
-                                     lists.mutable_list(v), rng);
+  ColorLists lists(num_vertices, palette.list_size, palette.palette_size);
+  const auto draw = [&](auto* data) {
+    for (std::uint32_t v = 0; v < num_vertices; ++v) {
+      util::Xoshiro256 rng = util::keyed_rng(seed, iteration, v);
+      util::sample_without_replacement(
+          palette.palette_size,
+          std::span(data + static_cast<std::size_t>(v) * palette.list_size,
+                    palette.list_size),
+          rng);
+    }
+  };
+  if (lists.narrow()) {
+    draw(lists.narrow_.data());
+  } else {
+    draw(lists.wide_.data());
   }
   return lists;
 }

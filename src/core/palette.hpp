@@ -29,27 +29,55 @@ struct IterationPalette {
 IterationPalette compute_palette(std::uint32_t n_active, double palette_percent,
                                  double alpha, std::uint32_t base_color);
 
+/// A typed view of one iteration's list rows: row(v) is vertex v's list,
+/// ascending. T is the row width ColorLists chose (uint16_t or uint32_t).
+template <typename T>
+struct ListRows {
+  const T* data;
+  std::uint32_t list_size;
+
+  std::span<const T> row(std::uint32_t v) const noexcept {
+    return {data + static_cast<std::size_t>(v) * list_size, list_size};
+  }
+};
+
 /// The random color lists of one iteration, stored flat (n * L entries,
 /// ascending within each vertex's list). Colors are palette-local, in
-/// [0, P); the driver adds base_color when emitting final colors.
+/// [0, P); the driver adds base_color when emitting final colors. Rows are
+/// 16 bits wide when every palette color fits (P <= kNarrowPaletteLimit)
+/// and 32 bits otherwise; at the default palette every Table-II input takes
+/// the narrow rows. The width follows from P alone; it is not an option.
 class ColorLists {
  public:
+  static constexpr std::uint32_t kNarrowPaletteLimit = 65536;
+
   ColorLists() = default;
-  ColorLists(std::uint32_t num_vertices, std::uint32_t list_size)
-      : list_size_(list_size),
-        data_(static_cast<std::size_t>(num_vertices) * list_size) {}
+  /// Zero-filled lists of `list_size` colors for `num_vertices` vertices,
+  /// at the row width palette_size calls for.
+  ColorLists(std::uint32_t num_vertices, std::uint32_t list_size,
+             std::uint32_t palette_size);
 
-  std::uint32_t num_vertices() const noexcept {
-    return list_size_ == 0 ? 0
-                           : static_cast<std::uint32_t>(data_.size() / list_size_);
-  }
+  std::uint32_t num_vertices() const noexcept { return num_vertices_; }
   std::uint32_t list_size() const noexcept { return list_size_; }
+  bool narrow() const noexcept { return wide_.empty(); }
 
-  std::span<const std::uint32_t> list(std::uint32_t v) const {
-    return {data_.data() + static_cast<std::size_t>(v) * list_size_, list_size_};
+  /// The one reader of the rows: calls fn(ListRows<T>) with the row width
+  /// resolved, and returns what fn returns. Loops over entries go inside
+  /// fn, so they branch on the width once per loop, never per entry.
+  template <typename Fn>
+  decltype(auto) visit_rows(Fn&& fn) const {
+    if (narrow()) {
+      return fn(ListRows<std::uint16_t>{narrow_.data(), list_size_});
+    }
+    return fn(ListRows<std::uint32_t>{wide_.data(), list_size_});
   }
-  std::span<std::uint32_t> mutable_list(std::uint32_t v) {
-    return {data_.data() + static_cast<std::size_t>(v) * list_size_, list_size_};
+
+  /// Copy of v's list at 32 bits, for cold readers (tests, diagnostics).
+  std::vector<std::uint32_t> list_copy(std::uint32_t v) const {
+    return visit_rows([v](auto rows) {
+      const auto row = rows.row(v);
+      return std::vector<std::uint32_t>(row.begin(), row.end());
+    });
   }
 
   /// True iff the (sorted) lists of u and v share at least one color.
@@ -64,7 +92,22 @@ class ColorLists {
 
   /// Smallest color present in both lists, or kNoShared. Two-pointer merge
   /// over the sorted lists, O(L).
-  std::uint32_t first_shared_color(std::uint32_t u, std::uint32_t v) const;
+  std::uint32_t first_shared_color(std::uint32_t u, std::uint32_t v) const {
+    return visit_rows([u, v](auto rows) {
+      const auto lu = rows.row(u);
+      const auto lv = rows.row(v);
+      std::size_t i = 0, j = 0;
+      while (i < lu.size() && j < lv.size()) {
+        if (lu[i] == lv[j]) return std::uint32_t{lu[i]};
+        if (lu[i] < lv[j]) {
+          ++i;
+        } else {
+          ++j;
+        }
+      }
+      return kNoShared;
+    });
+  }
 
   /// Packed palette bitmask of vertex v: bit (c mod 64) is set for every
   /// color c in v's list. `sig_u & sig_v == 0` proves the lists disjoint
@@ -76,18 +119,23 @@ class ColorLists {
 
   /// Builds the per-vertex signatures. Only the drivers whose conflict
   /// pass reads them (the materialized and semi-streaming ones) call
-  /// this, right after the draw; call it again after mutating
-  /// lists by hand.
+  /// this, right after the draw.
   void build_signatures();
 
   std::size_t logical_bytes() const noexcept {
-    return data_.capacity() * sizeof(std::uint32_t) +
+    return narrow_.capacity() * sizeof(std::uint16_t) +
+           wide_.capacity() * sizeof(std::uint32_t) +
            sigs_.capacity() * sizeof(std::uint64_t);
   }
 
  private:
+  friend ColorLists assign_random_lists(std::uint32_t, const IterationPalette&,
+                                        std::uint64_t, std::uint64_t);
+
+  std::uint32_t num_vertices_ = 0;
   std::uint32_t list_size_ = 0;
-  std::vector<std::uint32_t> data_;
+  std::vector<std::uint16_t> narrow_;  // rows when P <= kNarrowPaletteLimit
+  std::vector<std::uint32_t> wide_;    // rows otherwise (narrow_ empty)
   std::vector<std::uint64_t> sigs_;  // one word per vertex, empty until built
 };
 

@@ -38,16 +38,18 @@ std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
   const double v = n;
   const double l = palette.list_size;
   const double mask_words = std::ceil(l / 64.0);
-  const double lists = 4.0 * v * l;
+  const double entry_bytes =
+      palette.palette_size <= ColorLists::kNarrowPaletteLimit ? 2.0 : 4.0;
+  const double lists = entry_bytes * v * l;
   const double index = 4.0 * v * l + 4.0 * (palette.palette_size + 1.0);
   // Strike state: one record per vertex (a position/size word plus the
-  // presence mask), L + 1 bucket headers, and the bucket vectors' entry
-  // capacity: the initial bucket is reserved at exactly n, and each of the
-  // L lower buckets is taken to fill to at most n/4 at once, doubled for
-  // push_back growth (random Pauli sets, whose complement graphs are ~50%
-  // dense, peak near n/5 at L <= 10 and n/13 at L ~ 130). Assignment: at
-  // most one 32-bit word per vertex.
-  const double records = 8.0 * v * (1.0 + mask_words);
+  // presence mask) and one alive flag, L + 1 bucket headers, and the bucket
+  // vectors' entry capacity: the initial bucket is reserved at exactly n,
+  // and each of the L lower buckets is taken to fill to at most n/4 at once,
+  // doubled for push_back growth (random Pauli sets, whose complement graphs
+  // are ~50% dense, peak near n/5 at L <= 10 and n/13 at L ~ 130).
+  // Assignment: at most one 32-bit word per vertex.
+  const double records = 8.0 * v * (1.0 + mask_words) + v;
   const double buckets = 24.0 * (l + 1.0) + 4.0 * (v + v * l / 2.0);
   const double assigned = 4.0 * v;
   return static_cast<std::size_t>(lists + index + records + buckets + assigned);

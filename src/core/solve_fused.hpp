@@ -18,12 +18,13 @@
 //  * each index entry packs a member with c's slot in its list, so a
 //    confirmed strike is one bit clear in the member's strike record — no
 //    search;
-//  * every strike scan compacts its bucket in place down to the live
-//    entries (stable, so candidates stay ascending): colored vertices,
-//    emptied lists and slots an earlier same-color neighbor struck all
-//    leave, so the oracle never re-tests a pair whose strike could no
-//    longer change a list, and only one bucket per vertex is ever scanned
-//    instead of all L;
+//  * every strike scan compacts its bucket in place (stable, so candidates
+//    stay ascending): members whose alive flag is down (colored, or list
+//    emptied) leave, and so do the entries the scan itself strikes. Only a
+//    scan of bucket c strikes c, so a bucket never holds a struck slot and
+//    the liveness test is one byte per member; the oracle never re-tests a
+//    pair whose strike could no longer change a list, and only one bucket
+//    per vertex is ever scanned instead of all L;
 //  * candidate batches go through the blocked SIMD kernels (edge_block) on
 //    the calling thread. A bucket at the default palette holds about 8L
 //    candidates, far too few to pay for a pool dispatch, so the coloring
@@ -82,10 +83,11 @@ std::size_t projected_conflict_csr_bytes(std::uint32_t n,
 /// input under the given palette configuration, on top of the input
 /// itself — what a plan that never materializes a conflict CSR costs. The
 /// first iteration is the largest (every term grows with the active count)
-/// and holds, all at once: the color lists (nL colors, no palette
+/// and holds, all at once: the color lists (nL colors, 2 bytes each when
+/// P <= ColorLists::kNarrowPaletteLimit and 4 otherwise, no palette
 /// signatures), the (vertex, slot) index (nL entries + P + 1 offsets), and
-/// the dynamic-bucket coloring state (one strike record per vertex, the
-/// size-bucket vectors, the assignment array). Strike-scan scratch (5
+/// the dynamic-bucket coloring state (one strike record and one alive flag
+/// per vertex, the size-bucket vectors, the assignment array). Strike-scan scratch (5
 /// bytes per entry of the largest bucket, the tester's 4-byte global ids
 /// per candidate, one touched flag per vertex) is charged after the
 /// coloring state is released and never exceeds it.
@@ -98,6 +100,10 @@ namespace detail {
 /// many strike scans (every scan still checks the stop token).
 inline constexpr std::size_t kFusedProgressInterval = 256;
 
+/// How many confirmed entries ahead of the strike the fused scan prefetches
+/// strike records.
+inline constexpr std::uint32_t kStrikePrefetchDistance = 4;
+
 /// Work counters one fused iteration accumulates. fused_step flushes them
 /// into obs::global_metrics() once per iteration — a schedule-
 /// independent boundary, so counter totals stay bit-identical across
@@ -109,20 +115,27 @@ struct FusedScanStats {
 };
 
 /// Strike enumerator the shared scheme bodies drive (ForEachStrike
-/// contract, list_coloring.hpp): candidates are the members of the
-/// assigned color's bucket whose slot for it is still live (v itself is
-/// retired by then), in ascending order; the Tester answers adjacency for
-/// the whole batch; confirmed candidates are struck in candidate order with
-/// the slot their packed entry carries. The scan compacts the bucket to
-/// exactly the candidates' entries (kEnd-terminated when it shrinks), so
-/// bucket entry i belongs to candidate i and the strike pass needs no
-/// second array. One live-bit test drops colored vertices, emptied lists
-/// and slots an earlier same-color neighbor struck; none of them can be
-/// struck again, so the batches shrink while the strikes — and so every
-/// coloring — stay what a full bucket walk would give. The compaction is
-/// branch-free (store, then advance by the live bit) into scratch sized
-/// once to the largest bucket. Checks the stop token at every bucket
-/// boundary and reports progress every kFusedProgressInterval scans.
+/// contract, list_coloring.hpp): candidates are the alive members of the
+/// assigned color's bucket (v itself is retired by then), in ascending
+/// order; the Tester answers adjacency for the whole batch; confirmed
+/// candidates are struck in candidate order with the slot their packed
+/// entry carries.
+///
+/// A strike of color c only ever comes from a scan of bucket c, and each
+/// scan drops the entries it strikes from the bucket in the same pass that
+/// gathers them. So a bucket never holds a struck slot, and "slot still
+/// live" reduces to the member's alive flag (StrikeState::alive, one byte
+/// per vertex): colored vertices and emptied lists leave the bucket at the
+/// next scan, struck slots at the scan that struck them. None of them can
+/// be struck again, so the batches shrink while the strikes — and so every
+/// coloring — stay what a full bucket walk would give. The scan keeps the
+/// bucket's surviving entries in place, stable (candidates stay ascending)
+/// and kEnd-terminated when it shrinks; both passes are branch-free (store,
+/// then advance by the flag or the hit) into scratch sized once to the
+/// largest bucket. The strike pass prefetches the strike records of the
+/// confirmed entries a few entries ahead of striking them. Checks the stop
+/// token at every bucket boundary and reports progress every
+/// kFusedProgressInterval scans.
 ///
 /// Tester contract: tester(v, cands, hits) fills hits[i] = 1 iff
 /// {v, cands[i]} (local ids) is an edge of the conflict oracle's graph.
@@ -165,22 +178,30 @@ class FusedStrikeEnumerator {
       const std::uint32_t u = index.vertex(entry);
       bucket[live] = entry;
       cands[live] = u;
-      live += work.live(u, index.slot(entry)) ? 1u : 0u;
+      live += work.alive(u) ? 1u : 0u;
     }
-    if (live < size) bucket[live] = ColorIndex::kEnd;
     std::uint8_t* hits = hits_.data();
     if (live != 0) {
       (*tester_)(v, std::span<const std::uint32_t>(cands, live), hits);
       stats_->pairs_tested += live;
     }
-    // The batch is spent: reuse it for the confirmed entries, gathered
-    // branch-free, then strike them in candidate order.
+    // The batch is spent: reuse it for the confirmed entries, and keep the
+    // rest in the bucket — the struck slots leave it here.
     std::uint32_t confirmed = 0;
+    std::uint32_t kept = 0;
     for (std::uint32_t i = 0; i < live; ++i) {
-      cands[confirmed] = bucket[i];
-      confirmed += hits[i] != 0 ? 1u : 0u;
+      const std::uint32_t entry = bucket[i];
+      const std::uint32_t hit = hits[i] != 0 ? 1u : 0u;
+      cands[confirmed] = entry;
+      bucket[kept] = entry;
+      confirmed += hit;
+      kept += 1u - hit;
     }
+    if (kept < size) bucket[kept] = ColorIndex::kEnd;
     for (std::uint32_t k = 0; k < confirmed; ++k) {
+      if (k + kStrikePrefetchDistance < confirmed) {
+        work.prefetch(index.vertex(cands[k + kStrikePrefetchDistance]));
+      }
       const std::uint32_t u = index.vertex(cands[k]);
       strike(u, index.slot(cands[k]));
       (*touched_)[u] = 1;
@@ -249,33 +270,35 @@ class FusedNeighborEnumerator {
   template <typename Visit>
   void operator()(std::uint32_t v, Visit&& visit) {
     throw_if_stopped(params_->stop);
-    for (std::uint32_t c : lists_->list(v)) {
-      ++stats_->bucket_scans;
-      cands_.clear();
-      const std::uint32_t lo = index_->offsets[c];
-      const std::uint32_t hi = index_->offsets[c + 1];
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        const std::uint32_t u = index_->vertex(index_->members[i]);
-        if (u == v) continue;
-        // Each (u, v) pair is examined once, at its smallest shared color.
-        const std::uint32_t a = std::min(u, v);
-        const std::uint32_t b = std::max(u, v);
-        if (lists_->first_shared_color(a, b) != c) continue;
-        cands_.push_back(u);
+    lists_->visit_rows([&](auto rows) {
+      for (const std::uint32_t c : rows.row(v)) {
+        ++stats_->bucket_scans;
+        cands_.clear();
+        const std::uint32_t lo = index_->offsets[c];
+        const std::uint32_t hi = index_->offsets[c + 1];
+        for (std::uint32_t i = lo; i < hi; ++i) {
+          const std::uint32_t u = index_->vertex(index_->members[i]);
+          if (u == v) continue;
+          // Each (u, v) pair is examined once, at its smallest shared color.
+          const std::uint32_t a = std::min(u, v);
+          const std::uint32_t b = std::max(u, v);
+          if (lists_->first_shared_color(a, b) != c) continue;
+          cands_.push_back(u);
+        }
+        if (cands_.empty()) continue;
+        hits_.resize(cands_.size());
+        (*tester_)(v, std::span<const std::uint32_t>(cands_), hits_.data());
+        stats_->pairs_tested += cands_.size();
+        for (std::size_t i = 0; i < cands_.size(); ++i) {
+          if (!hits_[i]) continue;
+          const std::uint32_t u = cands_[i];
+          if (v < u) ++stats_->edges_struck;
+          (*touched_)[u] = 1;
+          (*touched_)[v] = 1;
+          visit(u);
+        }
       }
-      if (cands_.empty()) continue;
-      hits_.resize(cands_.size());
-      (*tester_)(v, std::span<const std::uint32_t>(cands_), hits_.data());
-      stats_->pairs_tested += cands_.size();
-      for (std::size_t i = 0; i < cands_.size(); ++i) {
-        if (!hits_[i]) continue;
-        const std::uint32_t u = cands_[i];
-        if (v < u) ++stats_->edges_struck;
-        (*touched_)[u] = 1;
-        (*touched_)[v] = 1;
-        visit(u);
-      }
-    }
+    });
   }
 
   std::size_t scratch_bytes() const noexcept {
@@ -439,7 +462,8 @@ StepResult fused_step(const Iteration& it, const PicassoParams& params,
   // The fused frontier: the color -> (vertex, slot) inverted index is the
   // only per-iteration structure beyond the lists themselves — where the
   // materialized engines stage COO partitions and a CSR, this engine
-  // holds nL + P + 1 words, period. Strike scans compact it in place.
+  // holds nL + P + 1 words, period. Strike scans compact it in place,
+  // dropping the colored, the emptied and the struck entries.
   ColorIndex index = build_color_index(it.lists, it.palette.palette_size);
   out.structure = util::ScopedCharge(
       util::MemSubsystem::FusedFrontier,

@@ -4,15 +4,6 @@
 
 namespace picasso::util {
 
-namespace {
-
-/// Longest row sample_without_replacement orders by rank placement. That
-/// costs k^2 compares, so the aggressive regime's lists of hundreds keep
-/// std::sort.
-constexpr std::uint32_t kRankPlacedSampleMax = 32;
-
-}  // namespace
-
 Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexcept {
   SplitMix64 sm(seed ^ 0x6a09e667f3bcc909ULL);
   std::uint64_t s = sm.next();
@@ -23,8 +14,15 @@ Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexc
   return Xoshiro256(sm3.next());
 }
 
-std::span<std::uint32_t> sample_without_replacement(
-    std::uint32_t n, std::span<std::uint32_t> out, Xoshiro256& rng) {
+namespace {
+
+/// Longest row sample_without_replacement orders by rank placement. That
+/// costs k^2 compares, so the aggressive regime's lists of hundreds keep
+/// std::sort.
+constexpr std::uint32_t kRankPlacedSampleMax = 32;
+
+template <typename T>
+std::span<T> sample_rows(std::uint32_t n, std::span<T> out, Xoshiro256& rng) {
   const auto k = static_cast<std::uint32_t>(
       std::min<std::size_t>(out.size(), n));
   out = out.first(k);
@@ -33,7 +31,7 @@ std::span<std::uint32_t> sample_without_replacement(
   // k-subsets. The membership test counts matches over the whole filled
   // prefix without an early exit: the count vectorizes, and at list sizes
   // it beats both a mispredicted exit and a hash set.
-  auto floyd = [&](std::uint32_t* draws) {
+  auto floyd = [&](auto* draws) {
     for (std::uint32_t filled = 0, j = n - k; j < n; ++j, ++filled) {
       const auto t = static_cast<std::uint32_t>(rng.bounded(j + 1));
       std::uint32_t matches = 0;
@@ -58,9 +56,21 @@ std::span<std::uint32_t> sample_without_replacement(
     for (std::uint32_t j = 0; j < k; ++j) {
       rank += draws[j] < draws[i] ? 1u : 0u;
     }
-    out[rank] = draws[i];
+    out[rank] = static_cast<T>(draws[i]);
   }
   return out;
+}
+
+}  // namespace
+
+std::span<std::uint32_t> sample_without_replacement(
+    std::uint32_t n, std::span<std::uint32_t> out, Xoshiro256& rng) {
+  return sample_rows(n, out, rng);
+}
+
+std::span<std::uint16_t> sample_without_replacement(
+    std::uint32_t n, std::span<std::uint16_t> out, Xoshiro256& rng) {
+  return sample_rows(n, out, rng);
 }
 
 }  // namespace picasso::util

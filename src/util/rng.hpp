@@ -99,9 +99,12 @@ Xoshiro256 keyed_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) noexc
 /// random into out[0, k), ascending, and returns that prefix. Floyd's
 /// algorithm: O(k) draws, no O(n) scratch and no allocation. Rows of up to
 /// 32 draws are ordered by rank placement, longer ones by std::sort; both
-/// give the same row.
+/// give the same row. The 16-bit overload draws the identical row for
+/// n <= 65,536 (every value then fits).
 std::span<std::uint32_t> sample_without_replacement(
     std::uint32_t n, std::span<std::uint32_t> out, Xoshiro256& rng);
+std::span<std::uint16_t> sample_without_replacement(
+    std::uint32_t n, std::span<std::uint16_t> out, Xoshiro256& rng);
 
 /// Fisher-Yates shuffle.
 template <typename T>

@@ -117,7 +117,7 @@ TEST(ConflictGraph, ActiveSubsetMapsLocalIndices) {
 TEST(ConflictGraph, EmptyAndSingletonInputs) {
   const auto graph = pg::erdos_renyi_dense(4, 0.5, 1);
   const pg::DenseOracle oracle(graph);
-  const pcore::ColorLists empty_lists(0, 1);
+  const pcore::ColorLists empty_lists(0, 1, 1);
   const auto r0 = pcore::build_conflict_graph(
       oracle, std::vector<std::uint32_t>{}, empty_lists, 1,
       pcore::ConflictKernel::Indexed);
@@ -177,7 +177,7 @@ TEST(ColorIndex, PackedEntriesDecodeToVertexAndSlot) {
         const std::uint32_t k = index.slot(index.members[i]);
         ASSERT_LT(u, n) << key;
         ASSERT_LT(k, l) << key;
-        EXPECT_EQ(lists.list(u)[k], c) << key << " u=" << u << " k=" << k;
+        EXPECT_EQ(lists.list_copy(u)[k], c) << key << " u=" << u << " k=" << k;
         if (i > index.offsets[c]) {
           EXPECT_LT(index.vertex(index.members[i - 1]), u) << key;
         }

@@ -21,6 +21,7 @@
 #include "graph/oracles.hpp"
 #include "pauli/pauli_set.hpp"
 #include "pauli/pauli_stream.hpp"
+#include "util/fnv.hpp"
 #include "util/packed_colors.hpp"
 #include "util/rng.hpp"
 
@@ -132,7 +133,10 @@ TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
 // repeated scans of buckets the earlier scans compacted. Strikes land in
 // the strike state between scans (about half the candidates test
 // adjacent), so struck slots and emptied lists must drop out of later
-// batches.
+// batches. After every scan the bucket itself holds exactly that batch
+// minus the members just struck, ascending: the scan's liveness test reads
+// only the alive flag, so a struck slot left in its bucket would come back
+// as a candidate.
 TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
   constexpr std::uint32_t n = 300;
   const pcore::IterationPalette palette{12, 5, 0};
@@ -171,7 +175,7 @@ TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
     ASSERT_EQ(state.size_of(v), left[v]) << "v=" << v;
     const std::uint32_t color = state.color_at(
         v, static_cast<std::uint32_t>(rng.bounded(left[v])));
-    const auto own = lists.list(v);
+    const auto own = lists.list_copy(v);
     const auto own_slot = static_cast<std::uint32_t>(
         std::find(own.begin(), own.end(), color) - own.begin());
     ASSERT_LT(own_slot, palette.list_size) << "v=" << v;
@@ -181,7 +185,7 @@ TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
     std::vector<std::uint32_t> expected;
     std::vector<std::uint32_t> expected_struck;
     for (std::uint32_t u = 0; u < n; ++u) {
-      const auto list = lists.list(u);
+      const auto list = lists.list_copy(u);
       const auto it = std::find(list.begin(), list.end(), color);
       if (colored[u] || it == list.end()) continue;
       if (struck_slot[u][static_cast<std::size_t>(it - list.begin())]) continue;
@@ -191,7 +195,7 @@ TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
     batch.clear();
     std::vector<std::uint32_t> struck;
     scan(v, color, state, [&](std::uint32_t u, std::uint32_t slot) {
-      ASSERT_EQ(lists.list(u)[slot], color) << "u=" << u;
+      ASSERT_EQ(lists.list_copy(u)[slot], color) << "u=" << u;
       ASSERT_TRUE(state.live(u, slot)) << "u=" << u;
       struck.push_back(u);
       struck_slot[u][slot] = 1;
@@ -201,6 +205,21 @@ TEST(FusedEngine, StrikeScanCompactsToLiveSlots) {
     ++scans;
     ASSERT_EQ(batch, expected) << "v=" << v << " color=" << color;
     ASSERT_EQ(struck, expected_struck) << "v=" << v << " color=" << color;
+    std::vector<std::uint32_t> expected_kept;
+    std::set_difference(expected.begin(), expected.end(),
+                        expected_struck.begin(), expected_struck.end(),
+                        std::back_inserter(expected_kept));
+    std::vector<std::uint32_t> kept;
+    for (std::uint32_t i = index.offsets[color];
+         i < index.offsets[color + 1] &&
+         index.members[i] != pcore::detail::ColorIndex::kEnd;
+         ++i) {
+      const std::uint32_t u = index.vertex(index.members[i]);
+      ASSERT_EQ(lists.list_copy(u)[index.slot(index.members[i])], color)
+          << "u=" << u;
+      kept.push_back(u);
+    }
+    ASSERT_EQ(kept, expected_kept) << "v=" << v << " color=" << color;
   }
   EXPECT_EQ(stats.bucket_scans, scans);
   // The run must exercise both drop rules, not just the colored one.
@@ -267,6 +286,26 @@ TEST(FusedEngine, BitIdenticalOnExplicitGraphs) {
     const auto fused = pcore::solve_fused(oracle, params);
     ASSERT_EQ(fused.colors, ref.colors) << "case " << c;
   }
+}
+
+// Past ColorLists::kNarrowPaletteLimit the lists take 32-bit rows: a sparse
+// 70,000-vertex graph at palette_percent 100 and alpha 1 draws a first
+// palette of 70,000 colors. Fused and InMemory must still agree on it.
+TEST(FusedEngine, WideListRowsMatchInMemory) {
+  constexpr pg::VertexId n = 70000;
+  const auto g = pg::rmat(n, std::uint64_t{4} * n, 0.45, 0.15, 0.15, 0x70ull);
+  pcore::PicassoParams params;
+  params.seed = 5;
+  params.palette_percent = 100.0;
+  params.alpha = 1.0;
+  const pg::CsrOracle oracle(g);
+  const auto ref = pcore::solve_oracle(oracle, params);
+  const auto fused = pcore::solve_fused(oracle, params);
+  ASSERT_GT(ref.iterations.at(0).palette_size,
+            pcore::ColorLists::kNarrowPaletteLimit);
+  EXPECT_EQ(pu::coloring_fingerprint(fused.colors),
+            pu::coloring_fingerprint(ref.colors));
+  EXPECT_EQ(fused.num_colors, ref.num_colors);
 }
 
 // The memory contract of the whole PR: a fused run never charges a byte to
@@ -412,11 +451,14 @@ TEST(FusedEngine, ProjectedFusedBytesBoundsMeasuredPeak) {
           << "n=" << n << " palette " << pal.percent << "% alpha "
           << pal.alpha;
       // The lists are the whole PaletteLists charge: nL colors of the
-      // first (largest) iteration and no palette signatures.
+      // first (largest) iteration, 16 bits each at these palettes, and no
+      // palette signatures.
       ASSERT_FALSE(result.iterations.empty());
+      ASSERT_LE(result.iterations[0].palette_size,
+                pcore::ColorLists::kNarrowPaletteLimit);
       EXPECT_EQ(result.memory.subsystem_peak[static_cast<unsigned>(
                     pu::MemSubsystem::PaletteLists)],
-                4 * n * result.iterations[0].list_size)
+                2 * n * result.iterations[0].list_size)
           << "n=" << n << " palette " << pal.percent << "% alpha "
           << pal.alpha;
     }

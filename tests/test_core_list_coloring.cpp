@@ -33,7 +33,7 @@ void expect_valid_list_coloring(const pg::CsrGraph& gc,
     if (c == kNone) continue;
     ++colored;
     // Color must come from the vertex's own list.
-    const auto list = lists.list(v);
+    const auto list = lists.list_copy(v);
     EXPECT_NE(std::find(list.begin(), list.end(), c), list.end())
         << "vertex " << v << " colored outside its list";
     // No conflict edge may be monochromatic.
@@ -122,7 +122,7 @@ TEST(ListColoring, IsolatedVerticesAlwaysColored) {
   EXPECT_EQ(result.num_colored, 20u);
   EXPECT_TRUE(result.uncolored.empty());
   for (std::uint32_t v = 0; v < 20; ++v) {
-    const auto list = lists.list(v);
+    const auto list = lists.list_copy(v);
     EXPECT_NE(std::find(list.begin(), list.end(), result.assigned[v]),
               list.end());
   }
@@ -130,7 +130,7 @@ TEST(ListColoring, IsolatedVerticesAlwaysColored) {
 
 TEST(ListColoring, EmptyGraph) {
   const pg::CsrGraph gc;
-  const pcore::ColorLists lists(0, 3);
+  const pcore::ColorLists lists(0, 3, 3);
   picasso::util::Xoshiro256 rng(1);
   const auto result = pcore::color_conflict_graph_dynamic(gc, lists, rng);
   EXPECT_EQ(result.num_colored, 0u);
@@ -141,9 +141,7 @@ TEST(ListColoring, SingleSharedColorForcesUncolored) {
   // Two adjacent vertices with identical singleton lists: one must end up
   // in V_u — the retry mechanism of Algorithm 1.
   const auto gc = pg::CsrGraph::from_edges(2, {{0, 1}});
-  pcore::ColorLists lists(2, 1);
-  lists.mutable_list(0)[0] = 0;
-  lists.mutable_list(1)[0] = 0;
+  const pcore::ColorLists lists(2, 1, 1);  // zero-filled: both lists are {0}
   picasso::util::Xoshiro256 rng(2);
   const auto result = pcore::color_conflict_graph_dynamic(gc, lists, rng);
   EXPECT_EQ(result.num_colored, 1u);

@@ -54,7 +54,7 @@ TEST(AssignRandomLists, ListsAreSortedDistinctAndInPalette) {
   ASSERT_EQ(lists.num_vertices(), 200u);
   ASSERT_EQ(lists.list_size(), 8u);
   for (std::uint32_t v = 0; v < 200; ++v) {
-    const auto list = lists.list(v);
+    const auto list = lists.list_copy(v);
     std::set<std::uint32_t> unique(list.begin(), list.end());
     EXPECT_EQ(unique.size(), list.size()) << "v=" << v;
     EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
@@ -67,8 +67,8 @@ TEST(AssignRandomLists, DeterministicPerSeedAndIteration) {
   const auto a = pcore::assign_random_lists(64, palette, 9, 2);
   const auto b = pcore::assign_random_lists(64, palette, 9, 2);
   for (std::uint32_t v = 0; v < 64; ++v) {
-    const auto la = a.list(v);
-    const auto lb = b.list(v);
+    const auto la = a.list_copy(v);
+    const auto lb = b.list_copy(v);
     EXPECT_TRUE(std::equal(la.begin(), la.end(), lb.begin()));
   }
   // A different iteration (or seed) produces different lists somewhere.
@@ -76,14 +76,38 @@ TEST(AssignRandomLists, DeterministicPerSeedAndIteration) {
   const auto d = pcore::assign_random_lists(64, palette, 10, 2);
   int diff_c = 0, diff_d = 0;
   for (std::uint32_t v = 0; v < 64; ++v) {
-    const auto la = a.list(v);
-    const auto lc = c.list(v);
-    const auto ld = d.list(v);
+    const auto la = a.list_copy(v);
+    const auto lc = c.list_copy(v);
+    const auto ld = d.list_copy(v);
     diff_c += std::equal(la.begin(), la.end(), lc.begin()) ? 0 : 1;
     diff_d += std::equal(la.begin(), la.end(), ld.begin()) ? 0 : 1;
   }
   EXPECT_GT(diff_c, 0);
   EXPECT_GT(diff_d, 0);
+}
+
+// Rows are 16 bits wide up to P = 65,536 and 32 bits from 65,537 on; either
+// way row v is the sampler's draw from the (seed, iteration, v) stream. L =
+// 40 takes the sampler's sort path, L = 9 its rank placement.
+TEST(AssignRandomLists, RowWidthFollowsThePaletteAndKeepsTheDraw) {
+  constexpr std::uint32_t kLimit = pcore::ColorLists::kNarrowPaletteLimit;
+  for (const std::uint32_t palette_size : {kLimit, kLimit + 1}) {
+    for (const std::uint32_t list_size : {9u, 40u}) {
+      const pcore::IterationPalette palette{palette_size, list_size, 0};
+      const auto lists = pcore::assign_random_lists(300, palette, 17, 4);
+      EXPECT_EQ(lists.narrow(), palette_size <= kLimit);
+      EXPECT_EQ(lists.logical_bytes(),
+                std::size_t{300} * list_size *
+                    (palette_size <= kLimit ? 2 : 4));
+      std::vector<std::uint32_t> expected(list_size);
+      for (std::uint32_t v = 0; v < 300; ++v) {
+        auto rng = picasso::util::keyed_rng(17, 4, v);
+        picasso::util::sample_without_replacement(palette_size, expected, rng);
+        ASSERT_EQ(lists.list_copy(v), expected)
+            << "P=" << palette_size << " L=" << list_size << " v=" << v;
+      }
+    }
+  }
 }
 
 TEST(AssignRandomLists, CoversPaletteApproximatelyUniformly) {
@@ -93,7 +117,7 @@ TEST(AssignRandomLists, CoversPaletteApproximatelyUniformly) {
   const auto lists = pcore::assign_random_lists(1000, palette, 123, 0);
   std::vector<int> histogram(60, 0);
   for (std::uint32_t v = 0; v < 1000; ++v) {
-    for (auto c : lists.list(v)) ++histogram[c];
+    for (auto c : lists.list_copy(v)) ++histogram[c];
   }
   for (int count : histogram) {
     EXPECT_GT(count, 50);
@@ -109,8 +133,8 @@ TEST(ColorLists, FirstSharedColorAgainstBruteForce) {
     if (signatures) lists.build_signatures();
     for (std::uint32_t u = 0; u < 80; ++u) {
       for (std::uint32_t v = 0; v < 80; ++v) {
-        const auto lu = lists.list(u);
-        const auto lv = lists.list(v);
+        const auto lu = lists.list_copy(u);
+        const auto lv = lists.list_copy(v);
         std::uint32_t expected = pcore::ColorLists::kNoShared;
         for (auto cu : lu) {
           if (std::find(lv.begin(), lv.end(), cu) != lv.end()) {
@@ -130,12 +154,12 @@ TEST(ColorLists, SelfAlwaysShares) {
   const pcore::IterationPalette palette{20, 4, 0};
   const auto lists = pcore::assign_random_lists(10, palette, 5, 0);
   for (std::uint32_t v = 0; v < 10; ++v) {
-    EXPECT_EQ(lists.first_shared_color(v, v), lists.list(v)[0]);
+    EXPECT_EQ(lists.first_shared_color(v, v), lists.list_copy(v)[0]);
   }
 }
 
 TEST(ColorLists, LogicalBytesNonZero) {
   const pcore::IterationPalette palette{20, 4, 0};
   const auto lists = pcore::assign_random_lists(10, palette, 5, 0);
-  EXPECT_GE(lists.logical_bytes(), 10u * 4u * sizeof(std::uint32_t));
+  EXPECT_GE(lists.logical_bytes(), 10u * 4u * sizeof(std::uint16_t));
 }

@@ -219,7 +219,8 @@ TEST(MemoryReport, TrackedListsPeakMatchesDriverAccounting) {
                        .build()
                        .solve(papi::Problem::dense(g))
                        .result;
-    // List entries, plus — for the materialized driver only — the
+    // List entries (16 bits wide while the palette fits them, 32 bits
+    // past that), plus — for the materialized driver only — the
     // one-word-per-vertex palette signatures its blocked pair-scan
     // prefilters on. The fused engine never reads them, so never builds
     // them.
@@ -228,10 +229,13 @@ TEST(MemoryReport, TrackedListsPeakMatchesDriverAccounting) {
                                                       : 0;
     std::size_t expected = 0;
     for (const auto& it : r.iterations) {
+      const std::size_t entry_bytes =
+          it.palette_size <= pcore::ColorLists::kNarrowPaletteLimit
+              ? sizeof(std::uint16_t)
+              : sizeof(std::uint32_t);
       expected = std::max(
-          expected,
-          std::size_t{it.n_active} * it.list_size * sizeof(std::uint32_t) +
-              std::size_t{it.n_active} * sig_bytes);
+          expected, std::size_t{it.n_active} * it.list_size * entry_bytes +
+                        std::size_t{it.n_active} * sig_bytes);
     }
     EXPECT_EQ(r.memory.subsystem_peak[static_cast<unsigned>(
                   pu::MemSubsystem::PaletteLists)],
@@ -269,7 +273,9 @@ TEST(MemoryReport, BaselineColoringLeavesLaterSolvePeaksUnchanged) {
 
 // The semi-streaming engine builds, each pass, the same conflict CSR from
 // the same lists as the in-memory engine on the same graph, so it must
-// charge the same palette-list, conflict-CSR and coloring peaks.
+// charge the same palette-list, conflict-CSR and coloring peaks. (The
+// in-memory Indexed build also charges its color index while it
+// enumerates; on this input the CSR assembly outweighs it.)
 TEST(MemoryReport, SemiStreamingChargesWhatInMemoryCharges) {
   const auto g = pg::erdos_renyi(400, 0.05, 13);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
@@ -309,4 +315,34 @@ TEST(MemoryReport, SemiStreamingChargesWhatInMemoryCharges) {
   }
   EXPECT_EQ(streamed.memory.peak_tracked_bytes,
             in_memory.memory.peak_tracked_bytes);
+}
+
+// The Indexed conflict build holds the whole color index (n*L entries and
+// P + 1 offsets) while it enumerates, so the conflict_csr peak covers it. On
+// a sparse graph the CSR assembly alone is smaller than the index.
+TEST(MemoryReport, IndexedConflictBuildChargesItsColorIndex) {
+  const auto g = pg::rmat(8192, 8 * 8192, 0.57, 0.19, 0.19, 42);
+  for (const std::uint32_t threads : {1u, 2u}) {
+    pcore::PicassoParams params;
+    params.seed = 1;
+    params.kernel = pcore::ConflictKernel::Indexed;
+    params.runtime.num_threads = threads;
+    params.runtime.serial_cutoff = 0;
+    const auto r = papi::SessionBuilder()
+                       .params(params)
+                       .strategy(papi::ExecutionStrategy::InMemory)
+                       .build()
+                       .solve(papi::Problem::csr(g))
+                       .result;
+    ASSERT_FALSE(r.iterations.empty());
+    const auto& first = r.iterations[0];
+    const std::size_t index_bytes =
+        (std::size_t{first.n_active} * first.list_size + first.palette_size +
+         1) *
+        sizeof(std::uint32_t);
+    EXPECT_GE(r.memory.subsystem_peak[static_cast<unsigned>(
+                  pu::MemSubsystem::ConflictCsr)],
+              index_bytes)
+        << "threads=" << threads;
+  }
 }
