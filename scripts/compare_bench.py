@@ -33,7 +33,15 @@ Records are keyed by (bench, name). The gate fails when
   * a record carries a "coloring_hash" (the FNV-1a replay fingerprint of the
     final coloring, emitted by bench_incremental) in the baseline and the
     current value differs — or is missing — at all. Single-threaded
-    colorings are bit-reproducible, so the hash is gated exactly.
+    colorings are bit-reproducible, so the hash is gated exactly, or
+  * a record's report.over_budget_events (how often the tracker saw a
+    charge past the budget) differs from the baseline's at all — the bench
+    records that carry a budget run single-threaded, so the count is as
+    deterministic as the counters, or
+  * a subsystem key of the baseline's report.subsystems is missing from the
+    current record (a subsystem renamed or dropped without refreshing the
+    baseline). The subsystem values themselves are not gated; the total
+    peak above is.
 
 New records (present now, absent from the baseline) are reported but do not
 fail the gate — refresh the baseline to start tracking them.
@@ -248,6 +256,24 @@ def gate_records(args):
                     f"{base_hash} (replay determinism gate)")
             else:
                 counter_note += ", coloring_hash exact"
+        base_report = base_row.get("report", {})
+        cur_report = cur_row.get("report", {})
+        if "over_budget_events" in base_report:
+            base_events = base_report["over_budget_events"]
+            cur_events = cur_report.get("over_budget_events")
+            if cur_events != base_events:
+                status = "REGRESSION"
+                failures.append(
+                    f"BUDGET   {label}: over_budget_events {cur_events} != "
+                    f"baseline {base_events} (exact-match gate)")
+        cur_subsystems = cur_report.get("subsystems", {})
+        for name in sorted(base_report.get("subsystems", {})):
+            if name not in cur_subsystems:
+                status = "REGRESSION"
+                failures.append(
+                    f"SUBSYS   {label}: subsystem '{name}' missing from "
+                    f"current record (refresh the baseline if it was "
+                    f"removed)")
         print(f"{status:10s} {label}: {base_peak} -> {cur_peak} B "
               f"({delta:+.1f}%){counter_note}")
 

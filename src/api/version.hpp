@@ -22,9 +22,11 @@
 // (SessionBuilder::device(), PicassoParams::device, the device CSR build and
 // the csr_built_on_device stats), Jones-Plassmann's RuntimeConfig parameter,
 // the thread-local runtime arenas with their memory subsystem, and the
-// parallel_for / parallel_reduce / chunk_rng primitives.
+// parallel_for / parallel_reduce / chunk_rng primitives. 7.0 removed the
+// write-only .pset.colors color sidecar: its writer and reader in
+// pauli/pauli_stream.hpp and PackedColorArray's binary save / load format.
 
-#define PICASSO_API_VERSION_MAJOR 6
+#define PICASSO_API_VERSION_MAJOR 7
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 

@@ -46,8 +46,6 @@ struct FusedState::SpillGuard {
   ~SpillGuard() {
     std::error_code ec;
     std::filesystem::remove(path, ec);
-    // Packed-color sidecar written next to the spill (see update_pauli).
-    std::filesystem::remove(path + ".colors", ec);
   }
 };
 
@@ -513,11 +511,6 @@ UpdateStats FusedState::update_pauli(const pauli::PauliSet& delta,
   UpdateStats stats;
   ingest_pauli(delta);
   color_pauli_backlog(stop, progress, stats);
-  if (use_spill_ && spill_guard_) {
-    // Persist the packed coloring next to the spill so a .pset tail on
-    // disk carries its colors too (read back via read_spill_colors).
-    pauli::write_spill_colors(spill_path_ + ".colors", colors_);
-  }
   stats.num_vertices = static_cast<std::uint32_t>(cursor_);
   stats.num_colors = distinct_colors();
   stats.seconds = timer.seconds();

@@ -36,6 +36,7 @@
 #include "core/solve_control.hpp"
 #include "pauli/pauli_set.hpp"
 #include "pauli/pauli_stream.hpp"
+#include "util/packed_colors.hpp"
 
 namespace picasso::core {
 

@@ -88,8 +88,8 @@ std::size_t sweep_orphan_spills(const std::string& dir) {
   for (const auto& entry : it) {
     const std::string file = entry.path().filename().string();
     // Only files this process family named: picasso_<tag>_<pid>_<counter>
-    // with a .pset or .pset.colors suffix. Everything else in the directory
-    // is left alone.
+    // with a .pset suffix, or the .pset.colors sidecars earlier builds wrote
+    // next to their spills. Everything else in the directory is left alone.
     if (file.rfind("picasso_", 0) != 0) continue;
     const bool spill = file.size() > 5 && file.ends_with(".pset");
     const bool sidecar = file.ends_with(".pset.colors");

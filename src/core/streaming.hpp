@@ -109,10 +109,11 @@ struct StreamingOptions {
 std::string unique_spill_path(const std::string& dir, const char* tag);
 
 /// Spill-directory janitor: removes `picasso_<tag>_<pid>_<counter>.pset`
-/// files (and their `.colors` sidecars) whose owning pid no longer exists —
-/// the debris a crashed or SIGKILLed process leaves behind. Files named by
-/// live pids, by this process, or by anything else are untouched. Returns
-/// the number of files removed. Safe to call on a missing directory.
+/// files (and the `.pset.colors` sidecars earlier builds wrote next to
+/// them) whose owning pid no longer exists — the debris a crashed or
+/// SIGKILLed process leaves behind. Files named by live pids, by this
+/// process, or by anything else are untouched. Returns the number of files
+/// removed. Safe to call on a missing directory.
 std::size_t sweep_orphan_spills(const std::string& dir);
 
 /// Strings per spill chunk: `explicit_chunk` when set, else sized so two

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <system_error>
@@ -699,73 +697,6 @@ std::size_t PackedRecordProber::scratch_bytes() const noexcept {
          (rel_.capacity() + group_ids_.capacity() + group_pos_.capacity()) *
              sizeof(std::uint32_t) +
          group_out_.capacity();
-}
-
-void write_spill_colors(const std::string& path,
-                        const util::PackedColorArray& colors) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("write_spill_colors: cannot open " + path);
-  }
-  errno = 0;
-  // The blob goes straight to the file through a tee that hashes it on the
-  // way, so the trailer covers exactly the blob bytes and a torn color
-  // sidecar is detectable on reload.
-  util::WordHasher sum;
-  HashingTee tee(out.rdbuf(), sum);
-  std::ostream blob(&tee);
-  colors.save(blob);
-  write_pod(out, kTrailerMagic);
-  write_pod(out, sum.digest());
-  out.flush();
-  if (!blob || !out) throw_write_failure("write_spill_colors", path);
-}
-
-util::PackedColorArray read_spill_colors(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("read_spill_colors: cannot open " + path);
-  }
-  std::ostringstream buf(std::ios::binary);
-  buf << in.rdbuf();
-  std::string bytes = std::move(buf).str();
-  std::size_t body = bytes.size();
-  if (bytes.size() >= kTrailerBytes) {
-    std::uint64_t magic = 0, sum = 0;
-    std::memcpy(&magic, bytes.data() + bytes.size() - kTrailerBytes,
-                sizeof(magic));
-    std::memcpy(&sum, bytes.data() + bytes.size() - sizeof(sum), sizeof(sum));
-    if (magic == kTrailerMagic || magic == kTrailerMagicFnv) {
-      body = bytes.size() - kTrailerBytes;
-      std::uint64_t actual = 0;
-      if (magic == kTrailerMagic) {
-        util::WordHasher hasher;
-        hasher.update(bytes.data(), body);
-        actual = hasher.digest();
-      } else {
-        actual = util::fnv1a_bytes(util::kFnvOffsetBasis, bytes.data(), body);
-      }
-      if (actual != sum) {
-        throw std::runtime_error(
-            "read_spill_colors: checksum mismatch in " + path +
-            " (torn or corrupt color sidecar)");
-      }
-    }
-  }
-  bytes.resize(body);
-  std::istringstream blob(std::move(bytes), std::ios::binary);
-  util::PackedColorArray colors;
-  try {
-    colors = util::PackedColorArray::load(blob);
-  } catch (const std::runtime_error& error) {
-    throw std::runtime_error(std::string(error.what()) + " in " + path);
-  }
-  // The blob must span the body exactly: leftover bytes mean a damaged
-  // trailer magic (or foreign data) hid the checksum.
-  if (blob.peek() != std::char_traits<char>::eof()) {
-    throw std::runtime_error("read_spill_colors: trailing bytes in " + path);
-  }
-  return colors;
 }
 
 }  // namespace picasso::pauli

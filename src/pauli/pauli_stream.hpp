@@ -60,7 +60,6 @@
 #include "pauli/pauli_packed.hpp"
 #include "pauli/pauli_set.hpp"
 #include "util/memory.hpp"
-#include "util/packed_colors.hpp"
 
 namespace picasso::pauli {
 
@@ -83,21 +82,6 @@ std::size_t spill_pauli_set(const PauliSet& set, const std::string& path);
 /// Returns the new total file size in bytes. Readers already open on `path`
 /// keep their old view until ChunkedPauliReader::refresh().
 std::size_t append_pauli_set(const PauliSet& delta, const std::string& path);
-
-/// Writes a packed coloring sidecar at `path` (conventionally the spill
-/// path + ".colors"): the PackedColorArray binary round-trip format written
-/// straight to the file, then a PSETSUM2 trailer over it, so a .pset spill
-/// on disk carries its colors at the same 2/4/8-bit width they occupy in
-/// memory. Overwrites any existing sidecar. Throws std::runtime_error on
-/// I/O failure.
-void write_spill_colors(const std::string& path,
-                        const util::PackedColorArray& colors);
-
-/// Reads a sidecar written by write_spill_colors, verifying its PSETSUM2 or
-/// (earlier builds) PSETSUM1 trailer; a sidecar without a trailer loads
-/// only when the blob spans the whole file. Throws std::runtime_error on
-/// missing, malformed or corrupt files.
-util::PackedColorArray read_spill_colors(const std::string& path);
 
 /// Random-access chunk reader over a .pset file. Chunk i covers strings
 /// [i * strings_per_chunk, min(n, (i+1) * strings_per_chunk)).

@@ -4,7 +4,7 @@
 // One canonical implementation of the 64-bit FNV-1a hash the project uses
 // for replay fingerprints: the coloring hash the CI baseline pins exactly
 // (bench_incremental / bench_table4_memory), the legacy PSETSUM1 checksum
-// trailers that .pset spills and color sidecars from earlier builds carry
+// trailers that .pset spills from earlier builds carry
 // (pauli/pauli_stream.cpp still verifies them; new trailers use the
 // word-wide util::WordHasher of util/word_hash.hpp), and ad-hoc identity
 // checks in tests. Byte order is fixed (values are folded little-endian,

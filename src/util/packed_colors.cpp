@@ -1,9 +1,6 @@
 #include "util/packed_colors.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 
 namespace picasso::util {
 
@@ -189,129 +186,6 @@ std::size_t PackedColorArray::logical_bytes() const noexcept {
                    : packed_word_count(size_, width_) * sizeof(std::uint64_t);
   return payload +
          escapes_.size() * (sizeof(std::size_t) + sizeof(std::uint32_t));
-}
-
-void PackedColorArray::save(std::ostream& out) const {
-  const char magic[4] = {'P', 'C', 'L', '1'};
-  out.write(magic, 4);
-  const std::uint32_t width = width_;
-  const std::uint64_t size = size_;
-  const std::uint64_t n_escapes = escapes_.size();
-  out.write(reinterpret_cast<const char*>(&width), sizeof(width));
-  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-  out.write(reinterpret_cast<const char*>(&n_escapes), sizeof(n_escapes));
-  if (width_ == 32) {
-    out.write(reinterpret_cast<const char*>(full_.data()),
-              static_cast<std::streamsize>(full_.size() * sizeof(full_[0])));
-  } else {
-    out.write(reinterpret_cast<const char*>(words_.data()),
-              static_cast<std::streamsize>(words_.size() * sizeof(words_[0])));
-  }
-  for (const auto& [index, value] : escapes_) {
-    const std::uint64_t idx = index;
-    out.write(reinterpret_cast<const char*>(&idx), sizeof(idx));
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  }
-}
-
-namespace {
-
-/// Bytes between the read position and the end of `in`, leaving the
-/// position where it was. The load below bounds every header count by it.
-std::uint64_t bytes_left(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  if (!in || here == std::istream::pos_type(-1) ||
-      end == std::istream::pos_type(-1) || end < here) {
-    throw std::runtime_error("PackedColorArray::load: unseekable stream");
-  }
-  return static_cast<std::uint64_t>(end - here);
-}
-
-}  // namespace
-
-PackedColorArray PackedColorArray::load(std::istream& in) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (!in || magic[0] != 'P' || magic[1] != 'C' || magic[2] != 'L' ||
-      magic[3] != '1') {
-    throw std::runtime_error("PackedColorArray::load: bad magic");
-  }
-  std::uint32_t width = 0;
-  std::uint64_t size = 0, n_escapes = 0;
-  in.read(reinterpret_cast<char*>(&width), sizeof(width));
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  in.read(reinterpret_cast<char*>(&n_escapes), sizeof(n_escapes));
-  if (!in || (width != 2 && width != 4 && width != 8 && width != 32) ||
-      (width == 32 && n_escapes != 0)) {
-    throw std::runtime_error("PackedColorArray::load: bad header");
-  }
-  // The header is untrusted: bound both counts by the bytes the blob still
-  // holds before anything is allocated, so a tiny blob claiming 2^40
-  // entries is rejected instead of asking for terabytes.
-  constexpr std::uint64_t kEscapeBytes =
-      sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  const std::uint64_t left = bytes_left(in);
-  if (n_escapes > left / kEscapeBytes) {
-    throw std::runtime_error("PackedColorArray::load: truncated escapes");
-  }
-  const std::uint64_t payload_left = left - n_escapes * kEscapeBytes;
-  const std::uint64_t max_size =
-      width == 32 ? payload_left / sizeof(std::uint32_t)
-                  : payload_left / sizeof(std::uint64_t) * (64 / width);
-  if (size > max_size) {
-    throw std::runtime_error("PackedColorArray::load: truncated payload");
-  }
-  PackedColorArray out;
-  out.width_ = width;
-  out.size_ = static_cast<std::size_t>(size);
-  if (width == 32) {
-    out.full_.resize(out.size_);
-    in.read(reinterpret_cast<char*>(out.full_.data()),
-            static_cast<std::streamsize>(out.full_.size() *
-                                         sizeof(out.full_[0])));
-  } else {
-    out.words_.resize(packed_word_count(out.size_, width));
-    in.read(reinterpret_cast<char*>(out.words_.data()),
-            static_cast<std::streamsize>(out.words_.size() *
-                                         sizeof(out.words_[0])));
-  }
-  out.escapes_.resize(static_cast<std::size_t>(n_escapes));
-  for (auto& [index, value] : out.escapes_) {
-    std::uint64_t idx = 0;
-    in.read(reinterpret_cast<char*>(&idx), sizeof(idx));
-    in.read(reinterpret_cast<char*>(&value), sizeof(value));
-    index = static_cast<std::size_t>(idx);
-  }
-  if (!in) throw std::runtime_error("PackedColorArray::load: truncated");
-  // get() resolves an escape code through the side table, so the two must
-  // correspond exactly: ascending in-range indices, each at a slot holding
-  // the escape code, and no escape-coded slot without an entry.
-  if (width != 32) {
-    const std::uint64_t escape_code = (std::uint64_t{1} << width) - 2u;
-    auto code_at = [&](std::size_t i) {
-      return (out.words_[i * width / 64] >> (i * width % 64)) &
-             ((std::uint64_t{1} << width) - 1u);
-    };
-    for (std::size_t e = 0; e < out.escapes_.size(); ++e) {
-      const std::size_t index = out.escapes_[e].first;
-      if (index >= out.size_ ||
-          (e > 0 && index <= out.escapes_[e - 1].first) ||
-          code_at(index) != escape_code) {
-        throw std::runtime_error("PackedColorArray::load: bad escape index");
-      }
-    }
-    std::size_t coded = 0;
-    for (std::size_t i = 0; i < out.size_; ++i) {
-      coded += code_at(i) == escape_code ? 1 : 0;
-    }
-    if (coded != out.escapes_.size()) {
-      throw std::runtime_error("PackedColorArray::load: unmatched escape");
-    }
-  }
-  return out;
 }
 
 }  // namespace picasso::util

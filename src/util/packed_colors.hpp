@@ -7,8 +7,7 @@
 // at a width chosen from the palette bound and keeps a drop-in
 // std::vector<uint32_t>-like interface so every engine that materializes a
 // coloring (ListColoringResult::assigned, FusedState residents,
-// PicassoResult::colors, .pset spill tails) adopts it without call-site
-// churn.
+// PicassoResult::colors) adopts it without call-site churn.
 //
 // Encoding per entry of width w (w in {2, 4, 8}):
 //   * all-ones code (mask)      -> kNoColor (the engines' 0xffffffff
@@ -25,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -167,13 +165,6 @@ class PackedColorArray {
   /// Deterministic resident footprint (size-based, not capacity-based, so
   /// bench memory records are a pure function of the logical contents).
   std::size_t logical_bytes() const noexcept;
-
-  /// Binary round-trip, used for the `.pset` spill-tail color sidecar.
-  /// load() needs a seekable stream: it bounds the header's counts by the
-  /// bytes left before allocating, and throws std::runtime_error on a
-  /// truncated, oversized or inconsistent blob.
-  void save(std::ostream& out) const;
-  static PackedColorArray load(std::istream& in);
 
  private:
   void store_code(std::size_t i, std::uint64_t code, std::uint64_t mask) {

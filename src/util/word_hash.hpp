@@ -4,8 +4,8 @@
 // overlap instead of forming one serial dependency chain the way byte-wise
 // FNV-1a does. Used where the bytes hashed are many and the value never has
 // to match an older build: the problem fingerprint of the result cache
-// (api/session.cpp) and the PSETSUM2 checksum trailers of .pset spills and
-// their color sidecars (pauli/pauli_stream.cpp). Not a cryptographic hash.
+// (api/session.cpp) and the PSETSUM2 checksum trailers of .pset spills
+// (pauli/pauli_stream.cpp). Not a cryptographic hash.
 //
 // WordHasher streams bytes in any split (file blocks, header fields,
 // section payloads), keeping the 4-lane state across update() calls;

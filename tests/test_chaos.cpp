@@ -4,7 +4,7 @@
 //
 //   * failpoint framework semantics (spec grammar, counts, typed throws)
 //   * ENOSPC during spill -> in-memory fallback, degraded + bit-identical
-//   * torn/garbled spill files and color sidecars rejected on reopen
+//   * torn/garbled spill files rejected on reopen
 //   * delay injection changes nothing but wall-clock
 //   * injected admission failure (memory.charge) behaves like a full budget
 //   * wire send/recv faults surface as WireError, never partial frames
@@ -37,7 +37,6 @@
 #include "util/failpoint.hpp"
 #include "util/fnv.hpp"
 #include "util/memory.hpp"
-#include "util/packed_colors.hpp"
 #include "util/rng.hpp"
 
 namespace papi = picasso::api;
@@ -296,27 +295,6 @@ TEST_F(ChaosTest, TornAppendSegmentIsRejectedOnReopen) {
   pfp::disarm_all();
   EXPECT_THROW(pp::ChunkedPauliReader(torn.string(), 64),
                std::runtime_error);
-}
-
-TEST_F(ChaosTest, GarbledColorSidecarIsRejected) {
-  picasso::util::PackedColorArray colors(
-      300, picasso::util::PackedColorArray::kNoColor, 200);
-  for (std::size_t i = 0; i < 300; ++i) colors.set(i, i % 200);
-  const fs::path path = root_ / "spill.pset.colors";
-  pp::write_spill_colors(path.string(), colors);
-
-  const auto loaded = pp::read_spill_colors(path.string());
-  ASSERT_EQ(loaded.size(), colors.size());
-  for (std::size_t i = 0; i < 300; ++i) EXPECT_EQ(loaded.get(i), i % 200);
-
-  corrupt_byte(path, fs::file_size(path) / 2);
-  try {
-    pp::read_spill_colors(path.string());
-    FAIL() << "garbled sidecar accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
-        << error.what();
-  }
 }
 
 TEST_F(ChaosTest, DelayFailpointOnlyDelays) {

@@ -7,10 +7,11 @@
 // packed-tail offsets instead of trusting the base header), the checks a
 // spilled update keeps while its reader refreshes in place (checksums on
 // every refresh, torn appends, chunk caches that survive appends and
-// release the charge of a throwing load), the legacy PSETSUM1 trailers of
-// spills and sidecars from earlier builds, and the record prober both
-// stores probe through (spilled answers equal resident ones and a per-pair
-// reference, one kernel call per chunk a batch touches).
+// release the charge of a throwing load), an update's disk writes being
+// its append segment alone, the legacy PSETSUM1 trailers of spills from
+// earlier builds, and the record prober both stores probe through (spilled
+// answers equal resident ones and a per-pair reference, one kernel call per
+// chunk a batch touches).
 
 #include <gtest/gtest.h>
 
@@ -92,12 +93,15 @@ void corrupt_byte(const std::string& path, std::size_t offset) {
 }
 
 /// A session whose incremental store lives in a spill of `chunk`-string
-/// chunks, with a budget large enough for the chunk cache to hold them all.
-papi::Session spilled_session(std::uint64_t seed, std::size_t chunk) {
+/// chunks in `spill_dir` ("" = the system temp directory), with a budget
+/// large enough for the chunk cache to hold them all.
+papi::Session spilled_session(std::uint64_t seed, std::size_t chunk,
+                              std::string spill_dir = "") {
   return papi::SessionBuilder()
       .seed(seed)
       .memory_budget(std::size_t{64} << 20)
       .streaming({.chunk_strings = chunk})
+      .spill_dir(std::move(spill_dir))
       .telemetry(picasso::obs::TelemetryLevel::Counters)
       .build();
 }
@@ -333,14 +337,13 @@ TEST(SpilledUpdate, CorruptionBetweenUpdatesFailsTheNextUpdate) {
   }
 }
 
-TEST(SpilledUpdate, TornAppendFailsTheUpdateAndResetRemovesBothFiles) {
+TEST(SpilledUpdate, TornAppendFailsTheUpdateAndResetRemovesTheSpill) {
   const auto strings = random_strings(80, 12, 811);
   auto session = spilled_session(5, 16);
   session.update(papi::UpdateDelta::pauli(slice(strings, 0, 40)));
   session.update(papi::UpdateDelta::pauli(slice(strings, 40, 60)));
   const std::string spill = session.incremental_state()->spill_path();
   ASSERT_TRUE(fs::exists(spill));
-  ASSERT_TRUE(fs::exists(spill + ".colors"));
 
   {
     const FailpointGuard guard;
@@ -352,7 +355,47 @@ TEST(SpilledUpdate, TornAppendFailsTheUpdateAndResetRemovesBothFiles) {
   }
   session.reset_incremental();
   EXPECT_FALSE(fs::exists(spill));
-  EXPECT_FALSE(fs::exists(spill + ".colors"));
+}
+
+TEST(SpilledUpdate, UpdateWritesOnlyItsAppendSegment) {
+  constexpr std::uint64_t kTrailerBytes = 16;  // PSETSUM2 magic + checksum
+  const auto strings = random_strings(100, 12, 831);
+  const fs::path dir =
+      fs::temp_directory_path() / "picasso_test_delta_only_spill";
+  fs::remove_all(dir);
+  struct DirGuard {
+    fs::path path;
+    ~DirGuard() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  } guard{dir};
+
+  auto session = spilled_session(9, 16, dir.string());
+  session.update(papi::UpdateDelta::pauli(slice(strings, 0, 40)));
+  const pcore::FusedState* state = session.incremental_state();
+  ASSERT_NE(state, nullptr);
+  ASSERT_TRUE(state->spilled());
+  const fs::path spill = state->spill_path();
+
+  for (std::size_t begin = 40; begin < 100; begin += 15) {
+    const std::uint64_t before = fs::file_size(spill);
+    const auto report =
+        session.update(papi::UpdateDelta::pauli(slice(strings, begin,
+                                                      begin + 15)));
+    // The spill directory holds the spill and nothing else ...
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      files.push_back(entry.path());
+    }
+    ASSERT_EQ(files, std::vector<fs::path>{spill}) << "update at " << begin;
+    // ... and the spill grew by exactly the one segment the update counted.
+    const std::uint64_t written = report.telemetry.counters
+        [picasso::obs::Counter::SpillBytesWritten];
+    EXPECT_GT(written, 0u);
+    EXPECT_EQ(fs::file_size(spill), before + written + kTrailerBytes)
+        << "update at " << begin;
+  }
 }
 
 TEST(SpilledUpdate, SecondUpdateReloadsOnlyTheGrownChunk) {
@@ -715,43 +758,6 @@ TEST(ReaderAppend, LegacyChecksumTrailerStillOpensAndIsVerified) {
     EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
         << error.what();
   }
-}
-
-TEST(ReaderAppend, ColorSidecarVerifiesBothTrailerKinds) {
-  picasso::util::PackedColorArray colors(
-      101, picasso::util::PackedColorArray::kNoColor, 40);
-  for (std::size_t i = 0; i < 101; ++i) colors.set(i, (i * 7) % 40);
-  TempFile file("picasso_test_sidecar.colors");
-
-  pp::write_spill_colors(file.path.string(), colors);
-  EXPECT_EQ(pp::read_spill_colors(file.path.string()), colors);
-
-  // A sidecar from an earlier build: the blob then PSETSUM1 + FNV-1a.
-  std::ostringstream blob(std::ios::binary);
-  colors.save(blob);
-  const std::string bytes = std::move(blob).str();
-  const std::uint64_t sum = picasso::util::fnv1a_bytes(
-      picasso::util::kFnvOffsetBasis, bytes.data(), bytes.size());
-  {
-    std::ofstream out(file.path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.write(reinterpret_cast<const char*>(&kLegacyTrailerMagic), 8);
-    out.write(reinterpret_cast<const char*>(&sum), 8);
-  }
-  EXPECT_EQ(pp::read_spill_colors(file.path.string()), colors);
-  corrupt_byte(file.path.string(), bytes.size() / 2);
-  try {
-    pp::read_spill_colors(file.path.string());
-    FAIL() << "corrupt PSETSUM1 sidecar accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
-        << error.what();
-  }
-
-  // A damaged trailer magic cannot pass the sidecar off as trailer-free.
-  pp::write_spill_colors(file.path.string(), colors);
-  corrupt_byte(file.path.string(), bytes.size());
-  EXPECT_THROW(pp::read_spill_colors(file.path.string()), std::runtime_error);
 }
 
 // --- PackedRecordProber ------------------------------------------------------

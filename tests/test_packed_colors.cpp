@@ -2,14 +2,13 @@
 // every engine now materializes colorings into. Properties under random
 // workloads: read-back equals a reference std::vector under arbitrary
 // interleaved writes (including kNoColor and escape-tier values), widths
-// come from palette bounds, escapes re-widen instead of growing without
-// bound, and the binary save/load round-trips bit-exactly.
+// come from palette bounds, and escapes re-widen instead of growing without
+// bound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "util/packed_colors.hpp"
@@ -145,28 +144,4 @@ TEST(PackedColors, LogicalBytesTracksWidth) {
   EXPECT_EQ(wide.width_bits(), 32u);
   EXPECT_GE(wide.logical_bytes(), 4096u);
   EXPECT_LT(narrow.logical_bytes(), wide.logical_bytes() / 4);
-}
-
-TEST(PackedColors, SaveLoadRoundTrip) {
-  pu::Xoshiro256 rng(0x10adull);
-  for (int round = 0; round < 8; ++round) {
-    const std::size_t n = rng.bounded(500);
-    PackedColorArray arr(n, PackedColorArray::kNoColor,
-                         1 + rng.bounded(300));
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.bounded(10) == 0) continue;  // leave some kNoColor holes
-      arr[i] = rng.bounded(4) == 0 ? 5000 + rng.bounded(1000)
-                                   : rng.bounded(250);
-    }
-    std::stringstream buf;
-    arr.save(buf);
-    const PackedColorArray back = PackedColorArray::load(buf);
-    ASSERT_EQ(back.size(), arr.size());
-    ASSERT_TRUE(back == arr) << "round " << round;
-  }
-}
-
-TEST(PackedColors, LoadRejectsGarbage) {
-  std::stringstream buf("definitely not a PCL1 blob");
-  EXPECT_THROW(PackedColorArray::load(buf), std::runtime_error);
 }
