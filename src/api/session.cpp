@@ -461,6 +461,9 @@ SolveReport Session::update(const UpdateDelta& delta,
 
   SolveReport report;
   obs::MetricsRunScope metrics_scope(telemetry_ != obs::TelemetryLevel::Off);
+  obs::TraceRecorder recorder;
+  obs::TraceRecorder* trace =
+      telemetry_ == obs::TelemetryLevel::Full ? &recorder : nullptr;
 
   if (!state_) {
     if (!delta.is_pauli()) {
@@ -475,8 +478,10 @@ SolveReport Session::update(const UpdateDelta& delta,
 
   core::UpdateStats stats;
   try {
+    const obs::ScopedSpan span(trace, "update");
     stats = delta.is_pauli()
-                ? state_->update_pauli(delta.pauli_records(), stop, progress)
+                ? state_->update_pauli(delta.pauli_records(), stop, progress,
+                                       trace)
                 : state_->update_graph(delta.graph_vertices(), stop, progress);
   } catch (const std::invalid_argument& error) {
     // Shape errors (qubit-count mismatch, delta kind vs state kind, bad
@@ -504,6 +509,8 @@ SolveReport Session::update(const UpdateDelta& delta,
   if (telemetry_ != obs::TelemetryLevel::Off) {
     report.telemetry.level = telemetry_;
     report.telemetry.counters = obs::global_metrics().totals();
+    report.telemetry.spans = recorder.take_spans();
+    report.telemetry.dropped_spans = recorder.dropped();
     report.telemetry.memory = report.result.memory;
   }
   return report;

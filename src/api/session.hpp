@@ -273,7 +273,9 @@ class Session {
   /// state; graph deltas require a prior solve. A cancelled update keeps
   /// the state consistent — the ingested-but-uncolored backlog is colored
   /// by the next call. The report carries the full coloring so far and
-  /// SolveReport::update.
+  /// SolveReport::update. At TelemetryLevel::Full its spans are one
+  /// "update" root over the delta's "append", "refresh" (spilled stores)
+  /// and "color_backlog" phases.
   SolveReport update(const UpdateDelta& delta, const SolveOptions& options = {});
 
   bool has_incremental_state() const noexcept { return state_ != nullptr; }

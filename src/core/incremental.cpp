@@ -13,10 +13,12 @@ namespace picasso::core {
 
 namespace {
 
-// Most ids one first-fit sweep (or one bucket_admits piece) sends through
-// edges() at once, matching the fused engine's blocked pair-scan
-// granularity.
+// Most ids one bucket_admits piece sends through edges() at once, and most
+// members of one bucket one first-fit round probes, matching the fused
+// engine's blocked pair-scan granularity.
 constexpr std::size_t kInsertBatch = 256;
+// Most signature-surviving buckets one first-fit window probes together.
+constexpr std::size_t kProbeWindow = 32;
 
 bool supports_disjoint(const std::uint64_t* a, const std::uint64_t* b,
                        std::size_t words) noexcept {
@@ -180,7 +182,8 @@ void FusedState::adopt_graph_solution(const std::vector<std::uint32_t>& colors) 
   rebuild_from_colors(colors);
 }
 
-void FusedState::ingest_pauli(const pauli::PauliSet& delta) {
+void FusedState::ingest_pauli(const pauli::PauliSet& delta,
+                              obs::TraceRecorder* trace) {
   if (delta.empty()) return;
   if (kind_ == Kind::Graph) {
     throw std::invalid_argument(
@@ -194,14 +197,19 @@ void FusedState::ingest_pauli(const pauli::PauliSet& delta) {
     throw std::invalid_argument("FusedState: delta qubit count mismatch");
   }
   if (use_spill_) {
-    if (!spill_guard_) {
-      spill_pauli_set(delta, spill_path_);
-      spill_guard_ = std::make_unique<SpillGuard>(spill_path_);
-    } else {
-      append_pauli_set(delta, spill_path_);
+    {
+      obs::ScopedSpan span(trace, "append", delta.size());
+      if (!spill_guard_) {
+        spill_pauli_set(delta, spill_path_);
+        spill_guard_ = std::make_unique<SpillGuard>(spill_path_);
+      } else {
+        append_pauli_set(delta, spill_path_);
+      }
     }
+    obs::ScopedSpan span(trace, "refresh");
     sync_reader();
   } else {
+    obs::ScopedSpan span(trace, "append", delta.size());
     store_.append(delta);
   }
   colors_.resize(colors_.size() + delta.size(), kUncolored);
@@ -355,12 +363,13 @@ bool FusedState::try_recolor(pauli::PackedRecordProber& prober,
 }
 
 void FusedState::escalate(const StopToken& stop, const ProgressFn& progress,
-                          UpdateStats& stats) {
+                          obs::TraceRecorder* trace, UpdateStats& stats) {
   ++stats.escalations;
   obs::count(obs::Counter::UpdateEscalations);
   PicassoParams params = params_;
   params.stop = stop;
   params.progress = progress;
+  params.trace = trace;
   PicassoResult result;
   if (use_spill_) {
     // Re-solve exactly the ingested prefix of the still-growing spill.
@@ -378,21 +387,17 @@ void FusedState::escalate(const StopToken& stop, const ProgressFn& progress,
 std::uint32_t FusedState::first_fit(pauli::PackedRecordProber& prober,
                                     const std::uint64_t* sup_v,
                                     Sweep& sweep, UpdateStats& stats) {
-  // Buckets are probed in sweeps: the members of a run of consecutive
-  // buckets that survive the signature test (whole buckets, up to
-  // kInsertBatch ids) go through one edges() call, and the lowest bucket
-  // whose slice has no hit wins — the color a bucket-at-a-time walk would
-  // pick, at a fraction of the kernel calls. A run ends at an empty bucket,
-  // which wins when nothing before it admits. A lone bucket of more than
-  // kInsertBatch members is its own run, probed in kInsertBatch pieces with
-  // an early exit.
+  // Buckets are probed a window at a time: up to kProbeWindow consecutive
+  // buckets that survive the signature test, ending early at an empty
+  // bucket, which wins when nothing before it admits. The lowest bucket
+  // that admits wins — the color a bucket-at-a-time walk would pick, at a
+  // fraction of its probes (probe_window).
   std::uint32_t chosen = kUncolored;
   std::uint32_t c = 0;
   while (chosen == kUncolored && c < total_colors_) {
-    sweep.ids.clear();
-    sweep.slices.clear();
-    std::uint32_t end = c;  // first color past this run
-    for (; end < total_colors_; ++end) {
+    sweep.window.clear();
+    std::uint32_t end = c;  // first color past this window
+    for (; end < total_colors_ && sweep.window.size() < kProbeWindow; ++end) {
       const auto& bucket = buckets_[end];
       if (bucket.empty()) break;
       if (supports_disjoint(sup_v,
@@ -401,40 +406,14 @@ std::uint32_t FusedState::first_fit(pauli::PackedRecordProber& prober,
                             rec_words_)) {
         continue;  // disjoint supports: commutes with every member
       }
-      if (!sweep.ids.empty() &&
-          sweep.ids.size() + bucket.size() > kInsertBatch) {
-        break;
-      }
-      sweep.ids.insert(sweep.ids.end(), bucket.begin(), bucket.end());
-      sweep.slices.push_back(
-          {end, static_cast<std::uint32_t>(sweep.ids.size())});
-      if (sweep.ids.size() >= kInsertBatch) {
-        ++end;
-        break;
-      }
+      sweep.window.push_back(
+          {end, 0, static_cast<std::uint32_t>(bucket.size()), true});
     }
 
-    std::size_t probed = sweep.slices.size();  // probed buckets before chosen
-    if (sweep.ids.size() > kInsertBatch) {
-      if (bucket_admits(prober, sweep.ids, sweep.hits)) {
-        chosen = sweep.slices.front().color;
-        probed = 0;
-      }
-    } else if (!sweep.ids.empty()) {
-      sweep.hits.resize(sweep.ids.size());
-      probe(prober, sweep.ids.data(), sweep.ids.size(), sweep.hits.data());
-      std::uint32_t from = 0;
-      for (std::size_t r = 0; r < sweep.slices.size(); ++r) {
-        const std::uint32_t to = sweep.slices[r].end;
-        if (std::none_of(sweep.hits.begin() + from, sweep.hits.begin() + to,
-                         [](std::uint8_t hit) { return hit != 0; })) {
-          chosen = sweep.slices[r].color;
-          probed = r;
-          break;
-        }
-        from = to;
-      }
-    }
+    // Window buckets that block, below the one that admits (all of them
+    // when none does).
+    const std::size_t probed = probe_window(prober, sweep);
+    if (probed < sweep.window.size()) chosen = sweep.window[probed].color;
     const bool took_empty = chosen == kUncolored && end < total_colors_ &&
                             buckets_[end].empty();
     if (took_empty) chosen = end;
@@ -456,11 +435,61 @@ std::uint32_t FusedState::first_fit(pauli::PackedRecordProber& prober,
   return chosen;
 }
 
+std::size_t FusedState::probe_window(pauli::PackedRecordProber& prober,
+                                     Sweep& sweep) {
+  // Round r sends the next 2^r members (at most kInsertBatch) of every
+  // bucket still in the running through one edges() call. A bucket drops
+  // at its first hit; one whose members are all probed without a hit
+  // admits, and buckets above it stop being probed. The window is decided
+  // once its lowest bucket still alive has been probed in full.
+  auto& window = sweep.window;
+  std::size_t lowest = 0;             // lowest alive bucket
+  std::size_t admits = window.size();  // lowest bucket known to admit
+  std::size_t step = 1;
+  while (lowest < admits) {
+    sweep.ids.clear();
+    sweep.slices.clear();
+    for (std::size_t i = lowest; i < admits; ++i) {
+      Sweep::Candidate& cand = window[i];
+      if (!cand.alive) continue;
+      const std::uint32_t* members = buckets_[cand.color].data();
+      const std::size_t take =
+          std::min<std::size_t>(step, cand.size - cand.probed);
+      sweep.ids.insert(sweep.ids.end(), members + cand.probed,
+                       members + cand.probed + take);
+      cand.probed += static_cast<std::uint32_t>(take);
+      sweep.slices.push_back(
+          {static_cast<std::uint32_t>(i),
+           static_cast<std::uint32_t>(sweep.ids.size())});
+    }
+    sweep.hits.resize(sweep.ids.size());
+    probe(prober, sweep.ids.data(), sweep.ids.size(), sweep.hits.data());
+    std::uint32_t from = 0;
+    for (const Sweep::Slice& slice : sweep.slices) {
+      Sweep::Candidate& cand = window[slice.candidate];
+      if (std::any_of(sweep.hits.begin() + from,
+                      sweep.hits.begin() + slice.end,
+                      [](std::uint8_t hit) { return hit != 0; })) {
+        cand.alive = false;
+      } else if (cand.probed == cand.size) {
+        admits = slice.candidate;
+        break;
+      }
+      from = slice.end;
+    }
+    while (lowest < admits && !window[lowest].alive) ++lowest;
+    step = std::min(2 * step, kInsertBatch);
+  }
+  return lowest;
+}
+
 void FusedState::color_pauli_backlog(const StopToken& stop,
                                      const ProgressFn& progress,
+                                     obs::TraceRecorder* trace,
                                      UpdateStats& stats) {
   const std::size_t total = colors_.size();
   if (cursor_ >= total) return;
+  obs::ScopedSpan span(trace, "color_backlog", total - cursor_);
   auto prober = make_prober();
   Sweep sweep;
   std::vector<std::uint64_t> sup(rec_words_);
@@ -488,7 +517,7 @@ void FusedState::color_pauli_backlog(const StopToken& stop,
 
     if (update_params_.max_new_colors > 0 &&
         fresh_colors_ > update_params_.max_new_colors) {
-      escalate(stop, progress, stats);
+      escalate(stop, progress, trace, stats);
       prober = make_prober();
     }
 
@@ -506,11 +535,12 @@ void FusedState::color_pauli_backlog(const StopToken& stop,
 
 UpdateStats FusedState::update_pauli(const pauli::PauliSet& delta,
                                      const StopToken& stop,
-                                     const ProgressFn& progress) {
+                                     const ProgressFn& progress,
+                                     obs::TraceRecorder* trace) {
   util::WallTimer timer;
   UpdateStats stats;
-  ingest_pauli(delta);
-  color_pauli_backlog(stop, progress, stats);
+  ingest_pauli(delta, trace);
+  color_pauli_backlog(stop, progress, trace, stats);
   stats.num_vertices = static_cast<std::uint32_t>(cursor_);
   stats.num_colors = distinct_colors();
   stats.seconds = timer.seconds();

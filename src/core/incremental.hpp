@@ -123,10 +123,13 @@ class FusedState {
   /// call leaves a consistent, re-updatable state whose backlog the next
   /// call colors) and colors every not-yet-colored vertex sequentially.
   /// Throws SolveCancelled at vertex boundaries when `stop` fires and
-  /// std::invalid_argument on qubit-count mismatch.
+  /// std::invalid_argument on qubit-count mismatch. A non-null `trace`
+  /// records an "append" span, a "refresh" span (spilled stores) and a
+  /// "color_backlog" span holding any escalation's re-solve.
   UpdateStats update_pauli(const pauli::PauliSet& delta,
                            const StopToken& stop = {},
-                           const ProgressFn& progress = {});
+                           const ProgressFn& progress = {},
+                           obs::TraceRecorder* trace = nullptr);
 
   /// Graph twin of update_pauli. Each delta vertex's conflict ids must
   /// reference strictly earlier vertices.
@@ -155,22 +158,31 @@ class FusedState {
  private:
   enum class Kind { Unset, Pauli, Graph };
 
-  void ingest_pauli(const pauli::PauliSet& delta);
+  void ingest_pauli(const pauli::PauliSet& delta, obs::TraceRecorder* trace);
   /// Opens the spill reader and cache on first use; afterwards refreshes
   /// the reader in place and drops only the chunks that changed.
   void sync_reader();
   /// Prober over the live store: the in-memory set or the spill's cache.
   pauli::PackedRecordProber make_prober() const;
   void color_pauli_backlog(const StopToken& stop, const ProgressFn& progress,
-                           UpdateStats& stats);
-  /// Scratch of first_fit's bucket sweeps, reused across vertices: the
-  /// swept member ids, each swept bucket's color and the end of its slice
-  /// of `ids`, and the edges() answers.
+                           obs::TraceRecorder* trace, UpdateStats& stats);
+  /// Scratch of first_fit's probe windows, reused across vertices: the
+  /// window's signature-surviving buckets (color, members probed so far,
+  /// members, still unblocked), the ids one probe round sends, each probed
+  /// bucket's window index and the end of its slice of `ids`, and the
+  /// edges() answers.
   struct Sweep {
-    struct Slice {
+    struct Candidate {
       std::uint32_t color;
+      std::uint32_t probed;
+      std::uint32_t size;
+      bool alive;
+    };
+    struct Slice {
+      std::uint32_t candidate;
       std::uint32_t end;
     };
+    std::vector<Candidate> window;
     std::vector<std::uint32_t> ids;
     std::vector<Slice> slices;
     std::vector<std::uint8_t> hits;
@@ -180,12 +192,16 @@ class FusedState {
   std::uint32_t first_fit(pauli::PackedRecordProber& prober,
                           const std::uint64_t* sup_v, Sweep& sweep,
                           UpdateStats& stats);
+  /// Index in sweep.window of the lowest bucket that admits the pinned
+  /// vertex, window.size() when none does; probes each bucket only up to
+  /// its first conflict.
+  std::size_t probe_window(pauli::PackedRecordProber& prober, Sweep& sweep);
   bool try_recolor(pauli::PackedRecordProber& prober, std::uint32_t v,
                    const std::uint64_t* sup_v, UpdateStats& stats);
   void open_fresh_color(std::uint32_t v, const std::uint64_t* sup_v,
                         UpdateStats& stats);
   void escalate(const StopToken& stop, const ProgressFn& progress,
-                UpdateStats& stats);
+                obs::TraceRecorder* trace, UpdateStats& stats);
   void rebuild_from_colors(const std::vector<std::uint32_t>& colors);
   void rebuild_signatures(pauli::PackedRecordProber& prober);
   void or_signature(std::uint32_t color, const std::uint64_t* record);

@@ -1,6 +1,11 @@
 #include "pauli/pauli_stream.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -47,34 +52,48 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Checksum of file bytes [begin, end) under the trailer kind `magic`,
-/// streamed in 64 KiB blocks — trailer verification on open and refresh.
-std::uint64_t checksum_file_range(std::istream& in, std::uint64_t magic,
-                                  std::uint64_t begin, std::uint64_t end,
-                                  const std::string& path) {
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(begin));
-  char buf[1 << 16];
-  util::WordHasher words;
-  std::uint64_t fnv = util::kFnvOffsetBasis;
-  std::uint64_t remaining = end - begin;
-  while (remaining > 0) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(sizeof(buf), remaining));
-    in.read(buf, static_cast<std::streamsize>(n));
-    if (!in) {
-      throw std::runtime_error(
-          "pauli_stream: truncated while verifying checksum in " + path);
-    }
-    if (magic == kTrailerMagic) {
-      words.update(buf, n);
-    } else {
-      fnv = util::fnv1a_bytes(fnv, buf, n);
-    }
-    remaining -= n;
+/// Read-only POSIX descriptor for the segment walk and the trailer pass:
+/// positional reads need no seek and fill no stream buffer, so a 16-byte
+/// segment header costs 16 bytes. (No mmap: a file truncated under a mapping
+/// raises SIGBUS where a short read raises an error.)
+class ReadOnlyFile {
+ public:
+  explicit ReadOnlyFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadOnlyFile() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  return magic == kTrailerMagic ? words.digest() : fnv;
-}
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+
+  bool is_open() const noexcept { return fd_ >= 0; }
+
+  /// Size in bytes, or nullopt when fstat fails.
+  std::optional<std::uint64_t> size() const noexcept {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) return std::nullopt;
+    return static_cast<std::uint64_t>(st.st_size);
+  }
+
+  /// Reads up to `n` bytes at `offset` into `dest`; returns the bytes read,
+  /// fewer than `n` only at end of file or on an I/O error.
+  std::size_t read_at(void* dest, std::size_t n,
+                      std::uint64_t offset) const noexcept {
+    auto* p = static_cast<char*>(dest);
+    std::size_t done = 0;
+    while (done < n) {
+      const ssize_t got = ::pread(fd_, p + done, n - done,
+                                  static_cast<off_t>(offset + done));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) break;
+      done += static_cast<std::size_t>(got);
+    }
+    return done;
+  }
+
+ private:
+  int fd_;
+};
 
 /// End of `count` records of `stride` bytes starting at `start`, or
 /// nullopt when they would run past `limit` — checked before multiplying,
@@ -189,15 +208,21 @@ ChunkedPauliReader::ChunkedPauliReader(std::string path,
 }
 
 ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
+  const ReadOnlyFile file(path_);
+  if (!file.is_open()) {
     throw std::runtime_error("ChunkedPauliReader: cannot open " + path_);
   }
-  if (read_pod<std::uint64_t>(in) != kMagic) {
+  std::uint64_t header[3] = {};
+  const std::size_t header_read = file.read_at(header, kHeaderBytes, 0);
+  if (header_read >= sizeof(std::uint64_t) && header[0] != kMagic) {
     throw std::runtime_error("ChunkedPauliReader: bad magic in " + path_);
   }
-  const auto num_qubits = read_pod<std::uint64_t>(in);
-  const auto base_count = read_pod<std::uint64_t>(in);
+  if (header_read != kHeaderBytes) {
+    throw std::runtime_error("ChunkedPauliReader: truncated .pset header in " +
+                             path_);
+  }
+  const std::uint64_t num_qubits = header[1];
+  const std::uint64_t base_count = header[2];
   // Word counts round the qubit count up; a corrupt count near 2^64 would
   // wrap that rounding to a tiny record.
   if (num_qubits > std::numeric_limits<std::uint64_t>::max() - 64) {
@@ -213,11 +238,11 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   const std::uint64_t rec3 = words3 * sizeof(std::uint64_t) + sizeof(double);
   const std::uint64_t rec2 = 2 * words2 * sizeof(std::uint64_t);
 
-  std::error_code ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path_, ec);
-  if (ec) {
+  const std::optional<std::uint64_t> size = file.size();
+  if (!size) {
     throw std::runtime_error("ChunkedPauliReader: cannot stat " + path_);
   }
+  const std::uint64_t file_bytes = *size;
 
   // The base header's count describes the base block only; everything past
   // it must be re-derived from the file itself. The base block ends either
@@ -250,8 +275,9 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
     std::uint64_t magic = 0, begin = 0, end = 0, sum = 0;
   };
 
-  // Walks the append-segment chain from `start` to EOF; returns false on
-  // any structural mismatch (bad magic, section overrunning the file).
+  // Walks the append-segment chain from `start` to EOF, one 16-byte
+  // positional read per segment header or trailer; returns false on any
+  // structural mismatch (bad magic, section overrunning the file).
   // Checksum trailers may follow the base block and any segment; legacy
   // files simply have none. `out` starts with the base segment.
   const auto walk_segments = [&](std::uint64_t start,
@@ -264,21 +290,20 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
     std::uint64_t next_id = base_count;
     while (pos < file_bytes) {
       if (file_bytes - pos < kSegmentHeaderBytes) return false;
-      in.clear();
-      in.seekg(static_cast<std::streamoff>(pos));
-      std::uint64_t magic = 0, second = 0;
-      in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-      in.read(reinterpret_cast<char*>(&second), sizeof(second));
-      if (!in) return false;
+      std::uint64_t fields[2] = {};
+      if (file.read_at(fields, sizeof(fields), pos) != sizeof(fields)) {
+        return false;
+      }
+      const std::uint64_t magic = fields[0];
       if (magic == kTrailerMagic || magic == kTrailerMagicFnv) {
-        sums.push_back({magic, cover_begin, pos, second});
-        if (out.back().checksum == 0) out.back().checksum = second;
+        sums.push_back({magic, cover_begin, pos, fields[1]});
+        if (out.back().checksum == 0) out.back().checksum = fields[1];
         pos += kTrailerBytes;
         cover_begin = pos;
         continue;
       }
       if (magic != kAppendMagic) return false;
-      const std::uint64_t count = second;
+      const std::uint64_t count = fields[1];
       cover_begin = pos;  // a trailing checksum covers this whole segment
       Segment seg;
       seg.begin = static_cast<std::size_t>(next_id);
@@ -311,10 +336,37 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   }
 
   // Torn-write detection: every trailer the winning walk found must match
-  // the bytes it covers. One sequential pass per open or refresh buys the
-  // guarantee that no silently corrupted chunk is ever served to a solve.
+  // the bytes it covers, so no silently corrupted chunk is ever served to a
+  // solve. The covered ranges ascend and only the 16-byte trailers lie
+  // between them, so one sequential pass of block reads through one buffer
+  // hashes them all; a block that runs past one range feeds the next.
+  std::array<char, std::size_t{1} << 16> block;
+  std::uint64_t block_begin = 0, block_end = 0;  // file bytes in `block`
+  const std::uint64_t covered_end = trailers.empty() ? 0 : trailers.back().end;
   for (const TrailerSpan& t : trailers) {
-    if (checksum_file_range(in, t.magic, t.begin, t.end, path_) != t.sum) {
+    util::WordHasher words;
+    std::uint64_t fnv = util::kFnvOffsetBasis;
+    for (std::uint64_t pos = t.begin; pos < t.end;) {
+      if (pos < block_begin || pos >= block_end) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(block.size(), covered_end - pos));
+        block_begin = pos;
+        block_end = pos + file.read_at(block.data(), want, pos);
+        if (block_end == pos) {
+          throw std::runtime_error(
+              "pauli_stream: truncated while verifying checksum in " + path_);
+        }
+      }
+      const char* bytes = block.data() + (pos - block_begin);
+      const auto n = static_cast<std::size_t>(std::min(block_end, t.end) - pos);
+      if (t.magic == kTrailerMagic) {
+        words.update(bytes, n);
+      } else {
+        fnv = util::fnv1a_bytes(fnv, bytes, n);
+      }
+      pos += n;
+    }
+    if ((t.magic == kTrailerMagic ? words.digest() : fnv) != t.sum) {
       throw std::runtime_error(
           "ChunkedPauliReader: checksum mismatch in " + path_ +
           " (torn or corrupt spill segment)");
@@ -593,6 +645,11 @@ PackedRecordProber::PackedRecordProber(const ChunkedPauliReader& reader,
                                     packed_words(reader.num_qubits())}) {
   cache_ = &cache;
   spc_ = reader.strings_per_chunk();
+  // ceil(2^64 / spc_): exact for every 32-bit id once spc_ > 1 (a
+  // one-string chunk is its id, and 2^64 does not fit).
+  if (spc_ > 1 && spc_ <= std::numeric_limits<std::uint32_t>::max()) {
+    chunk_magic_ = ~std::uint64_t{0} / spc_ + 1;
+  }
 }
 
 const std::uint64_t* PackedRecordProber::chunk_records(std::size_t chunk) {
@@ -628,35 +685,76 @@ void PackedRecordProber::edges(const std::uint32_t* ids, std::size_t count,
                                std::uint8_t* out) {
   if (count == 0) return;
   const auto [lo, hi] = std::minmax_element(ids, ids + count);
-  if (*lo / spc_ == *hi / spc_ || std::is_sorted(ids, ids + count)) {
+  const std::size_t first = *lo / spc_;
+  const std::size_t last = *hi / spc_;
+  if (first == last || std::is_sorted(ids, ids + count)) {
     probe_runs(ids, count, out);
     return;
   }
-  // An incremental sweep joins several buckets, so its ids need not ascend.
-  // Each pass probes the chunk of the smallest id not yet probed, gathering
-  // its ids by range (no id is divided), and finds the next such id.
-  std::uint64_t next = *lo;
-  while (next != kNoId) {
-    const std::size_t chunk = next / spc_;
-    const std::size_t begin = chunk * spc_;
-    next = kNoId;
-    group_ids_.clear();
-    group_pos_.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      if (ids[k] - begin < spc_) {
-        group_ids_.push_back(ids[k]);
-        group_pos_.push_back(static_cast<std::uint32_t>(k));
-      } else if (ids[k] > begin) {
-        next = std::min<std::uint64_t>(next, ids[k]);
-      }
+  // An incremental first-fit round joins several buckets, so its ids need
+  // not ascend: group them by chunk in one pass, probe each group, and
+  // scatter the answers back in one more.
+  group_by_chunk(ids, count, first, last);
+  for (std::size_t k = 0, begin = 0; k < group_end_.size(); ++k) {
+    const std::size_t end = group_end_[k];
+    if (end > begin) {
+      kernel_chunk(first + k, group_ids_.data() + begin, end - begin,
+                   group_out_.data() + begin);
     }
-    group_out_.resize(group_ids_.size());
-    probe_chunk(chunk, group_ids_.data(), group_ids_.size(),
-                group_out_.data());
-    for (std::size_t i = 0; i < group_pos_.size(); ++i) {
-      out[group_pos_[i]] = group_out_[i];
-    }
+    begin = end;
   }
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t pos = group_pos_[i];
+    out[pos] = static_cast<std::uint8_t>(ids[pos] != u_ && group_out_[i] == 0);
+  }
+}
+
+void PackedRecordProber::group_by_chunk(const std::uint32_t* ids,
+                                        std::size_t count, std::size_t first,
+                                        std::size_t last) {
+  group_ids_.resize(count);
+  group_pos_.resize(count);
+  group_out_.resize(count);
+  const std::uint64_t base = first * spc_;
+  if (last == first + 1) {
+    // Two chunks: the first fills from the front, the second from the back.
+    const std::uint64_t split = base + spc_;
+    std::size_t front = 0, back = count;
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t id = ids[k];
+      const bool low = id < split;
+      const std::size_t at = low ? front++ : --back;
+      group_ids_[at] = static_cast<std::uint32_t>(id - (low ? base : split));
+      group_pos_[at] = static_cast<std::uint32_t>(k);
+    }
+    group_end_.assign({front, count});
+    return;
+  }
+  // Counting sort by chunk: count, prefix-sum into starts, place. The
+  // chunk of an id is one multiply-high, not a division.
+  group_end_.assign(last - first + 1, 0);
+  for (std::size_t k = 0; k < count; ++k) {
+    ++group_end_[chunk_of(ids[k]) - first];
+  }
+  std::size_t start = 0;
+  for (std::size_t& slot : group_end_) {
+    const std::size_t size = slot;
+    slot = start;
+    start += size;
+  }
+  // Placing advances each group's start to its end.
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t chunk = chunk_of(ids[k]);
+    const std::size_t at = group_end_[chunk - first]++;
+    group_ids_[at] = static_cast<std::uint32_t>(ids[k] - chunk * spc_);
+    group_pos_[at] = static_cast<std::uint32_t>(k);
+  }
+}
+
+std::size_t PackedRecordProber::chunk_of(std::uint32_t id) const noexcept {
+  if (chunk_magic_ == 0) return id / spc_;
+  return static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(chunk_magic_) * id) >> 64);
 }
 
 void PackedRecordProber::probe_runs(const std::uint32_t* ids,
@@ -668,35 +766,35 @@ void PackedRecordProber::probe_runs(const std::uint32_t* ids,
     const std::size_t end = (chunk + 1) * spc_;
     std::size_t j = i + 1;
     while (j < count && ids[j] < end) ++j;
-    probe_chunk(chunk, ids + i, j - i, out + i);
+    // Chunk-local ids; chunk 0's are the global ids themselves.
+    const std::uint32_t* local = ids + i;
+    if (chunk != 0) {
+      const auto base = static_cast<std::uint32_t>(chunk * spc_);
+      rel_.resize(j - i);
+      for (std::size_t k = i; k < j; ++k) rel_[k - i] = ids[k] - base;
+      local = rel_.data();
+    }
+    kernel_chunk(chunk, local, j - i, out + i);
+    for (std::size_t k = i; k < j; ++k) {
+      out[k] = static_cast<std::uint8_t>(ids[k] != u_ && out[k] == 0);
+    }
     i = j;
   }
 }
 
-void PackedRecordProber::probe_chunk(std::size_t chunk,
-                                     const std::uint32_t* ids,
-                                     std::size_t count, std::uint8_t* out) {
+void PackedRecordProber::kernel_chunk(std::size_t chunk,
+                                      const std::uint32_t* local,
+                                      std::size_t count, std::uint8_t* out) {
   const std::uint64_t* records = chunk_records(chunk);
-  // Chunk-local ids; chunk 0's are the global ids themselves.
-  const std::uint32_t* local = ids;
-  if (chunk != 0) {
-    const auto base = static_cast<std::uint32_t>(chunk * spc_);
-    rel_.resize(count);
-    for (std::size_t k = 0; k < count; ++k) rel_[k] = ids[k] - base;
-    local = rel_.data();
-  }
   obs::count(block_counter_);
   kernel_(swapped_.data(), records, words_, local, count, out);
-  for (std::size_t k = 0; k < count; ++k) {
-    out[k] = static_cast<std::uint8_t>(ids[k] != u_ && out[k] == 0);
-  }
 }
 
 std::size_t PackedRecordProber::scratch_bytes() const noexcept {
   return swapped_.capacity() * sizeof(std::uint64_t) +
          (rel_.capacity() + group_ids_.capacity() + group_pos_.capacity()) *
              sizeof(std::uint32_t) +
-         group_out_.capacity();
+         group_end_.capacity() * sizeof(std::size_t) + group_out_.capacity();
 }
 
 }  // namespace picasso::pauli

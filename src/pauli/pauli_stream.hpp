@@ -23,9 +23,10 @@
 // the base header's string count or infer the packed tail from the file
 // size alone, because appended bytes make both lies. Chunk ranges span
 // segment boundaries transparently. A reader already open picks up new
-// segments with refresh(), which repeats the walk and the checksum
-// verification in place and reports the first chunk that changed, so the
-// chunk cache keeps every chunk before it.
+// segments with refresh(), which repeats the walk (one small positional
+// read per segment header) and the checksum verification (one sequential
+// pass over the spill) in place and reports the first chunk that changed,
+// so the chunk cache keeps every chunk before it.
 //
 // Checksum trailers: the base block and every append segment end in
 // [magic][u64 checksum of the bytes they cover]. Writers emit PSETSUM2
@@ -263,7 +264,8 @@ class PackedPauliChunkCache {
 /// kernel, against u's record swapped once per set_u(). Both sources give
 /// the same answers. A batch costs one kernel call and one EdgeBlockCalls
 /// count per distinct chunk it touches, chunks in ascending order, so cache
-/// traffic and counters are a pure function of the calls. Pins: u's chunk,
+/// traffic and counters are a pure function of the calls; a batch whose
+/// ids do not ascend is grouped by chunk in one pass first. Pins: u's chunk,
 /// plus the one chunk read last; both drop before set_u()'s lookup, so that
 /// lookup is admitted against what the cache alone holds.
 class PackedRecordProber {
@@ -289,12 +291,23 @@ class PackedRecordProber {
  private:
   /// Records of `chunk`: the view, u's pinned chunk, or a fresh pin.
   const std::uint64_t* chunk_records(std::size_t chunk);
-  /// edges() over `ids` that ascend or lie in one chunk: one probe_chunk()
+  /// edges() over `ids` that ascend or lie in one chunk: one kernel_chunk()
   /// per run of one chunk.
   void probe_runs(const std::uint32_t* ids, std::size_t count,
                   std::uint8_t* out);
-  void probe_chunk(std::size_t chunk, const std::uint32_t* ids,
-                   std::size_t count, std::uint8_t* out);
+  /// Groups an unsorted batch spanning chunks [first, last] in one pass:
+  /// group_ids_ holds the chunk-local ids chunk by chunk, group_pos_ their
+  /// batch positions, group_end_[k] the end of chunk first + k's group.
+  void group_by_chunk(const std::uint32_t* ids, std::size_t count,
+                      std::size_t first, std::size_t last);
+  /// Raw kernel answers (nonzero: anticommutes) of u against the
+  /// chunk-local `local` ids of `chunk`: one lookup, one kernel call.
+  void kernel_chunk(std::size_t chunk, const std::uint32_t* local,
+                    std::size_t count, std::uint8_t* out);
+  /// id / spc_ as one multiply-high by chunk_magic_ (Lemire, Kaser and
+  /// Kurz, "Faster remainder by direct computation", 2019), exact for every
+  /// 32-bit id.
+  std::size_t chunk_of(std::uint32_t id) const noexcept;
 
   PackedView view_;                         // resident source
   PackedPauliChunkCache* cache_ = nullptr;  // spilled source
@@ -309,11 +322,12 @@ class PackedRecordProber {
   std::shared_ptr<const PackedPauliSet> pin_;
   std::vector<std::uint64_t> swapped_;  // u's record as [z|x]
   std::vector<std::uint32_t> rel_;      // chunk-local ids
-  // One chunk's ids of an unsorted batch that spans chunks, their
-  // positions in the batch, and their answers.
-  static constexpr std::uint64_t kNoId = ~std::uint64_t{0};
+  std::uint64_t chunk_magic_ = 0;       // ceil(2^64 / spc_); 0: divide
+  // An unsorted batch that spans chunks, grouped by chunk (group_by_chunk)
+  // with each id's batch position, and the kernel's answers.
   std::vector<std::uint32_t> group_ids_;
   std::vector<std::uint32_t> group_pos_;
+  std::vector<std::size_t> group_end_;
   std::vector<std::uint8_t> group_out_;
 };
 

@@ -8,10 +8,11 @@
 // spilled update keeps while its reader refreshes in place (checksums on
 // every refresh, torn appends, chunk caches that survive appends and
 // release the charge of a throwing load), an update's disk writes being
-// its append segment alone, the legacy PSETSUM1 trailers of spills from
-// earlier builds, and the record prober both stores probe through (spilled
-// answers equal resident ones and a per-pair reference, one kernel call per
-// chunk a batch touches).
+// its append segment alone, the phase spans of a traced update, first fit
+// against a class-by-class reference, the legacy PSETSUM1 trailers of
+// spills from earlier builds, and the record prober both stores probe
+// through (spilled answers equal resident ones and a per-pair reference at
+// every chunk size, one kernel call per chunk a batch touches).
 
 #include <gtest/gtest.h>
 
@@ -144,6 +145,41 @@ void expect_packed_chunks(const pp::ChunkedPauliReader& reader,
                 0);
     }
   }
+}
+
+/// 2q + 1 pairwise anticommuting strings on q qubits: the Jordan-Wigner
+/// Majoranas Z..Z X_k and Z..Z Y_k, then Z on every qubit. No color class
+/// can hold more strings than this.
+std::vector<pp::PauliString> anticommuting_family(std::size_t qubits) {
+  std::vector<pp::PauliString> family;
+  for (std::size_t k = 0; k < qubits; ++k) {
+    for (const pp::PauliOp op : {pp::PauliOp::X, pp::PauliOp::Y}) {
+      pp::PauliString s(qubits);
+      for (std::size_t q = 0; q < k; ++q) s.set_op(q, pp::PauliOp::Z);
+      s.set_op(k, op);
+      family.push_back(s);
+    }
+  }
+  pp::PauliString all_z(qubits);
+  for (std::size_t q = 0; q < qubits; ++q) all_z.set_op(q, pp::PauliOp::Z);
+  family.push_back(all_z);
+  return family;
+}
+
+/// Lowest color whose class has no member commuting with `s` (an empty
+/// class admits anything); a fresh color past the last class otherwise.
+std::uint32_t first_fit_reference(
+    const std::vector<std::vector<pp::PauliString>>& classes,
+    const pp::PauliString& s) {
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    if (std::all_of(classes[c].begin(), classes[c].end(),
+                    [&s](const pp::PauliString& member) {
+                      return member.anticommutes_with(s);
+                    })) {
+      return static_cast<std::uint32_t>(c);
+    }
+  }
+  return static_cast<std::uint32_t>(classes.size());
 }
 
 }  // namespace
@@ -313,6 +349,94 @@ TEST(IncrementalUpdate, BudgetedSpillGrowsAcrossUpdatesAndMatchesInMemory) {
   EXPECT_FALSE(fs::exists(spill));
 }
 
+// --- First fit against a class-by-class reference --------------------------
+
+TEST(IncrementalUpdate, FirstFitMatchesClassByClassReference) {
+  // Without recoloring and escalation, each inserted vertex must take the
+  // lowest color whose class has no member commuting with it, whether the
+  // first fit probes a class whole or stops at its first conflict.
+  constexpr std::size_t kQubits = 150;
+  const auto family = anticommuting_family(kQubits);  // 301 strings
+  const auto randoms = random_strings(700, kQubits, 1201);
+
+  // Color 0: 260 family members, a class larger than one probe round
+  // (kInsertBatch = 256 ids).
+  std::vector<pp::PauliString> base(family.begin(), family.begin() + 260);
+  std::vector<std::uint32_t> colors(base.size(), 0);
+  // 400 random strings, greedy-colored into classes 1..K, with two empty
+  // palette slots after the 34th class: a run of nonempty classes longer
+  // than one 32-bucket probe window, then a gap.
+  std::vector<std::vector<pp::PauliString>> greedy;
+  std::vector<std::size_t> greedy_class;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const std::uint32_t g = first_fit_reference(greedy, randoms[i]);
+    if (g == greedy.size()) greedy.emplace_back();
+    greedy[g].push_back(randoms[i]);
+    greedy_class.push_back(g);
+  }
+  ASSERT_GT(greedy.size(), 36u);
+  const auto slot = [](std::size_t g) {
+    return static_cast<std::uint32_t>(1 + g + (g >= 34 ? 2 : 0));
+  };
+  for (std::size_t i = 0; i < 400; ++i) {
+    base.push_back(randoms[i]);
+    colors.push_back(slot(greedy_class[i]));
+  }
+  // One more empty slot, then the other 41 family members: a class larger
+  // than the probe window.
+  const std::uint32_t family_slot = slot(greedy.size() - 1) + 2;
+  for (std::size_t i = 260; i < family.size(); ++i) {
+    base.push_back(family[i]);
+    colors.push_back(family_slot);
+  }
+
+  // Inserted: the other 300 random strings with family members mixed in.
+  // family[259] is blocked by color 0 only at that class's last member;
+  // family[300] anticommutes with all of color 0, so color 0 admits it
+  // after a full probe; a duplicate then commutes with its twin.
+  std::vector<pp::PauliString> inserted(randoms.begin() + 400, randoms.end());
+  inserted.insert(inserted.begin() + 10, family[259]);
+  inserted.insert(inserted.begin() + 50, family[300]);
+  inserted.insert(inserted.begin() + 90, family[300]);
+  inserted.insert(inserted.begin() + 130, family[3]);
+
+  std::vector<std::vector<pp::PauliString>> classes(family_slot + 1);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    classes[colors[i]].push_back(base[i]);
+  }
+  std::vector<std::uint32_t> want;
+  for (const pp::PauliString& s : inserted) {
+    const std::uint32_t c = first_fit_reference(classes, s);
+    if (c == classes.size()) classes.emplace_back();
+    classes[c].push_back(s);
+    want.push_back(c);
+  }
+  // The inputs reach both rare winners: color 0 and an empty slot.
+  EXPECT_NE(std::find(want.begin(), want.end(), 0u), want.end());
+  EXPECT_NE(std::find(want.begin(), want.end(), slot(33) + 1), want.end());
+
+  constexpr std::size_t kChunk = 128;  // the spill holds 8 chunks
+  ASSERT_GE((base.size() + inserted.size()) / kChunk, 3u);
+  for (const bool spilled : {false, true}) {
+    SCOPED_TRACE(spilled ? "spilled store" : "resident store");
+    TempFile file("picasso_test_first_fit_reference.pset");
+    pcore::FusedState state(pcore::PicassoParams{},
+                            {.max_recolor = 0, .max_new_colors = 0});
+    if (spilled) state.use_spill(file.path.string(), kChunk);
+    pcore::PicassoResult solved;
+    solved.colors = colors;
+    state.adopt_pauli_solution(pp::PauliSet(base), solved);
+    for (std::size_t begin = 0; begin < inserted.size(); begin += 37) {
+      state.update_pauli(slice(inserted, begin,
+                               std::min(inserted.size(), begin + 37)));
+    }
+    ASSERT_EQ(state.num_vertices(), base.size() + inserted.size());
+    for (std::size_t i = 0; i < inserted.size(); ++i) {
+      ASSERT_EQ(state.colors()[base.size() + i], want[i]) << "insert " << i;
+    }
+  }
+}
+
 // --- Spilled updates: kept checks, caches that survive appends -------------
 
 TEST(SpilledUpdate, CorruptionBetweenUpdatesFailsTheNextUpdate) {
@@ -331,6 +455,30 @@ TEST(SpilledUpdate, CorruptionBetweenUpdatesFailsTheNextUpdate) {
   try {
     session.update(papi::UpdateDelta::pauli(slice(strings, 70, 90)));
     FAIL() << "update served a corrupted spill";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(SpilledUpdate, CorruptionInAnAppendSegmentFailsTheNextUpdate) {
+  const auto strings = random_strings(90, 12, 802);
+  auto session = spilled_session(4, 32);
+  session.update(papi::UpdateDelta::pauli(slice(strings, 0, 50)));
+  const pcore::FusedState* state = session.incremental_state();
+  ASSERT_NE(state, nullptr);
+  ASSERT_TRUE(state->spilled());
+  const std::size_t base_bytes = state->spill_bytes();
+  session.update(papi::UpdateDelta::pauli(slice(strings, 50, 70)));
+  session.update(papi::UpdateDelta::pauli(slice(strings, 70, 80)));
+
+  // One byte of the first append segment's 3-bit words, past its 16-byte
+  // header: the layout is unchanged and a later segment follows, so only
+  // re-verifying that segment's trailer can notice.
+  corrupt_byte(state->spill_path(), base_bytes + 16 + 8);
+  try {
+    session.update(papi::UpdateDelta::pauli(slice(strings, 80, 90)));
+    FAIL() << "update served a corrupted append segment";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
         << error.what();
@@ -541,6 +689,45 @@ TEST(IncrementalUpdate, UpdateCountersFlowIntoTelemetry) {
             report.update->bucket_probes);
   EXPECT_EQ(counters[picasso::obs::Counter::UpdateFreshColors],
             report.update->fresh_colors);
+}
+
+TEST(SpilledUpdate, FullTelemetryUpdateRecordsItsPhasesUnderOneRoot) {
+  const auto strings = random_strings(60, 12, 841);
+  const auto session_at = [](picasso::obs::TelemetryLevel level) {
+    return papi::SessionBuilder()
+        .seed(4)
+        .memory_budget(std::size_t{64} << 20)
+        .streaming({.chunk_strings = 16})
+        .telemetry(level)
+        .build();
+  };
+  auto traced = session_at(picasso::obs::TelemetryLevel::Full);
+  traced.update(papi::UpdateDelta::pauli(slice(strings, 0, 40)));
+  ASSERT_TRUE(traced.incremental_state()->spilled());
+  const auto report =
+      traced.update(papi::UpdateDelta::pauli(slice(strings, 40, 60)));
+
+  const auto& spans = report.telemetry.spans;
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_STREQ(spans[0].name, "update");
+  EXPECT_EQ(spans[0].depth, 0);
+  const char* phases[] = {"append", "refresh", "color_backlog"};
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_STREQ(spans[i].name, phases[i - 1]);
+    EXPECT_EQ(spans[i].depth, 1);
+    EXPECT_GE(spans[i].start_seconds, spans[0].start_seconds);
+    EXPECT_LE(spans[i].start_seconds + spans[i].duration_seconds,
+              spans[0].start_seconds + spans[0].duration_seconds);
+  }
+  EXPECT_EQ(spans[1].arg, 20u);  // records appended
+  EXPECT_EQ(spans[3].arg, 20u);  // vertices colored
+
+  auto quiet = session_at(picasso::obs::TelemetryLevel::Off);
+  quiet.update(papi::UpdateDelta::pauli(slice(strings, 0, 40)));
+  const auto silent =
+      quiet.update(papi::UpdateDelta::pauli(slice(strings, 40, 60)));
+  EXPECT_TRUE(silent.telemetry.spans.empty());
+  EXPECT_EQ(silent.result.colors, report.result.colors);
 }
 
 // --- ChunkedPauliReader append-segment regressions ---------------------------
@@ -820,6 +1007,55 @@ TEST(RecordProber, SpilledAnswersEqualResidentAndPerPairReference) {
     const std::uint64_t* spilled_rec = spilled.record(id);
     EXPECT_TRUE(std::equal(spilled_rec, spilled_rec + record_words,
                            resident.record(id)));
+  }
+}
+
+TEST(RecordProber, UnsortedBatchesGroupExactlyAtEveryChunkSize) {
+  // One-string chunks (the id is the chunk), odd sizes and a power of two;
+  // even rounds span two neighbouring chunks (grouped from both ends), odd
+  // rounds any number (counting-sorted).
+  constexpr std::size_t kStrings = 70;
+  const auto strings = random_strings(kStrings, 9, 961);
+  const pp::PauliSet set = slice(strings, 0, kStrings);
+  TempFile file("picasso_test_prober_grouping.pset");
+  pp::spill_pauli_set(set, file.path.string());
+  const picasso::obs::MetricsRunScope scope(true);
+  for (const std::size_t chunk : {1, 3, 8, 13}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    pp::ChunkedPauliReader reader(file.path.string(), chunk);
+    pp::PackedPauliChunkCache cache(reader);
+    pp::PackedRecordProber prober(reader, cache);
+    picasso::util::Xoshiro256 rng(962 + chunk);
+    for (int round = 0; round < 200; ++round) {
+      const auto u = static_cast<std::uint32_t>(rng.bounded(kStrings));
+      std::size_t lo = 0, span = kStrings;
+      if (round % 2 == 0) {
+        lo = rng.bounded(reader.num_chunks() - 1) * chunk;
+        span = std::min(kStrings - lo, 2 * chunk);
+      }
+      std::vector<std::uint32_t> ids;
+      if (round % 3 == 0) ids.push_back(u);
+      const std::size_t count = 1 + rng.bounded(40);
+      for (std::size_t k = 0; k < count; ++k) {
+        ids.push_back(static_cast<std::uint32_t>(lo + rng.bounded(span)));
+      }
+      for (std::size_t k = ids.size() - 1; k > 0; --k) {
+        std::swap(ids[k], ids[rng.bounded(k + 1)]);
+      }
+      std::set<std::size_t> chunks;
+      for (std::uint32_t id : ids) chunks.insert(id / chunk);
+
+      prober.set_u(u);
+      std::vector<std::uint8_t> out(ids.size());
+      const std::uint64_t before = edge_block_calls();
+      prober.edges(ids.data(), ids.size(), out.data());
+      EXPECT_EQ(edge_block_calls() - before, chunks.size());
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        const bool want =
+            ids[k] != u && !strings[u].anticommutes_with(strings[ids[k]]);
+        ASSERT_EQ(out[k] != 0, want) << "u " << u << " id " << ids[k];
+      }
+    }
   }
 }
 
