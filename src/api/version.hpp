@@ -25,8 +25,15 @@
 // parallel_for / parallel_reduce / chunk_rng primitives. 7.0 removed the
 // write-only .pset.colors color sidecar: its writer and reader in
 // pauli/pauli_stream.hpp and PackedColorArray's binary save / load format.
+// 8.0 replaced the 3-bit byte format of .pset files, the dataset cache and
+// SolveRequest payloads with trimmed x/z plane records (new .pset magic,
+// wire protocol 3 only) and removed what only the 3-bit format needed:
+// PauliSet::write_words3, ChunkedPauliReader::has_packed_tail, the reading
+// of packed-tail-less and PSETSUM1 spills; ChunkedPauliReader::refresh()
+// now returns the unchanged string count, which
+// PackedPauliChunkCache::sync() (replacing drop_from) takes.
 
-#define PICASSO_API_VERSION_MAJOR 7
+#define PICASSO_API_VERSION_MAJOR 8
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 

@@ -130,10 +130,11 @@ void FusedState::sync_reader() {
     chunk_cache_ = std::make_unique<pauli::PackedPauliChunkCache>(*reader_);
     return;
   }
-  // Re-walk and re-verify the grown file in place; only the chunks whose
-  // range changed (the grown last chunk) leave the cache. A throw leaves
-  // the reader and cache on their previous view.
-  chunk_cache_->drop_from(reader_->refresh());
+  // Re-walk and re-verify the grown file in place; the cache keeps every
+  // chunk before the appended strings and extends the grown last chunk
+  // with those strings alone. A throwing refresh leaves the reader and
+  // cache on their previous view.
+  chunk_cache_->sync(reader_->refresh());
 }
 
 pauli::PackedRecordProber FusedState::make_prober() const {

@@ -1,10 +1,13 @@
 #include "pauli/datasets.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <stdexcept>
+#include <system_error>
+
+#include "pauli/pauli_stream.hpp"
 
 namespace picasso::pauli {
 
@@ -87,9 +90,11 @@ std::filesystem::path cache_dir() {
 }
 
 std::filesystem::path cache_path(const DatasetSpec& spec) {
-  // Recipe parameters are baked into the file name so stale caches miss.
-  char suffix[96];
-  std::snprintf(suffix, sizeof(suffix), "%s_a%d_t%g_c%zu.pset",
+  // Recipe parameters and the record layout's tag ("xz1": trimmed planes,
+  // pauli_set.hpp) are baked into the file name, so stale caches miss and
+  // builds of another layout keep their own files beside these.
+  char suffix[112];
+  std::snprintf(suffix, sizeof(suffix), "%s_a%d_t%g_c%zu_xz1.pset",
                 spec.name.c_str(), spec.with_ansatz ? 1 : 0,
                 spec.amp_threshold, spec.cap);
   return cache_dir() / suffix;
@@ -110,25 +115,27 @@ const PauliSet& load_dataset(const DatasetSpec& spec) {
   auto it = cache.find(spec.name);
   if (it != cache.end()) return it->second;
 
+  // Entries are .pset spills, read back through the reader that verifies
+  // their checksum trailer, so a damaged entry is regenerated rather than
+  // served.
   const std::filesystem::path path = cache_path(spec);
-  if (std::filesystem::exists(path)) {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      try {
-        PauliSet set = PauliSet::load_binary(in);
-        return cache.emplace(spec.name, std::move(set)).first->second;
-      } catch (const std::exception&) {
-        // Corrupt cache entry: fall through and regenerate.
-      }
-    }
+  try {
+    const ChunkedPauliReader reader(path.string(), 1);
+    PauliSet set = reader.load_strings(0, reader.num_strings());
+    return cache.emplace(spec.name, std::move(set)).first->second;
+  } catch (const std::exception&) {
+    // Missing or corrupt cache entry: fall through and regenerate.
   }
 
   PauliSet set = generate_dataset(spec);
   std::error_code ec;
   std::filesystem::create_directories(cache_dir(), ec);
   if (!ec) {
-    std::ofstream out(path, std::ios::binary);
-    if (out) set.save_binary(out);
+    try {
+      spill_pauli_set(set, path.string());
+    } catch (const std::exception&) {
+      // An unwritable cache only costs the next process a regeneration.
+    }
   }
   return cache.emplace(spec.name, std::move(set)).first->second;
 }

@@ -13,11 +13,12 @@
 // popcount(x1 & z2) + popcount(z1 & x2) is odd (64 ops per word per plane).
 //
 // The paper's kernel runs on the inverse-one-hot form. This library keeps
-// strings resident only as symplectic planes (PauliSet, pauli_packed.hpp),
-// whose kernels need fewer words and one parity per pair. The 3-bit form
-// lives on as the .pset/wire byte format, and the functions below are its
-// reference: tests pin the writers' bytes to encode3, and the differential
-// suites and ablation benches run anticommute3 as the paper's kernel.
+// strings only as symplectic planes (PauliSet, pauli_packed.hpp), whose
+// kernels need fewer words and one parity per pair; files and frames hold
+// those planes too (the record layout of pauli_set.hpp). The functions
+// below are the paper's reference: the differential suites and ablation
+// benches run anticommute3 as the paper's kernel, and bench_encoding
+// measures it.
 
 #include <cstdint>
 #include <vector>

@@ -39,79 +39,31 @@ std::uint64_t PauliSet::count_anticommuting_pairs() const {
   return count;
 }
 
+PauliSet::PauliSet(PackedPauliSet records, std::vector<double> coefficients)
+    : records_(std::move(records)), coefficients_(std::move(coefficients)) {
+  if (coefficients_.size() != records_.size()) {
+    throw std::invalid_argument("PauliSet: coefficient count mismatch");
+  }
+}
+
+// The byte formats are little-endian, and the codec below moves plane words
+// and coefficients with plain loads and stores.
+static_assert(std::endian::native == std::endian::little,
+              "the record layout assumes a little-endian host");
+
 namespace {
-constexpr std::uint64_t kMagic = 0x5041554c49534554ULL;  // "PAULISET"
 
-/// Bit 3k of every 3-bit field of a word (k = 0..20).
-constexpr std::uint64_t kFieldLowBits = 0x1249249249249249ULL;
-
-/// Gathers bit 3k of `w` into bit k (k = 0..20): the inverse of a 3-way
-/// bit interleave, in five shift-xor-mask steps.
-constexpr std::uint64_t gather_every_third(std::uint64_t w) noexcept {
-  w &= kFieldLowBits;
-  w = (w ^ (w >> 2)) & 0x10c30c30c30c30c3ULL;
-  w = (w ^ (w >> 4)) & 0x100f00f00f00f00fULL;
-  w = (w ^ (w >> 8)) & 0x001f0000ff0000ffULL;
-  w = (w ^ (w >> 16)) & 0x001f00000000ffffULL;
-  w = (w ^ (w >> 32)) & 0x00000000001fffffULL;
-  return w;
+/// The low `bytes` bytes of a word (bytes <= 8).
+constexpr std::uint64_t low_bytes(std::size_t bytes) noexcept {
+  return bytes >= 8 ? ~std::uint64_t{0}
+                    : (std::uint64_t{1} << (8 * bytes)) - 1;
 }
 
-/// Spreads bit k of `w` to bit 3k (k = 0..20): gather_every_third's
-/// inverse, the same masks in reverse order.
-constexpr std::uint64_t spread_every_third(std::uint64_t w) noexcept {
-  w &= 0x00000000001fffffULL;
-  w = (w | (w << 32)) & 0x001f00000000ffffULL;
-  w = (w | (w << 16)) & 0x001f0000ff0000ffULL;
-  w = (w | (w << 8)) & 0x100f00f00f00f00fULL;
-  w = (w | (w << 4)) & 0x10c30c30c30c30c3ULL;
-  w = (w | (w << 2)) & kFieldLowBits;
-  return w;
-}
-// X Z Y I (fields 3..0): z = bit 3k, x = bit 3k+2.
-static_assert(gather_every_third(0b110'011'101'000) == 0b0110 &&
-              gather_every_third(0b110'011'101'000 >> 2) == 0b1010);
-static_assert(spread_every_third(0b0110) == 0b000'001'001'000 &&
-              spread_every_third(0x1fffff) == kFieldLowBits);
-
-/// The 3-bit word of up to 21 operators given their plane bits (bit k of
-/// `xs`/`zs` is operator k; higher bits are ignored): x to bit 3k+2, z to
-/// bit 3k and x^z to bit 3k+1 — X=110, Y=101, Z=011, I=000.
-constexpr std::uint64_t code3(std::uint64_t xs, std::uint64_t zs) noexcept {
-  const std::uint64_t x = spread_every_third(xs);
-  const std::uint64_t z = spread_every_third(zs);
-  return (x << 2) | ((x ^ z) << 1) | z;
-}
-static_assert(code3(0b1010, 0b0110) == 0b110'011'101'000);  // X Z Y I
-
-/// Bits [first, first + 21) of the `w`-word plane `plane` in the low bits
-/// (bits above them may be set).
-std::uint64_t plane_bits(const std::uint64_t* plane, std::size_t w,
-                         std::size_t first) noexcept {
-  const std::size_t word = first / kOpsPerWord2;
-  const std::size_t shift = first % kOpsPerWord2;
-  std::uint64_t bits = plane[word] >> shift;
-  if (shift + kOpsPerWord3 > kOpsPerWord2 && word + 1 < w) {
-    bits |= plane[word + 1] << (kOpsPerWord2 - shift);
-  }
-  return bits;
-}
-
-/// Writes the 3-bit words of the `count` [x|z] records at `recs` (`w` words
-/// per plane) over `num_qubits` to `out`, which need not be aligned.
-/// Padding fields come out 000 because padding plane bits are clear.
-void encode_records3(const std::uint64_t* recs, std::size_t count,
-                     std::size_t w, std::size_t num_qubits,
-                     std::uint8_t* out) noexcept {
-  const std::size_t w3 = words_per_string3(num_qubits);
-  for (std::size_t i = 0; i < count; ++i, recs += 2 * w) {
-    for (std::size_t j = 0; j < w3; ++j, out += sizeof(std::uint64_t)) {
-      const std::size_t first = j * kOpsPerWord3;
-      const std::uint64_t word = code3(plane_bits(recs, w, first),
-                                       plane_bits(recs + w, w, first));
-      std::memcpy(out, &word, sizeof(word));
-    }
-  }
+[[noreturn]] void throw_padding(std::size_t record, std::size_t num_qubits) {
+  throw std::runtime_error("PauliSet: corrupt record " +
+                           std::to_string(record) +
+                           ": a plane bit is set at or above qubit " +
+                           std::to_string(num_qubits));
 }
 
 [[noreturn]] void throw_truncated() {
@@ -119,18 +71,16 @@ void encode_records3(const std::uint64_t* recs, std::size_t count,
 }
 
 /// Bytes the records of `count` strings over `num_qubits` occupy after the
-/// header (3-bit words + coefficients), after checking that they fit in
-/// the `available` bytes that follow the header. Runs before any
-/// allocation, so a header claiming more strings than the input carries
-/// (or a count whose byte size would overflow) is rejected as truncated
-/// input.
+/// header, after checking that they fit in the `available` bytes that
+/// follow it. Runs before any allocation, so a header claiming more strings
+/// than the input carries (or a count whose byte size would overflow) is
+/// rejected as truncated input.
 std::size_t checked_record_bytes(std::uint64_t num_qubits,
                                  std::uint64_t count,
                                  std::uint64_t available) {
-  const std::uint64_t words3 =
-      num_qubits / kOpsPerWord3 + (num_qubits % kOpsPerWord3 != 0);
-  // Cannot wrap: words3 < 2^64 / 21.
-  const std::uint64_t record_bytes = (words3 + 1) * sizeof(std::uint64_t);
+  // Cannot wrap: a trimmed plane is at most 2^61 bytes.
+  const std::uint64_t record_bytes =
+      pset_record_bytes(static_cast<std::size_t>(num_qubits));
   if (count > available / record_bytes) throw_truncated();
   return static_cast<std::size_t>(count * record_bytes);
 }
@@ -146,100 +96,127 @@ std::uint64_t stream_bytes_left(std::istream& in) {
   if (!in || end < here) throw_truncated();
   return static_cast<std::uint64_t>(end - here);
 }
+
+/// Writes `count` records to `out` (unaligned): the planes of the [x|z]
+/// words at `planes` and the coefficients at `coefs`. Padding plane bits are
+/// clear in every PackedPauliSet, so none is set.
+void encode_records(const std::uint64_t* planes, const double* coefs,
+                    std::size_t count, std::size_t num_qubits,
+                    std::uint8_t* out) noexcept {
+  const std::size_t b = plane_bytes(num_qubits);
+  const std::size_t record = pset_record_bytes(num_qubits);
+  const std::size_t w = packed_words(num_qubits);
+  if (w == 1) {
+    // One word per plane: three 8-byte stores, x then z then the
+    // coefficient. Each ends inside the record, and each overwrites only
+    // the zero padding bytes of the one before.
+    for (std::size_t i = 0; i < count; ++i, planes += 2, out += record) {
+      std::memcpy(out, planes, sizeof(std::uint64_t));
+      std::memcpy(out + b, planes + 1, sizeof(std::uint64_t));
+      std::memcpy(out + 2 * b, coefs + i, sizeof(double));
+    }
+    return;
+  }
+  // Zero qubits (w == 0): no planes, and `planes` may be null.
+  for (std::size_t i = 0; i < count; ++i, planes += 2 * w, out += record) {
+    if (w > 0) {
+      std::memcpy(out, planes, b);
+      std::memcpy(out + b, planes + w, b);
+    }
+    std::memcpy(out + 2 * b, coefs + i, sizeof(double));
+  }
+}
 }  // namespace
+
+void decode_records(const std::uint8_t* in, std::size_t count,
+                    std::size_t num_qubits, std::uint64_t* planes,
+                    double* coefs) {
+  const std::size_t b = plane_bytes(num_qubits);
+  const std::size_t record = pset_record_bytes(num_qubits);
+  const std::size_t w = packed_words(num_qubits);
+  // Bits of the last plane word at or above num_qubits: zero in every
+  // valid record.
+  const std::uint64_t padding =
+      num_qubits % 64 == 0 ? 0 : ~std::uint64_t{0} << (num_qubits % 64);
+  if (w == 1) {
+    // The mirror of encode_records: three 8-byte loads, each ending inside
+    // the record; the x and z loads keep their plane's b bytes.
+    const std::uint64_t keep = low_bytes(b);
+    for (std::size_t i = 0; i < count; ++i, planes += 2, in += record) {
+      std::uint64_t x, z;
+      std::memcpy(&x, in, sizeof(x));
+      std::memcpy(&z, in + b, sizeof(z));
+      x &= keep;
+      z &= keep;
+      if (((x | z) & padding) != 0) throw_padding(i, num_qubits);
+      planes[0] = x;
+      planes[1] = z;
+      if (coefs != nullptr) std::memcpy(coefs + i, in + 2 * b, sizeof(double));
+    }
+    return;
+  }
+  // Zero qubits (w == 0): no planes, and `planes` may be null.
+  for (std::size_t i = 0; i < count; ++i, planes += 2 * w, in += record) {
+    if (w > 0) {
+      std::fill_n(planes, 2 * w, std::uint64_t{0});
+      std::memcpy(planes, in, b);
+      std::memcpy(planes + w, in + b, b);
+      if (((planes[w - 1] | planes[2 * w - 1]) & padding) != 0) {
+        throw_padding(i, num_qubits);
+      }
+    }
+    if (coefs != nullptr) std::memcpy(coefs + i, in + 2 * b, sizeof(double));
+  }
+}
 
 PauliSet PauliSet::from_records(std::size_t num_qubits, std::size_t count,
                                 const std::uint8_t* records) {
-  PauliSet out;
-  if (count == 0) return out;
-  const std::size_t w3 = words_per_string3(num_qubits);
-  const std::size_t w = packed_words(num_qubits);
-  std::vector<std::uint64_t> data(count * 2 * w, 0);
-  const std::uint8_t* in = records;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t* x = data.data() + 2 * i * w;
-    std::uint64_t* z = x + w;
-    for (std::size_t j = 0; j < w3; ++j, in += sizeof(std::uint64_t)) {
-      const std::size_t first = j * kOpsPerWord3;
-      const std::size_t fields = std::min(kOpsPerWord3, num_qubits - first);
-      std::uint64_t word;
-      std::memcpy(&word, in, sizeof(word));
-      word &= (std::uint64_t{1} << (3 * fields)) - 1;
-      // Valid codes (000, 110, 101, 011) are exactly the even-parity ones.
-      const std::uint64_t odd = (word ^ (word >> 1) ^ (word >> 2)) &
-                                kFieldLowBits;
-      if (odd != 0) {
-        throw std::invalid_argument(
-            "PauliSet: corrupt 3-bit code at string " + std::to_string(i) +
-            ", qubit " +
-            std::to_string(first + std::countr_zero(odd) / 3));
-      }
-      const std::uint64_t xs = gather_every_third(word >> 2);
-      const std::uint64_t zs = gather_every_third(word);
-      const std::size_t plane = first / kOpsPerWord2;
-      const std::size_t shift = first % kOpsPerWord2;
-      x[plane] |= xs << shift;
-      z[plane] |= zs << shift;
-      if (shift + kOpsPerWord3 > kOpsPerWord2 && plane + 1 < w) {
-        x[plane + 1] |= xs >> (kOpsPerWord2 - shift);
-        z[plane + 1] |= zs >> (kOpsPerWord2 - shift);
-      }
-    }
-  }
-  out.records_ = PackedPauliSet::from_raw(num_qubits, count, std::move(data));
-  out.coefficients_.resize(count);
-  std::memcpy(out.coefficients_.data(), in, count * sizeof(double));
-  return out;
+  if (count == 0) return PauliSet{};
+  std::vector<std::uint64_t> planes(count * 2 * packed_words(num_qubits));
+  std::vector<double> coefs(count);
+  decode_records(records, count, num_qubits, planes.data(), coefs.data());
+  return PauliSet(PackedPauliSet::from_raw(num_qubits, count, std::move(planes)),
+                  std::move(coefs));
 }
 
-void PauliSet::write_words3(std::ostream& out) const {
-  // In batches of strings, so the words never sit resident all at once.
+void PauliSet::write_records(std::ostream& out) const {
   constexpr std::size_t kBatch = 1024;
-  const std::size_t string_bytes =
-      words_per_string3(num_qubits()) * sizeof(std::uint64_t);
-  std::vector<std::uint8_t> batch(std::min(size(), kBatch) * string_bytes);
+  const std::size_t record = pset_record_bytes(num_qubits());
+  std::vector<std::uint8_t> batch(std::min(size(), kBatch) * record);
   for (std::size_t i = 0; i < size(); i += kBatch) {
     const std::size_t n = std::min(kBatch, size() - i);
-    encode_records3(records_.record(i), n, records_.words(), num_qubits(),
-                    batch.data());
+    encode_records(records_.record(i), coefficients_.data() + i, n,
+                   num_qubits(), batch.data());
     out.write(reinterpret_cast<const char*>(batch.data()),
-              static_cast<std::streamsize>(n * string_bytes));
+              static_cast<std::streamsize>(n * record));
   }
 }
 
 void PauliSet::save_binary(std::ostream& out) const {
-  const std::uint64_t header[3] = {kMagic,
+  const std::uint64_t header[3] = {kBinaryMagic,
                                    static_cast<std::uint64_t>(num_qubits()),
                                    static_cast<std::uint64_t>(size())};
   out.write(reinterpret_cast<const char*>(header), kBinaryHeaderBytes);
-  write_words3(out);
-  out.write(reinterpret_cast<const char*>(coefficients_.data()),
-            static_cast<std::streamsize>(coefficients_.size() * sizeof(double)));
+  write_records(out);
 }
 
 void PauliSet::save_binary(std::span<std::uint8_t> out) const {
   if (out.size() < binary_size()) {
     throw std::invalid_argument("PauliSet::save_binary: buffer too small");
   }
-  const std::uint64_t header[3] = {kMagic,
+  const std::uint64_t header[3] = {kBinaryMagic,
                                    static_cast<std::uint64_t>(num_qubits()),
                                    static_cast<std::uint64_t>(size())};
-  std::uint8_t* at = out.data();
-  std::memcpy(at, header, kBinaryHeaderBytes);
-  at += kBinaryHeaderBytes;
-  encode_records3(records_.record(0), size(), records_.words(), num_qubits(),
-                  at);
-  at += size() * words_per_string3(num_qubits()) * sizeof(std::uint64_t);
-  // Byte copy (not memcpy): an empty vector's data() may be null.
-  std::copy_n(reinterpret_cast<const std::uint8_t*>(coefficients_.data()),
-              coefficients_.size() * sizeof(double), at);
+  std::memcpy(out.data(), header, kBinaryHeaderBytes);
+  encode_records(records_.record(0), coefficients_.data(), size(),
+                 num_qubits(), out.data() + kBinaryHeaderBytes);
 }
 
 PauliSet PauliSet::load_binary(std::istream& in) {
   std::uint64_t header[3];
   in.read(reinterpret_cast<char*>(header), kBinaryHeaderBytes);
   if (!in) throw_truncated();
-  if (header[0] != kMagic) {
+  if (header[0] != kBinaryMagic) {
     throw std::runtime_error("PauliSet::load_binary: bad magic");
   }
   const std::size_t bytes =
@@ -256,7 +233,7 @@ PauliSet PauliSet::load_binary(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kBinaryHeaderBytes) throw_truncated();
   std::uint64_t header[3];
   std::memcpy(header, bytes.data(), kBinaryHeaderBytes);
-  if (header[0] != kMagic) {
+  if (header[0] != kBinaryMagic) {
     throw std::runtime_error("PauliSet::load_binary: bad magic");
   }
   checked_record_bytes(header[1], header[2],

@@ -6,11 +6,14 @@
 // layout of pauli_packed.hpp — plus one real coefficient each, so the
 // anticommutation oracle, the only graph access the Picasso pipeline needs,
 // is a few AND/XOR instructions and one parity, and the full O(n^2)-edge
-// graph never has to be materialised (§IV-A). The paper's 3-bit
-// inverse-one-hot words are not kept resident: they are the .pset/wire byte
-// format, built from the planes when a set is saved and decoded straight
-// back into planes when one is loaded (encoding.hpp keeps the 3-bit kernel
-// as the reference).
+// graph never has to be materialised (§IV-A).
+//
+// Outside memory a string has one byte layout, shared by .pset spills and
+// their append segments, the dataset cache and SolveRequest payloads: its x
+// plane, then its z plane, each trimmed to ceil(q / 8) little-endian bytes,
+// then its f64 coefficient (pset_record_bytes). PauliSet::write_records and
+// decode_records are the one writer/reader pair of that layout; a set bit
+// above q in a trimmed plane is corrupt input and is rejected.
 
 #include <cstdint>
 #include <iosfwd>
@@ -18,11 +21,31 @@
 #include <string>
 #include <vector>
 
-#include "pauli/encoding.hpp"
 #include "pauli/pauli_packed.hpp"
 #include "pauli/pauli_string.hpp"
 
 namespace picasso::pauli {
+
+/// Bytes of one trimmed plane: ceil(num_qubits / 8).
+constexpr std::size_t plane_bytes(std::size_t num_qubits) noexcept {
+  return num_qubits / 8 + (num_qubits % 8 != 0);
+}
+
+/// Bytes one string occupies in every byte format: both trimmed planes and
+/// the coefficient. The one per-string figure spill chunk sizes are derived
+/// from (Session::plan, the budgeted fused engine, incremental spill
+/// stores).
+constexpr std::size_t pset_record_bytes(std::size_t num_qubits) noexcept {
+  return 2 * plane_bytes(num_qubits) + sizeof(double);
+}
+
+/// Reads `count` records at `in` into [x|z] words at `planes` and, unless
+/// `coefs` is null, their coefficients at `coefs`. Throws
+/// std::runtime_error naming the record when a plane has a bit set at or
+/// above num_qubits.
+void decode_records(const std::uint8_t* in, std::size_t count,
+                    std::size_t num_qubits, std::uint64_t* planes,
+                    double* coefs);
 
 class PauliSet {
  public:
@@ -31,6 +54,10 @@ class PauliSet {
   /// Builds the encoded set. Coefficients default to 1.
   explicit PauliSet(const std::vector<PauliString>& strings,
                     std::vector<double> coefficients = {});
+
+  /// Adopts decoded records and one coefficient per record
+  /// (std::invalid_argument when the counts differ).
+  PauliSet(PackedPauliSet records, std::vector<double> coefficients);
 
   std::size_t size() const noexcept { return records_.size(); }
   std::size_t num_qubits() const noexcept { return records_.num_qubits(); }
@@ -103,29 +130,24 @@ class PauliSet {
   /// (std::invalid_argument). Appending invalidates packed_view()s.
   void append(const PauliSet& other);
 
-  /// Builds a set from `count` records in the save_binary byte layout:
-  /// `records` holds count * words_per_string3(num_qubits) little-endian
-  /// 3-bit words, then count coefficients. The words are decoded straight
-  /// into the planes (x = bit 3k+2, z = bit 3k), word by word. Every field
-  /// below num_qubits must carry one of the four codes, which are exactly
-  /// the even-parity ones (std::invalid_argument otherwise); padding bits
-  /// are ignored. An empty set loads with num_qubits() == 0.
+  /// Builds a set from `count` records in the byte layout at `records`
+  /// (decode_records; std::runtime_error on a set padding bit). An empty
+  /// set loads with num_qubits() == 0.
   static PauliSet from_records(std::size_t num_qubits, std::size_t count,
                                const std::uint8_t* records);
 
-  /// Writes the 3-bit words of every string, built from the planes — the
-  /// record section of save_binary and of .pset append segments.
-  void write_words3(std::ostream& out) const;
+  /// Writes every string's record to `out`, a batch at a time, so the
+  /// encoded bytes never sit resident all at once — the record section of
+  /// save_binary and of .pset append segments.
+  void write_records(std::ostream& out) const;
 
-  /// Binary serialization (dataset disk cache). Format: magic, qubit count,
-  /// string count, packed 3-bit words, coefficients.
+  /// Binary serialization: magic, qubit count, string count, then every
+  /// string's record. A .pset base block is these bytes.
   void save_binary(std::ostream& out) const;
 
   /// Bytes save_binary writes.
   std::size_t binary_size() const noexcept {
-    return kBinaryHeaderBytes +
-           size() * (words_per_string3(num_qubits()) * sizeof(std::uint64_t) +
-                     sizeof(double));
+    return kBinaryHeaderBytes + size() * pset_record_bytes(num_qubits());
   }
 
   /// Writes the same bytes into the first binary_size() bytes of `out` (a
@@ -134,13 +156,17 @@ class PauliSet {
 
   /// Parses save_binary output through from_records. The header's string
   /// count is checked against the bytes the stream still holds (when it can
-  /// seek) before anything is allocated. Bad magic or truncated input throw
-  /// std::runtime_error, corrupt codes std::invalid_argument.
+  /// seek) before anything is allocated. Bad magic, truncated input and set
+  /// padding bits throw std::runtime_error.
   static PauliSet load_binary(std::istream& in);
 
   /// Same parse over save_binary bytes already in memory (a wire payload),
   /// with the same checks and exceptions; bytes past the set are ignored.
   static PauliSet load_binary(std::span<const std::uint8_t> bytes);
+
+  /// First word of save_binary output and of every .pset file ("PAULIXZ1";
+  /// the 3-bit "PAULISET" layout before it is no longer read).
+  static constexpr std::uint64_t kBinaryMagic = 0x5041554c49585a31ULL;
 
  private:
   static constexpr std::size_t kBinaryHeaderBytes = 3 * sizeof(std::uint64_t);

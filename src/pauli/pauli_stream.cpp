@@ -15,47 +15,34 @@
 #include <streambuf>
 #include <system_error>
 
-#include "pauli/encoding.hpp"
 #include "util/failpoint.hpp"
-#include "util/fnv.hpp"
 #include "util/word_hash.hpp"
 
 namespace picasso::pauli {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x5041554c49534554ULL;       // "PAULISET"
+constexpr std::uint64_t kMagic = PauliSet::kBinaryMagic;       // "PAULIXZ1"
 constexpr std::uint64_t kAppendMagic = 0x5041554c49415050ULL;  // "PAULIAPP"
-// Checksum trailer appended after the base block and after every append
-// segment: [magic][u64 checksum of the covered bytes]. PSETSUM2 trailers
-// carry a util::WordHasher digest and are the only kind written; PSETSUM1
-// trailers (byte-wise FNV-1a) come from earlier builds and are still
-// verified. Legacy files without trailers parse exactly as before; a
-// trailer whose checksum does not match the bytes it covers is a torn or
-// corrupt write, detected on open or refresh before any chunk is served.
-constexpr std::uint64_t kTrailerMagicFnv = 0x5053455453554d31ULL;  // "PSETSUM1"
-constexpr std::uint64_t kTrailerMagic = 0x5053455453554d32ULL;     // "PSETSUM2"
+// Checksum trailer that closes the base block and every append segment:
+// [PSETSUM2][u64 util::WordHasher digest of the block's bytes]. A block
+// without one (a torn write) or a trailer whose checksum does not match the
+// bytes it covers is detected on open or refresh before any chunk is
+// served.
+constexpr std::uint64_t kTrailerMagic = 0x5053455453554d32ULL;  // "PSETSUM2"
 constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint64_t);
 constexpr std::size_t kSegmentHeaderBytes = 2 * sizeof(std::uint64_t);
 constexpr std::size_t kTrailerBytes = 2 * sizeof(std::uint64_t);
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("pauli_stream: truncated .pset header");
-  return value;
-}
 
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Read-only POSIX descriptor for the segment walk and the trailer pass:
-/// positional reads need no seek and fill no stream buffer, so a 16-byte
-/// segment header costs 16 bytes. (No mmap: a file truncated under a mapping
-/// raises SIGBUS where a short read raises an error.)
+/// Read-only POSIX descriptor for the segment walk, the trailer pass and
+/// chunk reads: positional reads need no seek and fill no stream buffer, so
+/// a 16-byte segment header costs 16 bytes. (No mmap: a file truncated
+/// under a mapping raises SIGBUS where a short read raises an error.)
 class ReadOnlyFile {
  public:
   explicit ReadOnlyFile(const std::string& path)
@@ -103,7 +90,6 @@ std::optional<std::uint64_t> records_end(std::uint64_t start,
                                          std::uint64_t stride,
                                          std::uint64_t limit) {
   if (start > limit) return std::nullopt;
-  if (stride == 0) return start;
   if (count > (limit - start) / stride) return std::nullopt;
   return start + count * stride;
 }
@@ -120,23 +106,29 @@ std::optional<std::uint64_t> records_end(std::uint64_t start,
   throw std::runtime_error(what + ": write failed for " + path);
 }
 
-/// Output streambuf that forwards every byte to `sink` and folds it into
-/// `hasher`, so a blob serialized through an std::ostream lands in the file
-/// and in its checksum in one pass, with no in-memory copy.
+/// Output streambuf that forwards the first `limit` bytes written through
+/// it to `sink` and folds them into `hasher`, so a block serialized through
+/// an std::ostream lands in the file and in its checksum in one pass, with
+/// no in-memory copy. Bytes past `limit` are dropped as if written: the
+/// torn write a short-I/O failpoint asks for.
 class HashingTee : public std::streambuf {
  public:
-  HashingTee(std::streambuf* sink, util::WordHasher& hasher)
-      : sink_(sink), hasher_(&hasher) {}
+  HashingTee(std::streambuf* sink, util::WordHasher& hasher, std::size_t limit)
+      : sink_(sink), hasher_(&hasher), left_(limit) {}
 
  protected:
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    hasher_->update(s, static_cast<std::size_t>(n));
-    return sink_->sputn(s, n);
+    const auto keep = static_cast<std::streamsize>(
+        std::min(left_, static_cast<std::size_t>(n)));
+    left_ -= static_cast<std::size_t>(keep);
+    hasher_->update(s, static_cast<std::size_t>(keep));
+    return sink_->sputn(s, keep) == keep ? n : 0;
   }
   int_type overflow(int_type ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+    if (traits_type::eq_int_type(ch, traits_type::eof()) || left_ == 0) {
       return traits_type::not_eof(ch);
     }
+    --left_;
     const char c = traits_type::to_char_type(ch);
     hasher_->update(&c, 1);
     return sink_->sputc(c);
@@ -145,15 +137,10 @@ class HashingTee : public std::streambuf {
  private:
   std::streambuf* sink_;
   util::WordHasher* hasher_;
+  std::size_t left_;
 };
 
 }  // namespace
-
-std::size_t pset_record_bytes(std::size_t num_qubits) noexcept {
-  return (words_per_string3(num_qubits) + 2 * packed_words(num_qubits)) *
-             sizeof(std::uint64_t) +
-         sizeof(double);
-}
 
 std::size_t spill_pauli_set(const PauliSet& set, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -161,36 +148,27 @@ std::size_t spill_pauli_set(const PauliSet& set, const std::string& path) {
     throw std::runtime_error("spill_pauli_set: cannot open " + path);
   }
   errno = 0;
+  // Failpoint "spill.write": error/enospc throw here, delay sleeps, short:N
+  // keeps N bytes of the records and skips the trailer — the on-disk state
+  // a crash mid-write would leave, which reopen must then detect.
+  const std::size_t block_bytes = set.binary_size();
+  const std::size_t records = block_bytes - kHeaderBytes;
+  const std::size_t kept = PICASSO_FAILPOINT_CLAMP("spill.write", records);
   // The base block goes to the file through a tee that hashes it on the
   // way, so the trailer covers exactly the bytes on disk and reopen can
   // verify without trusting anything but the file.
   util::WordHasher sum;
-  HashingTee tee(out.rdbuf(), sum);
+  HashingTee tee(out.rdbuf(), sum, kHeaderBytes + kept);
   std::ostream block(&tee);
   set.save_binary(block);
-  // Packed-symplectic tail: every record [x|z] back to back. The records
-  // are contiguous in the set, so this is one write — and the reader can
-  // reload any chunk packed with a single seek instead of decoding the
-  // 3-bit words.
-  const PackedView view = set.packed_view();
-  const std::size_t tail_bytes =
-      view.size * view.record_words() * sizeof(std::uint64_t);
-  // Failpoint "spill.write": error/enospc throw here, delay sleeps, short:N
-  // truncates the tail and skips the trailer — the on-disk state a crash
-  // mid-write would leave, which reopen must then detect.
-  const std::size_t tail_written = PICASSO_FAILPOINT_CLAMP("spill.write",
-                                                           tail_bytes);
-  block.write(reinterpret_cast<const char*>(view.data),
-              static_cast<std::streamsize>(tail_written));
-  if (tail_written == tail_bytes) {
+  if (kept == records) {
     write_pod(out, kTrailerMagic);
     write_pod(out, sum.digest());
   }
   out.flush();
   if (!block || !out) throw_write_failure("spill_pauli_set", path);
-  const std::size_t total_bytes = set.binary_size() + tail_bytes;
-  obs::count(obs::Counter::SpillBytesWritten, total_bytes);
-  return total_bytes;
+  obs::count(obs::Counter::SpillBytesWritten, block_bytes);
+  return block_bytes;
 }
 
 ChunkedPauliReader::ChunkedPauliReader(std::string path,
@@ -215,7 +193,10 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   std::uint64_t header[3] = {};
   const std::size_t header_read = file.read_at(header, kHeaderBytes, 0);
   if (header_read >= sizeof(std::uint64_t) && header[0] != kMagic) {
-    throw std::runtime_error("ChunkedPauliReader: bad magic in " + path_);
+    throw std::runtime_error(
+        "ChunkedPauliReader: bad magic in " + path_ +
+        " (not a PAULIXZ1 .pset; the 3-bit PAULISET layout is no longer "
+        "read)");
   }
   if (header_read != kHeaderBytes) {
     throw std::runtime_error("ChunkedPauliReader: truncated .pset header in " +
@@ -231,12 +212,8 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   }
   Layout layout;
   layout.num_qubits = static_cast<std::size_t>(num_qubits);
-  const std::uint64_t words3 = words_per_string3(layout.num_qubits);
-  const std::uint64_t words2 = packed_words(layout.num_qubits);
-  // Per-string bytes of the 3-bit + coefficient sections and of the packed
-  // records; neither overflows once the qubit count is bounded.
-  const std::uint64_t rec3 = words3 * sizeof(std::uint64_t) + sizeof(double);
-  const std::uint64_t rec2 = 2 * words2 * sizeof(std::uint64_t);
+  // Cannot overflow once the qubit count is bounded.
+  const std::uint64_t record = pset_record_bytes(layout.num_qubits);
 
   const std::optional<std::uint64_t> size = file.size();
   if (!size) {
@@ -245,136 +222,99 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   const std::uint64_t file_bytes = *size;
 
   // The base header's count describes the base block only; everything past
-  // it must be re-derived from the file itself. The base block ends either
-  // after its coefficients (legacy save_binary output) or after a full
-  // packed-symplectic tail (spill_pauli_set output); whichever end position
-  // lets a chain of well-formed append segments run exactly to EOF is the
-  // truth. Trusting the cached header — or inferring the tail from file
-  // size alone — misreads any file that has been appended to.
-  const std::optional<std::uint64_t> coefs_end =
-      records_end(kHeaderBytes, base_count, rec3, file_bytes);
-  if (!coefs_end) {
+  // it must be re-derived from the file itself: a chain of well-formed
+  // append segments and trailers that runs exactly to EOF. Trusting the
+  // header misreads any file that has been appended to.
+  const std::optional<std::uint64_t> base_end =
+      records_end(kHeaderBytes, base_count, record, file_bytes);
+  if (!base_end) {
     throw std::runtime_error("ChunkedPauliReader: header claims " +
                              std::to_string(base_count) +
                              " strings, more than the " +
                              std::to_string(file_bytes) + " bytes of " +
                              path_ + " hold");
   }
-  const std::optional<std::uint64_t> tail_end =
-      records_end(*coefs_end, base_count, rec2, file_bytes);
 
-  Segment base;
-  base.count = static_cast<std::size_t>(base_count);
-  base.words3_offset = kHeaderBytes;
-  base.coefs_offset =
-      kHeaderBytes + base_count * words3 * sizeof(std::uint64_t);
-
-  // A checksum trailer encountered while walking, with its kind and the
-  // byte range it covers; verified after the walk that wins is known.
-  struct TrailerSpan {
-    std::uint64_t magic = 0, begin = 0, end = 0, sum = 0;
-  };
-
-  // Walks the append-segment chain from `start` to EOF, one 16-byte
-  // positional read per segment header or trailer; returns false on any
-  // structural mismatch (bad magic, section overrunning the file).
-  // Checksum trailers may follow the base block and any segment; legacy
-  // files simply have none. `out` starts with the base segment.
-  const auto walk_segments = [&](std::uint64_t start,
-                                 std::vector<Segment>& out,
-                                 std::vector<TrailerSpan>& sums) {
-    out.assign(1, base);
-    sums.clear();
-    std::uint64_t pos = start;
-    std::uint64_t cover_begin = 0;  // a trailer at `start` covers the base
-    std::uint64_t next_id = base_count;
-    while (pos < file_bytes) {
-      if (file_bytes - pos < kSegmentHeaderBytes) return false;
-      std::uint64_t fields[2] = {};
-      if (file.read_at(fields, sizeof(fields), pos) != sizeof(fields)) {
-        return false;
-      }
-      const std::uint64_t magic = fields[0];
-      if (magic == kTrailerMagic || magic == kTrailerMagicFnv) {
-        sums.push_back({magic, cover_begin, pos, fields[1]});
-        if (out.back().checksum == 0) out.back().checksum = fields[1];
-        pos += kTrailerBytes;
-        cover_begin = pos;
-        continue;
-      }
-      if (magic != kAppendMagic) return false;
-      const std::uint64_t count = fields[1];
-      cover_begin = pos;  // a trailing checksum covers this whole segment
-      Segment seg;
-      seg.begin = static_cast<std::size_t>(next_id);
-      seg.count = static_cast<std::size_t>(count);
-      seg.words3_offset = pos + kSegmentHeaderBytes;
-      const std::optional<std::uint64_t> end = records_end(
-          seg.words3_offset, count, rec3 + rec2, file_bytes);
-      if (!end) return false;
-      seg.coefs_offset =
-          seg.words3_offset + count * words3 * sizeof(std::uint64_t);
-      seg.packed_offset = seg.coefs_offset + count * sizeof(double);
-      out.push_back(seg);
-      next_id += count;
-      pos = *end;
+  // Every block ends in a trailer, then the file ends or an append segment
+  // starts: one 16-byte positional read per trailer and segment header. A
+  // missing trailer also keeps a corrupt count from passing a block's
+  // trailer off as records.
+  const auto fields_at = [&](std::uint64_t at, std::uint64_t magic,
+                             std::uint64_t& value) {
+    std::uint64_t fields[2] = {};
+    if (file_bytes - at < sizeof(fields) ||
+        file.read_at(fields, sizeof(fields), at) != sizeof(fields) ||
+        fields[0] != magic) {
+      return false;
     }
+    value = fields[1];
     return true;
   };
-
   std::vector<Segment>& segments = layout.segments;
-  std::vector<TrailerSpan> trailers;
-  if (tail_end && walk_segments(*tail_end, segments, trailers)) {
-    segments.front().packed_offset = base_count > 0 ? *coefs_end : 0;
-    layout.has_packed = true;
-  } else if (walk_segments(*coefs_end, segments, trailers)) {
-    layout.has_packed = base_count == 0;  // vacuously packed when empty
-  } else {
-    throw std::runtime_error(
-        "ChunkedPauliReader: unrecognized trailing bytes in " + path_ +
-        " (truncated append segment or corrupt packed tail)");
+  segments.push_back({0, static_cast<std::size_t>(base_count), kHeaderBytes, 0});
+  std::uint64_t next_id = base_count;
+  for (std::uint64_t pos = *base_end;;) {
+    if (!fields_at(pos, kTrailerMagic, segments.back().checksum)) {
+      throw std::runtime_error(
+          "ChunkedPauliReader: no checksum trailer at byte " +
+          std::to_string(pos) + " of " + path_ +
+          " (torn write, or a corrupt count)");
+    }
+    pos += kTrailerBytes;
+    if (pos == file_bytes) break;
+    std::uint64_t count = 0;
+    std::optional<std::uint64_t> end;
+    if (fields_at(pos, kAppendMagic, count)) {
+      end = records_end(pos + kSegmentHeaderBytes, count, record, file_bytes);
+    }
+    if (!end) {
+      throw std::runtime_error(
+          "ChunkedPauliReader: unrecognized trailing bytes in " + path_ +
+          " (truncated append segment or corrupt records)");
+    }
+    segments.push_back({static_cast<std::size_t>(next_id),
+                        static_cast<std::size_t>(count),
+                        pos + kSegmentHeaderBytes, 0});
+    next_id += count;
+    pos = *end;
   }
 
-  // Torn-write detection: every trailer the winning walk found must match
-  // the bytes it covers, so no silently corrupted chunk is ever served to a
-  // solve. The covered ranges ascend and only the 16-byte trailers lie
-  // between them, so one sequential pass of block reads through one buffer
-  // hashes them all; a block that runs past one range feeds the next.
+  // Torn-write detection: every trailer must match the bytes of its block
+  // (header included), so no silently corrupted chunk is ever served to a
+  // solve. The blocks ascend and only the 16-byte trailers lie between
+  // them, so one sequential pass of block reads through one buffer hashes
+  // them all; a read that runs past one block feeds the next.
   std::array<char, std::size_t{1} << 16> block;
   std::uint64_t block_begin = 0, block_end = 0;  // file bytes in `block`
-  const std::uint64_t covered_end = trailers.empty() ? 0 : trailers.back().end;
-  for (const TrailerSpan& t : trailers) {
+  const std::uint64_t covered_end = file_bytes - kTrailerBytes;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const Segment& seg = segments[i];
+    const std::uint64_t end = seg.offset + seg.count * record;
     util::WordHasher words;
-    std::uint64_t fnv = util::kFnvOffsetBasis;
-    for (std::uint64_t pos = t.begin; pos < t.end;) {
-      if (pos < block_begin || pos >= block_end) {
+    for (std::uint64_t at = i == 0 ? 0 : seg.offset - kSegmentHeaderBytes;
+         at < end;) {
+      if (at < block_begin || at >= block_end) {
         const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(block.size(), covered_end - pos));
-        block_begin = pos;
-        block_end = pos + file.read_at(block.data(), want, pos);
-        if (block_end == pos) {
+            std::min<std::uint64_t>(block.size(), covered_end - at));
+        block_begin = at;
+        block_end = at + file.read_at(block.data(), want, at);
+        if (block_end == at) {
           throw std::runtime_error(
               "pauli_stream: truncated while verifying checksum in " + path_);
         }
       }
-      const char* bytes = block.data() + (pos - block_begin);
-      const auto n = static_cast<std::size_t>(std::min(block_end, t.end) - pos);
-      if (t.magic == kTrailerMagic) {
-        words.update(bytes, n);
-      } else {
-        fnv = util::fnv1a_bytes(fnv, bytes, n);
-      }
-      pos += n;
+      const auto n = static_cast<std::size_t>(std::min(block_end, end) - at);
+      words.update(block.data() + (at - block_begin), n);
+      at += n;
     }
-    if ((t.magic == kTrailerMagic ? words.digest() : fnv) != t.sum) {
+    if (words.digest() != seg.checksum) {
       throw std::runtime_error(
           "ChunkedPauliReader: checksum mismatch in " + path_ +
           " (torn or corrupt spill segment)");
     }
   }
 
-  const Segment& last = segments.back();
-  layout.num_strings = last.begin + last.count;
+  layout.num_strings = static_cast<std::size_t>(next_id);
   if (max_strings_ > 0) {
     layout.num_strings = std::min(layout.num_strings, max_strings_);
   }
@@ -384,35 +324,33 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
 void ChunkedPauliReader::adopt(Layout layout) {
   num_strings_ = layout.num_strings;
   num_qubits_ = layout.num_qubits;
-  words3_ = words_per_string3(num_qubits_);
   words2_ = packed_words(num_qubits_);
-  has_packed_ = layout.has_packed;  // append segments always carry packed
   segments_ = std::move(layout.segments);
 }
 
 std::size_t ChunkedPauliReader::refresh() {
   Layout next = scan();
-  // The first string whose place or bytes in the file may have changed:
-  // the start of the first segment that differs, else the old end (an
-  // append leaves every old segment exactly as it was).
-  std::size_t first = std::min(num_strings_, next.num_strings);
-  if (next.num_qubits != num_qubits_ || next.has_packed != has_packed_) {
-    first = 0;
+  // Strings whose place and bytes in the file are unchanged: those before
+  // the first segment that differs, at most the old count (an append
+  // leaves every old segment exactly as it was).
+  std::size_t unchanged = std::min(num_strings_, next.num_strings);
+  if (next.num_qubits != num_qubits_) {
+    unchanged = 0;
   } else {
     for (std::size_t i = 0; i < segments_.size(); ++i) {
       if (i >= next.segments.size() || segments_[i] != next.segments[i]) {
-        first = std::min(first, segments_[i].begin);
+        unchanged = std::min(unchanged, segments_[i].begin);
         break;
       }
     }
   }
-  const std::size_t first_chunk = first / strings_per_chunk_;
+  const std::size_t first_chunk = unchanged / strings_per_chunk_;
   adopt(std::move(next));
   loaded_.resize(num_chunks(), false);
   std::fill(loaded_.begin() + static_cast<std::ptrdiff_t>(
                                   std::min(first_chunk, loaded_.size())),
             loaded_.end(), false);
-  return first_chunk;
+  return unchanged;
 }
 
 std::size_t ChunkedPauliReader::chunk_packed_resident_bytes(
@@ -433,97 +371,111 @@ void ChunkedPauliReader::note_load(std::size_t chunk,
   obs::count(obs::Counter::SpillBytesRead, bytes);
 }
 
-void ChunkedPauliReader::read_span(std::istream& in, Section section,
-                                   std::size_t begin, std::size_t count,
-                                   char* dest) const {
+std::size_t ChunkedPauliReader::read_records(std::size_t begin,
+                                             std::size_t count,
+                                             std::uint64_t* planes,
+                                             double* coefs) const {
   PICASSO_FAILPOINT("spill.read");
-  std::size_t stride = 0;
-  switch (section) {
-    case Section::Words3: stride = words3_ * sizeof(std::uint64_t); break;
-    case Section::Coefs: stride = sizeof(double); break;
-    case Section::Packed: stride = 2 * words2_ * sizeof(std::uint64_t); break;
+  const ReadOnlyFile file(path_);
+  if (!file.is_open()) {
+    throw std::runtime_error("ChunkedPauliReader: cannot reopen " + path_);
   }
+  const std::size_t record = pset_record_bytes(num_qubits_);
+  const std::size_t words = 2 * words2_;
+  constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  const std::size_t per_block = std::max<std::size_t>(1, kBlockBytes / record);
+  std::vector<std::uint8_t> block(std::min(count, per_block) * record);
   const std::size_t end = begin + count;
   for (const Segment& seg : segments_) {
-    const std::size_t lo = std::max(begin, seg.begin);
     const std::size_t hi = std::min(end, seg.begin + seg.count);
-    if (lo >= hi) continue;
-    std::uint64_t offset = 0;
-    switch (section) {
-      case Section::Words3: offset = seg.words3_offset; break;
-      case Section::Coefs: offset = seg.coefs_offset; break;
-      case Section::Packed: offset = seg.packed_offset; break;
-    }
-    if (section == Section::Packed && offset == 0) {
-      throw std::runtime_error(
-          "ChunkedPauliReader: segment without packed records in " + path_);
-    }
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(offset + (lo - seg.begin) * stride));
-    in.read(dest + (lo - begin) * stride,
-            static_cast<std::streamsize>((hi - lo) * stride));
-    if (!in) {
-      throw std::runtime_error("ChunkedPauliReader: truncated chunk in " +
-                               path_);
+    for (std::size_t i = std::max(begin, seg.begin); i < hi;) {
+      const std::size_t n = std::min(per_block, hi - i);
+      const std::size_t bytes = n * record;
+      if (file.read_at(block.data(), bytes,
+                       seg.offset + (i - seg.begin) * record) != bytes) {
+        throw std::runtime_error("ChunkedPauliReader: truncated chunk in " +
+                                 path_);
+      }
+      try {
+        decode_records(block.data(), n, num_qubits_,
+                       planes + (i - begin) * words,
+                       coefs == nullptr ? nullptr : coefs + (i - begin));
+      } catch (const std::runtime_error& error) {
+        throw std::runtime_error(std::string(error.what()) +
+                                 " (counted from string " + std::to_string(i) +
+                                 " of " + path_ + ")");
+      }
+      i += n;
     }
   }
+  return count * record;
+}
+
+PauliSet ChunkedPauliReader::load_strings(std::size_t begin,
+                                          std::size_t count) const {
+  if (begin > num_strings_ || count > num_strings_ - begin) {
+    throw std::out_of_range("ChunkedPauliReader::load_strings: strings past " +
+                            std::to_string(num_strings_) + " in " + path_);
+  }
+  if (count == 0) return PauliSet{};
+  std::vector<std::uint64_t> planes(count * 2 * words2_);
+  std::vector<double> coefs(count);
+  read_records(begin, count, planes.data(), coefs.data());
+  return PauliSet(
+      PackedPauliSet::from_raw(num_qubits_, count, std::move(planes)),
+      std::move(coefs));
 }
 
 PauliSet ChunkedPauliReader::load_chunk(std::size_t chunk) const {
-  const std::size_t begin = chunk_begin(chunk);
   const std::size_t count = chunk_size(chunk);
   if (count == 0) return PauliSet{};
-
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("ChunkedPauliReader: cannot reopen " + path_);
-  }
-  // The chunk's records in save_binary order: its 3-bit words, then its
-  // coefficients.
-  const std::size_t words_bytes = count * words3_ * sizeof(std::uint64_t);
-  std::vector<std::uint8_t> records(words_bytes + count * sizeof(double));
-  read_span(in, Section::Words3, begin, count,
-            reinterpret_cast<char*>(records.data()));
-  read_span(in, Section::Coefs, begin, count,
-            reinterpret_cast<char*>(records.data() + words_bytes));
-  PauliSet set = PauliSet::from_records(num_qubits_, count, records.data());
-  note_load(chunk, records.size());
+  PauliSet set = load_strings(chunk_begin(chunk), count);
+  note_load(chunk, count * pset_record_bytes(num_qubits_));
   return set;
 }
 
 PackedPauliSet ChunkedPauliReader::load_chunk_packed(std::size_t chunk) const {
-  const std::size_t begin = chunk_begin(chunk);
   const std::size_t count = chunk_size(chunk);
   if (count == 0) return PackedPauliSet{};
-
-  if (!has_packed_) {
-    // Legacy spill without the packed tail: decode the 3-bit section.
-    // load_chunk counts the load.
-    return PackedPauliSet(load_chunk(chunk));
-  }
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("ChunkedPauliReader: cannot reopen " + path_);
-  }
   std::vector<std::uint64_t> words(count * 2 * words2_);
-  read_span(in, Section::Packed, begin, count,
-            reinterpret_cast<char*>(words.data()));
-  note_load(chunk, words.size() * sizeof(std::uint64_t));
+  note_load(chunk,
+            read_records(chunk_begin(chunk), count, words.data(), nullptr));
   return PackedPauliSet::from_raw(num_qubits_, count, std::move(words));
+}
+
+void ChunkedPauliReader::extend_chunk_packed(std::size_t chunk,
+                                             PackedPauliSet& set) const {
+  const std::size_t have = set.size();
+  const std::size_t size = chunk_size(chunk);
+  if (have >= size) {
+    throw std::invalid_argument(
+        "ChunkedPauliReader::extend_chunk_packed: chunk already complete");
+  }
+  std::vector<std::uint64_t> words((size - have) * 2 * words2_);
+  const std::size_t bytes = read_records(chunk_begin(chunk) + have,
+                                         size - have, words.data(), nullptr);
+  set.append(PackedPauliSet::from_raw(num_qubits_, size - have,
+                                      std::move(words)));
+  obs::count(obs::Counter::SpillBytesRead, bytes);
+  if (loaded_.size() < num_chunks()) loaded_.resize(num_chunks(), false);
+  loaded_[chunk] = true;
 }
 
 std::size_t append_pauli_set(const PauliSet& delta, const std::string& path) {
   {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const ReadOnlyFile file(path);
+    if (!file.is_open()) {
       throw std::runtime_error("append_pauli_set: cannot open " + path);
     }
-    if (read_pod<std::uint64_t>(in) != kMagic) {
+    std::uint64_t header[2] = {};
+    if (file.read_at(header, sizeof(header), 0) != sizeof(header)) {
+      throw std::runtime_error("append_pauli_set: truncated .pset header in " +
+                               path);
+    }
+    if (header[0] != kMagic) {
       throw std::runtime_error("append_pauli_set: bad magic in " + path);
     }
-    const auto base_qubits =
-        static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    if (!delta.empty() && base_qubits != delta.num_qubits()) {
+    if (!delta.empty() && header[1] != delta.num_qubits()) {
       throw std::invalid_argument("append_pauli_set: qubit count mismatch");
     }
   }
@@ -539,57 +491,77 @@ std::size_t append_pauli_set(const PauliSet& delta, const std::string& path) {
     throw std::runtime_error("append_pauli_set: cannot append to " + path);
   }
   errno = 0;
-  // Same tee as spill_pauli_set: the trailer covers the segment's bytes.
-  util::WordHasher sum;
-  HashingTee tee(out.rdbuf(), sum);
-  std::ostream segment(&tee);
   const std::size_t count = delta.size();
-  write_pod(segment, kAppendMagic);
-  write_pod(segment, static_cast<std::uint64_t>(count));
-  delta.write_words3(segment);
-  segment.write(reinterpret_cast<const char*>(delta.coefficients().data()),
-                static_cast<std::streamsize>(count * sizeof(double)));
-  const PackedView view = delta.packed_view();
-  const std::size_t packed_bytes =
-      view.size * view.record_words() * sizeof(std::uint64_t);
+  const std::size_t records = count * pset_record_bytes(delta.num_qubits());
   // Failpoint "spill.append": same contract as "spill.write" — short:N
   // leaves a torn segment with no trailer for reopen to reject.
-  const std::size_t packed_written = PICASSO_FAILPOINT_CLAMP("spill.append",
-                                                             packed_bytes);
-  segment.write(reinterpret_cast<const char*>(view.data),
-                static_cast<std::streamsize>(packed_written));
-  if (packed_written == packed_bytes) {
+  const std::size_t kept = PICASSO_FAILPOINT_CLAMP("spill.append", records);
+  // Same tee as spill_pauli_set: the trailer covers the segment's bytes.
+  util::WordHasher sum;
+  HashingTee tee(out.rdbuf(), sum, kSegmentHeaderBytes + kept);
+  std::ostream segment(&tee);
+  write_pod(segment, kAppendMagic);
+  write_pod(segment, static_cast<std::uint64_t>(count));
+  delta.write_records(segment);
+  if (kept == records) {
     write_pod(out, kTrailerMagic);
     write_pod(out, sum.digest());
   }
   out.flush();
   if (!segment || !out) throw_write_failure("append_pauli_set", path);
-  const std::size_t segment_bytes =
-      kSegmentHeaderBytes + count * pset_record_bytes(delta.num_qubits());
-  obs::count(obs::Counter::SpillBytesWritten, segment_bytes);
+  obs::count(obs::Counter::SpillBytesWritten, kSegmentHeaderBytes + records);
   const auto size = std::filesystem::file_size(path, ec);
   if (ec) throw std::runtime_error("append_pauli_set: cannot stat " + path);
   return static_cast<std::size_t>(size);
 }
 
+PackedPauliChunkCache::Charged::~Charged() {
+  registry->release(util::MemSubsystem::ChunkCache, bytes);
+}
+
 std::shared_ptr<const PackedPauliSet> PackedPauliChunkCache::get(
     std::size_t chunk) {
   ++clock_;
-  for (Entry& e : entries_) {
-    if (e.chunk == chunk) {
-      e.last_use = clock_;
-      ++hits_;
-      obs::count(obs::Counter::ChunkCacheHits);
-      return e.set;
-    }
+  const auto cached = std::find_if(
+      entries_.begin(), entries_.end(),
+      [chunk](const Entry& e) { return e.chunk == chunk; });
+  const std::size_t size = reader_->chunk_size(chunk);
+  if (cached != entries_.end() && cached->owner->set.size() == size) {
+    cached->last_use = clock_;
+    ++hits_;
+    obs::count(obs::Counter::ChunkCacheHits);
+    return {cached->owner, &cached->owner->set};
   }
   ++misses_;
   obs::count(obs::Counter::ChunkCacheMisses);
-
-  // Miss: make room under the budget, oldest chunks first. try_charge is
-  // the admission test; eviction only drops the cache's reference, so a
-  // chunk pinned by the caller keeps its charge until the pin goes away.
   const std::size_t bytes = reader_->chunk_packed_resident_bytes(chunk);
+
+  if (cached != entries_.end()) {
+    // An append grew the chunk after it was cached (sync kept its intact
+    // first records): read only the appended records, in place, when no
+    // caller pins it and the budget admits the growth — so the chunk is
+    // never charged twice. Otherwise it is reloaded whole below.
+    Charged& grown = *cached->owner;
+    if (grown.set.size() < size && cached->owner.use_count() == 1 &&
+        registry_->try_charge(util::MemSubsystem::ChunkCache,
+                              bytes - grown.bytes)) {
+      try {
+        reader_->extend_chunk_packed(chunk, grown.set);
+      } catch (...) {
+        registry_->release(util::MemSubsystem::ChunkCache,
+                           bytes - grown.bytes);
+        throw;
+      }
+      grown.bytes = bytes;
+      cached->last_use = clock_;
+      return {cached->owner, &grown.set};
+    }
+    entries_.erase(cached);
+  }
+
+  // Make room under the budget, oldest chunks first. try_charge is the
+  // admission test; eviction only drops the cache's reference, so a chunk
+  // pinned by the caller keeps its charge until the pin goes away.
   bool charged = registry_->try_charge(util::MemSubsystem::ChunkCache, bytes);
   while (!charged && !entries_.empty()) {
     auto oldest = std::min_element(entries_.begin(), entries_.end(),
@@ -608,25 +580,28 @@ std::shared_ptr<const PackedPauliSet> PackedPauliChunkCache::get(
     registry_->charge(util::MemSubsystem::ChunkCache, bytes);
   }
 
-  // Until the deleter below owns it, the charge is released by hand on a
-  // throwing read (I/O error, truncated file), or it would outlive the
-  // registry's every later admission.
-  std::unique_ptr<PackedPauliSet> loaded;
+  // Until a Charged owns it, the charge is released by hand on a throwing
+  // read (I/O error, truncated file), or it would outlive the registry's
+  // every later admission.
+  std::shared_ptr<Charged> owner;
   try {
-    loaded =
-        std::make_unique<PackedPauliSet>(reader_->load_chunk_packed(chunk));
+    owner = std::make_shared<Charged>(reader_->load_chunk_packed(chunk), bytes,
+                                      *registry_);
   } catch (...) {
     registry_->release(util::MemSubsystem::ChunkCache, bytes);
     throw;
   }
-  util::MemoryRegistry* registry = registry_;
-  std::shared_ptr<const PackedPauliSet> set(
-      loaded.release(), [registry, bytes](const PackedPauliSet* p) {
-        registry->release(util::MemSubsystem::ChunkCache, bytes);
-        delete p;
-      });
-  entries_.push_back({chunk, set, clock_});
-  return set;
+  entries_.push_back({chunk, owner, clock_});
+  return {owner, &owner->set};
+}
+
+void PackedPauliChunkCache::sync(std::size_t unchanged) {
+  const std::size_t spc = reader_->strings_per_chunk();
+  const std::size_t keep = unchanged / spc;  // the chunk `unchanged` ends in
+  const std::size_t intact = unchanged % spc;  // its strings still valid
+  std::erase_if(entries_, [&](const Entry& e) {
+    return e.chunk > keep || (e.chunk == keep && e.owner->set.size() != intact);
+  });
 }
 
 PackedRecordProber::PackedRecordProber(PackedView view)
@@ -655,10 +630,14 @@ PackedRecordProber::PackedRecordProber(const ChunkedPauliReader& reader,
 const std::uint64_t* PackedRecordProber::chunk_records(std::size_t chunk) {
   if (cache_ == nullptr) return view_.data;
   if (chunk == u_chunk_) return u_pin_->view().data;
-  // Drop the previous pin first: a chunk the cache has evicted stays
-  // charged for as long as it is pinned.
-  pin_.reset();
-  pin_ = cache_->get(chunk);
+  if (chunk != pin_chunk_) {
+    // Drop the previous pin first: a chunk the cache has evicted stays
+    // charged for as long as it is pinned.
+    pin_.reset();
+    pin_chunk_ = kNoChunk;  // until the lookup below succeeds
+    pin_ = cache_->get(chunk);
+    pin_chunk_ = chunk;
+  }
   return pin_->view().data;
 }
 
@@ -671,6 +650,7 @@ const std::uint64_t* PackedRecordProber::set_u(std::uint32_t u) {
   u_ = u;
   if (cache_ != nullptr) {
     pin_.reset();
+    pin_chunk_ = kNoChunk;
     u_pin_.reset();
     u_chunk_ = kNoChunk;  // until the lookup below succeeds
     u_pin_ = cache_->get(u / spc_);

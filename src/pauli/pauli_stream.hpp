@@ -3,41 +3,34 @@
 //
 // The budgeted driver never holds the whole encoded Pauli set resident:
 // the set is spilled once to a .pset file and read back in contiguous
-// chunks of strings. The spill format is the PauliSet::save_binary layout
-// (fixed-width header, packed 3-bit words, coefficients) followed by a
-// packed-symplectic tail: every string's [x|z] record
-// (pauli_packed.hpp), 2 * packed_words(q) words each. Both sections are
-// seekable, so a ChunkedPauliReader can reload a chunk either as a
-// PauliSet decoded from the 3-bit section (load_chunk) or — the conflict
-// hot path — as a straight read of the packed records into a
-// PackedPauliSet (load_chunk_packed), with no decoding at all. Files written before the packed tail existed (or by
-// PauliSet::save_binary directly) still load: the reader detects the tail
-// by file size and otherwise reconstructs packed chunks from the 3-bit
-// words.
+// chunks of strings. A .pset file is a base block — the
+// PauliSet::save_binary bytes: magic, qubit count, string count, then one
+// record per string (both planes trimmed to ceil(q / 8) bytes, then the
+// coefficient; pauli_set.hpp) — closed by a checksum trailer. Records are
+// fixed-width, so a ChunkedPauliReader reloads any chunk with one
+// positional read per segment it spans, widening the trimmed planes into
+// PackedPauliSet words (load_chunk_packed, the conflict hot path) or into a
+// PauliSet with its coefficients (load_chunk).
 //
 // Incremental sessions grow a spill in place: append_pauli_set writes a
-// self-describing *append segment* at EOF (magic, count, 3-bit words,
-// coefficients, packed records) instead of rewriting the whole file. A
-// reader opened on an appended file walks the segment chain and validates
-// every section offset against the actual file layout — it must NOT trust
-// the base header's string count or infer the packed tail from the file
-// size alone, because appended bytes make both lies. Chunk ranges span
-// segment boundaries transparently. A reader already open picks up new
-// segments with refresh(), which repeats the walk (one small positional
-// read per segment header) and the checksum verification (one sequential
-// pass over the spill) in place and reports the first chunk that changed,
-// so the chunk cache keeps every chunk before it.
+// self-describing *append segment* at EOF (magic, count, records, trailer)
+// instead of rewriting the whole file. A reader opened on an appended file
+// walks the segment chain and validates every segment against the actual
+// file layout — it must NOT trust the base header's string count, because
+// appended bytes make it a lie. Chunk ranges span segment boundaries
+// transparently. A reader already open picks up new segments with
+// refresh(), which repeats the walk (one small positional read per segment
+// header) and the checksum verification (one sequential pass over the
+// spill) in place and reports how many leading strings kept their bytes,
+// so a chunk cache keeps every chunk before them and extends the one they
+// end in with the appended records alone (PackedPauliChunkCache::sync).
 //
 // Checksum trailers: the base block and every append segment end in
-// [magic][u64 checksum of the bytes they cover]. Writers emit PSETSUM2
-// (util::WordHasher, word-wide); readers also verify the PSETSUM1 trailers
-// (byte-wise FNV-1a) of spills written by earlier builds. Every trailer is
-// verified on every open and refresh. Counts read from the file are bounded
+// [PSETSUM2][u64 util::WordHasher digest of the bytes they cover]; a block
+// without one is a torn write. Every trailer is verified on every open and
+// refresh. Writers hash every byte they write through one tee, so a trailer
+// covers exactly the bytes on disk. Counts read from the file are bounded
 // by the bytes that remain before they are multiplied into offsets.
-//
-// Writers build the 3-bit words from the set's planes (PauliSet keeps no
-// other encoding) and hash every byte they write through one tee, so a
-// trailer covers exactly the bytes on disk.
 //
 // PackedPauliChunkCache keeps recently used chunks resident as packed
 // records as long as the MemoryRegistry budget admits them and evicts
@@ -64,24 +57,18 @@
 
 namespace picasso::pauli {
 
-/// Bytes one string occupies in a .pset spill: its 3-bit words, its
-/// coefficient and its packed [x|z] record. The one per-string figure every
-/// spill chunk size is derived from (Session::plan, the budgeted fused
-/// engine, incremental spill stores).
-std::size_t pset_record_bytes(std::size_t num_qubits) noexcept;
-
-/// Writes `set` to `path`: the .pset binary format (save_binary) plus the
-/// packed-symplectic tail. Returns the file size in bytes. Throws
+/// Writes `set` to `path`: its save_binary bytes, then a checksum trailer.
+/// Returns the bytes of the base block (the file less its trailer). Throws
 /// std::runtime_error on I/O failure.
 std::size_t spill_pauli_set(const PauliSet& set, const std::string& path);
 
 /// Appends `delta`'s records to an existing .pset spill at `path` as one
-/// chained append segment (magic, count, 3-bit words, coefficients, packed
-/// records, PSETSUM2 trailer) without rewriting the base file — how
-/// budgeted incremental sessions grow their spill across updates. The base
-/// header is validated (magic + qubit count; an empty delta is a no-op).
-/// Returns the new total file size in bytes. Readers already open on `path`
-/// keep their old view until ChunkedPauliReader::refresh().
+/// chained append segment (magic, count, records, PSETSUM2 trailer) without
+/// rewriting the base file — how budgeted incremental sessions grow their
+/// spill across updates. The base header is validated (magic + qubit count;
+/// an empty delta is a no-op). Returns the new total file size in bytes.
+/// Readers already open on `path` keep their old view until
+/// ChunkedPauliReader::refresh().
 std::size_t append_pauli_set(const PauliSet& delta, const std::string& path);
 
 /// Random-access chunk reader over a .pset file. Chunk i covers strings
@@ -101,14 +88,13 @@ class ChunkedPauliReader {
 
   /// Re-reads the file in place after appends: the constructor's segment
   /// walk and verification of every checksum trailer, then adopts the new
-  /// view. Returns the first chunk whose string range or bytes may differ
-  /// from the previous view (the old num_chunks() when appends only added
-  /// chunks); a chunk cache over this reader drops that chunk and the ones
-  /// after it (PackedPauliChunkCache::drop_from) and keeps the rest, whose
-  /// bytes were verified when they were read. Loads of chunks from the
-  /// returned one on count as cold reads again, so re_reads() still counts
-  /// only budget-forced re-scans. Throws like the constructor and then
-  /// keeps the previous view.
+  /// view. Returns how many leading strings kept their place and bytes (the
+  /// old num_strings() when appends only added strings); a chunk cache over
+  /// this reader keeps the chunks below that count and extends the one it
+  /// ends in (PackedPauliChunkCache::sync). Loads of the chunks from that
+  /// one on count as cold reads again, so re_reads() still counts only
+  /// budget-forced re-scans. Throws like the constructor and then keeps the
+  /// previous view.
   std::size_t refresh();
 
   const std::string& path() const noexcept { return path_; }
@@ -118,10 +104,6 @@ class ChunkedPauliReader {
   std::size_t num_chunks() const noexcept {
     return (num_strings_ + strings_per_chunk_ - 1) / strings_per_chunk_;
   }
-
-  /// True when the spill file carries the packed-symplectic tail, i.e.
-  /// load_chunk_packed can seek instead of re-encoding.
-  bool has_packed_tail() const noexcept { return has_packed_; }
 
   std::size_t chunk_begin(std::size_t chunk) const noexcept {
     return chunk * strings_per_chunk_;
@@ -137,15 +119,24 @@ class ChunkedPauliReader {
   /// what PackedPauliChunkCache charges.
   std::size_t chunk_packed_resident_bytes(std::size_t chunk) const noexcept;
 
-  /// Seeks to chunk `chunk` and decodes its 3-bit words and coefficients
-  /// straight into a standalone PauliSet (local indices [0, chunk_size)).
-  /// Throws on I/O failure and, like PauliSet::load_binary, on corrupt
-  /// codes.
+  /// Strings [begin, begin + count) with their coefficients as a
+  /// standalone PauliSet (local indices [0, count)), not counted as a chunk
+  /// load. Throws std::runtime_error on I/O failure and, like
+  /// PauliSet::load_binary, on a set padding bit.
+  PauliSet load_strings(std::size_t begin, std::size_t count) const;
+
+  /// Chunk `chunk` as a standalone PauliSet: load_strings over its range,
+  /// counted as a chunk load.
   PauliSet load_chunk(std::size_t chunk) const;
 
-  /// Reloads chunk `chunk` in packed form: a straight seek+read of the
-  /// packed tail when present, else a decode of the 3-bit section.
+  /// Reloads chunk `chunk` in packed form, without its coefficients.
   PackedPauliSet load_chunk_packed(std::size_t chunk) const;
+
+  /// Appends to `set`, which holds the first set.size() records of chunk
+  /// `chunk` (fewer than chunk_size(chunk)), the chunk's remaining records:
+  /// how a cache grows a chunk that appends extended, reading only the new
+  /// records. Counts their bytes as read, not as a chunk load.
+  void extend_chunk_packed(std::size_t chunk, PackedPauliSet& set) const;
 
   /// Total chunk loads performed through this reader (telemetry: every
   /// load beyond the first per chunk is a budget-forced re-scan).
@@ -157,15 +148,13 @@ class ChunkedPauliReader {
 
  private:
   /// One contiguous run of strings in the file: the base save_binary block
-  /// or one append segment. Section offsets are absolute file positions;
-  /// packed_offset == 0 means the segment carries no packed records.
+  /// or one append segment; `offset` is the absolute file position of its
+  /// first record.
   struct Segment {
     std::size_t begin = 0;  // global id of the segment's first string
     std::size_t count = 0;
-    std::uint64_t words3_offset = 0;
-    std::uint64_t coefs_offset = 0;
-    std::uint64_t packed_offset = 0;
-    std::uint64_t checksum = 0;  // of the trailer right after it (0: none)
+    std::uint64_t offset = 0;
+    std::uint64_t checksum = 0;  // of the trailer that closes it
     bool operator==(const Segment&) const = default;
   };
 
@@ -173,11 +162,8 @@ class ChunkedPauliReader {
   struct Layout {
     std::size_t num_strings = 0;  // after the max_strings clamp
     std::size_t num_qubits = 0;
-    bool has_packed = false;
     std::vector<Segment> segments;
   };
-
-  enum class Section { Words3, Coefs, Packed };
 
   /// Walks path_ and verifies every checksum trailer (the constructor's and
   /// refresh()'s shared routine); throws on any inconsistency.
@@ -189,19 +175,18 @@ class ChunkedPauliReader {
   /// global work counters.
   void note_load(std::size_t chunk, std::size_t bytes) const;
 
-  /// Reads `count` strings of one section starting at global string
-  /// `begin` into `dest`, crossing segment boundaries as needed.
-  void read_span(std::istream& in, Section section, std::size_t begin,
-                 std::size_t count, char* dest) const;
+  /// Decodes the records of strings [begin, begin + count) into `planes`
+  /// and, unless null, `coefs`, crossing segment boundaries, a block of
+  /// records per positional read; returns the bytes read.
+  std::size_t read_records(std::size_t begin, std::size_t count,
+                           std::uint64_t* planes, double* coefs) const;
 
   std::string path_;
   std::size_t strings_per_chunk_ = 0;
   std::size_t max_strings_ = 0;
   std::size_t num_strings_ = 0;
   std::size_t num_qubits_ = 0;
-  std::size_t words3_ = 0;
   std::size_t words2_ = 0;
-  bool has_packed_ = false;
   std::vector<Segment> segments_;
   mutable std::uint64_t chunk_loads_ = 0;
   mutable std::uint64_t re_reads_ = 0;
@@ -232,18 +217,34 @@ class PackedPauliChunkCache {
   /// Drops every cached chunk (charges release as references expire).
   void clear() { entries_.clear(); }
 
-  /// Drops chunk `first` and every later one — the chunks a
-  /// ChunkedPauliReader::refresh() reported as changed. Earlier chunks stay
-  /// cached. Not counted as evictions: the budget did not force them out.
-  void drop_from(std::size_t first) {
-    std::erase_if(entries_,
-                  [first](const Entry& e) { return e.chunk >= first; });
-  }
+  /// Brings the cache to the view the reader adopted in a refresh() that
+  /// reported `unchanged` leading strings kept: chunks below them stay, the
+  /// chunk they end in stays when it holds exactly those strings, and every
+  /// other chunk leaves (not counted as evictions: the budget did not force
+  /// them out). The next get() of that kept, grown chunk is a miss that
+  /// reads only its appended records and extends it in place — charged for
+  /// the growth alone — unless a caller pins it or the budget refuses the
+  /// growth; then it is reloaded whole.
+  void sync(std::size_t unchanged);
 
  private:
+  /// A cached chunk and its registry charge, released when the last
+  /// reference (the cache's or a caller's pin) goes away.
+  struct Charged {
+    Charged(PackedPauliSet records, std::size_t charged,
+            util::MemoryRegistry& owner)
+        : set(std::move(records)), bytes(charged), registry(&owner) {}
+    Charged(const Charged&) = delete;
+    Charged& operator=(const Charged&) = delete;
+    ~Charged();
+
+    PackedPauliSet set;
+    std::size_t bytes;
+    util::MemoryRegistry* registry;
+  };
   struct Entry {
     std::size_t chunk = 0;
-    std::shared_ptr<const PackedPauliSet> set;
+    std::shared_ptr<Charged> owner;
     std::uint64_t last_use = 0;
   };
 
@@ -266,8 +267,9 @@ class PackedPauliChunkCache {
 /// count per distinct chunk it touches, chunks in ascending order, so cache
 /// traffic and counters are a pure function of the calls; a batch whose
 /// ids do not ascend is grouped by chunk in one pass first. Pins: u's chunk,
-/// plus the one chunk read last; both drop before set_u()'s lookup, so that
-/// lookup is admitted against what the cache alone holds.
+/// plus the one chunk read last, which later reads of that chunk use
+/// without asking the cache again; both drop before set_u()'s lookup, so
+/// that lookup is admitted against what the cache alone holds.
 class PackedRecordProber {
  public:
   explicit PackedRecordProber(PackedView view);
@@ -289,7 +291,8 @@ class PackedRecordProber {
   std::size_t scratch_bytes() const noexcept;
 
  private:
-  /// Records of `chunk`: the view, u's pinned chunk, or a fresh pin.
+  /// Records of `chunk`: the view, u's pinned chunk, the chunk pinned
+  /// last, or a fresh pin (the only case that asks the cache).
   const std::uint64_t* chunk_records(std::size_t chunk);
   /// edges() over `ids` that ascend or lie in one chunk: one kernel_chunk()
   /// per run of one chunk.
@@ -319,6 +322,7 @@ class PackedRecordProber {
   static constexpr std::size_t kNoChunk = ~std::size_t{0};
   std::size_t u_chunk_ = kNoChunk;
   std::shared_ptr<const PackedPauliSet> u_pin_;
+  std::size_t pin_chunk_ = kNoChunk;  // the chunk pin_ holds
   std::shared_ptr<const PackedPauliSet> pin_;
   std::vector<std::uint64_t> swapped_;  // u's record as [z|x]
   std::vector<std::uint32_t> rel_;      // chunk-local ids

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -45,13 +46,12 @@ void WireWriter::str(const std::string& s) {
 }
 
 void WireWriter::u32s(std::span<const std::uint32_t> values) {
-  const std::size_t at = buf_.size();
-  buf_.resize(at + 4 * values.size());
-  std::uint8_t* out = buf_.data() + at;
-  for (std::uint32_t v : values) {
-    for (int i = 0; i < 4; ++i) {
-      *out++ = static_cast<std::uint8_t>(v >> (8 * i));
-    }
+  if constexpr (std::endian::native == std::endian::little) {
+    // Host order is wire order: the values' bytes are the frame's.
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
+    buf_.insert(buf_.end(), bytes, bytes + 4 * values.size());
+  } else {
+    for (std::uint32_t v : values) u32(v);
   }
 }
 
@@ -92,11 +92,12 @@ std::uint64_t WireReader::u64() {
 
 void WireReader::u32s(std::span<std::uint32_t> out) {
   need(4 * out.size());
-  for (std::uint32_t& v : out) {
-    v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
-    }
+  if constexpr (std::endian::native == std::endian::little) {
+    std::copy_n(data_ + pos_, 4 * out.size(),
+                reinterpret_cast<std::uint8_t*>(out.data()));
+    pos_ += 4 * out.size();
+  } else {
+    for (std::uint32_t& v : out) v = u32();
   }
 }
 
@@ -178,8 +179,7 @@ SolveRequestMsg decode_solve_request(
   msg.params.strategy = r.u8();
   msg.params.memory_budget_bytes = r.u64();
   msg.params.want_progress = r.u8() != 0;
-  // deadline_ms joined in v2; v1 requests simply have no deadline.
-  msg.params.deadline_ms = version >= 2 ? r.u64() : 0;
+  msg.params.deadline_ms = r.u64();
   const std::span<const std::uint8_t> blob = r.bytes();
   try {
     msg.records = pauli::PauliSet::load_binary(blob);

@@ -30,10 +30,11 @@
 namespace picasso::service {
 
 /// Version 2 added deadline_ms to SolveRequest, degradation info to Result,
-/// and the fault-tolerance counters to StatsReply. Version-1 solve requests
-/// are still accepted (deadline_ms = 0).
-inline constexpr std::uint32_t kProtocolVersion = 2;
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
+/// and the fault-tolerance counters to StatsReply. Version 3 (API 8.0)
+/// carries a request's Pauli strings in the trimmed-plane record layout
+/// (pauli_set.hpp) instead of 3-bit words; no earlier version is accepted.
+inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kMinProtocolVersion = 3;
 
 /// Hard cap on one frame's payload — a malformed or hostile length prefix
 /// must not become a multi-gigabyte allocation.
@@ -124,7 +125,8 @@ class WireWriter {
     __builtin_memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
-  /// Consecutive u32s with no length prefix, written in one resize.
+  /// Consecutive u32s with no length prefix, in one bulk copy on a
+  /// little-endian host.
   void u32s(std::span<const std::uint32_t> values);
   void str(const std::string& s);
   /// Writes a u32 length prefix and returns the `len` bytes after it for
@@ -246,7 +248,7 @@ struct StatsMsg {
   std::uint64_t active = 0;
   std::uint64_t queued = 0;
   std::uint64_t spill_files_live = 0;
-  // Fault-tolerance counters (protocol v2).
+  // Fault-tolerance counters (since protocol v2).
   std::uint64_t client_disconnects = 0;   // EPIPE/ECONNRESET on replies
   std::uint64_t idle_disconnects = 0;     // stalled peers reaped by timeout
   std::uint64_t deadline_exceeded = 0;

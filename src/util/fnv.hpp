@@ -3,11 +3,8 @@
 //
 // One canonical implementation of the 64-bit FNV-1a hash the project uses
 // for replay fingerprints: the coloring hash the CI baseline pins exactly
-// (bench_incremental / bench_table4_memory), the legacy PSETSUM1 checksum
-// trailers that .pset spills from earlier builds carry
-// (pauli/pauli_stream.cpp still verifies them; new trailers use the
-// word-wide util::WordHasher of util/word_hash.hpp), and ad-hoc identity
-// checks in tests. Byte order is fixed (values are folded little-endian,
+// (bench_incremental / bench_table4_memory) and ad-hoc identity checks in
+// tests. Byte order is fixed (values are folded little-endian,
 // lowest byte first) so fingerprints compare bit-for-bit across machines.
 // Byte-serial: each byte waits on the previous multiply, so bulk data
 // that need not match a pinned value belongs in util/word_hash.hpp.
@@ -31,13 +28,6 @@ inline std::uint64_t fnv1a_u32(std::uint64_t h, std::uint32_t v) noexcept {
   for (int shift = 0; shift < 32; shift += 8) {
     h = fnv1a_byte(h, static_cast<std::uint8_t>((v >> shift) & 0xffu));
   }
-  return h;
-}
-
-inline std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                                 std::size_t len) noexcept {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) h = fnv1a_byte(h, p[i]);
   return h;
 }
 

@@ -266,7 +266,7 @@ TEST_F(ChaosTest, TornSpillTailIsRejectedOnReopen) {
   const fs::path path = root_ / "torn.pset";
 
   // A short-write failpoint leaves exactly the torn state a crash
-  // mid-spill would: truncated packed tail, no trailer.
+  // mid-spill would: truncated records, no trailer.
   pfp::arm("spill.write", {pfp::Mode::ShortIo, 64, 1});
   pp::spill_pauli_set(set, path.string());
   pfp::disarm_all();

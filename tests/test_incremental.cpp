@@ -4,15 +4,16 @@
 // whose spill grows across updates, shape errors, escalation — plus the
 // append-segment regression tests for ChunkedPauliReader (a reader
 // re-opened on an appended .pset must re-derive the string count and the
-// packed-tail offsets instead of trusting the base header), the checks a
+// segment offsets instead of trusting the base header), the checks a
 // spilled update keeps while its reader refreshes in place (checksums on
-// every refresh, torn appends, chunk caches that survive appends and
-// release the charge of a throwing load), an update's disk writes being
-// its append segment alone, the phase spans of a traced update, first fit
-// against a class-by-class reference, the legacy PSETSUM1 trailers of
-// spills from earlier builds, and the record prober both stores probe
-// through (spilled answers equal resident ones and a per-pair reference at
-// every chunk size, one kernel call per chunk a batch touches).
+// every refresh, torn appends, chunk caches that survive appends, grow the
+// grown chunk by its appended records alone and release the charge of a
+// throwing load), an update's disk writes being its append segment alone,
+// the phase spans of a traced update, first fit against a class-by-class
+// reference, and the record prober both stores probe through (spilled
+// answers equal resident ones and a per-pair reference at every chunk
+// size, one kernel call per chunk a batch touches, one cache lookup per
+// chunk switch).
 
 #include <gtest/gtest.h>
 
@@ -34,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "pauli/pauli_stream.hpp"
 #include "util/failpoint.hpp"
-#include "util/fnv.hpp"
 #include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/word_hash.hpp"
@@ -111,25 +111,6 @@ papi::Session spilled_session(std::uint64_t seed, std::size_t chunk,
 struct FailpointGuard {
   ~FailpointGuard() { picasso::util::failpoints::disarm_all(); }
 };
-
-constexpr std::uint64_t kLegacyTrailerMagic = 0x5053455453554d31ULL;
-
-/// A spill as builds before PSETSUM2 wrote it: save_binary, the packed
-/// tail, then a PSETSUM1 trailer holding FNV-1a of those bytes.
-void write_legacy_spill(const pp::PauliSet& set, const fs::path& path) {
-  std::ostringstream body(std::ios::binary);
-  set.save_binary(body);
-  const pp::PackedView view = set.packed_view();
-  body.write(reinterpret_cast<const char*>(view.data),
-             static_cast<std::streamsize>(view.size * 2 * view.words * 8));
-  const std::string bytes = std::move(body).str();
-  const std::uint64_t sum = picasso::util::fnv1a_bytes(
-      picasso::util::kFnvOffsetBasis, bytes.data(), bytes.size());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.write(reinterpret_cast<const char*>(&kLegacyTrailerMagic), 8);
-  out.write(reinterpret_cast<const char*>(&sum), 8);
-}
 
 /// Every chunk of `reader` equals `all` at the same ids (packed form).
 void expect_packed_chunks(const pp::ChunkedPauliReader& reader,
@@ -448,7 +429,7 @@ TEST(SpilledUpdate, CorruptionBetweenUpdatesFailsTheNextUpdate) {
   ASSERT_NE(state, nullptr);
   ASSERT_TRUE(state->spilled());
 
-  // One byte of the base block's 3-bit words: the layout is unchanged and
+  // One byte of the base block's records: the layout is unchanged and
   // the base chunks sit in the cache, so only re-verifying the base
   // trailer on refresh can notice.
   corrupt_byte(state->spill_path(), 24 + 8);
@@ -472,7 +453,7 @@ TEST(SpilledUpdate, CorruptionInAnAppendSegmentFailsTheNextUpdate) {
   session.update(papi::UpdateDelta::pauli(slice(strings, 50, 70)));
   session.update(papi::UpdateDelta::pauli(slice(strings, 70, 80)));
 
-  // One byte of the first append segment's 3-bit words, past its 16-byte
+  // One byte of the first append segment's records, past its 16-byte
   // header: the layout is unchanged and a later segment follows, so only
   // re-verifying that segment's trailer can notice.
   corrupt_byte(state->spill_path(), base_bytes + 16 + 8);
@@ -546,7 +527,7 @@ TEST(SpilledUpdate, UpdateWritesOnlyItsAppendSegment) {
   }
 }
 
-TEST(SpilledUpdate, SecondUpdateReloadsOnlyTheGrownChunk) {
+TEST(SpilledUpdate, SecondUpdateExtendsTheGrownChunkWithItsAppendedRecords) {
   constexpr std::size_t kChunk = 32;
   constexpr std::size_t kQubits = 12;
   const auto strings = random_strings(84, kQubits, 821);
@@ -558,18 +539,20 @@ TEST(SpilledUpdate, SecondUpdateReloadsOnlyTheGrownChunk) {
 
   auto session = spilled_session(8, kChunk);
   // The baseline fills chunks 0 and 1 exactly; its signature rebuild
-  // loads both into the cache.
+  // loads both into the cache. The first update's strings start chunk 2,
+  // which its probes load.
   session.solve_incremental(papi::Problem::pauli(slice(strings, 0, 64)));
   session.update(papi::UpdateDelta::pauli(slice(strings, 64, 74)));
   const auto second =
       session.update(papi::UpdateDelta::pauli(slice(strings, 74, 84)));
 
-  // The second append grows chunk 2 only: it alone leaves the cache and is
-  // read again; the base chunks are served from memory.
+  // The second append grows chunk 2: its one miss extends it in place with
+  // the 10 appended records, read once, and every other chunk is served
+  // from memory.
   const auto& counters = second.telemetry.counters;
   EXPECT_EQ(counters[picasso::obs::Counter::ChunkCacheMisses], 1u);
-  EXPECT_LE(counters[picasso::obs::Counter::SpillBytesRead],
-            kChunk * 2 * pp::packed_words(kQubits) * sizeof(std::uint64_t));
+  EXPECT_EQ(counters[picasso::obs::Counter::SpillBytesRead],
+            10 * pp::pset_record_bytes(kQubits));
   EXPECT_EQ(counters[picasso::obs::Counter::ChunkReReads], 0u);
   EXPECT_EQ(second.result.colors, want.result.colors);
 }
@@ -742,53 +725,20 @@ TEST(ReaderAppend, ReopenedReaderSeesAppendedStrings) {
   pp::spill_pauli_set(base, file.path.string());
   pp::append_pauli_set(delta, file.path.string());
 
-  // The regression: the base header still says 40 strings, and the packed
-  // tail no longer sits at (file size - tail bytes). A reader must walk
-  // the segment chain instead of trusting either.
+  // The regression: the base header still says 40 strings. A reader must
+  // walk the segment chain instead of trusting it.
   pp::ChunkedPauliReader reader(file.path.string(), 16);
   ASSERT_EQ(reader.num_strings(), 70u);
-  EXPECT_TRUE(reader.has_packed_tail());
 
   for (std::size_t chunk = 0; chunk < reader.num_chunks(); ++chunk) {
     const pp::PauliSet loaded = reader.load_chunk(chunk);
     const pp::PackedPauliSet packed = reader.load_chunk_packed(chunk);
     const std::size_t begin = reader.chunk_begin(chunk);
     for (std::size_t i = 0; i < loaded.size(); ++i) {
-      // Strings decoded from the 3-bit words, coefficients and packed
-      // records all line up with the concatenated set, including the chunk
-      // that spans the segment seam.
+      // Strings, coefficients and packed records all line up with the
+      // concatenated set, including the chunk that spans the segment seam.
       EXPECT_EQ(loaded.string(i), all.string(begin + i));
       EXPECT_EQ(loaded.coefficients()[i], all.coefficients()[begin + i]);
-      const auto* got = packed.record(i);
-      const auto* want = all.packed_view().record(begin + i);
-      for (std::size_t w = 0; w < 2 * packed.words(); ++w) {
-        EXPECT_EQ(got[w], want[w]);
-      }
-    }
-  }
-}
-
-TEST(ReaderAppend, LegacyBaseWithoutPackedTailStillAppends) {
-  const auto strings = random_strings(30, 7, 401);
-  const pp::PauliSet base = slice(strings, 0, 18);
-  const pp::PauliSet delta = slice(strings, 18, 30);
-  const pp::PauliSet all = slice(strings, 0, 30);
-
-  TempFile file("picasso_test_append_legacy.pset");
-  {
-    std::ofstream out(file.path, std::ios::binary);
-    base.save_binary(out);  // no packed tail
-  }
-  pp::append_pauli_set(delta, file.path.string());
-
-  pp::ChunkedPauliReader reader(file.path.string(), 8);
-  ASSERT_EQ(reader.num_strings(), 30u);
-  EXPECT_FALSE(reader.has_packed_tail());  // base lacks it => decode path
-
-  for (std::size_t chunk = 0; chunk < reader.num_chunks(); ++chunk) {
-    const pp::PackedPauliSet packed = reader.load_chunk_packed(chunk);
-    const std::size_t begin = reader.chunk_begin(chunk);
-    for (std::size_t i = 0; i < packed.size(); ++i) {
       const auto* got = packed.record(i);
       const auto* want = all.packed_view().record(begin + i);
       for (std::size_t w = 0; w < 2 * packed.words(); ++w) {
@@ -848,23 +798,30 @@ TEST(ReaderAppend, AppendToMissingOrForeignFileThrows) {
                std::runtime_error);
 }
 
-TEST(ReaderAppend, RefreshReportsTheFirstChangedChunkAndKeepsItsViewOnFailure) {
+TEST(ReaderAppend, RefreshReportsTheUnchangedStringsAndKeepsItsViewOnFailure) {
   const auto strings = random_strings(40, 9, 901);
   TempFile file("picasso_test_refresh.pset");
   pp::spill_pauli_set(slice(strings, 0, 20), file.path.string());
   pp::ChunkedPauliReader reader(file.path.string(), 8);
   ASSERT_EQ(reader.num_strings(), 20u);
 
-  // 20 -> 30 strings: chunk 2 (16..19) grows, chunk 3 is new.
+  // 20 -> 30 strings: the first 20 are unchanged.
   pp::append_pauli_set(slice(strings, 20, 30), file.path.string());
-  EXPECT_EQ(reader.refresh(), 2u);
+  EXPECT_EQ(reader.refresh(), 20u);
   expect_packed_chunks(reader, slice(strings, 0, 30));
 
-  // 30 -> 32: only chunk 3 (24..29 -> 24..31) changes.
+  // 30 -> 32.
   pp::append_pauli_set(slice(strings, 30, 32), file.path.string());
-  EXPECT_EQ(reader.refresh(), 3u);
-  // Nothing appended: no chunk changed.
-  EXPECT_EQ(reader.refresh(), reader.num_chunks());
+  EXPECT_EQ(reader.refresh(), 30u);
+  // Nothing appended: every string is unchanged.
+  EXPECT_EQ(reader.refresh(), reader.num_strings());
+
+  // A rewritten file changes from its first segment on.
+  pp::spill_pauli_set(slice(strings, 8, 40), file.path.string());
+  EXPECT_EQ(reader.refresh(), 0u);
+  expect_packed_chunks(reader, slice(strings, 8, 40));
+  pp::spill_pauli_set(slice(strings, 0, 32), file.path.string());
+  EXPECT_EQ(reader.refresh(), 0u);
 
   // A torn append makes refresh throw; the reader keeps serving its view.
   {
@@ -877,23 +834,60 @@ TEST(ReaderAppend, RefreshReportsTheFirstChangedChunkAndKeepsItsViewOnFailure) {
   expect_packed_chunks(reader, slice(strings, 0, 32));
 }
 
-TEST(ReaderAppend, ChunkCacheDropFromKeepsEarlierChunks) {
-  const auto strings = random_strings(30, 8, 911);
-  TempFile file("picasso_test_drop_from.pset");
-  pp::spill_pauli_set(slice(strings, 0, 30), file.path.string());
+TEST(ReaderAppend, ChunkCacheSyncKeepsEarlierChunksAndExtendsTheGrownOne) {
+  constexpr std::size_t kQubits = 8;
+  const auto strings = random_strings(40, kQubits, 911);
+  TempFile file("picasso_test_cache_sync.pset");
+  pp::spill_pauli_set(slice(strings, 0, 20), file.path.string());
   pp::ChunkedPauliReader reader(file.path.string(), 8);
-  pp::PackedPauliChunkCache cache(reader);
-  for (std::size_t chunk = 0; chunk < 4; ++chunk) cache.get(chunk);
-  ASSERT_EQ(cache.misses(), 4u);
+  picasso::util::MemoryRegistry registry;
+  pp::PackedPauliChunkCache cache(reader, registry);
+  for (std::size_t chunk = 0; chunk < 3; ++chunk) cache.get(chunk);
+  ASSERT_EQ(cache.misses(), 3u);  // chunk 2 holds strings 16..19
 
-  cache.drop_from(2);
+  // 20 -> 30: chunks 0 and 1 stay, chunk 2's next get is a miss that
+  // grows it by the 4 appended records read alone, chunk 3 is new.
+  pp::append_pauli_set(slice(strings, 20, 30), file.path.string());
+  cache.sync(reader.refresh());
   cache.get(0);
   cache.get(1);
   EXPECT_EQ(cache.hits(), 2u);
-  cache.get(2);
+  {
+    const picasso::obs::MetricsRunScope scope(true);
+    EXPECT_EQ(cache.get(2)->size(), 8u);
+    EXPECT_EQ(picasso::obs::global_metrics()
+                  .totals()[picasso::obs::Counter::SpillBytesRead],
+              4 * pp::pset_record_bytes(kQubits));
+  }
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.get(2)->size(), 8u);
+  EXPECT_EQ(cache.hits(), 3u);
   cache.get(3);
-  EXPECT_EQ(cache.misses(), 6u);
+  EXPECT_EQ(cache.misses(), 5u);
   EXPECT_EQ(cache.evictions(), 0u);
+  // Every cached chunk is charged once, at its full size.
+  EXPECT_EQ(registry.current_bytes(), 30 * 2 * pp::packed_words(kQubits) * 8);
+  const pp::PauliSet all = slice(strings, 0, 30);
+  for (std::size_t chunk = 0; chunk < 4; ++chunk) {
+    const auto cached = cache.get(chunk);
+    for (std::size_t i = 0; i < cached->size(); ++i) {
+      ASSERT_EQ(cached->string(i), all.string(reader.chunk_begin(chunk) + i));
+    }
+  }
+
+  // A pinned chunk cannot grow under its pin: the next get reloads it
+  // whole, and the pin keeps its records and its charge.
+  const auto pin = cache.get(3);
+  const std::uint64_t* pinned = pin->record(0);
+  pp::append_pauli_set(slice(strings, 30, 40), file.path.string());
+  cache.sync(reader.refresh());
+  const std::uint64_t misses = cache.misses();
+  const auto reloaded = cache.get(3);
+  EXPECT_EQ(reloaded->size(), 8u);
+  EXPECT_NE(reloaded.get(), pin.get());
+  EXPECT_EQ(cache.misses(), misses + 1);
+  EXPECT_EQ(pin->size(), 6u);
+  EXPECT_EQ(pin->record(0), pinned);
 }
 
 TEST(ReaderAppend, ChunkCacheReleasesTheChargeOfALoadThatThrows) {
@@ -917,34 +911,6 @@ TEST(ReaderAppend, ChunkCacheReleasesTheChargeOfALoadThatThrows) {
   }
   cache.clear();
   EXPECT_EQ(registry.current_bytes(), 0u);
-}
-
-TEST(ReaderAppend, LegacyChecksumTrailerStillOpensAndIsVerified) {
-  const auto strings = random_strings(45, 9, 921);
-  const pp::PauliSet base = slice(strings, 0, 30);
-  TempFile file("picasso_test_legacy_sum.pset");
-  write_legacy_spill(base, file.path);
-
-  {
-    pp::ChunkedPauliReader reader(file.path.string(), 8);
-    EXPECT_TRUE(reader.has_packed_tail());
-    expect_packed_chunks(reader, base);
-  }
-  // Appending today's PSETSUM2 segment to a PSETSUM1 base: both verify.
-  pp::append_pauli_set(slice(strings, 30, 45), file.path.string());
-  {
-    pp::ChunkedPauliReader reader(file.path.string(), 8);
-    expect_packed_chunks(reader, slice(strings, 0, 45));
-  }
-  // A flipped byte under the legacy trailer is still caught.
-  corrupt_byte(file.path.string(), 24 + 5);
-  try {
-    pp::ChunkedPauliReader reader(file.path.string(), 8);
-    FAIL() << "corrupt PSETSUM1 spill accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("checksum"), std::string::npos)
-        << error.what();
-  }
 }
 
 // --- PackedRecordProber ------------------------------------------------------
@@ -1098,4 +1064,40 @@ TEST(WordHash, StreamedOverRandomSplitsEqualsOneShot) {
   a.update(three, 3);
   b.update(three, 4);
   EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(RecordProber, ReadsOfThePinnedChunkSkipTheCacheLookup) {
+  constexpr std::size_t kChunk = 8;
+  const auto strings = random_strings(32, 9, 971);
+  const pp::PauliSet set = slice(strings, 0, 32);
+  TempFile file("picasso_test_prober_pin.pset");
+  pp::spill_pauli_set(set, file.path.string());
+  pp::ChunkedPauliReader reader(file.path.string(), kChunk);
+  pp::PackedPauliChunkCache cache(reader);
+  pp::PackedRecordProber prober(reader, cache);
+  const auto lookups = [&cache] { return cache.hits() + cache.misses(); };
+
+  prober.set_u(3);  // pins chunk 0
+  EXPECT_EQ(lookups(), 1u);
+  std::vector<std::uint8_t> out(2);
+  const std::uint32_t first[] = {8, 9};
+  prober.edges(first, 2, out.data());  // pins chunk 1
+  EXPECT_EQ(lookups(), 2u);
+  const std::uint32_t again[] = {10, 15};
+  prober.edges(again, 2, out.data());  // chunk 1 is pinned already
+  prober.record(12);
+  const std::uint32_t own[] = {1, 2};
+  prober.edges(own, 2, out.data());  // u's chunk
+  EXPECT_EQ(lookups(), 2u);
+  const std::uint32_t other[] = {16, 17};
+  prober.edges(other, 2, out.data());  // chunk 2 replaces the pin
+  const std::uint32_t back[] = {11};
+  prober.edges(back, 1, out.data());  // chunk 1 again: asked anew
+  EXPECT_EQ(lookups(), 4u);
+  prober.set_u(20);  // u moves: both pins drop, so chunk 1 is asked anew
+  prober.edges(first, 2, out.data());
+  EXPECT_EQ(lookups(), 6u);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(out[k] != 0, !strings[20].anticommutes_with(strings[first[k]]));
+  }
 }

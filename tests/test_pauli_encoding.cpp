@@ -1,9 +1,10 @@
 // Tests for the bit encodings of §IV-A: the inverse-one-hot 3-bit packing
 // (X=110, Y=101, Z=011, I=000) and the symplectic 2-bit planes PauliSet
-// keeps resident. The central properties: both encoded anticommutation
-// kernels agree with the character-comparison reference on every input,
-// across word boundaries, and every writer of the 3-bit byte format (built
-// from the planes) emits exactly what the reference encoder encode3 does.
+// keeps resident, and for the record layout every byte format uses. The
+// central properties: both encoded anticommutation kernels agree with the
+// character-comparison reference on every input, across word boundaries,
+// and every writer of the record layout emits exactly the trimmed planes
+// and coefficient a reference built from the symbolic strings does.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -58,17 +59,15 @@ pp::PauliSet load_stream(const std::vector<std::uint8_t>& bytes) {
   return pp::PauliSet::load_binary(in);
 }
 
-/// XORs `bits` into 3-bit word `word` of string `i` in save_binary bytes.
-void xor_word(std::vector<std::uint8_t>& bytes, const pp::PauliSet& set,
-              std::size_t i, std::size_t word, std::uint64_t bits) {
-  const std::size_t at =
-      3 * sizeof(std::uint64_t) +
-      (i * pp::words_per_string3(set.num_qubits()) + word) *
-          sizeof(std::uint64_t);
-  std::uint64_t w;
-  std::memcpy(&w, bytes.data() + at, sizeof(w));
-  w ^= bits;
-  std::memcpy(bytes.data() + at, &w, sizeof(w));
+/// Flips plane bit `qubit` (which may lie in the padding above
+/// num_qubits) of string `i`'s x or z plane in save_binary bytes.
+void flip_plane_bit(std::vector<std::uint8_t>& bytes, const pp::PauliSet& set,
+                    std::size_t i, bool z_plane, std::size_t qubit) {
+  const std::size_t b = pp::plane_bytes(set.num_qubits());
+  const std::size_t at = 3 * sizeof(std::uint64_t) +
+                         i * pp::pset_record_bytes(set.num_qubits()) +
+                         (z_plane ? b : 0) + qubit / 8;
+  bytes[at] ^= static_cast<std::uint8_t>(1u << (qubit % 8));
 }
 
 /// Word-for-word equality of the planes, the coefficients and the
@@ -90,7 +89,7 @@ void expect_same_set(const pp::PauliSet& got, const pp::PauliSet& want) {
 constexpr std::size_t kQubitCounts[] = {1,  20, 21, 22,  42, 63,
                                         64, 65, 85, 128, 130};
 
-constexpr std::uint64_t kSetMagic = 0x5041554c49534554ULL;     // "PAULISET"
+constexpr std::uint64_t kSetMagic = 0x5041554c49585a31ULL;     // "PAULIXZ1"
 constexpr std::uint64_t kAppendMagic = 0x5041554c49415050ULL;  // "PAULIAPP"
 
 /// Appends the `bytes` bytes at `data` to `out` (host order: the
@@ -102,21 +101,30 @@ void append_bytes(std::vector<std::uint8_t>& out, const void* data,
 }
 
 /// The bytes every writer must produce for strings [begin, end) of `set`
-/// after `header`: the header words, encode3() of each string, then the
-/// coefficients.
+/// after `header`: the header words, then per string its x plane and its z
+/// plane (bit q set where operator q is X or Y, resp. Z or Y), each
+/// ceil(q / 8) bytes, then its coefficient — built from the symbolic
+/// strings, not from the planes the writers read.
 std::vector<std::uint8_t> reference_block(
     const std::vector<std::uint64_t>& header, const pp::PauliSet& set,
     std::size_t begin, std::size_t end) {
-  const std::size_t w3 = pp::words_per_string3(set.num_qubits());
-  std::vector<std::uint64_t> words((end - begin) * w3);
-  for (std::size_t i = begin; i < end; ++i) {
-    pp::encode3(set.string(i), words.data() + (i - begin) * w3);
-  }
+  const std::size_t n = set.num_qubits();
+  const std::size_t b = (n + 7) / 8;
   std::vector<std::uint8_t> out;
   append_bytes(out, header.data(), header.size() * sizeof(std::uint64_t));
-  append_bytes(out, words.data(), words.size() * sizeof(std::uint64_t));
-  append_bytes(out, set.coefficients().data() + begin,
-               (end - begin) * sizeof(double));
+  for (std::size_t i = begin; i < end; ++i) {
+    const pp::PauliString s = set.string(i);
+    std::vector<std::uint8_t> x(b, 0), z(b, 0);
+    for (std::size_t q = 0; q < n; ++q) {
+      const pp::PauliOp op = s.op(q);
+      const auto bit = static_cast<std::uint8_t>(1u << (q % 8));
+      if (op == pp::PauliOp::X || op == pp::PauliOp::Y) x[q / 8] |= bit;
+      if (op == pp::PauliOp::Z || op == pp::PauliOp::Y) z[q / 8] |= bit;
+    }
+    out.insert(out.end(), x.begin(), x.end());
+    out.insert(out.end(), z.begin(), z.end());
+    append_bytes(out, set.coefficients().data() + i, sizeof(double));
+  }
   return out;
 }
 
@@ -274,7 +282,7 @@ TEST(PauliSet, BinarySaveLoadRoundTrip) {
   std::vector<pp::PauliString> strings;
   std::vector<double> coefs;
   for (int i = 0; i < 33; ++i) {
-    strings.push_back(random_string(25, rng));  // crosses a 3-bit word boundary
+    strings.push_back(random_string(25, rng));  // a partial last plane byte
     coefs.push_back(rng.uniform() - 0.5);
   }
   const pp::PauliSet original(strings, coefs);
@@ -294,12 +302,13 @@ TEST(PauliSet, LoadRejectsGarbage) {
   EXPECT_THROW(pp::PauliSet::load_binary(buffer), std::runtime_error);
 }
 
-// The byte formats, pinned against the reference encoder: both
+// The byte formats, pinned against the reference records: both
 // save_binary overloads, a spill_pauli_set base block and an
-// append_pauli_set segment hold exactly their header, then encode3() of
-// every string, then the coefficients — a writer and a reader that drift
+// append_pauli_set segment hold exactly their header, then every string's
+// trimmed planes and coefficient — a writer and a reader that drift
 // together fail here, which no round trip catches. Every load decodes back
-// to the string-built set word for word.
+// to the string-built set word for word, on both sides of the one-word
+// (<= 64 qubit) fast path.
 TEST(PauliSetDirectLoad, EqualsStringBuiltSetWordForWord) {
   const std::string spill =
       (std::filesystem::temp_directory_path() /
@@ -329,11 +338,9 @@ TEST(PauliSetDirectLoad, EqualsStringBuiltSetWordForWord) {
     const std::vector<std::uint8_t> base_block =
         reference_block({kSetMagic, n, kBase}, built, 0, kBase);
     EXPECT_EQ(slice_of(file, 0, base_block.size()), base_block);
-    // The segment follows the base block's packed tail and its trailer.
+    // The segment follows the base block's trailer.
     const std::size_t segment_at =
-        base_block.size() +
-        kBase * 2 * pp::packed_words(n) * sizeof(std::uint64_t) +
-        2 * sizeof(std::uint64_t);
+        base_block.size() + 2 * sizeof(std::uint64_t);
     const std::vector<std::uint8_t> segment = reference_block(
         {kAppendMagic, kCount - kBase}, built, kBase, kCount);
     EXPECT_EQ(slice_of(file, segment_at, segment.size()), segment);
@@ -361,25 +368,23 @@ TEST(PauliSetDirectLoad, EmptySetLoadsWithZeroQubits) {
   }
 }
 
-// A corrupt code early, in the middle and in the last string of the set.
-TEST(PauliSetDirectLoad, RejectsCorruptCodeInFirstMiddleOrLastField) {
-  for (std::size_t n : {1u, 22u, 64u, 130u}) {
+// A plane bit set above num_qubits — in the x or the z plane, in the first,
+// a middle or the last record — is corrupt input, named by its record, at
+// every width with padding bits (a multiple of 8 has none).
+TEST(PauliSetDirectLoad, RejectsAPaddingBitInAnyRecord) {
+  for (std::size_t n : kQubitCounts) {
+    if (n % 8 == 0) continue;
     const pp::PauliSet set = random_set(9, n, 9);
-    for (std::size_t string : {2u, 5u, 8u}) {
-      for (std::size_t qubit : {std::size_t{0}, n / 2, n - 1}) {
-        for (std::uint64_t code : {0b001u, 0b010u, 0b100u, 0b111u}) {
+    for (std::size_t string : {0u, 5u, 8u}) {
+      for (const bool z_plane : {false, true}) {
+        for (std::size_t bit : {n, 8 * pp::plane_bytes(n) - 1}) {
           SCOPED_TRACE("n=" + std::to_string(n) + " string=" +
-                       std::to_string(string) + " qubit=" +
-                       std::to_string(qubit) + " code=" + std::to_string(code));
+                       std::to_string(string) + " z=" +
+                       std::to_string(z_plane) + " bit=" +
+                       std::to_string(bit));
           std::vector<std::uint8_t> bytes = saved(set);
-          const std::size_t shift = (qubit % pp::kOpsPerWord3) * 3;
-          const std::uint64_t current =
-              pp::inverse_one_hot_code(set.string(string).op(qubit));
-          xor_word(bytes, set, string, qubit / pp::kOpsPerWord3,
-                   (current ^ code) << shift);
-          const std::string where = "corrupt 3-bit code at string " +
-                                    std::to_string(string) + ", qubit " +
-                                    std::to_string(qubit);
+          flip_plane_bit(bytes, set, string, z_plane, bit);
+          const std::string where = "corrupt record " + std::to_string(string);
           for (const auto& load :
                {+[](const std::vector<std::uint8_t>& b) { load_stream(b); },
                 +[](const std::vector<std::uint8_t>& b) {
@@ -387,8 +392,8 @@ TEST(PauliSetDirectLoad, RejectsCorruptCodeInFirstMiddleOrLastField) {
                 }}) {
             try {
               load(bytes);
-              ADD_FAILURE() << "corrupt code loaded";
-            } catch (const std::invalid_argument& error) {
+              ADD_FAILURE() << "a set padding bit loaded";
+            } catch (const std::runtime_error& error) {
               EXPECT_NE(std::string(error.what()).find(where),
                         std::string::npos)
                   << error.what();
@@ -400,26 +405,27 @@ TEST(PauliSetDirectLoad, RejectsCorruptCodeInFirstMiddleOrLastField) {
   }
 }
 
-TEST(PauliSetDirectLoad, PaddingBitsAreMaskedNotRejected) {
-  for (std::size_t n : kQubitCounts) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    const pp::PauliSet set = random_set(6, n, 3 + n);
-    std::vector<std::uint8_t> dirty = saved(set);
-    const std::size_t w3 = pp::words_per_string3(n);
-    const std::size_t used = n - (w3 - 1) * pp::kOpsPerWord3;  // last word
-    for (std::size_t i = 0; i < set.size(); ++i) {
-      for (std::size_t w = 0; w < w3; ++w) {
-        xor_word(dirty, set, i, w, std::uint64_t{1} << 63);
+// Flipping a plane bit below num_qubits is a different valid string: it
+// loads, with just that operator changed.
+TEST(PauliSetDirectLoad, EveryPlaneBitBelowTheWidthIsAnOperatorBit) {
+  for (std::size_t n : {7u, 64u, 65u}) {
+    const pp::PauliSet set = random_set(3, n, 5 + n);
+    for (std::size_t qubit : {std::size_t{0}, n - 1}) {
+      std::vector<std::uint8_t> bytes = saved(set);
+      flip_plane_bit(bytes, set, 1, true, qubit);
+      const pp::PauliSet loaded = pp::PauliSet::load_binary(bytes);
+      EXPECT_EQ(loaded.string(0), set.string(0));
+      EXPECT_EQ(loaded.string(2), set.string(2));
+      // The z bit toggles: I <-> Z and X <-> Y.
+      pp::PauliString want = set.string(1);
+      switch (want.op(qubit)) {
+        case pp::PauliOp::I: want.set_op(qubit, pp::PauliOp::Z); break;
+        case pp::PauliOp::Z: want.set_op(qubit, pp::PauliOp::I); break;
+        case pp::PauliOp::X: want.set_op(qubit, pp::PauliOp::Y); break;
+        case pp::PauliOp::Y: want.set_op(qubit, pp::PauliOp::X); break;
       }
-      // Every field past num_qubits set to 111, an invalid code.
-      if (used < pp::kOpsPerWord3) {
-        const std::uint64_t in_use = (std::uint64_t{1} << (3 * used)) - 1;
-        xor_word(dirty, set, i, w3 - 1,
-                 ((std::uint64_t{1} << 63) - 1) & ~in_use);
-      }
+      EXPECT_EQ(loaded.string(1), want) << "n=" << n << " qubit=" << qubit;
     }
-    expect_same_set(load_stream(dirty), set);
-    expect_same_set(pp::PauliSet::load_binary(dirty), set);
   }
 }
 
@@ -443,41 +449,24 @@ TEST(PauliSetDirectLoad, RejectsTruncationAndOversizedCounts) {
 
 TEST(PauliSetDirectLoad, LoadChunkEqualsPrefixAndSubset) {
   const pp::PauliSet set = random_set(50, 45, 17);
-  const auto dir = std::filesystem::temp_directory_path();
   const std::string spill =
-      (dir / ("picasso_encoding_" + std::to_string(::getpid()) + ".pset"))
+      (std::filesystem::temp_directory_path() /
+       ("picasso_encoding_" + std::to_string(::getpid()) + ".pset"))
           .string();
-  const std::string legacy = spill + ".legacy";
   pp::spill_pauli_set(set, spill);
-  {
-    std::ofstream out(legacy, std::ios::binary);
-    set.save_binary(out);  // no packed tail, no checksum trailer
-  }
-  for (const std::string& path : {spill, legacy}) {
-    SCOPED_TRACE(path);
-    const pp::ChunkedPauliReader reader(path, 16);
-    ASSERT_EQ(reader.num_chunks(), 4u);
-    expect_same_set(reader.load_chunk(0), set.prefix(16));
-    for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
-      std::vector<std::uint32_t> ids;
-      for (std::size_t i = 0; i < reader.chunk_size(c); ++i) {
-        ids.push_back(static_cast<std::uint32_t>(reader.chunk_begin(c) + i));
-      }
-      expect_same_set(reader.load_chunk(c), set.subset(ids));
+  const pp::ChunkedPauliReader reader(spill, 16);
+  ASSERT_EQ(reader.num_chunks(), 4u);
+  expect_same_set(reader.load_chunk(0), set.prefix(16));
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = 0; i < reader.chunk_size(c); ++i) {
+      ids.push_back(static_cast<std::uint32_t>(reader.chunk_begin(c) + i));
     }
+    expect_same_set(reader.load_chunk(c), set.subset(ids));
   }
-  // A corrupt code in a legacy file (no checksum to catch it first) is
-  // rejected by the chunk load with the same exception as load_binary.
-  {
-    std::fstream io(legacy, std::ios::binary | std::ios::in | std::ios::out);
-    io.seekp(3 * sizeof(std::uint64_t));
-    const std::uint64_t bad = 0b111;
-    io.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
-  }
-  const pp::ChunkedPauliReader reader(legacy, 16);
-  EXPECT_THROW(reader.load_chunk(0), std::invalid_argument);
+  expect_same_set(reader.load_strings(0, set.size()), set);
+  EXPECT_THROW(reader.load_strings(40, 11), std::out_of_range);
   std::filesystem::remove(spill);
-  std::filesystem::remove(legacy);
 }
 
 TEST(ProblemFingerprint, EverySinglePlaneBitAndHashedParamMatters) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/oracles.hpp"
+#include "pauli/encoding.hpp"
 #include "pauli/pauli_packed.hpp"
 #include "pauli/pauli_set.hpp"
 #include "pauli/pauli_string.hpp"

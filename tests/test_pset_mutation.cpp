@@ -7,8 +7,10 @@
 // std::invalid_argument or open a reader whose every chunk equals the
 // original strings at the same ids. A flip inside a trailer-covered payload
 // is rejected as a checksum mismatch, and no allocation exceeds what the
-// file's size can justify. Runs in the default ctest suite, and so under
-// the ASan/UBSan job.
+// file's size can justify. Explicit cases pin the structured errors of a
+// record with a plane bit set above the qubit count (under a valid
+// checksum) and of a file in the retired 3-bit layout. Runs in the default
+// ctest suite, and so under the ASan/UBSan job.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include "pauli/pauli_set.hpp"
 #include "pauli/pauli_stream.hpp"
 #include "util/rng.hpp"
+#include "util/word_hash.hpp"
 
 namespace {
 // Largest single operator-new request since the last reset.
@@ -115,14 +118,12 @@ struct Layout {
 };
 
 Layout layout_of(const std::vector<std::size_t>& counts) {
-  const std::size_t w3 = pp::words_per_string3(kQubits);
-  const std::size_t w2 = pp::packed_words(kQubits);
-  const std::size_t rec = w3 * 8 + 8 + 2 * w2 * 8;
+  const std::size_t rec = pp::pset_record_bytes(kQubits);
   Layout out;
   out.count_fields = {8, 16};
   std::size_t pos = 24 + counts[0] * rec;
   out.payloads.push_back({24, pos});
-  out.boundaries.push_back(24 + counts[0] * (w3 * 8 + 8));  // legacy base
+  out.boundaries.push_back(24 + counts[0] / 2 * rec);  // mid-records
   out.boundaries.push_back(pos);  // base without its trailer
   out.trailers.push_back(pos);
   pos += 16;
@@ -181,7 +182,7 @@ void expect_chunks_match(const pp::ChunkedPauliReader& reader,
 TEST(PsetMutation, TinyFileClaimingHugeCountIsRejected) {
   TempFile file("picasso_pset_huge_count.pset");
   std::vector<std::uint8_t> bytes(24, 0);
-  put_u64(bytes, 0, 0x5041554c49534554ULL);  // "PAULISET"
+  put_u64(bytes, 0, pp::PauliSet::kBinaryMagic);
   put_u64(bytes, 8, 4);
   put_u64(bytes, 16, std::uint64_t{1} << 60);
   write_file(file.path, bytes);
@@ -298,4 +299,60 @@ TEST(PsetMutation, EveryMutantIsRejectedOrMatchesTheOriginal) {
   EXPECT_GT(rejected, kMutants / 2);
   EXPECT_GT(opened, kMutants / 20);
   EXPECT_GT(checksum_rejects, kMutants / 10);
+}
+
+TEST(PsetMutation, PaddingBitUnderAValidChecksumIsAStructuredError) {
+  const pp::PauliSet set = random_set(20, 7);
+  TempFile file("picasso_pset_padding.pset");
+  pp::spill_pauli_set(set, file.path.string());
+  std::vector<std::uint8_t> bytes = read_file(file.path);
+  const std::size_t rec = pp::pset_record_bytes(kQubits);
+  const std::size_t base_end = 24 + set.size() * rec;
+  ASSERT_EQ(bytes.size(), base_end + 16);
+  // Record 5's z plane, bit 31: 30 qubits leave bits 30 and 31 of the last
+  // plane byte as padding. The trailer is recomputed, as a faulty writer
+  // would, so only the record decode can notice.
+  bytes[24 + 5 * rec + pp::plane_bytes(kQubits) + 3] ^= 0x80;
+  picasso::util::WordHasher sum;
+  sum.update(bytes.data(), base_end);
+  put_u64(bytes, base_end + 8, sum.digest());
+  write_file(file.path, bytes);
+
+  const pp::ChunkedPauliReader reader(file.path.string(), kChunk);
+  EXPECT_EQ(reader.num_strings(), set.size());
+  for (const auto& load :
+       {+[](const pp::ChunkedPauliReader& r) { r.load_chunk(0); },
+        +[](const pp::ChunkedPauliReader& r) { r.load_chunk_packed(0); }}) {
+    try {
+      load(reader);
+      ADD_FAILURE() << "a record with a padding bit loaded";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("corrupt record 5"), std::string::npos) << what;
+      EXPECT_NE(what.find(file.path.string()), std::string::npos) << what;
+    }
+  }
+  // The chunk without the bad record still loads.
+  EXPECT_EQ(reader.load_chunk_packed(1).size(), set.size() - kChunk);
+}
+
+TEST(PsetMutation, OldMagicFileIsAStructuredError) {
+  // A header in the retired 3-bit layout ("PAULISET"), whatever follows.
+  TempFile file("picasso_pset_old_magic.pset");
+  std::vector<std::uint8_t> bytes(24 + 4 * 16, 0);
+  put_u64(bytes, 0, 0x5041554c49534554ULL);
+  put_u64(bytes, 8, kQubits);
+  put_u64(bytes, 16, 4);
+  write_file(file.path, bytes);
+  try {
+    pp::ChunkedPauliReader reader(file.path.string(), kChunk);
+    ADD_FAILURE() << "an old-magic file opened";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+    EXPECT_NE(what.find("PAULISET"), std::string::npos) << what;
+    EXPECT_NE(what.find(file.path.string()), std::string::npos) << what;
+  }
+  EXPECT_THROW(pp::append_pauli_set(random_set(2, 8), file.path.string()),
+               std::runtime_error);
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -147,6 +148,50 @@ TEST(ServiceWire, ResultAndErrorRoundTrip) {
   EXPECT_EQ(e.id, error.id);
   EXPECT_EQ(e.code, error.code);
   EXPECT_EQ(e.message, error.message);
+}
+
+// The frame bytes of a Result, written out field by field: every integer
+// little-endian, the colors' u32s back to back after their count. Pins
+// the bulk copy of the colors to the byte-wise layout it replaced.
+TEST(ServiceWire, ResultFrameBytesAreGolden) {
+  psvc::ResultMsg result;
+  result.id = 0x0102030405060708ull;
+  result.cache_hit = true;
+  result.problem_hash = 0x1112131415161718ull;
+  result.coloring_hash = 0x2122232425262728ull;
+  result.num_colors = 0x31323334;
+  result.palette_total = 0x41424344;
+  result.iterations = 0x51525354;
+  result.seconds = 0.5;  // IEEE-754 bits 0x3fe0000000000000
+  result.degraded = true;
+  result.degraded_reason = "ab";
+  result.colors = {0x61626364, 0x71727374, 5};
+  const std::vector<std::uint8_t> golden = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id
+      0x01,                                            // cache_hit
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // problem_hash
+      0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21,  // coloring_hash
+      0x34, 0x33, 0x32, 0x31,                          // num_colors
+      0x44, 0x43, 0x42, 0x41,                          // palette_total
+      0x54, 0x53, 0x52, 0x51,                          // iterations
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // seconds
+      0x01,                                            // degraded
+      0x02, 0x00, 0x00, 0x00, 'a',  'b',               // degraded_reason
+      0x03, 0x00, 0x00, 0x00,                          // color count
+      0x64, 0x63, 0x62, 0x61,                          // colors
+      0x74, 0x73, 0x72, 0x71,
+      0x05, 0x00, 0x00, 0x00};
+  EXPECT_EQ(psvc::encode_result(result), golden);
+  const psvc::ResultMsg decoded = psvc::decode_result(golden);
+  EXPECT_EQ(decoded.colors, result.colors);
+  EXPECT_EQ(decoded.id, result.id);
+  EXPECT_EQ(decoded.degraded_reason, result.degraded_reason);
+  // No colors: the count alone.
+  result.colors.clear();
+  const std::vector<std::uint8_t> empty = psvc::encode_result(result);
+  ASSERT_EQ(empty.size(), golden.size() - 12);
+  EXPECT_TRUE(std::equal(empty.begin(), empty.end() - 4, golden.begin()));
+  EXPECT_TRUE(psvc::decode_result(empty).colors.empty());
 }
 
 TEST(ServiceWire, TruncatedPayloadThrows) {
@@ -517,7 +562,7 @@ TEST_F(ServiceTest, MalformedRequestGetsBadRequestNotDisconnect) {
 }
 
 // Strategy byte 2 belonged to the chunk-pair streaming strategy removed in
-// API 2.0. The protocol stays v2: the server answers that byte with
+// API 2.0. The frame keeps the byte (protocol v3): the server answers it with
 // BadRequest naming it as retired, rejects bytes past the last strategy as
 // unknown, and keeps serving every surviving strategy on the same
 // connection.
@@ -579,7 +624,7 @@ TEST_F(ServiceTest, RetiredStrategyByteGetsBadRequestNamingIt) {
 }
 
 // The backend byte belonged to the Pauli backend selector removed in API
-// 4.0. The frame keeps it (protocol v2): encoders write 0, and a request
+// 4.0. The frame keeps it (protocol v3): encoders write 0, and a request
 // carrying anything else gets BadRequest naming the removal, on a
 // connection that keeps serving.
 TEST_F(ServiceTest, RetiredBackendByteGetsBadRequestNamingIt) {
@@ -608,6 +653,36 @@ TEST_F(ServiceTest, RetiredBackendByteGetsBadRequestNamingIt) {
   EXPECT_NE(error.message.find("backend value 1"), std::string::npos)
       << error.message;
   EXPECT_NE(error.message.find("removed in API 4.0"), std::string::npos)
+      << error.message;
+
+  conn.write_frame(psvc::FrameType::SolveRequest, valid);
+  ASSERT_TRUE(conn.read_frame(frame));
+  EXPECT_EQ(frame.type, psvc::FrameType::Result);
+}
+
+// Protocol 3 carries Pauli strings as trimmed-plane records; a version-2
+// frame's blob holds 3-bit words, so the server refuses it, naming the
+// range it speaks, on a connection that keeps serving.
+TEST_F(ServiceTest, VersionTwoRequestGetsBadRequestNamingTheRange) {
+  start_server();
+  psvc::SolveRequestMsg msg;
+  msg.id = 8;
+  msg.records = random_set(30, 8, 12);
+  const std::vector<std::uint8_t> valid = psvc::encode_solve_request(msg);
+  ASSERT_EQ(valid[0], psvc::kProtocolVersion);
+  std::vector<std::uint8_t> old = valid;
+  old[0] = 2;
+
+  auto conn = psvc::Connection::connect(server_.address());
+  conn.write_frame(psvc::FrameType::SolveRequest, old);
+  psvc::Frame frame;
+  ASSERT_TRUE(conn.read_frame(frame));
+  ASSERT_EQ(frame.type, psvc::FrameType::Error);
+  const psvc::ErrorMsg error = psvc::decode_error(frame.payload);
+  EXPECT_EQ(error.code, psvc::ServiceErrorCode::BadRequest);
+  EXPECT_NE(error.message.find("protocol version 2 outside supported range "
+                               "[3, 3]"),
+            std::string::npos)
       << error.message;
 
   conn.write_frame(psvc::FrameType::SolveRequest, valid);

@@ -91,8 +91,9 @@ TEST(ChunkedPauliReader, RejectsZeroChunkSize) {
 }
 
 TEST(ChunkedPauliReader, PackedChunksMatchScalarChunks) {
-  // The spill file's packed tail must reload to exactly the records the
-  // full PauliSet chunk decodes from the 3-bit section.
+  // A packed chunk reload must hold exactly the records of the full
+  // PauliSet chunk (coefficients included) read from the same bytes, at a
+  // width (67 qubits) past the one-word fast path.
   const auto set = random_set(200, 67, 21);
   const auto dir = temp_spill_dir();
   std::filesystem::create_directories(dir);
@@ -100,7 +101,6 @@ TEST(ChunkedPauliReader, PackedChunksMatchScalarChunks) {
   pp::spill_pauli_set(set, path);
 
   const pp::ChunkedPauliReader reader(path, 64);
-  EXPECT_TRUE(reader.has_packed_tail());
   for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
     const pp::PauliSet scalar_chunk = reader.load_chunk(c);
     const pp::PackedPauliSet packed_chunk = reader.load_chunk_packed(c);
@@ -118,19 +118,28 @@ TEST(ChunkedPauliReader, PackedChunksMatchScalarChunks) {
   std::filesystem::remove(path);
 }
 
-TEST(ChunkedPauliReader, LegacySpillWithoutPackedTailStillLoadsPacked) {
-  // Files written by PauliSet::save_binary alone (no packed tail) fall back
-  // to decoding the 3-bit section.
+TEST(ChunkedPauliReader, SaveBinaryBytesWithoutATrailerAreATornSpill) {
+  // PauliSet::save_binary writes a base block but no checksum trailer:
+  // exactly what a write torn before its trailer leaves, so it does not
+  // open; spill_pauli_set writes the same block and its trailer.
   const auto set = random_set(50, 10, 33);
   const auto dir = temp_spill_dir();
   std::filesystem::create_directories(dir);
-  const auto path = (dir / "legacy.pset").string();
+  const auto path = (dir / "untrailed.pset").string();
   {
     std::ofstream out(path, std::ios::binary);
     set.save_binary(out);
   }
+  try {
+    const pp::ChunkedPauliReader reader(path, 20);
+    ADD_FAILURE() << "a block without a trailer opened";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("no checksum trailer"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(pp::spill_pauli_set(set, path), set.binary_size());
   const pp::ChunkedPauliReader reader(path, 20);
-  EXPECT_FALSE(reader.has_packed_tail());
   const pp::PackedPauliSet packed = reader.load_chunk_packed(1);
   ASSERT_EQ(packed.size(), 20u);
   for (std::size_t i = 0; i < packed.size(); ++i) {

@@ -4,8 +4,9 @@
 // decode_solve_request; each must either be rejected with a WireError or
 // parse into a request that checks out. Every allocation the parser makes
 // is bounded by the bytes actually present, so a tiny frame claiming a huge
-// string count is rejected before anything large is allocated. Runs in the
-// default ctest suite, and so under the ASan/UBSan job.
+// string count is rejected before anything large is allocated, and a
+// record with a plane bit set above the qubit count is rejected. Runs in
+// the default ctest suite, and so under the ASan/UBSan job.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "pauli/encoding.hpp"
 #include "pauli/pauli_set.hpp"
 #include "service/wire.hpp"
 #include "util/rng.hpp"
@@ -47,7 +47,7 @@ namespace psvc = picasso::service;
 constexpr std::size_t kMutants = 2100;
 
 // Byte offsets of the request's length fields: the tenant length, then the
-// blob length and the blob's qubit and string counts (the v2 layout, with
+// blob length and the blob's qubit and string counts (the v3 layout, with
 // the fixed-width params between tenant and blob).
 constexpr std::size_t kTenantLenAt = 12;
 std::size_t blob_len_at(const psvc::SolveRequestMsg& msg) {
@@ -92,8 +92,8 @@ void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
 }
 
 /// A parse "checks out" when the records are internally consistent (the
-/// planes decoded from the 3-bit words give the anticommutation answers of
-/// the character-comparison reference), fit in the bytes received, and
+/// planes decoded from the trimmed records give the anticommutation answers
+/// of the character-comparison reference), fit in the bytes received, and
 /// survive a re-encode unchanged.
 void expect_consistent(const psvc::SolveRequestMsg& got,
                        std::size_t payload_bytes) {
@@ -125,7 +125,7 @@ TEST(WireMutation, TinyRequestClaimingHugeCountFailsWithoutAllocating) {
   const std::size_t blob_at = blob_len_at(msg);
   payload.resize(blob_at + 4 + 40, 0);
   put_u32(payload, blob_at, 40);
-  put_u64(payload, blob_at + 4, 0x5041554c49534554ULL);  // "PAULISET"
+  put_u64(payload, blob_at + 4, pp::PauliSet::kBinaryMagic);
   put_u64(payload, blob_at + 12, 4);
   put_u64(payload, blob_at + 20, std::uint64_t{1} << 40);
 
@@ -196,8 +196,8 @@ TEST(WireMutation, EveryMutantIsRejectedOrParsesConsistently) {
     g_largest_alloc = 0;
     try {
       const psvc::SolveRequestMsg got = psvc::decode_solve_request(bytes);
-      // Allocations are bounded by what arrived: the records hold at most
-      // the blob's bytes twice over (3-bit words plus derived planes).
+      // Allocations are bounded by what arrived: the widened planes and the
+      // coefficients hold at most the blob's bytes twice over.
       EXPECT_LE(g_largest_alloc.load(), 2 * bytes.size() + 4096);
       ++parsed;
       expect_consistent(got, bytes.size());
@@ -209,4 +209,29 @@ TEST(WireMutation, EveryMutantIsRejectedOrParsesConsistently) {
   // Both outcomes occur, so neither check above is vacuous.
   EXPECT_GT(rejected, kMutants / 4);
   EXPECT_GT(parsed, kMutants / 10);
+}
+
+TEST(WireMutation, PaddingBitAboveTheQubitCountIsAWireError) {
+  const psvc::SolveRequestMsg msg = valid_request();
+  const std::vector<std::uint8_t> valid = psvc::encode_solve_request(msg);
+  // Blob: length, then magic, qubit and string counts, then the records.
+  // 30 qubits leave bits 30 and 31 of each 4-byte plane as padding.
+  const std::size_t records_at = blob_len_at(msg) + 4 + 24;
+  const std::size_t record = pp::pset_record_bytes(30);
+  for (const std::size_t string : {std::size_t{0}, std::size_t{11}}) {
+    for (const std::size_t plane : {std::size_t{0}, std::size_t{4}}) {
+      std::vector<std::uint8_t> bytes = valid;
+      bytes[records_at + string * record + plane + 3] ^= 0x40;  // bit 30
+      try {
+        psvc::decode_solve_request(bytes);
+        ADD_FAILURE() << "a padding bit parsed";
+      } catch (const psvc::WireError& error) {
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind("bad Pauli payload", 0), 0u) << what;
+        EXPECT_NE(what.find("corrupt record " + std::to_string(string)),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
 }
