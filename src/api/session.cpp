@@ -411,18 +411,10 @@ SolveReport Session::solve_incremental(const Problem& problem,
     const pauli::PauliSet& set = problem.pauli_set();
     state = make_incremental_state(params_, update_params_, streaming_,
                                    set.num_qubits());
-    if (state->spilled()) {
-      // Honor the budget during the baseline too: the budgeted-fused
-      // wrapper spills and strikes off chunked records, bit-identical to
-      // the in-memory fused engine.
-      core::StreamingOptions stream_opts = streaming_;
-      stream_opts.chunk_strings = state->chunk_strings();
-      report.result =
-          core::solve_pauli_budgeted_fused(set, params, stream_opts);
-    } else {
-      report.result = core::solve_pauli_fused(set, params);
-    }
-    state->adopt_pauli_solution(set, report.result);
+    // A spilled state honors the budget during the baseline too: it
+    // streams from the spill it keeps, bit-identical to the in-memory
+    // fused engine.
+    report.result = state->solve_pauli_baseline(set, params);
   } else {
     // Graph-backed baseline: fused solve over the explicit graph, then
     // adopt the coloring. Later update() calls take GraphVertexDelta

@@ -1,8 +1,10 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "core/solve_fused.hpp"
@@ -142,6 +144,50 @@ pauli::PackedRecordProber FusedState::make_prober() const {
   return pauli::PackedRecordProber(store_.packed_view());
 }
 
+PicassoResult FusedState::solve_pauli_baseline(const pauli::PauliSet& set,
+                                               const PicassoParams& params) {
+  if (kind_ != Kind::Unset || !colors_.empty()) {
+    throw std::logic_error(
+        "FusedState::solve_pauli_baseline: state already has records");
+  }
+  PicassoResult result;
+  if (!use_spill_ || set.empty()) {
+    result = solve_pauli_fused(set, params);
+  } else if (!try_spill_base(set)) {
+    result = solve_pauli_fused_after_enospc(set, params);
+  } else {
+    // A copy shares the verified walk but keeps its own chunk-load
+    // accounting, so the state's reader starts its first update as cold as
+    // a freshly opened one.
+    const pauli::ChunkedPauliReader baseline_reader = *reader_;
+    result = solve_pauli_chunked_fused(baseline_reader, params);
+    result.memory.spill_bytes = set.binary_size();
+    // Disk-side footprint, reported but never counted against the budget.
+    result.memory.subsystem_peak[static_cast<unsigned>(
+        util::MemSubsystem::Spill)] = set.binary_size();
+  }
+  adopt_pauli_solution(set, result);
+  return result;
+}
+
+bool FusedState::try_spill_base(const pauli::PauliSet& set) {
+  try {
+    spill_base(set);
+  } catch (const std::system_error& e) {
+    if (e.code().value() != ENOSPC) throw;
+    spill_guard_.reset();  // removes what was written
+    return false;
+  }
+  return true;
+}
+
+void FusedState::spill_base(const pauli::PauliSet& set) {
+  // The guard comes first, so a write that fails part-way leaves no file.
+  spill_guard_ = std::make_unique<SpillGuard>(spill_path_);
+  spill_pauli_set(set, spill_path_);
+  sync_reader();
+}
+
 void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,
                                       const PicassoResult& result) {
   if (kind_ != Kind::Unset || !colors_.empty()) {
@@ -156,12 +202,10 @@ void FusedState::adopt_pauli_solution(const pauli::PauliSet& set,
   num_qubits_ = set.num_qubits();
   rec_words_ = pauli::packed_words(num_qubits_);
   colors_.assign(set.size(), kUncolored);
-  if (use_spill_) {
-    spill_pauli_set(set, spill_path_);
-    spill_guard_ = std::make_unique<SpillGuard>(spill_path_);
-    sync_reader();
-  } else {
+  if (!use_spill_) {
     store_ = set;
+  } else if (!reader_) {
+    spill_base(set);
   }
   cursor_ = set.size();
   rebuild_from_colors(result.colors);

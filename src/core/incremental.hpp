@@ -109,9 +109,20 @@ class FusedState {
   /// removes it on destruction.
   void use_spill(std::string path, std::size_t chunk_strings);
 
-  /// Seeds the state from a completed full solve over `set` (the baseline
-  /// of Session::solve_incremental): adopts the records, the coloring, and
-  /// rebuilds buckets + signatures. Must be the first ingest.
+  /// The baseline of Session::solve_incremental: a fused solve of `set`
+  /// under `params`, adopted as by adopt_pauli_solution. A spilled state
+  /// writes `set` once, as its own spill, and the baseline streams from
+  /// that spill (solve_pauli_chunked_fused; the coloring is bit-identical
+  /// to the in-memory engine). A full spill device (ENOSPC) falls back to
+  /// solve_pauli_fused_after_enospc, and adoption then tries the spill
+  /// once more. Must be the first ingest.
+  PicassoResult solve_pauli_baseline(const pauli::PauliSet& set,
+                                     const PicassoParams& params);
+
+  /// Seeds the state from a completed full solve over `set`: adopts the
+  /// records (a spilled state writes its spill unless
+  /// solve_pauli_baseline already did), the coloring, and rebuilds
+  /// buckets + signatures. Must be the first ingest.
   void adopt_pauli_solution(const pauli::PauliSet& set,
                             const PicassoResult& result);
 
@@ -159,6 +170,12 @@ class FusedState {
   enum class Kind { Unset, Pauli, Graph };
 
   void ingest_pauli(const pauli::PauliSet& delta, obs::TraceRecorder* trace);
+  /// Writes `set` as the state's spill (owned from here on) and opens the
+  /// reader on it.
+  void spill_base(const pauli::PauliSet& set);
+  /// spill_base, except that a full device (ENOSPC) removes the partial
+  /// spill and returns false.
+  bool try_spill_base(const pauli::PauliSet& set);
   /// Opens the spill reader and cache on first use; afterwards refreshes
   /// the reader in place and drops only the chunks that changed.
   void sync_reader();

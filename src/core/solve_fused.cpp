@@ -1,7 +1,6 @@
 #include "core/solve_fused.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <filesystem>
 #include <system_error>
 
@@ -35,24 +34,19 @@ std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
   if (n == 0) return 0;
   const IterationPalette palette =
       compute_palette(n, palette_percent, alpha, 0);
-  const double v = n;
-  const double l = palette.list_size;
-  const double mask_words = std::ceil(l / 64.0);
-  const double entry_bytes =
-      palette.palette_size <= ColorLists::kNarrowPaletteLimit ? 2.0 : 4.0;
-  const double lists = entry_bytes * v * l;
-  const double index = 4.0 * v * l + 4.0 * (palette.palette_size + 1.0);
-  // Strike state: one record per vertex (a position/size word plus the
-  // presence mask) and one alive flag, L + 1 bucket headers, and the bucket
-  // vectors' entry capacity: the initial bucket is reserved at exactly n,
-  // and each of the L lower buckets is taken to fill to at most n/4 at once,
-  // doubled for push_back growth (random Pauli sets, whose complement graphs
-  // are ~50% dense, peak near n/5 at L <= 10 and n/13 at L ~ 130).
-  // Assignment: at most one 32-bit word per vertex.
-  const double records = 8.0 * v * (1.0 + mask_words) + v;
-  const double buckets = 24.0 * (l + 1.0) + 4.0 * (v + v * l / 2.0);
-  const double assigned = 4.0 * v;
-  return static_cast<std::size_t>(lists + index + records + buckets + assigned);
+  const std::size_t v = n;
+  const std::size_t l = palette.list_size;
+  const std::size_t entry_bytes =
+      palette.palette_size <= ColorLists::kNarrowPaletteLimit ? 2 : 4;
+  const std::size_t lists = entry_bytes * v * l;
+  const std::size_t index = 4 * v * l + 4 * (palette.palette_size + 1);
+  // Strike state: exactly what the bucket scheme's detail::StrikeState
+  // holds (packed records, alive flags, the bucket page pool and its page
+  // tables). Assignment: at most one 32-bit word per vertex.
+  const std::size_t strike =
+      detail::StrikeState::bucketed_bytes(n, palette.list_size);
+  const std::size_t assigned = 4 * v;
+  return lists + index + strike + assigned;
 }
 
 PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
@@ -124,6 +118,19 @@ PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
   return result;
 }
 
+PicassoResult solve_pauli_fused_after_enospc(const pauli::PauliSet& set,
+                                            const PicassoParams& params) {
+  // Degrade rather than fail the request: same engine, same seed, so the
+  // coloring is bit-identical; only the peak memory profile differs, and
+  // the caller is told.
+  PicassoResult fallback = solve_pauli_fused(set, params);
+  fallback.degraded = true;
+  fallback.degraded_reason =
+      "spill device full (ENOSPC): streamed plan fell back to an "
+      "in-memory solve";
+  return fallback;
+}
+
 PicassoResult solve_pauli_budgeted_fused(const pauli::PauliSet& set,
                                          const PicassoParams& params,
                                          const StreamingOptions& options) {
@@ -147,17 +154,9 @@ PicassoResult solve_pauli_budgeted_fused(const pauli::PauliSet& set,
     spill_bytes = pauli::spill_pauli_set(set, spill_path.string());
   } catch (const std::system_error& e) {
     if (e.code().value() != ENOSPC) throw;
-    // Spill device full: degrade to an in-memory solve rather than failing
-    // the request. The coloring is bit-identical (same engine, same seed);
-    // only the peak memory profile differs, and the caller is told.
     std::error_code ec;
     fs::remove(spill_path, ec);
-    PicassoResult fallback = solve_pauli_fused(set, params);
-    fallback.degraded = true;
-    fallback.degraded_reason =
-        "spill device full (ENOSPC): streamed plan fell back to an "
-        "in-memory solve";
-    return fallback;
+    return solve_pauli_fused_after_enospc(set, params);
   }
   PicassoResult result;
   try {

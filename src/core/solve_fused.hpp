@@ -86,11 +86,12 @@ std::size_t projected_conflict_csr_bytes(std::uint32_t n,
 /// and holds, all at once: the color lists (nL colors, 2 bytes each when
 /// P <= ColorLists::kNarrowPaletteLimit and 4 otherwise, no palette
 /// signatures), the (vertex, slot) index (nL entries + P + 1 offsets), and
-/// the dynamic-bucket coloring state (one strike record and one alive flag
-/// per vertex, the size-bucket vectors, the assignment array). Strike-scan scratch (5
-/// bytes per entry of the largest bucket, the tester's 4-byte global ids
-/// per candidate, one touched flag per vertex) is charged after the
-/// coloring state is released and never exceeds it.
+/// the dynamic-bucket coloring state (detail::StrikeState::bucketed_bytes:
+/// packed strike records, alive flags, the size buckets' page pool and
+/// page tables; plus the assignment array). Strike-scan scratch (5 bytes
+/// per entry of the largest bucket, the tester's 4-byte global ids per
+/// candidate, one touched flag per vertex) is charged after the coloring
+/// state is released and never exceeds it.
 std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
                                   double alpha);
 
@@ -522,6 +523,11 @@ PicassoResult solve_pauli_fused(const pauli::PauliSet& set,
 /// engines throughout.
 PicassoResult solve_pauli_chunked_fused(const pauli::ChunkedPauliReader& reader,
                                         const PicassoParams& params);
+
+/// The in-memory fallback of a streamed plan whose spill device is full
+/// (ENOSPC): solve_pauli_fused, flagged in PicassoResult::degraded.
+PicassoResult solve_pauli_fused_after_enospc(const pauli::PauliSet& set,
+                                            const PicassoParams& params);
 
 /// Memory-budgeted Pauli engine. With no budget and no explicit chunk size
 /// this is exactly solve_pauli_fused; when the encoded set takes more than

@@ -428,6 +428,8 @@ TEST(FusedEngine, ProjectedCsrBytesIsMonotoneAndPositive) {
 // palette regimes (normal: L << P; aggressive: L at or near P).
 TEST(FusedEngine, ProjectedFusedBytesBoundsMeasuredPeak) {
   EXPECT_EQ(pcore::projected_fused_bytes(0, 12.5, 2.0), 0u);
+  const pcore::PicassoParams params_default;
+  int checked_tight = 0;
   struct Palette {
     double percent;
     double alpha;
@@ -450,6 +452,13 @@ TEST(FusedEngine, ProjectedFusedBytesBoundsMeasuredPeak) {
       EXPECT_GE(projected, result.memory.peak_tracked_bytes)
           << "n=" << n << " palette " << pal.percent << "% alpha "
           << pal.alpha;
+      if (n == 16400 && pal.percent == params_default.palette_percent &&
+          pal.alpha == params_default.alpha) {
+        // Tight enough that admission does not over-reserve.
+        EXPECT_LE(static_cast<double>(projected),
+                  1.10 * static_cast<double>(result.memory.peak_tracked_bytes));
+        ++checked_tight;
+      }
       // The lists are the whole PaletteLists charge: nL colors of the
       // first (largest) iteration, 16 bits each at these palettes, and no
       // palette signatures.
@@ -463,4 +472,5 @@ TEST(FusedEngine, ProjectedFusedBytesBoundsMeasuredPeak) {
           << pal.alpha;
     }
   }
+  EXPECT_EQ(checked_tight, 1);
 }

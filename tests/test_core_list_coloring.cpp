@@ -190,3 +190,226 @@ TEST(ListColoring, ReportsAuxBytes) {
   const auto result = pcore::color_conflict_graph_dynamic(gc, lists, rng);
   EXPECT_GT(result.aux_peak_bytes, 0u);
 }
+
+// --- Strike state: paged buckets and packed records ------------------------
+
+namespace {
+
+namespace pd = pcore::detail;
+
+/// The bucket queue and strike records as plain vectors: size buckets with
+/// swap-with-last erase and push_back insert, per-vertex positions and list
+/// sizes, and one presence flag per list slot.
+class ReferenceStrikeState {
+ public:
+  explicit ReferenceStrikeState(const pcore::ColorLists& lists)
+      : buckets_(lists.list_size() + 1),
+        pos_(lists.num_vertices()),
+        size_(lists.num_vertices(), lists.list_size()),
+        present_(lists.num_vertices(),
+                 std::vector<std::uint8_t>(lists.list_size(), 1)) {
+    for (std::uint32_t v = 0; v < lists.num_vertices(); ++v) {
+      pos_[v] = v;
+      buckets_[lists.list_size()].push_back(v);
+    }
+  }
+
+  const std::vector<std::uint32_t>& bucket(std::uint32_t key) const {
+    return buckets_[key];
+  }
+  std::uint32_t size_of(std::uint32_t v) const { return size_[v]; }
+  bool live(std::uint32_t v, std::uint32_t slot) const {
+    return present_[v][slot] != 0;
+  }
+
+  /// Slot of v's idx-th present color.
+  std::uint32_t slot_at(std::uint32_t v, std::uint32_t idx) const {
+    for (std::uint32_t s = 0; s < present_[v].size(); ++s) {
+      if (present_[v][s] && idx-- == 0) return s;
+    }
+    return kNone;
+  }
+
+  void erase(std::uint32_t v) { unlink(v); }
+
+  void retire(std::uint32_t v) {
+    size_[v] = 0;
+    std::fill(present_[v].begin(), present_[v].end(), 0);
+  }
+
+  void strike(std::uint32_t u, std::uint32_t slot) {
+    unlink(u);
+    present_[u][slot] = 0;
+    if (--size_[u] == 0) return;
+    pos_[u] = static_cast<std::uint32_t>(buckets_[size_[u]].size());
+    buckets_[size_[u]].push_back(u);
+  }
+
+ private:
+  void unlink(std::uint32_t v) {
+    auto& bucket = buckets_[size_[v]];
+    const std::uint32_t last = bucket.back();
+    bucket[pos_[v]] = last;
+    pos_[last] = pos_[v];
+    bucket.pop_back();
+  }
+
+  std::vector<std::vector<std::uint32_t>> buckets_;
+  std::vector<std::uint32_t> pos_;
+  std::vector<std::uint32_t> size_;
+  std::vector<std::vector<std::uint8_t>> present_;
+};
+
+void expect_same_buckets(pd::StrikeState& state,
+                         const ReferenceStrikeState& ref, std::uint32_t l,
+                         int step) {
+  for (std::uint32_t key = 1; key <= l; ++key) {
+    const auto& want = ref.bucket(key);
+    ASSERT_EQ(state.bucket_size(key), want.size())
+        << "key " << key << " step " << step;
+    for (std::uint32_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(state.member(key, i), want[i])
+          << "key " << key << " index " << i << " step " << step;
+    }
+  }
+}
+
+/// Drives a bucketed StrikeState and the reference through one seeded run
+/// of Algorithm 2's operations — pick a random member of the lowest bucket,
+/// erase it, pick a random surviving color, retire it, then strike random
+/// live slots of random vertices — and asserts the picks and the buckets
+/// agree after each round, and every record on a cadence; counts the
+/// strikes made.
+void run_against_reference(std::uint32_t n, std::uint32_t p, std::uint32_t l,
+                           std::uint64_t seed, std::uint64_t& strikes) {
+  const pcore::IterationPalette palette{p, l, 0};
+  const auto lists = pcore::assign_random_lists(n, palette, seed, 0);
+  pd::StrikeState state(lists, /*bucketed=*/true);
+  ReferenceStrikeState ref(lists);
+  picasso::util::Xoshiro256 rng(seed);
+  strikes = 0;
+  int step = 0;
+  expect_same_buckets(state, ref, l, step);
+  while (!state.empty()) {
+    ++step;
+    const std::uint32_t key = state.min_key();
+    std::uint32_t lowest = 1;
+    while (ref.bucket(lowest).empty()) ++lowest;
+    EXPECT_EQ(key, lowest) << "step " << step;
+    const auto i = static_cast<std::uint32_t>(rng.bounded(state.bucket_size(key)));
+    const std::uint32_t v = state.member(key, i);
+    EXPECT_EQ(v, ref.bucket(key)[i]) << "step " << step;
+    state.erase(v);
+    ref.erase(v);
+    const auto idx = static_cast<std::uint32_t>(rng.bounded(key));
+    const std::uint32_t slot = ref.slot_at(v, idx);
+    EXPECT_EQ(state.color_at(v, idx), lists.list_copy(v)[slot])
+        << "step " << step;
+    state.retire(v);
+    ref.retire(v);
+
+    // A burst of strikes: random vertices, a random live slot of each.
+    const auto burst = static_cast<std::uint32_t>(rng.bounded(2 * l + 2));
+    for (std::uint32_t k = 0; k < burst; ++k) {
+      const auto u = static_cast<std::uint32_t>(rng.bounded(n));
+      if (!state.alive(u)) {
+        EXPECT_EQ(ref.size_of(u), 0u) << "u " << u << " step " << step;
+        continue;
+      }
+      const std::uint32_t s = ref.slot_at(
+          u, static_cast<std::uint32_t>(rng.bounded(ref.size_of(u))));
+      EXPECT_TRUE(state.live(u, s)) << "u " << u << " step " << step;
+      state.strike(u, s);
+      ref.strike(u, s);
+      ++strikes;
+    }
+    expect_same_buckets(state, ref, l, step);
+    if (::testing::Test::HasFatalFailure()) return;
+    // Every record, on a cadence that keeps the larger shapes quick.
+    if (step % (n / 256 + 1) != 0 && !state.empty()) continue;
+    for (std::uint32_t u = 0; u < n; ++u) {
+      ASSERT_EQ(state.size_of(u), ref.size_of(u)) << "u " << u;
+      ASSERT_EQ(state.alive(u), ref.size_of(u) != 0) << "u " << u;
+      for (std::uint32_t s = 0; s < l; ++s) {
+        ASSERT_EQ(state.live(u, s), ref.live(u, s)) << "u " << u << " s " << s;
+      }
+    }
+  }
+  for (std::uint32_t key = 1; key <= l; ++key) {
+    EXPECT_TRUE(ref.bucket(key).empty()) << "key " << key;
+  }
+}
+
+}  // namespace
+
+TEST(StrikeState, RecordWordsFollowTheLayout) {
+  // 32 cell bits, bit_width(L) size bits, then L mask bits.
+  EXPECT_EQ(pd::StrikeState::record_words(1), 1u);
+  EXPECT_EQ(pd::StrikeState::record_words(27), 1u);
+  EXPECT_EQ(pd::StrikeState::record_words(28), 2u);
+  EXPECT_EQ(pd::StrikeState::record_words(90), 3u);
+  // Page size bit_floor(sqrt(n)), at least 16.
+  EXPECT_EQ(pd::StrikeState::page_shift(1), 4u);
+  EXPECT_EQ(pd::StrikeState::page_shift(1023), 4u);
+  EXPECT_EQ(pd::StrikeState::page_shift(1024), 5u);
+  EXPECT_EQ(pd::StrikeState::page_shift(20000), 7u);
+  EXPECT_EQ(pd::StrikeState::pool_pages(20000, 9), 157u + 9 + 1);
+}
+
+struct StrikeShape {
+  std::uint32_t n;
+  std::uint32_t p;
+  std::uint32_t l;
+};
+
+class StrikeStateVsReference : public ::testing::TestWithParam<StrikeShape> {};
+
+TEST_P(StrikeStateVsReference, SamePicksBucketsAndRecords) {
+  const StrikeShape shape = GetParam();
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    std::uint64_t strikes = 0;
+    run_against_reference(shape.n, shape.p, shape.l, seed, strikes);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(strikes, shape.n / 4) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, StrikeStateVsReference,
+    ::testing::Values(
+        StrikeShape{1000, 40, 8},   // B = 16: many page crossings
+        StrikeShape{1025, 30, 5},   // n just past a power of two
+        StrikeShape{4100, 90, 12},  // B = 64
+        StrikeShape{300, 10, 1},    // L = 1
+        StrikeShape{200, 12, 12},   // L = P
+        StrikeShape{17, 4, 4},      // one partly filled page
+        StrikeShape{300, 60, 27},   // the widest one-word record
+        StrikeShape{300, 60, 28},   // two-word records
+        StrikeShape{300, 120, 90}   // three-word records
+        ),
+    [](const ::testing::TestParamInfo<StrikeShape>& info) {
+      return "n" + std::to_string(info.param.n) + "_P" +
+             std::to_string(info.param.p) + "_L" +
+             std::to_string(info.param.l);
+    });
+
+TEST(StrikeState, AuxBytesFollowTheLayoutFormula) {
+  constexpr std::uint32_t n = 1000;
+  auto [gc, lists] = make_fixture(n, 0.4, 10.0, 2.0, 6);
+  const std::uint32_t l = lists.list_size();
+  picasso::util::Xoshiro256 rng(6);
+  const auto result = pcore::color_conflict_graph_dynamic(gc, lists, rng);
+  // B = bit_floor(sqrt(1000)) = 16 (the floor), ceil(n / B) = 63 pages per
+  // page table; each bucket header is a tail pointer, a table pointer and
+  // a size (24 bytes on LP64).
+  constexpr std::size_t kPage = 16;
+  constexpr std::size_t kTable = 63;
+  const std::size_t records = 8 * pd::StrikeState::record_words(l) * n;
+  const std::size_t alive = n;
+  const std::size_t pool = 4 * kPage * (kTable + l + 1);
+  const std::size_t tables = 4 * kTable * (l + 1);
+  const std::size_t headers = 24 * (l + 1);
+  EXPECT_EQ(result.aux_peak_bytes, records + alive + pool + tables + headers +
+                                       result.assigned.logical_bytes())
+      << "L=" << l;
+}

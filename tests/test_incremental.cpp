@@ -527,6 +527,56 @@ TEST(SpilledUpdate, UpdateWritesOnlyItsAppendSegment) {
   }
 }
 
+TEST(SpilledUpdate, SpilledBaselineWritesItsBaseOnce) {
+  constexpr std::uint64_t kTrailerBytes = 16;  // PSETSUM2 magic + checksum
+  const auto strings = random_strings(64, 12, 841);
+  const pp::PauliSet base = slice(strings, 0, 64);
+  auto plain = papi::SessionBuilder().seed(8).build();
+  const auto want = plain.solve_incremental(papi::Problem::pauli(base));
+
+  auto session = spilled_session(8, 16);
+  const auto report = session.solve_incremental(papi::Problem::pauli(base));
+  // The baseline streams from the state's own spill: one base block
+  // reaches the disk, and the spill holds that block and its trailer.
+  EXPECT_EQ(report.telemetry.counters[picasso::obs::Counter::SpillBytesWritten],
+            base.binary_size());
+  EXPECT_TRUE(report.result.memory.streamed);
+  EXPECT_EQ(report.result.memory.spill_bytes, base.binary_size());
+  EXPECT_FALSE(report.result.degraded);
+  EXPECT_EQ(report.result.colors, want.result.colors);
+  const pcore::FusedState* state = session.incremental_state();
+  ASSERT_NE(state, nullptr);
+  ASSERT_TRUE(state->spilled());
+  EXPECT_EQ(fs::file_size(state->spill_path()),
+            base.binary_size() + kTrailerBytes);
+}
+
+TEST(SpilledUpdate, FullDeviceAtTheBaselineDegradesAndAdoptionRetriesTheSpill) {
+  FailpointGuard failpoints;
+  const auto strings = random_strings(80, 12, 843);
+  const pp::PauliSet base = slice(strings, 0, 64);
+  auto plain = papi::SessionBuilder().seed(8).build();
+  const auto want = plain.solve_incremental(papi::Problem::pauli(base));
+  const auto want_next =
+      plain.update(papi::UpdateDelta::pauli(slice(strings, 64, 80)));
+
+  auto session = spilled_session(8, 16);
+  picasso::util::failpoints::arm(
+      "spill.write", {picasso::util::failpoints::Mode::Enospc, 0, 1});
+  const auto report = session.solve_incremental(papi::Problem::pauli(base));
+  EXPECT_TRUE(report.result.degraded);
+  EXPECT_FALSE(report.result.memory.streamed);
+  EXPECT_EQ(report.result.colors, want.result.colors);
+  // The second write went through: the state is spilled and updates.
+  const pcore::FusedState* state = session.incremental_state();
+  ASSERT_NE(state, nullptr);
+  ASSERT_TRUE(state->spilled());
+  EXPECT_TRUE(fs::exists(state->spill_path()));
+  const auto next =
+      session.update(papi::UpdateDelta::pauli(slice(strings, 64, 80)));
+  EXPECT_EQ(next.result.colors, want_next.result.colors);
+}
+
 TEST(SpilledUpdate, SecondUpdateExtendsTheGrownChunkWithItsAppendedRecords) {
   constexpr std::size_t kChunk = 32;
   constexpr std::size_t kQubits = 12;
