@@ -5,7 +5,8 @@
 // costs ~n^2/2 regardless and wins once L^2 >= P (the aggressive regime,
 // where every pair shares a color anyway). This bench sweeps alpha at fixed
 // P' to walk across the crossover and shows that the Auto policy tracks the
-// best of the two — the design choice behind PicassoParams::kernel's default.
+// best of the two — the design choice behind the reference engines' default
+// kernel argument.
 //
 // Part 2 — anticommutation kernels behind the conflict-oracle interface:
 // the 3-bit inverse-one-hot per-pair kernel (the paper's §IV-A encoding)
@@ -13,7 +14,6 @@
 // Colorings are asserted identical; single-threaded wall times and the
 // packed-vs-scalar speedup land in the bench JSON (the CI artifact).
 
-#include "api/session.hpp"
 #include "bench_common.hpp"
 #include "core/picasso.hpp"
 #include "pauli/pauli_packed.hpp"
@@ -58,13 +58,7 @@ int main() {
       params.palette_percent = 10.0;
       params.alpha = alpha;
       params.seed = 1;
-      params.kernel = kernel;
-      return api::SessionBuilder()
-          .params(params)
-          .strategy(api::ExecutionStrategy::InMemory)
-          .build()
-          .solve(api::Problem::pauli(set))
-          .result;
+      return core::solve_pauli(set, params, kernel);
     };
     const auto ref = run(core::ConflictKernel::Reference);
     const auto idx = run(core::ConflictKernel::Indexed);
@@ -119,9 +113,9 @@ int main() {
     params.palette_percent = 12.5;
     params.alpha = 2.0;
     params.seed = 1;
-    // All-pairs scan so every kernel runs the same (blocked) pair loop;
-    // single-threaded so the wall time is kernel time.
-    params.kernel = core::ConflictKernel::Reference;
+    // All-pairs scan (the Reference kernel below) so every kernel runs the
+    // same (blocked) pair loop; single-threaded so the wall time is kernel
+    // time.
     params.runtime.num_threads = 1;
     // Repeat and keep the best wall time per kernel: conflict_seconds is
     // the pair-scan phase, which these kernels differ in.
@@ -129,7 +123,8 @@ int main() {
       double best = 1e30;
       const int reps = bench::quick_mode() ? 3 : 5;
       for (int r = 0; r < reps; ++r) {
-        auto result = core::solve_oracle(oracle, params);
+        auto result = core::solve_oracle(oracle, params,
+                                          core::ConflictKernel::Reference);
         best = std::min(best, result.conflict_seconds);
         *out = std::move(result);
       }

@@ -23,6 +23,7 @@
 #include "core/picasso.hpp"
 #include "core/streaming.hpp"
 #include "graph/graph_gen.hpp"
+#include "obs/metrics.hpp"
 #include "util/fnv.hpp"
 
 namespace {
@@ -64,28 +65,32 @@ int main() {
     const std::size_t eclgc = csr + n * (sizeof(std::uint64_t) + 3 * sizeof(std::uint32_t));
 
     // Single-threaded so the tracked peak is machine-independent — these
-    // records feed the CI regression gate. The materialized run pins the
-    // Indexed kernel (the optimised CSR build) so the fused timing ratio
-    // below is against the strongest CSR path.
+    // records feed the CI regression gate. The materialized run calls the
+    // reference engine with the Indexed kernel (the optimised CSR build) so
+    // the fused timing ratio below is against the strongest CSR path; its
+    // run scope collects the counters a Counters-level session would.
     enum class Mode { Materialized, Fused };
-    auto run = [&](double percent, double alpha, Mode mode) {
+    using Run = std::pair<core::PicassoResult, obs::CounterTotals>;
+    auto run = [&](double percent, double alpha, Mode mode) -> Run {
       core::PicassoParams params;
       params.palette_percent = percent;
       params.alpha = alpha;
       params.seed = 1;
       params.runtime.num_threads = 1;
-      auto builder = api::SessionBuilder().params(params).telemetry(
-          obs::TelemetryLevel::Counters);
       if (mode == Mode::Fused) {
-        builder.strategy(api::ExecutionStrategy::Fused);
-      } else {
-        builder.strategy(api::ExecutionStrategy::InMemory)
-            .kernel(core::ConflictKernel::Indexed);
+        const api::SolveReport report =
+            api::SessionBuilder()
+                .params(params)
+                .telemetry(obs::TelemetryLevel::Counters)
+                .strategy(api::ExecutionStrategy::Fused)
+                .build()
+                .solve(api::Problem::pauli(set));
+        return {report.result, report.telemetry.counters};
       }
-      const api::SolveReport report =
-          builder.build().solve(api::Problem::pauli(set));
-      return std::pair<core::PicassoResult, obs::CounterTotals>(
-          report.result, report.telemetry.counters);
+      obs::MetricsRunScope metrics_scope(/*enable=*/true);
+      core::PicassoResult result =
+          core::solve_pauli(set, params, core::ConflictKernel::Indexed);
+      return {std::move(result), obs::global_metrics().totals()};
     };
     auto emit = [&](const core::PicassoResult& r,
                     const obs::CounterTotals& counters,

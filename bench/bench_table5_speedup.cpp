@@ -15,7 +15,6 @@
 // runtime, and the build speedup grows with instance size (geomean ~60x on
 // the paper's testbed).
 
-#include "api/session.hpp"
 #include "bench_common.hpp"
 #include "core/picasso.hpp"
 
@@ -37,24 +36,12 @@ int main() {
 
     // CPU-only configuration.
     const bench::NaiveComplementOracle naive(set);
-    core::PicassoParams ref_params = params;
-    ref_params.kernel = core::ConflictKernel::Reference;
-    const auto ref = api::SessionBuilder()
-                         .params(ref_params)
-                         .strategy(api::ExecutionStrategy::InMemory)
-                         .build()
-                         .solve(api::Problem::oracle(naive))
-                         .result;
+    const auto ref =
+        core::solve_oracle(naive, params, core::ConflictKernel::Reference);
 
     // Accelerated configuration (identical coloring policy and seed).
-    core::PicassoParams fast_params = params;
-    fast_params.kernel = core::ConflictKernel::Indexed;
-    const auto fast = api::SessionBuilder()
-                          .params(fast_params)
-                          .strategy(api::ExecutionStrategy::InMemory)
-                          .build()
-                          .solve(api::Problem::pauli(set))
-                          .result;
+    const auto fast =
+        core::solve_pauli(set, params, core::ConflictKernel::Indexed);
 
     if (fast.colors != ref.colors) {
       std::printf("ERROR: configurations diverged on %s\n", spec.name.c_str());

@@ -444,7 +444,7 @@ int cmd_partition(const CliOptions& opt) {
   }
   // The edge-free engine never builds the conflict graph: its count is the
   // edges the strike scans visited, a lower bound of the conflict-graph
-  // size for the dynamic schemes.
+  // size.
   const bool edges_visited = engine == api::ExecutionStrategy::Fused;
   std::printf("%s under %s: %zu strings -> %zu groups (%.2fx), "
               "%zu iterations, %llu max conflict edges%s, %s\n",

@@ -147,8 +147,7 @@ std::uint64_t problem_fingerprint(const pauli::PackedView& view,
       std::bit_cast<std::uint64_t>(params.palette_percent),
       std::bit_cast<std::uint64_t>(params.alpha),
       params.seed,
-      static_cast<std::uint64_t>(params.max_iterations),
-      static_cast<std::uint64_t>(params.conflict_scheme)};
+      static_cast<std::uint64_t>(params.max_iterations)};
   return util::hash_words(fields, std::size(fields));
 }
 

@@ -154,12 +154,12 @@ class UpdateDelta {
 /// planes hash and params) of the canonical bytes — identical whether the
 /// records arrived symbolic, packed or off the wire — plus exactly the
 /// params that can change the coloring: palette_percent, alpha, seed,
-/// max_iterations, conflict_scheme. Backend, kernel, thread count, strategy,
-/// telemetry and budget are deliberately EXCLUDED — the library's
-/// determinism contract pins colorings bit-identical across all of them, so
-/// one cache entry serves every execution flavor of the same problem.
-/// Values differ from builds that folded the planes byte by byte with
-/// FNV-1a; nothing persists them (the service cache lives in memory).
+/// max_iterations. Thread count, strategy, telemetry and budget are
+/// deliberately EXCLUDED — the library's determinism contract pins
+/// colorings bit-identical across all of them, so one cache entry serves
+/// every execution flavor of the same problem. Values differ from 8.x
+/// builds, which also folded in the coloring-scheme word; nothing persists
+/// them (the service cache lives in memory).
 std::uint64_t problem_fingerprint(const pauli::PackedView& view,
                                   std::size_t num_qubits,
                                   const core::PicassoParams& params);
@@ -329,11 +329,6 @@ class SessionBuilder {
 
   SessionBuilder& max_iterations(int iterations) {
     session_.params_.max_iterations = iterations;
-    return *this;
-  }
-
-  SessionBuilder& kernel(core::ConflictKernel kernel) {
-    session_.params_.kernel = kernel;
     return *this;
   }
 

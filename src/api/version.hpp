@@ -31,9 +31,13 @@
 // PauliSet::write_words3, ChunkedPauliReader::has_packed_tail, the reading
 // of packed-tail-less and PSETSUM1 spills; ChunkedPauliReader::refresh()
 // now returns the unchanged string count, which
-// PackedPauliChunkCache::sync() (replacing drop_from) takes.
+// PackedPauliChunkCache::sync() (replacing drop_from) takes. 9.0 removed
+// the coloring-scheme field of PicassoParams (every engine colors by
+// Algorithm 2) and moved its conflict-kernel field to a trailing argument
+// of the reference engines solve_oracle / solve_pauli, dropping
+// SessionBuilder::kernel().
 
-#define PICASSO_API_VERSION_MAJOR 8
+#define PICASSO_API_VERSION_MAJOR 9
 #define PICASSO_API_VERSION_MINOR 0
 #define PICASSO_API_VERSION_PATCH 0
 

@@ -4,9 +4,9 @@
 // such as Kokkos-EB build on; our Kokkos-EB comparator in Tables III/IV.
 //
 // Rounds of: (1) every uncolored vertex speculatively takes the smallest
-// color unused by its neighbors, in parallel; (2) conflicts (same color on
-// an edge, both endpoints colored this scheme) are detected and the
-// higher-id endpoint is uncolored for the next round.
+// color unused by its neighbors; (2) conflicts (same color on an edge, both
+// endpoints colored this scheme) are detected and the higher-id endpoint is
+// uncolored for the next round. The rounds run on the calling thread.
 
 #include <cstdint>
 #include <vector>
@@ -29,38 +29,25 @@ ColoringResult speculative_color(const G& g, int max_rounds = 100) {
   for (VertexId v = 0; v < n; ++v) active.push_back(v);
   std::vector<VertexId> next;
   std::vector<char> conflicted(n, 0);
+  std::vector<std::uint64_t> forbid_mark(g.max_degree() + 2, 0);
+  std::uint64_t stamp = 0;
 
   int rounds = 0;
   while (!active.empty() && rounds < max_rounds) {
     ++rounds;
-    // Phase 1: speculative first-fit on every active vertex in parallel.
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp parallel
-#endif
-    {
-      std::vector<std::uint64_t> forbid_mark(g.max_degree() + 2, 0);
-      std::uint64_t stamp = 0;
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp for schedule(dynamic, 256)
-#endif
-      for (std::size_t idx = 0; idx < active.size(); ++idx) {
-        const VertexId v = active[idx];
-        ++stamp;
-        for_each_neighbor(g, v, [&](VertexId u) {
-          const std::uint32_t c = result.colors[u];
-          if (c != kNoColor && c < forbid_mark.size()) forbid_mark[c] = stamp;
-        });
-        std::uint32_t c = 0;
-        while (c < forbid_mark.size() && forbid_mark[c] == stamp) ++c;
-        result.colors[v] = c;
-      }
+    // Phase 1: speculative first-fit on every active vertex.
+    for (const VertexId v : active) {
+      ++stamp;
+      for_each_neighbor(g, v, [&](VertexId u) {
+        const std::uint32_t c = result.colors[u];
+        if (c != kNoColor && c < forbid_mark.size()) forbid_mark[c] = stamp;
+      });
+      std::uint32_t c = 0;
+      while (c < forbid_mark.size() && forbid_mark[c] == stamp) ++c;
+      result.colors[v] = c;
     }
     // Phase 2: conflict detection; the higher-id endpoint loses its color.
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 256)
-#endif
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      const VertexId v = active[idx];
+    for (const VertexId v : active) {
       for_each_neighbor(g, v, [&](VertexId u) {
         if (u < v && result.colors[u] == result.colors[v]) conflicted[v] = 1;
       });

@@ -41,20 +41,12 @@ bool is_valid_coloring_oracle(const Oracle& oracle,
   for (VertexId v = 0; v < n; ++v) {
     if (colors[v] == kNoColor) return false;
   }
-  bool ok = true;
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 64)
-#endif
   for (VertexId u = 0; u < n; ++u) {
-    if (!ok) continue;
     for (VertexId v = u + 1; v < n; ++v) {
-      if (colors[u] == colors[v] && oracle.edge(u, v)) {
-        ok = false;
-        break;
-      }
+      if (colors[u] == colors[v] && oracle.edge(u, v)) return false;
     }
   }
-  return ok;
+  return true;
 }
 
 /// Packed-color conveniences: a PackedColorArray has no contiguous uint32

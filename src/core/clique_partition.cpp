@@ -1,8 +1,9 @@
 #include "core/clique_partition.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
 
 #include "core/solve_fused.hpp"
 
@@ -32,26 +33,27 @@ bool pair_satisfies(const pauli::PauliSet& set, GroupingMode mode,
 
 std::vector<UnitaryGroup> groups_from_coloring(
     const pauli::PauliSet& set, const std::vector<std::uint32_t>& colors) {
-  std::map<std::uint32_t, UnitaryGroup> by_color;
-  for (std::uint32_t v = 0; v < colors.size(); ++v) {
-    by_color[colors[v]].members.push_back(v);
+  if (colors.size() != set.size()) {
+    throw std::invalid_argument(
+        "groups_from_coloring: " + std::to_string(colors.size()) +
+        " colors for " + std::to_string(set.size()) + " strings");
   }
+  // One walk in vertex order: a color's group is appended when its first
+  // member shows up, so the groups come out ordered by smallest member.
+  std::unordered_map<std::uint32_t, std::uint32_t> group_of;
   std::vector<UnitaryGroup> groups;
-  groups.reserve(by_color.size());
-  for (auto& [color, group] : by_color) {
-    double norm_sq = 0.0;
-    for (std::uint32_t v : group.members) {
-      const double p = set.coefficient(v);
-      norm_sq += p * p;
-    }
-    group.coefficient_norm = std::sqrt(norm_sq);
-    groups.push_back(std::move(group));
+  for (std::uint32_t v = 0; v < colors.size(); ++v) {
+    const auto [it, fresh] = group_of.try_emplace(
+        colors[v], static_cast<std::uint32_t>(groups.size()));
+    if (fresh) groups.emplace_back();
+    UnitaryGroup& group = groups[it->second];
+    group.members.push_back(v);
+    const double p = set.coefficient(v);
+    group.coefficient_norm += p * p;  // the squared norm until the end
   }
-  // Deterministic order: by smallest member id.
-  std::sort(groups.begin(), groups.end(),
-            [](const UnitaryGroup& a, const UnitaryGroup& b) {
-              return a.members.front() < b.members.front();
-            });
+  for (UnitaryGroup& group : groups) {
+    group.coefficient_norm = std::sqrt(group.coefficient_norm);
+  }
   return groups;
 }
 

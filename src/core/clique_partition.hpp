@@ -66,7 +66,9 @@ PartitionResult partition_pauli_strings(const pauli::PauliSet& set,
                                         const PicassoParams& params = {},
                                         GroupingMode mode = GroupingMode::Unitary);
 
-/// Builds groups from any per-vertex color assignment.
+/// Builds groups from any per-vertex color assignment, one per color
+/// class, ordered by first member. Throws std::invalid_argument unless
+/// there is one color per string of `set`.
 std::vector<UnitaryGroup> groups_from_coloring(
     const pauli::PauliSet& set, const std::vector<std::uint32_t>& colors);
 

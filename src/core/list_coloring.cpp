@@ -1,6 +1,7 @@
 #include "core/list_coloring.hpp"
 
 #include <algorithm>
+#include <queue>
 #include <stdexcept>
 
 namespace picasso::core {
@@ -49,29 +50,122 @@ ListColoringResult color_conflict_graph_dynamic(const graph::CsrGraph& gc,
 ListColoringResult color_conflict_graph_heap(const graph::CsrGraph& gc,
                                              const ColorLists& lists,
                                              util::Xoshiro256& rng) {
-  return detail::color_lists_heap(gc.num_vertices(), lists, rng,
-                                  csr_strikes(gc, lists));
+  const std::uint32_t n = gc.num_vertices();
+  const std::uint32_t l = lists.list_size();
+  ListColoringResult result;
+  result.assigned.reset(n, ListColoringResult::kNoColorLocal, 0);
+  if (n == 0) return result;
+
+  detail::StrikeState state(lists, /*bucketed=*/false);
+  // Min-heap on (list size, random tie-break); lazy deletion via stale
+  // size entries — the textbook O(log n)-per-update structure Algorithm 2's
+  // buckets replace. Colored and emptied vertices have size 0, so every
+  // entry left for them is stale.
+  struct Entry {
+    std::uint32_t size;
+    std::uint32_t tie;
+    std::uint32_t vertex;
+    bool operator>(const Entry& o) const {
+      if (size != o.size) return size > o.size;
+      if (tie != o.tie) return tie > o.tie;
+      return vertex > o.vertex;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    heap.push({l, static_cast<std::uint32_t>(rng() & 0xffffffffu), v});
+  }
+  std::size_t heap_peak = heap.size();
+
+  auto strikes = csr_strikes(gc, lists);
+  while (!heap.empty()) {
+    const Entry top = heap.top();
+    heap.pop();
+    const std::uint32_t v = top.vertex;
+    if (top.size != state.size_of(v)) continue;  // stale
+
+    const std::uint32_t color = state.color_at(
+        v, static_cast<std::uint32_t>(rng.bounded(top.size)));
+    state.retire(v);
+    result.assigned[v] = color;
+
+    strikes(v, color, state, [&](std::uint32_t u, std::uint32_t slot) {
+      const std::uint32_t new_size = state.remove_slot(u, slot);
+      if (new_size == 0) return;
+      heap.push({new_size, static_cast<std::uint32_t>(rng() & 0xffffffffu), u});
+      heap_peak = std::max(heap_peak, heap.size());
+    });
+  }
+
+  result.aux_peak_bytes = state.logical_bytes() + heap_peak * sizeof(Entry) +
+                          result.assigned.logical_bytes();
+  detail::finalize_list_coloring(result);
+  return result;
 }
 
 ListColoringResult color_conflict_graph_static(const graph::CsrGraph& gc,
                                                const ColorLists& lists,
                                                ConflictColoringScheme scheme,
                                                std::uint64_t seed) {
+  const std::uint32_t n = gc.num_vertices();
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t v = 0; v < n; ++v) order[v] = v;
   switch (scheme) {
     case ConflictColoringScheme::StaticNatural:
-    case ConflictColoringScheme::StaticRandom:
+      break;
+    case ConflictColoringScheme::StaticRandom: {
+      util::Xoshiro256 rng(seed);
+      util::shuffle(order, rng);
+      break;
+    }
     case ConflictColoringScheme::StaticLargestFirst:
+      std::stable_sort(order.begin(), order.end(),
+                       [&gc](std::uint32_t a, std::uint32_t b) {
+                         return gc.degree(a) > gc.degree(b);
+                       });
       break;
     default:
       throw std::invalid_argument(
           "color_conflict_graph_static: not a static scheme");
   }
-  return detail::color_lists_static(
-      gc.num_vertices(), lists, scheme, seed,
-      [&gc](std::uint32_t v) { return gc.degree(v); },
-      [&gc](std::uint32_t v, auto&& visit) {
-        for (std::uint32_t u : gc.neighbors(v)) visit(u);
-      });
+  ListColoringResult result;
+  if (n == 0) return result;
+
+  // Stamp array over palette-local colors; the assignment is packed at the
+  // width of the widest list entry before any color is stored.
+  std::uint32_t max_color = 0;
+  lists.visit_rows([&](auto rows) {
+    for (std::uint32_t v = 0; v < n; ++v) {
+      for (const std::uint32_t c : rows.row(v)) {
+        max_color = std::max(max_color, c);
+      }
+    }
+  });
+  std::vector<std::uint32_t> mark(static_cast<std::size_t>(max_color) + 1, 0);
+  std::uint32_t stamp = 0;
+  result.assigned.reset(n, ListColoringResult::kNoColorLocal, max_color + 1);
+
+  lists.visit_rows([&](auto rows) {
+    for (std::uint32_t v : order) {
+      ++stamp;
+      for (std::uint32_t u : gc.neighbors(v)) {
+        const std::uint32_t c = result.assigned[u];
+        if (c != ListColoringResult::kNoColorLocal) mark[c] = stamp;
+      }
+      for (const std::uint32_t c : rows.row(v)) {
+        if (mark[c] != stamp) {
+          result.assigned[v] = c;
+          break;
+        }
+      }
+    }
+  });
+
+  result.aux_peak_bytes = mark.capacity() * sizeof(std::uint32_t) +
+                          order.capacity() * sizeof(std::uint32_t) +
+                          result.assigned.logical_bytes();
+  detail::finalize_list_coloring(result);
+  return result;
 }
 
 ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,

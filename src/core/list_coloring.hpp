@@ -11,23 +11,24 @@
 //
 // Static schemes: color vertices in a fixed order (natural / random /
 // largest-conflict-degree-first), each taking the first color of its list
-// unused by already-colored conflict neighbors.
+// unused by already-colored conflict neighbors. They and the heap variant
+// of the dynamic scheme are the CSR-level §IV-B ablations
+// (bench_listcoloring); every engine colors by Algorithm 2.
 //
-// The scheme bodies are templates over an abstract *neighbor enumerator*,
-// with two instantiations:
+// Algorithm 2 is one template over an abstract *strike enumerator*
+// (color_lists_dynamic below), with two instantiations:
 //  * the CSR functions below walk a materialised conflict graph
 //    (list_coloring.cpp), and
 //  * the fused engine (core/solve_fused.hpp) enumerates strike targets
 //    straight off the color->vertices inverted index plus the conflict
 //    oracle, with no conflict CSR ever built.
 // One body serving both is what makes their bit-identity structural rather
-// than a property to re-prove per scheme.
+// than a property to re-prove.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -62,7 +63,8 @@ struct ListColoringResult {
 
 /// Algorithm 2. `gc` is the conflict graph over local ids; every vertex
 /// (including isolated ones, which are the unconflicted vertices of
-/// Algorithm 1 Line 8) receives a color unless its list is exhausted.
+/// Algorithm 1 Line 8) receives a color unless its list is exhausted. The
+/// CSR engines color every iteration with it.
 ListColoringResult color_conflict_graph_dynamic(const graph::CsrGraph& gc,
                                                 const ColorLists& lists,
                                                 util::Xoshiro256& rng);
@@ -74,20 +76,22 @@ ListColoringResult color_conflict_graph_heap(const graph::CsrGraph& gc,
                                              const ColorLists& lists,
                                              util::Xoshiro256& rng);
 
-/// Static-order list coloring.
+/// Static-order list coloring (ablation). Throws std::invalid_argument for
+/// a dynamic scheme.
 ListColoringResult color_conflict_graph_static(const graph::CsrGraph& gc,
                                                const ColorLists& lists,
                                                ConflictColoringScheme scheme,
                                                std::uint64_t seed);
 
-/// Dispatcher over all schemes.
+/// Dispatcher over all schemes, for the ablation sweeps; a static scheme
+/// draws its order seed from `rng`.
 ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
                                         const ColorLists& lists,
                                         ConflictColoringScheme scheme,
                                         util::Xoshiro256& rng);
 
 // ---------------------------------------------------------------------------
-// Generic scheme bodies. The enumerator contracts matter for bit-identity:
+// The Algorithm-2 body. The enumerator contract matters for bit-identity:
 //
 //  * ForEachStrike(v, color, work, strike): v is already colored `color`
 //    (and its list retired) when this runs; `work` is the scheme's
@@ -103,9 +107,6 @@ ListColoringResult color_conflict_graph(const graph::CsrGraph& gc,
 //    tests each member's alive flag and passes the oracle-confirmed ones —
 //    the same affected set in the same order, which is the whole
 //    bit-identity argument.
-//  * ForEachNeighbor(v, visit): invoke visit(u) for every conflict-graph
-//    neighbor u of v (any order; used for the idempotent mark pass of the
-//    static schemes).
 
 namespace detail {
 
@@ -248,27 +249,25 @@ class StrikeState {
 #endif
   }
 
-  /// The idx-th (0-based) surviving color of v's list.
+  /// The idx-th (0-based) surviving color of v's list, idx < size_of(v):
+  /// walks the mask, clearing the lowest present bit idx times across
+  /// words (no popcount).
   std::uint32_t color_at(std::uint32_t v, std::uint32_t idx) const {
     const std::uint64_t* r = record(v);
-    for (std::uint32_t w = 0; w < stride_; ++w) {
-      std::uint64_t bits = r[w];
-      if (w == 0) {
-        // The head word's cell and size fields sit below the mask.
-        bits = mask_shift_ < 64 ? bits >> mask_shift_ << mask_shift_ : 0;
-      }
-      const auto count = static_cast<std::uint32_t>(std::popcount(bits));
-      if (idx < count) {
-        for (std::uint32_t k = 0; k < idx; ++k) bits &= bits - 1;
-        const std::uint32_t slot =
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)) -
-            mask_shift_;
-        return lists_->visit_rows(
-            [v, slot](auto rows) { return std::uint32_t{rows.row(v)[slot]}; });
-      }
-      idx -= count;
+    // The head word's cell and size fields sit below the mask.
+    std::uint64_t bits =
+        mask_shift_ < 64 ? r[0] >> mask_shift_ << mask_shift_ : 0;
+    std::uint32_t w = 0;
+    for (;;) {
+      while (bits == 0) bits = r[++w];
+      if (idx-- == 0) break;
+      bits &= bits - 1;
     }
-    return ListColoringResult::kNoColorLocal;  // unreachable for idx < size
+    const std::uint32_t slot =
+        w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)) -
+        mask_shift_;
+    return lists_->visit_rows(
+        [v, slot](auto rows) { return std::uint32_t{rows.row(v)[slot]}; });
   }
 
   /// Zeroes v's size and mask and clears its alive flag: v was colored, so
@@ -499,140 +498,6 @@ ListColoringResult color_lists_dynamic(std::uint32_t n, const ColorLists& lists,
 
   result.aux_peak_bytes =
       state.logical_bytes() + result.assigned.logical_bytes();
-  finalize_list_coloring(result);
-  return result;
-}
-
-/// Heap-based ablation variant over the same strike enumerator.
-template <typename ForEachStrike>
-ListColoringResult color_lists_heap(std::uint32_t n, const ColorLists& lists,
-                                    util::Xoshiro256& rng,
-                                    ForEachStrike&& for_each_strike,
-                                    std::uint32_t color_bound = 0) {
-  const std::uint32_t l = lists.list_size();
-  ListColoringResult result;
-  result.assigned.reset(n, ListColoringResult::kNoColorLocal, color_bound);
-  if (n == 0) return result;
-
-  StrikeState state(lists, /*bucketed=*/false);
-  // Min-heap on (list size, random tie-break); lazy deletion via stale
-  // size entries — the textbook O(log n)-per-update structure Algorithm 2's
-  // buckets replace. Colored and emptied vertices have size 0, so every
-  // entry left for them is stale.
-  struct Entry {
-    std::uint32_t size;
-    std::uint32_t tie;
-    std::uint32_t vertex;
-    bool operator>(const Entry& o) const {
-      if (size != o.size) return size > o.size;
-      if (tie != o.tie) return tie > o.tie;
-      return vertex > o.vertex;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    heap.push({l, static_cast<std::uint32_t>(rng() & 0xffffffffu), v});
-  }
-  std::size_t heap_peak = heap.size();
-
-  while (!heap.empty()) {
-    const Entry top = heap.top();
-    heap.pop();
-    const std::uint32_t v = top.vertex;
-    if (top.size != state.size_of(v)) continue;  // stale
-
-    const std::uint32_t color = state.color_at(
-        v, static_cast<std::uint32_t>(rng.bounded(top.size)));
-    state.retire(v);
-    result.assigned[v] = color;
-
-    for_each_strike(
-        v, color, state, [&](std::uint32_t u, std::uint32_t slot) {
-          const std::uint32_t new_size = state.remove_slot(u, slot);
-          if (new_size == 0) return;
-          heap.push(
-              {new_size, static_cast<std::uint32_t>(rng() & 0xffffffffu), u});
-          heap_peak = std::max(heap_peak, heap.size());
-        });
-  }
-
-  result.aux_peak_bytes = state.logical_bytes() + heap_peak * sizeof(Entry) +
-                          result.assigned.logical_bytes();
-  finalize_list_coloring(result);
-  return result;
-}
-
-/// Static-order body. `degree_of(v)` is consulted only by StaticLargestFirst
-/// (conflict-graph degree); `for_each_neighbor(v, visit)` drives the mark
-/// pass. Throws std::invalid_argument for non-static schemes (in the .cpp
-/// wrapper; here the default case colors in natural order).
-template <typename DegreeOf, typename ForEachNeighbor>
-ListColoringResult color_lists_static(std::uint32_t n, const ColorLists& lists,
-                                      ConflictColoringScheme scheme,
-                                      std::uint64_t seed, DegreeOf&& degree_of,
-                                      ForEachNeighbor&& for_each_neighbor) {
-  ListColoringResult result;
-  result.assigned.assign(n, ListColoringResult::kNoColorLocal);
-  if (n == 0) return result;
-
-  // Re-pack at the width of the widest list entry (known after the scan
-  // below) before any assignment is stored.
-  std::vector<std::uint32_t> order(n);
-  for (std::uint32_t v = 0; v < n; ++v) order[v] = v;
-  switch (scheme) {
-    case ConflictColoringScheme::StaticNatural:
-      break;
-    case ConflictColoringScheme::StaticRandom: {
-      util::Xoshiro256 rng(seed);
-      util::shuffle(order, rng);
-      break;
-    }
-    case ConflictColoringScheme::StaticLargestFirst:
-      std::stable_sort(order.begin(), order.end(),
-                       [&degree_of](std::uint32_t a, std::uint32_t b) {
-                         return degree_of(a) > degree_of(b);
-                       });
-      break;
-    default:
-      break;  // guarded by the public wrapper
-  }
-
-  // Stamp array over palette-local colors.
-  std::uint32_t max_color = 0;
-  lists.visit_rows([&](auto rows) {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      for (const std::uint32_t c : rows.row(v)) {
-        max_color = std::max(max_color, c);
-      }
-    }
-  });
-  std::vector<std::uint32_t> mark(static_cast<std::size_t>(max_color) + 1, 0);
-  std::uint32_t stamp = 0;
-  result.assigned.reset(n, ListColoringResult::kNoColorLocal, max_color + 1);
-
-  lists.visit_rows([&](auto rows) {
-    for (std::uint32_t v : order) {
-      ++stamp;
-      for_each_neighbor(v, [&](std::uint32_t u) {
-        const std::uint32_t c = result.assigned[u];
-        if (c != ListColoringResult::kNoColorLocal) mark[c] = stamp;
-      });
-      std::uint32_t chosen = ListColoringResult::kNoColorLocal;
-      for (const std::uint32_t c : rows.row(v)) {
-        if (mark[c] != stamp) {
-          chosen = c;
-          break;
-        }
-      }
-      if (chosen != ListColoringResult::kNoColorLocal) {
-        result.assigned[v] = chosen;
-      }
-    }
-  });
-
-  result.aux_peak_bytes = mark.capacity() * sizeof(std::uint32_t) +
-                          order.capacity() * sizeof(std::uint32_t) +
-                          result.assigned.logical_bytes();
   finalize_list_coloring(result);
   return result;
 }

@@ -49,27 +49,27 @@ std::string MemoryReport::to_json() const {
 }
 
 PicassoResult solve_pauli(const pauli::PauliSet& set,
-                          const PicassoParams& params) {
+                          const PicassoParams& params, ConflictKernel kernel) {
   // The encoded input is the in-memory driver's resident floor; charge it
   // before the run scope rebases the peaks so it is part of the baseline.
   util::ScopedCharge input_charge(util::MemSubsystem::PauliInput,
                                   set.logical_bytes());
   const graph::PackedComplementOracle oracle(set.packed_view());
-  return solve_oracle(oracle, params);
+  return solve_oracle(oracle, params, kernel);
 }
 
 // Pin the common instantiations into this translation unit.
 template PicassoResult solve_oracle<graph::ComplementOracle>(
-    const graph::ComplementOracle&, const PicassoParams&);
+    const graph::ComplementOracle&, const PicassoParams&, ConflictKernel);
 template PicassoResult solve_oracle<graph::PackedComplementOracle>(
-    const graph::PackedComplementOracle&, const PicassoParams&);
+    const graph::PackedComplementOracle&, const PicassoParams&, ConflictKernel);
 template PicassoResult solve_oracle<graph::AnticommuteOracle>(
-    const graph::AnticommuteOracle&, const PicassoParams&);
+    const graph::AnticommuteOracle&, const PicassoParams&, ConflictKernel);
 template PicassoResult solve_oracle<graph::QwcComplementOracle>(
-    const graph::QwcComplementOracle&, const PicassoParams&);
-template PicassoResult solve_oracle<graph::CsrOracle>(const graph::CsrOracle&,
-                                                      const PicassoParams&);
+    const graph::QwcComplementOracle&, const PicassoParams&, ConflictKernel);
+template PicassoResult solve_oracle<graph::CsrOracle>(
+    const graph::CsrOracle&, const PicassoParams&, ConflictKernel);
 template PicassoResult solve_oracle<graph::DenseOracle>(
-    const graph::DenseOracle&, const PicassoParams&);
+    const graph::DenseOracle&, const PicassoParams&, ConflictKernel);
 
 }  // namespace picasso::core

@@ -51,8 +51,6 @@ struct PicassoParams {
   /// Safety valve; the algorithm terminates on its own (at least one vertex
   /// is colored per iteration), this bounds the tail.
   int max_iterations = 64;
-  ConflictKernel kernel = ConflictKernel::Auto;
-  ConflictColoringScheme conflict_scheme = ConflictColoringScheme::DynamicBucket;
   /// Parallel execution runtime for the materialized conflict-graph build.
   /// Defaults to one worker per hardware thread with deterministic merging,
   /// so results are bit-identical to `runtime.num_threads = 1`. The fused
@@ -159,17 +157,22 @@ struct PicassoResult {
   }
 };
 
-/// Runs Picasso against any adjacency oracle — the core engine every public
-/// entry point (api/session.hpp) ultimately drives.
+/// Runs Picasso against any adjacency oracle with a materialized conflict
+/// CSR per iteration — the reference the edge-free engines are pinned to.
+/// `kernel` picks how the conflict build finds candidate pairs (Auto: the
+/// cost rule of resolve_kernel); every kernel builds the same CSR, so the
+/// coloring does not depend on it.
 template <graph::GraphOracle Oracle>
-PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params);
+PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params,
+                           ConflictKernel kernel = ConflictKernel::Auto);
 
 /// Engine behind the Pauli entry point: runs solve_oracle over a
 /// PackedComplementOracle on the set's records (AVX2 when the CPU has it,
 /// the scalar plane kernel otherwise). Charges the encoded input to
 /// MemSubsystem::PauliInput for the duration of the run.
 PicassoResult solve_pauli(const pauli::PauliSet& set,
-                          const PicassoParams& params);
+                          const PicassoParams& params,
+                          ConflictKernel kernel = ConflictKernel::Auto);
 
 // ---------------------------------------------------------------------------
 // Implementation.
@@ -319,9 +322,9 @@ PicassoResult run_algorithm1(std::uint32_t n, const PicassoParams& params,
 }
 
 /// Lines 8-9 of the two CSR engines: charges the conflict CSR for the rest
-/// of the iteration and list-colors it. The list colorer handles isolated
-/// conflict-graph vertices (the unconflicted set) as a special case of its
-/// main loop.
+/// of the iteration and list-colors it by Algorithm 2. The list colorer
+/// handles isolated conflict-graph vertices (the unconflicted set) as a
+/// special case of its main loop.
 inline StepResult color_conflict_csr(const ConflictBuildResult& conflict,
                                      const Iteration& it,
                                      const PicassoParams& params) {
@@ -331,15 +334,15 @@ inline StepResult color_conflict_csr(const ConflictBuildResult& conflict,
   it.stats.conflict_edges = conflict.num_edges;
   it.stats.conflicted_vertices = conflict.num_conflicted_vertices;
   obs::ScopedPhase acc(params.trace, "coloring", it.stats.coloring_seconds);
-  out.colored = color_conflict_graph(conflict.graph, it.lists,
-                                     params.conflict_scheme, it.rng);
+  out.colored = color_conflict_graph_dynamic(conflict.graph, it.lists, it.rng);
   return out;
 }
 
 }  // namespace detail
 
 template <graph::GraphOracle Oracle>
-PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
+PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params,
+                           ConflictKernel kernel) {
   return detail::run_algorithm1(
       oracle.num_vertices(), params, "solve_oracle", /*signatures=*/true,
       [&](const detail::Iteration& it) {
@@ -349,8 +352,8 @@ PicassoResult solve_oracle(const Oracle& oracle, const PicassoParams& params) {
           obs::ScopedPhase acc(params.trace, "conflict_graph",
                                it.stats.conflict_seconds);
           conflict = build_conflict_graph(oracle, it.active, it.lists,
-                                          it.palette.palette_size,
-                                          params.kernel, params.runtime);
+                                          it.palette.palette_size, kernel,
+                                          params.runtime);
         }
         return detail::color_conflict_csr(conflict, it, params);
       });

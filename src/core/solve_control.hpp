@@ -121,8 +121,7 @@ struct ProgressEvent {
   /// Conflict edges of this iteration. Per-strategy meaning:
   ///  * materializing engines (in-memory, semi-streaming):
   ///    exact |Ec| of the built conflict CSR, reported on IterationDone;
-  ///  * fused static schemes: exact |Ec| (every pair enumerated at u < v);
-  ///  * fused dynamic schemes: the running strike-hit count — list
+  ///  * fused engines: the running strike-hit count — list
   ///    entries struck so far, one per (vertex, color) removed. Edges
   ///    whose far end was already colored, emptied or struck of that
   ///    color are never tested, so this is a lower bound on |Ec| that

@@ -6,7 +6,7 @@
 // as COO partitions, counted, prefix-summed and scattered into a CSR — and
 // telemetry shows that assembly (MemSubsystem::ConflictCsr) is the top
 // peak-memory consumer of the whole pipeline. The fused engine never builds
-// any of it. It runs the list-coloring schemes of core/list_coloring.hpp
+// any of it. It runs Algorithm 2 (color_lists_dynamic, core/list_coloring.hpp)
 // directly against the color -> vertices inverted index plus the conflict
 // oracle:
 //
@@ -37,22 +37,20 @@
 // asks a pauli::PackedRecordProber over the spill's chunk cache — the same
 // prober the incremental store probes with.
 //
-// Bit-identity with the materialized engines is structural: the scheme
-// bodies are the shared templates of core/list_coloring.hpp, and the fused
-// strike enumerator feeds them the same affected set in the same ascending
-// order as a CSR neighbor walk would (see the ForEachStrike contract there).
-// The differential suite pins this across schemes, kernels, budgets and
-// thread counts.
+// Bit-identity with the materialized engines is structural: both run the
+// one Algorithm-2 body of core/list_coloring.hpp, and the fused strike
+// enumerator feeds it the same affected set in the same ascending order as
+// a CSR neighbor walk would (see the ForEachStrike contract there). The
+// differential suite pins this across kernels, budgets and thread counts.
 //
 // Iteration-stats caveat: the fused engine has no conflict-build phase, so
 // IterationStats::conflict_seconds stays 0 (oracle time is folded into
-// coloring_seconds). For the dynamic schemes conflict_edges (and the
-// StrikeHits counter) counts list removals: exactly one per (vertex,
-// color) a strike took out of a list. That is a lower bound of |Ec|:
-// edges whose second endpoint was already colored, had emptied, or had
-// already lost the color to another neighbor are never tested. The static
-// schemes enumerate every neighbor, so there it is exactly |Ec|.
-// conflicted_vertices counts the endpoints of the counted edges.
+// coloring_seconds). conflict_edges (and the StrikeHits counter) counts
+// list removals: exactly one per (vertex, color) a strike took out of a
+// list. That is a lower bound of |Ec|: edges whose second endpoint was
+// already colored, had emptied, or had already lost the color to another
+// neighbor are never tested. conflicted_vertices counts the endpoints of
+// the counted edges.
 
 #include <algorithm>
 #include <cstdint>
@@ -115,7 +113,7 @@ struct FusedScanStats {
   std::uint64_t bucket_scans = 0;  // candidate-bucket scans issued
 };
 
-/// Strike enumerator the shared scheme bodies drive (ForEachStrike
+/// Strike enumerator color_lists_dynamic drives (ForEachStrike
 /// contract, list_coloring.hpp): candidates are the alive members of the
 /// assigned color's bucket (v itself is retired by then), in ascending
 /// order; the Tester answers adjacency for the whole batch; confirmed
@@ -218,15 +216,13 @@ class FusedStrikeEnumerator {
       event.iteration = iteration_;
       event.n_active = n_active_;
       event.bucket_scans = scans_;
-      // Running strike count — the fused dynamic schemes build no CSR, so
+      // Running strike count — the fused engine builds no CSR, so
       // this lower bound on |Ec| is what progress consumers get
       // mid-iteration (see ProgressEvent::conflict_edges).
       event.conflict_edges = stats_->edges_struck;
       params_->progress(event);
     }
   }
-
-  std::size_t scans() const noexcept { return scans_; }
 
   std::size_t scratch_bytes() const noexcept {
     return cands_.capacity() * sizeof(std::uint32_t) + hits_.capacity();
@@ -244,120 +240,6 @@ class FusedStrikeEnumerator {
   std::vector<std::uint8_t> hits_;
   std::size_t scans_ = 0;
 };
-
-/// Neighbor enumerator for the static schemes (ForEachNeighbor contract):
-/// v's conflict neighbors are found bucket by bucket over v's own list,
-/// deduplicated at the smallest shared color exactly like the indexed
-/// build, then batch-tested. Visits include already-colored neighbors (the
-/// mark pass needs them), so nothing filters on `assigned` here. Every
-/// vertex runs one pass, so each conflict edge is discovered from both
-/// endpoints — counting it at the u < v discovery makes edges_struck
-/// exactly |Ec| for static schemes (unlike the dynamic strikes' lower
-/// bound).
-template <typename Tester>
-class FusedNeighborEnumerator {
- public:
-  FusedNeighborEnumerator(const ColorLists& lists, const ColorIndex& index,
-                          Tester& tester, const PicassoParams& params,
-                          std::vector<std::uint8_t>& touched,
-                          FusedScanStats& stats)
-      : lists_(&lists),
-        index_(&index),
-        tester_(&tester),
-        params_(&params),
-        touched_(&touched),
-        stats_(&stats) {}
-
-  template <typename Visit>
-  void operator()(std::uint32_t v, Visit&& visit) {
-    throw_if_stopped(params_->stop);
-    lists_->visit_rows([&](auto rows) {
-      for (const std::uint32_t c : rows.row(v)) {
-        ++stats_->bucket_scans;
-        cands_.clear();
-        const std::uint32_t lo = index_->offsets[c];
-        const std::uint32_t hi = index_->offsets[c + 1];
-        for (std::uint32_t i = lo; i < hi; ++i) {
-          const std::uint32_t u = index_->vertex(index_->members[i]);
-          if (u == v) continue;
-          // Each (u, v) pair is examined once, at its smallest shared color.
-          const std::uint32_t a = std::min(u, v);
-          const std::uint32_t b = std::max(u, v);
-          if (lists_->first_shared_color(a, b) != c) continue;
-          cands_.push_back(u);
-        }
-        if (cands_.empty()) continue;
-        hits_.resize(cands_.size());
-        (*tester_)(v, std::span<const std::uint32_t>(cands_), hits_.data());
-        stats_->pairs_tested += cands_.size();
-        for (std::size_t i = 0; i < cands_.size(); ++i) {
-          if (!hits_[i]) continue;
-          const std::uint32_t u = cands_[i];
-          if (v < u) ++stats_->edges_struck;
-          (*touched_)[u] = 1;
-          (*touched_)[v] = 1;
-          visit(u);
-        }
-      }
-    });
-  }
-
-  std::size_t scratch_bytes() const noexcept {
-    return cands_.capacity() * sizeof(std::uint32_t) + hits_.capacity();
-  }
-
- private:
-  const ColorLists* lists_;
-  const ColorIndex* index_;
-  Tester* tester_;
-  const PicassoParams* params_;
-  std::vector<std::uint8_t>* touched_;
-  FusedScanStats* stats_;
-  std::vector<std::uint32_t> cands_;
-  std::vector<std::uint8_t> hits_;
-};
-
-/// Exact conflict-graph degrees without a CSR, for StaticLargestFirst:
-/// every bucket's pairs, deduplicated at the smallest shared color, counted
-/// into both endpoints through the tester; the pairs tested go into
-/// `stats.pairs_tested`.
-template <typename Tester>
-std::vector<std::uint32_t> fused_conflict_degrees(std::uint32_t n,
-                                                  const ColorLists& lists,
-                                                  const ColorIndex& index,
-                                                  std::uint32_t palette_size,
-                                                  Tester& tester,
-                                                  FusedScanStats& stats) {
-  std::vector<std::uint32_t> degree(n, 0);
-  std::vector<std::uint32_t> cands;
-  std::vector<std::uint8_t> hits;
-  for (std::uint32_t c = 0; c < palette_size; ++c) {
-    const std::uint32_t lo = index.offsets[c];
-    const std::uint32_t hi = index.offsets[c + 1];
-    for (std::uint32_t a = lo; a < hi; ++a) {
-      const std::uint32_t u = index.vertex(index.members[a]);
-      cands.clear();
-      for (std::uint32_t b = a + 1; b < hi; ++b) {
-        const std::uint32_t v = index.vertex(index.members[b]);
-        const std::uint32_t s = std::min(u, v);
-        const std::uint32_t t = std::max(u, v);
-        if (lists.first_shared_color(s, t) != c) continue;
-        cands.push_back(v);
-      }
-      if (cands.empty()) continue;
-      hits.resize(cands.size());
-      tester(u, std::span<const std::uint32_t>(cands), hits.data());
-      stats.pairs_tested += cands.size();
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (hits[i]) {
-          ++degree[u];
-          ++degree[cands[i]];
-        }
-      }
-    }
-  }
-  return degree;
-}
 
 /// In-memory candidate tester: maps candidates to oracle (global) ids and
 /// answers through edge_block when the oracle supports it (kBlockScanBatch
@@ -399,63 +281,14 @@ class OracleBatchTester {
   std::vector<std::uint32_t> global_;
 };
 
-/// One fused iteration: dispatches the scheme over the shared bodies with
-/// the fused enumerators. `rng` must be the same coloring RNG the
-/// materialized driver would hand color_conflict_graph. The dynamic schemes
-/// compact `index` as they go, so it is spent once this returns.
-template <typename Tester>
-ListColoringResult fused_color_iteration(
-    std::uint32_t n_active, const ColorLists& lists, ColorIndex& index,
-    ConflictColoringScheme scheme, util::Xoshiro256& rng, Tester& tester,
-    const PicassoParams& params, int iteration, std::uint32_t palette_size,
-    FusedScanStats& scan_stats, std::uint32_t& conflicted_out,
-    std::size_t& scratch_bytes_out) {
-  std::vector<std::uint8_t> touched(n_active, 0);
-  ListColoringResult colored;
-  switch (scheme) {
-    case ConflictColoringScheme::DynamicBucket:
-    case ConflictColoringScheme::DynamicHeap: {
-      FusedStrikeEnumerator<Tester> strikes(index, tester, params, iteration,
-                                            n_active, touched, scan_stats);
-      colored = scheme == ConflictColoringScheme::DynamicBucket
-                    ? color_lists_dynamic(n_active, lists, rng, strikes,
-                                          palette_size)
-                    : color_lists_heap(n_active, lists, rng, strikes,
-                                       palette_size);
-      scratch_bytes_out = strikes.scratch_bytes();
-      break;
-    }
-    default: {
-      // Static schemes: the dispatcher draws the order seed from the
-      // coloring RNG exactly like color_conflict_graph does.
-      std::vector<std::uint32_t> degrees;
-      if (scheme == ConflictColoringScheme::StaticLargestFirst) {
-        degrees = fused_conflict_degrees(n_active, lists, index, palette_size,
-                                         tester, scan_stats);
-      }
-      FusedNeighborEnumerator<Tester> neighbors(lists, index, tester, params,
-                                                touched, scan_stats);
-      colored = color_lists_static(
-          n_active, lists, scheme, rng(),
-          [&degrees](std::uint32_t v) { return degrees[v]; }, neighbors);
-      scratch_bytes_out =
-          neighbors.scratch_bytes() + degrees.capacity() * sizeof(std::uint32_t);
-      break;
-    }
-  }
-  std::uint32_t conflicted = 0;
-  for (std::uint8_t t : touched) conflicted += t;
-  conflicted_out = conflicted;
-  return colored;
-}
-
 /// Lines 7-9 of both fused engines (the in-memory oracle one below and the
 /// chunked streaming one in solve_fused.cpp), so the two can only differ in
 /// how candidates are tested. Builds and charges the color index, colors
-/// the iteration through fused_color_iteration with a `Tester` constructed
-/// from `(tester_args..., active)`, hands the scan scratch, the tester's
-/// scratch and the touched flags to the loop to fold into the index charge,
-/// and flushes the scan counters.
+/// the iteration by Algorithm 2 with a FusedStrikeEnumerator over a
+/// `Tester` constructed from `(tester_args..., active)`, hands the scan
+/// scratch, the tester's scratch and the touched flags to the loop to fold
+/// into the index charge, and flushes the scan counters. `it.rng` is the
+/// coloring RNG the materialized engines hand the CSR list colorer.
 template <typename Tester, typename... TesterArgs>
 StepResult fused_step(const Iteration& it, const PicassoParams& params,
                       TesterArgs&... tester_args) {
@@ -464,24 +297,28 @@ StepResult fused_step(const Iteration& it, const PicassoParams& params,
   // only per-iteration structure beyond the lists themselves — where the
   // materialized engines stage COO partitions and a CSR, this engine
   // holds nL + P + 1 words, period. Strike scans compact it in place,
-  // dropping the colored, the emptied and the struck entries.
+  // dropping the colored, the emptied and the struck entries, so it is
+  // spent once the iteration is colored.
   ColorIndex index = build_color_index(it.lists, it.palette.palette_size);
   out.structure = util::ScopedCharge(
       util::MemSubsystem::FusedFrontier,
       index.offsets.capacity() * sizeof(std::uint32_t) +
           index.members.capacity() * sizeof(std::uint32_t));
 
+  const std::uint32_t n = it.stats.n_active;
   FusedScanStats scan_stats;
   {
     obs::ScopedPhase acc(params.trace, "coloring", it.stats.coloring_seconds);
     Tester tester(tester_args..., it.active);
-    std::size_t scan_scratch = 0;
-    out.colored = fused_color_iteration(
-        it.stats.n_active, it.lists, index, params.conflict_scheme, it.rng,
-        tester, params, it.index, it.palette.palette_size, scan_stats,
-        it.stats.conflicted_vertices, scan_scratch);
-    out.scratch_bytes =
-        scan_scratch + tester.scratch_bytes() + it.stats.n_active;
+    std::vector<std::uint8_t> touched(n, 0);
+    FusedStrikeEnumerator<Tester> strikes(index, tester, params, it.index, n,
+                                          touched, scan_stats);
+    out.colored = color_lists_dynamic(n, it.lists, it.rng, strikes,
+                                      it.palette.palette_size);
+    std::uint32_t conflicted = 0;
+    for (std::uint8_t t : touched) conflicted += t;
+    it.stats.conflicted_vertices = conflicted;
+    out.scratch_bytes = strikes.scratch_bytes() + tester.scratch_bytes() + n;
   }
   it.stats.conflict_edges = scan_stats.edges_struck;
 

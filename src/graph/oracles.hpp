@@ -265,9 +265,6 @@ template <GraphOracle Oracle>
 std::uint64_t count_edges(const Oracle& oracle) {
   const VertexId n = oracle.num_vertices();
   std::uint64_t count = 0;
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : count)
-#endif
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v = u + 1; v < n; ++v) {
       count += oracle.edge(u, v) ? 1 : 0;

@@ -27,9 +27,6 @@ PauliSet::PauliSet(const std::vector<PauliString>& strings,
 
 std::uint64_t PauliSet::count_anticommuting_pairs() const {
   std::uint64_t count = 0;
-#ifdef PICASSO_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 64) reduction(+ : count)
-#endif
   const std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {

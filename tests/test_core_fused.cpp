@@ -1,5 +1,5 @@
 // The edge-free fused coloring engine (core/solve_fused.hpp): bit-identity
-// with the materialized engines across schemes, kernels and
+// with the materialized engines across list sizes, kernels and
 // thread counts; no ConflictCsr charge ever; the streaming variant agrees
 // under arbitrary chunkings and budgets; the CSR projection behind the
 // session planner behaves sanely.
@@ -46,26 +46,15 @@ pp::PauliSet random_set(std::size_t n, std::size_t qubits,
   return pp::PauliSet(strings);
 }
 
-constexpr pcore::ConflictColoringScheme kAllSchemes[] = {
-    pcore::ConflictColoringScheme::DynamicBucket,
-    pcore::ConflictColoringScheme::DynamicHeap,
-    pcore::ConflictColoringScheme::StaticNatural,
-    pcore::ConflictColoringScheme::StaticRandom,
-    pcore::ConflictColoringScheme::StaticLargestFirst,
-};
-
 }  // namespace
 
-// Every coloring scheme, both palette regimes: the fused engine must land
-// on the exact coloring of the materialized pipeline — that is the whole
-// contract that lets it replace the CSR path. After the random shapes come
-// the list-size boundaries of the packed (vertex, slot) index and the
-// strike-state records: L = 1 (no slot bits), L = 64 and L = 65 (one mask
-// word exactly and just past it), L = 75 and L = 270 (a slot no longer
-// fits in a byte). Only the dynamic schemes strike by slot,
-// so only they run the boundaries: the static schemes' per-vertex bucket
-// passes cost O(n^2 L^2 / P) pair merges there.
-TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
+// Both palette regimes: the fused engine must land on the exact coloring
+// of the materialized pipeline — that is the whole contract that lets it
+// replace the CSR path. After the random shapes come the list-size
+// boundaries of the packed (vertex, slot) index and the strike-state
+// records: L = 1 (no slot bits), L = 64 and L = 65 (one mask word exactly
+// and just past it), L = 75 and L = 270 (a slot no longer fits in a byte).
+TEST(FusedEngine, BitIdenticalToMaterializedAcrossListSizes) {
   struct Boundary {
     std::size_t n;
     double palette_percent;
@@ -86,44 +75,26 @@ TEST(FusedEngine, BitIdenticalToMaterializedAcrossSchemes) {
         boundary != nullptr ? boundary->n : 40 + rng.bounded(120);
     const std::size_t qubits = 2 + rng.bounded(48);
     const auto set = random_set(n, qubits, rng);
-    for (const auto scheme : kAllSchemes) {
-      const bool dynamic =
-          scheme == pcore::ConflictColoringScheme::DynamicBucket ||
-          scheme == pcore::ConflictColoringScheme::DynamicHeap;
-      if (boundary != nullptr && !dynamic) continue;
-      pcore::PicassoParams params;
-      params.palette_percent = boundary != nullptr ? boundary->palette_percent
-                               : c % 2 == 0        ? 12.5
-                                                   : 3.0;
-      params.alpha = boundary != nullptr ? boundary->alpha
-                     : c % 2 == 0        ? 2.0
-                                         : 30.0;
-      params.seed = rng();
-      params.conflict_scheme = scheme;
-      const std::string key = "case " + std::to_string(c) + " scheme=" +
-                              pcore::to_string(scheme) + " n=" +
-                              std::to_string(n) + " seed=" +
-                              std::to_string(params.seed);
+    pcore::PicassoParams params;
+    params.palette_percent = boundary != nullptr ? boundary->palette_percent
+                             : c % 2 == 0        ? 12.5
+                                                 : 3.0;
+    params.alpha = boundary != nullptr ? boundary->alpha
+                   : c % 2 == 0        ? 2.0
+                                       : 30.0;
+    params.seed = rng();
+    const std::string key = "case " + std::to_string(c) + " n=" +
+                            std::to_string(n) + " seed=" +
+                            std::to_string(params.seed);
 
-      const auto ref = pcore::solve_pauli(set, params);
-      const auto fused = pcore::solve_pauli_fused(set, params);
-      if (boundary != nullptr) {
-        ASSERT_EQ(fused.iterations.at(0).list_size, boundary->list_size)
-            << key;
-      }
-      ASSERT_EQ(fused.colors, ref.colors) << key;
-      ASSERT_EQ(fused.num_colors, ref.num_colors) << key;
-      ASSERT_EQ(fused.iterations.size(), ref.iterations.size()) << key;
-      // Static schemes enumerate every conflict neighbor, so their fused
-      // edge counts are exactly the materialized |Ec| per iteration.
-      if (!dynamic) {
-        for (std::size_t i = 0; i < fused.iterations.size(); ++i) {
-          ASSERT_EQ(fused.iterations[i].conflict_edges,
-                    ref.iterations[i].conflict_edges)
-              << key << " iteration " << i;
-        }
-      }
+    const auto ref = pcore::solve_pauli(set, params);
+    const auto fused = pcore::solve_pauli_fused(set, params);
+    if (boundary != nullptr) {
+      ASSERT_EQ(fused.iterations.at(0).list_size, boundary->list_size) << key;
     }
+    ASSERT_EQ(fused.colors, ref.colors) << key;
+    ASSERT_EQ(fused.num_colors, ref.num_colors) << key;
+    ASSERT_EQ(fused.iterations.size(), ref.iterations.size()) << key;
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "core/clique_partition.hpp"
 #include "graph/oracles.hpp"
@@ -80,6 +82,32 @@ TEST(Partition, CoefficientNormIsEuclidean) {
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_DOUBLE_EQ(merged[0].coefficient_norm, 5.0);
   EXPECT_TRUE(pcore::verify_partition(pair, merged).empty());
+}
+
+// Groups come out in first-member order, whatever the color values: color 3
+// owns vertex 0, so its group leads although 0 and 1 are smaller colors.
+TEST(Partition, GroupsFollowFirstMemberNotColorValue) {
+  const pp::PauliSet set({pp::PauliString::parse("XI"),
+                          pp::PauliString::parse("ZI"),
+                          pp::PauliString::parse("YI"),
+                          pp::PauliString::parse("IX")},
+                         {1.0, 2.0, 3.0, 4.0});
+  const auto groups = pcore::groups_from_coloring(set, {3, 1, 3, 0});
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0].members, (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(groups[1].members, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(groups[2].members, (std::vector<std::uint32_t>{3}));
+  EXPECT_DOUBLE_EQ(groups[0].coefficient_norm, std::sqrt(10.0));
+  EXPECT_DOUBLE_EQ(groups[1].coefficient_norm, 2.0);
+  EXPECT_DOUBLE_EQ(groups[2].coefficient_norm, 4.0);
+}
+
+TEST(Partition, GroupsFromColoringRejectsLengthMismatch) {
+  const pp::PauliSet set({pp::PauliString::parse("XI"),
+                          pp::PauliString::parse("YI")});
+  EXPECT_THROW(pcore::groups_from_coloring(set, {0, 1, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(pcore::groups_from_coloring(set, {0}), std::invalid_argument);
 }
 
 TEST(Partition, VerifierCatchesNonAnticommutingGroup) {

@@ -60,21 +60,12 @@ TEST(Picasso, DeterministicGivenSeed) {
 
 TEST(Picasso, KernelsProduceIdenticalColorings) {
   const auto g = pg::erdos_renyi_dense(250, 0.5, 3);
-  pcore::PicassoParams params;
-  params.kernel = pcore::ConflictKernel::Indexed;
-  const auto idx = papi::SessionBuilder()
-                       .params(params)
-                       .strategy(papi::ExecutionStrategy::InMemory)
-                       .build()
-                       .solve(papi::Problem::dense(g))
-                       .result;
-  params.kernel = pcore::ConflictKernel::Reference;
-  const auto ref = papi::SessionBuilder()
-                       .params(params)
-                       .strategy(papi::ExecutionStrategy::InMemory)
-                       .build()
-                       .solve(papi::Problem::dense(g))
-                       .result;
+  const pg::DenseOracle oracle(g);
+  const pcore::PicassoParams params;
+  const auto idx =
+      pcore::solve_oracle(oracle, params, pcore::ConflictKernel::Indexed);
+  const auto ref =
+      pcore::solve_oracle(oracle, params, pcore::ConflictKernel::Reference);
   EXPECT_EQ(idx.colors, ref.colors);
 }
 
@@ -183,22 +174,6 @@ TEST(Picasso, StatsAreInternallyConsistent) {
   EXPECT_GT(r.peak_logical_bytes, 0u);
   EXPECT_NEAR(r.color_percent(),
               100.0 * r.num_colors / g.num_vertices(), 1e-9);
-}
-
-TEST(Picasso, ConflictColoringSchemesAllValid) {
-  const auto g = pg::erdos_renyi_dense(250, 0.5, 23);
-  const pg::DenseOracle oracle(g);
-  for (auto scheme : {pcore::ConflictColoringScheme::DynamicBucket,
-                      pcore::ConflictColoringScheme::DynamicHeap,
-                      pcore::ConflictColoringScheme::StaticNatural,
-                      pcore::ConflictColoringScheme::StaticRandom,
-                      pcore::ConflictColoringScheme::StaticLargestFirst}) {
-    pcore::PicassoParams params;
-    params.conflict_scheme = scheme;
-    const auto r = papi::Session::from_params(params).solve(papi::Problem::dense(g)).result;
-    EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, r.colors))
-        << to_string(scheme);
-  }
 }
 
 TEST(Picasso, WorksDirectlyOnPauliComplementOracle) {

@@ -338,20 +338,10 @@ TEST(AutoKernel, ProducesIdenticalColoringsToBothKernels) {
     params.palette_percent = percent;
     params.alpha = alpha;
     params.seed = 29;
-    params.kernel = pcore::ConflictKernel::Auto;
-    const auto auto_r = papi::SessionBuilder()
-                            .params(params)
-                            .strategy(papi::ExecutionStrategy::InMemory)
-                            .build()
-                            .solve(papi::Problem::dense(g))
-                            .result;
-    params.kernel = pcore::ConflictKernel::Reference;
-    const auto ref_r = papi::SessionBuilder()
-                           .params(params)
-                           .strategy(papi::ExecutionStrategy::InMemory)
-                           .build()
-                           .solve(papi::Problem::dense(g))
-                           .result;
+    const pg::DenseOracle oracle(g);
+    const auto auto_r = pcore::solve_oracle(oracle, params);
+    const auto ref_r =
+        pcore::solve_oracle(oracle, params, pcore::ConflictKernel::Reference);
     EXPECT_EQ(auto_r.colors, ref_r.colors);
   }
 }

@@ -65,21 +65,20 @@ TEST(Integration, AllExecutionPathsProduceTheSameColoring) {
   pcore::PicassoParams params;
   params.seed = 5;
 
-  params.kernel = pcore::ConflictKernel::Indexed;
-  const auto indexed = papi::SessionBuilder()
-                           .params(params)
-                           .strategy(papi::ExecutionStrategy::InMemory)
-                           .build()
-                           .solve(papi::Problem::pauli(set))
-                           .result;
-  params.kernel = pcore::ConflictKernel::Reference;
-  const auto reference = papi::SessionBuilder()
+  const auto indexed =
+      pcore::solve_pauli(set, params, pcore::ConflictKernel::Indexed);
+  const auto reference =
+      pcore::solve_pauli(set, params, pcore::ConflictKernel::Reference);
+  EXPECT_EQ(indexed.colors, reference.colors);
+
+  // A forced InMemory session runs the same engine with the Auto kernel.
+  const auto in_memory = papi::SessionBuilder()
                              .params(params)
                              .strategy(papi::ExecutionStrategy::InMemory)
                              .build()
                              .solve(papi::Problem::pauli(set))
                              .result;
-  EXPECT_EQ(indexed.colors, reference.colors);
+  EXPECT_EQ(indexed.colors, in_memory.colors);
 
   // Auto plans the edge-free fused engine for an in-memory Pauli set.
   const auto fused =

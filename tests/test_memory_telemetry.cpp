@@ -325,15 +325,10 @@ TEST(MemoryReport, IndexedConflictBuildChargesItsColorIndex) {
   for (const std::uint32_t threads : {1u, 2u}) {
     pcore::PicassoParams params;
     params.seed = 1;
-    params.kernel = pcore::ConflictKernel::Indexed;
     params.runtime.num_threads = threads;
     params.runtime.serial_cutoff = 0;
-    const auto r = papi::SessionBuilder()
-                       .params(params)
-                       .strategy(papi::ExecutionStrategy::InMemory)
-                       .build()
-                       .solve(papi::Problem::csr(g))
-                       .result;
+    const auto r = pcore::solve_oracle(pg::CsrOracle(g), params,
+                                       pcore::ConflictKernel::Indexed);
     ASSERT_FALSE(r.iterations.empty());
     const auto& first = r.iterations[0];
     const std::size_t index_bytes =

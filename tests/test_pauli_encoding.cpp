@@ -502,9 +502,6 @@ TEST(ProblemFingerprint, EverySinglePlaneBitAndHashedParamMatters) {
   EXPECT_TRUE(changed([](auto& p) { p.alpha *= 2; }));
   EXPECT_TRUE(changed([](auto& p) { p.seed ^= 1; }));
   EXPECT_TRUE(changed([](auto& p) { p.max_iterations += 1; }));
-  EXPECT_TRUE(changed([](auto& p) {
-    p.conflict_scheme = picasso::core::ConflictColoringScheme::StaticNatural;
-  }));
   EXPECT_NE(papi::problem_fingerprint(view, n + 1, params), base);
   EXPECT_NE(papi::problem_fingerprint(set.prefix(7), params), base);
 }

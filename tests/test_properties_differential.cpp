@@ -353,39 +353,3 @@ TEST(DifferentialProperties, FusedAgreesWithMaterializedEverywhere) {
   }
   std::filesystem::remove_all(dir);
 }
-
-// Fused colorings are also scheme-complete: every conflict-coloring scheme
-// lands on the materialized coloring (the scheme bodies are shared; this
-// pins the enumerator contracts).
-TEST(DifferentialProperties, FusedAgreesAcrossConflictSchemes) {
-  pu::Xoshiro256 rng(kHarnessSeed ^ 0x5c4e3e5ull);
-  constexpr pcore::ConflictColoringScheme kSchemes[] = {
-      pcore::ConflictColoringScheme::DynamicBucket,
-      pcore::ConflictColoringScheme::DynamicHeap,
-      pcore::ConflictColoringScheme::StaticNatural,
-      pcore::ConflictColoringScheme::StaticRandom,
-      pcore::ConflictColoringScheme::StaticLargestFirst,
-  };
-  for (int c = 0; c < 12; ++c) {
-    const std::size_t n = 40 + rng.bounded(140);
-    const std::size_t qubits = 2 + rng.bounded(40);
-    const auto set = random_set(n, qubits, rng);
-    pcore::PicassoParams params = random_params(rng);
-    params.conflict_scheme = kSchemes[c % 5];
-    const std::string key = "case " + std::to_string(c) + " scheme=" +
-                            pcore::to_string(params.conflict_scheme);
-    const auto ref = papi::SessionBuilder()
-                         .params(params)
-                         .strategy(papi::ExecutionStrategy::InMemory)
-                         .build()
-                         .solve(papi::Problem::pauli(set))
-                         .result;
-    const auto fused = papi::SessionBuilder()
-                           .params(params)
-                           .strategy(papi::ExecutionStrategy::Fused)
-                           .build()
-                           .solve(papi::Problem::pauli(set))
-                           .result;
-    ASSERT_EQ(fused.colors, ref.colors) << key;
-  }
-}

@@ -176,21 +176,12 @@ TEST(PicassoEquivalence, AggressiveConfigAndReferenceKernel) {
   pcore::PicassoParams params;
   params.palette_percent = 3.0;
   params.alpha = 30.0;
-  params.kernel = pcore::ConflictKernel::Reference;
   params.seed = 11;
   params.runtime = serial_config();
-  const auto serial = papi::SessionBuilder()
-                          .params(params)
-                          .strategy(papi::ExecutionStrategy::InMemory)
-                          .build()
-                          .solve(papi::Problem::oracle(oracle))
-                          .result;
+  const auto serial =
+      pcore::solve_oracle(oracle, params, pcore::ConflictKernel::Reference);
   params.runtime = parallel_config(4);
-  const auto parallel = papi::SessionBuilder()
-                            .params(params)
-                            .strategy(papi::ExecutionStrategy::InMemory)
-                            .build()
-                            .solve(papi::Problem::oracle(oracle))
-                            .result;
+  const auto parallel =
+      pcore::solve_oracle(oracle, params, pcore::ConflictKernel::Reference);
   EXPECT_EQ(serial.colors, parallel.colors);
 }

@@ -189,8 +189,8 @@ TEST_P(StreamingEquivalence, ChunkSizeDoesNotChangeTheColoring) {
   EXPECT_EQ(streamed.colors, reference.colors);
   EXPECT_EQ(streamed.num_colors, reference.num_colors);
   EXPECT_EQ(streamed.palette_total, reference.palette_total);
-  // Per-iteration conflict_edges are not compared: under the dynamic
-  // schemes the fused engine counts list removals, a lower bound on |Ec|.
+  // Per-iteration conflict_edges are not compared: the fused engine counts
+  // list removals, a lower bound on |Ec|.
   EXPECT_EQ(streamed.iterations.size(), reference.iterations.size());
   const pg::ComplementOracle oracle(set);
   EXPECT_TRUE(pc::is_valid_coloring_oracle(oracle, streamed.colors));

@@ -114,19 +114,6 @@ TEST(PrefixSum, OffsetsFromCounts) {
   EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, 2, 2, 5}));
 }
 
-TEST(PrefixSum, ParallelMatchesSequential) {
-  pu::Xoshiro256 rng(123);
-  for (std::size_t n : {0u, 1u, 100u, 70000u, 200001u}) {
-    std::vector<std::uint64_t> a(n);
-    for (auto& x : a) x = rng.bounded(100);
-    auto b = a;
-    const auto ta = pu::exclusive_scan_inplace(a);
-    const auto tb = pu::parallel_exclusive_scan_inplace(b);
-    EXPECT_EQ(ta, tb) << "n=" << n;
-    EXPECT_EQ(a, b) << "n=" << n;
-  }
-}
-
 TEST(PeakRss, ReturnsPositiveOnLinux) { EXPECT_GT(pu::peak_rss_bytes(), 0u); }
 
 TEST(Stats, MeanStdDevGeomeanMedian) {
