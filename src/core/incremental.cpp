@@ -452,7 +452,8 @@ std::uint32_t FusedState::first_fit(pauli::PackedRecordProber& prober,
         continue;  // disjoint supports: commutes with every member
       }
       sweep.window.push_back(
-          {end, 0, static_cast<std::uint32_t>(bucket.size()), true});
+          {bucket.data(), end, static_cast<std::uint32_t>(bucket.size()), 0,
+           0});
     }
 
     // Window buckets that block, below the one that admits (all of them
@@ -486,46 +487,56 @@ std::size_t FusedState::probe_window(pauli::PackedRecordProber& prober,
   // bucket still in the running through one edges() call. A bucket drops
   // at its first hit; one whose members are all probed without a hit
   // admits, and buckets above it stop being probed. The window is decided
-  // once its lowest bucket still alive has been probed in full.
+  // once no bucket below the one that admits is still alive. `live` holds
+  // the window indices of the alive buckets below `admits`, ascending; the
+  // pass that reads a round's hits rewrites it.
   auto& window = sweep.window;
-  std::size_t lowest = 0;             // lowest alive bucket
+  auto& live = sweep.live;
+  live.resize(window.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    live[i] = static_cast<std::uint32_t>(i);
+  }
   std::size_t admits = window.size();  // lowest bucket known to admit
   std::size_t step = 1;
-  while (lowest < admits) {
-    sweep.ids.clear();
-    sweep.slices.clear();
-    for (std::size_t i = lowest; i < admits; ++i) {
-      Sweep::Candidate& cand = window[i];
-      if (!cand.alive) continue;
-      const std::uint32_t* members = buckets_[cand.color].data();
-      const std::size_t take =
-          std::min<std::size_t>(step, cand.size - cand.probed);
-      sweep.ids.insert(sweep.ids.end(), members + cand.probed,
-                       members + cand.probed + take);
-      cand.probed += static_cast<std::uint32_t>(take);
-      sweep.slices.push_back(
-          {static_cast<std::uint32_t>(i),
-           static_cast<std::uint32_t>(sweep.ids.size())});
+  while (!live.empty()) {
+    const std::size_t most = live.size() * step;
+    if (sweep.ids.size() < most) {
+      sweep.ids.resize(most);
+      sweep.hits.resize(most);
     }
-    sweep.hits.resize(sweep.ids.size());
-    probe(prober, sweep.ids.data(), sweep.ids.size(), sweep.hits.data());
+    std::uint32_t* out = sweep.ids.data();
+    std::uint32_t end = 0;
+    for (const std::uint32_t i : live) {
+      Sweep::Candidate& cand = window[i];
+      const std::uint32_t take =
+          std::min(static_cast<std::uint32_t>(step), cand.size - cand.probed);
+      const std::uint32_t* from = cand.members + cand.probed;
+      for (std::uint32_t k = 0; k < take; ++k) out[end + k] = from[k];
+      end += take;
+      cand.probed += take;
+      cand.end = end;
+    }
+    probe(prober, out, end, sweep.hits.data());
+    // About half the buckets drop per round, so keeping one is a
+    // branch-free write; only the rare admitting bucket branches.
+    std::size_t kept = 0;
     std::uint32_t from = 0;
-    for (const Sweep::Slice& slice : sweep.slices) {
-      Sweep::Candidate& cand = window[slice.candidate];
-      if (std::any_of(sweep.hits.begin() + from,
-                      sweep.hits.begin() + slice.end,
-                      [](std::uint8_t hit) { return hit != 0; })) {
-        cand.alive = false;
-      } else if (cand.probed == cand.size) {
-        admits = slice.candidate;
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      const Sweep::Candidate& cand = window[live[j]];
+      std::uint32_t hit = 0;
+      for (std::uint32_t k = from; k < cand.end; ++k) hit |= sweep.hits[k];
+      from = cand.end;
+      if ((hit | (cand.size - cand.probed)) == 0) {
+        admits = live[j];
         break;
       }
-      from = slice.end;
+      live[kept] = live[j];
+      kept += hit == 0 ? 1 : 0;
     }
-    while (lowest < admits && !window[lowest].alive) ++lowest;
+    live.resize(kept);
     step = std::min(2 * step, kInsertBatch);
   }
-  return lowest;
+  return admits;
 }
 
 void FusedState::color_pauli_backlog(const StopToken& stop,

@@ -184,24 +184,21 @@ class FusedState {
   void color_pauli_backlog(const StopToken& stop, const ProgressFn& progress,
                            obs::TraceRecorder* trace, UpdateStats& stats);
   /// Scratch of first_fit's probe windows, reused across vertices: the
-  /// window's signature-surviving buckets (color, members probed so far,
-  /// members, still unblocked), the ids one probe round sends, each probed
-  /// bucket's window index and the end of its slice of `ids`, and the
-  /// edges() answers.
+  /// window's signature-surviving buckets (members, color, size, members
+  /// probed so far, end of this round's slice of `ids`), the window indices
+  /// still in the running, the ids one probe round sends and the edges()
+  /// answers. `ids` and `hits` only grow.
   struct Sweep {
     struct Candidate {
+      const std::uint32_t* members;
       std::uint32_t color;
-      std::uint32_t probed;
       std::uint32_t size;
-      bool alive;
-    };
-    struct Slice {
-      std::uint32_t candidate;
+      std::uint32_t probed;
       std::uint32_t end;
     };
     std::vector<Candidate> window;
+    std::vector<std::uint32_t> live;
     std::vector<std::uint32_t> ids;
-    std::vector<Slice> slices;
     std::vector<std::uint8_t> hits;
   };
   /// Lowest color whose bucket admits the vertex pinned in `prober`

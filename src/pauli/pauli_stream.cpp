@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -39,10 +40,10 @@ void write_pod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Read-only POSIX descriptor for the segment walk, the trailer pass and
-/// chunk reads: positional reads need no seek and fill no stream buffer, so
-/// a 16-byte segment header costs 16 bytes. (No mmap: a file truncated
-/// under a mapping raises SIGBUS where a short read raises an error.)
+/// Read-only POSIX descriptor for the verifying scan and chunk reads:
+/// positional reads need no seek and fill no stream buffer. (No mmap: a
+/// file truncated under a mapping raises SIGBUS where a short read raises
+/// an error.)
 class ReadOnlyFile {
  public:
   explicit ReadOnlyFile(const std::string& path)
@@ -80,6 +81,57 @@ class ReadOnlyFile {
 
  private:
   int fd_;
+};
+
+/// Reads [0, limit) of a file front to back through one 64 KiB buffer, one
+/// positional read per block: take() hands the next bytes to a hasher, to a
+/// caller's field, or to both, so a scan reads every byte of the file once.
+class BlockStream {
+ public:
+  explicit BlockStream(const ReadOnlyFile& file) : file_(&file) {}
+
+  /// Stops reads at byte `bytes` (until set: at end of file), bytes
+  /// already buffered included.
+  void limit(std::uint64_t bytes) noexcept {
+    limit_ = bytes;
+    end_ = std::min(end_, bytes);
+  }
+  std::uint64_t position() const noexcept { return pos_; }
+
+  /// Moves the next `n` bytes into `hasher` and `dest`, either of which may
+  /// be null; returns the bytes moved, fewer than `n` only at the limit, at
+  /// end of file or on an I/O error.
+  std::uint64_t take(std::uint64_t n, void* dest, util::WordHasher* hasher) {
+    auto* out = static_cast<char*>(dest);
+    std::uint64_t done = 0;
+    while (done < n) {
+      if (pos_ >= end_ && !refill()) break;
+      const auto piece =
+          static_cast<std::size_t>(std::min(n - done, end_ - pos_));
+      const char* bytes = block_.data() + (pos_ - begin_);
+      if (hasher != nullptr) hasher->update(bytes, piece);
+      if (out != nullptr) std::memcpy(out + done, bytes, piece);
+      pos_ += piece;
+      done += piece;
+    }
+    return done;
+  }
+
+ private:
+  bool refill() noexcept {
+    if (pos_ >= limit_) return false;
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(block_.size(), limit_ - pos_));
+    begin_ = pos_;
+    end_ = pos_ + file_->read_at(block_.data(), want, pos_);
+    return end_ > pos_;
+  }
+
+  const ReadOnlyFile* file_;
+  std::array<char, std::size_t{1} << 16> block_;
+  std::uint64_t limit_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t begin_ = 0, end_ = 0;  // file bytes in block_
+  std::uint64_t pos_ = 0;              // next byte to take
 };
 
 /// End of `count` records of `stride` bytes starting at `start`, or
@@ -140,6 +192,14 @@ class HashingTee : public std::streambuf {
   std::size_t left_;
 };
 
+/// ceil(2^64 / spc) for PackedRecordProber::chunk_of, exact for every
+/// 32-bit id once spc > 1 (a one-string chunk is its id, and 2^64 does not
+/// fit: 0). From spc = 2^32 on the magic is at most 2^32, so every 32-bit id
+/// maps to chunk 0, the resident view's one chunk.
+std::uint64_t chunk_magic(std::size_t spc) noexcept {
+  return spc > 1 ? ~std::uint64_t{0} / spc + 1 : 0;
+}
+
 }  // namespace
 
 std::size_t spill_pauli_set(const PauliSet& set, const std::string& path) {
@@ -190,8 +250,14 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   if (!file.is_open()) {
     throw std::runtime_error("ChunkedPauliReader: cannot open " + path_);
   }
+  // One sequential pass: header fields, records and trailers all come out
+  // of the same block reads, and every block's bytes feed its checksum on
+  // the way.
+  BlockStream in(file);
+  util::WordHasher words;  // of the block being read
   std::uint64_t header[3] = {};
-  const std::size_t header_read = file.read_at(header, kHeaderBytes, 0);
+  const std::size_t header_read =
+      static_cast<std::size_t>(in.take(kHeaderBytes, header, &words));
   if (header_read >= sizeof(std::uint64_t) && header[0] != kMagic) {
     throw std::runtime_error(
         "ChunkedPauliReader: bad magic in " + path_ +
@@ -220,6 +286,7 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
     throw std::runtime_error("ChunkedPauliReader: cannot stat " + path_);
   }
   const std::uint64_t file_bytes = *size;
+  in.limit(file_bytes);
 
   // The base header's count describes the base block only; everything past
   // it must be re-derived from the file itself: a chain of well-formed
@@ -236,82 +303,57 @@ ChunkedPauliReader::Layout ChunkedPauliReader::scan() const {
   }
 
   // Every block ends in a trailer, then the file ends or an append segment
-  // starts: one 16-byte positional read per trailer and segment header. A
-  // missing trailer also keeps a corrupt count from passing a block's
-  // trailer off as records.
-  const auto fields_at = [&](std::uint64_t at, std::uint64_t magic,
-                             std::uint64_t& value) {
-    std::uint64_t fields[2] = {};
-    if (file_bytes - at < sizeof(fields) ||
-        file.read_at(fields, sizeof(fields), at) != sizeof(fields) ||
-        fields[0] != magic) {
-      return false;
-    }
-    value = fields[1];
-    return true;
-  };
+  // starts. A missing trailer also keeps a corrupt count from passing a
+  // block's trailer off as records. Torn-write detection: every trailer
+  // must match the bytes of its block (header included), so no silently
+  // corrupted chunk is ever served to a solve. A mismatch is reported only
+  // once the walk has found the whole chain well formed, so a file with a
+  // structural fault fails on that fault first.
   std::vector<Segment>& segments = layout.segments;
   segments.push_back({0, static_cast<std::size_t>(base_count), kHeaderBytes, 0});
   std::uint64_t next_id = base_count;
-  for (std::uint64_t pos = *base_end;;) {
-    if (!fields_at(pos, kTrailerMagic, segments.back().checksum)) {
+  bool mismatch = false;
+  for (std::uint64_t end = *base_end;;) {
+    const std::uint64_t pos = in.position();
+    if (in.take(end - pos, nullptr, &words) != end - pos) {
+      throw std::runtime_error(
+          "pauli_stream: truncated while verifying checksum in " + path_);
+    }
+    std::uint64_t trailer[2] = {};
+    if (in.take(kTrailerBytes, trailer, nullptr) != kTrailerBytes ||
+        trailer[0] != kTrailerMagic) {
       throw std::runtime_error(
           "ChunkedPauliReader: no checksum trailer at byte " +
-          std::to_string(pos) + " of " + path_ +
+          std::to_string(end) + " of " + path_ +
           " (torn write, or a corrupt count)");
     }
-    pos += kTrailerBytes;
-    if (pos == file_bytes) break;
-    std::uint64_t count = 0;
-    std::optional<std::uint64_t> end;
-    if (fields_at(pos, kAppendMagic, count)) {
-      end = records_end(pos + kSegmentHeaderBytes, count, record, file_bytes);
+    segments.back().checksum = trailer[1];
+    mismatch = mismatch || words.digest() != trailer[1];
+    const std::uint64_t next = end + kTrailerBytes;
+    if (next == file_bytes) break;
+    words = util::WordHasher{};
+    std::uint64_t fields[2] = {};
+    std::optional<std::uint64_t> next_end;
+    if (in.take(kSegmentHeaderBytes, fields, &words) == kSegmentHeaderBytes &&
+        fields[0] == kAppendMagic) {
+      next_end = records_end(next + kSegmentHeaderBytes, fields[1], record,
+                             file_bytes);
     }
-    if (!end) {
+    if (!next_end) {
       throw std::runtime_error(
           "ChunkedPauliReader: unrecognized trailing bytes in " + path_ +
           " (truncated append segment or corrupt records)");
     }
     segments.push_back({static_cast<std::size_t>(next_id),
-                        static_cast<std::size_t>(count),
-                        pos + kSegmentHeaderBytes, 0});
-    next_id += count;
-    pos = *end;
+                        static_cast<std::size_t>(fields[1]),
+                        next + kSegmentHeaderBytes, 0});
+    next_id += fields[1];
+    end = *next_end;
   }
-
-  // Torn-write detection: every trailer must match the bytes of its block
-  // (header included), so no silently corrupted chunk is ever served to a
-  // solve. The blocks ascend and only the 16-byte trailers lie between
-  // them, so one sequential pass of block reads through one buffer hashes
-  // them all; a read that runs past one block feeds the next.
-  std::array<char, std::size_t{1} << 16> block;
-  std::uint64_t block_begin = 0, block_end = 0;  // file bytes in `block`
-  const std::uint64_t covered_end = file_bytes - kTrailerBytes;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const Segment& seg = segments[i];
-    const std::uint64_t end = seg.offset + seg.count * record;
-    util::WordHasher words;
-    for (std::uint64_t at = i == 0 ? 0 : seg.offset - kSegmentHeaderBytes;
-         at < end;) {
-      if (at < block_begin || at >= block_end) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(block.size(), covered_end - at));
-        block_begin = at;
-        block_end = at + file.read_at(block.data(), want, at);
-        if (block_end == at) {
-          throw std::runtime_error(
-              "pauli_stream: truncated while verifying checksum in " + path_);
-        }
-      }
-      const auto n = static_cast<std::size_t>(std::min(block_end, end) - at);
-      words.update(block.data() + (at - block_begin), n);
-      at += n;
-    }
-    if (words.digest() != seg.checksum) {
-      throw std::runtime_error(
-          "ChunkedPauliReader: checksum mismatch in " + path_ +
-          " (torn or corrupt spill segment)");
-    }
+  if (mismatch) {
+    throw std::runtime_error(
+        "ChunkedPauliReader: checksum mismatch in " + path_ +
+        " (torn or corrupt spill segment)");
   }
 
   layout.num_strings = static_cast<std::size_t>(next_id);
@@ -612,7 +654,8 @@ PackedRecordProber::PackedRecordProber(PackedView view)
                          ? obs::Counter::EdgeBlockCallsAvx2
                          : obs::Counter::EdgeBlockCallsScalar),
       kernel_(resolve_block_kernel(words_, best_simd_level())),
-      swapped_(2 * words_) {}
+      swapped_(2 * words_),
+      chunk_magic_(chunk_magic(spc_)) {}
 
 PackedRecordProber::PackedRecordProber(const ChunkedPauliReader& reader,
                                        PackedPauliChunkCache& cache)
@@ -620,11 +663,7 @@ PackedRecordProber::PackedRecordProber(const ChunkedPauliReader& reader,
                                     packed_words(reader.num_qubits())}) {
   cache_ = &cache;
   spc_ = reader.strings_per_chunk();
-  // ceil(2^64 / spc_): exact for every 32-bit id once spc_ > 1 (a
-  // one-string chunk is its id, and 2^64 does not fit).
-  if (spc_ > 1 && spc_ <= std::numeric_limits<std::uint32_t>::max()) {
-    chunk_magic_ = ~std::uint64_t{0} / spc_ + 1;
-  }
+  chunk_magic_ = chunk_magic(spc_);
 }
 
 const std::uint64_t* PackedRecordProber::chunk_records(std::size_t chunk) {
@@ -642,7 +681,7 @@ const std::uint64_t* PackedRecordProber::chunk_records(std::size_t chunk) {
 }
 
 const std::uint64_t* PackedRecordProber::record(std::uint32_t id) {
-  const std::size_t chunk = id / spc_;
+  const std::size_t chunk = chunk_of(id);
   return chunk_records(chunk) + (id - chunk * spc_) * 2 * words_;
 }
 
@@ -653,8 +692,9 @@ const std::uint64_t* PackedRecordProber::set_u(std::uint32_t u) {
     pin_chunk_ = kNoChunk;
     u_pin_.reset();
     u_chunk_ = kNoChunk;  // until the lookup below succeeds
-    u_pin_ = cache_->get(u / spc_);
-    u_chunk_ = u / spc_;
+    const std::size_t chunk = chunk_of(u);
+    u_pin_ = cache_->get(chunk);
+    u_chunk_ = chunk;
   }
   const std::uint64_t* rec = record(u);
   make_swapped_record(rec, words_, swapped_.data());
@@ -665,8 +705,8 @@ void PackedRecordProber::edges(const std::uint32_t* ids, std::size_t count,
                                std::uint8_t* out) {
   if (count == 0) return;
   const auto [lo, hi] = std::minmax_element(ids, ids + count);
-  const std::size_t first = *lo / spc_;
-  const std::size_t last = *hi / spc_;
+  const std::size_t first = chunk_of(*lo);
+  const std::size_t last = chunk_of(*hi);
   if (first == last || std::is_sorted(ids, ids + count)) {
     probe_runs(ids, count, out);
     return;
@@ -732,7 +772,7 @@ void PackedRecordProber::group_by_chunk(const std::uint32_t* ids,
 }
 
 std::size_t PackedRecordProber::chunk_of(std::uint32_t id) const noexcept {
-  if (chunk_magic_ == 0) return id / spc_;
+  if (chunk_magic_ == 0) return id;  // one-string chunks
   return static_cast<std::size_t>(
       (static_cast<unsigned __int128>(chunk_magic_) * id) >> 64);
 }
@@ -742,7 +782,7 @@ void PackedRecordProber::probe_runs(const std::uint32_t* ids,
   // Either every id lies in one chunk or the ids ascend; each chunk's ids
   // then form one run. A resident view is the one chunk [0, spc_).
   for (std::size_t i = 0; i < count;) {
-    const std::size_t chunk = ids[i] / spc_;
+    const std::size_t chunk = chunk_of(ids[i]);
     const std::size_t end = (chunk + 1) * spc_;
     std::size_t j = i + 1;
     while (j < count && ids[j] < end) ++j;

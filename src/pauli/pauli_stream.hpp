@@ -19,11 +19,12 @@
 // file layout — it must NOT trust the base header's string count, because
 // appended bytes make it a lie. Chunk ranges span segment boundaries
 // transparently. A reader already open picks up new segments with
-// refresh(), which repeats the walk (one small positional read per segment
-// header) and the checksum verification (one sequential pass over the
-// spill) in place and reports how many leading strings kept their bytes,
-// so a chunk cache keeps every chunk before them and extends the one they
-// end in with the appended records alone (PackedPauliChunkCache::sync).
+// refresh(), which repeats the constructor's scan in place — one sequential
+// pass of 64 KiB block reads that parses every header and trailer and
+// hashes every block from the same bytes — and reports how many leading
+// strings kept their bytes, so a chunk cache keeps every chunk before them
+// and extends the one they end in with the appended records alone
+// (PackedPauliChunkCache::sync).
 //
 // Checksum trailers: the base block and every append segment end in
 // [PSETSUM2][u64 util::WordHasher digest of the bytes they cover]; a block
@@ -165,8 +166,10 @@ class ChunkedPauliReader {
     std::vector<Segment> segments;
   };
 
-  /// Walks path_ and verifies every checksum trailer (the constructor's and
-  /// refresh()'s shared routine); throws on any inconsistency.
+  /// Walks path_ and verifies every checksum trailer in one sequential pass
+  /// of block reads (the constructor's and refresh()'s shared routine);
+  /// throws on any inconsistency, a checksum mismatch only once the whole
+  /// chain has walked well formed.
   Layout scan() const;
   void adopt(Layout layout);
 
@@ -309,7 +312,7 @@ class PackedRecordProber {
                     std::size_t count, std::uint8_t* out);
   /// id / spc_ as one multiply-high by chunk_magic_ (Lemire, Kaser and
   /// Kurz, "Faster remainder by direct computation", 2019), exact for every
-  /// 32-bit id.
+  /// 32-bit id: every chunk lookup of the prober goes through it.
   std::size_t chunk_of(std::uint32_t id) const noexcept;
 
   PackedView view_;                         // resident source
@@ -326,7 +329,7 @@ class PackedRecordProber {
   std::shared_ptr<const PackedPauliSet> pin_;
   std::vector<std::uint64_t> swapped_;  // u's record as [z|x]
   std::vector<std::uint32_t> rel_;      // chunk-local ids
-  std::uint64_t chunk_magic_ = 0;       // ceil(2^64 / spc_); 0: divide
+  std::uint64_t chunk_magic_ = 0;       // ceil(2^64 / spc_); 0: spc_ == 1
   // An unsorted batch that spans chunks, grouped by chunk (group_by_chunk)
   // with each id's batch position, and the kernel's answers.
   std::vector<std::uint32_t> group_ids_;

@@ -10,10 +10,11 @@
 // grown chunk by its appended records alone and release the charge of a
 // throwing load), an update's disk writes being its append segment alone,
 // the phase spans of a traced update, first fit against a class-by-class
-// reference, and the record prober both stores probe through (spilled
-// answers equal resident ones and a per-pair reference at every chunk
-// size, one kernel call per chunk a batch touches, one cache lookup per
-// chunk switch).
+// reference, the probe schedule's pinned counters, the one-pass spill scan
+// across 64 KiB block boundaries, and the record prober both stores probe
+// through (spilled answers equal resident ones and a per-pair reference at
+// every chunk size, one kernel call per chunk a batch touches, one cache
+// lookup per chunk switch).
 
 #include <gtest/gtest.h>
 
@@ -415,6 +416,98 @@ TEST(IncrementalUpdate, FirstFitMatchesClassByClassReference) {
     for (std::size_t i = 0; i < inserted.size(); ++i) {
       ASSERT_EQ(state.colors()[base.size() + i], want[i]) << "insert " << i;
     }
+  }
+}
+
+// --- The probe schedule ------------------------------------------------------
+
+namespace {
+
+/// `count` strings on `qubits` qubits with `ops` random non-identity ops
+/// each: sparse supports, so bucket signatures often prove disjointness.
+std::vector<pp::PauliString> sparse_strings(std::size_t count,
+                                            std::size_t qubits, std::size_t ops,
+                                            std::uint64_t seed) {
+  picasso::util::Xoshiro256 rng(seed);
+  std::vector<pp::PauliString> strings;
+  for (std::size_t i = 0; i < count; ++i) {
+    pp::PauliString s(qubits);
+    for (std::size_t k = 0; k < ops; ++k) {
+      s.set_op(rng.bounded(qubits),
+               static_cast<pp::PauliOp>(1 + rng.bounded(3)));
+    }
+    strings.push_back(s);
+  }
+  return strings;
+}
+
+}  // namespace
+
+TEST(IncrementalUpdate, ProbeScheduleCountersArePinned) {
+  // Which ids go through which edges() call is the probe schedule; the
+  // counters below are a function of it alone. A rewrite of first fit or of
+  // the prober that sends other ids, or the same ids in other batches,
+  // moves them, even when the coloring stays the same.
+  constexpr std::size_t kQubits = 48;
+  const auto family = anticommuting_family(kQubits);  // 97 strings
+  const auto randoms = sparse_strings(800, kQubits, 5, 1301);
+
+  // Color 0: the family, a class probed over seven doubling rounds; then
+  // 500 sparse strings greedy-colored into classes 1..K.
+  std::vector<pp::PauliString> base(family.begin(), family.end());
+  std::vector<std::uint32_t> colors(base.size(), 0);
+  std::vector<std::vector<pp::PauliString>> greedy;
+  for (std::size_t i = 0; i < 500; ++i) {
+    const std::uint32_t g = first_fit_reference(greedy, randoms[i]);
+    if (g == greedy.size()) greedy.emplace_back();
+    greedy[g].push_back(randoms[i]);
+    base.push_back(randoms[i]);
+    colors.push_back(1 + g);
+  }
+  ASSERT_GT(greedy.size(), 64u);  // more buckets than two probe windows
+
+  // Inserted: the other 300 sparse strings, with family members mixed in.
+  std::vector<pp::PauliString> inserted(randoms.begin() + 500, randoms.end());
+  inserted.insert(inserted.begin() + 20, family[96]);
+  inserted.insert(inserted.begin() + 120, family[7]);
+
+  constexpr std::size_t kChunk = 113;  // the spill holds 8 chunks
+  ASSERT_EQ((base.size() + inserted.size() + kChunk - 1) / kChunk, 8u);
+  using picasso::obs::Counter;
+  for (const bool spilled : {false, true}) {
+    SCOPED_TRACE(spilled ? "spilled store" : "resident store");
+    TempFile file("picasso_test_probe_schedule.pset");
+    pcore::FusedState state(pcore::PicassoParams{},
+                            {.max_recolor = 8, .max_new_colors = 0});
+    if (spilled) state.use_spill(file.path.string(), kChunk);
+    pcore::PicassoResult solved;
+    solved.colors = colors;
+    state.adopt_pauli_solution(pp::PauliSet(base), solved);
+
+    picasso::obs::CounterTotals totals;
+    {
+      const picasso::obs::MetricsRunScope scope(true);
+      for (std::size_t begin = 0; begin < inserted.size(); begin += 29) {
+        state.update_pauli(slice(inserted, begin,
+                                 std::min(inserted.size(), begin + 29)));
+      }
+      totals = picasso::obs::global_metrics().totals();
+    }
+    ASSERT_EQ(state.num_vertices(), base.size() + inserted.size());
+    const std::vector<std::uint32_t> got = state.colors().to_vector();
+    const std::vector<std::uint64_t> wide(got.begin(), got.end());
+
+    // Both stores send the same ids in the same edges() calls; the spill
+    // makes one kernel call per chunk a batch touches.
+    EXPECT_EQ(totals[Counter::OraclePairEvals], 180849u);
+    EXPECT_EQ(totals[Counter::EdgeBlockCallsAvx2] +
+                  totals[Counter::EdgeBlockCallsScalar],
+              spilled ? 66068u : 24814u);
+    EXPECT_EQ(totals[Counter::UpdateBucketProbes], 60033u);
+    EXPECT_EQ(totals[Counter::SignatureFastExits], 6465u);
+    EXPECT_EQ(state.distinct_colors(), 157u);
+    EXPECT_EQ(picasso::util::hash_words(wide.data(), wide.size()),
+              14431706528595393802u);
   }
 }
 
@@ -882,6 +975,96 @@ TEST(ReaderAppend, RefreshReportsTheUnchangedStringsAndKeepsItsViewOnFailure) {
   }
   EXPECT_THROW(reader.refresh(), std::runtime_error);
   expect_packed_chunks(reader, slice(strings, 0, 32));
+}
+
+TEST(ReaderAppend, OnePassScanAcrossBlockBoundaries) {
+  // The scan reads a spill in 64 KiB blocks and parses headers and
+  // trailers out of the same bytes it hashes. This spill is over three
+  // blocks long, with 120 append segments whose sizes vary, so segment
+  // headers and trailers straddle block boundaries (asserted below).
+  constexpr std::uint64_t kBlock = std::uint64_t{1} << 16;
+  constexpr std::size_t kQubits = 16;  // 12-byte records
+  constexpr std::size_t kBase = 10167;
+  constexpr std::size_t kSegments = 120;
+  std::vector<std::size_t> counts;
+  std::size_t total = kBase;
+  for (std::size_t i = 0; i < kSegments; ++i) {
+    counts.push_back(40 + (i * 7) % 23);
+    total += counts.back();
+  }
+  const auto strings = random_strings(total, kQubits, 921);
+  TempFile file("picasso_test_scan_blocks.pset");
+  const std::string path = file.path.string();
+  pp::spill_pauli_set(slice(strings, 0, kBase), path);
+  pp::ChunkedPauliReader reader(path, 64);
+
+  // Where each segment header and each trailer starts.
+  const std::uint64_t record = pp::pset_record_bytes(kQubits);
+  std::vector<std::uint64_t> headers;
+  std::vector<std::uint64_t> trailers{24 + kBase * record};
+  std::size_t have = kBase;
+  for (const std::size_t count : counts) {
+    headers.push_back(trailers.back() + 16);
+    trailers.push_back(headers.back() + 16 + count * record);
+    pp::append_pauli_set(slice(strings, have, have + count), path);
+    EXPECT_EQ(reader.refresh(), have);
+    have += count;
+  }
+  expect_packed_chunks(reader, slice(strings, 0, total));
+  const std::uint64_t file_bytes = fs::file_size(file.path);
+  ASSERT_EQ(file_bytes, trailers.back() + 16);
+  ASSERT_GE(file_bytes, 3 * kBlock);
+
+  const auto straddling = [&](const std::vector<std::uint64_t>& fields) {
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (fields[i] / kBlock != (fields[i] + 15) / kBlock) return i;
+    }
+    return fields.size();
+  };
+  const std::size_t seg = straddling(headers);
+  const std::size_t closed = straddling(trailers);
+  ASSERT_LT(seg, headers.size());
+  ASSERT_LT(closed, trailers.size());
+  // The boundary splits the header's count and the trailer's magic from
+  // its digest.
+  ASSERT_EQ(kBlock - headers[seg] % kBlock, 12u);
+  ASSERT_EQ(kBlock - trailers[closed] % kBlock, 8u);
+
+  // The message of what `fails` throws, or "" when it throws nothing.
+  const auto error_of = [](const auto& fails) -> std::string {
+    try {
+      fails();
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    return "";
+  };
+  const auto reopen = [&] { pp::ChunkedPauliReader reopened(path, 64); };
+  const auto refresh = [&] { reader.refresh(); };
+  const auto mentions = [](const std::string& message, const char* what) {
+    return message.find(what) != std::string::npos;
+  };
+
+  // A flipped record byte in the straddling segment: refresh and a fresh
+  // open both fail. Flipping it back restores the file.
+  const std::uint64_t in_records = headers[seg] + 16 + 3 * record + 2;
+  corrupt_byte(path, in_records);
+  EXPECT_TRUE(mentions(error_of(refresh), "checksum"));
+  EXPECT_TRUE(mentions(error_of(reopen), "checksum"));
+  corrupt_byte(path, in_records);
+  EXPECT_EQ(reader.refresh(), total);
+
+  // A flipped digest byte of the straddling trailer.
+  corrupt_byte(path, trailers[closed] + 8 + 3);
+  EXPECT_TRUE(mentions(error_of(reopen), "checksum mismatch"));
+  corrupt_byte(path, trailers[closed] + 8 + 3);
+
+  // A cut inside the straddling segment header, at the block boundary:
+  // the reader keeps its view.
+  fs::resize_file(file.path, headers[seg] + 12);
+  EXPECT_TRUE(mentions(error_of(reopen), "unrecognized trailing bytes"));
+  EXPECT_TRUE(mentions(error_of(refresh), "unrecognized trailing bytes"));
+  EXPECT_EQ(reader.num_strings(), total);
 }
 
 TEST(ReaderAppend, ChunkCacheSyncKeepsEarlierChunksAndExtendsTheGrownOne) {
