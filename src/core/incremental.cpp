@@ -300,32 +300,40 @@ bool FusedState::try_recolor(pauli::PackedRecordProber& prober,
   // Runs only when every bucket is nonempty and blocked. Full-scan each
   // bucket for its exact blocking set; the relocation candidate is the
   // color with the fewest blockers (ties: lowest color) within the
-  // max_recolor cap.
+  // max_recolor cap. One blocker scratch serves every bucket, swapped with
+  // the best set when it wins.
   std::vector<std::uint8_t> hits;
   std::uint32_t best_color = kUncolored;
   std::vector<std::uint32_t> best_blockers;
+  std::vector<std::uint32_t> blockers;
+  const auto better = [&](std::size_t count) {
+    return count != 0 && count <= update_params_.max_recolor &&
+           (best_color == kUncolored || count < best_blockers.size());
+  };
   for (std::uint32_t c = 0; c < total_colors_; ++c) {
     const auto& bucket = buckets_[c];
     ++stats.bucket_probes;
     obs::count(obs::Counter::UpdateBucketProbes);
-    std::vector<std::uint32_t> blockers;
     if (supports_disjoint(sup_v, sigs_.data() + static_cast<std::size_t>(c) *
                                                     rec_words_,
                           rec_words_)) {
-      // Disjoint supports: v commutes with — conflicts with — every member.
-      blockers = bucket;
-    } else {
-      hits.resize(bucket.size());
-      probe(prober, bucket.data(), bucket.size(), hits.data());
-      for (std::size_t k = 0; k < bucket.size(); ++k) {
-        if (hits[k]) blockers.push_back(bucket[k]);
+      // Disjoint supports: v commutes with — conflicts with — every member,
+      // so the bucket is the blocking set, copied only when it wins.
+      if (better(bucket.size())) {
+        best_color = c;
+        best_blockers.assign(bucket.begin(), bucket.end());
       }
+      continue;
     }
-    if (!blockers.empty() && blockers.size() <= update_params_.max_recolor &&
-        (best_color == kUncolored ||
-         blockers.size() < best_blockers.size())) {
+    hits.resize(bucket.size());
+    probe(prober, bucket.data(), bucket.size(), hits.data());
+    blockers.clear();
+    for (std::size_t k = 0; k < bucket.size(); ++k) {
+      if (hits[k]) blockers.push_back(bucket[k]);
+    }
+    if (better(blockers.size())) {
       best_color = c;
-      best_blockers = std::move(blockers);
+      best_blockers.swap(blockers);
     }
   }
   if (best_color == kUncolored) return false;

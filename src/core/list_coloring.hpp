@@ -251,7 +251,8 @@ class StrikeState {
 
   /// The idx-th (0-based) surviving color of v's list, idx < size_of(v):
   /// walks the mask, clearing the lowest present bit idx times across
-  /// words (no popcount).
+  /// words (no popcount), and reads that slot through ColorLists::color —
+  /// from the row, or drawn again when the fused engine released the rows.
   std::uint32_t color_at(std::uint32_t v, std::uint32_t idx) const {
     const std::uint64_t* r = record(v);
     // The head word's cell and size fields sit below the mask.
@@ -266,8 +267,7 @@ class StrikeState {
     const std::uint32_t slot =
         w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)) -
         mask_shift_;
-    return lists_->visit_rows(
-        [v, slot](auto rows) { return std::uint32_t{rows.row(v)[slot]}; });
+    return lists_->color(v, slot);
   }
 
   /// Zeroes v's size and mask and clears its alive flag: v was colored, so

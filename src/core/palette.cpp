@@ -31,13 +31,27 @@ IterationPalette compute_palette(std::uint32_t n_active, double palette_percent,
 
 ColorLists::ColorLists(std::uint32_t num_vertices, std::uint32_t list_size,
                        std::uint32_t palette_size)
-    : num_vertices_(num_vertices), list_size_(list_size) {
+    : num_vertices_(num_vertices),
+      list_size_(list_size),
+      palette_size_(palette_size) {
   const std::size_t entries = static_cast<std::size_t>(num_vertices) * list_size;
-  if (palette_size <= kNarrowPaletteLimit) {
+  if (narrow()) {
     narrow_.resize(entries);
   } else {
     wide_.resize(entries);
   }
+}
+
+void ColorLists::release_rows() {
+  // Swapped out, not assigned {}: that would keep the capacity.
+  std::vector<std::uint16_t>().swap(narrow_);
+  std::vector<std::uint32_t>().swap(wide_);
+  released_ = true;
+}
+
+std::uint32_t ColorLists::redraw(std::uint32_t v, std::uint32_t slot) const {
+  util::Xoshiro256 rng = util::keyed_rng(seed_, iteration_, v);
+  return util::sample_rank(palette_size_, list_size_, slot, rng);
 }
 
 void ColorLists::build_signatures() {
@@ -57,6 +71,8 @@ ColorLists assign_random_lists(std::uint32_t num_vertices,
                                const IterationPalette& palette,
                                std::uint64_t seed, std::uint64_t iteration) {
   ColorLists lists(num_vertices, palette.list_size, palette.palette_size);
+  lists.seed_ = seed;
+  lists.iteration_ = iteration;
   const auto draw = [&](auto* data) {
     for (std::uint32_t v = 0; v < num_vertices; ++v) {
       util::Xoshiro256 rng = util::keyed_rng(seed, iteration, v);

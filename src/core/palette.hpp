@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -47,37 +48,63 @@ struct ListRows {
 /// 16 bits wide when every palette color fits (P <= kNarrowPaletteLimit)
 /// and 32 bits otherwise; at the default palette every Table-II input takes
 /// the narrow rows. The width follows from P alone; it is not an option.
+///
+/// Every row is a pure function of (seed, iteration, v) — see
+/// assign_random_lists — so the lists keep that key and can drop their rows:
+/// release_rows() frees them, after which color(v, slot) draws the entry
+/// again and every row reader (visit_rows and what is built on it) throws.
+/// The fused engines release the rows once their color index is built; the
+/// materialized engines, whose conflict pass merges whole rows, never do.
 class ColorLists {
  public:
   static constexpr std::uint32_t kNarrowPaletteLimit = 65536;
 
   ColorLists() = default;
   /// Zero-filled lists of `list_size` colors for `num_vertices` vertices,
-  /// at the row width palette_size calls for.
+  /// at the row width palette_size calls for. They have no key, so only
+  /// lists from assign_random_lists can release their rows.
   ColorLists(std::uint32_t num_vertices, std::uint32_t list_size,
              std::uint32_t palette_size);
 
   std::uint32_t num_vertices() const noexcept { return num_vertices_; }
   std::uint32_t list_size() const noexcept { return list_size_; }
-  bool narrow() const noexcept { return wide_.empty(); }
+  bool narrow() const noexcept { return palette_size_ <= kNarrowPaletteLimit; }
+  bool released() const noexcept { return released_; }
 
   /// The one reader of the rows: calls fn(ListRows<T>) with the row width
   /// resolved, and returns what fn returns. Loops over entries go inside
   /// fn, so they branch on the width once per loop, never per entry.
+  /// Throws std::logic_error once the rows are released.
   template <typename Fn>
   decltype(auto) visit_rows(Fn&& fn) const {
+    if (released_) {
+      throw std::logic_error("ColorLists::visit_rows: rows were released");
+    }
     if (narrow()) {
       return fn(ListRows<std::uint16_t>{narrow_.data(), list_size_});
     }
     return fn(ListRows<std::uint32_t>{wide_.data(), list_size_});
   }
 
+  /// Entry `slot` of v's list: read from the row, or drawn again from the
+  /// row's key once the rows are released (the same color either way).
+  std::uint32_t color(std::uint32_t v, std::uint32_t slot) const {
+    if (released_) return redraw(v, slot);
+    return visit_rows(
+        [v, slot](auto rows) { return std::uint32_t{rows.row(v)[slot]}; });
+  }
+
+  /// Frees the rows (and their charge's worth of memory). Entries stay
+  /// readable through color(); signatures are kept.
+  void release_rows();
+
   /// Copy of v's list at 32 bits, for cold readers (tests, diagnostics).
   std::vector<std::uint32_t> list_copy(std::uint32_t v) const {
-    return visit_rows([v](auto rows) {
-      const auto row = rows.row(v);
-      return std::vector<std::uint32_t>(row.begin(), row.end());
-    });
+    std::vector<std::uint32_t> out(list_size_);
+    for (std::uint32_t slot = 0; slot < list_size_; ++slot) {
+      out[slot] = color(v, slot);
+    }
+    return out;
   }
 
   /// True iff the (sorted) lists of u and v share at least one color.
@@ -132,8 +159,14 @@ class ColorLists {
   friend ColorLists assign_random_lists(std::uint32_t, const IterationPalette&,
                                         std::uint64_t, std::uint64_t);
 
+  std::uint32_t redraw(std::uint32_t v, std::uint32_t slot) const;
+
   std::uint32_t num_vertices_ = 0;
   std::uint32_t list_size_ = 0;
+  std::uint32_t palette_size_ = 0;  // P
+  std::uint64_t seed_ = 0;          // the rows' key with iteration_ and v
+  std::uint64_t iteration_ = 0;
+  bool released_ = false;
   std::vector<std::uint16_t> narrow_;  // rows when P <= kNarrowPaletteLimit
   std::vector<std::uint32_t> wide_;    // rows otherwise (narrow_ empty)
   std::vector<std::uint64_t> sigs_;  // one word per vertex, empty until built
@@ -142,8 +175,9 @@ class ColorLists {
 /// Draws the lists for one iteration: vertex i's list is L distinct colors
 /// uniform from [0, P), sorted, sampled straight into its row. Every vertex
 /// draws from its own (seed, iteration, vertex)-keyed stream, so the lists do
-/// not depend on the order vertices are visited in. Signatures are not
-/// built (see ColorLists::build_signatures).
+/// not depend on the order vertices are visited in, and the lists keep
+/// (seed, iteration, P) to draw any entry again after release_rows().
+/// Signatures are not built (see ColorLists::build_signatures).
 ColorLists assign_random_lists(std::uint32_t num_vertices,
                                const IterationPalette& palette,
                                std::uint64_t seed, std::uint64_t iteration);

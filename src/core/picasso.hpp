@@ -181,14 +181,16 @@ namespace detail {
 
 /// One iteration of Algorithm 1 as run_algorithm1 hands it to an engine's
 /// step: the active vertices (global ids, ascending; local id = position),
-/// the palette and lists just drawn for them, the coloring RNG, and the
-/// stats the step fills in (conflict_edges, conflicted_vertices and the
-/// seconds of its own phases).
+/// the palette and lists just drawn for them with the lists' PaletteLists
+/// charge (a step that releases the rows sets it to 0), the coloring RNG,
+/// and the stats the step fills in (conflict_edges, conflicted_vertices
+/// and the seconds of its own phases).
 struct Iteration {
   int index;
   std::span<const std::uint32_t> active;
   const IterationPalette& palette;
-  const ColorLists& lists;
+  ColorLists& lists;
+  util::ScopedCharge& lists_charge;
   util::Xoshiro256& rng;
   IterationStats& stats;
 };
@@ -253,8 +255,8 @@ PicassoResult run_algorithm1(std::uint32_t n, const PicassoParams& params,
                                     lists.logical_bytes(), memory);
 
     // Lines 7-9: the engine's conflict step and list coloring.
-    StepResult step_result =
-        step(Iteration{iteration, active, palette, lists, coloring_rng, stats});
+    StepResult step_result = step(Iteration{iteration, active, palette, lists,
+                                            lists_charge, coloring_rng, stats});
     const ListColoringResult& colored = step_result.colored;
     memory.record_external_peak(util::MemSubsystem::ColoringAux,
                                 colored.aux_peak_bytes);

@@ -46,7 +46,9 @@ std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
   const std::size_t strike =
       detail::StrikeState::bucketed_bytes(n, palette.list_size);
   const std::size_t assigned = 4 * v;
-  return lists + index + strike + assigned;
+  // The rows are released once the index is built, before the strike state
+  // exists: the build phase and the coloring phase peak apart.
+  return index + std::max(lists, strike + assigned);
 }
 
 PicassoResult solve_pauli_fused(const pauli::PauliSet& set,

@@ -25,6 +25,9 @@
 //    the liveness test is one byte per member; the oracle never re-tests a
 //    pair whose strike could no longer change a list, and only one bucket
 //    per vertex is ever scanned instead of all L;
+//  * the palette rows are released as soon as the index is built. A pick
+//    draws its one color again from the row's key (ColorLists::color), so
+//    the rows and the coloring state are never live together;
 //  * candidate batches go through the blocked SIMD kernels (edge_block) on
 //    the calling thread. A bucket at the default palette holds about 8L
 //    candidates, far too few to pay for a pool dispatch, so the coloring
@@ -80,16 +83,18 @@ std::size_t projected_conflict_csr_bytes(std::uint32_t n,
 /// Projected peak bytes the in-memory fused engine tracks for an n-vertex
 /// input under the given palette configuration, on top of the input
 /// itself — what a plan that never materializes a conflict CSR costs. The
-/// first iteration is the largest (every term grows with the active count)
-/// and holds, all at once: the color lists (nL colors, 2 bytes each when
+/// first iteration is the largest (every term grows with the active count).
+/// It holds the (vertex, slot) index (nL entries + P + 1 offsets) throughout,
+/// and beside it the larger of its two phases: while the index is built,
+/// the color lists (nL colors, 2 bytes each when
 /// P <= ColorLists::kNarrowPaletteLimit and 4 otherwise, no palette
-/// signatures), the (vertex, slot) index (nL entries + P + 1 offsets), and
-/// the dynamic-bucket coloring state (detail::StrikeState::bucketed_bytes:
-/// packed strike records, alive flags, the size buckets' page pool and
-/// page tables; plus the assignment array). Strike-scan scratch (5 bytes
-/// per entry of the largest bucket, the tester's 4-byte global ids per
-/// candidate, one touched flag per vertex) is charged after the coloring
-/// state is released and never exceeds it.
+/// signatures); once they are released, the dynamic-bucket coloring state
+/// (detail::StrikeState::bucketed_bytes: packed strike records, alive
+/// flags, the size buckets' page pool and page tables; plus the assignment
+/// array). Strike-scan scratch (5 bytes per entry of the largest bucket,
+/// the tester's 4-byte global ids per candidate, one touched flag per
+/// vertex) is charged after the coloring state is released and never
+/// exceeds it.
 std::size_t projected_fused_bytes(std::uint32_t n, double palette_percent,
                                   double alpha);
 
@@ -283,19 +288,19 @@ class OracleBatchTester {
 
 /// Lines 7-9 of both fused engines (the in-memory oracle one below and the
 /// chunked streaming one in solve_fused.cpp), so the two can only differ in
-/// how candidates are tested. Builds and charges the color index, colors
-/// the iteration by Algorithm 2 with a FusedStrikeEnumerator over a
-/// `Tester` constructed from `(tester_args..., active)`, hands the scan
-/// scratch, the tester's scratch and the touched flags to the loop to fold
-/// into the index charge, and flushes the scan counters. `it.rng` is the
-/// coloring RNG the materialized engines hand the CSR list colorer.
+/// how candidates are tested. Builds and charges the color index, releases
+/// the palette rows and their charge, colors the iteration by Algorithm 2
+/// with a FusedStrikeEnumerator over a `Tester` constructed from
+/// `(tester_args..., active)`, hands the scan scratch, the tester's scratch
+/// and the touched flags to the loop to fold into the index charge, and
+/// flushes the scan counters. `it.rng` is the coloring RNG the materialized
+/// engines hand the CSR list colorer.
 template <typename Tester, typename... TesterArgs>
 StepResult fused_step(const Iteration& it, const PicassoParams& params,
                       TesterArgs&... tester_args) {
   StepResult out;
-  // The fused frontier: the color -> (vertex, slot) inverted index is the
-  // only per-iteration structure beyond the lists themselves — where the
-  // materialized engines stage COO partitions and a CSR, this engine
+  // The fused frontier: the color -> (vertex, slot) inverted index — where
+  // the materialized engines stage COO partitions and a CSR, this engine
   // holds nL + P + 1 words, period. Strike scans compact it in place,
   // dropping the colored, the emptied and the struck entries, so it is
   // spent once the iteration is colored.
@@ -304,6 +309,11 @@ StepResult fused_step(const Iteration& it, const PicassoParams& params,
       util::MemSubsystem::FusedFrontier,
       index.offsets.capacity() * sizeof(std::uint32_t) +
           index.members.capacity() * sizeof(std::uint32_t));
+  // The index carries every slot a strike needs; only a pick still reads a
+  // list entry, and the lists draw that one again from its key. So the rows
+  // go before the strike state is built, and the two never peak together.
+  it.lists.release_rows();
+  it.lists_charge.resize(0);
 
   const std::uint32_t n = it.stats.n_active;
   FusedScanStats scan_stats;

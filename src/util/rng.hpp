@@ -106,6 +106,13 @@ std::span<std::uint32_t> sample_without_replacement(
 std::span<std::uint16_t> sample_without_replacement(
     std::uint32_t n, std::span<std::uint16_t> out, Xoshiro256& rng);
 
+/// out[rank] of the row sample_without_replacement(n, out, rng) draws for an
+/// `out` of k entries, from the same rng state; rank < min(k, n). It makes
+/// the same k draws but places only the one asked for, so a row can be
+/// dropped and any of its entries drawn again from the row's key.
+std::uint32_t sample_rank(std::uint32_t n, std::uint32_t k, std::uint32_t rank,
+                          Xoshiro256& rng);
+
 /// Fisher-Yates shuffle.
 template <typename T>
 void shuffle(std::vector<T>& v, Xoshiro256& rng) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <iterator>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -308,6 +309,53 @@ TEST(FusedEngine, NeverChargesConflictCsr) {
               materialized.iterations[i].conflict_edges)
         << "iteration " << i;
   }
+}
+
+// The fused step drops the palette rows once the color index is built, so
+// the rows and the strike state never peak together: the tracked peak is
+// the index plus the larger of the two, not their sum, and the iteration's
+// logical bytes hold no rows. The released lists refuse row reads.
+TEST(FusedEngine, RowsReleasedBeforeStrikeState) {
+  pu::Xoshiro256 rng(0xfade5ull);
+  const auto set = random_set(3000, 24, rng);
+  pcore::PicassoParams params;
+  params.seed = 13;
+  params.runtime.num_threads = 1;
+  const auto fused = pcore::solve_pauli_fused(set, params);
+  const auto sub = [&](pu::MemSubsystem s) {
+    return fused.memory.subsystem_peak[static_cast<unsigned>(s)];
+  };
+  const std::size_t rows = sub(pu::MemSubsystem::PaletteLists);
+  const std::size_t frontier = sub(pu::MemSubsystem::FusedFrontier);
+  const std::size_t aux = sub(pu::MemSubsystem::ColoringAux);
+  ASSERT_FALSE(fused.iterations.empty());
+  EXPECT_EQ(rows, 2 * set.size() * fused.iterations[0].list_size);
+  EXPECT_LT(fused.memory.peak_tracked_bytes,
+            set.logical_bytes() + rows + frontier + aux);
+  EXPECT_LE(fused.memory.peak_tracked_bytes,
+            set.logical_bytes() + frontier + std::max(rows, aux));
+  // Index and scratch, coloring state, and the active ids: no rows.
+  EXPECT_LE(fused.iterations[0].logical_bytes,
+            frontier + aux + set.size() * sizeof(std::uint32_t));
+
+  const pg::PackedComplementOracle oracle(set.packed_view());
+  int steps = 0;
+  const auto stepped = pcore::detail::run_algorithm1(
+      static_cast<std::uint32_t>(set.size()), params, "rows_released",
+      /*signatures=*/false, [&](const pcore::detail::Iteration& it) {
+        auto out = pcore::detail::fused_step<
+            pcore::detail::OracleBatchTester<pg::PackedComplementOracle>>(
+            it, params, oracle);
+        ++steps;
+        EXPECT_TRUE(it.lists.released());
+        EXPECT_EQ(it.lists.logical_bytes(), 0u);
+        EXPECT_EQ(it.lists_charge.bytes(), 0u);
+        EXPECT_THROW(it.lists.visit_rows([](auto) { return 0; }),
+                     std::logic_error);
+        return out;
+      });
+  EXPECT_EQ(steps, static_cast<int>(fused.iterations.size()));
+  EXPECT_EQ(stepped.colors, fused.colors);
 }
 
 // Streaming variant: spilled + chunk-cached records, same coloring as the

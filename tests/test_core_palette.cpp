@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/palette.hpp"
 
@@ -105,6 +107,51 @@ TEST(AssignRandomLists, RowWidthFollowsThePaletteAndKeepsTheDraw) {
         picasso::util::sample_without_replacement(palette_size, expected, rng);
         ASSERT_EQ(lists.list_copy(v), expected)
             << "P=" << palette_size << " L=" << list_size << " v=" << v;
+      }
+    }
+  }
+}
+
+// After release_rows() every entry is drawn again from the row's key and
+// equals the row drawn before: L from 1 to 40 (the sampler's rank placement
+// and its sort path), L = P, narrow and wide rows, several seeds and
+// iterations. The rows' bytes are gone and the row reader refuses.
+TEST(Palette, RedrawnSlotMatchesRow) {
+  constexpr std::uint32_t kLimit = pcore::ColorLists::kNarrowPaletteLimit;
+  std::vector<pcore::IterationPalette> palettes;
+  for (std::uint32_t l = 1; l <= 40; ++l) {
+    palettes.push_back({97, l, 0});
+    palettes.push_back({kLimit + 3, l, 0});
+  }
+  for (const std::uint32_t p : {1u, 2u, 32u, 33u, 40u}) {
+    palettes.push_back({p, p, 0});
+  }
+  palettes.push_back({kLimit, 12, 0});
+  constexpr std::uint32_t kVertices = 40;
+  for (const auto& palette : palettes) {
+    for (const std::uint64_t seed : {1ull, 23ull, 0xfeedbeefull}) {
+      for (const std::uint64_t iteration : {0ull, 5ull}) {
+        auto lists =
+            pcore::assign_random_lists(kVertices, palette, seed, iteration);
+        EXPECT_EQ(lists.narrow(), palette.palette_size <= kLimit);
+        std::vector<std::vector<std::uint32_t>> rows;
+        for (std::uint32_t v = 0; v < kVertices; ++v) {
+          rows.push_back(lists.list_copy(v));
+        }
+        lists.release_rows();
+        ASSERT_TRUE(lists.released());
+        EXPECT_EQ(lists.logical_bytes(), 0u);
+        EXPECT_THROW(lists.visit_rows([](auto) { return 0; }),
+                     std::logic_error);
+        for (std::uint32_t v = 0; v < kVertices; ++v) {
+          for (std::uint32_t slot = 0; slot < palette.list_size; ++slot) {
+            ASSERT_EQ(lists.color(v, slot), rows[v][slot])
+                << "P=" << palette.palette_size << " L=" << palette.list_size
+                << " seed=" << seed << " iteration=" << iteration
+                << " v=" << v << " slot=" << slot;
+          }
+        }
+        EXPECT_EQ(lists.list_copy(kVertices - 1), rows.back());
       }
     }
   }

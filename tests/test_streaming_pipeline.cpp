@@ -212,9 +212,10 @@ TEST(StreamingPipeline, SinglePassAndMultiPassAreBitIdentical) {
   EXPECT_EQ(single.memory.num_chunks, 1u);
 
   // Multi pass: tiny chunks under a budget that cannot hold them all next
-  // to the color lists (the whole solve peaks near 40 KiB), so chunks are
-  // evicted and re-read as the strikes come back to them.
-  params.memory_budget_bytes = 16 << 10;
+  // to the color index and strike state (the single-pass solve peaks near
+  // 23 KiB), so chunks are evicted and re-read as the strikes come back to
+  // them.
+  params.memory_budget_bytes = 12 << 10;
   pcore::StreamingOptions small_chunks;
   small_chunks.chunk_strings = 32;
   small_chunks.spill_dir = temp_spill_dir().string();

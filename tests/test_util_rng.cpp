@@ -144,6 +144,32 @@ TEST(SampleWithoutReplacement, RankPlacementMatchesSortReference) {
   }
 }
 
+// sample_rank(n, k, r) is entry r of the row sample_without_replacement
+// draws for k slots from the same stream, on both sides of the rank-
+// placement cutoff, at k == n and with k clamped to n.
+TEST(SampleWithoutReplacement, SampleRankMatchesRowEntry) {
+  for (std::uint32_t k = 1; k <= 40; ++k) {
+    for (const std::uint32_t n : {k, k + 1, 2 * k + 7, 1000u, 70000u}) {
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        pu::Xoshiro256 row_rng(seed * 2654435761u + k);
+        std::vector<std::uint32_t> row(k);
+        const auto sample = pu::sample_without_replacement(n, row, row_rng);
+        for (std::uint32_t r = 0; r < sample.size(); ++r) {
+          pu::Xoshiro256 rng(seed * 2654435761u + k);
+          ASSERT_EQ(pu::sample_rank(n, k, r, rng), sample[r])
+              << "k=" << k << " n=" << n << " rank=" << r;
+        }
+      }
+    }
+  }
+  for (std::uint32_t r = 0; r < 5; ++r) {
+    pu::Xoshiro256 row_rng(4), rng(4);
+    std::vector<std::uint32_t> row(50);
+    const auto sample = pu::sample_without_replacement(5, row, row_rng);
+    EXPECT_EQ(pu::sample_rank(5, 50, r, rng), sample[r]);
+  }
+}
+
 TEST(SampleWithoutReplacement, OversizedKClampsToN) {
   pu::Xoshiro256 rng(4);
   std::vector<std::uint32_t> row(50);
